@@ -19,6 +19,7 @@ from .cohom import (
     escape_report,
     escape_table,
     gysin_step,
+    gysin_tower,
     milnor_fiber_cohomology,
     renormalized_nearby_cohomology,
     solve_les,
@@ -84,6 +85,7 @@ __all__ = [
     "escape_table",
     "grading",
     "gysin_step",
+    "gysin_tower",
     "jacobian_ideal",
     "jet_coefficient",
     "jet_coefficient_by_enumeration",

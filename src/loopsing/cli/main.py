@@ -206,37 +206,21 @@ def _milnor_check(func: InputFunction, mu: int) -> CheckOutcome:
 def _cohomology_check(
     func: InputFunction, mu: int, n_max: int
 ) -> tuple[CheckOutcome, CohomologySection | None, tuple[str, ...]]:
-    d = func.d
+    # The walk audits every step (shift rule, concentration) and the
+    # renormalized outcome against {d-1: mu}; a failed audit raises.
     try:
-        truncations = tuple(
-            (n, cohom.truncation_cohomology(d, mu, n)) for n in range(n_max + 1)
-        )
-        renormalized = cohom.renormalized_nearby_cohomology(d, mu, n_max)
-        escape = cohom.escape_table(d, mu, n_max)
+        tower = cohom.gysin_tower(func.d, mu, n_max)
+        renormalized = tower.renormalized()
     except (cohom.Inconsistent, cohom.NotStabilized, RuntimeError) as exc:
         return CheckOutcome(ok=False, witness=str(exc)), None, ()
 
     section = CohomologySection(
-        truncations=truncations,
+        truncations=tuple(enumerate(tower.truncations)),
         renormalized=renormalized.stable,
         stabilization=dict(renormalized.stabilization_step),
-        escape=escape,
+        escape=tower.escape_table(),
     )
-    expected = cohom.GradedDims({d - 1: mu})
-    if renormalized.stable != expected:
-        outcome = CheckOutcome(
-            ok=False,
-            witness=f"renormalized cohomology {renormalized.stable} != {expected}",
-        )
-    else:
-        degrees = [row.degree for row in escape]
-        increasing = all(b - a == 2 * d for a, b in zip(degrees, degrees[1:]))
-        outcome = (
-            CheckOutcome(ok=True)
-            if increasing
-            else CheckOutcome(ok=False, witness=f"escape degrees {degrees} not in steps of 2d")
-        )
-    return outcome, section, renormalized.axioms
+    return CheckOutcome(ok=True), section, renormalized.axioms
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -278,8 +262,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_arg_parser().parse_args(argv)
     cache_dir = os.environ.get(CACHE_ENV_VAR)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
 
     config = RunConfig(
         function_source=args.function if args.function is not None else args.file,

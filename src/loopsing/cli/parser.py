@@ -40,6 +40,10 @@ class ParseError(ValueError):
         )
 
 
+# Each level of parentheses costs the recursive-descent parser five Python
+# frames; this keeps a deep input well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/])")
 
 
@@ -71,6 +75,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.cursor = 0
+        self.depth = 0
         self.coords: dict[str, int] = {}
 
     def _peek(self) -> _Token | None:
@@ -107,11 +112,12 @@ class _Parser:
             poly = poly + operand if token.text == "+" else poly - operand
 
     def _signed(self) -> LoopPoly:
-        token = self._peek()
-        if token is not None and token.text == "-":
+        negate = False
+        while (token := self._peek()) is not None and token.text == "-":
             self._take()
-            return -self._signed()
-        return self._product()
+            negate = not negate
+        poly = self._product()
+        return -poly if negate else poly
 
     def _product(self) -> LoopPoly:
         poly = self._power()
@@ -157,8 +163,14 @@ class _Parser:
             coord = self.coords.setdefault(token.text, len(self.coords) + 1)
             return LoopPoly.variable(LoopVar(coord, 0))
         if token.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    token.position, f"at most {MAX_NESTING} nested parentheses", "'('"
+                )
             self._take()
+            self.depth += 1
             inner = self._expression()
+            self.depth -= 1
             closing = self._peek()
             if closing is None or closing.text != ")":
                 raise self._fail("')'")

@@ -10,9 +10,12 @@ propagation through the segments bounded by zero entries.  Declared ranks of
 specific maps (notably the residue map onto the unit class) enter as tagged
 facts and are surfaced in every report; they are inputs, not computations.
 
-On top of the solver sit the tower of truncation cohomologies of the nearby
-fiber of a loop functional, the renormalized colimit along Gysin maps, and the
-escape bookkeeping showing reduced classes running off to infinity.
+On top of the solver sits gysin_tower, one walk up the tower of truncation
+cohomologies of the nearby fiber of a loop functional: n_max Gysin solves,
+each checked against the shift rule and for concentration of the reduced
+cohomology.  The truncation table, the escape bookkeeping showing reduced
+classes running off to infinity, and the renormalized colimit along Gysin maps
+are all read from that one walk.
 
 Everything is a pure function over small immutable values; concurrent
 invocation is safe, there is no shared state.
@@ -39,6 +42,9 @@ __all__ = [
     "milnor_fiber_cohomology",
     "sphere_cohomology",
     "gysin_step",
+    "gysin_tower",
+    "GysinTower",
+    "GysinStep",
     "truncation_cohomology",
     "renormalized_nearby_cohomology",
     "RenormalizedReport",
@@ -425,11 +431,17 @@ def _gysin_system(full_a: GradedDims, d: int) -> LesSystem:
     )
 
 
-def _gysin_solution(full_a: GradedDims, d: int) -> LesSolution:
-    solution = solve_les_detailed(_gysin_system(full_a, d))
+def _checked_gysin_solution(reduced: GradedDims, d: int) -> LesSolution:
+    """Solve one Gysin sequence and check its B-column against the shift rule."""
+    solution = solve_les_detailed(_gysin_system(reduced.with_unit(), d))
     if isinstance(solution, Underdetermined):
         raise RuntimeError(
             f"gysin system unexpectedly underdetermined at degrees {solution.degrees}"
+        )
+    expected_full = reduced.shifted(2 * d).with_unit()
+    if solution.b != expected_full:
+        raise RuntimeError(
+            f"gysin shift rule disagrees with the solver: {solution.b} != {expected_full}"
         )
     return solution
 
@@ -441,28 +453,175 @@ def gysin_step(reduced: GradedDims, d: int) -> GradedDims:
     complement through the full-rank residue.  The shift rule is validated on
     every call against the generic solver on the full (non-reduced) system.
     """
-    full_a = reduced.with_unit()
-    solution = _gysin_solution(full_a, d)
-    expected_full = reduced.shifted(2 * d).with_unit()
-    if solution.b != expected_full:
-        raise RuntimeError(
-            f"gysin shift rule disagrees with the solver: {solution.b} != {expected_full}"
-        )
+    _checked_gysin_solution(reduced, d)
     return reduced.shifted(2 * d)
+
+
+def _concentration_degree(full: GradedDims, n: int) -> int:
+    support = full.drop_unit().support
+    if len(support) != 1:
+        raise RuntimeError(f"reduced cohomology not concentrated at step {n}")
+    return support[0]
+
+
+@dataclass(frozen=True)
+class GysinStep:
+    """One solved Gysin sequence, from truncation n-1 to truncation n.
+
+    b is the full cohomology of truncation n; gysin_ranks holds only the
+    nonzero ranks of the Gysin maps into it, keyed by their target degree.
+    """
+
+    b: GradedDims
+    gysin_ranks: Mapping[int, int]
+    axioms: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class GysinTower:
+    """The truncation tower up to n_max, solved once from the Milnor fiber."""
+
+    d: int
+    mu: int
+    base: GradedDims
+    steps: tuple[GysinStep, ...]
+
+    @property
+    def n_max(self) -> int:
+        return len(self.steps)
+
+    @property
+    def truncations(self) -> tuple[GradedDims, ...]:
+        """Full cohomology of truncations 0..n_max."""
+        return (self.base,) + tuple(step.b for step in self.steps)
+
+    @property
+    def axioms(self) -> tuple[str, ...]:
+        return tuple(sorted({axiom for step in self.steps for axiom in step.axioms}))
+
+    def escape_table(self) -> tuple[EscapeRow, ...]:
+        """Per truncation step, the single degree carrying reduced cohomology.
+
+        The degrees grow without bound (an arithmetic progression of step 2d),
+        which is why nothing survives the naive colimit; the declared floor is
+        recorded alongside.
+        """
+        return tuple(
+            EscapeRow(
+                n=n,
+                degree=_concentration_degree(full, n),
+                declared_floor=declared_support_floor(self.d, n),
+            )
+            for n, full in enumerate(self.truncations)
+        )
+
+    def renormalized(self, theory: DimensionTheory | None = None) -> RenormalizedReport:
+        """Colimit of the truncation cohomologies along the Gysin maps.
+
+        See renormalized_nearby_cohomology.
+        """
+        d, n_max = self.d, self.n_max
+        if n_max < 2:
+            raise ValueError("need n_max >= 2")
+        if theory is None:
+            theory = DimensionTheory(offset_per_step=d)
+        if theory.offset_per_step != d:
+            raise ValueError("the codimension per step of the tower is d")
+
+        fulls = self.truncations
+        shift = 2 * theory.normalization
+        tracked = range(-2 * d * (n_max - 2) - shift, 3 * d - shift + 1)
+
+        def value(s: int, n: int) -> int:
+            m = s + 2 * theory.delta(n)
+            return fulls[n].dim(m) if m >= 0 else 0
+
+        def is_iso(s: int, n: int) -> bool:
+            m = s + 2 * theory.delta(n + 1)
+            rank = self.steps[n].gysin_ranks.get(m, 0) if m >= 2 * d else 0
+            return value(s, n) == value(s, n + 1) == rank
+
+        # The Gysin map at step n can fail to be an isomorphism in degree s
+        # only where truncation n or n+1 carries a class there or the map has
+        # nonzero rank there.  Scanning the steps backward, the first failure
+        # seen in a degree is its last one; it stabilizes at the next step.
+        last_failure: dict[int, int] = {}
+        for n in reversed(range(n_max)):
+            here, there = 2 * theory.delta(n), 2 * theory.delta(n + 1)
+            candidates = {m - here for m in fulls[n].support}
+            candidates.update(m - there for m in fulls[n + 1].support)
+            candidates.update(m - there for m in self.steps[n].gysin_ranks)
+            for s in candidates:
+                if s not in last_failure and not is_iso(s, n):
+                    last_failure[s] = n
+
+        stable: dict[int, int] = {}
+        steps: dict[int, int] = {}
+        for s in tracked:
+            first = last_failure.get(s, -1) + 1
+            if first == n_max:
+                raise NotStabilized(f"renormalized degree {s} not stable by step {n_max}")
+            steps[s] = first
+            dim = value(s, first)
+            if dim:
+                stable[s] = dim
+
+        outcome = GradedDims(stable)
+        expected = GradedDims({d - 1 - shift: self.mu})
+        if outcome != expected:
+            raise RuntimeError(
+                f"stable renormalized cohomology {outcome} != expected {expected}"
+            )
+        return RenormalizedReport(
+            stable=outcome,
+            stabilization_step=steps,
+            tracked=tuple(tracked),
+            theory=theory,
+            axioms=self.axioms,
+        )
+
+
+def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
+    """Walk the truncation tower once: n_max Gysin solves from the Milnor fiber.
+
+    Every step's solver output is checked against the shift rule (reduced
+    cohomology moves up by 2d), and every truncation's reduced cohomology is
+    checked to sit in a single degree, 2nd + d - 1 with dimension mu.  Only
+    the cohomology and the nonzero Gysin ranks of each step are kept.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    base = milnor_fiber_cohomology(d, mu)
+    _concentration_degree(base, 0)
+    reduced = base.drop_unit()
+    steps: list[GysinStep] = []
+    for n in range(1, n_max + 1):
+        solution = _checked_gysin_solution(reduced, d)
+        _concentration_degree(solution.b, n)
+        steps.append(
+            GysinStep(
+                b=solution.b,
+                gysin_ranks={
+                    degree: rank
+                    for (kind, degree), rank in solution.ranks.items()
+                    if kind == "gysin" and rank
+                },
+                axioms=solution.axioms,
+            )
+        )
+        reduced = reduced.shifted(2 * d)
+    return GysinTower(d=d, mu=mu, base=base, steps=tuple(steps))
 
 
 def truncation_cohomology(d: int, mu: int, n: int) -> GradedDims:
     """Full cohomology of the n-th truncation of the nearby fiber.
 
-    Iterates the Gysin step from the Milnor fiber base case; the reduced part
+    Walks the Gysin tower from the Milnor fiber base case; the reduced part
     is concentrated in the single degree 2nd + d - 1 with dimension mu.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    reduced = milnor_fiber_cohomology(d, mu).drop_unit()
-    for _ in range(n):
-        reduced = gysin_step(reduced, d)
-    return reduced.with_unit()
+    return gysin_tower(d, mu, n).truncations[n]
 
 
 def declared_support_floor(d: int, n: int) -> int:
@@ -487,28 +646,13 @@ class EscapeRow:
 
 
 def escape_report(d: int, mu: int, n_max: int) -> list[tuple[int, int]]:
-    """Per truncation step, the single degree carrying reduced cohomology.
-
-    The degrees grow without bound (an arithmetic progression of step 2d),
-    which is why nothing survives the naive colimit.
-    """
-    out = []
-    reduced = milnor_fiber_cohomology(d, mu).drop_unit()
-    for n in range(n_max + 1):
-        support = reduced.support
-        if len(support) != 1:
-            raise RuntimeError(f"reduced cohomology not concentrated at step {n}")
-        out.append((n, support[0]))
-        reduced = gysin_step(reduced, d)
-    return out
+    """Per truncation step, the single degree carrying reduced cohomology."""
+    return [(row.n, row.degree) for row in escape_table(d, mu, n_max)]
 
 
 def escape_table(d: int, mu: int, n_max: int) -> tuple[EscapeRow, ...]:
-    """escape_report with the declared floor recorded alongside."""
-    return tuple(
-        EscapeRow(n=n, degree=degree, declared_floor=declared_support_floor(d, n))
-        for n, degree in escape_report(d, mu, n_max)
-    )
+    """Escape degrees of the tower with the declared floor recorded alongside."""
+    return gysin_tower(d, mu, n_max).escape_table()
 
 
 @dataclass(frozen=True)
@@ -535,63 +679,4 @@ def renormalized_nearby_cohomology(
     Raises NotStabilized if a tracked degree has not settled by n_max, which
     would be a bug rather than a feature of the tower.
     """
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
-    if theory is None:
-        theory = DimensionTheory(offset_per_step=d)
-    if theory.offset_per_step != d:
-        raise ValueError("the codimension per step of the tower is d")
-
-    fulls = [milnor_fiber_cohomology(d, mu)]
-    gysin_ranks: list[dict[int, int]] = []
-    axioms: set[str] = set()
-    for _ in range(n_max):
-        solution = _gysin_solution(fulls[-1], d)
-        axioms.update(solution.axioms)
-        gysin_ranks.append(
-            {
-                degree - 2 * d: rank
-                for (kind, degree), rank in solution.ranks.items()
-                if kind == "gysin"
-            }
-        )
-        fulls.append(solution.b)
-
-    shift = 2 * theory.normalization
-    tracked = range(-2 * d * (n_max - 2) - shift, 3 * d - shift + 1)
-
-    stable: dict[int, int] = {}
-    steps: dict[int, int] = {}
-    for s in tracked:
-        values = []
-        for n in range(n_max + 1):
-            m = s + 2 * theory.delta(n)
-            values.append(fulls[n].dim(m) if m >= 0 else 0)
-        iso = []
-        for n in range(n_max):
-            m = s + 2 * theory.delta(n)
-            rank = gysin_ranks[n].get(m, 0) if m >= 0 else 0
-            iso.append(values[n] == values[n + 1] == rank)
-        first = next(
-            (n0 for n0 in range(n_max) if all(iso[n0:])),
-            None,
-        )
-        if first is None:
-            raise NotStabilized(f"renormalized degree {s} not stable by step {n_max}")
-        steps[s] = first
-        if values[first]:
-            stable[s] = values[first]
-
-    outcome = GradedDims(stable)
-    expected = GradedDims({d - 1 - shift: mu})
-    if outcome != expected:
-        raise RuntimeError(
-            f"stable renormalized cohomology {outcome} != expected {expected}"
-        )
-    return RenormalizedReport(
-        stable=outcome,
-        stabilization_step=steps,
-        tracked=tuple(tracked),
-        theory=theory,
-        axioms=tuple(sorted(axioms)),
-    )
+    return gysin_tower(d, mu, n_max).renormalized(theory)

@@ -14,10 +14,13 @@ sensitive) but independent invocations on distinct inputs are safe.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
+import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -459,9 +462,25 @@ def _cache_load(path: str, ideal: Ideal) -> GroebnerBasis | None:
 
 
 def _cache_store(path: str, gb: GroebnerBasis) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    """Publish the basis at path atomically; a failure costs only the entry.
+
+    Each writer fills its own temporary file, so concurrent writers of one key
+    never share a file and the last complete one wins.
+    """
     payload = {"version": _CACHE_VERSION, "basis": [_serialize_poly(g) for g in gb.elements]}
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        print(f"loopsing: warning: Groebner basis not cached: {exc}", file=sys.stderr)

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import loopsing
+from loopsing import cohom
 from loopsing.cli import (
     CACHE_ENV_VAR,
     ConfigError,
@@ -70,6 +77,36 @@ class TestRun:
         report = run_source("z^2", n_max=6)
         assert [n for n, _ in report.cohomology.truncations] == list(range(7))
         assert report.cohomology.truncations[6][1] == GradedDims({0: 1, 12: 1})
+
+    @pytest.mark.parametrize("n_max", [2, 5, 12])
+    def test_cohomology_walks_the_tower_once(self, monkeypatch, n_max):
+        solve = cohom.solve_les_detailed
+        calls = []
+
+        def counted(system):
+            calls.append(system)
+            return solve(system)
+
+        monkeypatch.setattr(cohom, "solve_les_detailed", counted)
+        report = run_source("x^3 + y^3", n_max=n_max, checks=("cohomology",))
+        assert report.checks["cohomology"].ok
+        assert len(calls) == n_max
+
+    def test_failed_shift_rule_fails_the_check(self, monkeypatch):
+        solve = cohom.solve_les_detailed
+
+        def wrong(system):
+            solution = solve(system)
+            return replace(solution, b=solution.b.shifted(1))
+
+        monkeypatch.setattr(cohom, "solve_les_detailed", wrong)
+        report = run_source("x^3 + y^3")
+        outcome = report.checks["cohomology"]
+        assert not outcome.ok and not outcome.skipped
+        assert "shift rule" in outcome.witness
+        assert report.cohomology is None
+        assert report.exit_status == 1
+        assert main(["-f", "x^3 + y^3"]) == 1
 
     def test_axioms_listed_when_cohomology_runs(self):
         report = run_source("z^2")
@@ -183,6 +220,29 @@ class TestMain:
     def test_emit_lambda_flag(self, capsys):
         assert main(["-f", "z^2", "--emit-lambda"]) == 0
         assert "z_0^2" in capsys.readouterr().out
+
+    def test_deep_nesting_is_a_syntax_error(self, capsys):
+        source = "(" * 3000 + "x" + ")" * 3000 + "^2"
+        assert main(["-f", source]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loopsing: error:") and err.count("\n") == 1
+
+    def test_unusable_cache_only_warns(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv(CACHE_ENV_VAR, str(blocker))
+        assert main(["-f", "x^3 + y^3"]) == 0
+        assert capsys.readouterr().err.startswith("loopsing: warning:")
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(loopsing.__file__).parents[1]))
+        env.pop(CACHE_ENV_VAR, None)
+        result = subprocess.run(
+            [sys.executable, "-m", "loopsing.cli", "-f", "x^3+y^3", "--format", "structured"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["milnor_number"] == 4
 
     def test_cache_env_variable(self, tmp_path, monkeypatch, capsys):
         cache = tmp_path / "cache"

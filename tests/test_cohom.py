@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from loopsing import cohom
 from loopsing.cohom import (
     DimensionTheory,
     EscapeRow,
@@ -16,6 +19,7 @@ from loopsing.cohom import (
     escape_report,
     escape_table,
     gysin_step,
+    gysin_tower,
     milnor_fiber_cohomology,
     renormalized_nearby_cohomology,
     residue_onto_unit_fact,
@@ -149,6 +153,57 @@ class TestGysinStep:
             full = truncation_cohomology(entry.d, entry.mu, n)
             nxt = solve_les_detailed(gysin_system(full, entry.d)).b
             assert nxt.euler() == full.euler() + sphere_cohomology(entry.d).euler()
+
+
+class TestGysinTower:
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
+    def test_one_walk_agrees_with_every_consumer(self, entry):
+        d, mu = entry.d, entry.mu
+        for n_max in range(13):
+            tower = gysin_tower(d, mu, n_max)
+            assert tower.n_max == n_max
+            assert len(tower.truncations) == n_max + 1
+            for n, full in enumerate(tower.truncations):
+                assert full == truncation_cohomology(d, mu, n)
+            assert tower.escape_table() == escape_table(d, mu, n_max)
+            if n_max >= 2:
+                assert tower.renormalized() == renormalized_nearby_cohomology(d, mu, n_max)
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
+    def test_steps_keep_only_nonzero_gysin_ranks(self, entry):
+        d, mu = entry.d, entry.mu
+        tower = gysin_tower(d, mu, 6)
+        for n, step in enumerate(tower.steps, start=1):
+            # the reduced class maps isomorphically; the unit dies in the residue
+            assert dict(step.gysin_ranks) == {2 * n * d + d - 1: mu}
+            assert any("residue" in axiom for axiom in step.axioms)
+        assert tower.axioms == tower.steps[0].axioms
+
+    def test_rejects_negative_height(self):
+        with pytest.raises(ValueError):
+            gysin_tower(2, 4, -1)
+
+    def test_shift_rule_is_checked_at_every_step(self, monkeypatch):
+        solve = cohom.solve_les_detailed
+        calls = []
+
+        def solve_wrong_after_three(system):
+            calls.append(system)
+            solution = solve(system)
+            if len(calls) < 4:
+                return solution
+            return replace(solution, b=solution.b.shifted(1))
+
+        monkeypatch.setattr(cohom, "solve_les_detailed", solve_wrong_after_three)
+        with pytest.raises(RuntimeError, match="shift rule"):
+            gysin_tower(2, 4, 6)
+        assert len(calls) == 4
+
+    def test_concentration_is_checked(self, monkeypatch):
+        spread = GradedDims({0: 1, 1: 2, 3: 1})
+        monkeypatch.setattr(cohom, "milnor_fiber_cohomology", lambda d, mu: spread)
+        with pytest.raises(RuntimeError, match="not concentrated"):
+            gysin_tower(2, 4, 3)
 
 
 class TestTruncationTower:

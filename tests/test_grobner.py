@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+from loopsing import grobner
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.grobner import (
     GroebnerBasis,
@@ -20,6 +24,12 @@ from loopsing.grobner import (
 )
 
 from conftest import NON_ISOLATED_SOURCES, build, fermat_source
+
+
+def _store_repeatedly(path: str, source: str, times: int) -> None:
+    gb = buchberger(jacobian_ideal(build(source)))
+    for _ in range(times):
+        grobner._cache_store(path, gb)
 
 
 def lv(coord: int) -> LoopPoly:
@@ -185,3 +195,33 @@ class TestCache:
         buchberger(jacobian_ideal(build("x^3 + y^3")), cache_dir=str(tmp_path))
         buchberger(jacobian_ideal(build("x^4 + y^4")), cache_dir=str(tmp_path))
         assert len(list(tmp_path.glob("*.json"))) == 2
+
+    def test_concurrent_writers_of_one_key(self, tmp_path):
+        ideal = jacobian_ideal(build("x^3 + y^3"))
+        path = tmp_path / (grobner._cache_key(ideal) + ".json")
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=3, mp_context=context) as pool:
+            futures = [
+                pool.submit(_store_repeatedly, str(path), "x^3 + y^3", 300) for _ in range(3)
+            ]
+            for future in futures:
+                future.result(timeout=120)
+        assert list(tmp_path.iterdir()) == [path]
+        assert grobner._cache_load(str(path), ideal) == buchberger(ideal)
+
+    def test_unusable_cache_directory_only_warns(self, tmp_path, capsys):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        ideal = jacobian_ideal(build("x^3 + y^3"))
+        assert buchberger(ideal, cache_dir=str(blocker)).elements == (x**2, y**2)
+        assert capsys.readouterr().err.startswith("loopsing: warning:")
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(grobner.os, "replace", refuse)
+        ideal = jacobian_ideal(build("x^3 + y^3"))
+        assert buchberger(ideal, cache_dir=str(tmp_path)).elements == (x**2, y**2)
+        assert "disk full" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

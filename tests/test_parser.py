@@ -13,6 +13,7 @@ from loopsing.cli import (
     parse_polynomial,
     read_function_file,
 )
+from loopsing.cli.parser import MAX_NESTING
 from loopsing.exactalg import LoopVar, Monomial
 from loopsing.loopfun import DegreeTooLow, NotHomogeneous
 
@@ -86,6 +87,19 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_function("")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        source = "(" * 3000 + "x" + ")" * 3000 + "^2"
+        with pytest.raises(ParseError) as excinfo:
+            parse_function(source)
+        assert excinfo.value.position == MAX_NESTING
+
+    def test_nesting_up_to_the_limit_parses(self):
+        nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING + "^2"
+        assert parse_function(nested).poly == parse_function("x^2").poly
+
+    def test_long_unary_minus_chain_parses(self):
+        assert parse_function("- " * 3001 + "x^2").poly == parse_function("-x^2").poly
 
 
 class TestRoundTrip:
