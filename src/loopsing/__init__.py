@@ -52,6 +52,7 @@ from .loopfun import (
     jet_coefficient_by_enumeration,
     lambda_of,
     minimal_window,
+    support_window,
 )
 
 __version__ = "0.1.0"
@@ -99,6 +100,7 @@ __all__ = [
     "solve_les_detailed",
     "sphere_cohomology",
     "standard_monomials",
+    "support_window",
     "truncation_cohomology",
     "__version__",
 ]

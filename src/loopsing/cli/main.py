@@ -25,11 +25,13 @@ from ..loopfun import (
     DegreeTooLow,
     InputFunction,
     NotHomogeneous,
+    Window,
     check_derivative_identity,
     check_support_bound,
     check_top_linearity,
-    jet_coefficient,
+    lambda_of,
     minimal_window,
+    support_window,
 )
 from .parser import ParseError, format_function, loop_poly_string, parse_function, read_function_file
 from .report import CHECK_NAMES, CheckOutcome, CohomologySection, Report
@@ -37,6 +39,8 @@ from .report import CHECK_NAMES, CheckOutcome, CohomologySection, Report
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
 CACHE_ENV_VAR = "LOOPSING_CACHE"
+
+FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
 
 
 class ConfigError(ValueError):
@@ -95,44 +99,16 @@ def run(config: RunConfig) -> Report:
     enabled = _ordered(config.checks)
 
     checks: dict[str, CheckOutcome] = {}
-    lam: LoopPoly | None = None
     lambda_terms: int | None = None
     lambda_string: str | None = None
-    needs_lambda = any(
-        name in enabled for name in ("lambda", "support", "linearity", "derivative")
-    )
-    if needs_lambda:
-        lam = jet_coefficient(func, window, 0)
-        lambda_terms = len(lam)
-        if config.emit_lambda:
-            lambda_string = loop_poly_string(lam, func.names)
-
-    if "lambda" in enabled:
-        checks["lambda"] = _lambda_check(func, lam)
-    if "support" in enabled:
-        report = check_support_bound(func, bottom)
-        checks["support"] = CheckOutcome(
-            ok=report.ok,
-            witness=None
-            if report.ok
-            else f"conformal degree {report.max_cdeg_present} exceeds bound {report.bound}",
-        )
-    if "linearity" in enabled:
-        report = check_top_linearity(func, bottom)
-        checks["linearity"] = CheckOutcome(
-            ok=report.ok,
-            witness=None
-            if report.ok
-            else "nonlinear monomial "
-            + ", ".join(str(m) for m in report.offending_monomials),
-        )
-    if "derivative" in enabled:
-        report = check_derivative_identity(func, bottom)
-        bad = [c.coord for c in report.checks if not c.ok]
-        checks["derivative"] = CheckOutcome(
-            ok=report.ok,
-            witness=None if report.ok else f"identity fails for coordinates {bad}",
-        )
+    functional_checks = [name for name in enabled if name in FUNCTIONAL_CHECKS]
+    if functional_checks:
+        lam, outcomes = _functional_checks(func, bottom, window, functional_checks)
+        checks.update(outcomes)
+        if lam is not None:
+            lambda_terms = len(lam)
+            if config.emit_lambda:
+                lambda_string = loop_poly_string(lam, func.names)
 
     mu: int | None = None
     isolated: bool | None = None
@@ -177,17 +153,64 @@ def run(config: RunConfig) -> Report:
     )
 
 
-def _lambda_check(func: InputFunction, lam: LoopPoly | None) -> CheckOutcome:
-    assert lam is not None
-    for mono, _ in lam.terms:
-        if mono.weight(lambda v: v.cdeg) != 0:
-            return CheckOutcome(ok=False, witness=f"monomial {mono} has nonzero conformal weight")
-        if mono.degree != func.delta:
-            return CheckOutcome(ok=False, witness=f"monomial {mono} has degree != {func.delta}")
-    restricted = lam.zero_out(lambda v: v.cdeg != 0)
-    if restricted != func.poly:
-        return CheckOutcome(ok=False, witness="constant-loop restriction does not recover the input")
-    return CheckOutcome(ok=True)
+def _functional_checks(
+    func: InputFunction, bottom: int, window: Window, names: Sequence[str]
+) -> tuple[LoopPoly | None, dict[str, CheckOutcome]]:
+    """The functional on `window` and the outcomes of the named checks.
+
+    The functional is computed once, on the support check's window when that
+    check runs; the functional on the smaller `window` is that one with every
+    variable above the window set to zero.  An audit that raises becomes a
+    failed check with the error as its witness: a failed audit of the
+    functional itself fails every named check and leaves no functional.
+    """
+    try:
+        wide = lambda_of(func, support_window(func, bottom) if "support" in names else window)
+    except RuntimeError as exc:
+        return None, {name: CheckOutcome(ok=False, witness=str(exc)) for name in names}
+    lam = wide.zero_out(lambda v: v.cdeg > window.top)
+    outcomes: dict[str, CheckOutcome] = {}
+    for name in names:
+        try:
+            outcomes[name] = _functional_outcome(name, func, bottom, lam, wide)
+        except RuntimeError as exc:
+            outcomes[name] = CheckOutcome(ok=False, witness=str(exc))
+    return lam, outcomes
+
+
+def _functional_outcome(
+    name: str, func: InputFunction, bottom: int, lam: LoopPoly, wide: LoopPoly
+) -> CheckOutcome:
+    if name == "lambda":
+        # lambda_of has audited the conformal and scaling weights.
+        if lam.zero_out(lambda v: v.cdeg != 0) != func.poly:
+            return CheckOutcome(
+                ok=False, witness="constant-loop restriction does not recover the input"
+            )
+        return CheckOutcome(ok=True)
+    if name == "support":
+        report = check_support_bound(func, bottom, wide)
+        return CheckOutcome(
+            ok=report.ok,
+            witness=None
+            if report.ok
+            else f"conformal degree {report.max_cdeg_present} exceeds bound {report.bound}",
+        )
+    if name == "linearity":
+        report = check_top_linearity(func, bottom, lam)
+        return CheckOutcome(
+            ok=report.ok,
+            witness=None
+            if report.ok
+            else "nonlinear monomial "
+            + ", ".join(str(m) for m in report.offending_monomials),
+        )
+    report = check_derivative_identity(func, bottom, lam)
+    bad = [c.coord for c in report.checks if not c.ok]
+    return CheckOutcome(
+        ok=report.ok,
+        witness=None if report.ok else f"identity fails for coordinates {bad}",
+    )
 
 
 def _milnor_check(func: InputFunction, mu: int) -> CheckOutcome:

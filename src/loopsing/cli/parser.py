@@ -10,6 +10,7 @@ occurrence.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -43,6 +44,11 @@ class ParseError(ValueError):
 # Each level of parentheses costs the recursive-descent parser five Python
 # frames; this keeps a deep input well inside the interpreter's recursion limit.
 MAX_NESTING = 100
+
+# Bound on exponents and on the total degree of every product.  The size of a
+# loop functional grows steeply with the degree; test and benchmark inputs
+# have degree 10 or less.
+MAX_DEGREE = 64
 
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/])")
 
@@ -126,7 +132,9 @@ class _Parser:
             if token is None or token.text != "*":
                 return poly
             self._take()
-            poly = poly * self._power()
+            factor = self._power()
+            _check_degree(token, _degree(poly) + _degree(factor))
+            poly = poly * factor
 
     def _power(self) -> LoopPoly:
         base = self._atom()
@@ -137,7 +145,13 @@ class _Parser:
             if exp_token is None or exp_token.kind != "int":
                 raise self._fail("an integer exponent")
             self._take()
-            return base ** int(exp_token.text)
+            exponent = _int_value(exp_token)
+            if exponent > MAX_DEGREE:
+                raise ParseError(
+                    exp_token.position, f"an exponent of at most {MAX_DEGREE}", repr(exp_token.text)
+                )
+            _check_degree(exp_token, _degree(base) * exponent)
+            return base ** exponent
         return base
 
     def _atom(self) -> LoopPoly:
@@ -146,7 +160,7 @@ class _Parser:
             raise self._fail("a number, variable or '('")
         if token.kind == "int":
             self._take()
-            numerator = int(token.text)
+            numerator = _int_value(token)
             nxt = self._peek()
             if nxt is not None and nxt.text == "/":
                 self._take()
@@ -154,9 +168,10 @@ class _Parser:
                 if den_token is None or den_token.kind != "int":
                     raise self._fail("an integer denominator")
                 self._take()
-                if int(den_token.text) == 0:
+                denominator = _int_value(den_token)
+                if denominator == 0:
                     raise ParseError(den_token.position, "a nonzero denominator", "0")
-                return LoopPoly.constant(Fraction(numerator, int(den_token.text)))
+                return LoopPoly.constant(Fraction(numerator, denominator))
             return LoopPoly.constant(numerator)
         if token.kind == "name":
             self._take()
@@ -177,6 +192,28 @@ class _Parser:
             self._take()
             return inner
         raise self._fail("a number, variable or '('")
+
+
+def _int_value(token: _Token) -> int:
+    try:
+        return int(token.text)
+    except ValueError:  # more digits than the interpreter converts
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            token.position, f"an integer of at most {limit} digits", f"{len(token.text)} digits"
+        ) from None
+
+
+def _degree(poly: LoopPoly) -> int:
+    return max((mono.degree for mono, _ in poly.terms), default=0)
+
+
+def _check_degree(token: _Token, degree: int) -> None:
+    """Reject a product or power of total degree above MAX_DEGREE before it is built."""
+    if degree > MAX_DEGREE:
+        raise ParseError(
+            token.position, f"a total degree of at most {MAX_DEGREE}", f"degree {degree}"
+        )
 
 
 def parse_polynomial(source: str) -> tuple[LoopPoly, tuple[str, ...]]:

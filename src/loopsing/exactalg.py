@@ -390,14 +390,16 @@ class LoopPoly:
         return LoopPoly(acc)
 
     def zero_out(self, doomed: Callable[[LoopVar], bool]) -> "LoopPoly":
-        """Set every variable satisfying the predicate to zero."""
-        return LoopPoly(
-            {
-                mono: coeff
-                for mono, coeff in self._terms
-                if not any(doomed(v) for v in mono.variables())
-            }
-        )
+        """Set every variable satisfying the predicate to zero.
+
+        Returns the polynomial itself when no variable of it is doomed.
+        """
+        kept = {
+            mono: coeff
+            for mono, coeff in self._terms
+            if not any(doomed(v) for v in mono.variables())
+        }
+        return self if len(kept) == len(self._terms) else LoopPoly(kept)
 
     # -- display -------------------------------------------------------------
 

@@ -14,11 +14,12 @@ Everything here is a pure function over immutable inputs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import UNIT, LoopPoly, LoopVar, Monomial
+from .exactalg import LoopPoly, LoopVar, Monomial
 
 __all__ = [
     "Window",
@@ -29,6 +30,7 @@ __all__ = [
     "jet_coefficient_by_enumeration",
     "lambda_of",
     "minimal_window",
+    "support_window",
     "check_support_bound",
     "check_top_linearity",
     "check_derivative_identity",
@@ -165,34 +167,92 @@ def minimal_window(func: InputFunction, bottom: int) -> Window:
     return Window(bottom, bottom * (func.delta - 1))
 
 
+def support_window(func: InputFunction, bottom: int) -> Window:
+    """The window of the support check: delta conformal degrees past the bound.
+
+    It contains the minimal window, whose functional is the one on this
+    window with every variable above bottom*(delta-1) set to zero.
+    """
+    return Window(bottom, bottom * (func.delta - 1) + func.delta)
+
+
+def _power_expansion(
+    coord: int, exp: int, lo: int, hi: int, sum_lo: int, sum_hi: int
+) -> dict[int, list[tuple[tuple[tuple[LoopVar, int], ...], int]]]:
+    """Terms of (sum_{j=lo..hi} z^coord_j t^j)^exp with t-degree in [sum_lo, sum_hi].
+
+    Each term is a multiset of exp window indices, given as the factor items
+    ((z^coord_j, count), ...) in increasing j, with its multinomial
+    coefficient exp!/prod(count!); the terms are grouped by t-degree.
+    """
+    found: dict[int, list[tuple[tuple[tuple[LoopVar, int], ...], int]]] = {}
+
+    def extend(start: int, left: int, total: int, chosen: tuple, weight: int) -> None:
+        # The `left` indices still to choose lie in [start, hi].
+        if total + left * hi < sum_lo:
+            return
+        for j in range(start, hi + 1):
+            if total + left * j > sum_hi:
+                return
+            var = LoopVar(coord, j)
+            for count in range(left, 0, -1):
+                reached = total + count * j
+                rest = left - count
+                items = chosen + ((var, count),)
+                if not rest:
+                    if reached >= sum_lo:
+                        found.setdefault(reached, []).append((items, weight))
+                elif j < hi and reached + rest * (j + 1) <= sum_hi:
+                    extend(j + 1, rest, reached, items, weight * math.comb(left, count))
+
+    extend(lo, exp, 0, (), 1)
+    return found
+
+
 def _jet_of_poly(poly: LoopPoly, window: Window, k: int) -> LoopPoly:
     """Coefficient of t^k after substituting windowed Laurent series.
 
-    Expands monomial by monomial as an iterated convolution over the t-degree,
-    pruning t-degrees that can no longer reach k given the remaining factors.
+    Each factor z_i^e of a monomial expands over multisets of e window
+    indices, weighted by their multinomial coefficients; the factors are then
+    convolved over the t-degree, pruning t-degrees that can no longer reach k
+    given the remaining factors.  Distinct ambient monomials give distinct
+    loop monomials (the exponents per coordinate differ), and so do distinct
+    choices of multisets, so every surviving term is built exactly once.
     """
     lo, hi = window.lo, window.hi
-    acc: dict[Monomial, Fraction] = {}
+    terms: list[tuple[Monomial, Fraction]] = []
     for mono, coeff in poly.terms:
-        slots = [v.coord for v, e in mono.factors for _ in range(e)]
-        state: dict[int, dict[Monomial, Fraction]] = {0: {UNIT: coeff}}
-        for position, coord in enumerate(slots):
-            remaining = len(slots) - position - 1
-            grown: dict[int, dict[Monomial, Fraction]] = {}
-            for t_deg, bucket in state.items():
-                for j in range(lo, hi + 1):
-                    t_next = t_deg + j
-                    if t_next + remaining * lo > k or t_next + remaining * hi < k:
+        remaining = mono.degree
+        # t-degree -> partial products (factor items, integer weight)
+        state: dict[int, list[tuple[tuple, int]]] = {0: [((), 1)]}
+        for var, exp in mono.factors:
+            remaining -= exp
+            # The t-degree after this factor must still reach k.
+            after_lo, after_hi = k - remaining * hi, k - remaining * lo
+            expansion = _power_expansion(
+                var.coord,
+                exp,
+                lo,
+                hi,
+                max(exp * lo, after_lo - max(state)),
+                min(exp * hi, after_hi - min(state)),
+            )
+            grown: dict[int, list[tuple[tuple, int]]] = {}
+            for t_deg, partials in state.items():
+                for factor_deg, group in expansion.items():
+                    total = t_deg + factor_deg
+                    if not after_lo <= total <= after_hi:
                         continue
-                    var = LoopVar(coord, j)
-                    target = grown.setdefault(t_next, {})
-                    for m, c in bucket.items():
-                        m2 = m.mul_var(var)
-                        target[m2] = target.get(m2, Fraction(0)) + c
+                    target = grown.setdefault(total, [])
+                    for items, weight in partials:
+                        for extra, factor_weight in group:
+                            target.append((items + extra, weight * factor_weight))
             state = grown
-        for m, c in state.get(k, {}).items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-    return LoopPoly(acc)
+            if not state:
+                break
+        for items, weight in state.get(k, ()):
+            terms.append((Monomial(items), coeff * weight))
+    return LoopPoly(terms)
 
 
 def jet_coefficient(func: InputFunction, window: Window, k: int) -> LoopPoly:
@@ -248,17 +308,20 @@ class SupportBoundReport:
     window: Window
 
 
-def check_support_bound(func: InputFunction, bottom: int) -> SupportBoundReport:
+def check_support_bound(
+    func: InputFunction, bottom: int, functional: LoopPoly | None = None
+) -> SupportBoundReport:
     """Verify that no variable of conformal degree > bottom*(delta-1) occurs.
 
-    The functional is computed on a window reaching strictly beyond the bound,
-    so the check is not vacuous.
+    The functional is computed on a window reaching strictly beyond the bound
+    (`support_window`), so the check is not vacuous.  A caller that already
+    holds the functional on that window may pass it as `functional`.
     """
     if bottom < 0:
         raise ValueError("bottom must be nonnegative")
     bound = bottom * (func.delta - 1)
-    window = Window(bottom, bound + func.delta)
-    lam = lambda_of(func, window)
+    window = support_window(func, bottom)
+    lam = lambda_of(func, window) if functional is None else functional
     max_present = max(v.cdeg for v in lam.variables())
     return SupportBoundReport(
         bound=bound,
@@ -278,7 +341,9 @@ class TopLinearityReport:
     window: Window
 
 
-def check_top_linearity(func: InputFunction, bottom: int) -> TopLinearityReport:
+def check_top_linearity(
+    func: InputFunction, bottom: int, functional: LoopPoly | None = None
+) -> TopLinearityReport:
     """Verify that each monomial of the functional is linear in top variables.
 
     With N = bottom*(delta-1), monomials of the functional can carry at most
@@ -287,13 +352,14 @@ def check_top_linearity(func: InputFunction, bottom: int) -> TopLinearityReport:
         sum_j z^j_N * d(functional)/d(z^j_N)  +  remainder
 
     with the remainder free of conformal-degree-N variables.  The decomposition
-    is returned as (linear_part, remainder).
+    is returned as (linear_part, remainder).  A caller that already holds the
+    functional on the window [-bottom, N] may pass it as `functional`.
     """
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
     top = bottom * (func.delta - 1)
     window = Window(bottom, top)
-    lam = lambda_of(func, window)
+    lam = lambda_of(func, window) if functional is None else functional
 
     offending = tuple(
         mono
@@ -345,7 +411,7 @@ class DerivativeIdentityReport:
 
 
 def check_derivative_identity(
-    func: InputFunction, bottom: int
+    func: InputFunction, bottom: int, functional: LoopPoly | None = None
 ) -> DerivativeIdentityReport:
     """Verify both forms of the top-variable derivative identity.
 
@@ -357,13 +423,15 @@ def check_derivative_identity(
 
     Form (ii) evaluates at the most negative window index: the derivative of
     the functional has conformal weight -N and d_j F is homogeneous of degree
-    delta-1, which forces every factor down to degree -bottom.
+    delta-1, which forces every factor down to degree -bottom.  A caller that
+    already holds the functional on the window [-bottom, N] may pass it as
+    `functional`.
     """
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
     top = bottom * (func.delta - 1)
     window = Window(bottom, top)
-    lam = lambda_of(func, window)
+    lam = lambda_of(func, window) if functional is None else functional
 
     checks = []
     for j in range(1, func.d + 1):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
@@ -58,3 +60,23 @@ def corpus_entry(request) -> CorpusEntry:
 @pytest.fixture
 def corpus_function(corpus_entry) -> InputFunction:
     return build(corpus_entry.source)
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError inside the block once `seconds` have passed.
+
+    Guards tests of inputs that used to run without bound; it relies on
+    SIGALRM, so it works in the main thread of a Unix process.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

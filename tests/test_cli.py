@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import loopsing
-from loopsing import cohom
+from loopsing import cohom, loopfun
 from loopsing.cli import (
     CACHE_ENV_VAR,
     ConfigError,
@@ -23,8 +23,11 @@ from loopsing.cli import (
     validate_report,
 )
 from loopsing.cohom import GradedDims
+from loopsing.exactalg import LoopPoly, LoopVar
 
-from conftest import CORPUS, NON_ISOLATED_SOURCES
+from conftest import CORPUS, NON_ISOLATED_SOURCES, deadline
+
+FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
 
 
 def run_source(source: str, **overrides) -> Report:
@@ -107,6 +110,45 @@ class TestRun:
         assert report.cohomology is None
         assert report.exit_status == 1
         assert main(["-f", "x^3 + y^3"]) == 1
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
+    def test_functional_computed_once(self, monkeypatch, entry):
+        jet = loopfun._jet_of_poly
+        calls = []
+
+        def counted(poly, window, k):
+            calls.append((window, k))
+            return jet(poly, window, k)
+
+        monkeypatch.setattr(loopfun, "_jet_of_poly", counted)
+        report = run_source(entry.source, window_bottom=2, checks=FUNCTIONAL_CHECKS)
+        assert report.exit_status == 0
+        # one functional, then one jet per partial derivative
+        assert len(calls) == 1 + entry.d
+        assert [k for _, k in calls] == [0] + [-2 * (entry.delta - 1)] * entry.d
+
+    def test_failed_functional_audit_fails_every_functional_check(self, monkeypatch, capsys):
+        jet = loopfun._jet_of_poly
+
+        def shifted(poly, window, k):
+            # a t^0 coefficient of conformal weight 1, which lambda_of's audit rejects
+            result = jet(poly, window, k)
+            return result * LoopPoly.variable(LoopVar(1, 1)) if k == 0 else result
+
+        monkeypatch.setattr(loopfun, "_jet_of_poly", shifted)
+        report = run_source("x^3 + y^3")
+        for name in FUNCTIONAL_CHECKS:
+            outcome = report.checks[name]
+            assert not outcome.ok and not outcome.skipped
+            assert outcome.witness == "loop functional has conformal weights {1}"
+        assert report.lambda_term_count is None
+        assert report.checks["milnor"].ok and report.checks["cohomology"].ok
+        assert validate_report(report.to_dict()) == []
+        capsys.readouterr()
+        assert main(["-f", "x^3 + y^3"]) == 1
+        captured = capsys.readouterr()
+        assert "conformal weights" in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     def test_axioms_listed_when_cohomology_runs(self):
         report = run_source("z^2")
@@ -226,6 +268,16 @@ class TestMain:
         assert main(["-f", source]) == 2
         err = capsys.readouterr().err
         assert err.startswith("loopsing: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "source", ["x^200000 + y^200000", "x^40*y^40", "(x + y + w)^65"]
+    )
+    def test_degree_budget_is_a_syntax_error(self, capsys, source):
+        with deadline(10):
+            assert main(["-f", source, "--checks", "lambda"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loopsing: error:") and err.count("\n") == 1
+        assert "at most 64" in err
 
     def test_unusable_cache_only_warns(self, tmp_path, monkeypatch, capsys):
         blocker = tmp_path / "not-a-directory"

@@ -1,0 +1,30 @@
+"""Each narrative demo runs to completion against the current package."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import loopsing
+from loopsing.cli import CACHE_ENV_VAR
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 3
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(Path(loopsing.__file__).parents[1]))
+    env.pop(CACHE_ENV_VAR, None)
+    result = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout

@@ -141,6 +141,13 @@ def test_canonical_form_is_insertion_order_independent():
         assert str(other) == str(reference)
 
 
+def test_zero_out():
+    p = z0 * z1 + 2 * zm1 * y0 + 3 * z0
+    assert p.zero_out(lambda v: v.cdeg > 0) == 2 * zm1 * y0 + 3 * z0
+    assert p.zero_out(lambda v: v.coord == 2) == z0 * z1 + 3 * z0
+    assert p.zero_out(lambda v: v.cdeg > 1) is p
+
+
 def test_zero_coefficients_are_pruned():
     p = LoopPoly({Monomial({LoopVar(1, 0): 1}): Fraction(0)})
     assert p.is_zero

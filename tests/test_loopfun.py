@@ -5,8 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from loopsing.exactalg import LoopPoly, LoopVar
+from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.loopfun import (
     DegreeTooLow,
     InputFunction,
@@ -20,6 +22,7 @@ from loopsing.loopfun import (
     jet_coefficient_by_enumeration,
     lambda_of,
     minimal_window,
+    support_window,
 )
 
 from conftest import build
@@ -35,6 +38,25 @@ def quadric_lambda(n: int) -> LoopPoly:
     for j in range(1, n + 1):
         total = total + 2 * lv(1, j) * lv(1, -j)
     return total
+
+
+# Mixed monomials, and a GL transform of x^3 + y^3 (matrix [[1, 2], [3, -1]]).
+MIXED_SOURCES = ("x^2*y*w", "x^3*y + y^4", "(x + 2*y)^3 + (3*x - y)^3")
+
+
+@st.composite
+def small_homogeneous_forms(draw) -> InputFunction:
+    """A nonzero form of degree 2-4 in at most 3 coordinates, small coefficients."""
+    d = draw(st.integers(1, 3))
+    delta = draw(st.integers(2, 4))
+    monomials = st.lists(st.integers(1, d), min_size=delta, max_size=delta).map(
+        lambda coords: Monomial(tuple((LoopVar(c, 0), 1) for c in coords))
+    )
+    coefficients = st.integers(-3, 3).filter(bool)
+    poly = LoopPoly(draw(st.lists(st.tuples(monomials, coefficients), min_size=1, max_size=4)))
+    assume(not poly.is_zero)
+    used = sorted({v.coord for v in poly.variables()})
+    return InputFunction(poly.map_variables(lambda v: LoopVar(used.index(v.coord) + 1, 0)))
 
 
 class TestWindow:
@@ -102,10 +124,29 @@ class TestJetCoefficient:
         weights = result.weight_set(lambda v: v.cdeg)
         assert weights <= {k}
 
-    @pytest.mark.parametrize("k", [-1, 0, 1, 3])
+    @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2, 3])
     def test_matches_enumeration_oracle_off_center(self, k):
         func = build("x^2 + y^2")
         w = Window(2, 2)
+        assert jet_coefficient(func, w, k) == jet_coefficient_by_enumeration(func, w, k)
+        # mixed monomials, where a factor's multisets meet other factors
+        for source in MIXED_SOURCES:
+            func = build(source)
+            for bottom in (0, 1, 2):
+                w = Window(bottom, 2)
+                assert jet_coefficient(func, w, k) == jet_coefficient_by_enumeration(
+                    func, w, k
+                ), (source, bottom)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        func=small_homogeneous_forms(),
+        bottom=st.integers(0, 2),
+        extent=st.integers(0, 4),
+        k=st.integers(-4, 4),
+    )
+    def test_matches_enumeration_oracle_on_random_forms(self, func, bottom, extent, k):
+        w = Window(bottom, extent - bottom)
         assert jet_coefficient(func, w, k) == jet_coefficient_by_enumeration(func, w, k)
 
 
@@ -152,6 +193,33 @@ class TestLambda:
             assert lambda_of(corpus_function, w) == jet_coefficient_by_enumeration(
                 corpus_function, w, 0
             )
+
+
+class TestPrecomputedFunctional:
+    """Each check gives the same report whether or not it is handed the functional."""
+
+    SOURCES = ("z^3", "x^3 + y^3", "x^4 + y^4", "(x + 2*y)^3 + (3*x - y)^3", "x^3*y + y^4")
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("bottom", [1, 2, 3])
+    def test_same_reports(self, source, bottom):
+        func = build(source)
+        wide = lambda_of(func, support_window(func, bottom))
+        lam = lambda_of(func, minimal_window(func, bottom))
+        assert check_support_bound(func, bottom, wide) == check_support_bound(func, bottom)
+        assert check_top_linearity(func, bottom, lam) == check_top_linearity(func, bottom)
+        assert check_derivative_identity(func, bottom, lam) == check_derivative_identity(
+            func, bottom
+        )
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("bottom", [0, 1, 2, 3])
+    def test_minimal_window_functional_from_the_support_window(self, source, bottom):
+        func = build(source)
+        window = minimal_window(func, bottom)
+        wide = lambda_of(func, support_window(func, bottom))
+        assert support_window(func, bottom).top > window.top
+        assert wide.zero_out(lambda v: v.cdeg > window.top) == lambda_of(func, window)
 
 
 class TestSupportBound:

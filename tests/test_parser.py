@@ -13,11 +13,11 @@ from loopsing.cli import (
     parse_polynomial,
     read_function_file,
 )
-from loopsing.cli.parser import MAX_NESTING
+from loopsing.cli.parser import MAX_DEGREE, MAX_NESTING
 from loopsing.exactalg import LoopVar, Monomial
 from loopsing.loopfun import DegreeTooLow, NotHomogeneous
 
-from conftest import CORPUS, NON_ISOLATED_SOURCES
+from conftest import CORPUS, NON_ISOLATED_SOURCES, deadline
 
 
 class TestGrammar:
@@ -100,6 +100,46 @@ class TestErrors:
 
     def test_long_unary_minus_chain_parses(self):
         assert parse_function("- " * 3001 + "x^2").poly == parse_function("-x^2").poly
+
+
+class TestDegreeBudget:
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            ("x^200000 + y^200000", 2),
+            (f"x^{MAX_DEGREE + 1}", 2),
+            (f"(x + y)^{MAX_DEGREE + 1}", 8),
+            ("3^100000", 2),
+        ],
+    )
+    def test_exponent_above_the_budget(self, source, position):
+        with deadline(10), pytest.raises(ParseError) as excinfo:
+            parse_function(source)
+        assert excinfo.value.position == position
+        assert f"an exponent of at most {MAX_DEGREE}" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "source, degree",
+        [("x^40*y^40", 80), ("(x^10)^7", 70), ("(x + y)^33*x^32", 65), ("x^64*y", 65)],
+    )
+    def test_total_degree_above_the_budget(self, source, degree):
+        with deadline(10), pytest.raises(ParseError) as excinfo:
+            parse_function(source)
+        assert f"a total degree of at most {MAX_DEGREE}" in str(excinfo.value)
+        assert excinfo.value.found == f"degree {degree}"
+
+    def test_degree_at_the_budget_parses(self):
+        with deadline(10):
+            func = parse_function(f"x^{MAX_DEGREE} + x^32*y^32 + (x*y)^32")
+        assert func.delta == MAX_DEGREE
+
+    def test_leading_zeros_in_an_exponent(self):
+        assert parse_function("x^002").poly == parse_function("x^2").poly
+
+    def test_overlong_integer_literal(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_function("x^2 + " + "7" * 5000 + "*y^2")
+        assert excinfo.value.found == "5000 digits"
 
 
 class TestRoundTrip:
