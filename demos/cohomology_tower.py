@@ -15,7 +15,7 @@ from loopsing import (
     milnor_fiber_cohomology,
     milnor_number,
     renormalized_nearby_cohomology,
-    solve_les,
+    solve_les_detailed,
     sphere_cohomology,
     truncation_cohomology,
 )
@@ -37,11 +37,11 @@ system = LesSystem(
     c_dims=sphere_cohomology(1),
     rank_facts=(residue_onto_unit_fact(1, a),),
 )
-print("solved middle column:", solve_les(system), " (the two-sphere)")
+print("solved middle column:", solve_les_detailed(system).b, " (the two-sphere)")
 
 print("\n== Underdetermined without the axiom ==")
 bare = LesSystem(codim=1, a=a, c_dims=sphere_cohomology(1))
-print("no rank facts ->", solve_les(bare))
+print("no rank facts ->", solve_les_detailed(bare))
 
 print("\n== The tower for x^3 + y^3 ==")
 fermat = parse_function("x^3 + y^3")

@@ -16,13 +16,11 @@ from .cohom import (
     NotStabilized,
     RankFact,
     Underdetermined,
-    escape_report,
     escape_table,
     gysin_step,
     gysin_tower,
     milnor_fiber_cohomology,
     renormalized_nearby_cohomology,
-    solve_les,
     solve_les_detailed,
     sphere_cohomology,
     truncation_cohomology,
@@ -82,7 +80,6 @@ __all__ = [
     "check_support_bound",
     "check_top_linearity",
     "constant_loop_restriction",
-    "escape_report",
     "escape_table",
     "grading",
     "gysin_step",
@@ -96,7 +93,6 @@ __all__ = [
     "milnor_number_oracle",
     "minimal_window",
     "renormalized_nearby_cohomology",
-    "solve_les",
     "solve_les_detailed",
     "sphere_cohomology",
     "standard_monomials",

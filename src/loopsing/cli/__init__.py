@@ -10,7 +10,7 @@ from .parser import (
     poly_to_source,
     read_function_file,
 )
-from .report import CHECK_NAMES, REPORT_SCHEMA, CheckOutcome, Report, validate_report
+from .report import CHECK_NAMES, CheckOutcome, Report, validate_report
 
 __all__ = [
     "CACHE_ENV_VAR",
@@ -18,7 +18,6 @@ __all__ = [
     "CheckOutcome",
     "ConfigError",
     "ParseError",
-    "REPORT_SCHEMA",
     "Report",
     "RunConfig",
     "format_function",

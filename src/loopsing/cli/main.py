@@ -42,6 +42,10 @@ CACHE_ENV_VAR = "LOOPSING_CACHE"
 
 FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
 
+# Bound on the height of the cohomology tower, whose walk costs about the
+# square of the height; test and benchmark towers are at most 60 high.
+MAX_N_MAX = 200
+
 
 class ConfigError(ValueError):
     """Invalid run configuration (not a check failure)."""
@@ -73,6 +77,8 @@ class RunConfig:
             raise ConfigError("linearity and derivative checks need window >= 1")
         if self.n_max < 1:
             raise ConfigError("n-max must be positive")
+        if self.n_max > MAX_N_MAX:
+            raise ConfigError(f"n-max must be at most {MAX_N_MAX}")
         if "cohomology" in self.checks and self.n_max < max(2, self.window_bottom):
             raise ConfigError("n-max must be >= 2 and >= the window bottom")
         if self.output_format not in ("text", "structured"):
@@ -114,25 +120,29 @@ def run(config: RunConfig) -> Report:
     isolated: bool | None = None
     needs_mu = "milnor" in enabled or "cohomology" in enabled
     if needs_mu:
+        # milnor_number audits its basis and the count (delta-1)^d; a failed
+        # audit, like a non-isolated singularity, fails the milnor check.
         try:
             mu = grobner.milnor_number(func, cache_dir=config.cache_dir)
             isolated = True
         except grobner.NotIsolated as exc:
             isolated = False
+            failure, reason = str(exc), "singularity is not isolated"
+        except RuntimeError as exc:
+            failure, reason = str(exc), "the Milnor number audit failed"
+        if mu is None:
             if "milnor" in enabled:
-                checks["milnor"] = CheckOutcome(ok=False, witness=str(exc))
+                checks["milnor"] = CheckOutcome(ok=False, witness=failure)
             if "cohomology" in enabled:
                 checks["cohomology"] = CheckOutcome(
-                    ok=False,
-                    skipped=True,
-                    witness="skipped: singularity is not isolated",
+                    ok=False, skipped=True, witness=f"skipped: {reason}"
                 )
-        if isolated and "milnor" in enabled:
+        elif "milnor" in enabled:
             checks["milnor"] = _milnor_check(func, mu)
 
     cohomology_section: CohomologySection | None = None
     axioms: tuple[str, ...] = ()
-    if "cohomology" in enabled and isolated and mu is not None:
+    if "cohomology" in enabled and mu is not None:
         outcome, cohomology_section, axioms = _cohomology_check(func, mu, config.n_max)
         checks["cohomology"] = outcome
 
@@ -214,9 +224,6 @@ def _functional_outcome(
 
 
 def _milnor_check(func: InputFunction, mu: int) -> CheckOutcome:
-    expected = (func.delta - 1) ** func.d
-    if mu != expected:
-        return CheckOutcome(ok=False, witness=f"mu = {mu} != (delta-1)^d = {expected}")
     if func.d <= 3 and func.delta <= 5:
         oracle = grobner.milnor_number_oracle(func)
         if oracle != mu:
@@ -234,7 +241,7 @@ def _cohomology_check(
     try:
         tower = cohom.gysin_tower(func.d, mu, n_max)
         renormalized = tower.renormalized()
-    except (cohom.Inconsistent, cohom.NotStabilized, RuntimeError) as exc:
+    except (cohom.Inconsistent, RuntimeError) as exc:
         return CheckOutcome(ok=False, witness=str(exc)), None, ()
 
     section = CohomologySection(

@@ -50,6 +50,12 @@ MAX_NESTING = 100
 # have degree 10 or less.
 MAX_DEGREE = 64
 
+# Bound on the term pairs that the products of one input multiply in all, a
+# power counting as repeated products.  It keeps powers of long sums, such as
+# (x+y+w+v+u)^20, from running for seconds; test and benchmark inputs need
+# a few hundred pairs at most.
+MAX_PRODUCT_WORK = 20_000
+
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/])")
 
 
@@ -82,6 +88,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.cursor = 0
         self.depth = 0
+        self.work = 0
         self.coords: dict[str, int] = {}
 
     def _peek(self) -> _Token | None:
@@ -134,7 +141,7 @@ class _Parser:
             self._take()
             factor = self._power()
             _check_degree(token, _degree(poly) + _degree(factor))
-            poly = poly * factor
+            poly = self._times(token, poly, factor)
 
     def _power(self) -> LoopPoly:
         base = self._atom()
@@ -151,8 +158,22 @@ class _Parser:
                     exp_token.position, f"an exponent of at most {MAX_DEGREE}", repr(exp_token.text)
                 )
             _check_degree(exp_token, _degree(base) * exponent)
-            return base ** exponent
+            power = LoopPoly.constant(1)
+            for _ in range(exponent):
+                power = self._times(exp_token, power, base)
+            return power
         return base
+
+    def _times(self, token: _Token, a: LoopPoly, b: LoopPoly) -> LoopPoly:
+        """a * b, rejected before it is built when it exhausts MAX_PRODUCT_WORK."""
+        self.work += len(a) * len(b)
+        if self.work > MAX_PRODUCT_WORK:
+            raise ParseError(
+                token.position,
+                f"products of at most {MAX_PRODUCT_WORK} term pairs in all",
+                f"{self.work} term pairs",
+            )
+        return a * b
 
     def _atom(self) -> LoopPoly:
         token = self._peek()
@@ -205,7 +226,8 @@ def _int_value(token: _Token) -> int:
 
 
 def _degree(poly: LoopPoly) -> int:
-    return max((mono.degree for mono, _ in poly.terms), default=0)
+    # The leading monomial has the largest degree in a graded order.
+    return poly.leading_monomial.degree if poly else 0
 
 
 def _check_degree(token: _Token, degree: int) -> None:

@@ -1,10 +1,11 @@
 """Report assembly: structured (JSON) and fixed-layout text output.
 
-The structured document has top-level keys function, d, delta, milnor_number,
-isolated, window, lambda, checks, cohomology, axioms, timing.  Degree-indexed
-maps use decimal-string keys so that negative degrees survive serialization
-unambiguously.  Reports are deterministic: two runs on the same configuration
-produce byte-identical documents apart from the timing field.
+The structured document has top-level keys function, d, delta, window,
+milnor_number, isolated, lambda, checks, cohomology, axioms, timing, and
+validate_report is its contract.  Degree-indexed maps use decimal-string keys
+so that negative degrees survive serialization unambiguously.  Reports are
+deterministic: two runs on the same configuration produce byte-identical
+documents apart from the timing field.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "CheckOutcome",
     "CohomologySection",
     "Report",
-    "REPORT_SCHEMA",
     "validate_report",
 ]
 
@@ -174,108 +174,16 @@ def _dims_dict(dims: GradedDims) -> dict[str, int]:
     return {str(degree): dim for degree, dim in dims.items()}
 
 
-# Published shape of the structured report.  validate_report is the normative
-# checker; this constant documents the same structure declaratively.
-REPORT_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": [
-        "function",
-        "d",
-        "delta",
-        "window",
-        "milnor_number",
-        "isolated",
-        "lambda",
-        "checks",
-        "cohomology",
-        "axioms",
-        "timing",
-    ],
-    "properties": {
-        "function": {"type": "string"},
-        "d": {"type": "integer", "minimum": 1},
-        "delta": {"type": "integer", "minimum": 2},
-        "window": {
-            "type": "object",
-            "required": ["bottom", "top"],
-            "properties": {
-                "bottom": {"type": "integer", "minimum": 0},
-                "top": {"type": "integer"},
-            },
-        },
-        "milnor_number": {"type": ["integer", "null"], "minimum": 1},
-        "isolated": {"type": ["boolean", "null"]},
-        "lambda": {
-            "type": ["object", "null"],
-            "required": ["term_count"],
-            "properties": {
-                "term_count": {"type": "integer", "minimum": 0},
-                "polynomial": {"type": "string"},
-            },
-        },
-        "checks": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["ok"],
-                "properties": {
-                    "ok": {"type": "boolean"},
-                    "witness": {"type": "string"},
-                    "skipped": {"type": "boolean"},
-                },
-            },
-        },
-        "cohomology": {
-            "type": ["object", "null"],
-            "required": ["truncations", "renormalized", "stabilization", "escape"],
-            "properties": {
-                "truncations": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["n", "dims"],
-                        "properties": {
-                            "n": {"type": "integer", "minimum": 0},
-                            "dims": {"$ref": "#/definitions/dims"},
-                        },
-                    },
-                },
-                "renormalized": {"$ref": "#/definitions/dims"},
-                "stabilization": {
-                    "type": "object",
-                    "propertyNames": {"pattern": "^-?[0-9]+$"},
-                    "additionalProperties": {"type": "integer", "minimum": 0},
-                },
-                "escape": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["n", "degree", "declared_floor"],
-                    },
-                },
-            },
-        },
-        "axioms": {"type": "array", "items": {"type": "string"}},
-        "timing": {
-            "type": "object",
-            "required": ["seconds"],
-            "properties": {"seconds": {"type": "number"}},
-        },
-    },
-    "definitions": {
-        "dims": {
-            "type": "object",
-            "propertyNames": {"pattern": "^-?[0-9]+$"},
-            "additionalProperties": {"type": "integer", "minimum": 1},
-        },
-    },
-}
-
+# Top-level keys of the structured report, in the order to_dict writes them.
+_REPORT_KEYS = (
+    "function", "d", "delta", "window", "milnor_number", "isolated",
+    "lambda", "checks", "cohomology", "axioms", "timing",
+)
 _DEGREE_KEY = re.compile(r"^-?[0-9]+$")
 
 
 def validate_report(document: Any) -> list[str]:
-    """Check a structured report against the published schema.
+    """Check a structured report against its contract; this is the contract.
 
     Returns a list of problems, empty when the document conforms.
     """
@@ -287,10 +195,10 @@ def validate_report(document: Any) -> list[str]:
     if not isinstance(document, dict):
         return ["document: not an object"]
 
-    for key in REPORT_SCHEMA["required"]:
+    for key in _REPORT_KEYS:
         if key not in document:
             err(key, "missing")
-    extra = set(document) - set(REPORT_SCHEMA["required"])
+    extra = set(document) - set(_REPORT_KEYS)
     if extra:
         err("document", f"unexpected keys {sorted(extra)}")
     if errors:

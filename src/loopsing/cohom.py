@@ -24,7 +24,7 @@ invocation is safe, there is no shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 __all__ = [
     "GradedDims",
@@ -37,7 +37,6 @@ __all__ = [
     "NotStabilized",
     "RESIDUE_FULL_RANK_AXIOM",
     "residue_onto_unit_fact",
-    "solve_les",
     "solve_les_detailed",
     "milnor_fiber_cohomology",
     "sphere_cohomology",
@@ -48,7 +47,6 @@ __all__ = [
     "truncation_cohomology",
     "renormalized_nearby_cohomology",
     "RenormalizedReport",
-    "escape_report",
     "escape_table",
     "EscapeRow",
     "declared_support_floor",
@@ -256,7 +254,8 @@ def solve_les_detailed(system: LesSystem) -> LesSolution | Underdetermined:
     in and out of it.  Zero entries force both adjacent ranks to zero, so the
     chain splits into independent segments; within a segment, dimensions and
     declared ranks propagate until everything is pinned or some B entries stay
-    ambiguous.
+    ambiguous.  Returns the solution, whose `b` is the middle column, or
+    Underdetermined with the ambiguous degrees.
     """
     c2 = 2 * system.codim
     anchors = (
@@ -384,14 +383,6 @@ def solve_les_detailed(system: LesSystem) -> LesSolution | Underdetermined:
 
 def _axioms(system: LesSystem) -> tuple[str, ...]:
     return tuple(sorted({fact.justification for fact in system.rank_facts}))
-
-
-def solve_les(system: LesSystem) -> Union[GradedDims, Underdetermined]:
-    """Dimensions of the middle column, or the ambiguous degrees."""
-    result = solve_les_detailed(system)
-    if isinstance(result, Underdetermined):
-        return result
-    return result.b
 
 
 def milnor_fiber_cohomology(d: int, mu: int) -> GradedDims:
@@ -643,11 +634,6 @@ class EscapeRow:
     @property
     def meets_floor(self) -> bool:
         return self.degree >= self.declared_floor
-
-
-def escape_report(d: int, mu: int, n_max: int) -> list[tuple[int, int]]:
-    """Per truncation step, the single degree carrying reduced cohomology."""
-    return [(row.n, row.degree) for row in escape_table(d, mu, n_max)]
 
 
 def escape_table(d: int, mu: int, n_max: int) -> tuple[EscapeRow, ...]:

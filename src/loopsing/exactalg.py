@@ -6,6 +6,10 @@ polynomial mentions it.  Coefficients are exact rationals and every polynomial
 is kept in a canonical sorted form, which makes equality of representations a
 reliable identity test.
 
+The monomial order is graded reverse lexicographic, induced by the variable
+order (cdeg, coord).  Each monomial computes its grevlex key once, when it is
+built, and native tuple order on that key is the monomial order.
+
 All values are immutable after construction and all operations are pure, so
 polynomials can be shared freely between threads.
 """
@@ -46,7 +50,7 @@ class LoopVar:
     """The coordinate function z^coord of conformal degree cdeg.
 
     Variables are totally ordered by (cdeg, coord); this single order drives
-    the canonical monomial order everywhere in the package.
+    the grevlex key of every monomial.
     """
 
     coord: int
@@ -77,9 +81,16 @@ class Monomial:
     The factor list is kept sorted by the variable order, exponents are
     merged, and zero exponents dropped, so equal monomials have equal
     representations.  The empty product is the unit monomial.
+
+    `key` is the grevlex key (degree, ((cdeg, coord, -exp) per factor in
+    ascending variable order)); order, equality and hashing all read it.  At
+    equal degree neither factor list is a proper prefix of the other, so the
+    first differing entry decides: at a shared variable the smaller exponent
+    ranks higher, and a monomial holding a smaller variable the other lacks
+    ranks lower -- the grevlex rule.
     """
 
-    __slots__ = ("factors", "_degree")
+    __slots__ = ("factors", "key")
 
     def __init__(self, factors: FactorItems = ()) -> None:
         items = factors.items() if isinstance(factors, Mapping) else factors
@@ -95,11 +106,14 @@ class Monomial:
         self.factors: tuple[tuple[LoopVar, int], ...] = tuple(
             sorted(merged.items(), key=lambda item: item[0].sort_key)
         )
-        self._degree = sum(exp for _, exp in self.factors)
+        self.key: tuple[int, tuple[tuple[int, int, int], ...]] = (
+            sum(merged.values()),
+            tuple((v.cdeg, v.coord, -e) for v, e in self.factors),
+        )
 
     @property
     def degree(self) -> int:
-        return self._degree
+        return self.key[0]
 
     @property
     def is_unit(self) -> bool:
@@ -149,13 +163,13 @@ class Monomial:
         return all(v not in mine for v, _ in other.factors)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.factors == other.factors
+        return isinstance(other, Monomial) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.factors)
+        return hash(self.key)
 
     def __lt__(self, other: "Monomial") -> bool:
-        return _compare_monomials(self, other) < 0
+        return self.key < other.key
 
     def __str__(self) -> str:
         if not self.factors:
@@ -169,28 +183,6 @@ class Monomial:
 
 UNIT = Monomial()
 
-
-def _compare_monomials(a: Monomial, b: Monomial) -> int:
-    """Graded reverse lexicographic comparison induced by the variable order.
-
-    Higher total degree wins; for equal degree, the monomial with the smaller
-    exponent at the smallest variable where they differ is the larger one.
-    """
-    if a.degree != b.degree:
-        return -1 if a.degree < b.degree else 1
-    if a.factors == b.factors:
-        return 0
-    ea, eb = dict(a.factors), dict(b.factors)
-    for v in sorted(set(ea) | set(eb), key=lambda var: var.sort_key):
-        xa, xb = ea.get(v, 0), eb.get(v, 0)
-        if xa != xb:
-            return 1 if xa < xb else -1
-    return 0
-
-
-_TERM_KEY = functools.cmp_to_key(
-    lambda s, t: _compare_monomials(s[0], t[0])
-)
 
 PolyLike = Union["LoopPoly", "LoopVar", int, Fraction]
 
@@ -222,7 +214,7 @@ class LoopPoly:
                 elif prev is not None:
                     del acc[mono]
         self._terms: tuple[tuple[Monomial, Fraction], ...] = tuple(
-            sorted(acc.items(), key=_TERM_KEY, reverse=True)
+            sorted(acc.items(), key=lambda term: term[0].key, reverse=True)
         )
         self._index = dict(self._terms)
 

@@ -173,8 +173,7 @@ def buchberger(ideal: Ideal, cache_dir: str | None = None) -> GroebnerBasis:
     def select() -> tuple[int, int]:
         def key(pair: tuple[int, int]) -> tuple:
             i, j = pair
-            lcm = basis[i].leading_monomial.lcm(basis[j].leading_monomial)
-            return (lcm.degree, lcm, i, j)
+            return (basis[i].leading_monomial.lcm(basis[j].leading_monomial).key, i, j)
 
         return min(pending, key=key)
 

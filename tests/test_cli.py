@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import loopsing
-from loopsing import cohom, loopfun
+from loopsing import cohom, grobner, loopfun
 from loopsing.cli import (
     CACHE_ENV_VAR,
+    CheckOutcome,
     ConfigError,
     Report,
     RunConfig,
@@ -22,6 +23,8 @@ from loopsing.cli import (
     run,
     validate_report,
 )
+from loopsing.cli.main import MAX_N_MAX
+from loopsing.cli.parser import MAX_PRODUCT_WORK
 from loopsing.cohom import GradedDims
 from loopsing.exactalg import LoopPoly, LoopVar
 
@@ -150,6 +153,34 @@ class TestRun:
         assert "conformal weights" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("audit", ["basis", "count"])
+    def test_failed_groebner_audit_fails_the_milnor_check(self, monkeypatch, capsys, audit):
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        if audit == "basis":
+            def unverified(gb, ideal):
+                raise RuntimeError("S-polynomial does not reduce to zero")
+
+            monkeypatch.setattr(grobner, "_verify_basis", unverified)
+            witness = "S-polynomial does not reduce to zero"
+        else:
+            standard = grobner.standard_monomials
+            monkeypatch.setattr(grobner, "standard_monomials", lambda gb, cap: standard(gb, cap)[1:])
+            witness = "standard-monomial count 3 != (delta-1)^d = 4"
+        report = run_source("x^3 + y^3", checks=("lambda", "milnor", "cohomology"))
+        assert report.checks["lambda"].ok
+        assert report.checks["milnor"] == CheckOutcome(ok=False, witness=witness)
+        assert report.checks["cohomology"] == CheckOutcome(
+            ok=False, skipped=True, witness="skipped: the Milnor number audit failed"
+        )
+        assert report.milnor_number is None and report.isolated is None
+        assert report.cohomology is None
+        assert validate_report(report.to_dict()) == []
+        capsys.readouterr()
+        assert main(["-f", "x^3+y^3", "--checks", "milnor"]) == 1
+        captured = capsys.readouterr()
+        assert witness in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_axioms_listed_when_cohomology_runs(self):
         report = run_source("z^2")
         assert any("residue" in axiom for axiom in report.axioms)
@@ -169,6 +200,11 @@ class TestConfigValidation:
     def test_nmax_must_cover_window(self):
         with pytest.raises(ConfigError):
             run_source("z^2", window_bottom=5, n_max=3)
+
+    def test_nmax_budget(self):
+        RunConfig(function_source="z^2", n_max=MAX_N_MAX).validate()
+        with pytest.raises(ConfigError, match=f"at most {MAX_N_MAX}"):
+            run_source("z^2", n_max=MAX_N_MAX + 1)
 
     def test_structural_checks_need_poles(self):
         with pytest.raises(ConfigError):
@@ -201,6 +237,9 @@ class TestStructuredOutput:
         broken["cohomology"] = dict(good["cohomology"])
         broken["cohomology"]["renormalized"] = {"0.5": 1}
         assert validate_report(broken) != []
+        assert validate_report(dict(good, bogus=1)) == ["document: unexpected keys ['bogus']"]
+        broken = dict(good, checks={"nonsense": {"ok": True}})
+        assert validate_report(broken) == ["checks.nonsense: unknown check name"]
 
     def test_degree_keys_are_decimal_strings(self):
         document = run_source("x^3 + y^3").to_dict()
@@ -278,6 +317,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("loopsing: error:") and err.count("\n") == 1
         assert "at most 64" in err
+
+    def test_power_of_a_long_sum_is_a_syntax_error(self, capsys):
+        with deadline(10):
+            assert main(["-f", "(x + y + w + v + u)^20", "--checks", "lambda"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loopsing: error:") and err.count("\n") == 1
+        assert f"at most {MAX_PRODUCT_WORK} term pairs" in err
+
+    @pytest.mark.parametrize("n_max", ["100000", str(MAX_N_MAX + 1)])
+    def test_nmax_budget_is_a_configuration_error(self, capsys, n_max):
+        with deadline(10):
+            assert main(["-f", "x^2 + y^2", "--n-max", n_max]) == 2
+        err = capsys.readouterr().err
+        assert err == f"loopsing: error: n-max must be at most {MAX_N_MAX}\n"
 
     def test_unusable_cache_only_warns(self, tmp_path, monkeypatch, capsys):
         blocker = tmp_path / "not-a-directory"

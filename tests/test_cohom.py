@@ -16,14 +16,12 @@ from loopsing.cohom import (
     RankFact,
     Underdetermined,
     declared_support_floor,
-    escape_report,
     escape_table,
     gysin_step,
     gysin_tower,
     milnor_fiber_cohomology,
     renormalized_nearby_cohomology,
     residue_onto_unit_fact,
-    solve_les,
     solve_les_detailed,
     sphere_cohomology,
     truncation_cohomology,
@@ -87,19 +85,19 @@ class TestBaseCases:
 class TestSolveLes:
     def test_quadric_step_gives_the_two_sphere(self):
         system = gysin_system(GradedDims({0: 2}), 1)
-        assert solve_les(system) == GradedDims({0: 1, 2: 1})
+        assert solve_les_detailed(system).b == GradedDims({0: 1, 2: 1})
 
     def test_zero_system(self):
         system = LesSystem(codim=1, a=GradedDims(), c_dims=GradedDims())
-        assert solve_les(system) == GradedDims()
+        assert solve_les_detailed(system).b == GradedDims()
 
     def test_plane_cubic_first_step(self):
         system = gysin_system(GradedDims({0: 1, 1: 4}), 2)
-        assert solve_les(system) == GradedDims({0: 1, 5: 4})
+        assert solve_les_detailed(system).b == GradedDims({0: 1, 5: 4})
 
     def test_underdetermined_without_the_residue_fact(self):
         system = LesSystem(codim=1, a=GradedDims({0: 2}), c_dims=sphere_cohomology(1))
-        result = solve_les(system)
+        result = solve_les_detailed(system)
         assert isinstance(result, Underdetermined)
         assert result.degrees == (1, 2)
 
@@ -109,7 +107,7 @@ class TestSolveLes:
             codim=1, a=GradedDims({0: 2}), c_dims=sphere_cohomology(1), rank_facts=(fact,)
         )
         with pytest.raises(Inconsistent):
-            solve_les(system)
+            solve_les_detailed(system)
 
     def test_inconsistent_forced_dimension(self):
         # killing the restriction map strands C^0 with nowhere to map
@@ -118,7 +116,7 @@ class TestSolveLes:
             codim=1, a=GradedDims({0: 1}), c_dims=GradedDims({0: 1}), rank_facts=(fact,)
         )
         with pytest.raises(Inconsistent):
-            solve_les(system)
+            solve_les_detailed(system)
 
     def test_detailed_solution_exposes_ranks_and_segments(self):
         system = gysin_system(GradedDims({0: 2}), 1)
@@ -227,14 +225,16 @@ class TestTruncationTower:
 
 class TestEscape:
     def test_quadric(self):
-        assert escape_report(1, 1, 3) == [(0, 0), (1, 2), (2, 4), (3, 6)]
+        assert [(row.n, row.degree) for row in escape_table(1, 1, 3)] == [
+            (0, 0), (1, 2), (2, 4), (3, 6)
+        ]
 
     def test_plane_cubic(self):
-        assert escape_report(2, 4, 2) == [(0, 1), (1, 5), (2, 9)]
+        assert [(row.n, row.degree) for row in escape_table(2, 4, 2)] == [(0, 1), (1, 5), (2, 9)]
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
     def test_strictly_increasing_in_steps_of_2d(self, entry):
-        degrees = [deg for _, deg in escape_report(entry.d, entry.mu, 4)]
+        degrees = [row.degree for row in escape_table(entry.d, entry.mu, 4)]
         assert all(b - a == 2 * entry.d for a, b in zip(degrees, degrees[1:]))
 
     def test_table_records_declared_floor(self):

@@ -190,3 +190,62 @@ def test_substitute_commutes_with_mul(p, q, images):
     for v in set(p.variables()) | set(q.variables()):
         assignment.setdefault(v, LoopPoly.variable(v))
     assert (p * q).substitute(assignment) == p.substitute(assignment) * q.substitute(assignment)
+
+
+# -- the monomial order against the grevlex definition --------------------------
+
+
+def _grevlex_greater(a: Monomial, b: Monomial) -> bool:
+    """a > b in grevlex (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.2).
+
+    The variables are x_1 > x_2 > ... > x_n in decreasing (cdeg, coord); a > b
+    when a has the larger total degree, or the degrees agree and the rightmost
+    nonzero entry of the exponent difference a - b is negative.
+    """
+    variables = sorted(
+        set(a.variables()) | set(b.variables()), key=lambda v: (v.cdeg, v.coord), reverse=True
+    )
+    alpha = [a.exponent(v) for v in variables]
+    beta = [b.exponent(v) for v in variables]
+    if sum(alpha) != sum(beta):
+        return sum(alpha) > sum(beta)
+    differences = [x - y for x, y in zip(alpha, beta) if x != y]
+    return bool(differences) and differences[-1] < 0
+
+
+_order_vars = st.builds(LoopVar, st.integers(1, 3), st.integers(-3, 3))
+_order_monomials = st.dictionaries(_order_vars, st.integers(1, 4), max_size=4).map(Monomial)
+
+
+@settings(deadline=None)
+@given(_order_monomials, _order_monomials)
+def test_monomial_order_is_grevlex(a, b):
+    assert (a < b) == _grevlex_greater(b, a)
+    assert (a > b) == _grevlex_greater(a, b)
+    assert (a == b) == (a.factors == b.factors)
+
+
+@settings(deadline=None)
+@given(_order_monomials, st.data())
+def test_monomial_order_is_grevlex_at_equal_degree(a, data):
+    # b has the degree of a, spread over randomly drawn variables
+    spread = data.draw(st.lists(_order_vars, min_size=a.degree, max_size=a.degree))
+    b = Monomial([(v, 1) for v in spread])
+    assert b.degree == a.degree
+    assert (a < b) == _grevlex_greater(b, a)
+    assert (b < a) == _grevlex_greater(a, b)
+
+
+def test_grevlex_textbook_examples():
+    # The book's x > y > z are z3_0 > z2_0 > z1_0 here.
+    x, y, z = LoopVar(3, 0), LoopVar(2, 0), LoopVar(1, 0)
+    assert Monomial({x: 4, y: 7, z: 1}) > Monomial({x: 4, y: 2, z: 3})
+    assert Monomial({x: 1, y: 5, z: 2}) > Monomial({x: 4, y: 1, z: 3})
+    assert Monomial({x: 1}) > Monomial({y: 1}) > Monomial({z: 1}) > Monomial()
+
+
+@settings(deadline=None)
+@given(st.dictionaries(_order_monomials, _coeffs, max_size=8).map(LoopPoly))
+def test_terms_are_in_decreasing_grevlex_order(p):
+    monomials = [mono for mono, _ in p.terms]
+    assert all(_grevlex_greater(s, t) for s, t in zip(monomials, monomials[1:]))

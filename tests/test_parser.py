@@ -13,7 +13,7 @@ from loopsing.cli import (
     parse_polynomial,
     read_function_file,
 )
-from loopsing.cli.parser import MAX_DEGREE, MAX_NESTING
+from loopsing.cli.parser import MAX_DEGREE, MAX_NESTING, MAX_PRODUCT_WORK
 from loopsing.exactalg import LoopVar, Monomial
 from loopsing.loopfun import DegreeTooLow, NotHomogeneous
 
@@ -140,6 +140,34 @@ class TestDegreeBudget:
         with pytest.raises(ParseError) as excinfo:
             parse_function("x^2 + " + "7" * 5000 + "*y^2")
         assert excinfo.value.found == "5000 digits"
+
+
+class TestProductBudget:
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            ("(x + y + w + v + u)^20", 20),
+            ("(x + y + w + v + u)^64", 20),
+            ("(x + y + w + v + u)^10 + (x + y + w + v + u)^10", 45),
+            ("(x + y + 1)^64", 12),
+        ],
+    )
+    def test_products_above_the_budget(self, source, position):
+        with deadline(10), pytest.raises(ParseError) as excinfo:
+            parse_polynomial(source)
+        assert excinfo.value.position == position
+        assert f"products of at most {MAX_PRODUCT_WORK} term pairs in all" in str(excinfo.value)
+
+    def test_power_at_the_budget_parses(self):
+        # 5 * (1 + 5 + ... + 1001) = 15015 term pairs: 1365 terms of degree 11
+        with deadline(10):
+            func = parse_function("(x + y + w + v + u)^11")
+        assert len(func.poly) == 1365
+
+    def test_power_is_repeated_product(self):
+        base, _ = parse_polynomial("x + 2*y - 3*w")
+        assert parse_polynomial("(x + 2*y - 3*w)^5")[0] == base**5
+        assert parse_polynomial("(x + 2*y - 3*w)^0")[0] == base**0
 
 
 class TestRoundTrip:
