@@ -115,14 +115,16 @@ class _Parser:
         return poly, names
 
     def _expression(self) -> LoopPoly:
-        poly = self._signed()
+        # The signed operands' terms are collected and merged by one LoopPoly
+        # at the end, so a long sum costs one sort instead of one per operand.
+        terms = list(self._signed().terms)
         while True:
             token = self._peek()
             if token is None or token.text not in ("+", "-"):
-                return poly
+                return LoopPoly(terms)
             self._take()
             operand = self._signed()
-            poly = poly + operand if token.text == "+" else poly - operand
+            terms.extend(operand.terms if token.text == "+" else (-operand).terms)
 
     def _signed(self) -> LoopPoly:
         negate = False

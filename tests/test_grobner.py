@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import random
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsing import grobner
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
@@ -95,6 +100,53 @@ class TestNormalForm:
             assert not any(h.divides(m) for h in heads)
 
 
+def loop_var(coord: int, cdeg: int) -> LoopPoly:
+    return LoopPoly.variable(LoopVar(coord, cdeg))
+
+
+class TestLoopVariables:
+    """Division and S-polynomials over variables of nonzero conformal degree.
+
+    The expected strings were computed with the LoopPoly-based division this
+    module used before it ran on exponent vectors.
+    """
+
+    a, b, c, e, t = (loop_var(1, -1), loop_var(2, 1), loop_var(1, 0), loop_var(2, -2), loop_var(1, 1))
+    p = a**2 * b + 3 * c * b - t**2 + Fraction(1, 2) * e + a * e**2
+    f = a * b - t
+    g = b**2 + 2 * c * e
+    h = e**2 - Fraction(1, 3) * a
+
+    def test_normal_form(self):
+        assert str(normal_form(self.p, [self.f, self.g, self.h])) == (
+            "-z1_1^2 + 3*z1_0*z2_1 + z1_-1*z1_1 + 1/3*z1_-1^2 + 1/2*z2_-2"
+        )
+
+    def test_normal_form_of_a_square_in_another_divisor_order(self):
+        assert str(normal_form(self.p**2, [self.h, self.g, self.f])) == (
+            "-2*z2_-2*z1_-1^4*z1_0 - 12*z2_-2*z1_-1^2*z1_0^2 + z1_1^4 - 6*z1_0*z1_1^2*z2_1"
+            " - 2*z1_-1*z1_1^3 - 2/3*z1_-1^2*z1_1^2 + 2/3*z1_-1^3*z1_1 + 1/9*z1_-1^4"
+            " - 18*z2_-2*z1_0^3 + 2*z1_-1*z1_0*z1_1 - z2_-2*z1_1^2 + 3*z2_-2*z1_0*z2_1"
+            " + z2_-2*z1_-1*z1_1 + 1/3*z2_-2*z1_-1^2 + 1/12*z1_-1"
+        )
+
+    @pytest.mark.parametrize(
+        "pair, expected",
+        [
+            ("fg", "-2*z2_-2*z1_-1*z1_0 - z1_1*z2_1"),
+            ("gh", "2*z2_-2^3*z1_0 + 1/3*z1_-1*z2_1^2"),
+            ("fh", "1/3*z1_-1^2*z2_1 - z2_-2^2*z1_1"),
+        ],
+    )
+    def test_s_polynomial(self, pair, expected):
+        left, right = (getattr(self, name) for name in pair)
+        assert str(s_polynomial(left, right)) == expected
+        assert s_polynomial(right, left) == -s_polynomial(left, right)
+
+    def test_zero_divisors_are_skipped(self):
+        assert normal_form(self.p, [LoopPoly.zero(), self.f]) == normal_form(self.p, [self.f])
+
+
 class TestStandardMonomials:
     def test_principal(self):
         gb = buchberger(Ideal([x], 1))
@@ -165,6 +217,153 @@ class TestMilnorNumber:
         assert milnor_number(build("x^3 + x*y^2")) == 4
 
 
+_FORM_NAMES = ("x", "y", "w")
+
+
+def _dense_rank(rows: list[list[Fraction]]) -> int:
+    """Reference rank: Gaussian elimination on dense Fraction rows."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _gl_fermat_source(d: int, delta: int, seed: int) -> str:
+    """The Fermat form of degree delta composed with a seeded invertible integer matrix."""
+    rng = random.Random(seed)
+    while True:
+        matrix = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        if _dense_rank([[Fraction(x) for x in row] for row in matrix]) == d:
+            break
+    forms = (
+        " + ".join(f"({a})*{name}" for a, name in zip(row, _FORM_NAMES) if a)
+        for row in matrix
+    )
+    return " + ".join(f"({form})^{delta}" for form in forms)
+
+
+# Reduced bases computed with the LoopPoly-based Buchberger this module used
+# before it ran on exponent vectors.
+PINNED_BASES = {
+    "(x + 2*y)^4 + (3*x - y)^4": [
+        "z1_0*z2_0^2 - 5/2*z1_0^2*z2_0 + 31/12*z1_0^3",
+        "z2_0^3 + 9/2*z1_0^2*z2_0 - 15/4*z1_0^3",
+        "z1_0^3*z2_0 - 5/4*z1_0^4",
+        "z_0^5",
+    ],
+    "(x + y - w)^3 + (2*x - y)^3 + (x + 3*w)^3": [
+        "z2_0^2 - 4*z1_0*z2_0 + 4*z1_0^2",
+        "z2_0*z3_0 + 4/3*z1_0*z3_0 - 3*z1_0*z2_0 + 14/9*z1_0^2",
+        "z3_0^2 + 2/3*z1_0*z3_0 + 1/9*z1_0^2",
+        "z1_0^2*z2_0 - 8/9*z1_0^3",
+        "z1_0^2*z3_0 - 7/9*z1_0^3",
+        "z_0^4",
+    ],
+    "x^3 + y^3 + w^3 + x*y*w": [
+        "z2_0^2 + 1/3*z1_0*z3_0",
+        "z2_0*z3_0 + 3*z1_0^2",
+        "z3_0^2 + 1/3*z1_0*z2_0",
+        "z1_0^2*z2_0",
+        "z1_0^2*z3_0",
+        "z_0^4",
+    ],
+    "1/2*x^3 + 3/7*y^3 + x*y^2": [
+        "z1_0*z2_0 - 27/28*z1_0^2",
+        "z2_0^2 + 3/2*z1_0^2",
+        "z_0^3",
+    ],
+}
+
+
+class TestBeyondFermat:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("delta", [3, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gl_invariance(self, d, delta, seed):
+        func = build(_gl_fermat_source(d, delta, seed))
+        assert func.d == d and func.delta == delta
+        expected = (delta - 1) ** d
+        assert milnor_number(func) == milnor_number_oracle(func) == expected
+
+    def test_singular_hesse_cubic_is_not_isolated(self):
+        func = build("x^3 + y^3 + w^3 - 3*x*y*w")
+        with pytest.raises(NotIsolated):
+            milnor_number(func)
+        with pytest.raises(NotIsolated):
+            milnor_number_oracle(func)
+
+    @pytest.mark.parametrize("t", [1, 6])
+    def test_smooth_hesse_cubics(self, t):
+        func = build(f"x^3 + y^3 + w^3 + {t}*x*y*w")
+        assert milnor_number(func) == milnor_number_oracle(func) == 8
+
+    @pytest.mark.parametrize("source", sorted(PINNED_BASES))
+    def test_pinned_reduced_basis(self, source):
+        gb = buchberger(jacobian_ideal(build(source)))
+        assert [str(g) for g in gb.elements] == PINNED_BASES[source]
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7)
+)
+
+
+@st.composite
+def _rational_matrices(draw) -> list[list[Fraction]]:
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=width, max_size=width), max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        rows.append(list(row) if draw(st.booleans()) else [draw(_entries) * x for x in row])
+    rows += [[Fraction(0)] * width for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows))
+
+
+class TestRank:
+    @settings(deadline=None)
+    @given(_rational_matrices())
+    def test_matches_dense_gaussian_elimination(self, rows):
+        expected = _dense_rank(rows)
+        assert grobner._rank([{c: x for c, x in enumerate(row) if x} for row in rows]) == expected
+        assert grobner._rank([dict(enumerate(row)) for row in rows]) == expected
+
+    def test_empty_matrix(self):
+        assert grobner._rank([]) == 0
+        assert grobner._rank([{}, {}]) == 0
+
+    def test_rational_entries_stay_exact(self):
+        # The second matrix differs from a rank-1 one by 10^-30, far below
+        # double precision.
+        rows = [{0: Fraction(1, 3), 1: Fraction(1, 6)}, {0: Fraction(2, 3), 1: Fraction(1, 3)}]
+        assert grobner._rank(rows) == 1
+        rows[1][1] = Fraction(1, 3) + Fraction(1, 10**30)
+        assert grobner._rank(rows) == 2
+
+
+_key_variables = st.lists(
+    st.builds(LoopVar, st.integers(1, 3), st.integers(-2, 2)), unique=True, min_size=1, max_size=5
+).map(lambda vs: sorted(vs, key=lambda v: v.sort_key))
+
+
+@settings(deadline=None)
+@given(_key_variables, st.data())
+def test_vector_key_orders_as_monomial_key(variables, data):
+    vectors = st.lists(st.integers(0, 3), min_size=len(variables), max_size=len(variables))
+    a = tuple(data.draw(vectors))
+    b = tuple(data.draw(st.one_of(vectors, st.permutations(a))))  # a permutation keeps the degree
+    ma, mb = Monomial(zip(variables, a)), Monomial(zip(variables, b))
+    assert (grobner._key(a) < grobner._key(b)) == (ma < mb)
+    assert (grobner._key(a) == grobner._key(b)) == (ma == mb)
+
+
 class TestIdealValidation:
     def test_rejects_zero_generator_set(self):
         with pytest.raises(ValueError):
@@ -225,3 +424,31 @@ class TestCache:
         assert buchberger(ideal, cache_dir=str(tmp_path)).elements == (x**2, y**2)
         assert "disk full" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("corruption", ["dropped element", "changed coefficient"])
+    def test_wrong_cached_basis_is_rejected_by_the_audit(self, tmp_path, monkeypatch, corruption):
+        ideal = jacobian_ideal(build("(x + 2*y)^4 + (3*x - y)^4"))
+        right = buchberger(ideal, cache_dir=str(tmp_path))
+        (path,) = tmp_path.glob("*.json")
+        data = json.loads(path.read_text())
+        if corruption == "dropped element":
+            del data["basis"][1]
+        else:
+            data["basis"][0][1][1][0] += 1  # a tail coefficient's numerator
+        path.write_text(json.dumps(data))
+
+        audit = grobner._verify_basis
+        failures = []
+
+        def recorded(elements, generators):
+            try:
+                audit(elements, generators)
+            except RuntimeError as exc:
+                failures.append(str(exc))
+                raise
+
+        monkeypatch.setattr(grobner, "_verify_basis", recorded)
+        assert grobner._cache_load(str(path), ideal) is None
+        assert buchberger(ideal, cache_dir=str(tmp_path)) == right
+        assert len(failures) == 2  # the direct load, and the load inside buchberger
+        assert grobner._cache_load(str(path), ideal) == right  # the entry was rewritten

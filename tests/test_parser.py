@@ -14,7 +14,7 @@ from loopsing.cli import (
     read_function_file,
 )
 from loopsing.cli.parser import MAX_DEGREE, MAX_NESTING, MAX_PRODUCT_WORK
-from loopsing.exactalg import LoopVar, Monomial
+from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.loopfun import DegreeTooLow, NotHomogeneous
 
 from conftest import CORPUS, NON_ISOLATED_SOURCES, deadline
@@ -56,6 +56,21 @@ class TestGrammar:
     def test_multidigit_numbers(self):
         poly, _ = parse_polynomial("12*x^10")
         assert poly.coefficient(Monomial({LoopVar(1, 0): 10})) == 12
+
+    def test_long_sum_parses_in_linear_time(self):
+        # 2000 operands of both signs over 500 monomials, so that operands merge;
+        # coordinates are numbered by first occurrence, a1 first and a0 last.
+        source = "1*a1^2 " + " ".join(
+            f"{'+' if k % 3 else '-'} {k}*a{k % 500}^2" for k in range(2, 2001)
+        )
+        expected: dict[Monomial, Fraction] = {}
+        for k in range(1, 2001):
+            mono = Monomial({LoopVar(k % 500 or 500, 0): 2})
+            expected[mono] = expected.get(mono, Fraction(0)) + (k if k % 3 else -k)
+        with deadline(1):
+            poly, names = parse_polynomial(source)
+        assert names == tuple(f"a{i}" for i in (*range(1, 500), 0))
+        assert poly == LoopPoly(expected)
 
 
 class TestErrors:
