@@ -1,6 +1,6 @@
 """Expression parsing, pipeline orchestration, and report emission."""
 
-from .main import CACHE_ENV_VAR, ConfigError, RunConfig, main, run
+from .main import ConfigError, RunConfig, main, run
 from .parser import (
     ParseError,
     format_function,
@@ -13,7 +13,6 @@ from .parser import (
 from .report import CHECK_NAMES, CheckOutcome, Report, validate_report
 
 __all__ = [
-    "CACHE_ENV_VAR",
     "CHECK_NAMES",
     "CheckOutcome",
     "ConfigError",

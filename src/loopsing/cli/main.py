@@ -4,16 +4,12 @@ Checks run in dependency order (parse, loop functional, structural checks,
 Milnor number, cohomology); cohomology is skipped when the singularity turns
 out not to be isolated.  Exit status 0 means every enabled check passed,
 1 means some check failed or was skipped, 2 means the configuration or the
-input expression was invalid.
-
-The environment variable LOOPSING_CACHE may name a directory used to memoize
-Groebner bases keyed by a content hash of the generators.
+input expression was invalid, or the input or output file could not be used.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -38,8 +34,6 @@ from .report import CHECK_NAMES, CheckOutcome, CohomologySection, Report
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
-CACHE_ENV_VAR = "LOOPSING_CACHE"
-
 FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
 
 # Bound on the height of the cohomology tower, whose walk costs about the
@@ -61,7 +55,6 @@ class RunConfig:
     output_format: str = "text"
     output_path: str | None = None
     emit_lambda: bool = False
-    cache_dir: str | None = None
 
     def validate(self) -> None:
         if not self.checks:
@@ -123,7 +116,7 @@ def run(config: RunConfig) -> Report:
         # milnor_number audits its basis and the count (delta-1)^d; a failed
         # audit, like a non-isolated singularity, fails the milnor check.
         try:
-            mu = grobner.milnor_number(func, cache_dir=config.cache_dir)
+            mu = grobner.milnor_number(func)
             isolated = True
         except grobner.NotIsolated as exc:
             isolated = False
@@ -225,7 +218,14 @@ def _functional_outcome(
 
 def _milnor_check(func: InputFunction, mu: int) -> CheckOutcome:
     if func.d <= 3 and func.delta <= 5:
-        oracle = grobner.milnor_number_oracle(func)
+        try:
+            oracle = grobner.milnor_number_oracle(func)
+        except grobner.NotIsolated:
+            return CheckOutcome(
+                ok=False,
+                witness="linear-algebra oracle finds the singularity not isolated, "
+                f"basis count gives {mu}",
+            )
         if oracle != mu:
             return CheckOutcome(
                 ok=False, witness=f"linear-algebra oracle gives {oracle}, basis count gives {mu}"
@@ -291,7 +291,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_arg_parser().parse_args(argv)
-    cache_dir = os.environ.get(CACHE_ENV_VAR)
 
     config = RunConfig(
         function_source=args.function if args.function is not None else args.file,
@@ -302,19 +301,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         output_format=args.format,
         output_path=args.output,
         emit_lambda=args.emit_lambda,
-        cache_dir=cache_dir or None,
     )
 
     try:
         report = run(config)
-    except (ConfigError, ParseError, NotHomogeneous, DegreeTooLow, OSError) as exc:
+        rendered = report.to_json() if config.output_format == "structured" else report.to_text()
+        if config.output_path:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        else:
+            sys.stdout.write(rendered)
+    except (
+        ConfigError, ParseError, NotHomogeneous, DegreeTooLow, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"loopsing: error: {exc}", file=sys.stderr)
         return 2
-
-    rendered = report.to_json() if config.output_format == "structured" else report.to_text()
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
     return report.exit_status

@@ -29,14 +29,8 @@ or Monomial per step:
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import itertools
-import json
 import math
-import os
-import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -246,7 +240,7 @@ def _pair_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def buchberger(ideal: Ideal, cache_dir: str | None = None) -> GroebnerBasis:
+def buchberger(ideal: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal.
 
     Pairs are processed by lowest lcm first (normal strategy) and eliminated
@@ -254,17 +248,7 @@ def buchberger(ideal: Ideal, cache_dir: str | None = None) -> GroebnerBasis:
     basis, so running buchberger on its own output returns an equal basis.
     Every S-polynomial of the final basis is verified to reduce to zero before
     returning.
-
-    If cache_dir is given, results are memoized there keyed by a content hash
-    of the generators; loaded bases are re-verified before use.
     """
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = os.path.join(cache_dir, _cache_key(ideal) + ".json")
-        cached = _cache_load(cache_path, ideal)
-        if cached is not None:
-            return cached
-
     basis: list[Terms] = []
     for g in ideal._terms:
         mg = _monic(g)
@@ -308,12 +292,9 @@ def buchberger(ideal: Ideal, cache_dir: str | None = None) -> GroebnerBasis:
     reduced = _reduce_basis(basis)
     _verify_basis(reduced, ideal._terms)
     variables = _ambient(ideal.d)
-    result = GroebnerBasis(
+    return GroebnerBasis(
         elements=tuple(_from_terms(g, variables) for g in reduced), reduced=True, d=ideal.d
     )
-    if cache_path is not None:
-        _cache_store(cache_path, result)
-    return result
 
 
 def _reduce_basis(basis: Sequence[Terms]) -> list[Terms]:
@@ -408,14 +389,14 @@ def jacobian_ideal(func: InputFunction) -> Ideal:
     return Ideal(func.partials(), func.d)
 
 
-def milnor_number(func: InputFunction, cache_dir: str | None = None) -> int:
+def milnor_number(func: InputFunction) -> int:
     """Dimension of the Jacobian ring, counted via standard monomials.
 
     For a homogeneous isolated singularity this must equal (delta-1)^d, and
     that cross-check is enforced on every call.  Raises NotIsolated when the
     quotient is infinite dimensional.
     """
-    gb = buchberger(jacobian_ideal(func), cache_dir=cache_dir)
+    gb = buchberger(jacobian_ideal(func))
     exponents = _pure_power_exponents(gb)
     if exponents is None:
         raise NotIsolated(
@@ -519,80 +500,3 @@ def _rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
                 vec = {k: v // content for k, v in vec.items()}
     return len(pivots)
 
-
-# -- on-disk memoization ------------------------------------------------------
-
-_CACHE_VERSION = 1
-
-
-def _serialize_poly(p: LoopPoly) -> list:
-    return [
-        [
-            [[v.coord, v.cdeg, e] for v, e in mono.factors],
-            [coeff.numerator, coeff.denominator],
-        ]
-        for mono, coeff in p.terms
-    ]
-
-
-def _deserialize_poly(data: list) -> LoopPoly:
-    terms = {}
-    for factors, (num, den) in data:
-        mono = Monomial(tuple((LoopVar(c, j), e) for c, j, e in factors))
-        terms[mono] = Fraction(num, den)
-    return LoopPoly(terms)
-
-
-def _cache_key(ideal: Ideal) -> str:
-    payload = json.dumps(
-        {
-            "version": _CACHE_VERSION,
-            "order": MONOMIAL_ORDER,
-            "d": ideal.d,
-            "generators": sorted(
-                json.dumps(_serialize_poly(g)) for g in ideal.generators
-            ),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _cache_load(path: str, ideal: Ideal) -> GroebnerBasis | None:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        elements = tuple(_deserialize_poly(p) for p in data["basis"])
-        if not all(elements):
-            raise ValueError("a zero basis element")
-        # A variable outside the ambient ring raises KeyError here.
-        variables = _ambient(ideal.d)
-        _verify_basis([_to_terms(g, variables) for g in elements], ideal._terms)
-        return GroebnerBasis(elements=elements, reduced=True, d=ideal.d)
-    except (OSError, ValueError, KeyError, RuntimeError):
-        return None
-
-
-def _cache_store(path: str, gb: GroebnerBasis) -> None:
-    """Publish the basis at path atomically; a failure costs only the entry.
-
-    Each writer fills its own temporary file, so concurrent writers of one key
-    never share a file and the last complete one wins.
-    """
-    payload = {"version": _CACHE_VERSION, "basis": [_serialize_poly(g) for g in gb.elements]}
-    directory = os.path.dirname(path)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        print(f"loopsing: warning: Groebner basis not cached: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ import pytest
 import loopsing
 from loopsing import cohom, grobner, loopfun
 from loopsing.cli import (
-    CACHE_ENV_VAR,
     CheckOutcome,
     ConfigError,
     Report,
@@ -155,7 +154,6 @@ class TestRun:
 
     @pytest.mark.parametrize("audit", ["basis", "count"])
     def test_failed_groebner_audit_fails_the_milnor_check(self, monkeypatch, capsys, audit):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         if audit == "basis":
             def unverified(gb, ideal):
                 raise RuntimeError("S-polynomial does not reduce to zero")
@@ -179,6 +177,23 @@ class TestRun:
         assert main(["-f", "x^3+y^3", "--checks", "milnor"]) == 1
         captured = capsys.readouterr()
         assert witness in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_oracle_that_finds_no_isolated_singularity_fails_the_check(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(grobner, "milnor_number", lambda func: 4)
+        report = run_source("x^2*y", checks=("milnor",))
+        assert report.checks["milnor"] == CheckOutcome(
+            ok=False,
+            witness="linear-algebra oracle finds the singularity not isolated, "
+            "basis count gives 4",
+        )
+        assert report.exit_status == 1
+        assert validate_report(report.to_dict()) == []
+        assert main(["-f", "x^2*y", "--checks", "milnor"]) == 1
+        captured = capsys.readouterr()
+        assert "not isolated" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
     def test_axioms_listed_when_cohomology_runs(self):
@@ -332,16 +347,8 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == f"loopsing: error: n-max must be at most {MAX_N_MAX}\n"
 
-    def test_unusable_cache_only_warns(self, tmp_path, monkeypatch, capsys):
-        blocker = tmp_path / "not-a-directory"
-        blocker.write_text("")
-        monkeypatch.setenv(CACHE_ENV_VAR, str(blocker))
-        assert main(["-f", "x^3 + y^3"]) == 0
-        assert capsys.readouterr().err.startswith("loopsing: warning:")
-
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(Path(loopsing.__file__).parents[1]))
-        env.pop(CACHE_ENV_VAR, None)
         result = subprocess.run(
             [sys.executable, "-m", "loopsing.cli", "-f", "x^3+y^3", "--format", "structured"],
             capture_output=True, text=True, env=env, timeout=120,
@@ -349,11 +356,37 @@ class TestMain:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["milnor_number"] == 4
 
-    def test_cache_env_variable(self, tmp_path, monkeypatch, capsys):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
-        assert main(["-f", "x^3 + y^3"]) == 0
-        entries = list(cache.glob("*.json"))
-        assert len(entries) == 1
-        assert main(["-f", "x^3 + y^3"]) == 0
-        assert list(cache.glob("*.json")) == entries
+    def test_run_ignores_the_removed_cache_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("LOOPSING_CACHE", raising=False)
+        assert main(["-f", "x^3 + y^3", "--format", "structured"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        monkeypatch.setenv("LOOPSING_CACHE", str(tmp_path))
+        assert main(["-f", "x^3 + y^3", "--format", "structured"]) == 0
+        with_variable = json.loads(capsys.readouterr().out)
+        assert list(tmp_path.iterdir()) == []
+        plain.pop("timing")
+        with_variable.pop("timing")
+        assert with_variable == plain
+
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, target):
+        path = tmp_path / "no" / "such" / "r.txt" if target == "missing directory" else tmp_path
+        assert main(["-f", "x^3 + y^3", "--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("loopsing: error:") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
+        assert captured.out == ""
+
+    def test_non_utf8_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "fn.txt"
+        path.write_bytes(b"\xff\xfex^3 + y^3\n")
+        assert main(["--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loopsing: error:") and err.count("\n") == 1
+        assert "utf-8" in err
+
+
+@pytest.mark.parametrize("module", [loopsing, loopsing.cli], ids=lambda m: m.__name__)
+def test_export_list_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

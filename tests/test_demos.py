@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import loopsing
-from loopsing.cli import CACHE_ENV_VAR
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -22,7 +21,6 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(Path(loopsing.__file__).parents[1]))
-    env.pop(CACHE_ENV_VAR, None)
     result = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
     )

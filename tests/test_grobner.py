@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import json
-import multiprocessing
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -29,12 +26,6 @@ from loopsing.grobner import (
 )
 
 from conftest import NON_ISOLATED_SOURCES, build, fermat_source
-
-
-def _store_repeatedly(path: str, source: str, times: int) -> None:
-    gb = buchberger(jacobian_ideal(build(source)))
-    for _ in range(times):
-        grobner._cache_store(path, gb)
 
 
 def lv(coord: int) -> LoopPoly:
@@ -373,82 +364,3 @@ class TestIdealValidation:
         with pytest.raises(ValueError):
             Ideal([LoopPoly.variable(LoopVar(1, -1))], 1)
 
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        ideal = jacobian_ideal(build("x^4 + y^4"))
-        first = buchberger(ideal, cache_dir=str(tmp_path))
-        files = list(tmp_path.glob("*.json"))
-        assert len(files) == 1
-        second = buchberger(ideal, cache_dir=str(tmp_path))
-        assert second == first
-
-    def test_corrupt_cache_is_recomputed(self, tmp_path):
-        ideal = jacobian_ideal(build("x^3 + y^3"))
-        buchberger(ideal, cache_dir=str(tmp_path))
-        (path,) = tmp_path.glob("*.json")
-        path.write_text("{not json")
-        assert buchberger(ideal, cache_dir=str(tmp_path)).elements == (x**2, y**2)
-
-    def test_distinct_ideals_get_distinct_keys(self, tmp_path):
-        buchberger(jacobian_ideal(build("x^3 + y^3")), cache_dir=str(tmp_path))
-        buchberger(jacobian_ideal(build("x^4 + y^4")), cache_dir=str(tmp_path))
-        assert len(list(tmp_path.glob("*.json"))) == 2
-
-    def test_concurrent_writers_of_one_key(self, tmp_path):
-        ideal = jacobian_ideal(build("x^3 + y^3"))
-        path = tmp_path / (grobner._cache_key(ideal) + ".json")
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=3, mp_context=context) as pool:
-            futures = [
-                pool.submit(_store_repeatedly, str(path), "x^3 + y^3", 300) for _ in range(3)
-            ]
-            for future in futures:
-                future.result(timeout=120)
-        assert list(tmp_path.iterdir()) == [path]
-        assert grobner._cache_load(str(path), ideal) == buchberger(ideal)
-
-    def test_unusable_cache_directory_only_warns(self, tmp_path, capsys):
-        blocker = tmp_path / "not-a-directory"
-        blocker.write_text("")
-        ideal = jacobian_ideal(build("x^3 + y^3"))
-        assert buchberger(ideal, cache_dir=str(blocker)).elements == (x**2, y**2)
-        assert capsys.readouterr().err.startswith("loopsing: warning:")
-
-    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
-        def refuse(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(grobner.os, "replace", refuse)
-        ideal = jacobian_ideal(build("x^3 + y^3"))
-        assert buchberger(ideal, cache_dir=str(tmp_path)).elements == (x**2, y**2)
-        assert "disk full" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("corruption", ["dropped element", "changed coefficient"])
-    def test_wrong_cached_basis_is_rejected_by_the_audit(self, tmp_path, monkeypatch, corruption):
-        ideal = jacobian_ideal(build("(x + 2*y)^4 + (3*x - y)^4"))
-        right = buchberger(ideal, cache_dir=str(tmp_path))
-        (path,) = tmp_path.glob("*.json")
-        data = json.loads(path.read_text())
-        if corruption == "dropped element":
-            del data["basis"][1]
-        else:
-            data["basis"][0][1][1][0] += 1  # a tail coefficient's numerator
-        path.write_text(json.dumps(data))
-
-        audit = grobner._verify_basis
-        failures = []
-
-        def recorded(elements, generators):
-            try:
-                audit(elements, generators)
-            except RuntimeError as exc:
-                failures.append(str(exc))
-                raise
-
-        monkeypatch.setattr(grobner, "_verify_basis", recorded)
-        assert grobner._cache_load(str(path), ideal) is None
-        assert buchberger(ideal, cache_dir=str(tmp_path)) == right
-        assert len(failures) == 2  # the direct load, and the load inside buchberger
-        assert grobner._cache_load(str(path), ideal) == right  # the entry was rewritten

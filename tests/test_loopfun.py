@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopsing.exactalg import LoopPoly, LoopVar, Monomial
+from loopsing.exactalg import LoopPoly, LoopVar, Monomial, substitute
 from loopsing.loopfun import (
     DegreeTooLow,
     InputFunction,
@@ -308,3 +311,59 @@ class TestConstantLoopRestriction:
     def test_requires_zero_in_window(self):
         with pytest.raises(ValueError):
             constant_loop_restriction(build("z^2"), Window(2, -1))
+
+
+def _determinant(matrix: list[list[int]]) -> int:
+    """Leibniz expansion; the sign of a permutation is the parity of its inversions."""
+    total = 0
+    for perm in itertools.permutations(range(len(matrix))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(len(perm)))
+    return total
+
+
+def _invertible_matrix(d: int, seed: int) -> list[list[int]]:
+    rng = random.Random(seed)
+    while True:
+        matrix = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        if _determinant(matrix) != 0:
+            return matrix
+
+
+def _linear_change(matrix: list[list[int]], cdeg: int) -> dict[LoopVar, LoopPoly]:
+    """z^i_cdeg -> sum_j A_ij z^j_cdeg, for every coordinate i."""
+    return {
+        LoopVar(i + 1, cdeg): sum(
+            (a * lv(j + 1, cdeg) for j, a in enumerate(row) if a), LoopPoly.zero()
+        )
+        for i, row in enumerate(matrix)
+    }
+
+
+# The matrix of MIXED_SOURCES' GL transform, then seeded ones.
+GL_MATRICES = [[[1, 2], [3, -1]]] + [
+    _invertible_matrix(d, seed) for d in (2, 3) for seed in (1, 2, 3)
+]
+GL_BASES = {2: ("x^3 + y^3", "x^3 + x*y^2 + 2*y^3"), 3: ("x^3 + y^3 + w^3", "x^3 + y^3 + w^3 + x*y*w")}
+
+
+class TestGLInvariance:
+    """F(Ax) has the functional of F with A applied to every loop coefficient z_k."""
+
+    @pytest.mark.parametrize("bottom", [1, 2])
+    @pytest.mark.parametrize("matrix", GL_MATRICES, ids=str)
+    def test_functional_of_a_linear_change(self, matrix, bottom):
+        d = len(matrix)
+        for source in GL_BASES[d]:
+            func = build(source)
+            transformed = InputFunction(func.poly.substitute(_linear_change(matrix, 0)))
+            window = minimal_window(func, bottom)
+            assert minimal_window(transformed, bottom) == window
+            change = {}
+            for cdeg in range(-window.bottom, window.top + 1):
+                change.update(_linear_change(matrix, cdeg))
+            assert lambda_of(transformed, window) == substitute(lambda_of(func, window), change)
+
+    def test_hand_checked_transform(self):
+        func = build("(x + 2*y)^3 + (3*x - y)^3")
+        assert func.poly == build("x^3 + y^3").poly.substitute(_linear_change(GL_MATRICES[0], 0))
