@@ -36,8 +36,9 @@ __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
 FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
 
-# Bound on the height of the cohomology tower, whose walk costs about the
-# square of the height; test and benchmark towers are at most 60 high.
+# Bound on the height of the cohomology tower.  The walk solves one Gysin
+# sequence of a few nonzero entries per step, so its cost grows about linearly
+# in the height; test and benchmark towers are at most 60 high.
 MAX_N_MAX = 200
 
 
@@ -311,9 +312,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 fh.write(rendered)
         else:
             sys.stdout.write(rendered)
-    except (
-        ConfigError, ParseError, NotHomogeneous, DegreeTooLow, OSError, UnicodeDecodeError
-    ) as exc:
+    except (ConfigError, ParseError, NotHomogeneous, DegreeTooLow, OSError) as exc:
         print(f"loopsing: error: {exc}", file=sys.stderr)
         return 2
     return report.exit_status

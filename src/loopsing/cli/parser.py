@@ -9,6 +9,8 @@ occurrence.
 
 from __future__ import annotations
 
+import errno
+import io
 import re
 import sys
 from dataclasses import dataclass
@@ -257,9 +259,18 @@ def parse_function(source: str) -> InputFunction:
 
 
 def read_function_file(path: str) -> str:
-    """Read one expression from a file, skipping leading # comment lines."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh]
+    """Read one expression from a file, skipping leading # comment lines.
+
+    A file that is not UTF-8 text raises OSError naming the file and the
+    offset of its first bad byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, f"not UTF-8 text at byte {exc.start}", path) from None
+    lines = [line.strip() for line in io.StringIO(text, newline=None)]
     body = [line for line in lines if line and not line.startswith("#")]
     return " ".join(body)
 

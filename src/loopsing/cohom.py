@@ -6,9 +6,11 @@ complement U repeats the three-term pattern
     ... -> A^{s-2c} -> B^s -> C^s -> A^{s-2c+1} -> ...
 
 where A and C are known graded dimension vectors and B is solved for by rank
-propagation through the segments bounded by zero entries.  Declared ranks of
-specific maps (notably the residue map onto the unit class) enter as tagged
-facts and are surfaced in every report; they are inputs, not computations.
+propagation through the segments bounded by zero entries.  Only the nodes next
+to a nonzero A or C entry or to a declared fact are built; every other B sits
+between two zero entries and vanishes.  Declared ranks of specific maps
+(notably the residue map onto the unit class) enter as tagged facts and are
+surfaced in every report; they are inputs, not computations.
 
 On top of the solver sits gysin_tower, one walk up the tower of truncation
 cohomologies of the nearby fiber of a loop functional: n_max Gysin solves,
@@ -88,10 +90,6 @@ class GradedDims:
                 store[degree] = store.get(degree, 0) + dim
         self._dims = store
 
-    @classmethod
-    def zero(cls) -> "GradedDims":
-        return cls()
-
     def dim(self, degree: int) -> int:
         return self._dims.get(degree, 0)
 
@@ -101,9 +99,6 @@ class GradedDims:
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._dims.items()))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._dims)
 
     @property
     def is_zero(self) -> bool:
@@ -222,6 +217,12 @@ class Underdetermined:
 
 @dataclass(frozen=True)
 class LesSolution:
+    """A solved sequence: its B-column and how the sequence splits.
+
+    ranks holds the nonzero ranks only, keyed by (kind, degree) as in
+    RankFact; segments are the runs of nonzero entries between zero ones.
+    """
+
     b: GradedDims
     ranks: Mapping[tuple[str, int], int]
     segments: tuple[tuple[tuple[str, int], ...], ...]
@@ -245,6 +246,7 @@ class LesSolution:
 
 
 _SLOTS = ("A", "B", "C")
+_KINDS = ("gysin", "restriction", "residue")
 
 
 def solve_les_detailed(system: LesSystem) -> LesSolution | Underdetermined:
@@ -254,70 +256,59 @@ def solve_les_detailed(system: LesSystem) -> LesSolution | Underdetermined:
     in and out of it.  Zero entries force both adjacent ranks to zero, so the
     chain splits into independent segments; within a segment, dimensions and
     declared ranks propagate until everything is pinned or some B entries stay
-    ambiguous.  Returns the solution, whose `b` is the middle column, or
-    Underdetermined with the ambiguous degrees.
+    ambiguous.  Only the nodes next to a nonzero A or C entry or to a declared
+    fact are built: any other B lies between two zero entries and vanishes, so
+    the work does not grow with the gaps between degrees.  Returns the
+    solution, whose `b` is the middle column, or Underdetermined with the
+    ambiguous degrees.
     """
     c2 = 2 * system.codim
-    anchors = (
-        [deg + c2 for deg in system.a.support]
-        + list(system.c_dims.support)
-        + [fact.degree for fact in system.rank_facts]
-        + [fact.degree + 1 for fact in system.rank_facts]
-    )
-    if not anchors:
-        return LesSolution(
-            b=GradedDims.zero(), ranks={}, segments=(), axioms=_axioms(system)
-        )
-    s_lo, s_hi = min(anchors) - 1, max(anchors) + 1
 
-    # Node t = 3*(s - s_lo) + slot with slots A, B, C; map t is node t-1 -> t,
-    # with virtual zero maps off both ends of the chain.
-    nodes: list[tuple[str, int]] = []
-    for s in range(s_lo, s_hi + 1):
-        nodes.append(("A", s - c2))
-        nodes.append(("B", s))
-        nodes.append(("C", s))
-    count = len(nodes)
+    # Node t is slot t % 3 (A, B, C) of pattern degree t // 3 and map t is
+    # node t-1 -> t, so a fact's map is 3 * degree + 1, 2 or 3 by its kind.
+    def node(t: int) -> tuple[str, int]:
+        s, slot = divmod(t, 3)
+        return _SLOTS[slot], s - c2 if slot == 0 else s
 
-    dims: list[int | None] = []
-    for slot, degree in nodes:
-        if slot == "A":
-            dims.append(system.a.dim(degree))
-        elif slot == "C":
-            dims.append(system.c_dims.dim(degree))
-        else:
-            dims.append(None)
-
-    ranks: list[int | None] = [None] * (count + 1)
-    ranks[0] = 0
-    ranks[count] = 0
-
-    fact_positions = {"gysin": 1, "restriction": 2, "residue": 3}
+    ranks: dict[int, int] = {}
     for fact in system.rank_facts:
-        t = 3 * (fact.degree - s_lo) + fact_positions[fact.kind]
-        if not 0 < t < count:
-            raise Inconsistent(f"rank fact {fact} lies outside the sequence range")
-        if ranks[t] is not None and ranks[t] != fact.rank:
+        t = 3 * fact.degree + 1 + _KINDS.index(fact.kind)
+        if ranks.setdefault(t, fact.rank) != fact.rank:
             raise Inconsistent(f"conflicting rank facts at {fact.kind}/{fact.degree}")
-        ranks[t] = fact.rank
+    # Keep each nonzero A or C entry and the target of each fact's map, with
+    # their neighbours (so the fact's source too); the rest are zero entries.
+    core = {3 * (degree + c2) for degree in system.a.support}
+    core.update(3 * degree + 2 for degree in system.c_dims.support)
+    core.update(ranks)
+    kept = sorted({t + step for t in core for step in (-1, 0, 1)})
+
+    dims: dict[int, int | None] = {}
+    for t in kept:
+        s, slot = divmod(t, 3)
+        dims[t] = (system.a.dim(s - c2), None, system.c_dims.dim(s))[slot]
+    # Every map leaving the kept set has a zero entry at its far end.
+    for t in kept:
+        if t - 1 not in dims:
+            ranks[t] = 0
+        if t + 1 not in dims:
+            ranks[t + 1] = 0
 
     def set_rank(t: int, value: int) -> bool:
         if value < 0:
-            raise Inconsistent(
-                f"exactness forces a negative rank at map {t} ({nodes[min(t, count - 1)]})"
-            )
-        if ranks[t] is None:
+            raise Inconsistent(f"exactness forces a negative rank at the map into {node(t)}")
+        known = ranks.get(t)
+        if known is None:
             ranks[t] = value
             return True
-        if ranks[t] != value:
-            raise Inconsistent(f"rank clash at map {t}: {ranks[t]} vs {value}")
+        if known != value:
+            raise Inconsistent(f"rank clash at the map into {node(t)}: {known} vs {value}")
         return False
 
     changed = True
     while changed:
         changed = False
-        for t in range(count):
-            dim, r_in, r_out = dims[t], ranks[t], ranks[t + 1]
+        for t in kept:
+            dim, r_in, r_out = dims[t], ranks.get(t), ranks.get(t + 1)
             if dim == 0:
                 changed |= set_rank(t, 0)
                 changed |= set_rank(t + 1, 0)
@@ -328,52 +319,31 @@ def solve_les_detailed(system: LesSystem) -> LesSolution | Underdetermined:
                     changed |= set_rank(t, dim - r_out)
                 elif r_in is not None and r_out is not None and r_in + r_out != dim:
                     raise Inconsistent(
-                        f"exactness fails at {nodes[t]}: {dim} != {r_in} + {r_out}"
+                        f"exactness fails at {node(t)}: {dim} != {r_in} + {r_out}"
                     )
-            else:
-                if r_in is not None and r_out is not None:
-                    dims[t] = r_in + r_out
-                    changed = True
+            elif r_in is not None and r_out is not None:
+                dims[t] = r_in + r_out
+                changed = True
 
-    unknown = sorted(
-        degree for (slot, degree), dim in zip(nodes, dims) if slot == "B" and dim is None
-    )
+    unknown = tuple(t // 3 for t in kept if dims[t] is None)
     if unknown:
-        return Underdetermined(degrees=tuple(unknown))
+        return Underdetermined(degrees=unknown)
 
-    for fact in system.rank_facts:
-        t = 3 * (fact.degree - s_lo) + fact_positions[fact.kind]
-        src = dims[t - 1] or 0
-        dst = dims[t] if t < count else 0
-        if fact.rank > min(src, dst or 0):
-            raise Inconsistent(
-                f"declared rank {fact.rank} of {fact.kind} at degree {fact.degree} "
-                f"exceeds min of adjacent dimensions ({src}, {dst})"
-            )
-
-    b = GradedDims(
-        {degree: dim for (slot, degree), dim in zip(nodes, dims) if slot == "B" and dim}
-    )
-    rank_map = {}
-    for t in range(1, count):
-        slot, degree = nodes[t]
-        kind = {"B": "gysin", "C": "restriction", "A": "residue"}[slot]
-        key_degree = degree if slot != "A" else degree + c2 - 1
-        rank_map[(kind, key_degree)] = ranks[t] or 0
-
-    segments: list[tuple[tuple[str, int], ...]] = []
-    current: list[tuple[str, int]] = []
-    for node, dim in zip(nodes, dims):
-        if dim:
-            current.append(node)
-        elif current:
-            segments.append(tuple(current))
-            current = []
-    if current:
-        segments.append(tuple(current))
-
+    segments: list[list[tuple[str, int]]] = []
+    for t in kept:
+        if dims[t]:
+            if not dims.get(t - 1):
+                segments.append([])
+            segments[-1].append(node(t))
     solution = LesSolution(
-        b=b, ranks=rank_map, segments=tuple(segments), axioms=_axioms(system)
+        b=GradedDims({t // 3: dims[t] for t in kept if t % 3 == 1}),
+        ranks={
+            (_KINDS[(t - 1) % 3], (t - 1) // 3): rank
+            for t, rank in sorted(ranks.items())
+            if rank
+        },
+        segments=tuple(map(tuple, segments)),
+        axioms=_axioms(system),
     )
     bad = [s for s in solution.segment_alternating_sums(system) if s != 0]
     if bad:
@@ -595,7 +565,7 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
                 gysin_ranks={
                     degree: rank
                     for (kind, degree), rank in solution.ranks.items()
-                    if kind == "gysin" and rank
+                    if kind == "gysin"
                 },
                 axioms=solution.axioms,
             )

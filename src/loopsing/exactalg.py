@@ -135,32 +135,9 @@ class Monomial:
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(self.factors + other.factors)
 
-    def mul_var(self, var: LoopVar, exp: int = 1) -> "Monomial":
-        return Monomial(self.factors + ((var, exp),))
-
     def divides(self, other: "Monomial") -> bool:
         it = dict(other.factors)
         return all(it.get(v, 0) >= e for v, e in self.factors)
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """self / other; other must divide self."""
-        out = dict(self.factors)
-        for v, e in other.factors:
-            have = out.get(v, 0)
-            if have < e:
-                raise ValueError(f"{other} does not divide {self}")
-            out[v] = have - e
-        return Monomial(out)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        out = dict(self.factors)
-        for v, e in other.factors:
-            out[v] = max(out.get(v, 0), e)
-        return Monomial(out)
-
-    def coprime(self, other: "Monomial") -> bool:
-        mine = {v for v, _ in self.factors}
-        return all(v not in mine for v, _ in other.factors)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
@@ -266,10 +243,6 @@ class LoopPoly:
     def leading_monomial(self) -> Monomial:
         return self.leading_term[0]
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.leading_term[1]
-
     def variables(self) -> tuple[LoopVar, ...]:
         seen: set[LoopVar] = set()
         for mono, _ in self._terms:
@@ -330,13 +303,6 @@ class LoopPoly:
         for _ in range(exp):
             out = out * self
         return out
-
-    def mul_term(self, mono: Monomial, coeff: Fraction | int) -> "LoopPoly":
-        """Product with the single term coeff * mono."""
-        q = Fraction(coeff)
-        if not q:
-            return LoopPoly()
-        return LoopPoly({m.mul(mono): c * q for m, c in self._terms})
 
     # -- calculus and substitution ------------------------------------------
 

@@ -54,8 +54,6 @@ __all__ = [
     "milnor_number_oracle",
 ]
 
-MONOMIAL_ORDER = "grevlex (conformal degree major, coordinate minor)"
-
 Exponents = tuple[int, ...]
 Term = tuple[Exponents, Fraction]
 Terms = list[Term]
@@ -186,8 +184,6 @@ def _s_terms(f: Terms, g: Terms) -> Iterable[Term]:
 
 class Ideal:
     """An ideal in the polynomial ring on the degree-0 variables z^1_0..z^d_0."""
-
-    order = MONOMIAL_ORDER
 
     def __init__(self, generators: Sequence[LoopPoly], d: int):
         gens = tuple(g for g in generators if not g.is_zero)

@@ -351,9 +351,12 @@ def check_top_linearity(
 
         sum_j z^j_N * d(functional)/d(z^j_N)  +  remainder
 
-    with the remainder free of conformal-degree-N variables.  The decomposition
-    is returned as (linear_part, remainder).  A caller that already holds the
-    functional on the window [-bottom, N] may pass it as `functional`.
+    with the remainder free of conformal-degree-N variables.  By Euler's
+    identity the first sum is k*c*m over the terms c*m of the functional, k
+    being m's total exponent in the degree-N variables, so the remainder is
+    (1-k)*c*m.  The decomposition is returned as (linear_part, remainder).  A
+    caller that already holds the functional on the window [-bottom, N] may
+    pass it as `functional`.
     """
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
@@ -361,25 +364,20 @@ def check_top_linearity(
     window = Window(bottom, top)
     lam = lambda_of(func, window) if functional is None else functional
 
-    offending = tuple(
-        mono
-        for mono, _ in lam.terms
-        if sum(e for v, e in mono.factors if v.cdeg == top) > 1
-    )
-    linear = LoopPoly()
-    for j in range(1, func.d + 1):
-        var = LoopVar(j, top)
-        linear = linear + LoopPoly.variable(var) * lam.partial(var)
-    remainder = lam - linear
-    ok = not offending
-    if ok and any(v.cdeg == top for v in remainder.variables()):
-        raise RuntimeError("remainder unexpectedly contains top-degree variables")
+    offending = []
+    linear, remainder = {}, {}
+    for mono, coeff in lam.terms:
+        k = sum(e for v, e in mono.factors if v.cdeg == top)
+        if k > 1:
+            offending.append(mono)
+        linear[mono] = k * coeff
+        remainder[mono] = (1 - k) * coeff
     return TopLinearityReport(
-        ok=ok,
+        ok=not offending,
         top_cdeg=top,
-        offending_monomials=offending,
-        linear_part=linear,
-        remainder=remainder,
+        offending_monomials=tuple(offending),
+        linear_part=LoopPoly(linear),
+        remainder=LoopPoly(remainder),
         window=window,
     )
 

@@ -383,7 +383,7 @@ class TestMain:
         assert main(["--file", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("loopsing: error:") and err.count("\n") == 1
-        assert "utf-8" in err
+        assert "not UTF-8 text at byte 0" in err and str(path) in err
 
 
 @pytest.mark.parametrize("module", [loopsing, loopsing.cli], ids=lambda m: m.__name__)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsing import cohom
 from loopsing.cohom import (
@@ -12,6 +14,7 @@ from loopsing.cohom import (
     EscapeRow,
     GradedDims,
     Inconsistent,
+    LesSolution,
     LesSystem,
     RankFact,
     Underdetermined,
@@ -27,7 +30,7 @@ from loopsing.cohom import (
     truncation_cohomology,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, deadline
 
 
 def gysin_system(full_a: GradedDims, d: int) -> LesSystem:
@@ -37,6 +40,170 @@ def gysin_system(full_a: GradedDims, d: int) -> LesSystem:
         c_dims=sphere_cohomology(d),
         rank_facts=(residue_onto_unit_fact(d, full_a),),
     )
+
+
+def _dense_solve_les(system: LesSystem) -> LesSolution | Underdetermined:
+    """Reference solver over the dense degree range.
+
+    It lays out every pattern degree from one below the lowest anchor to one
+    above the highest, keeps a rank for every map in that range and sweeps
+    the whole range until nothing changes.
+
+    Exactness says each space's dimension is the sum of the ranks of the maps
+    in and out of it.  Zero entries force both adjacent ranks to zero, so the
+    chain splits into independent segments; within a segment, dimensions and
+    declared ranks propagate until everything is pinned or some B entries stay
+    ambiguous.  Returns the solution, whose `b` is the middle column, or
+    Underdetermined with the ambiguous degrees.
+    """
+    c2 = 2 * system.codim
+    anchors = (
+        [deg + c2 for deg in system.a.support]
+        + list(system.c_dims.support)
+        + [fact.degree for fact in system.rank_facts]
+        + [fact.degree + 1 for fact in system.rank_facts]
+    )
+    if not anchors:
+        return LesSolution(
+            b=GradedDims(), ranks={}, segments=(), axioms=cohom._axioms(system)
+        )
+    s_lo, s_hi = min(anchors) - 1, max(anchors) + 1
+
+    # Node t = 3*(s - s_lo) + slot with slots A, B, C; map t is node t-1 -> t,
+    # with virtual zero maps off both ends of the chain.
+    nodes: list[tuple[str, int]] = []
+    for s in range(s_lo, s_hi + 1):
+        nodes.append(("A", s - c2))
+        nodes.append(("B", s))
+        nodes.append(("C", s))
+    count = len(nodes)
+
+    dims: list[int | None] = []
+    for slot, degree in nodes:
+        if slot == "A":
+            dims.append(system.a.dim(degree))
+        elif slot == "C":
+            dims.append(system.c_dims.dim(degree))
+        else:
+            dims.append(None)
+
+    ranks: list[int | None] = [None] * (count + 1)
+    ranks[0] = 0
+    ranks[count] = 0
+
+    fact_positions = {"gysin": 1, "restriction": 2, "residue": 3}
+    for fact in system.rank_facts:
+        t = 3 * (fact.degree - s_lo) + fact_positions[fact.kind]
+        if not 0 < t < count:
+            raise Inconsistent(f"rank fact {fact} lies outside the sequence range")
+        if ranks[t] is not None and ranks[t] != fact.rank:
+            raise Inconsistent(f"conflicting rank facts at {fact.kind}/{fact.degree}")
+        ranks[t] = fact.rank
+
+    def set_rank(t: int, value: int) -> bool:
+        if value < 0:
+            raise Inconsistent(
+                f"exactness forces a negative rank at map {t} ({nodes[min(t, count - 1)]})"
+            )
+        if ranks[t] is None:
+            ranks[t] = value
+            return True
+        if ranks[t] != value:
+            raise Inconsistent(f"rank clash at map {t}: {ranks[t]} vs {value}")
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for t in range(count):
+            dim, r_in, r_out = dims[t], ranks[t], ranks[t + 1]
+            if dim == 0:
+                changed |= set_rank(t, 0)
+                changed |= set_rank(t + 1, 0)
+            elif dim is not None:
+                if r_in is not None and r_out is None:
+                    changed |= set_rank(t + 1, dim - r_in)
+                elif r_out is not None and r_in is None:
+                    changed |= set_rank(t, dim - r_out)
+                elif r_in is not None and r_out is not None and r_in + r_out != dim:
+                    raise Inconsistent(
+                        f"exactness fails at {nodes[t]}: {dim} != {r_in} + {r_out}"
+                    )
+            else:
+                if r_in is not None and r_out is not None:
+                    dims[t] = r_in + r_out
+                    changed = True
+
+    unknown = sorted(
+        degree for (slot, degree), dim in zip(nodes, dims) if slot == "B" and dim is None
+    )
+    if unknown:
+        return Underdetermined(degrees=tuple(unknown))
+
+    for fact in system.rank_facts:
+        t = 3 * (fact.degree - s_lo) + fact_positions[fact.kind]
+        src = dims[t - 1] or 0
+        dst = dims[t] if t < count else 0
+        if fact.rank > min(src, dst or 0):
+            raise Inconsistent(
+                f"declared rank {fact.rank} of {fact.kind} at degree {fact.degree} "
+                f"exceeds min of adjacent dimensions ({src}, {dst})"
+            )
+
+    b = GradedDims(
+        {degree: dim for (slot, degree), dim in zip(nodes, dims) if slot == "B" and dim}
+    )
+    rank_map = {}
+    for t in range(1, count):
+        slot, degree = nodes[t]
+        kind = {"B": "gysin", "C": "restriction", "A": "residue"}[slot]
+        key_degree = degree if slot != "A" else degree + c2 - 1
+        rank_map[(kind, key_degree)] = ranks[t] or 0
+
+    segments: list[tuple[tuple[str, int], ...]] = []
+    current: list[tuple[str, int]] = []
+    for node, dim in zip(nodes, dims):
+        if dim:
+            current.append(node)
+        elif current:
+            segments.append(tuple(current))
+            current = []
+    if current:
+        segments.append(tuple(current))
+
+    solution = LesSolution(
+        b=b, ranks=rank_map, segments=tuple(segments), axioms=cohom._axioms(system)
+    )
+    bad = [s for s in solution.segment_alternating_sums(system) if s != 0]
+    if bad:
+        raise RuntimeError(f"exactness audit failed: alternating sums {bad}")
+    return solution
+
+
+def _outcome(solve, system: LesSystem):
+    """What a solver gives, with only the nonzero ranks of a solution."""
+    try:
+        result = solve(system)
+    except (Inconsistent, RuntimeError) as exc:
+        return type(exc)
+    if isinstance(result, Underdetermined):
+        return result
+    nonzero = {key: rank for key, rank in result.ranks.items() if rank}
+    return result.b, nonzero, result.segments, result.axioms
+
+
+_small_dims = st.dictionaries(st.integers(-4, 8), st.integers(0, 3), max_size=3).map(GradedDims)
+_facts = st.lists(
+    st.builds(
+        RankFact,
+        st.sampled_from(("gysin", "restriction", "residue")),
+        st.integers(-4, 8),
+        st.integers(0, 3),
+        st.sampled_from(("test: first", "test: second")),
+    ),
+    max_size=3,
+).map(tuple)
+_systems = st.builds(LesSystem, st.integers(1, 3), _small_dims, _small_dims, _facts)
 
 
 class TestGradedDims:
@@ -122,8 +289,21 @@ class TestSolveLes:
         system = gysin_system(GradedDims({0: 2}), 1)
         solution = solve_les_detailed(system)
         assert solution.ranks[("residue", 1)] == 1
+        assert 0 not in solution.ranks.values()
         assert all(total == 0 for total in solution.segment_alternating_sums(system))
         assert solution.axioms
+
+
+    @settings(max_examples=500, deadline=None)
+    @given(_systems)
+    def test_matches_the_dense_solver(self, system):
+        assert _outcome(solve_les_detailed, system) == _outcome(_dense_solve_les, system)
+
+    def test_work_does_not_grow_with_the_gap_between_degrees(self):
+        system = gysin_system(GradedDims({0: 1, 1_000_000: 1}), 1)
+        with deadline(1):
+            solution = solve_les_detailed(system)
+        assert solution.b == GradedDims({0: 1, 1_000_002: 1})
 
 
 class TestGysinStep:

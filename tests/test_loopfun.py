@@ -28,7 +28,7 @@ from loopsing.loopfun import (
     support_window,
 )
 
-from conftest import build
+from conftest import CORPUS, build
 
 
 def lv(coord: int, cdeg: int) -> LoopPoly:
@@ -243,7 +243,38 @@ class TestSupportBound:
         assert check_support_bound(corpus_function, bottom).ok
 
 
+def _linearity_by_products(func: InputFunction, bottom: int, lam: LoopPoly):
+    """Reference: sum_j z^j_N * d(lam)/d(z^j_N) from d products, and lam minus it."""
+    top = bottom * (func.delta - 1)
+    linear = LoopPoly()
+    for j in range(1, func.d + 1):
+        var = LoopVar(j, top)
+        linear = linear + LoopPoly.variable(var) * lam.partial(var)
+    return linear, lam - linear
+
+
+LINEARITY_GL_SOURCES = ("(x + 2*y)^3 + (3*x - y)^3", "(x + y - w)^3 + (2*x - y)^3 + (x + 3*w)^3")
+
+
 class TestTopLinearity:
+    @pytest.mark.parametrize("bottom", [1, 2])
+    @pytest.mark.parametrize(
+        "source", [entry.source for entry in CORPUS] + list(LINEARITY_GL_SOURCES)
+    )
+    def test_euler_identity_matches_the_products(self, source, bottom):
+        func = build(source)
+        report = check_top_linearity(func, bottom)
+        lam = lambda_of(func, report.window)
+        assert (report.linear_part, report.remainder) == _linearity_by_products(func, bottom, lam)
+
+    def test_euler_identity_matches_the_products_off_the_theorem(self):
+        func = build("z^2")
+        lam = lv(1, 1) ** 2 * lv(1, 0) + 3 * lv(1, 0) * lv(1, 1) + lv(1, -1)
+        report = check_top_linearity(func, 1, lam)
+        assert not report.ok
+        assert report.offending_monomials == (lam.terms[0][0],)
+        assert (report.linear_part, report.remainder) == _linearity_by_products(func, 1, lam)
+
     def test_quadric_decomposition(self):
         report = check_top_linearity(build("z^2"), 1)
         assert report.ok

@@ -212,3 +212,9 @@ class TestFunctionFile:
         path = tmp_path / "input.txt"
         path.write_text("# comment\nx^3 +\ny^3\n")
         assert parse_function(read_function_file(str(path))) == parse_function("x^3 + y^3")
+
+    def test_lines_end_as_in_a_text_file(self, tmp_path):
+        # \r and \r\n end a line; a form feed does not, so "x^2" stays in the comment
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"# note\r\n# a\x0cx^2\rx^3 +\r\ny^3\n")
+        assert read_function_file(str(path)) == "x^3 + y^3"
