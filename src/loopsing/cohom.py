@@ -25,8 +25,8 @@ invocation is safe, there is no shared state.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 __all__ = [
     "GradedDims",

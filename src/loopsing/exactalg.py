@@ -17,9 +17,10 @@ polynomials can be shared freely between threads.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Union
 
 __all__ = [
     "Rational",

@@ -11,31 +11,40 @@ exactalg; any global order yields the same Milnor number, this one is fixed
 for determinism.  buchberger itself runs sequentially (its loop is order
 sensitive) but independent invocations on distinct inputs are safe.
 
-Inside this module a polynomial is a list of (exponent vector, Fraction)
-terms in decreasing grevlex order, one vector position per variable in
-ascending (cdeg, coord) order.  A LoopPoly is converted to terms once on the
-way in (`_to_terms`) and back once on the way out (`_from_terms`), so
-Buchberger, the basis reduction, the audit and the oracle build no LoopPoly
-or Monomial per step:
+Inside this module a polynomial is a list of (exponent vector, int) terms in
+decreasing grevlex order, one vector position per variable in ascending
+(cdeg, coord) order.  Each list is primitive: its coefficients have content 1
+and its leading coefficient is positive, so it stands for the whole line of
+its rational multiples.  A LoopPoly is converted to primitive terms once on
+the way in (`_to_terms`), and Fractions are built once on the way out
+(`_from_terms`): monic ones for a basis, exact rescalings of the integer
+results for `normal_form` and `s_polynomial`.  Buchberger, the basis
+reduction, the audit and the oracle do no Fraction arithmetic and build no
+LoopPoly or Monomial per step:
 
-- division (`_reduce`) keeps the pending coefficients in a dict and their
-  exponent vectors in a heap, and subtracts each divisor's tail, shifted by
-  the quotient vector, in place;
+- division (`_reduce`) keeps the pending integer coefficients in a dict and
+  their exponent vectors in a heap, cancels each term fraction-free against
+  a divisor's lead and subtracts the divisor's tail, shifted by the quotient
+  vector, in place; the remainder comes out up to a nonzero multiplier;
 - the S-pairs wait in a heap keyed by (lcm key, i, j), each pushed once, when
-  its second element joins the basis;
+  its second element joins the basis, and each nonzero remainder is made
+  primitive once;
 - the oracle's `_rank` eliminates sparse integer rows fraction-free, dividing
-  each by its content (Bareiss 1968 is the classical reference).
+  each by its content.
+
+Fraction-free elimination is classical: Bareiss 1968, and Cox, Little and
+O'Shea, "Ideals, Varieties, and Algorithms", ch. 2.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
-from typing import Iterable, Mapping, Sequence
 
 from .exactalg import LoopPoly, LoopVar, Monomial
 from .loopfun import InputFunction
@@ -55,7 +64,7 @@ __all__ = [
 ]
 
 Exponents = tuple[int, ...]
-Term = tuple[Exponents, Fraction]
+Term = tuple[Exponents, int]
 Terms = list[Term]
 
 
@@ -106,39 +115,52 @@ def _variables(*polys: LoopPoly) -> tuple[LoopVar, ...]:
 
 
 def _to_terms(p: LoopPoly, variables: Sequence[LoopVar]) -> Terms:
-    """p as exponent terms over the ascending `variables`, in p's term order.
+    """p's primitive integer multiple as exponent terms over the ascending
+    `variables`, in p's term order; the zero polynomial gives no terms.
 
     Raises KeyError when p has a variable outside the list.
     """
     position = {v: i for i, v in enumerate(variables)}
+    scale = math.lcm(*(c.denominator for _, c in p.terms))
     out = []
-    for mono, coeff in p.terms:
+    for mono, c in p.terms:
         e = [0] * len(variables)
         for v, x in mono.factors:
             e[position[v]] = x
-        out.append((tuple(e), coeff))
-    return out
+        out.append((tuple(e), c.numerator * (scale // c.denominator)))
+    return _primitive(out) if out else out
 
 
-def _from_terms(terms: Iterable[Term], variables: Sequence[LoopVar]) -> LoopPoly:
-    return LoopPoly((Monomial(zip(variables, e)), c) for e, c in terms)
+def _from_terms(terms: Iterable[Term], variables: Sequence[LoopVar], scale: Fraction) -> LoopPoly:
+    """The LoopPoly with the terms' coefficients times `scale`."""
+    return LoopPoly((Monomial(zip(variables, e)), c * scale) for e, c in terms)
 
 
-def _monic(terms: Terms) -> Terms:
-    inv = 1 / terms[0][1]
-    return [(e, c * inv) for e, c in terms]
+def _primitive(terms: Terms) -> Terms:
+    """The nonempty terms divided by their content, signed so the lead is positive."""
+    content = math.gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
+        content = -content
+    if content == 1:
+        return terms
+    return [(e, c // content) for e, c in terms]
 
 
-def _reduce(terms: Iterable[Term], divisors: Sequence[Terms]) -> Terms:
-    """Remainder of the sum of `terms` under division by the divisors.
+def _reduce(terms: Iterable[Term], divisors: Sequence[Terms]) -> tuple[Terms, int]:
+    """Remainder of the sum of `terms` under division by the divisors, up to a
+    nonzero integer multiplier; returns (remainder, multiplier).
 
     The terms may come in any order and repeat a vector.  The largest pending
-    term is cancelled against the first divisor whose leading vector divides
-    it, by subtracting that divisor's tail, shifted by the quotient vector,
-    straight into the pending coefficients; a term no leading vector divides
-    goes to the remainder, which comes out in decreasing order.
+    term c*x^e is cancelled against the first divisor whose leading term
+    a*x^l divides it, fraction-free: with g = gcd(c, a), the pending
+    coefficients and the remainder so far are multiplied by a/g, and
+    (c/g)*x^(e-l) times the divisor's tail is subtracted straight from the
+    pending coefficients.  A term no leading vector divides goes to the
+    remainder, which comes out in decreasing order.  The steps are those of
+    division over the rationals, so the remainder is the rational remainder
+    times the product of the factors a/g, the returned multiplier.
     """
-    pending: dict[Exponents, Fraction] = {}
+    pending: dict[Exponents, int] = {}
     for e, c in terms:
         pending[e] = pending.get(e, 0) + c
     # (-degree, vector) negates the key elementwise, so the heap pops the
@@ -147,6 +169,7 @@ def _reduce(terms: Iterable[Term], divisors: Sequence[Terms]) -> Terms:
     heapify(heap)
     heads = [(g[0][0], g[0][1], g[1:]) for g in divisors if g]
     remainder: Terms = []
+    multiplier = 1
     while heap:
         e = heappop(heap)[1]
         c = pending.pop(e)
@@ -155,7 +178,14 @@ def _reduce(terms: Iterable[Term], divisors: Sequence[Terms]) -> Terms:
         for lead, lead_c, tail in heads:
             if all(map(le, lead, e)):
                 shift = tuple(map(sub, e, lead))
-                factor = c / lead_c
+                common = math.gcd(c, lead_c)
+                scale = lead_c // common
+                if scale != 1:
+                    multiplier *= scale
+                    for m in pending:
+                        pending[m] *= scale
+                    remainder = [(r, rc * scale) for r, rc in remainder]
+                factor = c // common
                 for t, tc in tail:
                     m = tuple(map(add, t, shift))
                     old = pending.get(m)
@@ -167,19 +197,22 @@ def _reduce(terms: Iterable[Term], divisors: Sequence[Terms]) -> Terms:
                 break
         else:
             remainder.append((e, c))
-    return remainder
+    return remainder, multiplier
 
 
 def _s_terms(f: Terms, g: Terms) -> Iterable[Term]:
-    """The S-polynomial of f and g as unsorted terms, without the leads that cancel."""
+    """The S-polynomial of f and g times c_f*c_g/gcd(c_f, c_g), for the leading
+    coefficients c_f and c_g, as unsorted terms without the leads that cancel.
+    """
     (lead_f, c_f), (lead_g, c_g) = f[0], g[0]
     lcm = tuple(map(max, lead_f, lead_g))
     shift_f, shift_g = tuple(map(sub, lcm, lead_f)), tuple(map(sub, lcm, lead_g))
-    inv_f, inv_g = 1 / c_f, -1 / c_g
+    common = math.gcd(c_f, c_g)
+    scale_f, scale_g = c_g // common, -(c_f // common)
     for e, c in f[1:]:
-        yield tuple(map(add, e, shift_f)), c * inv_f
+        yield tuple(map(add, e, shift_f)), c * scale_f
     for e, c in g[1:]:
-        yield tuple(map(add, e, shift_g)), c * inv_g
+        yield tuple(map(add, e, shift_g)), c * scale_g
 
 
 class Ideal:
@@ -222,14 +255,21 @@ def normal_form(p: LoopPoly, divisors: Sequence[LoopPoly]) -> LoopPoly:
     divisor whose leading monomial divides it; the result has no monomial
     divisible by any divisor's leading monomial.
     """
+    if p.is_zero:
+        return p
     variables = _variables(p, *divisors)
-    divisor_terms = [_to_terms(g, variables) for g in divisors]
-    return _from_terms(_reduce(_to_terms(p, variables), divisor_terms), variables)
+    terms = _to_terms(p, variables)
+    remainder, multiplier = _reduce(terms, [_to_terms(g, variables) for g in divisors])
+    # terms is p times terms' lead over p's lead; undo that and the multiplier.
+    return _from_terms(remainder, variables, p.terms[0][1] / (multiplier * terms[0][1]))
 
 
 def s_polynomial(f: LoopPoly, g: LoopPoly) -> LoopPoly:
     variables = _variables(f, g)
-    return _from_terms(_s_terms(_to_terms(f, variables), _to_terms(g, variables)), variables)
+    f_terms, g_terms = _to_terms(f, variables), _to_terms(g, variables)
+    c_f, c_g = f_terms[0][1], g_terms[0][1]
+    scale = Fraction(math.gcd(c_f, c_g), c_f * c_g)
+    return _from_terms(_s_terms(f_terms, g_terms), variables, scale)
 
 
 def _pair_key(i: int, j: int) -> tuple[int, int]:
@@ -247,9 +287,8 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     """
     basis: list[Terms] = []
     for g in ideal._terms:
-        mg = _monic(g)
-        if mg not in basis:
-            basis.append(mg)
+        if g not in basis:
+            basis.append(g)
     leads = [g[0][0] for g in basis]
 
     pending: set[tuple[int, int]] = set()
@@ -279,9 +318,9 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         )
         if chain:
             continue
-        remainder = _reduce(_s_terms(basis[i], basis[j]), basis)
+        remainder, _ = _reduce(_s_terms(basis[i], basis[j]), basis)
         if remainder:
-            basis.append(_monic(remainder))
+            basis.append(_primitive(remainder))
             leads.append(remainder[0][0])
             install(len(basis) - 1)
 
@@ -289,7 +328,9 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     _verify_basis(reduced, ideal._terms)
     variables = _ambient(ideal.d)
     return GroebnerBasis(
-        elements=tuple(_from_terms(g, variables) for g in reduced), reduced=True, d=ideal.d
+        elements=tuple(_from_terms(g, variables, Fraction(1, g[0][1])) for g in reduced),
+        reduced=True,
+        d=ideal.d,
     )
 
 
@@ -305,16 +346,16 @@ def _reduce_basis(basis: Sequence[Terms]) -> list[Terms]:
             if kdx != idx and (other[0][0] != lm or kdx < idx)
         )
         if not redundant:
-            minimal.append(_monic(g))
+            minimal.append(g)
 
     changed = True
     while changed:
         changed = False
         for idx in range(len(minimal)):
             others = minimal[:idx] + minimal[idx + 1 :]
-            reduced = _reduce(minimal[idx], others)
+            reduced = _primitive(_reduce(minimal[idx], others)[0])
             if reduced != minimal[idx]:
-                minimal[idx] = _monic(reduced)
+                minimal[idx] = reduced
                 changed = True
     minimal.sort(key=lambda g: _key(g[0][0]))
     return minimal
@@ -323,10 +364,10 @@ def _reduce_basis(basis: Sequence[Terms]) -> list[Terms]:
 def _verify_basis(elements: Sequence[Terms], generators: Sequence[Terms]) -> None:
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
-            if _reduce(_s_terms(elements[i], elements[j]), elements):
+            if _reduce(_s_terms(elements[i], elements[j]), elements)[0]:
                 raise RuntimeError("S-polynomial does not reduce to zero")
     for g in generators:
-        if _reduce(g, elements):
+        if _reduce(g, elements)[0]:
             raise RuntimeError("an ideal generator does not reduce to zero")
 
 
@@ -429,13 +470,13 @@ def milnor_number_oracle(func: InputFunction) -> int:
     """
     d, delta = func.d, func.delta
     top = d * (delta - 2) + 1
-    gen_terms = [_to_terms(g, _ambient(d)) for g in func.partials()]
+    gen_terms = jacobian_ideal(func)._terms
 
     total = 0
     for degree in range(top + 1):
         basis = _monomial_exponents(d, degree)
         index = {expo: pos for pos, expo in enumerate(basis)}
-        rows: list[dict[int, Fraction]] = []
+        rows: list[dict[int, int]] = []
         shift_degree = degree - (delta - 1)
         if shift_degree >= 0:
             for gen in gen_terms:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopsing import grobner
@@ -208,7 +211,7 @@ class TestMilnorNumber:
         assert milnor_number(build("x^3 + x*y^2")) == 4
 
 
-_FORM_NAMES = ("x", "y", "w")
+_FORM_NAMES = ("x", "y", "w", "v")
 
 
 def _dense_rank(rows: list[list[Fraction]]) -> int:
@@ -242,7 +245,9 @@ def _gl_fermat_source(d: int, delta: int, seed: int) -> str:
 
 
 # Reduced bases computed with the LoopPoly-based Buchberger this module used
-# before it ran on exponent vectors.
+# before it ran on exponent vectors; the two dense GL transforms, where the
+# integer coefficients grow most, with the Fraction kernel that came before
+# the integer one.
 PINNED_BASES = {
     "(x + 2*y)^4 + (3*x - y)^4": [
         "z1_0*z2_0^2 - 5/2*z1_0^2*z2_0 + 31/12*z1_0^3",
@@ -270,6 +275,99 @@ PINNED_BASES = {
         "z1_0*z2_0 - 27/28*z1_0^2",
         "z2_0^2 + 3/2*z1_0^2",
         "z_0^3",
+    ],
+    _gl_fermat_source(3, 5, 2): [
+        (
+            "z1_0*z3_0^3 - 3*z1_0*z2_0*z3_0^2 + 3*z1_0*z2_0^2*z3_0 - z1_0*z2_0^3 + 3/4*z1_0^2*z3_0^2"
+            " - 3/2*z1_0^2*z2_0*z3_0 + 3/4*z1_0^2*z2_0^2 + 7/4*z1_0^3*z3_0 - 7/4*z1_0^3*z2_0"
+            " + 13/32*z1_0^4"
+        ),
+        (
+            "z2_0*z3_0^3 + 3*z2_0^2*z3_0^2 + 7*z2_0^3*z3_0 + 5*z2_0^4 + 9*z1_0*z2_0*z3_0^2"
+            " + 18*z1_0*z2_0^2*z3_0 + 21*z1_0*z2_0^3 + 9/4*z1_0^2*z3_0^2 + 45/2*z1_0^2*z2_0*z3_0"
+            " + 117/4*z1_0^2*z2_0^2 + 21/4*z1_0^3*z3_0 + 87/4*z1_0^3*z2_0 + 147/32*z1_0^4"
+        ),
+        (
+            "z3_0^4 + 18*z2_0^2*z3_0^2 + 24*z2_0^3*z3_0 + 21*z2_0^4 + 36*z1_0*z2_0*z3_0^2"
+            " + 72*z1_0*z2_0^2*z3_0 + 84*z1_0*z2_0^3 + 18*z1_0^2*z3_0^2 + 72*z1_0^2*z2_0*z3_0"
+            " + 126*z1_0^2*z2_0^2 + 24*z1_0^3*z3_0 + 84*z1_0^3*z2_0 + 21*z1_0^4"
+        ),
+        (
+            "z1_0^3*z3_0^2 - 2*z1_0^3*z2_0*z3_0 + z1_0^3*z2_0^2 + 1/2*z1_0^4*z3_0 - 1/2*z1_0^4*z2_0"
+            " + 3/8*z1_0^5"
+        ),
+        (
+            "z1_0*z2_0^2*z3_0^2 + 2/3*z1_0*z2_0^3*z3_0 + z1_0*z2_0^4 + 11/8*z1_0^2*z2_0*z3_0^2"
+            " + 13/4*z1_0^2*z2_0^2*z3_0 + 27/8*z1_0^2*z2_0^3 + 101/24*z1_0^3*z2_0*z3_0"
+            " + 115/24*z1_0^3*z2_0^2 + 11/16*z1_0^4*z3_0 + 719/192*z1_0^4*z2_0 + 5/8*z1_0^5"
+        ),
+        (
+            "z2_0^3*z3_0^2 + 2*z2_0^4*z3_0 + 9/5*z2_0^5 + 6*z1_0*z2_0^3*z3_0 + 6*z1_0*z2_0^4"
+            " - 9/8*z1_0^2*z2_0*z3_0^2 + 9/4*z1_0^2*z2_0^2*z3_0 + 63/8*z1_0^2*z2_0^3"
+            " - 21/8*z1_0^3*z2_0*z3_0 + 21/8*z1_0^3*z2_0^2 - 9/16*z1_0^4*z3_0 - 111/64*z1_0^4*z2_0"
+            " - 9/20*z1_0^5"
+        ),
+        "z1_0^5*z3_0 - z1_0^5*z2_0 + 1/4*z1_0^6",
+        (
+            "z1_0*z2_0^4*z3_0 + 3/5*z1_0*z2_0^5 + 11/4*z1_0^2*z2_0^3*z3_0 + 3*z1_0^2*z2_0^4"
+            " + 97/32*z1_0^3*z2_0^2*z3_0 + 167/32*z1_0^3*z2_0^3 + 803/512*z1_0^4*z2_0*z3_0"
+            " + 2247/512*z1_0^4*z2_0^2 + 277/128*z1_0^5*z2_0 + 2409/10240*z1_0^6"
+        ),
+        (
+            "z2_0^5*z3_0 + z2_0^6 + 3*z1_0*z2_0^5 - 15/4*z1_0^2*z2_0^3*z3_0"
+            " - 165/32*z1_0^3*z2_0^2*z3_0 - 195/32*z1_0^3*z2_0^3 - 1455/512*z1_0^4*z2_0*z3_0"
+            " - 3555/512*z1_0^4*z2_0^2 - 489/128*z1_0^5*z2_0 - 873/2048*z1_0^6"
+        ),
+        "z_0^7",
+        (
+            "z1_0^3*z2_0^3*z3_0 + 33/16*z1_0^4*z2_0^2*z3_0 + 15/16*z1_0^4*z2_0^3"
+            " + 207/64*z1_0^5*z2_0^2 + 583/512*z1_0^6*z2_0"
+        ),
+        (
+            "z1_0*z2_0^6 + 33/8*z1_0^2*z2_0^5 + 485/64*z1_0^3*z2_0^4 + 4015/512*z1_0^4*z2_0^3"
+            " + 19515/4096*z1_0^5*z2_0^2 + 52283/32768*z1_0^6*z2_0"
+        ),
+        (
+            "z2_0^7 - 63/8*z1_0^2*z2_0^5 - 1155/64*z1_0^3*z2_0^4 - 10185/512*z1_0^4*z2_0^3"
+            " - 50589/4096*z1_0^5*z2_0^2 - 136605/32768*z1_0^6*z2_0"
+        ),
+        "z1_0^3*z2_0^5 + 55/16*z1_0^4*z2_0^4 + 315/64*z1_0^5*z2_0^3 + 935/256*z1_0^6*z2_0^2",
+        "z1_0^5*z2_0^4 + 11/4*z1_0^6*z2_0^3",
+    ],
+    _gl_fermat_source(4, 3, 2): [
+        (
+            "z2_0*z4_0 + 121/136*z2_0*z3_0 + 11/136*z2_0^2 + 15/17*z1_0*z4_0 + 10/17*z1_0*z3_0"
+            " - 1/136*z1_0*z2_0"
+        ),
+        (
+            "z3_0^2 - 3/34*z2_0*z3_0 + 9/34*z2_0^2 + 12/17*z1_0*z4_0 - 26/17*z1_0*z3_0"
+            " + 27/34*z1_0*z2_0 + z1_0^2"
+        ),
+        (
+            "z3_0*z4_0 + 7/17*z2_0*z3_0 + 9/34*z2_0^2 - 5/17*z1_0*z4_0 + 8/17*z1_0*z3_0"
+            " + 5/17*z1_0*z2_0"
+        ),
+        (
+            "z4_0^2 - 65/68*z2_0*z3_0 + 25/68*z2_0^2 - 6/17*z1_0*z4_0 - 4/17*z1_0*z3_0"
+            " + 41/68*z1_0*z2_0"
+        ),
+        (
+            "z1_0*z2_0^2 + 544/405*z1_0^2*z4_0 + 484/405*z1_0^2*z3_0 + 896/405*z1_0^2*z2_0"
+            " + 452/1215*z1_0^3"
+        ),
+        (
+            "z1_0*z2_0*z3_0 + 8/135*z1_0^2*z4_0 + 172/135*z1_0^2*z3_0 - 47/135*z1_0^2*z2_0"
+            " - 76/135*z1_0^3"
+        ),
+        "z2_0^3 - 32/9*z1_0^2*z4_0 - 64/27*z1_0^2*z3_0 - 32/9*z1_0^2*z2_0 - 64/81*z1_0^3",
+        (
+            "z2_0^2*z3_0 - 224/405*z1_0^2*z4_0 - 28/405*z1_0^2*z3_0 + 128/405*z1_0^2*z2_0"
+            " - 4/81*z1_0^3"
+        ),
+        "z1_0^3*z2_0 + 142/135*z1_0^4",
+        "z1_0^3*z3_0 - 31/45*z1_0^4",
+        "z1_0^3*z4_0 - 7/27*z1_0^4",
+        "z_0^5",
     ],
 }
 
@@ -337,6 +435,127 @@ class TestRank:
         assert grobner._rank(rows) == 1
         rows[1][1] = Fraction(1, 3) + Fraction(1, 10**30)
         assert grobner._rank(rows) == 2
+
+
+
+def _fraction_terms(p: LoopPoly, variables) -> list:
+    """p as (exponent vector, Fraction) terms over the ascending `variables`."""
+    position = {v: i for i, v in enumerate(variables)}
+    out = []
+    for m, c in p.terms:
+        e = [0] * len(variables)
+        for v, k in m.factors:
+            e[position[v]] = k
+        out.append((tuple(e), c))
+    return out
+
+
+def _fraction_poly(terms, variables) -> LoopPoly:
+    return LoopPoly((Monomial(zip(variables, e)), c) for e, c in terms)
+
+
+def _fraction_reduce(terms, divisors) -> list:
+    """Reference division: the Fraction kernel that grobner ran before its integer one."""
+    pending = {}
+    for e, c in terms:
+        pending[e] = pending.get(e, 0) + c
+    heap = [(-sum(e), e) for e in pending]
+    heapify(heap)
+    heads = [(g[0][0], g[0][1], g[1:]) for g in divisors if g]
+    remainder = []
+    while heap:
+        e = heappop(heap)[1]
+        c = pending.pop(e)
+        if not c:
+            continue
+        for lead, lead_c, tail in heads:
+            if all(map(le, lead, e)):
+                shift = tuple(map(sub, e, lead))
+                factor = c / lead_c
+                for t, tc in tail:
+                    m = tuple(map(add, t, shift))
+                    old = pending.get(m)
+                    if old is None:
+                        pending[m] = -factor * tc
+                        heappush(heap, (-sum(m), m))
+                    else:
+                        pending[m] = old - factor * tc
+                break
+        else:
+            remainder.append((e, c))
+    return remainder
+
+
+def _fraction_s_terms(f, g):
+    """Reference S-polynomial f/c_f*x^(l-l_f) - g/c_g*x^(l-l_g), without the cancelled leads."""
+    (lead_f, c_f), (lead_g, c_g) = f[0], g[0]
+    lcm = tuple(map(max, lead_f, lead_g))
+    shift_f, shift_g = tuple(map(sub, lcm, lead_f)), tuple(map(sub, lcm, lead_g))
+    inv_f, inv_g = 1 / c_f, -1 / c_g
+    for e, c in f[1:]:
+        yield tuple(map(add, e, shift_f)), c * inv_f
+    for e, c in g[1:]:
+        yield tuple(map(add, e, shift_g)), c * inv_g
+
+
+_ring = [LoopVar(coord, 0) for coord in (1, 2, 3)]
+_coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+
+
+@st.composite
+def _polys(draw, d: int, max_degree: int = 3, min_terms: int = 1, max_terms: int = 4) -> LoopPoly:
+    exponents = st.tuples(*[st.integers(0, max_degree)] * d)
+    terms = draw(st.dictionaries(exponents, _coefficients, min_size=min_terms, max_size=max_terms))
+    return LoopPoly((Monomial(zip(_ring, e)), c) for e, c in terms.items())
+
+
+@st.composite
+def _divisions(draw) -> tuple[LoopPoly, list[LoopPoly]]:
+    d = draw(st.integers(1, 3))
+    p = draw(_polys(d, max_degree=4, min_terms=0, max_terms=6))
+    divisors = st.one_of(st.just(LoopPoly.zero()), _polys(d, max_degree=2, max_terms=3))
+    return p, draw(st.lists(divisors, max_size=3))
+
+
+class TestIntegerKernel:
+    """The integer kernel against the Fraction kernel it replaced, on rational inputs."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_divisions())
+    # y^2 goes to the remainder before x*y is cancelled against the lead 2*x*y.
+    @example((y**2 + x * y + x, [2 * x * y + y]))
+    def test_normal_form_matches_the_fraction_kernel(self, division):
+        p, divisors = division
+        variables = grobner._variables(p, *divisors)
+        expected = _fraction_reduce(
+            _fraction_terms(p, variables), [_fraction_terms(g, variables) for g in divisors]
+        )
+        assert normal_form(p, divisors) == _fraction_poly(expected, variables)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_s_polynomial_matches_the_fraction_kernel(self, d, data):
+        f, g = data.draw(_polys(d)), data.draw(_polys(d))
+        variables = grobner._variables(f, g)
+        expected = _fraction_s_terms(_fraction_terms(f, variables), _fraction_terms(g, variables))
+        assert s_polynomial(f, g) == _fraction_poly(expected, variables)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 3), st.data())
+    def test_basis_is_invariant_under_rescaled_generators(self, d, data):
+        generators = data.draw(st.lists(_polys(d, max_degree=2), min_size=1, max_size=3))
+        scales = data.draw(
+            st.lists(_coefficients, min_size=len(generators), max_size=len(generators))
+        )
+        gb = buchberger(Ideal(generators, d))
+        assert buchberger(Ideal([q * g for q, g in zip(scales, generators)], d)) == gb
+
+        variables = grobner._ambient(d)
+        elements = [_fraction_terms(g, variables) for g in gb.elements]
+        for i, j in itertools.combinations(range(len(elements)), 2):
+            assert not _fraction_reduce(_fraction_s_terms(elements[i], elements[j]), elements)
+        for g in generators:
+            assert not _fraction_reduce(_fraction_terms(g, variables), elements)
 
 
 _key_variables = st.lists(
