@@ -29,7 +29,6 @@ from .exactalg import LoopPoly, LoopVar, Monomial, Rational, grading
 from .grobner import (
     GroebnerBasis,
     Ideal,
-    Infinite,
     NotIsolated,
     buchberger,
     jacobian_ideal,
@@ -62,7 +61,6 @@ __all__ = [
     "GroebnerBasis",
     "Ideal",
     "Inconsistent",
-    "Infinite",
     "InputFunction",
     "LesSystem",
     "LoopPoly",

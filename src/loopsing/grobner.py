@@ -17,8 +17,8 @@ decreasing grevlex order, one vector position per variable in ascending
 and its leading coefficient is positive, so it stands for the whole line of
 its rational multiples.  A LoopPoly is converted to primitive terms once on
 the way in (`_to_terms`), and Fractions are built once on the way out
-(`_from_terms`): monic ones for a basis, exact rescalings of the integer
-results for `normal_form` and `s_polynomial`.  Buchberger, the basis
+(`_from_terms`): monic ones for `GroebnerBasis.elements`, exact rescalings of
+the integer results for `normal_form` and `s_polynomial`.  Buchberger, the basis
 reduction, the audit and the oracle do no Fraction arithmetic and build no
 LoopPoly or Monomial per step:
 
@@ -53,7 +53,6 @@ __all__ = [
     "Ideal",
     "GroebnerBasis",
     "NotIsolated",
-    "Infinite",
     "buchberger",
     "normal_form",
     "s_polynomial",
@@ -74,23 +73,6 @@ class NotIsolated(ArithmeticError):
     Raised when the Jacobian ideal has infinitely many standard monomials,
     i.e. the quotient by the partial derivatives is not finite dimensional.
     """
-
-
-class _InfiniteType:
-    """Sentinel: the standard-monomial set is infinite."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Infinite"
-
-
-Infinite = _InfiniteType()
 
 
 # -- exponent-vector terms ------------------------------------------------------
@@ -240,12 +222,20 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    elements: tuple[LoopPoly, ...]
-    reduced: bool
+    """The reduced Groebner basis of an ideal on z^1_0..z^d_0.
+
+    It is held as primitive integer terms, one tuple per element, in
+    increasing order of leading vectors.
+    """
+
+    _terms: tuple[tuple[Term, ...], ...]
     d: int
 
-    def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial for g in self.elements)
+    @property
+    def elements(self) -> tuple[LoopPoly, ...]:
+        """The basis as monic LoopPolys, built on each access."""
+        variables = _ambient(self.d)
+        return tuple(_from_terms(g, variables, Fraction(1, g[0][1])) for g in self._terms)
 
 
 def normal_form(p: LoopPoly, divisors: Sequence[LoopPoly]) -> LoopPoly:
@@ -326,12 +316,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
 
     reduced = _reduce_basis(basis)
     _verify_basis(reduced, ideal._terms)
-    variables = _ambient(ideal.d)
-    return GroebnerBasis(
-        elements=tuple(_from_terms(g, variables, Fraction(1, g[0][1])) for g in reduced),
-        reduced=True,
-        d=ideal.d,
-    )
+    return GroebnerBasis(tuple(map(tuple, reduced)), ideal.d)
 
 
 def _reduce_basis(basis: Sequence[Terms]) -> list[Terms]:
@@ -371,59 +356,38 @@ def _verify_basis(elements: Sequence[Terms], generators: Sequence[Terms]) -> Non
             raise RuntimeError("an ideal generator does not reduce to zero")
 
 
-def standard_monomials(gb: GroebnerBasis, cap: int) -> list[Monomial] | _InfiniteType:
-    """Monomials not divisible by any leading monomial, in increasing order.
+def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
+    """Monomials no leading monomial divides, in increasing order.
 
-    Returns Infinite when for some coordinate no leading monomial is a pure
-    power of that variable (the standard finiteness criterion).  `cap` is a
-    guard on the enumerated total degree; the finite set is always contained
-    in the box below the pure-power exponents, and exceeding the cap means the
-    caller's degree budget was wrong.
+    They lie in the box below the pure-power leading monomials, and the
+    quotient is finite dimensional exactly when every coordinate has one (the
+    standard finiteness criterion).  Raises NotIsolated when some coordinate
+    has none.
     """
-    if not gb.reduced:
-        raise ValueError("standard_monomials needs a reduced basis")
-    if any(head.is_unit for head in gb.leading_monomials()):
+    leads = [g[0][0] for g in gb._terms]
+    if not all(map(any, leads)):
         return []  # the unit ideal: nothing survives in the quotient
-    exponents = _pure_power_exponents(gb)
-    if exponents is None:
-        return Infinite
-    heads = gb.leading_monomials()
-    out: list[Monomial] = []
-    for combo in itertools.product(*(range(k) for k in exponents)):
-        mono = Monomial(
-            tuple((LoopVar(i + 1, 0), e) for i, e in enumerate(combo) if e)
+    # A reduced basis has at most one pure power of each variable.
+    box = [0] * gb.d
+    for lead in leads:
+        support = [i for i, x in enumerate(lead) if x]
+        if len(support) == 1:
+            box[support[0]] = lead[support[0]]
+    if not all(box):
+        raise NotIsolated(
+            "the Jacobian ideal has infinitely many standard monomials; "
+            "the singular locus is positive dimensional"
         )
-        if any(h.divides(mono) for h in heads):
-            continue
-        if mono.degree > cap:
-            raise ValueError(
-                f"standard monomial {mono} exceeds the degree cap {cap}"
-            )
-        out.append(mono)
-    out.sort()
-    return out
-
-
-def _pure_power_exponents(gb: GroebnerBasis) -> list[int] | None:
-    """Per coordinate, the exponent of the pure-power leading monomial.
-
-    None when some coordinate has no pure-power leading monomial, in which
-    case the quotient is infinite dimensional.
-    """
-    exponents: list[int | None] = [None] * gb.d
-    for head in gb.leading_monomials():
-        if len(head.factors) == 1:
-            var, exp = head.factors[0]
-            current = exponents[var.coord - 1]
-            if current is None or exp < current:
-                exponents[var.coord - 1] = exp
-    if any(e is None for e in exponents):
-        return None
-    return exponents  # type: ignore[return-value]
+    variables = _ambient(gb.d)
+    return sorted(
+        Monomial(zip(variables, e))
+        for e in itertools.product(*map(range, box))
+        if not any(all(map(le, lead, e)) for lead in leads)
+    )
 
 
 def jacobian_ideal(func: InputFunction) -> Ideal:
-    return Ideal(func.partials(), func.d)
+    return Ideal(func.partials, func.d)
 
 
 def milnor_number(func: InputFunction) -> int:
@@ -433,16 +397,7 @@ def milnor_number(func: InputFunction) -> int:
     that cross-check is enforced on every call.  Raises NotIsolated when the
     quotient is infinite dimensional.
     """
-    gb = buchberger(jacobian_ideal(func))
-    exponents = _pure_power_exponents(gb)
-    if exponents is None:
-        raise NotIsolated(
-            "the Jacobian ideal has infinitely many standard monomials; "
-            "the singular locus is positive dimensional"
-        )
-    monomials = standard_monomials(gb, cap=sum(e - 1 for e in exponents))
-    assert not isinstance(monomials, _InfiniteType)
-    mu = len(monomials)
+    mu = len(standard_monomials(buchberger(jacobian_ideal(func))))
     expected = (func.delta - 1) ** func.d
     if mu != expected:
         raise RuntimeError(

@@ -127,10 +127,8 @@ class InputFunction:
         if len(names) != self.d or len(set(names)) != self.d:
             raise ValueError(f"need {self.d} distinct coordinate names, got {names}")
         self.names = names
-
-    def partials(self) -> tuple[LoopPoly, ...]:
-        """The d partial derivatives, in coordinate order."""
-        return tuple(self.poly.partial(LoopVar(i, 0)) for i in range(1, self.d + 1))
+        # The d partial derivatives, in coordinate order.
+        self.partials = tuple(poly.partial(LoopVar(i, 0)) for i in range(1, self.d + 1))
 
     def _named_terms(self) -> frozenset:
         return frozenset(
@@ -331,14 +329,32 @@ def check_support_bound(
     )
 
 
+def _top_exponent(mono: Monomial, top: int) -> int:
+    """The total exponent of mono in the variables of conformal degree `top`."""
+    return sum(e for v, e in mono.factors if v.cdeg == top)
+
+
 @dataclass(frozen=True)
 class TopLinearityReport:
     ok: bool
     top_cdeg: int
     offending_monomials: tuple[Monomial, ...]
-    linear_part: LoopPoly
-    remainder: LoopPoly
+    functional: LoopPoly
     window: Window
+
+    @property
+    def linear_part(self) -> LoopPoly:
+        """sum_j z^j_N * d(functional)/d(z^j_N), N being top_cdeg."""
+        return LoopPoly(
+            {m: _top_exponent(m, self.top_cdeg) * c for m, c in self.functional.terms}
+        )
+
+    @property
+    def remainder(self) -> LoopPoly:
+        """The functional minus its linear part."""
+        return LoopPoly(
+            {m: (1 - _top_exponent(m, self.top_cdeg)) * c for m, c in self.functional.terms}
+        )
 
 
 def check_top_linearity(
@@ -354,9 +370,9 @@ def check_top_linearity(
     with the remainder free of conformal-degree-N variables.  By Euler's
     identity the first sum is k*c*m over the terms c*m of the functional, k
     being m's total exponent in the degree-N variables, so the remainder is
-    (1-k)*c*m.  The decomposition is returned as (linear_part, remainder).  A
-    caller that already holds the functional on the window [-bottom, N] may
-    pass it as `functional`.
+    (1-k)*c*m.  The report holds the functional and gives the decomposition
+    as its properties linear_part and remainder.  A caller that already holds
+    the functional on the window [-bottom, N] may pass it as `functional`.
     """
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
@@ -364,20 +380,12 @@ def check_top_linearity(
     window = Window(bottom, top)
     lam = lambda_of(func, window) if functional is None else functional
 
-    offending = []
-    linear, remainder = {}, {}
-    for mono, coeff in lam.terms:
-        k = sum(e for v, e in mono.factors if v.cdeg == top)
-        if k > 1:
-            offending.append(mono)
-        linear[mono] = k * coeff
-        remainder[mono] = (1 - k) * coeff
+    offending = tuple(mono for mono, _ in lam.terms if _top_exponent(mono, top) > 1)
     return TopLinearityReport(
         ok=not offending,
         top_cdeg=top,
-        offending_monomials=tuple(offending),
-        linear_part=LoopPoly(linear),
-        remainder=LoopPoly(remainder),
+        offending_monomials=offending,
+        functional=lam,
         window=window,
     )
 
@@ -434,7 +442,7 @@ def check_derivative_identity(
     checks = []
     for j in range(1, func.d + 1):
         lhs = lam.partial(LoopVar(j, top))
-        d_j = func.poly.partial(LoopVar(j, 0))
+        d_j = func.partials[j - 1]
         via_coeff = _jet_of_poly(d_j, window, -top)
         via_eval = d_j.map_variables(lambda v: LoopVar(v.coord, -bottom))
         checks.append(

@@ -162,7 +162,7 @@ class TestRun:
             witness = "S-polynomial does not reduce to zero"
         else:
             standard = grobner.standard_monomials
-            monkeypatch.setattr(grobner, "standard_monomials", lambda gb, cap: standard(gb, cap)[1:])
+            monkeypatch.setattr(grobner, "standard_monomials", lambda gb: standard(gb)[1:])
             witness = "standard-monomial count 3 != (delta-1)^d = 4"
         report = run_source("x^3 + y^3", checks=("lambda", "milnor", "cohomology"))
         assert report.checks["lambda"].ok
