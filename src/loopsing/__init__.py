@@ -38,6 +38,7 @@ from .grobner import (
 )
 from .loopfun import (
     DegreeTooLow,
+    FunctionalTooLarge,
     InputFunction,
     NotHomogeneous,
     Window,
@@ -57,6 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DegreeTooLow",
     "DimensionTheory",
+    "FunctionalTooLarge",
     "GradedDims",
     "GroebnerBasis",
     "Ideal",

@@ -4,7 +4,8 @@ Checks run in dependency order (parse, loop functional, structural checks,
 Milnor number, cohomology); cohomology is skipped when the singularity turns
 out not to be isolated.  Exit status 0 means every enabled check passed,
 1 means some check failed or was skipped, 2 means the configuration or the
-input expression was invalid, or the input or output file could not be used.
+input expression was invalid, the loop functional would exceed its size
+budget, or the input or output file could not be used.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .. import cohom, grobner
 from ..exactalg import LoopPoly
 from ..loopfun import (
     DegreeTooLow,
+    FunctionalTooLarge,
     InputFunction,
     NotHomogeneous,
     Window,
@@ -312,7 +314,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 fh.write(rendered)
         else:
             sys.stdout.write(rendered)
-    except (ConfigError, ParseError, NotHomogeneous, DegreeTooLow, OSError) as exc:
+    except (
+        ConfigError, ParseError, NotHomogeneous, DegreeTooLow, FunctionalTooLarge, OSError
+    ) as exc:
         print(f"loopsing: error: {exc}", file=sys.stderr)
         return 2
     return report.exit_status

@@ -91,7 +91,8 @@ class _Parser:
         self.cursor = 0
         self.depth = 0
         self.work = 0
-        self.coords: dict[str, int] = {}
+        # Variable name -> (coordinate, position of its first occurrence).
+        self.coords: dict[str, tuple[int, int]] = {}
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.cursor] if self.cursor < len(self.tokens) else None
@@ -113,8 +114,7 @@ class _Parser:
         poly = self._expression()
         if self._peek() is not None:
             raise self._fail("'+', '-' or end of input")
-        names = tuple(sorted(self.coords, key=self.coords.__getitem__))
-        return poly, names
+        return poly, tuple(self.coords)
 
     def _expression(self) -> LoopPoly:
         # The signed operands' terms are collected and merged by one LoopPoly
@@ -200,7 +200,9 @@ class _Parser:
             return LoopPoly.constant(numerator)
         if token.kind == "name":
             self._take()
-            coord = self.coords.setdefault(token.text, len(self.coords) + 1)
+            coord, _ = self.coords.setdefault(
+                token.text, (len(self.coords) + 1, token.position)
+            )
             return LoopPoly.variable(LoopVar(coord, 0))
         if token.text == "(":
             if self.depth == MAX_NESTING:
@@ -252,9 +254,22 @@ def parse_function(source: str) -> InputFunction:
 
     The coordinate count is inferred from the variable set and the degree from
     homogeneity; mixed degrees raise NotHomogeneous with the offending pair,
-    degree below 2 raises DegreeTooLow.
+    degree below 2 raises DegreeTooLow.  A variable of a nonzero input whose
+    terms all cancel or have exponent 0 raises ParseError at its first
+    occurrence.
     """
-    poly, names = parse_polynomial(source)
+    parser = _Parser(source)
+    poly, names = parser.parse()
+    if poly:
+        # A variable without a term would leave a gap in the coordinates.
+        present = {v.coord for v in poly.variables()}
+        for name, (coord, position) in parser.coords.items():
+            if coord not in present:
+                raise ParseError(
+                    position,
+                    "every variable to occur in a nonzero term",
+                    f"{name!r}, whose terms all vanish",
+                )
     return InputFunction(poly, names=names or None)
 
 

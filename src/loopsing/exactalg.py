@@ -1,14 +1,16 @@
 """Exact sparse polynomial arithmetic over loop-space variables.
 
-A variable is a pair (coordinate index, conformal degree); the alphabet is
-unbounded and materializes lazily, so a variable exists as soon as some
-polynomial mentions it.  Coefficients are exact rationals and every polynomial
-is kept in a canonical sorted form, which makes equality of representations a
-reliable identity test.
+A variable is the coordinate function z^coord of conformal degree cdeg, stored
+as the native tuple (cdeg, coord); the alphabet is unbounded and materializes
+lazily, so a variable exists as soon as some polynomial mentions it.
+Coefficients are exact rationals and every polynomial is kept in a canonical
+sorted form, which makes equality of representations a reliable identity test.
 
 The monomial order is graded reverse lexicographic, induced by the variable
-order (cdeg, coord).  Each monomial computes its grevlex key once, when it is
-built, and native tuple order on that key is the monomial order.
+order, which is native tuple order on (cdeg, coord).  Each monomial computes
+its grevlex key once, when it is built, and native tuple order on that key is
+the monomial order; hashing, equality and ordering of variables and keys all
+run in the interpreter's tuple code.
 
 All values are immutable after construction and all operations are pure, so
 polynomials can be shared freely between threads.
@@ -17,8 +19,8 @@ polynomials can be shared freely between threads.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -45,31 +47,32 @@ class MissingAssignment(KeyError):
     """A substitution did not cover some variable of the polynomial."""
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class LoopVar:
+class LoopVar(tuple):
     """The coordinate function z^coord of conformal degree cdeg.
 
-    Variables are totally ordered by (cdeg, coord); this single order drives
-    the grevlex key of every monomial.
+    A LoopVar is the tuple (cdeg, coord), so variables are totally ordered by
+    (cdeg, coord) in native tuple order; this single order drives the grevlex
+    key of every monomial.
     """
 
-    coord: int
-    cdeg: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.coord < 1:
-            raise ValueError(f"coordinate index must be >= 1, got {self.coord}")
+    def __new__(cls, coord: int, cdeg: int) -> "LoopVar":
+        if coord < 1:
+            raise ValueError(f"coordinate index must be >= 1, got {coord}")
+        return tuple.__new__(cls, (cdeg, coord))
 
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (self.cdeg, self.coord)
+    cdeg = property(operator.itemgetter(0), doc="The conformal degree.")
+    coord = property(operator.itemgetter(1), doc="The coordinate index, from 1.")
 
-    def __lt__(self, other: "LoopVar") -> bool:
-        return self.sort_key < other.sort_key
+    def __getnewargs__(self) -> tuple[int, int]:
+        return (self[1], self[0])
 
     def __str__(self) -> str:
-        return f"z{self.coord}_{self.cdeg}"
+        return f"z{self[1]}_{self[0]}"
+
+    def __repr__(self) -> str:
+        return f"LoopVar(coord={self[1]}, cdeg={self[0]})"
 
 
 FactorItems = Union[Mapping["LoopVar", int], Iterable[tuple["LoopVar", int]]]
@@ -83,12 +86,13 @@ class Monomial:
     merged, and zero exponents dropped, so equal monomials have equal
     representations.  The empty product is the unit monomial.
 
-    `key` is the grevlex key (degree, ((cdeg, coord, -exp) per factor in
-    ascending variable order)); order, equality and hashing all read it.  At
-    equal degree neither factor list is a proper prefix of the other, so the
-    first differing entry decides: at a shared variable the smaller exponent
-    ranks higher, and a monomial holding a smaller variable the other lacks
-    ranks lower -- the grevlex rule.
+    `key` is the grevlex key (degree, ((var, -exp) per factor in ascending
+    variable order)), each var being the tuple (cdeg, coord), so its tuple
+    order is that of the triples (cdeg, coord, -exp); order, equality and
+    hashing all read it.  At equal degree neither factor list is a proper
+    prefix of the other, so the first differing entry decides: at a shared
+    variable the smaller exponent ranks higher, and a monomial holding a
+    smaller variable the other lacks ranks lower -- the grevlex rule.
     """
 
     __slots__ = ("factors", "key")
@@ -101,15 +105,13 @@ class Monomial:
                 raise TypeError(f"exponent must be an int, got {exp!r}")
             if exp < 0:
                 raise ValueError(f"exponent must be nonnegative, got {exp}")
-            if exp == 0:
-                continue
-            merged[var] = merged.get(var, 0) + exp
-        self.factors: tuple[tuple[LoopVar, int], ...] = tuple(
-            sorted(merged.items(), key=lambda item: item[0].sort_key)
-        )
-        self.key: tuple[int, tuple[tuple[int, int, int], ...]] = (
+            if exp:
+                merged[var] = merged.get(var, 0) + exp
+        # Variables are distinct, so native order on the items is variable order.
+        self.factors: tuple[tuple[LoopVar, int], ...] = tuple(sorted(merged.items()))
+        self.key: tuple[int, tuple[tuple[LoopVar, int], ...]] = (
             sum(merged.values()),
-            tuple((v.cdeg, v.coord, -e) for v, e in self.factors),
+            tuple([(v, -e) for v, e in self.factors]),
         )
 
     @property
@@ -124,14 +126,11 @@ class Monomial:
         return tuple(var for var, _ in self.factors)
 
     def exponent(self, var: LoopVar) -> int:
-        for v, e in self.factors:
-            if v == var:
-                return e
-        return 0
+        return dict(self.factors).get(var, 0)
 
     def weight(self, weight_of: Callable[[LoopVar], int]) -> int:
         """Total weight of the monomial under a per-variable weight."""
-        return sum(weight_of(v) * e for v, e in self.factors)
+        return sum([weight_of(v) * e for v, e in self.factors])
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(self.factors + other.factors)
@@ -173,7 +172,7 @@ class LoopPoly:
     representation of a polynomial is independent of how it was assembled.
     """
 
-    __slots__ = ("_terms", "_index")
+    __slots__ = ("_terms",)
 
     def __init__(
         self,
@@ -183,7 +182,7 @@ class LoopPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
-            q = Fraction(coeff)
+            q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if q:
                 prev = acc.get(mono)
                 total = q if prev is None else prev + q
@@ -194,7 +193,6 @@ class LoopPoly:
         self._terms: tuple[tuple[Monomial, Fraction], ...] = tuple(
             sorted(acc.items(), key=lambda term: term[0].key, reverse=True)
         )
-        self._index = dict(self._terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -232,7 +230,7 @@ class LoopPoly:
         return len(self._terms)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._index.get(mono, Fraction(0))
+        return dict(self._terms).get(mono, Fraction(0))
 
     @property
     def leading_term(self) -> tuple[Monomial, Fraction]:
@@ -248,7 +246,7 @@ class LoopPoly:
         seen: set[LoopVar] = set()
         for mono, _ in self._terms:
             seen.update(mono.variables())
-        return tuple(sorted(seen, key=lambda v: v.sort_key))
+        return tuple(sorted(seen))
 
     def weight_set(
         self, weight: Callable[[LoopVar], int] | Mapping[LoopVar, int]
@@ -272,7 +270,8 @@ class LoopPoly:
         other = as_poly(other)
         acc = dict(self._terms)
         for mono, coeff in other._terms:
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            prev = acc.get(mono)
+            acc[mono] = coeff if prev is None else prev + coeff
         return LoopPoly(acc)
 
     __radd__ = __add__
@@ -292,7 +291,8 @@ class LoopPoly:
         for ma, ca in self._terms:
             for mb, cb in other._terms:
                 m = ma.mul(mb)
-                acc[m] = acc.get(m, Fraction(0)) + ca * cb
+                prev = acc.get(m)
+                acc[m] = ca * cb if prev is None else prev + ca * cb
         return LoopPoly(acc)
 
     __rmul__ = __mul__
@@ -311,16 +311,15 @@ class LoopPoly:
         """Formal partial derivative with respect to var."""
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms:
-            e = mono.exponent(var)
+            lowered = dict(mono.factors)
+            e = lowered.pop(var, 0)
             if e == 0:
                 continue
-            lowered = dict(mono.factors)
-            if e == 1:
-                del lowered[var]
-            else:
+            if e > 1:
                 lowered[var] = e - 1
             m = Monomial(lowered)
-            acc[m] = acc.get(m, Fraction(0)) + coeff * e
+            prev = acc.get(m)
+            acc[m] = coeff * e if prev is None else prev + coeff * e
         return LoopPoly(acc)
 
     def substitute(self, assignment: Mapping[LoopVar, PolyLike]) -> "LoopPoly":
@@ -356,7 +355,7 @@ class LoopPoly:
         kept = {
             mono: coeff
             for mono, coeff in self._terms
-            if not any(doomed(v) for v in mono.variables())
+            if not any(doomed(v) for v, _ in mono.factors)
         }
         return self if len(kept) == len(self._terms) else LoopPoly(kept)
 
@@ -367,34 +366,30 @@ class LoopPoly:
         if not self._terms:
             return "0"
 
-        max_coord = max((v.coord for v in self.variables()), default=1)
+        if names is None:
+            top = max((v.coord for v in self.variables()), default=1)
+            names = ("z",) if top == 1 else tuple(f"z{i}" for i in range(1, top + 1))
 
-        def var_name(v: LoopVar) -> str:
-            if names is not None:
-                base = names[v.coord - 1]
-            else:
-                base = "z" if max_coord == 1 else f"z{v.coord}"
-            return f"{base}_{v.cdeg}"
+        # Each distinct factor (var, exp) and coefficient is formatted once per
+        # call; the caches live only as long as the call.
+        @functools.cache
+        def factor_text(factor: tuple[LoopVar, int]) -> str:
+            (cdeg, coord), e = factor
+            name = f"{names[coord - 1]}_{cdeg}"
+            return name if e == 1 else f"{name}^{e}"
 
-        def mono_str(m: Monomial) -> str:
-            return "*".join(
-                var_name(v) if e == 1 else f"{var_name(v)}^{e}"
-                for v, e in m.factors
-            )
+        @functools.cache
+        def coeff_text(coeff: Fraction) -> tuple[str, str, str, str]:
+            """(sign of a first term, sign of a later one, factor prefix, magnitude)."""
+            mag = abs(coeff)
+            lead, sign = ("", "+ ") if coeff > 0 else ("-", "- ")
+            return lead, sign, "" if mag == 1 else f"{mag}*", str(mag)
 
         parts: list[str] = []
-        for i, (mono, coeff) in enumerate(self._terms):
-            mag = abs(coeff)
-            if mono.is_unit:
-                body = str(mag)
-            elif mag == 1:
-                body = mono_str(mono)
-            else:
-                body = f"{mag}*{mono_str(mono)}"
-            if i == 0:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        for mono, coeff in self._terms:
+            lead, sign, prefix, mag = coeff_text(coeff)
+            body = prefix + "*".join(map(factor_text, mono.factors)) if mono.factors else mag
+            parts.append((sign if parts else lead) + body)
         return " ".join(parts)
 
     def __str__(self) -> str:

@@ -93,7 +93,7 @@ def _ambient(d: int) -> tuple[LoopVar, ...]:
 
 def _variables(*polys: LoopPoly) -> tuple[LoopVar, ...]:
     """The variables of the polynomials, in ascending order."""
-    return tuple(sorted({v for p in polys for v in p.variables()}, key=lambda v: v.sort_key))
+    return tuple(sorted({v for p in polys for v in p.variables()}))
 
 
 def _to_terms(p: LoopPoly, variables: Sequence[LoopVar]) -> Terms:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ from loopsing.cli import (
 )
 from loopsing.cli.main import MAX_N_MAX
 from loopsing.cli.parser import MAX_PRODUCT_WORK
+from loopsing.loopfun import MAX_JET_TERMS
 from loopsing.cohom import GradedDims
 from loopsing.exactalg import LoopPoly, LoopVar
 
@@ -151,6 +153,11 @@ class TestRun:
         captured = capsys.readouterr()
         assert "conformal weights" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    def test_oversized_functional_is_not_a_failed_check(self, monkeypatch):
+        monkeypatch.setattr(loopfun, "MAX_JET_TERMS", 20)
+        with pytest.raises(loopfun.FunctionalTooLarge):
+            run_source("x^3 + y^3", window_bottom=2, checks=FUNCTIONAL_CHECKS)
 
     @pytest.mark.parametrize("audit", ["basis", "count"])
     def test_failed_groebner_audit_fails_the_milnor_check(self, monkeypatch, capsys, audit):
@@ -298,6 +305,49 @@ class TestMain:
 
     def test_syntax_error_exit_code(self, capsys):
         assert main(["-f", "x +"]) == 2
+
+    @pytest.mark.parametrize(
+        "source", ["x^3*y^0", "x^3 + 0*y^3", "x^3 + y^3 - y^3", "x^3 + 0*y + w^3"]
+    )
+    def test_vanishing_variable_is_a_syntax_error(self, capsys, source):
+        assert main(["-f", source]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loopsing: error:") and err.count("\n") == 1
+        assert "'y', whose terms all vanish" in err
+
+    def test_oversized_functional_is_a_usage_error(self, capsys):
+        with deadline(10):
+            assert main(["-f", "x^10 + y^10", "--window", "8", "--n-max", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "loopsing: error: the loop functional on window [-8, 82] "
+            f"needs more than {MAX_JET_TERMS} terms\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "source, bottom, terms, digest",
+        [
+            (
+                "x^3 + y^3", 2, 14,
+                "9fc44f84897b003c58a76cc1cb082ccd3ea5ec244cfa2581e651e07f4e6ee9b6",
+            ),
+            (
+                "(x + y)^3 + (y - w)^3 + (x + 2*w)^3", 1, 45,
+                "4e927e47fb10bcb2814d15d3e3614a0ad2c9c59a229ac4695c40660eb215bc90",
+            ),
+            (
+                "x^4 + y^4", 3, 68,
+                "ace861dbbdfea05184701c303df4e65401374e486782c390ec32542022807126",
+            ),
+        ],
+    )
+    def test_emitted_functional_is_pinned(self, source, bottom, terms, digest):
+        # Pins the term order and the variable names of --emit-lambda.
+        report = run_source(source, window_bottom=bottom, emit_lambda=True)
+        assert report.exit_status == 0
+        assert report.lambda_term_count == terms
+        assert hashlib.sha256(report.lambda_polynomial.encode()).hexdigest() == digest
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["--file", "/nonexistent/input.txt"]) == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -41,6 +43,41 @@ def test_rational_invariants():
 
 def test_loopvar_order_is_cdeg_major():
     assert LoopVar(2, -1) < LoopVar(1, 0) < LoopVar(2, 0) < LoopVar(1, 1)
+    variables = [LoopVar(c, j) for c in (3, 1, 2) for j in (1, -2, 0)]
+    assert sorted(variables) == sorted(variables, key=lambda v: (v.cdeg, v.coord))
+    assert min(variables) == LoopVar(1, -2) and max(variables) == LoopVar(3, 1)
+    assert LoopVar(1, 0) <= LoopVar(1, 0) and LoopVar(2, 1) > LoopVar(3, 0)
+
+
+def test_loopvar_public_surface():
+    v = LoopVar(2, -3)
+    assert (v.coord, v.cdeg) == (2, -3)
+    assert LoopVar(coord=2, cdeg=-3) == v
+    assert str(v) == "z2_-3"
+    assert repr(v) == "LoopVar(coord=2, cdeg=-3)"
+    assert str(Monomial({v: 2, LoopVar(1, 0): 1})) == "z2_-3^2*z1_0"
+    with pytest.raises(AttributeError):
+        v.coord = 1
+
+
+def test_loopvar_rejects_coordinates_below_one():
+    for coord in (0, -1):
+        with pytest.raises(ValueError, match="coordinate index must be >= 1"):
+            LoopVar(coord, 0)
+
+
+def test_equal_loopvars_hash_equal():
+    a, b = LoopVar(1, 4), LoopVar(1, 4)
+    assert a == b and hash(a) == hash(b)
+    assert a != LoopVar(4, 1)
+    assert len({a, b, LoopVar(4, 1)}) == 2
+    assert {a: "kept"}[b] == "kept"
+
+
+def test_loopvar_copies_and_pickles():
+    v = LoopVar(3, -1)
+    for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(twin) is LoopVar and twin == v and twin.coord == 3
 
 
 def test_add_examples():

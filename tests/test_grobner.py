@@ -597,7 +597,7 @@ class TestIntegerKernel:
 
 _key_variables = st.lists(
     st.builds(LoopVar, st.integers(1, 3), st.integers(-2, 2)), unique=True, min_size=1, max_size=5
-).map(lambda vs: sorted(vs, key=lambda v: v.sort_key))
+).map(sorted)
 
 
 @settings(deadline=None)

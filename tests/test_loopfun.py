@@ -12,8 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial, substitute
+from loopsing import loopfun
 from loopsing.loopfun import (
     DegreeTooLow,
+    FunctionalTooLarge,
     InputFunction,
     NotHomogeneous,
     Window,
@@ -28,7 +30,7 @@ from loopsing.loopfun import (
     support_window,
 )
 
-from conftest import CORPUS, build
+from conftest import CORPUS, build, deadline
 
 
 def lv(coord: int, cdeg: int) -> LoopPoly:
@@ -342,6 +344,39 @@ class TestConstantLoopRestriction:
     def test_requires_zero_in_window(self):
         with pytest.raises(ValueError):
             constant_loop_restriction(build("z^2"), Window(2, -1))
+
+
+class TestSizeBudget:
+    def test_oversized_expansion_is_a_value_error(self, monkeypatch):
+        monkeypatch.setattr(loopfun, "MAX_JET_TERMS", 20)
+        with pytest.raises(FunctionalTooLarge) as excinfo:
+            lambda_of(build("x^3 + y^3"), Window(2, 4))
+        # Not a RuntimeError: the CLI reads those as failed audits (exit 1).
+        assert isinstance(excinfo.value, ValueError)
+        assert not isinstance(excinfo.value, RuntimeError)
+        assert excinfo.value.window == Window(2, 4)
+        assert str(excinfo.value) == "the loop functional on window [-2, 4] needs more than 20 terms"
+
+    @pytest.mark.parametrize("source", ["x^3 + y^3", "x^2*y + y^3", "(x + 2*y)^3 + (3*x - y)^3"])
+    def test_budget_counts_the_partial_products(self, monkeypatch, source):
+        # Every result term is built once as a partial product, so a budget
+        # below the term count cannot be met; the support window's expansion
+        # on these inputs builds fewer than 300 terms in all.
+        func = build(source)
+        window = support_window(func, 2)
+        functional = lambda_of(func, window)
+        monkeypatch.setattr(loopfun, "MAX_JET_TERMS", len(functional) - 1)
+        with pytest.raises(FunctionalTooLarge):
+            lambda_of(func, window)
+        monkeypatch.setattr(loopfun, "MAX_JET_TERMS", 300)
+        assert lambda_of(func, window) == functional
+
+    def test_a_single_power_stops_inside_its_expansion(self):
+        # z^10 at window 8 has one factor, so only the expansion's own count
+        # can stop it; unbounded, it runs for minutes.
+        with deadline(10):
+            with pytest.raises(FunctionalTooLarge):
+                lambda_of(build("z^10"), Window(8, 72))
 
 
 def _determinant(matrix: list[list[int]]) -> int:

@@ -99,6 +99,20 @@ class TestErrors:
         with pytest.raises(DegreeTooLow):
             parse_function("7")
 
+    @pytest.mark.parametrize(
+        "source, position",
+        [("x^3*y^0", 4), ("x^3 + 0*y^3", 8), ("x^3 + y^3 - y^3", 6), ("x^3 + 0*y + w^3", 8)],
+    )
+    def test_vanishing_variable_names_its_first_occurrence(self, source, position):
+        with pytest.raises(ParseError) as excinfo:
+            parse_function(source)
+        assert excinfo.value.position == position
+        assert "'y', whose terms all vanish" in str(excinfo.value)
+
+    def test_zero_polynomial_is_degree_too_low(self):
+        with pytest.raises(DegreeTooLow):
+            parse_function("x^2 - x^2")
+
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_function("")
@@ -169,7 +183,7 @@ class TestProductBudget:
     )
     def test_products_above_the_budget(self, source, position):
         with deadline(10), pytest.raises(ParseError) as excinfo:
-            parse_polynomial(source)
+            parse_function(source)
         assert excinfo.value.position == position
         assert f"products of at most {MAX_PRODUCT_WORK} term pairs in all" in str(excinfo.value)
 
