@@ -8,7 +8,6 @@ colimit stabilizes to mu classes in degree d-1.
 """
 
 from loopsing import (
-    DimensionTheory,
     GradedDims,
     LesSystem,
     escape_table,
@@ -72,5 +71,5 @@ for axiom in report.axioms:
 
 print("\n== Changing the dimension theory only shifts degrees ==")
 for k in (0, 1, 2):
-    shifted = renormalized_nearby_cohomology(fermat.d, mu, 4, DimensionTheory(fermat.d, k))
+    shifted = renormalized_nearby_cohomology(fermat.d, mu, 4, normalization=k)
     print(f"  normalization {k}: stable = {shifted.stable}")

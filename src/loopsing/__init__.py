@@ -9,7 +9,6 @@ escaping to infinity.
 """
 
 from .cohom import (
-    DimensionTheory,
     GradedDims,
     Inconsistent,
     LesSystem,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegreeTooLow",
-    "DimensionTheory",
     "FunctionalTooLarge",
     "GradedDims",
     "GroebnerBasis",

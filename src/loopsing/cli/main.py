@@ -32,7 +32,7 @@ from ..loopfun import (
     support_window,
 )
 from .parser import ParseError, format_function, loop_poly_string, parse_function, read_function_file
-from .report import CHECK_NAMES, CheckOutcome, CohomologySection, Report
+from .report import CHECK_NAMES, CheckOutcome, Report
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
@@ -136,11 +136,15 @@ def run(config: RunConfig) -> Report:
         elif "milnor" in enabled:
             checks["milnor"] = _milnor_check(func, mu)
 
-    cohomology_section: CohomologySection | None = None
-    axioms: tuple[str, ...] = ()
+    cohomology: cohom.RenormalizedReport | None = None
     if "cohomology" in enabled and mu is not None:
-        outcome, cohomology_section, axioms = _cohomology_check(func, mu, config.n_max)
-        checks["cohomology"] = outcome
+        # The walk audits every step (shift rule, concentration) and the
+        # renormalized outcome against {d-1: mu}; a failed audit raises.
+        try:
+            cohomology = cohom.gysin_tower(func.d, mu, config.n_max).renormalized()
+            checks["cohomology"] = CheckOutcome(ok=True)
+        except (cohom.Inconsistent, RuntimeError) as exc:
+            checks["cohomology"] = CheckOutcome(ok=False, witness=str(exc))
 
     ordered_checks = {name: checks[name] for name in CHECK_NAMES if name in checks}
     return Report(
@@ -153,8 +157,7 @@ def run(config: RunConfig) -> Report:
         lambda_term_count=lambda_terms,
         lambda_polynomial=lambda_string,
         checks=ordered_checks,
-        cohomology=cohomology_section,
-        axioms=axioms,
+        cohomology=cohomology,
         timing_seconds=time.perf_counter() - started,
     )
 
@@ -234,26 +237,6 @@ def _milnor_check(func: InputFunction, mu: int) -> CheckOutcome:
                 ok=False, witness=f"linear-algebra oracle gives {oracle}, basis count gives {mu}"
             )
     return CheckOutcome(ok=True)
-
-
-def _cohomology_check(
-    func: InputFunction, mu: int, n_max: int
-) -> tuple[CheckOutcome, CohomologySection | None, tuple[str, ...]]:
-    # The walk audits every step (shift rule, concentration) and the
-    # renormalized outcome against {d-1: mu}; a failed audit raises.
-    try:
-        tower = cohom.gysin_tower(func.d, mu, n_max)
-        renormalized = tower.renormalized()
-    except (cohom.Inconsistent, RuntimeError) as exc:
-        return CheckOutcome(ok=False, witness=str(exc)), None, ()
-
-    section = CohomologySection(
-        truncations=tuple(enumerate(tower.truncations)),
-        renormalized=renormalized.stable,
-        stabilization=dict(renormalized.stabilization_step),
-        escape=tower.escape_table(),
-    )
-    return CheckOutcome(ok=True), section, renormalized.axioms
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:

@@ -15,13 +15,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..cohom import EscapeRow, GradedDims
+from ..cohom import GradedDims, RenormalizedReport
 from ..loopfun import Window
 
 __all__ = [
     "CHECK_NAMES",
     "CheckOutcome",
-    "CohomologySection",
     "Report",
     "validate_report",
 ]
@@ -38,14 +37,6 @@ class CheckOutcome:
 
 
 @dataclass(frozen=True)
-class CohomologySection:
-    truncations: tuple[tuple[int, GradedDims], ...]
-    renormalized: GradedDims
-    stabilization: Mapping[int, int]
-    escape: tuple[EscapeRow, ...]
-
-
-@dataclass(frozen=True)
 class Report:
     function: str
     d: int
@@ -56,9 +47,12 @@ class Report:
     lambda_term_count: int | None
     lambda_polynomial: str | None
     checks: Mapping[str, CheckOutcome]
-    cohomology: CohomologySection | None
-    axioms: tuple[str, ...]
+    cohomology: RenormalizedReport | None
     timing_seconds: float = field(compare=False, default=0.0)
+
+    @property
+    def axioms(self) -> tuple[str, ...]:
+        return () if self.cohomology is None else self.cohomology.axioms
 
     @property
     def ok(self) -> bool:
@@ -89,15 +83,16 @@ class Report:
 
         cohomology = None
         if self.cohomology is not None:
+            tower = self.cohomology.tower
             cohomology = {
                 "truncations": [
                     {"n": n, "dims": _dims_dict(dims)}
-                    for n, dims in self.cohomology.truncations
+                    for n, dims in enumerate(tower.truncations)
                 ],
-                "renormalized": _dims_dict(self.cohomology.renormalized),
+                "renormalized": _dims_dict(self.cohomology.stable),
                 "stabilization": {
                     str(degree): step
-                    for degree, step in sorted(self.cohomology.stabilization.items())
+                    for degree, step in sorted(self.cohomology.stabilization_step.items())
                 },
                 "escape": [
                     {
@@ -105,7 +100,7 @@ class Report:
                         "degree": row.degree,
                         "declared_floor": row.declared_floor,
                     }
-                    for row in self.cohomology.escape
+                    for row in tower.escape_table()
                 ],
             }
 
@@ -151,15 +146,16 @@ class Report:
                 status += f"  ({outcome.witness})"
             row(f"check {name}", status)
         if self.cohomology is not None:
-            for n, dims in self.cohomology.truncations:
+            tower = self.cohomology.tower
+            for n, dims in enumerate(tower.truncations):
                 row(f"truncation n={n}", dims)
-            row("renormalized", self.cohomology.renormalized)
+            row("renormalized", self.cohomology.stable)
             stab = "; ".join(
                 f"{degree}: n={step}"
-                for degree, step in sorted(self.cohomology.stabilization.items())
+                for degree, step in sorted(self.cohomology.stabilization_step.items())
             )
             row("stabilization", stab)
-            for entry in self.cohomology.escape:
+            for entry in tower.escape_table():
                 row(
                     f"escape n={entry.n}",
                     f"degree {entry.degree} (declared floor {entry.declared_floor})",
@@ -180,6 +176,11 @@ _REPORT_KEYS = (
     "lambda", "checks", "cohomology", "axioms", "timing",
 )
 _DEGREE_KEY = re.compile(r"^-?[0-9]+$")
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer: an int that is not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def validate_report(document: Any) -> list[str]:
@@ -207,28 +208,29 @@ def validate_report(document: Any) -> list[str]:
     if not isinstance(document["function"], str):
         err("function", "not a string")
     for key, minimum in (("d", 1), ("delta", 2)):
-        if not isinstance(document[key], int) or document[key] < minimum:
+        if not _is_int(document[key]) or document[key] < minimum:
             err(key, f"not an integer >= {minimum}")
 
     window = document["window"]
     if (
         not isinstance(window, dict)
-        or not isinstance(window.get("bottom"), int)
-        or not isinstance(window.get("top"), int)
+        or not _is_int(window.get("bottom"))
+        or not _is_int(window.get("top"))
         or window["bottom"] < 0
     ):
         err("window", "not an object with integer bottom >= 0 and top")
 
     mu = document["milnor_number"]
-    if mu is not None and (not isinstance(mu, int) or mu < 1):
+    if mu is not None and (not _is_int(mu) or mu < 1):
         err("milnor_number", "not null or a positive integer")
-    if document["isolated"] not in (True, False, None):
+    if document["isolated"] is not None and not isinstance(document["isolated"], bool):
         err("isolated", "not a boolean or null")
 
     lam = document["lambda"]
     if lam is not None:
-        if not isinstance(lam, dict) or not isinstance(lam.get("term_count"), int):
-            err("lambda", "not null or an object with integer term_count")
+        count = lam.get("term_count") if isinstance(lam, dict) else None
+        if not _is_int(count) or count < 0:
+            err("lambda", "not null or an object with integer term_count >= 0")
         elif set(lam) - {"term_count", "polynomial"}:
             err("lambda", "unexpected keys")
         elif "polynomial" in lam and not isinstance(lam["polynomial"], str):
@@ -261,7 +263,7 @@ def validate_report(document: Any) -> list[str]:
         for key, dim in value.items():
             if not _DEGREE_KEY.match(key):
                 err(f"{path}.{key}", "key is not a decimal integer string")
-            if not isinstance(dim, int) or dim < minimum:
+            if not _is_int(dim) or dim < minimum:
                 err(f"{path}.{key}", f"value is not an integer >= {minimum}")
 
     cohomology = document["cohomology"]
@@ -282,7 +284,7 @@ def validate_report(document: Any) -> list[str]:
                     if (
                         not isinstance(entry, dict)
                         or set(entry) != {"n", "dims"}
-                        or not isinstance(entry["n"], int)
+                        or not _is_int(entry["n"])
                     ):
                         err(f"cohomology.truncations[{idx}]", "malformed")
                         continue
@@ -297,7 +299,7 @@ def validate_report(document: Any) -> list[str]:
                     if (
                         not isinstance(entry, dict)
                         or set(entry) != {"n", "degree", "declared_floor"}
-                        or not all(isinstance(entry[k], int) for k in entry)
+                        or not all(_is_int(entry[k]) for k in entry)
                     ):
                         err(f"cohomology.escape[{idx}]", "malformed")
 
@@ -306,7 +308,8 @@ def validate_report(document: Any) -> list[str]:
         err("axioms", "not an array of strings")
 
     timing = document["timing"]
-    if not isinstance(timing, dict) or not isinstance(timing.get("seconds"), (int, float)):
+    seconds = timing.get("seconds") if isinstance(timing, dict) else None
+    if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
         err("timing", "not an object with numeric seconds")
 
     return errors

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "GradedDims",
-    "DimensionTheory",
     "RankFact",
     "LesSystem",
     "LesSolution",
@@ -45,7 +44,6 @@ __all__ = [
     "gysin_step",
     "gysin_tower",
     "GysinTower",
-    "GysinStep",
     "truncation_cohomology",
     "renormalized_nearby_cohomology",
     "RenormalizedReport",
@@ -100,10 +98,6 @@ class GradedDims:
     def items(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._dims.items()))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._dims
-
     def __bool__(self) -> bool:
         return bool(self._dims)
 
@@ -146,26 +140,6 @@ class GradedDims:
 
     def __repr__(self) -> str:
         return f"GradedDims({self})"
-
-
-@dataclass(frozen=True)
-class DimensionTheory:
-    """Integer grading of a tower whose steps have constant codimension.
-
-    delta(n) = normalization + n * offset_per_step; differences equal
-    codimensions between truncations, the normalization fixes the degree
-    convention of the renormalized colimit.
-    """
-
-    offset_per_step: int
-    normalization: int = 0
-
-    def __post_init__(self) -> None:
-        if self.offset_per_step < 1:
-            raise ValueError("codimension per step must be positive")
-
-    def delta(self, n: int) -> int:
-        return self.normalization + n * self.offset_per_step
 
 
 @dataclass(frozen=True)
@@ -426,39 +400,26 @@ def _concentration_degree(full: GradedDims, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class GysinStep:
-    """One solved Gysin sequence, from truncation n-1 to truncation n.
-
-    b is the full cohomology of truncation n; gysin_ranks holds only the
-    nonzero ranks of the Gysin maps into it, keyed by their target degree.
-    """
-
-    b: GradedDims
-    gysin_ranks: Mapping[int, int]
-    axioms: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class GysinTower:
-    """The truncation tower up to n_max, solved once from the Milnor fiber."""
+    """The truncation tower up to n_max, solved once from the Milnor fiber.
+
+    truncations holds the full cohomology of truncations 0..n_max, and
+    degrees the single degree carrying the reduced cohomology of each, as the
+    walk's concentration audit found it.  gysin_ranks[n-1] holds only the
+    nonzero ranks of the Gysin maps into truncation n, keyed by their target
+    degree; axioms are the declared facts the solved sequences rest on.
+    """
 
     d: int
     mu: int
-    base: GradedDims
-    steps: tuple[GysinStep, ...]
+    truncations: tuple[GradedDims, ...]
+    degrees: tuple[int, ...]
+    gysin_ranks: tuple[Mapping[int, int], ...]
+    axioms: tuple[str, ...]
 
     @property
     def n_max(self) -> int:
-        return len(self.steps)
-
-    @property
-    def truncations(self) -> tuple[GradedDims, ...]:
-        """Full cohomology of truncations 0..n_max."""
-        return (self.base,) + tuple(step.b for step in self.steps)
-
-    @property
-    def axioms(self) -> tuple[str, ...]:
-        return tuple(sorted({axiom for step in self.steps for axiom in step.axioms}))
+        return len(self.gysin_ranks)
 
     def escape_table(self) -> tuple[EscapeRow, ...]:
         """Per truncation step, the single degree carrying reduced cohomology.
@@ -468,15 +429,11 @@ class GysinTower:
         recorded alongside.
         """
         return tuple(
-            EscapeRow(
-                n=n,
-                degree=_concentration_degree(full, n),
-                declared_floor=declared_support_floor(self.d, n),
-            )
-            for n, full in enumerate(self.truncations)
+            EscapeRow(n=n, degree=degree, declared_floor=declared_support_floor(self.d, n))
+            for n, degree in enumerate(self.degrees)
         )
 
-    def renormalized(self, theory: DimensionTheory | None = None) -> RenormalizedReport:
+    def renormalized(self, normalization: int = 0) -> RenormalizedReport:
         """Colimit of the truncation cohomologies along the Gysin maps.
 
         See renormalized_nearby_cohomology.
@@ -484,22 +441,19 @@ class GysinTower:
         d, n_max = self.d, self.n_max
         if n_max < 2:
             raise ValueError("need n_max >= 2")
-        if theory is None:
-            theory = DimensionTheory(offset_per_step=d)
-        if theory.offset_per_step != d:
-            raise ValueError("the codimension per step of the tower is d")
 
         fulls = self.truncations
-        shift = 2 * theory.normalization
+        shift = 2 * normalization
         tracked = range(-2 * d * (n_max - 2) - shift, 3 * d - shift + 1)
 
+        # Step n contributes its degree s + 2*delta(n) = s + shift + 2*n*d.
         def value(s: int, n: int) -> int:
-            m = s + 2 * theory.delta(n)
+            m = s + shift + 2 * n * d
             return fulls[n].dim(m) if m >= 0 else 0
 
         def is_iso(s: int, n: int) -> bool:
-            m = s + 2 * theory.delta(n + 1)
-            rank = self.steps[n].gysin_ranks.get(m, 0) if m >= 2 * d else 0
+            m = s + shift + 2 * (n + 1) * d
+            rank = self.gysin_ranks[n].get(m, 0) if m >= 2 * d else 0
             return value(s, n) == value(s, n + 1) == rank
 
         # The Gysin map at step n can fail to be an isomorphism in degree s
@@ -508,10 +462,10 @@ class GysinTower:
         # seen in a degree is its last one; it stabilizes at the next step.
         last_failure: dict[int, int] = {}
         for n in reversed(range(n_max)):
-            here, there = 2 * theory.delta(n), 2 * theory.delta(n + 1)
+            here, there = shift + 2 * n * d, shift + 2 * (n + 1) * d
             candidates = {m - here for m in fulls[n].support}
             candidates.update(m - there for m in fulls[n + 1].support)
-            candidates.update(m - there for m in self.steps[n].gysin_ranks)
+            candidates.update(m - there for m in self.gysin_ranks[n])
             for s in candidates:
                 if s not in last_failure and not is_iso(s, n):
                     last_failure[s] = n
@@ -537,8 +491,8 @@ class GysinTower:
             stable=outcome,
             stabilization_step=steps,
             tracked=tuple(tracked),
-            theory=theory,
-            axioms=self.axioms,
+            normalization=normalization,
+            tower=self,
         )
 
 
@@ -547,31 +501,31 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
 
     Every step's solver output is checked against the shift rule (reduced
     cohomology moves up by 2d), and every truncation's reduced cohomology is
-    checked to sit in a single degree, 2nd + d - 1 with dimension mu.  Only
-    the cohomology and the nonzero Gysin ranks of each step are kept.
+    checked, once, to sit in a single degree, 2nd + d - 1 with dimension mu.
+    Only the cohomology, that degree and the nonzero Gysin ranks of each step
+    are kept.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     base = milnor_fiber_cohomology(d, mu)
-    _concentration_degree(base, 0)
+    truncations = [base]
+    degrees = [_concentration_degree(base, 0)]
+    gysin_ranks: list[dict[int, int]] = []
+    axioms: set[str] = set()
     reduced = base.drop_unit()
-    steps: list[GysinStep] = []
     for n in range(1, n_max + 1):
         solution = _checked_gysin_solution(reduced, d)
-        _concentration_degree(solution.b, n)
-        steps.append(
-            GysinStep(
-                b=solution.b,
-                gysin_ranks={
-                    degree: rank
-                    for (kind, degree), rank in solution.ranks.items()
-                    if kind == "gysin"
-                },
-                axioms=solution.axioms,
-            )
+        truncations.append(solution.b)
+        degrees.append(_concentration_degree(solution.b, n))
+        gysin_ranks.append(
+            {degree: rank for (kind, degree), rank in solution.ranks.items() if kind == "gysin"}
         )
+        axioms.update(solution.axioms)
         reduced = reduced.shifted(2 * d)
-    return GysinTower(d=d, mu=mu, base=base, steps=tuple(steps))
+    return GysinTower(
+        d=d, mu=mu, truncations=tuple(truncations), degrees=tuple(degrees),
+        gysin_ranks=tuple(gysin_ranks), axioms=tuple(sorted(axioms)),
+    )
 
 
 def truncation_cohomology(d: int, mu: int, n: int) -> GradedDims:
@@ -613,26 +567,33 @@ def escape_table(d: int, mu: int, n_max: int) -> tuple[EscapeRow, ...]:
 
 @dataclass(frozen=True)
 class RenormalizedReport:
+    """The renormalized colimit together with the tower it was read from."""
+
     stable: GradedDims
     stabilization_step: Mapping[int, int]
     tracked: tuple[int, ...]
-    theory: DimensionTheory
-    axioms: tuple[str, ...]
+    normalization: int
+    tower: GysinTower
+
+    @property
+    def axioms(self) -> tuple[str, ...]:
+        return self.tower.axioms
 
 
 def renormalized_nearby_cohomology(
-    d: int, mu: int, n_max: int, theory: DimensionTheory | None = None
+    d: int, mu: int, n_max: int, normalization: int = 0
 ) -> RenormalizedReport:
     """Colimit of truncation cohomologies along Gysin maps, degree-shifted.
 
     The contribution of step n to renormalized degree s is its cohomology in
-    degree s + 2*delta(n); a degree has stabilized once the Gysin maps are
-    isomorphisms there from some step onward.  With the default normalization
-    (delta vanishing at step 0) the stable reduced outcome is mu in degree
-    d-1; transient classes (the unit, any class at negative degrees) die
-    through the residue and are reported as stabilized zeros.
+    degree s + 2*delta(n), with delta(n) = normalization + n*d; a degree has
+    stabilized once the Gysin maps are isomorphisms there from some step
+    onward.  With the default normalization (delta vanishing at step 0) the
+    stable reduced outcome is mu in degree d-1; transient classes (the unit,
+    any class at negative degrees) die through the residue and are reported
+    as stabilized zeros.
 
     Raises NotStabilized if a tracked degree has not settled by n_max, which
     would be a bug rather than a feature of the tower.
     """
-    return gysin_tower(d, mu, n_max).renormalized(theory)
+    return gysin_tower(d, mu, n_max).renormalized(normalization)

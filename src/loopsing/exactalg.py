@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from typing import Union
@@ -311,13 +312,14 @@ class LoopPoly:
         """Formal partial derivative with respect to var."""
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms:
-            lowered = dict(mono.factors)
-            e = lowered.pop(var, 0)
-            if e == 0:
+            factors = mono.factors
+            # Factors are sorted by variable, so a search finds var's slot;
+            # most terms of a functional lack var and are skipped unbuilt.
+            i = bisect_left(factors, (var,))
+            if i == len(factors) or factors[i][0] != var:
                 continue
-            if e > 1:
-                lowered[var] = e - 1
-            m = Monomial(lowered)
+            e = factors[i][1]
+            m = Monomial(factors[:i] + ((var, e - 1),) + factors[i + 1 :])
             prev = acc.get(m)
             acc[m] = coeff * e if prev is None else prev + coeff * e
         return LoopPoly(acc)

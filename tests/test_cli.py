@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -46,13 +47,13 @@ class TestRun:
         assert report.lambda_term_count == 2
         assert all(c.ok for c in report.checks.values())
         assert report.cohomology is not None
-        assert report.cohomology.renormalized == GradedDims({0: 1})
+        assert report.cohomology.stable == GradedDims({0: 1})
         assert report.exit_status == 0
 
     def test_fermat_cubic(self):
         report = run_source("x^3 + y^3")
         assert report.milnor_number == 4
-        assert report.cohomology.renormalized == GradedDims({1: 4})
+        assert report.cohomology.stable == GradedDims({1: 4})
 
     def test_non_isolated_skips_cohomology(self):
         report = run_source("x^2*y")
@@ -82,8 +83,9 @@ class TestRun:
 
     def test_truncation_table_height(self):
         report = run_source("z^2", n_max=6)
-        assert [n for n, _ in report.cohomology.truncations] == list(range(7))
-        assert report.cohomology.truncations[6][1] == GradedDims({0: 1, 12: 1})
+        truncations = report.cohomology.tower.truncations
+        assert len(truncations) == 7
+        assert truncations[6] == GradedDims({0: 1, 12: 1})
 
     @pytest.mark.parametrize("n_max", [2, 5, 12])
     def test_cohomology_walks_the_tower_once(self, monkeypatch, n_max):
@@ -98,6 +100,22 @@ class TestRun:
         report = run_source("x^3 + y^3", n_max=n_max, checks=("cohomology",))
         assert report.checks["cohomology"].ok
         assert len(calls) == n_max
+
+    @pytest.mark.parametrize("n_max", [2, 5, 12])
+    def test_each_truncation_is_audited_once(self, monkeypatch, n_max):
+        audit = cohom._concentration_degree
+        calls = []
+
+        def counted(full, n):
+            calls.append(n)
+            return audit(full, n)
+
+        monkeypatch.setattr(cohom, "_concentration_degree", counted)
+        report = run_source("x^3 + y^3", n_max=n_max, checks=("cohomology",))
+        report.to_json()
+        report.to_text()
+        assert report.checks["cohomology"].ok
+        assert calls == list(range(n_max + 1))
 
     def test_failed_shift_rule_fails_the_check(self, monkeypatch):
         solve = cohom.solve_les_detailed
@@ -262,6 +280,143 @@ class TestStructuredOutput:
         assert validate_report(dict(good, bogus=1)) == ["document: unexpected keys ['bogus']"]
         broken = dict(good, checks={"nonsense": {"ok": True}})
         assert validate_report(broken) == ["checks.nonsense: unknown check name"]
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("d",), True),
+            (("milnor_number",), True),
+            (("window", "bottom"), False),
+            (("lambda", "term_count"), True),
+            (("lambda", "term_count"), -5),
+            (("cohomology", "renormalized", "0"), True),
+            (("cohomology", "escape", 0, "degree"), True),
+            (("cohomology", "truncations", 0, "n"), False),
+            (("timing", "seconds"), True),
+            (("isolated",), 1),
+            (("isolated",), 0),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else json.dumps(v),
+    )
+    def test_schema_rejects_booleans_and_negative_counts(self, path, value):
+        document = run_source("z^2").to_dict()
+        assert validate_report(document) == []
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        assert validate_report(document) != []
+
+    @pytest.mark.parametrize(
+        "source, n_max, json_digest, text_digest",
+        [
+            (
+                "z^2", 4,
+                "13216926e9bdb919e2a730ce98f0bcd81716199a247f7d0fad299aaea5eea05a",
+                "41058f4661e621c30cc4ad56fae79de1eba1714504ea8702d24cd0cc2b829c68",
+            ),
+            (
+                "z^3", 4,
+                "9690731b78ba36e8e064192632ad6eaecb5e33d2529ec2d6fbf8b26589270586",
+                "4ff4bae33e20e99d944e92d5c5e14109438657a3af21696940c5ffc34f40abcc",
+            ),
+            (
+                "z^5", 4,
+                "e8df613d727b641a59741acbce216c454f97d8e731099a7ab4bc98948812e3cf",
+                "86f4c49a768b42220d6e79c1b732dde7ebde07904a663f2f7674f71c058d730d",
+            ),
+            (
+                "x^2 + y^2", 4,
+                "c21a74fe289976f8358a0e7c7941ee100fe4eab2d833edce8ed9c339330f43b8",
+                "8918b3d2157f1f888b2af6a0d80b561dce111c7b584e2c7e0d874eec22d8d4bd",
+            ),
+            (
+                "x^3 + y^3", 4,
+                "fd6b1b14b7ad675d81b8b3e3a05512d6491a2ecd7099fcee7e821af10ca47915",
+                "f20219335ef67a509e9061a5272ba01f5363d42fed5513367b74169646d8f7e1",
+            ),
+            (
+                "x^4 + y^4", 4,
+                "4d80e221fe7cd1779993f0cb1b173b5b3ad9c252c6fd42b6c07e78f12b21aece",
+                "3c00075d85b5c0b9961d02726129e7bfd3f4a5aa4f85429aa4339f2488b694d6",
+            ),
+            (
+                "x^2 + y^2 + w^2", 4,
+                "ebfd70a4da89d5771b7c4e50a5ccd5252e86e2b9ad8169afc59b9f667773ed02",
+                "cb03265cadfdcb4619dec0b8acf4edd52cdd77e74b68488598e8a0b15012ef1b",
+            ),
+            (
+                "x^3 + y^3 + w^3", 4,
+                "81d2cf5ceb70ccfc0c0859e77274ab4178113668ec181cae352ec5faae9d1ab4",
+                "f045e7cc583e48a241a007b2a1770a202eead9c408bc1293e3ee1f12d8636932",
+            ),
+            (
+                "z^2", 9,
+                "274a2c8a5a8f9870b7569a1447ce263ea2581cd53c0cbc8e435fabc3ef02d2a5",
+                "6a9177fdfbfce79cdd2b759ad57c651351a709e28daae92a05d2f30fb3817345",
+            ),
+            (
+                "z^3", 9,
+                "8ebd19abb15585d595f6a22cf769bb9c1198bf75b977e1c53732301840a8d7cd",
+                "2902111eea63c5b2c1b7b66cff3d424c296c272c61afddc4f3521e0b00d1b5ca",
+            ),
+            (
+                "z^5", 9,
+                "98baaccec8cf3f0f5e4f47f53cb9f90af0a4f8be5b4c2aa198a653172fc73e10",
+                "6ef85cc3ed2264572f1d299873110c25047ba89d2731730cdbc34cd56dcada3c",
+            ),
+            (
+                "x^2 + y^2", 9,
+                "097b467a9800f2729bf453373de51945846174cbe35e90215450edd2ae6cbcff",
+                "ef669cefcb814927ba0347b4cf1c9b7efb2def8ed4090b764bb01ba2ccf49d82",
+            ),
+            (
+                "x^3 + y^3", 9,
+                "5d53c435224bd7dc2931d0acdb6a505caba16a1f5b77cdaa15d77b93b18f857a",
+                "7e4d14cc958bfcde4a0ce86e1621fd42c47acef71c1a460571b2ecee02c94ad7",
+            ),
+            (
+                "x^4 + y^4", 9,
+                "8eb83a0c5b4d0cb6c333fa10391716fefd1e134fdf28239c357a1688999ac2c9",
+                "08b8258d4626762e66eae4ca5f10181edd49a290188cc4cdc53356e1ea63e3ad",
+            ),
+            (
+                "x^2 + y^2 + w^2", 9,
+                "67f1f64e22ebeb40f130b2f67ad4848798a1f42b0c46f915c130fc279d638105",
+                "4fd005d28826c312cd892ff9876579d83247353b5ee8ee92925f280e93d0898c",
+            ),
+            (
+                "x^3 + y^3 + w^3", 9,
+                "ab83a06f67f904f4f0a0eff436cbb61f13016f6f5c39020fcaebdd26f6d6c534",
+                "6bf94640e93770ec4eb3b3566b8515bfcc057f0e50fb83982994206b582817f8",
+            ),
+            (
+                "x^2*y", 4,
+                "4ab940c6f624f362b722235a21a179853ba35c6bc0ce0e4047445747784fc451",
+                "150c6189a5d34fa75332693fa182bcdecadcd29b27fb86b9d5b5fc81aab46f28",
+            ),
+            (
+                "x^3*y + x^2*y^2", 4,
+                "b637a30cc1b0c7b70fdcf5c7c467f0fcb4d3e245cc4f986e5f976723a2f70c72",
+                "07134fef1f12557b5eda992299981bce0ed8fb19087ede7b635b3cd297e6de4a",
+            ),
+        ],
+    )
+    def test_whole_report_is_pinned(self, source, n_max, json_digest, text_digest):
+        # Pins both renderings byte for byte, apart from the measured time.
+        report = run_source(source, n_max=n_max)
+        document = "".join(
+            line
+            for line in report.to_json().splitlines(keepends=True)
+            if not line.lstrip().startswith('"seconds": ')
+        )
+        text = "".join(
+            line
+            for line in report.to_text().splitlines(keepends=True)
+            if not line.startswith("timing")
+        )
+        assert hashlib.sha256(document.encode()).hexdigest() == json_digest
+        assert hashlib.sha256(text.encode()).hexdigest() == text_digest
 
     def test_degree_keys_are_decimal_strings(self):
         document = run_source("x^3 + y^3").to_dict()
@@ -436,7 +591,21 @@ class TestMain:
         assert "not UTF-8 text at byte 0" in err and str(path) in err
 
 
-@pytest.mark.parametrize("module", [loopsing, loopsing.cli], ids=lambda m: m.__name__)
-def test_export_list_resolves(module):
-    missing = [name for name in module.__all__ if not hasattr(module, name)]
+@pytest.mark.parametrize(
+    "name",
+    [
+        "loopsing",
+        "loopsing.exactalg",
+        "loopsing.loopfun",
+        "loopsing.grobner",
+        "loopsing.cohom",
+        "loopsing.cli",
+        "loopsing.cli.parser",
+        "loopsing.cli.report",
+        "loopsing.cli.main",
+    ],
+)
+def test_export_list_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from loopsing import cohom
 from loopsing.cohom import (
-    DimensionTheory,
     EscapeRow,
     GradedDims,
     Inconsistent,
@@ -306,7 +305,7 @@ class TestSolveLes:
         assert solution.b == GradedDims({0: 1, 1_000_002: 1})
 
 
-class TestGysinStep:
+class TestGysinShift:
     def test_point_pair_becomes_sphere_class(self):
         assert gysin_step(GradedDims({0: 1}), 1) == GradedDims({2: 1})
 
@@ -351,11 +350,12 @@ class TestGysinTower:
     def test_steps_keep_only_nonzero_gysin_ranks(self, entry):
         d, mu = entry.d, entry.mu
         tower = gysin_tower(d, mu, 6)
-        for n, step in enumerate(tower.steps, start=1):
+        assert len(tower.gysin_ranks) == 6
+        for n, ranks in enumerate(tower.gysin_ranks, start=1):
             # the reduced class maps isomorphically; the unit dies in the residue
-            assert dict(step.gysin_ranks) == {2 * n * d + d - 1: mu}
-            assert any("residue" in axiom for axiom in step.axioms)
-        assert tower.axioms == tower.steps[0].axioms
+            assert dict(ranks) == {2 * n * d + d - 1: mu}
+        assert tower.axioms == (cohom.RESIDUE_FULL_RANK_AXIOM,)
+        assert gysin_tower(d, mu, 0).axioms == ()
 
     def test_rejects_negative_height(self):
         with pytest.raises(ValueError):
@@ -470,23 +470,13 @@ class TestRenormalized:
         report = renormalized_nearby_cohomology(entry.d, entry.mu, 4)
         assert report.stable == GradedDims({entry.d - 1: entry.mu})
 
-
-class TestDimensionTheory:
-    def test_delta_arithmetic(self):
-        theory = DimensionTheory(offset_per_step=3, normalization=2)
-        assert [theory.delta(n) for n in range(3)] == [2, 5, 8]
-        assert theory.delta(4) - theory.delta(1) == 9
-
-    def test_rejects_nonpositive_codimension(self):
-        with pytest.raises(ValueError):
-            DimensionTheory(offset_per_step=0)
-
     @pytest.mark.parametrize("k", [-2, -1, 1, 3])
     def test_normalization_shift_covariance(self, k):
         base = renormalized_nearby_cohomology(2, 4, 4)
-        shifted = renormalized_nearby_cohomology(2, 4, 4, DimensionTheory(2, k))
+        shifted = renormalized_nearby_cohomology(2, 4, 4, normalization=k)
+        assert shifted.normalization == k
         # a normalization change by k rigidly shifts every renormalized degree
-        # by 2k (the colimit degree offset is twice the dimension theory)
+        # by 2k (the colimit degree offset is twice the normalization)
         assert shifted.stable == base.stable.shifted(-2 * k)
         assert set(shifted.tracked) == {s - 2 * k for s in base.tracked}
         assert shifted.stabilization_step == {
