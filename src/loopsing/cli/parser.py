@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ..exactalg import LoopPoly, LoopVar
+from ..exactalg import LoopPoly, LoopVar, Monomial
 from ..loopfun import InputFunction
 
 __all__ = [
@@ -162,6 +162,15 @@ class _Parser:
                     exp_token.position, f"an exponent of at most {MAX_DEGREE}", repr(exp_token.text)
                 )
             _check_degree(exp_token, _degree(base) * exponent)
+            if len(base) == 1:
+                # One term c*m: the power is c^e * m^e, built directly.  It is
+                # charged as e one-pair products, which stop at the first
+                # pair past the budget.
+                self._charge(exp_token, min(exponent, MAX_PRODUCT_WORK + 1 - self.work))
+                ((mono, coeff),) = base.terms
+                return LoopPoly.term(
+                    Monomial((v, x * exponent) for v, x in mono.factors), coeff**exponent
+                )
             power = LoopPoly.constant(1)
             for _ in range(exponent):
                 power = self._times(exp_token, power, base)
@@ -170,14 +179,18 @@ class _Parser:
 
     def _times(self, token: _Token, a: LoopPoly, b: LoopPoly) -> LoopPoly:
         """a * b, rejected before it is built when it exhausts MAX_PRODUCT_WORK."""
-        self.work += len(a) * len(b)
+        self._charge(token, len(a) * len(b))
+        return a * b
+
+    def _charge(self, token: _Token, pairs: int) -> None:
+        """Count `pairs` more term pairs, rejecting them when they exhaust MAX_PRODUCT_WORK."""
+        self.work += pairs
         if self.work > MAX_PRODUCT_WORK:
             raise ParseError(
                 token.position,
                 f"products of at most {MAX_PRODUCT_WORK} term pairs in all",
                 f"{self.work} term pairs",
             )
-        return a * b
 
     def _atom(self) -> LoopPoly:
         token = self._peek()

@@ -39,6 +39,21 @@ def run_source(source: str, **overrides) -> Report:
     return run(RunConfig(function_source=source, **overrides))
 
 
+def _untimed_digests(report: Report) -> tuple[str, str]:
+    """SHA-256 of the JSON and the text rendering, without the measured time."""
+    document = "".join(
+        line
+        for line in report.to_json().splitlines(keepends=True)
+        if not line.lstrip().startswith('"seconds": ')
+    )
+    text = "".join(
+        line
+        for line in report.to_text().splitlines(keepends=True)
+        if not line.startswith("timing")
+    )
+    return hashlib.sha256(document.encode()).hexdigest(), hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestRun:
     def test_quadric_defaults(self):
         report = run_source("z^2")
@@ -186,8 +201,14 @@ class TestRun:
             monkeypatch.setattr(grobner, "_verify_basis", unverified)
             witness = "S-polynomial does not reduce to zero"
         else:
-            standard = grobner.standard_monomials
-            monkeypatch.setattr(grobner, "standard_monomials", lambda gb: standard(gb)[1:])
+            count = grobner._staircase_size
+
+            def one_short(leads, box):
+                # The count recurses on one coordinate fewer each time; only
+                # the outermost call, on the whole box of x^3 + y^3, errs.
+                return count(leads, box) - (len(box) == 2)
+
+            monkeypatch.setattr(grobner, "_staircase_size", one_short)
             witness = "standard-monomial count 3 != (delta-1)^d = 4"
         report = run_source("x^3 + y^3", checks=("lambda", "milnor", "cohomology"))
         assert report.checks["lambda"].ok
@@ -405,18 +426,28 @@ class TestStructuredOutput:
     def test_whole_report_is_pinned(self, source, n_max, json_digest, text_digest):
         # Pins both renderings byte for byte, apart from the measured time.
         report = run_source(source, n_max=n_max)
-        document = "".join(
-            line
-            for line in report.to_json().splitlines(keepends=True)
-            if not line.lstrip().startswith('"seconds": ')
-        )
-        text = "".join(
-            line
-            for line in report.to_text().splitlines(keepends=True)
-            if not line.startswith("timing")
-        )
-        assert hashlib.sha256(document.encode()).hexdigest() == json_digest
-        assert hashlib.sha256(text.encode()).hexdigest() == text_digest
+        assert _untimed_digests(report) == (json_digest, text_digest)
+
+    @pytest.mark.parametrize(
+        "source, json_digest, text_digest",
+        [
+            (
+                "(x + 2*y - w)^4 + (3*x - y + w)^4 + (x + y + 2*w)^4",
+                "7276762634bfdaf903df7ed0f09c546f93c098602ae6b36592042996c8718eb4",
+                "ded707b1b68496776aff38d3765f11dcfc8226fcb96f6e543e9d0da7d2ddc20b",
+            ),
+            (
+                "(2*x - y + w)^5 + (x + 3*y - 2*w)^5 + (-x + y + 3*w)^5",
+                "26abb249793aea1256a4eae1a025560b2090425557dca2bf1503154c10096a74",
+                "702f981c5bcf7b0fbd0f434688bfbd9f18763829653dba821fb6d84c632838b8",
+            ),
+        ],
+    )
+    def test_milnor_report_of_a_dense_form_is_pinned(self, source, json_digest, text_digest):
+        # Dense GL transforms of the Fermat form at (d, delta) = (3, 4) and
+        # (3, 5), where the milnor check runs both routes, oracle included.
+        report = run_source(source, checks=("milnor",))
+        assert _untimed_digests(report) == (json_digest, text_digest)
 
     def test_degree_keys_are_decimal_strings(self):
         document = run_source("x^3 + y^3").to_dict()
@@ -469,6 +500,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("loopsing: error:") and err.count("\n") == 1
         assert "'y', whose terms all vanish" in err
+
+    @pytest.mark.parametrize(
+        "source, mu",
+        [("x^40 + y^40 + w^40 + v^40", 39**4), ("x^64 + y^64 + w^64 + v^64 + u^64", 63**5)],
+    )
+    def test_milnor_check_near_the_degree_budget(self, capsys, source, mu):
+        # The standard monomials are counted, not listed: 63^5 of them here.
+        with deadline(10):
+            assert main(["-f", source, "--checks", "milnor", "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["milnor_number"] == mu
 
     def test_oversized_functional_is_a_usage_error(self, capsys):
         with deadline(10):

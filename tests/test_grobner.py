@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopsing import grobner
+from loopsing.cli import ParseError
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.grobner import (
     GroebnerBasis,
@@ -27,7 +31,7 @@ from loopsing.grobner import (
     standard_monomials,
 )
 
-from conftest import NON_ISOLATED_SOURCES, build, fermat_source
+from conftest import CORPUS, NON_ISOLATED_SOURCES, build, fermat_source
 
 
 def lv(coord: int) -> LoopPoly:
@@ -173,6 +177,16 @@ def _monomial_and_binomial_ideals(draw) -> Ideal:
     return Ideal(generators, d)
 
 
+@st.composite
+def _boxes_and_leads(draw) -> tuple[list[int], list[tuple[int, ...]]]:
+    """A box in 1-4 coordinates, and its pure powers plus up to six other
+    exponent vectors (the zero vector among the possible ones)."""
+    d = draw(st.integers(1, 4))
+    box = draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+    leads = [tuple(side if i == j else 0 for j in range(d)) for i, side in enumerate(box)]
+    return box, leads + draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), max_size=6))
+
+
 class TestStandardMonomials:
     def test_principal(self):
         gb = buchberger(Ideal([x], 1))
@@ -209,6 +223,32 @@ class TestStandardMonomials:
                 standard_monomials(gb)
         else:
             assert standard_monomials(gb) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(_monomial_and_binomial_ideals())
+    @example(Ideal([x**2, y**3, x * y], 2))
+    @example(Ideal([x**2 - y * w, y**2, w**3, x * y * w], 3))
+    def test_staircase_count_matches_the_enumeration(self, ideal):
+        gb = buchberger(ideal)
+        leads = [g[0][0] for g in gb._terms]
+        assume(all(map(any, leads)))  # the unit ideal has no box
+        try:
+            expected = len(standard_monomials(gb))
+        except NotIsolated:
+            with pytest.raises(NotIsolated):
+                grobner._box(leads, gb.d)
+        else:
+            assert grobner._staircase_size(leads, grobner._box(leads, gb.d)) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(_boxes_and_leads())
+    def test_staircase_count_of_any_leads(self, box_and_leads):
+        box, leads = box_and_leads
+        expected = sum(
+            not any(all(map(le, lead, e)) for lead in leads)
+            for e in itertools.product(*map(range, box))
+        )
+        assert grobner._staircase_size(leads, box) == expected
 
 
 class TestMilnorNumber:
@@ -436,6 +476,14 @@ class TestBeyondFermat:
         gb = buchberger(jacobian_ideal(build(source)))
         assert [str(g) for g in gb.elements] == PINNED_BASES[source]
 
+    @pytest.mark.parametrize("source", sorted(PINNED_BASES))
+    def test_staircase_count_of_a_dense_basis(self, source):
+        gb = buchberger(jacobian_ideal(build(source)))
+        leads = [g[0][0] for g in gb._terms]
+        assert grobner._staircase_size(leads, grobner._box(leads, gb.d)) == len(
+            standard_monomials(gb)
+        )
+
 
 _entries = st.one_of(
     st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -472,6 +520,122 @@ class TestRank:
         assert grobner._rank(rows) == 1
         rows[1][1] = Fraction(1, 3) + Fraction(1, 10**30)
         assert grobner._rank(rows) == 2
+
+
+def _exact_hilbert_function(func) -> list[int]:
+    """The Hilbert function of the Jacobian ring in degrees 0 .. d*(delta-2)+1,
+    each the corank of that degree's (monomial * partial) matrix, by the exact
+    `_rank` on lexicographic columns."""
+    d, delta = func.d, func.delta
+    gens = jacobian_ideal(func)._terms
+    out = []
+    for degree in range(d * (delta - 2) + 2):
+        basis = grobner._monomial_exponents(d, degree)
+        index = {e: i for i, e in enumerate(basis)}
+        shifts = grobner._monomial_exponents(d, degree - delta + 1)
+        rows = [{index[tuple(map(add, e, s))]: c for e, c in g} for g in gens for s in shifts]
+        out.append(len(basis) - grobner._rank(rows))
+    return out
+
+
+def _fermat_form(d: int, delta: int) -> str:
+    return " + ".join(f"{name}^{delta}" for name in _FORM_NAMES[:d])
+
+
+# A GL transform of the Fermat form with d = 4 and delta = 4, every matrix entry nonzero.
+_DENSE_4_4 = (
+    "(x + 2*y - w + v)^4 + (3*x - y + w - 2*v)^4 + (x + y + 2*w + 3*v)^4 + (2*x - y - 3*w + v)^4"
+)
+
+
+@st.composite
+def _dense_forms(draw) -> str:
+    """A GL transform of the Fermat form, or one of two non-isolated shapes
+    made of the same dense linear forms: the sum of d-1 of their powers, and
+    L1^(delta-1)*L2 plus the powers of the others."""
+    d = draw(st.integers(2, 3))
+    delta = draw(st.integers(3, 4))
+    entries = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    matrix = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+    forms = [" + ".join(f"({a})*{n}" for a, n in zip(row, _FORM_NAMES)) for row in matrix]
+    shape = draw(st.sampled_from(("gl", "fewer", "product")))
+    if shape == "gl":
+        assume(_dense_rank([[Fraction(a) for a in row] for row in matrix]) == d)
+        return " + ".join(f"({form})^{delta}" for form in forms)
+    if shape == "fewer":
+        return " + ".join(f"({form})^{delta}" for form in forms[:-1])
+    return " + ".join(
+        [f"({forms[0]})^{delta - 1}*({forms[1]})"] + [f"({form})^{delta}" for form in forms[2:]]
+    )
+
+
+def _rank_refused(rows):
+    raise AssertionError("the exact rank ran")
+
+
+class TestModularOracle:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("delta", [2, 3, 4, 5, 6])
+    def test_complete_intersection_bound_is_the_fermat_hilbert_function(self, d, delta):
+        floors = grobner._complete_intersection_hilbert(d, delta)
+        assert floors == _exact_hilbert_function(build(_fermat_form(d, delta)))
+        top = d * (delta - 2) + 1
+        assert len(floors) == top + 1 and floors[top] == 0
+        assert sum(floors) == (delta - 1) ** d
+
+    @settings(deadline=None, max_examples=40)
+    @given(_dense_forms())
+    @example("(x + 2*y - w)^4 + (3*x - y + w)^4")
+    @example("x^3 + y^3 + w^3 - 3*x*y*w")
+    def test_matches_the_exact_route(self, source):
+        try:
+            func = build(source)
+        except ParseError:  # the powers cancel a variable away
+            assume(False)
+        hf = _exact_hilbert_function(func)
+        top = len(hf) - 1
+        if hf[top]:
+            with pytest.raises(NotIsolated):
+                milnor_number_oracle(func)
+        else:
+            assert milnor_number_oracle(func) == sum(hf[:top])
+
+    def test_unlucky_prime_falls_back_to_the_exact_rank(self, monkeypatch):
+        # Modulo 7 the cubic is the singular Hesse cubic: t^3 = -27 at t = 1.
+        func = build("x^3 + y^3 + w^3 + x*y*w")
+        rank, calls = grobner._rank, []
+
+        def counted(rows):
+            calls.append(rows)
+            return rank(rows)
+
+        monkeypatch.setattr(grobner, "_rank", counted)
+        assert milnor_number_oracle(func) == 8
+        assert calls == []
+        monkeypatch.setattr(grobner, "_PRIME", 7)
+        assert milnor_number_oracle(func) == 8
+        assert calls
+
+    @pytest.mark.parametrize(
+        "source", [entry.source for entry in CORPUS] + [_gl_fermat_source(3, 5, 2), _DENSE_4_4]
+    )
+    def test_isolated_inputs_need_no_exact_rank(self, monkeypatch, source):
+        func = build(source)
+        monkeypatch.setattr(grobner, "_rank", _rank_refused)
+        assert milnor_number_oracle(func) == (func.delta - 1) ** func.d
+
+    def test_benchmark_inputs_need_no_exact_rank(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+        cases = [case for case in workloads.generate("jacobian", 1, 20.0) if case.isolated]
+        assert len(cases) > 50
+        monkeypatch.setattr(grobner, "_rank", _rank_refused)
+        for case in cases:
+            assert milnor_number_oracle(build(case.source)) == case.mu, case.source
 
 
 

@@ -193,6 +193,27 @@ class TestProductBudget:
             func = parse_function("(x + y + w + v + u)^11")
         assert len(func.poly) == 1365
 
+    def test_single_term_power_charges_one_pair_per_factor(self):
+        # 15015 pairs for the sum's power, 64 per x^64: the 78th x^64 passes
+        # the budget at its 58th one-pair product.
+        source = "(x + y + w + v + u)^11" + " + x^64" * 78
+        with pytest.raises(ParseError) as excinfo:
+            parse_polynomial(source)
+        assert excinfo.value.position == len(source) - 2
+        assert excinfo.value.found == f"{MAX_PRODUCT_WORK + 1} term pairs"
+        assert len(parse_polynomial(source[: -len(" + x^64")])[0]) == 1366
+
+    @pytest.mark.parametrize(
+        "base, exponent",
+        [
+            ("x", 0), ("-2*x*y^2", 5), ("3/2*w", 3), ("-1", 7), ("x*y", 32),
+            ("2", 0), ("0", 3), ("0", 0),
+        ],
+    )
+    def test_single_term_power_is_repeated_product(self, base, exponent):
+        power = parse_polynomial(f"({base})^{exponent}")[0]
+        assert power == parse_polynomial(base)[0] ** exponent
+
     def test_power_is_repeated_product(self):
         base, _ = parse_polynomial("x + 2*y - 3*w")
         assert parse_polynomial("(x + 2*y - 3*w)^5")[0] == base**5
