@@ -31,6 +31,8 @@ LoopPoly or Monomial per step:
 - the S-pairs wait in a heap keyed by (lcm key, i, j), each pushed once, when
   its second element joins the basis, and each nonzero remainder is made
   primitive once;
+- the audit of the reduced basis reduces only the S-pairs that Buchberger's
+  coprime and strict chain criteria keep (`_verify_basis`);
 - the Milnor count reads the leading vectors only (`_staircase_size`);
 - the oracle packs each (monomial * partial) row into one int, a 64-bit slot
   per column, eliminates it modulo a prime below 2^20 (`_rank_mod_p`), and
@@ -281,8 +283,8 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     Pairs are processed by lowest lcm first (normal strategy) and eliminated
     by the coprimality and chain criteria.  The output is the unique reduced
     basis, so running buchberger on its own output returns an equal basis.
-    Every S-polynomial of the final basis is verified to reduce to zero before
-    returning.
+    It is returned only after `_verify_basis` has proved it a Groebner basis
+    by which every generator reduces to zero.
     """
     basis: list[Terms] = []
     for g in ideal._terms:
@@ -329,37 +331,50 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
 
 
 def _reduce_basis(basis: Sequence[Terms]) -> list[Terms]:
-    # Keep only elements whose leading monomial no other element's divides,
-    # then tail-reduce each against the rest until nothing changes.
-    minimal: list[Terms] = []
-    for idx, g in enumerate(basis):
-        lm = g[0][0]
-        redundant = any(
-            all(map(le, other[0][0], lm))
-            for kdx, other in enumerate(basis)
-            if kdx != idx and (other[0][0] != lm or kdx < idx)
-        )
-        if not redundant:
-            minimal.append(g)
+    """The reduced basis of a Groebner basis, in increasing order of leads.
 
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            others = minimal[:idx] + minimal[idx + 1 :]
-            reduced = _primitive(_reduce(minimal[idx], others)[0])
-            if reduced != minimal[idx]:
-                minimal[idx] = reduced
-                changed = True
-    minimal.sort(key=lambda g: _key(g[0][0]))
-    return minimal
+    In that order a lead comes after every lead that divides it, so an element
+    is kept when no kept lead divides its own, and is then reduced once
+    against the kept ones.  No larger lead divides a term below its own lead,
+    so each kept element comes out fully reduced.
+    """
+    reduced: list[Terms] = []
+    for g in sorted(basis, key=lambda g: _key(g[0][0])):
+        if not any(all(map(le, r[0][0], g[0][0])) for r in reduced):
+            reduced.append(_primitive(_reduce(g, reduced)[0]))
+    return reduced
 
 
 def _verify_basis(elements: Sequence[Terms], generators: Sequence[Terms]) -> None:
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            if _reduce(_s_terms(elements[i], elements[j]), elements)[0]:
-                raise RuntimeError("S-polynomial does not reduce to zero")
+    """Raise RuntimeError unless the elements are a Groebner basis by which
+    every generator reduces to zero.
+
+    Only the S-pairs that Buchberger's criteria keep are reduced.  A pair with
+    coprime leads reduces to zero (criterion 1).  A pair (i, j) is also
+    skipped when some lead_k divides lcm_ij and lcm_ik, lcm_jk are proper
+    divisors of it (strict chain): the leading-term syzygy of (i, j) is then a
+    monomial combination of those of (i, k) and (j, k), of strictly smaller
+    lcm.  By induction on the lcm under divisibility, the kept and coprime
+    pairs generate the whole syzygy module of the leads, so their
+    S-polynomials reducing to zero proves a Groebner basis (Cox, Little and
+    O'Shea, ch. 2 section 10, Theorem 6).  No pair order is needed; the audit
+    passes exactly when the audit of all pairs does.
+    """
+    leads = [g[0][0] for g in elements]
+    for i, j in itertools.combinations(range(len(elements)), 2):
+        if not any(map(min, leads[i], leads[j])):
+            continue
+        lcm = tuple(map(max, leads[i], leads[j]))
+        # k = i or k = j never passes: its lcm with the other lead is lcm_ij.
+        if any(
+            all(map(le, lead, lcm))
+            and tuple(map(max, leads[i], lead)) != lcm
+            and tuple(map(max, leads[j], lead)) != lcm
+            for lead in leads
+        ):
+            continue
+        if _reduce(_s_terms(elements[i], elements[j]), elements)[0]:
+            raise RuntimeError("S-polynomial does not reduce to zero")
     for g in generators:
         if _reduce(g, elements)[0]:
             raise RuntimeError("an ideal generator does not reduce to zero")

@@ -195,7 +195,7 @@ class TestRun:
     @pytest.mark.parametrize("audit", ["basis", "count"])
     def test_failed_groebner_audit_fails_the_milnor_check(self, monkeypatch, capsys, audit):
         if audit == "basis":
-            def unverified(gb, ideal):
+            def unverified(elements, generators):
                 raise RuntimeError("S-polynomial does not reduce to zero")
 
             monkeypatch.setattr(grobner, "_verify_basis", unverified)
@@ -221,6 +221,28 @@ class TestRun:
         assert validate_report(report.to_dict()) == []
         capsys.readouterr()
         assert main(["-f", "x^3+y^3", "--checks", "milnor"]) == 1
+        captured = capsys.readouterr()
+        assert witness in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_corrupted_basis_fails_the_real_audit(self, monkeypatch, capsys):
+        reduce_basis = grobner._reduce_basis
+
+        def corrupted(basis):
+            # One tail coefficient of the first element that has a tail, off by one.
+            reduced = reduce_basis(basis)
+            g = next(g for g in reduced if len(g) > 1)
+            g[-1] = (g[-1][0], g[-1][1] + 1)
+            return reduced
+
+        monkeypatch.setattr(grobner, "_reduce_basis", corrupted)
+        source = "(x + 2*y - w)^4 + (3*x - y + w)^4 + (x + y + 2*w)^4"
+        witness = "S-polynomial does not reduce to zero"
+        report = run_source(source, checks=("milnor",))
+        assert report.checks["milnor"] == CheckOutcome(ok=False, witness=witness)
+        assert report.milnor_number is None and report.isolated is None
+        capsys.readouterr()
+        assert main(["-f", source, "--checks", "milnor"]) == 1
         captured = capsys.readouterr()
         assert witness in captured.out
         assert "Traceback" not in captured.out + captured.err
@@ -441,11 +463,18 @@ class TestStructuredOutput:
                 "26abb249793aea1256a4eae1a025560b2090425557dca2bf1503154c10096a74",
                 "702f981c5bcf7b0fbd0f434688bfbd9f18763829653dba821fb6d84c632838b8",
             ),
+            (
+                "(x + 2*y - w + v)^4 + (3*x - y + w - 2*v)^4 + (x + y + 2*w + 3*v)^4"
+                " + (2*x - y - 3*w + v)^4",
+                "bcda1aa9cee37b5b4009608fd946047fb855b12b4bb8a73f7901d9781fb497f2",
+                "e4f1db163c6a7ba429ed6d1e9bb16c073fe7b499eb18b1861f0218b8f0840569",
+            ),
         ],
     )
     def test_milnor_report_of_a_dense_form_is_pinned(self, source, json_digest, text_digest):
         # Dense GL transforms of the Fermat form at (d, delta) = (3, 4) and
-        # (3, 5), where the milnor check runs both routes, oracle included.
+        # (3, 5), where the milnor check runs both routes, oracle included,
+        # and at (4, 4), where it runs the Groebner route alone.
         report = run_source(source, checks=("milnor",))
         assert _untimed_digests(report) == (json_digest, text_digest)
 

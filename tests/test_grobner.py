@@ -759,6 +759,196 @@ class TestIntegerKernel:
             assert not _fraction_reduce(_fraction_terms(g, variables), elements)
 
 
+def _all_pairs_verify(elements, generators) -> None:
+    """Reference audit: the one grobner ran before it pruned pairs, every S-pair reduced."""
+    for i, j in itertools.combinations(range(len(elements)), 2):
+        if grobner._reduce(grobner._s_terms(elements[i], elements[j]), elements)[0]:
+            raise RuntimeError("S-polynomial does not reduce to zero")
+    for g in generators:
+        if grobner._reduce(g, elements)[0]:
+            raise RuntimeError("an ideal generator does not reduce to zero")
+
+
+def _fixed_point_reduce_basis(basis) -> list:
+    """Reference interreduction: the loop grobner ran before its one pass.
+
+    Keeps the elements whose lead no other element's divides, then
+    tail-reduces each against the rest until nothing changes.
+    """
+    minimal = []
+    for idx, g in enumerate(basis):
+        lm = g[0][0]
+        redundant = any(
+            all(map(le, other[0][0], lm))
+            for kdx, other in enumerate(basis)
+            if kdx != idx and (other[0][0] != lm or kdx < idx)
+        )
+        if not redundant:
+            minimal.append(g)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(minimal)):
+            others = minimal[:idx] + minimal[idx + 1 :]
+            reduced = grobner._primitive(grobner._reduce(minimal[idx], others)[0])
+            if reduced != minimal[idx]:
+                minimal[idx] = reduced
+                changed = True
+    minimal.sort(key=lambda g: grobner._key(g[0][0]))
+    return minimal
+
+
+def _audit_outcome(audit, elements, generators) -> str | None:
+    """The audit's error message, or None when it passes."""
+    try:
+        audit(elements, generators)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def _sorted_terms(terms: dict) -> list:
+    """The nonzero terms of {vector: coefficient} in decreasing grevlex order."""
+    return sorted(
+        ((e, c) for e, c in terms.items() if c), key=lambda t: grobner._key(t[0]), reverse=True
+    )
+
+
+def _plus_multiple(f, g, c: int, shift) -> list:
+    """f + c * x^shift * g, as terms."""
+    out = dict(f)
+    for e, gc in g:
+        e = tuple(map(add, e, shift))
+        out[e] = out.get(e, 0) + c * gc
+    return _sorted_terms(out)
+
+
+def _vectors_below(lead) -> list:
+    """The exponent vectors of degree at most lead's that grevlex ranks below it."""
+    return [
+        e
+        for e in itertools.product(range(sum(lead) + 1), repeat=len(lead))
+        if sum(e) <= sum(lead) and grobner._key(e) < grobner._key(lead)
+    ]
+
+
+def _mutate(basis, kind: str, index: int, pick: int, step: int) -> list:
+    """The basis with one element changed: `kind` is "drop" (delete it),
+    "coefficient" (add `step` to one tail coefficient) or "term" (add `step`
+    times a vector below its lead); `pick` chooses the tail term or vector,
+    and an element without a tail gets a term instead of a changed coefficient.
+    """
+    basis = [list(g) for g in basis]
+    if kind == "drop":
+        del basis[index]
+        return basis
+    g = basis[index]
+    if kind == "coefficient" and len(g) > 1:
+        e, c = g[1 + pick % (len(g) - 1)]
+        basis[index] = _sorted_terms({**dict(g), e: c + step})
+        return basis
+    below = _vectors_below(g[0][0])
+    if below:
+        e = below[pick % len(below)]
+        terms = dict(g)
+        basis[index] = _sorted_terms({**terms, e: terms.get(e, 0) + step})
+    return basis
+
+
+_mutations = st.tuples(
+    st.sampled_from(("drop", "coefficient", "term")),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from((-2, -1, 1, 3)),
+)
+
+
+@st.composite
+def _audited_ideals(draw) -> Ideal:
+    """A random ideal, or the Jacobian ideal of a dense form."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 3))
+        return Ideal(draw(st.lists(_polys(d, max_degree=2), min_size=1, max_size=3)), d)
+    try:
+        return jacobian_ideal(build(draw(_dense_forms())))
+    except ParseError:  # the powers cancel a variable away
+        assume(False)
+
+
+class TestAudit:
+    """The audit on the S-pairs Buchberger's criteria keep, against the all-pairs audit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_audited_ideals(), st.lists(_mutations, max_size=2))
+    def test_pruned_audit_raises_exactly_when_all_pairs_does(self, ideal, mutations):
+        elements = [list(g) for g in buchberger(ideal)._terms]
+        for kind, index, pick, step in mutations:
+            if elements:
+                elements = _mutate(elements, kind, index % len(elements), pick, step)
+        assert _audit_outcome(grobner._verify_basis, elements, ideal._terms) == _audit_outcome(
+            _all_pairs_verify, elements, ideal._terms
+        )
+
+    @pytest.mark.parametrize("source", sorted(PINNED_BASES))
+    def test_every_single_mutation_of_a_pinned_basis(self, source):
+        ideal = jacobian_ideal(build(source))
+        elements = [list(g) for g in buchberger(ideal)._terms]
+        assert _audit_outcome(grobner._verify_basis, elements, ideal._terms) is None
+        failures = 0
+        for index, kind, pick in itertools.product(
+            range(len(elements)), ("drop", "coefficient", "term"), (0, 1)
+        ):
+            mutated = _mutate(elements, kind, index, pick, 1)
+            outcome = _audit_outcome(grobner._verify_basis, mutated, ideal._terms)
+            assert outcome == _audit_outcome(_all_pairs_verify, mutated, ideal._terms)
+            failures += outcome is not None
+        assert failures >= len(elements)
+
+    def test_criteria_skip_pairs_of_a_dense_basis(self, monkeypatch):
+        ideal = jacobian_ideal(build(_gl_fermat_source(3, 5, 2)))
+        elements = buchberger(ideal)._terms
+        reduce, pairs = grobner._reduce, []
+
+        def counted(terms, divisors):
+            terms = list(terms)
+            pairs.append(terms)
+            return reduce(terms, divisors)
+
+        monkeypatch.setattr(grobner, "_reduce", counted)
+        grobner._verify_basis(elements, ideal._terms)
+        n = len(elements)
+        assert len(ideal._terms) < len(pairs) < len(ideal._terms) + n * (n - 1) // 2
+
+    @settings(deadline=None, max_examples=150)
+    @given(_audited_ideals(), st.data())
+    def test_one_pass_interreduction_matches_the_fixed_point_loop(self, ideal, data):
+        reduced = [list(g) for g in buchberger(ideal)._terms]
+        basis = [list(g) for g in reduced]
+        # Ideal elements with a lead a basis lead divides keep it a Groebner basis.
+        for _ in range(data.draw(st.integers(0, 4))):
+            i = data.draw(st.integers(0, len(basis) - 1))
+            j = data.draw(st.integers(0, len(basis) - 1))
+            lead_i, lead_j = basis[i][0][0], basis[j][0][0]
+            shifts = [
+                s
+                for s in itertools.product(range(3), repeat=len(lead_i))
+                if grobner._key(tuple(map(add, s, lead_j))) < grobner._key(lead_i)
+            ]
+            c = data.draw(st.sampled_from((-2, -1, 1, 2)))
+            how = data.draw(st.sampled_from(("multiple", "replace", "append")))
+            shift = data.draw(st.sampled_from(shifts)) if shifts else None
+            if how == "multiple" or shift is None:
+                extra = tuple(data.draw(st.integers(0, 2)) for _ in lead_j)
+                basis.append(_plus_multiple([], basis[j], abs(c), extra))
+            elif how == "replace":
+                basis[i] = _plus_multiple(basis[i], basis[j], c, shift)
+            else:
+                basis.append(_plus_multiple(basis[i], basis[j], c, shift))
+        basis = [[(e, 2 * c) for e, c in g] if data.draw(st.booleans()) else g for g in basis]
+        basis = data.draw(st.permutations(basis))
+        assert grobner._reduce_basis(basis) == _fixed_point_reduce_basis(basis) == reduced
+
+
 _key_variables = st.lists(
     st.builds(LoopVar, st.integers(1, 3), st.integers(-2, 2)), unique=True, min_size=1, max_size=5
 ).map(sorted)
