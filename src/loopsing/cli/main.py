@@ -38,9 +38,9 @@ __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
 FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
 
-# Bound on the height of the cohomology tower.  The walk solves one Gysin
-# sequence of a few nonzero entries per step, so its cost grows about linearly
-# in the height; test and benchmark towers are at most 60 high.
+# Bound on the height of the cohomology tower.  Its Gysin solves are a fixed
+# few, but the record and the colimit read from it grow linearly in the height;
+# benchmark towers are at most 60 high, tier-1 tests check every height here.
 MAX_N_MAX = 200
 
 

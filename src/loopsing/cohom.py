@@ -12,12 +12,13 @@ between two zero entries and vanishes.  Declared ranks of specific maps
 (notably the residue map onto the unit class) enter as tagged facts and are
 surfaced in every report; they are inputs, not computations.
 
-On top of the solver sits gysin_tower, one walk up the tower of truncation
-cohomologies of the nearby fiber of a loop functional: n_max Gysin solves,
-each checked against the shift rule and for concentration of the reduced
-cohomology.  The truncation table, the escape bookkeeping showing reduced
-classes running off to infinity, and the renormalized colimit along Gysin maps
-are all read from that one walk.
+On top of the solver sits gysin_tower, the tower of truncation cohomologies of
+the nearby fiber of a loop functional, certified from a few base steps and two
+blocks that every later Gysin sequence splits into: a constant number of
+solves, each checked against the shift rule, with the concentration of the
+reduced cohomology audited on the way.  The truncation table, the escape
+bookkeeping showing reduced classes running off to infinity, and the
+renormalized colimit along Gysin maps are all read from that one record.
 
 Everything is a pure function over small immutable values; concurrent
 invocation is safe, there is no shared state.
@@ -111,7 +112,7 @@ class GradedDims:
         return GradedDims({degree + offset: dim for degree, dim in self._dims.items()})
 
     def plus(self, other: "GradedDims | Mapping[int, int]") -> "GradedDims":
-        other_items = other.items() if isinstance(other, (GradedDims, dict)) else other
+        other_items = other.items() if isinstance(other, (GradedDims, Mapping)) else other
         merged = dict(self._dims)
         for degree, dim in other_items:
             merged[degree] = merged.get(degree, 0) + dim
@@ -238,22 +239,12 @@ def solve_les_detailed(system: LesSystem) -> LesSolution | Underdetermined:
     """
     c2 = 2 * system.codim
 
-    # Node t is slot t % 3 (A, B, C) of pattern degree t // 3 and map t is
-    # node t-1 -> t, so a fact's map is 3 * degree + 1, 2 or 3 by its kind.
     def node(t: int) -> tuple[str, int]:
         s, slot = divmod(t, 3)
         return _SLOTS[slot], s - c2 if slot == 0 else s
 
-    ranks: dict[int, int] = {}
-    for fact in system.rank_facts:
-        t = 3 * fact.degree + 1 + _KINDS.index(fact.kind)
-        if ranks.setdefault(t, fact.rank) != fact.rank:
-            raise Inconsistent(f"conflicting rank facts at {fact.kind}/{fact.degree}")
-    # Keep each nonzero A or C entry and the target of each fact's map, with
-    # their neighbours (so the fact's source too); the rest are zero entries.
-    core = {3 * (degree + c2) for degree in system.a.support}
-    core.update(3 * degree + 2 for degree in system.c_dims.support)
-    core.update(ranks)
+    ranks, core = _core(system)
+    # Keep the core and its neighbours (each fact's source too); the rest are zero.
     kept = sorted({t + step for t in core for step in (-1, 0, 1)})
 
     dims: dict[int, int | None] = {}
@@ -325,6 +316,22 @@ def solve_les_detailed(system: LesSystem) -> LesSolution | Underdetermined:
     return solution
 
 
+def _core(system: LesSystem) -> tuple[dict[int, int], set[int]]:
+    """The declared ranks by map, and the nodes with a nonzero A or C entry or a
+    fact.  Node t is slot t % 3 (A, B, C) of pattern degree t // 3 and map t is
+    node t-1 -> t, so a fact's map is 3 * degree + 1, 2 or 3 by its kind.
+    """
+    ranks: dict[int, int] = {}
+    for fact in system.rank_facts:
+        t = 3 * fact.degree + 1 + _KINDS.index(fact.kind)
+        if ranks.setdefault(t, fact.rank) != fact.rank:
+            raise Inconsistent(f"conflicting rank facts at {fact.kind}/{fact.degree}")
+    core = {3 * (degree + 2 * system.codim) for degree in system.a.support}
+    core.update(3 * degree + 2 for degree in system.c_dims.support)
+    core.update(ranks)
+    return ranks, core
+
+
 def _axioms(system: LesSystem) -> tuple[str, ...]:
     return tuple(sorted({fact.justification for fact in system.rank_facts}))
 
@@ -366,17 +373,16 @@ def _gysin_system(full_a: GradedDims, d: int) -> LesSystem:
     )
 
 
-def _checked_gysin_solution(reduced: GradedDims, d: int) -> LesSolution:
+def _checked_solution(system: LesSystem, expected: GradedDims) -> LesSolution:
     """Solve one Gysin sequence and check its B-column against the shift rule."""
-    solution = solve_les_detailed(_gysin_system(reduced.with_unit(), d))
+    solution = solve_les_detailed(system)
     if isinstance(solution, Underdetermined):
         raise RuntimeError(
             f"gysin system unexpectedly underdetermined at degrees {solution.degrees}"
         )
-    expected_full = reduced.shifted(2 * d).with_unit()
-    if solution.b != expected_full:
+    if solution.b != expected:
         raise RuntimeError(
-            f"gysin shift rule disagrees with the solver: {solution.b} != {expected_full}"
+            f"gysin shift rule disagrees with the solver: {solution.b} != {expected}"
         )
     return solution
 
@@ -388,7 +394,7 @@ def gysin_step(reduced: GradedDims, d: int) -> GradedDims:
     complement through the full-rank residue.  The shift rule is validated on
     every call against the generic solver on the full (non-reduced) system.
     """
-    _checked_gysin_solution(reduced, d)
+    _checked_solution(_gysin_system(reduced.with_unit(), d), reduced.shifted(2 * d).with_unit())
     return reduced.shifted(2 * d)
 
 
@@ -405,9 +411,10 @@ class GysinTower:
 
     truncations holds the full cohomology of truncations 0..n_max, and
     degrees the single degree carrying the reduced cohomology of each, as the
-    walk's concentration audit found it.  gysin_ranks[n-1] holds only the
-    nonzero ranks of the Gysin maps into truncation n, keyed by their target
-    degree; axioms are the declared facts the solved sequences rest on.
+    concentration audit found it on the directly solved steps, translated
+    after them.  gysin_ranks[n-1] holds only the nonzero ranks of the Gysin
+    maps into truncation n, keyed by their target degree; axioms are the
+    declared facts the solved sequences rest on.
     """
 
     d: int
@@ -497,31 +504,58 @@ class GysinTower:
 
 
 def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
-    """Walk the truncation tower once: n_max Gysin solves from the Milnor fiber.
+    """Solve the truncation tower up to n_max from the Milnor fiber, certified.
 
-    Every step's solver output is checked against the shift rule (reduced
-    cohomology moves up by 2d), and every truncation's reduced cohomology is
-    checked, once, to sit in a single degree, 2nd + d - 1 with dimension mu.
-    Only the cohomology, that degree and the nonzero Gysin ranks of each step
-    are kept.
+    Step n's Gysin sequence is a fixed unit block (A^0, C^0, C^(2d-1), the
+    residue fact) beside a mu block A^m, m = 2(n-1)d + d - 1.  The steps up to
+    n0, the first whose blocks a zero A or C node separates (2 for d = 1, else
+    1), are solved directly and audited for the shift rule (reduced cohomology
+    moves up by 2d) and concentration in one degree.  The unit block and the
+    step-n0 mu block are solved once, against the shift rule, and their union
+    must equal the step-n0 solve.  The gap only grows, and the solver solves
+    segments split by a zero node independently (locality) and a translated
+    system to the translated solution (translation equivariance), so each
+    later step is step n0 with the mu block moved up: n0 + 2 solves in all.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     base = milnor_fiber_cohomology(d, mu)
+    reduced = base.drop_unit()
+    unit_block = _gysin_system(GradedDims({0: 1}), d)
+    # Each step moves the mu block's nodes up by 6d.
+    gap = min(_core(LesSystem(d, reduced, GradedDims()))[1]) - max(_core(unit_block)[1])
+    n0 = 1 + max(0, -((gap - 3) // (6 * d)))
     truncations = [base]
     degrees = [_concentration_degree(base, 0)]
     gysin_ranks: list[dict[int, int]] = []
     axioms: set[str] = set()
-    reduced = base.drop_unit()
-    for n in range(1, n_max + 1):
-        solution = _checked_gysin_solution(reduced, d)
+    for n in range(1, min(n0, n_max) + 1):
+        step = reduced.shifted(2 * d * (n - 1))
+        solution = _checked_solution(
+            _gysin_system(step.with_unit(), d), step.shifted(2 * d).with_unit()
+        )
         truncations.append(solution.b)
         degrees.append(_concentration_degree(solution.b, n))
         gysin_ranks.append(
             {degree: rank for (kind, degree), rank in solution.ranks.items() if kind == "gysin"}
         )
         axioms.update(solution.axioms)
-        reduced = reduced.shifted(2 * d)
+    if n_max >= n0:
+        # `step` and `solution` are the mu block and the direct solve of step n0.
+        unit = _checked_solution(unit_block, GradedDims({0: 1}))
+        block = _checked_solution(LesSystem(d, step, GradedDims()), step.shifted(2 * d))
+        if solution != LesSolution(
+            unit.b.plus(block.b), {**unit.ranks, **block.ranks}, unit.segments + block.segments,
+            tuple(sorted({*unit.axioms, *block.axioms})),
+        ):
+            raise RuntimeError(f"the unit and mu blocks do not split the sequence at step {n0}")
+        # The unit block's B-column is the unit class alone, so every Gysin
+        # rank and the reduced class of step n0 lie in the mu block.
+        for n in range(n0 + 1, n_max + 1):
+            offset = 2 * d * (n - n0)
+            truncations.append(block.b.shifted(offset).with_unit())
+            degrees.append(degrees[n0] + offset)
+            gysin_ranks.append({s + offset: r for s, r in gysin_ranks[n0 - 1].items()})
     return GysinTower(
         d=d, mu=mu, truncations=tuple(truncations), degrees=tuple(degrees),
         gysin_ranks=tuple(gysin_ranks), axioms=tuple(sorted(axioms)),

@@ -206,19 +206,20 @@ def _power_expansion(
     FunctionalTooLarge once more than `budget` terms are found.
     """
     lo, hi = window.lo, window.hi
-    variables = [LoopVar(coord, j) for j in range(lo, hi + 1)]
+    variables: dict[int, LoopVar] = {}
     found: dict[int, list[tuple[tuple[tuple[LoopVar, int], ...], int]]] = {}
     made = 0
 
     def extend(start: int, left: int, total: int, chosen: tuple, weight: int) -> None:
         # The `left` indices still to choose lie in [start, hi].
+        # An index below the first cannot reach sum_lo even with the rest at hi.
         nonlocal made
-        if total + left * hi < sum_lo:
-            return
-        for j in range(start, hi + 1):
+        for j in range(max(start, sum_lo - total - (left - 1) * hi), hi + 1):
             if total + left * j > sum_hi:
                 return
-            var = variables[j - lo]
+            var = variables.get(j)
+            if var is None:
+                var = variables[j] = LoopVar(coord, j)
             for count in range(left, 0, -1):
                 reached = total + count * j
                 rest = left - count

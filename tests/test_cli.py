@@ -102,22 +102,31 @@ class TestRun:
         assert len(truncations) == 7
         assert truncations[6] == GradedDims({0: 1, 12: 1})
 
-    @pytest.mark.parametrize("n_max", [2, 5, 12])
-    def test_cohomology_walks_the_tower_once(self, monkeypatch, n_max):
+    @pytest.mark.parametrize("source, calls", [("z^2", 4), ("x^3 + y^3", 3)])
+    def test_cohomology_solves_a_fixed_number_of_sequences(self, monkeypatch, source, calls):
+        # The base steps up to n0 (2 for d = 1, else 1), then the unit and mu
+        # blocks; every later step is certified from those, whatever n_max is.
         solve = cohom.solve_les_detailed
-        calls = []
+        counts = []
+        for n_max in (2, 5, 12, MAX_N_MAX):
+            systems = []
 
-        def counted(system):
-            calls.append(system)
-            return solve(system)
+            def counted(system):
+                systems.append(system)
+                return solve(system)
 
-        monkeypatch.setattr(cohom, "solve_les_detailed", counted)
-        report = run_source("x^3 + y^3", n_max=n_max, checks=("cohomology",))
-        assert report.checks["cohomology"].ok
-        assert len(calls) == n_max
+            monkeypatch.setattr(cohom, "solve_les_detailed", counted)
+            report = run_source(source, n_max=n_max, checks=("cohomology",))
+            assert report.checks["cohomology"].ok
+            assert len(report.cohomology.tower.truncations) == n_max + 1
+            counts.append(len(systems))
+        assert counts == [calls] * 4
 
+    @pytest.mark.parametrize("source, n0", [("z^2", 2), ("x^3 + y^3", 1)])
     @pytest.mark.parametrize("n_max", [2, 5, 12])
-    def test_each_truncation_is_audited_once(self, monkeypatch, n_max):
+    def test_each_base_truncation_is_audited_once(self, monkeypatch, source, n0, n_max):
+        # Truncations past n0 are translates of the certified blocks, whose
+        # concentration the audit of truncation n0 already covers.
         audit = cohom._concentration_degree
         calls = []
 
@@ -126,11 +135,11 @@ class TestRun:
             return audit(full, n)
 
         monkeypatch.setattr(cohom, "_concentration_degree", counted)
-        report = run_source("x^3 + y^3", n_max=n_max, checks=("cohomology",))
+        report = run_source(source, n_max=n_max, checks=("cohomology",))
         report.to_json()
         report.to_text()
         assert report.checks["cohomology"].ok
-        assert calls == list(range(n_max + 1))
+        assert calls == list(range(n0 + 1))
 
     def test_failed_shift_rule_fails_the_check(self, monkeypatch):
         solve = cohom.solve_les_detailed
@@ -546,6 +555,25 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err == (
             "loopsing: error: the loop functional on window [-8, 82] "
+            f"needs more than {MAX_JET_TERMS} terms\n"
+        )
+        assert captured.out == ""
+
+    def test_wide_window_of_a_quadric_finishes(self, capsys):
+        # Each index meets its partner at once; trying every index from the
+        # bottom of the window made this take minutes.
+        with deadline(10):
+            assert main(["-f", "x^2+y^2", "--window", "8000", "--checks", "lambda",
+                         "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["lambda"]["term_count"] == 2 * 8001
+
+    @pytest.mark.parametrize("window", ["100000", "1000000000"])
+    def test_huge_window_stops_at_the_budget(self, capsys, window):
+        with deadline(10):
+            assert main(["-f", "x^2+y^2", "--window", window, "--checks", "lambda"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"loopsing: error: the loop functional on window [-{window}, {window}] "
             f"needs more than {MAX_JET_TERMS} terms\n"
         )
         assert captured.out == ""

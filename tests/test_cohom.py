@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from loopsing import cohom
 from loopsing.cohom import (
     EscapeRow,
     GradedDims,
+    GysinTower,
     Inconsistent,
     LesSolution,
     LesSystem,
@@ -29,6 +31,8 @@ from loopsing.cohom import (
     truncation_cohomology,
 )
 
+from loopsing.cli.main import MAX_N_MAX
+
 from conftest import CORPUS, deadline
 
 
@@ -39,6 +43,34 @@ def gysin_system(full_a: GradedDims, d: int) -> LesSystem:
         c_dims=sphere_cohomology(d),
         rank_facts=(residue_onto_unit_fact(d, full_a),),
     )
+
+
+def _walk_gysin_towers(d: int, mu: int, n_max: int) -> list[GysinTower]:
+    """Reference: the tower of every height up to n_max, from one direct walk.
+
+    Every step is its own Gysin solve, checked against the shift rule and for
+    concentration; the tower of height n is the record of the first n steps.
+    """
+    base = milnor_fiber_cohomology(d, mu)
+    (degree,) = base.drop_unit().support
+    truncations, degrees, gysin_ranks, axioms = [base], [degree], [], set()
+    towers = [GysinTower(d, mu, (base,), (degree,), (), ())]
+    reduced = base.drop_unit()
+    for _ in range(n_max):
+        solution = solve_les_detailed(gysin_system(reduced.with_unit(), d))
+        reduced = reduced.shifted(2 * d)
+        assert solution.b == reduced.with_unit()
+        (degree,) = solution.b.drop_unit().support
+        truncations.append(solution.b)
+        degrees.append(degree)
+        gysin_ranks.append(
+            {deg: rank for (kind, deg), rank in solution.ranks.items() if kind == "gysin"}
+        )
+        axioms.update(solution.axioms)
+        towers.append(GysinTower(
+            d, mu, tuple(truncations), tuple(degrees), tuple(gysin_ranks), tuple(sorted(axioms))
+        ))
+    return towers
 
 
 def _dense_solve_les(system: LesSystem) -> LesSolution | Underdetermined:
@@ -222,6 +254,11 @@ class TestGradedDims:
         assert dims.euler() == -3
         assert dims.total() == 5
 
+    def test_plus_takes_any_mapping(self):
+        assert GradedDims({1: 2}).plus(MappingProxyType({3: 1})) == GradedDims({1: 2, 3: 1})
+        assert GradedDims({1: 2}).plus(GradedDims({1: 1})) == GradedDims({1: 3})
+        assert GradedDims({1: 2}).plus([(1, 1), (4, 2)]) == GradedDims({1: 3, 4: 2})
+
     def test_unit_bookkeeping(self):
         assert GradedDims({1: 4}).with_unit() == GradedDims({0: 1, 1: 4})
         assert GradedDims({0: 2}).drop_unit() == GradedDims({0: 1})
@@ -361,21 +398,70 @@ class TestGysinTower:
         with pytest.raises(ValueError):
             gysin_tower(2, 4, -1)
 
-    def test_shift_rule_is_checked_at_every_step(self, monkeypatch):
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("mu", [1, 4, 27])
+    def test_block_solve_equals_the_direct_walk(self, d, mu):
+        for n_max, walked in enumerate(_walk_gysin_towers(d, mu, MAX_N_MAX)):
+            tower = gysin_tower(d, mu, n_max)
+            assert tower == walked
+            assert tower.escape_table() == walked.escape_table()
+            if n_max >= 2:
+                k = n_max % 3 - 1
+                assert tower.renormalized(k) == walked.renormalized(k)
+
+    @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
+    def test_shift_rule_is_checked_on_every_base_step_and_block(self, monkeypatch, d, n0):
         solve = cohom.solve_les_detailed
-        calls = []
+        for wrong_call in range(1, n0 + 3):
+            calls = []
 
-        def solve_wrong_after_three(system):
-            calls.append(system)
-            solution = solve(system)
-            if len(calls) < 4:
-                return solution
-            return replace(solution, b=solution.b.shifted(1))
+            def solve_wrong_once(system):
+                calls.append(system)
+                solution = solve(system)
+                if len(calls) < wrong_call:
+                    return solution
+                return replace(solution, b=solution.b.shifted(1))
 
-        monkeypatch.setattr(cohom, "solve_les_detailed", solve_wrong_after_three)
-        with pytest.raises(RuntimeError, match="shift rule"):
+            monkeypatch.setattr(cohom, "solve_les_detailed", solve_wrong_once)
+            with pytest.raises(RuntimeError, match="shift rule"):
+                gysin_tower(d, 4, 6)
+            assert len(calls) == wrong_call
+
+    def test_a_unit_block_reaching_into_the_mu_block_fails_the_audit(self, monkeypatch):
+        gysin = cohom._gysin_system
+
+        def reaching(full_a, d):
+            system = gysin(full_a, d)
+            if full_a != GradedDims({0: 1}):
+                return system
+            # C^8 onto A^5, where the mu block sits at step 2, through a
+            # residue of rank 1: the unit block's B-column is still the unit.
+            return replace(
+                system,
+                a=system.a.plus({5: 1}),
+                c_dims=system.c_dims.plus({8: 1}),
+                rank_facts=system.rank_facts + (RankFact("residue", 8, 1, "test: reach"),),
+            )
+
+        monkeypatch.setattr(cohom, "_gysin_system", reaching)
+        assert solve_les_detailed(reaching(GradedDims({0: 1}), 2)).b == GradedDims({0: 1})
+        with pytest.raises(RuntimeError, match="do not split"):
             gysin_tower(2, 4, 6)
-        assert len(calls) == 4
+        # Below the first separated step the tower is the direct walk alone.
+        assert gysin_tower(2, 4, 2) == _walk_gysin_towers(2, 4, 2)[2]
+
+    def test_block_union_must_match_the_direct_solve(self, monkeypatch):
+        solve = cohom.solve_les_detailed
+
+        def merged_segments(system):
+            solution = solve(system)
+            if system.a.dim(0) != 1 or len(system.a.support) < 2:
+                return solution
+            return replace(solution, segments=(sum(solution.segments, ()),))
+
+        monkeypatch.setattr(cohom, "solve_les_detailed", merged_segments)
+        with pytest.raises(RuntimeError, match="do not split"):
+            gysin_tower(3, 8, 4)
 
     def test_concentration_is_checked(self, monkeypatch):
         spread = GradedDims({0: 1, 1: 2, 3: 1})
