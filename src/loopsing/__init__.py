@@ -24,7 +24,7 @@ from .cohom import (
     sphere_cohomology,
     truncation_cohomology,
 )
-from .exactalg import LoopPoly, LoopVar, Monomial, Rational, grading
+from .exactalg import LoopPoly, LoopVar, Monomial
 from .grobner import (
     GroebnerBasis,
     Ideal,
@@ -70,7 +70,6 @@ __all__ = [
     "NotIsolated",
     "NotStabilized",
     "RankFact",
-    "Rational",
     "Underdetermined",
     "Window",
     "buchberger",
@@ -79,7 +78,6 @@ __all__ = [
     "check_top_linearity",
     "constant_loop_restriction",
     "escape_table",
-    "grading",
     "gysin_step",
     "gysin_tower",
     "jacobian_ideal",

@@ -56,7 +56,6 @@ class RunConfig:
     n_max: int = 4
     checks: tuple[str, ...] = CHECK_NAMES
     output_format: str = "text"
-    output_path: str | None = None
     emit_lambda: bool = False
 
     def validate(self) -> None:
@@ -100,6 +99,7 @@ def run(config: RunConfig) -> Report:
     window = minimal_window(func, bottom)
     enabled = _ordered(config.checks)
 
+    # Outcomes are added in CHECK_NAMES order, the order of report.checks.
     checks: dict[str, CheckOutcome] = {}
     lambda_terms: int | None = None
     lambda_string: str | None = None
@@ -146,7 +146,6 @@ def run(config: RunConfig) -> Report:
         except (cohom.Inconsistent, RuntimeError) as exc:
             checks["cohomology"] = CheckOutcome(ok=False, witness=str(exc))
 
-    ordered_checks = {name: checks[name] for name in CHECK_NAMES if name in checks}
     return Report(
         function=format_function(func),
         d=func.d,
@@ -156,7 +155,7 @@ def run(config: RunConfig) -> Report:
         isolated=isolated,
         lambda_term_count=lambda_terms,
         lambda_polynomial=lambda_string,
-        checks=ordered_checks,
+        checks=checks,
         cohomology=cohomology,
         timing_seconds=time.perf_counter() - started,
     )
@@ -285,15 +284,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         n_max=args.n_max,
         checks=tuple(name.strip() for name in args.checks.split(",") if name.strip()),
         output_format=args.format,
-        output_path=args.output,
         emit_lambda=args.emit_lambda,
     )
 
     try:
         report = run(config)
         rendered = report.to_json() if config.output_format == "structured" else report.to_text()
-        if config.output_path:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         else:
             sys.stdout.write(rendered)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ..exactalg import LoopPoly, LoopVar, Monomial
+from ..exactalg import LoopPoly, LoopVar, Monomial, format_terms
 from ..loopfun import InputFunction
 
 __all__ = [
@@ -303,33 +303,9 @@ def read_function_file(path: str) -> str:
     return " ".join(body)
 
 
-def _coefficient_source(coeff: Fraction) -> str:
-    mag = abs(coeff)
-    return str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-
-
 def poly_to_source(poly: LoopPoly, names: Sequence[str]) -> str:
     """Render an ambient polynomial back into the expression grammar."""
-    if poly.is_zero:
-        return "0"
-    parts: list[str] = []
-    for i, (mono, coeff) in enumerate(poly.terms):
-        factors = "*".join(
-            names[v.coord - 1] if e == 1 else f"{names[v.coord - 1]}^{e}"
-            for v, e in mono.factors
-        )
-        mag = abs(coeff)
-        if mono.is_unit:
-            body = _coefficient_source(coeff)
-        elif mag == 1:
-            body = factors
-        else:
-            body = f"{_coefficient_source(coeff)}*{factors}"
-        if i == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
+    return format_terms(poly.terms, lambda var: names[var.coord - 1])
 
 
 def format_function(func: InputFunction) -> str:

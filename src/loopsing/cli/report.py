@@ -217,14 +217,17 @@ def validate_report(document: Any) -> list[str]:
         or not _is_int(window.get("bottom"))
         or not _is_int(window.get("top"))
         or window["bottom"] < 0
+        or window["top"] < -window["bottom"]
     ):
-        err("window", "not an object with integer bottom >= 0 and top")
+        err("window", "not an object with integer bottom >= 0 and top >= -bottom")
 
-    mu = document["milnor_number"]
+    mu, isolated = document["milnor_number"], document["isolated"]
     if mu is not None and (not _is_int(mu) or mu < 1):
         err("milnor_number", "not null or a positive integer")
-    if document["isolated"] is not None and not isinstance(document["isolated"], bool):
+    if isolated is not None and not isinstance(isolated, bool):
         err("isolated", "not a boolean or null")
+    elif (mu is None) == (isolated is True):
+        err("milnor_number", "not null exactly when isolated is true")
 
     lam = document["lambda"]
     if lam is not None:
@@ -253,6 +256,8 @@ def validate_report(document: Any) -> list[str]:
                 err(f"checks.{name}.witness", "not a string")
             if "skipped" in entry and entry["skipped"] is not True:
                 err(f"checks.{name}.skipped", "present but not true")
+            elif entry.get("skipped") and entry["ok"]:
+                err(f"checks.{name}", "skipped but ok")
             if not entry["ok"] and not entry.get("skipped") and "witness" not in entry:
                 err(f"checks.{name}", "failed without a witness")
 
@@ -288,6 +293,8 @@ def validate_report(document: Any) -> list[str]:
                     ):
                         err(f"cohomology.truncations[{idx}]", "malformed")
                         continue
+                    if entry["n"] != idx:
+                        err(f"cohomology.truncations[{idx}].n", "not the row's position")
                     check_dims(f"cohomology.truncations[{idx}].dims", entry["dims"])
             check_dims("cohomology.renormalized", cohomology["renormalized"])
             check_dims("cohomology.stabilization", cohomology["stabilization"], minimum=0)
@@ -302,6 +309,8 @@ def validate_report(document: Any) -> list[str]:
                         or not all(_is_int(entry[k]) for k in entry)
                     ):
                         err(f"cohomology.escape[{idx}]", "malformed")
+                    elif entry["n"] != idx:
+                        err(f"cohomology.escape[{idx}].n", "not the row's position")
 
     axioms = document["axioms"]
     if not isinstance(axioms, list) or not all(isinstance(a, str) for a in axioms):

@@ -497,7 +497,6 @@ class GysinTower:
         return RenormalizedReport(
             stable=outcome,
             stabilization_step=steps,
-            tracked=tuple(tracked),
             normalization=normalization,
             tower=self,
         )
@@ -605,9 +604,13 @@ class RenormalizedReport:
 
     stable: GradedDims
     stabilization_step: Mapping[int, int]
-    tracked: tuple[int, ...]
     normalization: int
     tower: GysinTower
+
+    @property
+    def tracked(self) -> tuple[int, ...]:
+        """The renormalized degrees read, in increasing order."""
+        return tuple(self.stabilization_step)
 
     @property
     def axioms(self) -> tuple[str, ...]:

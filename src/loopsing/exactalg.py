@@ -26,22 +26,13 @@ from fractions import Fraction
 from typing import Union
 
 __all__ = [
-    "Rational",
     "LoopVar",
     "Monomial",
     "LoopPoly",
     "UNIT",
     "MissingAssignment",
-    "add",
-    "mul",
-    "partial",
-    "substitute",
-    "grading",
+    "format_terms",
 ]
-
-# Exact rational coefficients.  Fraction already maintains the invariants we
-# need: lowest terms, positive denominator, and 0 represented as 0/1.
-Rational = Fraction
 
 
 class MissingAssignment(KeyError):
@@ -150,11 +141,7 @@ class Monomial:
         return self.key < other.key
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return "*".join(
-            str(v) if e == 1 else f"{v}^{e}" for v, e in self.factors
-        )
+        return format_terms(((self, 1),), str)
 
     __repr__ = __str__
 
@@ -198,10 +185,6 @@ class LoopPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LoopPoly":
-        return cls()
-
-    @classmethod
     def constant(cls, value: Fraction | int) -> "LoopPoly":
         return cls({UNIT: Fraction(value)})
 
@@ -234,14 +217,10 @@ class LoopPoly:
         return dict(self._terms).get(mono, Fraction(0))
 
     @property
-    def leading_term(self) -> tuple[Monomial, Fraction]:
+    def leading_monomial(self) -> Monomial:
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
-        return self._terms[0]
-
-    @property
-    def leading_monomial(self) -> Monomial:
-        return self.leading_term[0]
+        return self._terms[0][0]
 
     def variables(self) -> tuple[LoopVar, ...]:
         seen: set[LoopVar] = set()
@@ -365,34 +344,10 @@ class LoopPoly:
 
     def to_string(self, names: Sequence[str] | None = None) -> str:
         """Render with per-coordinate names; z_j / zI_j fallback without names."""
-        if not self._terms:
-            return "0"
-
         if names is None:
             top = max((v.coord for v in self.variables()), default=1)
             names = ("z",) if top == 1 else tuple(f"z{i}" for i in range(1, top + 1))
-
-        # Each distinct factor (var, exp) and coefficient is formatted once per
-        # call; the caches live only as long as the call.
-        @functools.cache
-        def factor_text(factor: tuple[LoopVar, int]) -> str:
-            (cdeg, coord), e = factor
-            name = f"{names[coord - 1]}_{cdeg}"
-            return name if e == 1 else f"{name}^{e}"
-
-        @functools.cache
-        def coeff_text(coeff: Fraction) -> tuple[str, str, str, str]:
-            """(sign of a first term, sign of a later one, factor prefix, magnitude)."""
-            mag = abs(coeff)
-            lead, sign = ("", "+ ") if coeff > 0 else ("-", "- ")
-            return lead, sign, "" if mag == 1 else f"{mag}*", str(mag)
-
-        parts: list[str] = []
-        for mono, coeff in self._terms:
-            lead, sign, prefix, mag = coeff_text(coeff)
-            body = prefix + "*".join(map(factor_text, mono.factors)) if mono.factors else mag
-            parts.append((sign if parts else lead) + body)
-        return " ".join(parts)
+        return format_terms(self._terms, lambda var: f"{names[var.coord - 1]}_{var.cdeg}")
 
     def __str__(self) -> str:
         return self.to_string()
@@ -412,30 +367,35 @@ def as_poly(value: PolyLike) -> LoopPoly:
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
-# Free-function spellings of the core ring operations.
+def format_terms(
+    terms: Iterable[tuple[Monomial, Fraction | int]], name: Callable[[LoopVar], str]
+) -> str:
+    """The text of a sum of terms, each variable written as `name(var)`.
 
-def add(p: LoopPoly, q: LoopPoly) -> LoopPoly:
-    return p + q
-
-
-def mul(p: LoopPoly, q: LoopPoly) -> LoopPoly:
-    return p * q
-
-
-def partial(p: LoopPoly, var: LoopVar) -> LoopPoly:
-    return p.partial(var)
-
-
-def substitute(p: LoopPoly, assignment: Mapping[LoopVar, PolyLike]) -> LoopPoly:
-    return p.substitute(assignment)
-
-
-def grading(
-    p: LoopPoly, weight: Callable[[LoopVar], int] | Mapping[LoopVar, int]
-) -> set[int]:
-    """Set of weights of the homogeneous components of p.
-
-    A polynomial of pure weight yields a singleton; the zero polynomial has
-    empty support and yields the empty set.
+    A term is `c*v^e*w`: the magnitude c as `p` or `p/q`, left out when it is
+    1 unless the monomial is the unit, and `^e` only when e > 1.  A negative
+    first term starts with `-`, later terms are joined by ` + ` or ` - `, and
+    no terms at all read `0`.  This is the one way the package writes a
+    polynomial.
     """
-    return set(p.weight_set(weight))
+
+    # Each distinct factor (var, exp) and coefficient is formatted once per
+    # call; the caches live only as long as the call.
+    @functools.cache
+    def factor_text(factor: tuple[LoopVar, int]) -> str:
+        var, e = factor
+        return name(var) if e == 1 else f"{name(var)}^{e}"
+
+    @functools.cache
+    def coeff_text(coeff: Fraction | int) -> tuple[str, str, str, str]:
+        """(sign of a first term, sign of a later one, factor prefix, magnitude)."""
+        mag = abs(coeff)
+        lead, sign = ("", "+ ") if coeff > 0 else ("-", "- ")
+        return lead, sign, "" if mag == 1 else f"{mag}*", str(mag)
+
+    parts: list[str] = []
+    for mono, coeff in terms:
+        lead, sign, prefix, mag = coeff_text(coeff)
+        body = prefix + "*".join(map(factor_text, mono.factors)) if mono.factors else mag
+        parts.append((sign if parts else lead) + body)
+    return " ".join(parts) if parts else "0"

@@ -486,9 +486,7 @@ def milnor_number_oracle(func: InputFunction) -> int:
     Median of three dense GL transforms of the Fermat form per shape (2 vCPU
     Intel Xeon, CPython 3.11.7): d = 3 with delta = 3, 4, 5, 6 takes about
     0.0003, 0.001, 0.004 and 0.017 s, and d = 4 with delta = 3, 4, 5 about
-    0.005, 0.1 and 1.7 s.  With the exact rank in every degree the same
-    inputs took 0.0014, 0.010, 0.07 and 0.47 s, and 0.025 and 3.0 s for
-    d = 4 with delta = 3, 4.  The command line runs it for d <= 3 and
+    0.005, 0.1 and 1.7 s.  The command line runs it for d <= 3 and
     delta <= 5 only.
     """
     d, delta = func.d, func.delta

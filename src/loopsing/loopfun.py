@@ -133,7 +133,7 @@ class InputFunction:
         coords = sorted({v.coord for v in variables})
         if coords != list(range(1, len(coords) + 1)):
             raise ValueError(f"coordinates must be contiguous from 1, got {coords}")
-        degrees = sorted(poly.weight_set(lambda v: 1))
+        degrees = sorted({mono.degree for mono, _ in poly.terms})
         if len(degrees) > 1:
             raise NotHomogeneous(degrees[0], degrees[-1])
         if degrees[0] < 2:
@@ -190,9 +190,9 @@ def support_window(func: InputFunction, bottom: int) -> Window:
     """The window of the support check: delta conformal degrees past the bound.
 
     It contains the minimal window, whose functional is the one on this
-    window with every variable above bottom*(delta-1) set to zero.
+    window with every variable above the minimal window's top set to zero.
     """
-    return Window(bottom, bottom * (func.delta - 1) + func.delta)
+    return Window(bottom, minimal_window(func, bottom).top + func.delta)
 
 
 def _power_expansion(
@@ -364,7 +364,7 @@ def check_support_bound(
     """
     if bottom < 0:
         raise ValueError("bottom must be nonnegative")
-    bound = bottom * (func.delta - 1)
+    bound = minimal_window(func, bottom).top
     window = support_window(func, bottom)
     lam = lambda_of(func, window) if functional is None else functional
     max_present = max(v.cdeg for v in lam.variables())
@@ -423,8 +423,8 @@ def check_top_linearity(
     """
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
-    top = bottom * (func.delta - 1)
-    window = Window(bottom, top)
+    window = minimal_window(func, bottom)
+    top = window.top
     lam = lambda_of(func, window) if functional is None else functional
 
     offending = tuple(mono for mono, _ in lam.terms if _top_exponent(mono, top) > 1)
@@ -482,8 +482,8 @@ def check_derivative_identity(
     """
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
-    top = bottom * (func.delta - 1)
-    window = Window(bottom, top)
+    window = minimal_window(func, bottom)
+    top = window.top
     lam = lambda_of(func, window) if functional is None else functional
 
     checks = []

@@ -333,6 +333,27 @@ class TestStructuredOutput:
         broken = dict(good, checks={"nonsense": {"ok": True}})
         assert validate_report(broken) == ["checks.nonsense: unknown check name"]
 
+        # Documents of the right shape that no Report can produce.
+        good = run_source("x^3 + y^3").to_dict()
+        assert validate_report(good) == []
+        broken = dict(good, window={"bottom": 1, "top": -7})  # Window needs top >= -bottom
+        assert validate_report(broken) == [
+            "window: not an object with integer bottom >= 0 and top >= -bottom"
+        ]
+        broken = dict(good, checks=dict(good["checks"], milnor={"ok": True, "skipped": True}))
+        assert validate_report(broken) == ["checks.milnor: skipped but ok"]
+        for section, row, n in (("truncations", 1, 7), ("escape", 0, -3)):
+            broken = json.loads(json.dumps(good))
+            broken["cohomology"][section][row]["n"] = n
+            assert validate_report(broken) == [
+                f"cohomology.{section}[{row}].n: not the row's position"
+            ]
+        for mu, isolated in ((None, True), (4, False), (4, None)):
+            broken = dict(good, milnor_number=mu, isolated=isolated)
+            assert validate_report(broken) == [
+                "milnor_number: not null exactly when isolated is true"
+            ]
+
     @pytest.mark.parametrize(
         "path, value",
         [

@@ -140,7 +140,7 @@ class TestLoopVariables:
         assert s_polynomial(right, left) == -s_polynomial(left, right)
 
     def test_zero_divisors_are_skipped(self):
-        assert normal_form(self.p, [LoopPoly.zero(), self.f]) == normal_form(self.p, [self.f])
+        assert normal_form(self.p, [LoopPoly(), self.f]) == normal_form(self.p, [self.f])
 
 
 def _monomial_standard_monomials(gb: GroebnerBasis) -> list[Monomial] | None:
@@ -714,7 +714,7 @@ def _polys(draw, d: int, max_degree: int = 3, min_terms: int = 1, max_terms: int
 def _divisions(draw) -> tuple[LoopPoly, list[LoopPoly]]:
     d = draw(st.integers(1, 3))
     p = draw(_polys(d, max_degree=4, min_terms=0, max_terms=6))
-    divisors = st.one_of(st.just(LoopPoly.zero()), _polys(d, max_degree=2, max_terms=3))
+    divisors = st.one_of(st.just(LoopPoly()), _polys(d, max_degree=2, max_terms=3))
     return p, draw(st.lists(divisors, max_size=3))
 
 
@@ -968,7 +968,7 @@ def test_vector_key_orders_as_monomial_key(variables, data):
 class TestIdealValidation:
     def test_rejects_zero_generator_set(self):
         with pytest.raises(ValueError):
-            Ideal([LoopPoly.zero()], 1)
+            Ideal([LoopPoly()], 1)
 
     def test_rejects_loop_variables(self):
         with pytest.raises(ValueError):

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsing.cli import (
     ParseError,
     format_function,
     parse_function,
     parse_polynomial,
+    poly_to_source,
     read_function_file,
 )
 from loopsing.cli.parser import MAX_DEGREE, MAX_NESTING, MAX_PRODUCT_WORK
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
-from loopsing.loopfun import DegreeTooLow, NotHomogeneous
+from loopsing.loopfun import DegreeTooLow, NotHomogeneous, lambda_of, minimal_window
 
 from conftest import CORPUS, NON_ISOLATED_SOURCES, deadline
 
@@ -235,6 +240,140 @@ class TestRoundTrip:
         text = format_function(parse_function("y^3 + 2*x^2*y - 1/3*x^3"))
         assert "^" in text and "*" in text
         assert "_" not in text  # ambient rendering, no conformal indices
+
+
+
+# -- the printers against the three they replaced ------------------------------
+#
+# Before one term renderer served them all, the package wrote polynomials
+# three ways: the parser's source printer, LoopPoly.to_string and
+# Monomial.__str__.  The copies below are those printers, kept as references.
+
+
+def _reference_coefficient_source(coeff: Fraction) -> str:
+    mag = abs(coeff)
+    return str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+
+
+def _reference_poly_to_source(poly: LoopPoly, names: Sequence[str]) -> str:
+    if poly.is_zero:
+        return "0"
+    parts: list[str] = []
+    for i, (mono, coeff) in enumerate(poly.terms):
+        factors = "*".join(
+            names[v.coord - 1] if e == 1 else f"{names[v.coord - 1]}^{e}"
+            for v, e in mono.factors
+        )
+        mag = abs(coeff)
+        if mono.is_unit:
+            body = _reference_coefficient_source(coeff)
+        elif mag == 1:
+            body = factors
+        else:
+            body = f"{_reference_coefficient_source(coeff)}*{factors}"
+        if i == 0:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _reference_to_string(poly: LoopPoly, names: Sequence[str] | None = None) -> str:
+    if not poly.terms:
+        return "0"
+
+    if names is None:
+        top = max((v.coord for v in poly.variables()), default=1)
+        names = ("z",) if top == 1 else tuple(f"z{i}" for i in range(1, top + 1))
+
+    @functools.cache
+    def factor_text(factor: tuple[LoopVar, int]) -> str:
+        (cdeg, coord), e = factor
+        name = f"{names[coord - 1]}_{cdeg}"
+        return name if e == 1 else f"{name}^{e}"
+
+    @functools.cache
+    def coeff_text(coeff: Fraction) -> tuple[str, str, str, str]:
+        mag = abs(coeff)
+        lead, sign = ("", "+ ") if coeff > 0 else ("-", "- ")
+        return lead, sign, "" if mag == 1 else f"{mag}*", str(mag)
+
+    parts: list[str] = []
+    for mono, coeff in poly.terms:
+        lead, sign, prefix, mag = coeff_text(coeff)
+        body = prefix + "*".join(map(factor_text, mono.factors)) if mono.factors else mag
+        parts.append((sign if parts else lead) + body)
+    return " ".join(parts)
+
+
+def _reference_monomial_str(mono: Monomial) -> str:
+    if not mono.factors:
+        return "1"
+    return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in mono.factors)
+
+
+def _assert_printers_agree(poly: LoopPoly, names: Sequence[str]) -> None:
+    for naming in (names, None):
+        assert poly.to_string(naming) == _reference_to_string(poly, naming)
+    for mono, _ in poly.terms:
+        assert str(mono) == _reference_monomial_str(mono)
+
+
+PRINTER_SOURCES = (
+    [entry.source for entry in CORPUS]
+    + list(NON_ISOLATED_SOURCES)
+    + [
+        # GL transforms of Fermat forms, the second and third dense.
+        "(x + 2*y)^3 + (3*x - y)^3",
+        "(x + 2*y - w)^3 + (3*x - y + w)^3 + (x + y + 2*w)^3",
+        "(x + 2*y - w + v)^4 + (3*x - y + w - 2*v)^4 + (x + y + 2*w + 3*v)^4"
+        " + (2*x - y - 3*w + v)^4",
+        "1/2*x^2 - 3/7*y^2",
+        # Negative and unit leading terms, constants among them.
+        "-x^3 + 2*y^3",
+        "-1/3*x^2*y + y^3",
+        "-z^2",
+        "x",
+        "-x + 5/2",
+        "1",
+        "-1",
+        "-2/5",
+        "0",
+        "3 - x*y + y",
+    ]
+)
+
+
+@pytest.mark.parametrize("source", PRINTER_SOURCES)
+def test_printers_match_their_references(source):
+    poly, names = parse_polynomial(source)
+    assert poly_to_source(poly, names) == _reference_poly_to_source(poly, names)
+    _assert_printers_agree(poly, names)
+    try:
+        func = parse_function(source)
+    except (DegreeTooLow, NotHomogeneous):
+        return
+    # The loop functional: negative conformal degrees and multinomial weights.
+    _assert_printers_agree(lambda_of(func, minimal_window(func, 1)), func.names)
+
+
+_printer_polys = st.dictionaries(
+    st.dictionaries(
+        st.builds(LoopVar, st.integers(1, 3), st.integers(-3, 3)), st.integers(1, 4), max_size=3
+    ).map(Monomial),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    max_size=6,
+).map(LoopPoly)
+
+
+@settings(deadline=None)
+@given(_printer_polys, st.sampled_from([("z",), ("x", "y", "w"), ("a1", "b", "c22")]))
+def test_printers_match_their_references_on_drawn_polynomials(poly, names):
+    if len(names) == 1:
+        poly = poly.map_variables(lambda v: LoopVar(1, v.cdeg))
+    ambient = poly.map_variables(lambda v: LoopVar(v.coord, 0))
+    assert poly_to_source(ambient, names) == _reference_poly_to_source(ambient, names)
+    _assert_printers_agree(poly, names)
 
 
 class TestFunctionFile:
