@@ -14,9 +14,10 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .. import cohom, grobner
+from ..cohom import MAX_N_MAX
 from ..exactalg import LoopPoly
 from ..loopfun import (
     DegreeTooLow,
@@ -37,11 +38,6 @@ from .report import CHECK_NAMES, CheckOutcome, Report
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
 FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
-
-# Bound on the height of the cohomology tower.  Its Gysin solves are a fixed
-# few, but the record and the colimit read from it grow linearly in the height;
-# benchmark towers are at most 60 high, tier-1 tests check every height here.
-MAX_N_MAX = 200
 
 
 class ConfigError(ValueError):
@@ -238,8 +234,17 @@ def _milnor_check(func: InputFunction, mu: int) -> CheckOutcome:
     return CheckOutcome(ok=True)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Ends a command-line error with one `loopsing: error:` line, exit status 2."""
+
+    def error(self, message: str) -> NoReturn:
+        if message == "argument -f/--function: expected one argument":
+            message += " (write -f=EXPR for an expression that starts with '-')"
+        self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="loopsing",
         description=(
             "Compute the loop functional of a homogeneous polynomial with "

@@ -309,7 +309,10 @@ def poly_to_source(poly: LoopPoly, names: Sequence[str]) -> str:
 
 
 def format_function(func: InputFunction) -> str:
-    """Canonical source form of an input function; reparses to an equal one."""
+    """Source form of an input function; it reparses to an equal InputFunction.
+
+    The text need not be a fixed point: reparsing numbers coordinates by first use.
+    """
     return poly_to_source(func.poly, func.names)
 
 

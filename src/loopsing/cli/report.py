@@ -1,22 +1,21 @@
 """Report assembly: structured (JSON) and fixed-layout text output.
 
-The structured document has top-level keys function, d, delta, window,
-milnor_number, isolated, lambda, checks, cohomology, axioms, timing, and
-validate_report is its contract.  Degree-indexed maps use decimal-string keys
-so that negative degrees survive serialization unambiguously.  Reports are
-deterministic: two runs on the same configuration produce byte-identical
-documents apart from the timing field.
+The structured document is what Report.to_dict renders; validate_report
+rebuilds the Report a document claims to be and compares the renderings.
+Degree-indexed maps use decimal-string keys so that negative degrees survive
+serialization unambiguously.  Reports are deterministic: two runs on the same
+configuration produce byte-identical documents apart from the timing field.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
-from ..cohom import GradedDims, RenormalizedReport
-from ..loopfun import Window
+from ..cohom import MAX_N_MAX, GradedDims, RenormalizedReport, gysin_tower
+from ..loopfun import Window, minimal_window
+from .parser import parse_function
 
 __all__ = [
     "CHECK_NAMES",
@@ -34,6 +33,10 @@ class CheckOutcome:
     ok: bool
     witness: str | None = None
     skipped: bool = False
+
+    def __post_init__(self) -> None:
+        if self.ok and self.skipped or not self.ok and self.witness is None:
+            raise ValueError("skipped but ok" if self.ok else "failed without a witness")
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok and not c.skipped for c in self.checks.values())
+        return all(c.ok for c in self.checks.values())
 
     @property
     def exit_status(self) -> int:
@@ -170,155 +173,99 @@ def _dims_dict(dims: GradedDims) -> dict[str, int]:
     return {str(degree): dim for degree, dim in dims.items()}
 
 
-# Top-level keys of the structured report, in the order to_dict writes them.
-_REPORT_KEYS = (
-    "function", "d", "delta", "window", "milnor_number", "isolated",
-    "lambda", "checks", "cohomology", "axioms", "timing",
-)
-_DEGREE_KEY = re.compile(r"^-?[0-9]+$")
+class _Mismatch(Exception):
+    """A document leaf that no Report holds; the message is its error line."""
 
 
-def _is_int(value: Any) -> bool:
-    """A JSON integer: an int that is not a boolean."""
-    return isinstance(value, int) and not isinstance(value, bool)
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a float", bool: "a boolean", type(None): "null"}
+
+
+def _read(document: Any, path: str, *kinds: type) -> Any:
+    """The leaf at the dotted `path`, of a JSON type in `kinds`; a missing one is null."""
+    value = document
+    for key in path.split("."):
+        value = value.get(key) if type(value) is dict else None
+    if type(value) not in kinds:
+        raise _Mismatch(f"{path}: not {' or '.join(_JSON_KINDS[kind] for kind in kinds)}")
+    return value
+
+
+def _departures(expected: Any, found: Any, path: str) -> Iterator[str]:
+    """A `path: problem` line for each leaf where `found` departs from `expected`."""
+    if type(expected) is dict and type(found) is dict:
+        for key in [*expected, *(key for key in found if key not in expected)]:
+            where = f"{path}.{key}" if path else str(key)
+            if key not in found or key not in expected:
+                yield f"{where}: {'missing' if key in expected else 'unexpected'}"
+            else:
+                yield from _departures(expected[key], found[key], where)
+    elif type(expected) is list and type(found) is list and len(expected) == len(found):
+        for index, (want, have) in enumerate(zip(expected, found)):
+            yield from _departures(want, have, f"{path}[{index}]")
+    elif type(expected) is not type(found) or expected != found:
+        yield f"{path or 'document'}: expected {_show(expected)}, found {_show(found)}"
+
+
+def _show(value: Any) -> str:
+    if type(value) in (dict, list):
+        return f"{_JSON_KINDS[type(value)]} of length {len(value)}"
+    try:
+        return json.dumps(value, default=repr)
+    except ValueError:  # an integer past the interpreter's conversion limit
+        return _JSON_KINDS[int]
 
 
 def validate_report(document: Any) -> list[str]:
-    """Check a structured report against its contract; this is the contract.
+    """Check a structured report by rebuilding it; this is the contract.
 
-    Returns a list of problems, empty when the document conforms.
+    A document conforms when it is what `to_dict` renders for the Report it
+    claims to be.  That Report copies the free leaves (each check's outcome,
+    the functional's term count and text, `isolated`, the time) after a strict
+    type check, and computes the rest as `run()` does from the function, the
+    window bottom and the tower height.  Returns one `path: problem` line per
+    departure, [] when the document conforms.
     """
-    errors: list[str] = []
-
-    def err(path: str, message: str) -> None:
-        errors.append(f"{path}: {message}")
-
-    if not isinstance(document, dict):
-        return ["document: not an object"]
-
-    for key in _REPORT_KEYS:
-        if key not in document:
-            err(key, "missing")
-    extra = set(document) - set(_REPORT_KEYS)
-    if extra:
-        err("document", f"unexpected keys {sorted(extra)}")
-    if errors:
-        return errors
-
-    if not isinstance(document["function"], str):
-        err("function", "not a string")
-    for key, minimum in (("d", 1), ("delta", 2)):
-        if not _is_int(document[key]) or document[key] < minimum:
-            err(key, f"not an integer >= {minimum}")
-
-    window = document["window"]
-    if (
-        not isinstance(window, dict)
-        or not _is_int(window.get("bottom"))
-        or not _is_int(window.get("top"))
-        or window["bottom"] < 0
-        or window["top"] < -window["bottom"]
-    ):
-        err("window", "not an object with integer bottom >= 0 and top >= -bottom")
-
-    mu, isolated = document["milnor_number"], document["isolated"]
-    if mu is not None and (not _is_int(mu) or mu < 1):
-        err("milnor_number", "not null or a positive integer")
-    if isolated is not None and not isinstance(isolated, bool):
-        err("isolated", "not a boolean or null")
-    elif (mu is None) == (isolated is True):
-        err("milnor_number", "not null exactly when isolated is true")
-
-    lam = document["lambda"]
-    if lam is not None:
-        count = lam.get("term_count") if isinstance(lam, dict) else None
-        if not _is_int(count) or count < 0:
-            err("lambda", "not null or an object with integer term_count >= 0")
-        elif set(lam) - {"term_count", "polynomial"}:
-            err("lambda", "unexpected keys")
-        elif "polynomial" in lam and not isinstance(lam["polynomial"], str):
-            err("lambda.polynomial", "not a string")
-
-    checks = document["checks"]
-    if not isinstance(checks, dict):
-        err("checks", "not an object")
-    else:
-        for name, entry in checks.items():
-            if name not in CHECK_NAMES:
-                err(f"checks.{name}", "unknown check name")
-                continue
-            if not isinstance(entry, dict) or not isinstance(entry.get("ok"), bool):
-                err(f"checks.{name}", "not an object with boolean ok")
-                continue
-            if set(entry) - {"ok", "witness", "skipped"}:
-                err(f"checks.{name}", "unexpected keys")
-            if "witness" in entry and not isinstance(entry["witness"], str):
-                err(f"checks.{name}.witness", "not a string")
-            if "skipped" in entry and entry["skipped"] is not True:
-                err(f"checks.{name}.skipped", "present but not true")
-            elif entry.get("skipped") and entry["ok"]:
-                err(f"checks.{name}", "skipped but ok")
-            if not entry["ok"] and not entry.get("skipped") and "witness" not in entry:
-                err(f"checks.{name}", "failed without a witness")
-
-    def check_dims(path: str, value: Any, minimum: int = 1) -> None:
-        if not isinstance(value, dict):
-            err(path, "not an object")
-            return
-        for key, dim in value.items():
-            if not _DEGREE_KEY.match(key):
-                err(f"{path}.{key}", "key is not a decimal integer string")
-            if not _is_int(dim) or dim < minimum:
-                err(f"{path}.{key}", f"value is not an integer >= {minimum}")
-
-    cohomology = document["cohomology"]
-    if cohomology is not None:
-        if not isinstance(cohomology, dict) or set(cohomology) != {
-            "truncations",
-            "renormalized",
-            "stabilization",
-            "escape",
-        }:
-            err("cohomology", "not null or an object with the four sections")
-        else:
-            truncations = cohomology["truncations"]
-            if not isinstance(truncations, list):
-                err("cohomology.truncations", "not an array")
-            else:
-                for idx, entry in enumerate(truncations):
-                    if (
-                        not isinstance(entry, dict)
-                        or set(entry) != {"n", "dims"}
-                        or not _is_int(entry["n"])
-                    ):
-                        err(f"cohomology.truncations[{idx}]", "malformed")
-                        continue
-                    if entry["n"] != idx:
-                        err(f"cohomology.truncations[{idx}].n", "not the row's position")
-                    check_dims(f"cohomology.truncations[{idx}].dims", entry["dims"])
-            check_dims("cohomology.renormalized", cohomology["renormalized"])
-            check_dims("cohomology.stabilization", cohomology["stabilization"], minimum=0)
-            escape = cohomology["escape"]
-            if not isinstance(escape, list):
-                err("cohomology.escape", "not an array")
-            else:
-                for idx, entry in enumerate(escape):
-                    if (
-                        not isinstance(entry, dict)
-                        or set(entry) != {"n", "degree", "declared_floor"}
-                        or not all(_is_int(entry[k]) for k in entry)
-                    ):
-                        err(f"cohomology.escape[{idx}]", "malformed")
-                    elif entry["n"] != idx:
-                        err(f"cohomology.escape[{idx}].n", "not the row's position")
-
-    axioms = document["axioms"]
-    if not isinstance(axioms, list) or not all(isinstance(a, str) for a in axioms):
-        err("axioms", "not an array of strings")
-
-    timing = document["timing"]
-    seconds = timing.get("seconds") if isinstance(timing, dict) else None
-    if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
-        err("timing", "not an object with numeric seconds")
-
-    return errors
+    # A constructor or an audit that refuses a leaf is blamed on `path`.
+    path = "function"
+    try:
+        source = _read(document, path, str)
+        func = parse_function(source)
+        path = "window"
+        window = minimal_window(func, _read(document, "window.bottom", int))
+        isolated = _read(document, "isolated", bool, type(None))
+        checks = {}
+        for name in _read(document, "checks", dict):
+            path = f"checks.{name}"
+            checks[name] = CheckOutcome(
+                ok=_read(document, f"{path}.ok", bool),
+                witness=_read(document, f"{path}.witness", str, type(None)),
+                skipped=_read(document, f"{path}.skipped", bool, type(None)) is True,
+            )
+        term_count = polynomial = None
+        if _read(document, "lambda", dict, type(None)) is not None:
+            term_count = _read(document, "lambda.term_count", int)
+            polynomial = _read(document, "lambda.polynomial", str, type(None))
+            if term_count < 0:
+                raise _Mismatch("lambda.term_count: negative")
+        mu = (func.delta - 1) ** func.d if isolated else None
+        cohomology = None
+        if "cohomology" in checks and checks["cohomology"].ok:
+            path = "cohomology"
+            n_max = len(_read(document, "cohomology.truncations", list)) - 1
+            if mu is None:
+                raise _Mismatch("isolated: not true beside a passed cohomology check")
+            if n_max > MAX_N_MAX:
+                raise _Mismatch(f"cohomology.truncations: more than {MAX_N_MAX + 1} rows")
+            cohomology = gysin_tower(func.d, mu, n_max).renormalized()
+        expected = Report(
+            function=source, d=func.d, delta=func.delta, window=window,
+            milnor_number=mu, isolated=isolated,
+            lambda_term_count=term_count, lambda_polynomial=polynomial, checks=checks,
+            cohomology=cohomology, timing_seconds=_read(document, "timing.seconds", float),
+        ).to_dict()
+    except _Mismatch as exc:
+        return [str(exc)]
+    except (ValueError, RuntimeError) as exc:
+        return [f"{path}: {exc}"]
+    return list(_departures(expected, document, ""))

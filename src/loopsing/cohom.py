@@ -53,6 +53,10 @@ __all__ = [
     "declared_support_floor",
 ]
 
+# Bound on the height of the tower a report or its validation builds.  Its Gysin
+# solves are a fixed few, but the record and its colimit grow with the height.
+MAX_N_MAX = 200
+
 RESIDUE_FULL_RANK_AXIOM = (
     "Declared axiom: the residue map of the Gysin sequence has full rank at "
     "the odd sphere class in degree 2d-1 (the dlog class of the covering "

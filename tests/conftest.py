@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import signal
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -80,3 +81,24 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+DELETE = object()
+
+
+def edited(document, path, value):
+    """A deep copy of `document` with the entry at `path` set to `value`.
+
+    The last step of `path` may be a key, an index or a slice; `value` DELETE
+    removes the entry.
+    """
+    document = copy.deepcopy(document)
+    *parents, last = path
+    target = document
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return document

@@ -42,6 +42,15 @@ def test_worker_renders_the_first_case(worker, workload):
     assert status == (0 if case.isolated else 1)
 
 
+@pytest.mark.parametrize("workload", ["functional", "jacobian", "tower"])
+def test_every_seed_one_report_validates(worker, workload):
+    # Every case a 20-second benchmark run of seed 1 issues.
+    cli_main = importlib.import_module("loopsing.cli.main")
+    for case in worker.workloads.generate(workload, 1, 20):
+        text, _ = worker.render(cli_main, case)
+        assert validate_report(json.loads(text)) == [], case.source
+
+
 def test_setup_probe(capsys):
     assert main(["-f", "z^2", "--format", "structured"]) == 0
     assert validate_report(json.loads(capsys.readouterr().out)) == []

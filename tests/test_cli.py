@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopsing
 from loopsing import cohom, grobner, loopfun
 from loopsing.cli import (
+    CHECK_NAMES,
     CheckOutcome,
     ConfigError,
     Report,
@@ -30,7 +36,7 @@ from loopsing.loopfun import MAX_JET_TERMS
 from loopsing.cohom import GradedDims
 from loopsing.exactalg import LoopPoly, LoopVar
 
-from conftest import CORPUS, NON_ISOLATED_SOURCES, deadline
+from conftest import CORPUS, DELETE, NON_ISOLATED_SOURCES, deadline, edited
 
 FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
 
@@ -321,38 +327,95 @@ class TestStructuredOutput:
 
     def test_schema_rejects_malformed_documents(self):
         good = run_source("z^2").to_dict()
-        assert validate_report({}) != []
+        assert validate_report({}) == ["function: not a string"]
         broken = dict(good)
         broken["checks"] = {"lambda": {"ok": False}}  # failed without witness
-        assert validate_report(broken) != []
+        assert validate_report(broken) == ["checks.lambda: failed without a witness"]
         broken = dict(good)
         broken["cohomology"] = dict(good["cohomology"])
         broken["cohomology"]["renormalized"] = {"0.5": 1}
-        assert validate_report(broken) != []
-        assert validate_report(dict(good, bogus=1)) == ["document: unexpected keys ['bogus']"]
+        assert validate_report(broken) == [
+            "cohomology.renormalized.0: missing",
+            "cohomology.renormalized.0.5: unexpected",
+        ]
+        assert validate_report(dict(good, bogus=1)) == ["bogus: unexpected"]
         broken = dict(good, checks={"nonsense": {"ok": True}})
-        assert validate_report(broken) == ["checks.nonsense: unknown check name"]
+        assert validate_report(broken) == [
+            "checks.nonsense: unexpected",
+            "cohomology: expected null, found an object of length 4",
+            "axioms: expected an array of length 0, found an array of length 1",
+        ]
 
         # Documents of the right shape that no Report can produce.
         good = run_source("x^3 + y^3").to_dict()
         assert validate_report(good) == []
         broken = dict(good, window={"bottom": 1, "top": -7})  # Window needs top >= -bottom
-        assert validate_report(broken) == [
-            "window: not an object with integer bottom >= 0 and top >= -bottom"
-        ]
+        assert validate_report(broken) == ["window.top: expected 2, found -7"]
         broken = dict(good, checks=dict(good["checks"], milnor={"ok": True, "skipped": True}))
         assert validate_report(broken) == ["checks.milnor: skipped but ok"]
         for section, row, n in (("truncations", 1, 7), ("escape", 0, -3)):
-            broken = json.loads(json.dumps(good))
-            broken["cohomology"][section][row]["n"] = n
+            broken = edited(good, ("cohomology", section, row, "n"), n)
             assert validate_report(broken) == [
-                f"cohomology.{section}[{row}].n: not the row's position"
+                f"cohomology.{section}[{row}].n: expected {row}, found {n}"
             ]
-        for mu, isolated in ((None, True), (4, False), (4, None)):
+        broken = dict(good, milnor_number=None, isolated=True)
+        assert validate_report(broken) == ["milnor_number: expected 4, found null"]
+        for mu, isolated in ((4, False), (4, None)):
             broken = dict(good, milnor_number=mu, isolated=isolated)
             assert validate_report(broken) == [
-                "milnor_number: not null exactly when isolated is true"
+                "isolated: not true beside a passed cohomology check"
             ]
+
+    @pytest.mark.parametrize(
+        "path, value, errors",
+        [
+            (("window", "top"), 5, ["window.top: expected 2, found 5"]),
+            (("d",), 3, ["d: expected 2, found 3"]),
+            (("delta",), 4, ["delta: expected 3, found 4"]),
+            (("milnor_number",), 5, ["milnor_number: expected 4, found 5"]),
+            (
+                ("cohomology", "escape", slice(2, None)), DELETE,
+                ["cohomology.escape: expected an array of length 5, found an array of length 2"],
+            ),
+            (
+                ("cohomology", "truncations", 2, "dims"), {"0": 1, "9": 5},
+                ["cohomology.truncations[2].dims.9: expected 4, found 5"],
+            ),
+            (
+                ("cohomology", "renormalized"), {"1": 5},
+                ["cohomology.renormalized.1: expected 4, found 5"],
+            ),
+            (
+                ("cohomology", "stabilization", "-4"), 0,
+                ["cohomology.stabilization.-4: expected 2, found 0"],
+            ),
+            (
+                ("cohomology", "escape", 1, "degree"), 99,
+                ["cohomology.escape[1].degree: expected 5, found 99"],
+            ),
+            (
+                ("axioms",), [],
+                ["axioms: expected an array of length 1, found an array of length 0"],
+            ),
+            (
+                ("function",), "x^3 + y^2",
+                ["function: not homogeneous: monomials of degrees 2 and 3"],
+            ),
+            (
+                ("checks", "cohomology"), DELETE,
+                [
+                    "cohomology: expected null, found an object of length 4",
+                    "axioms: expected an array of length 0, found an array of length 1",
+                ],
+            ),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+    )
+    def test_schema_rejects_what_the_program_would_not_derive(self, path, value, errors):
+        # d, delta, the window, the Milnor number and the cohomology section
+        # are fixed by the function, the window bottom and the tower height.
+        good = run_source("x^3 + y^3").to_dict()
+        assert validate_report(edited(good, path, value)) == errors
 
     @pytest.mark.parametrize(
         "path, value",
@@ -708,6 +771,113 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("loopsing: error:") and err.count("\n") == 1
         assert "not UTF-8 text at byte 0" in err and str(path) in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["-f", "-x^2-y^2"],
+                "argument -f/--function: expected one argument "
+                "(write -f=EXPR for an expression that starts with '-')",
+            ),
+            (["-f", "x^2", "--window", "abc"], "argument --window: invalid int value: 'abc'"),
+            ([], "one of the arguments -f/--function --file is required"),
+            (
+                ["-f", "x^2", "--file", "fn.txt"],
+                "argument --file: not allowed with argument -f/--function",
+            ),
+            (
+                ["-f", "x^2", "--format", "xml"],
+                "argument --format: invalid choice: 'xml' (choose from 'text', 'structured')",
+            ),
+            (["-f", "x^2", "--bogus", "a\nb"], "unrecognized arguments: --bogus a b"),
+        ],
+        ids=["leading minus", "bad window", "no source", "two sources", "bad format",
+             "unknown flag"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"loopsing: error: {message}\n"
+        assert captured.out == ""
+
+    def test_leading_minus_after_equals_sign(self, capsys):
+        assert main(["-f=-x^2-y^2", "--checks", "milnor", "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["function"] == "-y^2 - x^2"
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        usage = "usage: loopsing [-h] (-f FUNCTION | --file FILE)"
+        assert capsys.readouterr().out.startswith(usage)
+
+
+# Inputs are token soup over the whole grammar, or homogeneous sums of
+# monomials and powers of linear forms.  Exponents of at most 3, at most ten
+# soup tokens and windows of at most 1 keep every functional far below
+# MAX_JET_TERMS.
+_TOKEN_SOUP = st.lists(
+    st.one_of(
+        st.sampled_from(["x", "y", "w", "+", "-", "*", "^", "(", ")", " "]),
+        st.integers(0, 3).map(str),
+        st.builds("{}/{}".format, st.integers(0, 3), st.integers(0, 3)),
+    ),
+    max_size=10,
+).map("".join)
+_COEFFICIENTS = st.one_of(
+    st.integers(1, 3).map(str), st.builds("{}/{}".format, st.integers(1, 3), st.integers(1, 3))
+)
+
+
+def _homogeneous(degree: int):
+    """Sums of one to three terms of `degree` in x, y and w, with coefficients."""
+    monomial = st.lists(st.sampled_from("xyw"), min_size=degree, max_size=degree).map(
+        lambda names: "*".join(f"{name}^{names.count(name)}" for name in sorted(set(names)))
+    )
+    linear_power = st.lists(
+        st.tuples(_COEFFICIENTS, st.sampled_from("xyw")), min_size=1, max_size=3
+    )
+    linear_power = linear_power.map(
+        lambda terms: "(" + " + ".join(f"{c}*{name}" for c, name in terms) + f")^{degree}"
+    )
+    term = st.tuples(
+        st.sampled_from([" + ", " - "]), _COEFFICIENTS, st.one_of(monomial, linear_power)
+    )
+    return st.lists(term, min_size=1, max_size=3).map(
+        lambda terms: "".join(f"{sign}{c}*{body}" for sign, c, body in terms)[3:]
+    )
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=2), derandomize=True)
+@given(
+    expression=st.one_of(_TOKEN_SOUP, st.integers(2, 3).flatmap(_homogeneous)),
+    inline=st.booleans(),
+    window=st.sampled_from([1, 1, 1, 0]),
+    n_max=st.sampled_from([2, 4, 6, 1]),
+    checks=st.lists(st.sampled_from(CHECK_NAMES), min_size=1, max_size=6, unique=True),
+    structured=st.booleans(),
+)
+def test_command_line_fuzz(expression, inline, window, n_max, checks, structured):
+    argv = [f"-f={expression}"] if inline else ["-f", expression]
+    argv += ["--window", str(window), "--n-max", str(n_max), "--checks", ",".join(checks),
+             "--format", "structured" if structured else "text"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert err.getvalue().startswith("loopsing: error:")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        if structured:
+            assert validate_report(json.loads(out.getvalue())) == []
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Each narrative demo runs to completion and prints its pinned text."""
+"""Each narrative demo runs to completion and prints its pinned text; the README tour runs."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import pytest
 
 import loopsing
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # SHA-256 of each demo's stdout.  The demos print polynomials, windows and
 # cohomology through the package's printers, so a change to any of them that
@@ -38,3 +39,10 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == STDOUT_DIGESTS[demo.stem]
+
+
+def test_readme_library_tour_runs():
+    # The tour spells the public names; renaming one must fail here too.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md (library tour)", "exec"), {})
