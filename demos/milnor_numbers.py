@@ -2,9 +2,11 @@
 
 The dimension of the quotient by the partial derivatives counts the vanishing
 cycles of an isolated singularity.  The package computes it by Groebner basis
-plus standard-monomial enumeration, and cross-checks by ranks of exact
-multiplication matrices; for a homogeneous singularity in d variables of
-degree delta both must give (delta-1)^d.
+plus standard-monomial enumeration, and cross-checks by the rank of one
+Macaulay matrix: the products of each partial with the monomials of one
+degree span that degree exactly when the singularity is isolated, and then
+the partials form a regular sequence.  For a homogeneous singularity in d
+variables of degree delta both must give (delta-1)^d.
 """
 
 from loopsing import (

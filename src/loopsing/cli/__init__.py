@@ -10,10 +10,11 @@ from .parser import (
     poly_to_source,
     read_function_file,
 )
-from .report import CHECK_NAMES, CheckOutcome, Report, validate_report
+from .report import CHECK_NAMES, FUNCTIONAL_CHECKS, CheckOutcome, Report, validate_report
 
 __all__ = [
     "CHECK_NAMES",
+    "FUNCTIONAL_CHECKS",
     "CheckOutcome",
     "ConfigError",
     "ParseError",

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Collection, Iterator, Mapping
 
 from ..cohom import MAX_N_MAX, GradedDims, RenormalizedReport, gysin_tower
-from ..loopfun import Window, minimal_window
+from ..loopfun import MAX_JET_TERMS, Window, minimal_window
 from .parser import parse_function
 
 __all__ = [
     "CHECK_NAMES",
+    "FUNCTIONAL_CHECKS",
     "CheckOutcome",
     "Report",
     "validate_report",
@@ -26,6 +27,39 @@ __all__ = [
 
 # Dependency order; reports always list checks this way.
 CHECK_NAMES = ("lambda", "support", "linearity", "derivative", "milnor", "cohomology")
+# The checks that read the loop functional.
+FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
+
+
+def run_problem(checks: Collection[str], bottom: int, n_max: int | None) -> tuple[str, str] | None:
+    """The first rule of a run that the checks, the window bottom and the tower
+    height break, as (the report path that shows it, the problem); None if none.
+
+    `RunConfig.validate` and `Report` both ask it; a Report without a tower
+    passes `n_max` None.  No functional fits a window bottom past
+    MAX_JET_TERMS, since a monomial of degree >= 2 expands to more terms than
+    that, and its window top may be too long to print.
+    """
+    if not checks:
+        return "checks", "at least one check must be enabled"
+    unknown = [name for name in checks if name not in CHECK_NAMES]
+    if unknown:
+        return "checks", f"unknown checks: {', '.join(unknown)}"
+    if bottom < 0:
+        return "window.bottom", "window bottom must be nonnegative"
+    if bottom > MAX_JET_TERMS:
+        return "window.bottom", f"window bottom must be at most {MAX_JET_TERMS}"
+    if bottom < 1 and ("linearity" in checks or "derivative" in checks):
+        return "window.bottom", "linearity and derivative checks need window >= 1"
+    if n_max is None:
+        return None
+    if n_max < 1:
+        return "cohomology", "n-max must be positive"
+    if n_max > MAX_N_MAX:
+        return "cohomology", f"n-max must be at most {MAX_N_MAX}"
+    if "cohomology" in checks and n_max < max(2, bottom):
+        return "cohomology", "n-max must be >= 2 and >= the window bottom"
+    return None
 
 
 @dataclass(frozen=True)
@@ -35,8 +69,10 @@ class CheckOutcome:
     skipped: bool = False
 
     def __post_init__(self) -> None:
-        if self.ok and self.skipped or not self.ok and self.witness is None:
-            raise ValueError("skipped but ok" if self.ok else "failed without a witness")
+        if self.ok and (self.skipped or self.witness is not None):
+            raise ValueError("skipped but ok" if self.skipped else "ok with a witness")
+        if not self.ok and self.witness is None:
+            raise ValueError("failed without a witness")
 
 
 @dataclass(frozen=True)
@@ -52,6 +88,18 @@ class Report:
     checks: Mapping[str, CheckOutcome]
     cohomology: RenormalizedReport | None
     timing_seconds: float = field(compare=False, default=0.0)
+
+    def __post_init__(self) -> None:
+        n_max = None if self.cohomology is None else self.cohomology.tower.n_max
+        problem = run_problem(self.checks, self.window.bottom, n_max)
+        if problem is None and self.lambda_term_count is not None:
+            if not any(name in self.checks for name in FUNCTIONAL_CHECKS):
+                problem = "lambda", "present beside no functional check"
+        if problem is None and self.isolated is not None:
+            if "milnor" not in self.checks and "cohomology" not in self.checks:
+                problem = "isolated", "set beside no milnor or cohomology check"
+        if problem is not None:
+            raise _Mismatch(": ".join(problem))
 
     @property
     def axioms(self) -> tuple[str, ...]:
@@ -173,8 +221,9 @@ def _dims_dict(dims: GradedDims) -> dict[str, int]:
     return {str(degree): dim for degree, dim in dims.items()}
 
 
-class _Mismatch(Exception):
-    """A document leaf that no Report holds; the message is its error line."""
+class _Mismatch(ValueError):
+    """A document leaf that no Report holds, or a Report that `run()` cannot
+    make; the message is its error line, path first."""
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
@@ -255,8 +304,9 @@ def validate_report(document: Any) -> list[str]:
             n_max = len(_read(document, "cohomology.truncations", list)) - 1
             if mu is None:
                 raise _Mismatch("isolated: not true beside a passed cohomology check")
-            if n_max > MAX_N_MAX:
-                raise _Mismatch(f"cohomology.truncations: more than {MAX_N_MAX + 1} rows")
+            problem = run_problem(checks, window.bottom, n_max)  # before a tall tower is built
+            if problem is not None:
+                raise _Mismatch(": ".join(problem))
             cohomology = gysin_tower(func.d, mu, n_max).renormalized()
         expected = Report(
             function=source, d=func.d, delta=func.delta, window=window,

@@ -3,10 +3,9 @@
 Buchberger's algorithm with the normal selection strategy and both classical
 pair-elimination criteria, reduced bases, standard-monomial enumeration, and
 the Milnor number of a homogeneous polynomial with isolated singularity.  A
-second, Groebner-free route computes the same number by linear algebra on the
-truncated multiplication matrix, ranks modulo a prime certified exact by the
-Hilbert function of a complete intersection, and serves as an independent
-oracle.
+second, Groebner-free route decides isolation from the rank of one Macaulay
+matrix, the (monomial * partial) products of one degree, taken modulo a prime
+and exactly when that falls short, and serves as an independent oracle.
 
 The monomial order is the graded reverse lexicographic order fixed in
 exactalg; any global order yields the same Milnor number, this one is fixed
@@ -35,10 +34,9 @@ LoopPoly or Monomial per step:
   coprime and strict chain criteria keep (`_verify_basis`);
 - the Milnor count reads the leading vectors only (`_staircase_size`);
 - the oracle packs each (monomial * partial) row into one int, a 64-bit slot
-  per column, eliminates it modulo a prime below 2^20 (`_rank_mod_p`), and
-  stops at the rank the complete intersection's Hilbert function predicts;
-  a degree that falls short goes to `_rank`, which eliminates sparse integer
-  rows fraction-free, dividing each by its content.
+  per column, and eliminates it modulo a prime below 2^20 (`_rank_mod_p`);
+  a matrix that falls short of full rank goes to `_rank`, which eliminates
+  sparse integer rows fraction-free, dividing each by its content.
 
 Fraction-free elimination is classical: Bareiss 1968, and Cox, Little and
 O'Shea, "Ideals, Varieties, and Algorithms", ch. 2.  The Hilbert function of
@@ -462,32 +460,23 @@ def milnor_number(func: InputFunction) -> int:
 
 
 def milnor_number_oracle(func: InputFunction) -> int:
-    """Groebner-free Milnor number via linear algebra, certified modulo a prime.
+    """Groebner-free Milnor number: one Macaulay matrix decides isolation.
 
-    Works degree by degree up to one past the top degree d*(delta-2) of the
-    Jacobian ring: in each degree the span of (monomial * partial) products is
-    a matrix whose corank is the Hilbert function there.  A nonzero dimension
-    past the top degree certifies a non-isolated singularity, because the
-    quotient of a graded ring generated in degree one vanishes forever once it
-    vanishes in a single degree.
+    The partials are d forms of degree delta-1 in d variables.  Their only
+    common zero is the origin exactly when their ideal holds every monomial of
+    the degree D = d*(delta-2)+1, i.e. when the (monomial * partial) products
+    of degree D span that degree: the Macaulay resultant (Macaulay 1902; Cox,
+    Little and O'Shea, "Using Algebraic Geometry", ch. 3 section 4).  Then the
+    partials form a regular sequence, so the Jacobian ring has the Hilbert
+    series (1 + t + ... + t^(delta-2))^d and mu = (delta-1)^d (Froeberg 1985;
+    Eisenbud, "Commutative Algebra", section 17).  So this route proves mu
+    through that theorem; it does not sum the coranks of the lower degrees.
 
-    Each degree's rank is eliminated modulo the prime _PRIME, and stops once
-    it reaches the column count minus HF_CI(k), the coefficient of t^k in
-    (1 + t + ... + t^(delta-2))^d.  For any d forms of degree delta-1 in d
-    variables, HF_CI(k) <= HF(k) over the rationals <= HF(k) modulo p.  The
-    left inequality holds because the rank is lower semicontinuous in the
-    coefficients, so no rank exceeds the generic one, and generic forms are
-    a regular sequence, with Hilbert function HF_CI.  The right one holds
-    because a minor that is nonzero modulo p is nonzero over the integers.
-    So reaching that rank certifies HF(k) = HF_CI(k) exactly.  A degree that
-    falls short, from an unlucky prime or a non-isolated singularity, is
-    recomputed with the exact rank.
-
-    Median of three dense GL transforms of the Fermat form per shape (2 vCPU
-    Intel Xeon, CPython 3.11.7): d = 3 with delta = 3, 4, 5, 6 takes about
-    0.0003, 0.001, 0.004 and 0.017 s, and d = 4 with delta = 3, 4, 5 about
-    0.005, 0.1 and 1.7 s.  The command line runs it for d <= 3 and
-    delta <= 5 only.
+    The matrix is ranked modulo the prime _PRIME first.  A minor that is
+    nonzero modulo p is nonzero over the integers, so full rank modulo p is
+    full rank over the rationals.  A rank that falls short, from an unlucky
+    prime or a non-isolated singularity, is recomputed with the exact `_rank`,
+    and NotIsolated is raised when that falls short too.
     """
     d, delta = func.d, func.delta
     top = d * (delta - 2) + 1
@@ -498,51 +487,24 @@ def milnor_number_oracle(func: InputFunction) -> int:
     gens = [
         {sum(map(mul, e, weights)): c for e, c in gen} for gen in jacobian_ideal(func)._terms
     ]
+    offsets = [sum(map(mul, e, weights)) for e in _monomial_exponents(d, top - delta + 1)]
+    columns = math.comb(top + d - 1, d - 1)
     packed = [_pack(gen) for gen in gens]
-    floors = _complete_intersection_hilbert(d, delta)
-
-    total = 0
-    for degree in range(top + 1):
-        columns = math.comb(degree + d - 1, d - 1)
-        offsets = [
-            sum(map(mul, e, weights)) for e in _monomial_exponents(d, degree - delta + 1)
-        ]
-        target = columns - floors[degree]
-        rank = _rank_mod_p((g << (_SLOT * o) for g in packed for o in offsets), target)
-        if rank < target:
-            rank = _rank({col + o: c for col, c in g.items()} for g in gens for o in offsets)
-        h = columns - rank
-        if degree == top:
-            if h > 0:
-                raise NotIsolated(
-                    "the truncated Jacobian quotient does not vanish past its "
-                    "expected top degree; the singular locus is positive "
-                    "dimensional"
-                )
-        else:
-            total += h
-    return total
-
-
-def _complete_intersection_hilbert(d: int, delta: int) -> list[int]:
-    """HF_CI(k) for k = 0 .. d*(delta-2)+1: the coefficients of
-    (1 + t + ... + t^(delta-2))^d, then the 0 one past the top degree.
-
-    It is the Hilbert function of the quotient by d forms of degree delta-1
-    that form a regular sequence (Froeberg 1985; Eisenbud, Commutative
-    Algebra, section 17).
-    """
-    series = [1]
-    for _ in range(d):
-        series = [
-            sum(series[max(0, k - delta + 2) : k + 1]) for k in range(len(series) + delta - 2)
-        ]
-    return series + [0]
+    if (
+        _rank_mod_p((g << (_SLOT * o) for g in packed for o in offsets), columns) < columns
+        and _rank({col + o: c for col, c in g.items()} for g in gens for o in offsets) < columns
+    ):
+        raise NotIsolated(
+            "the truncated Jacobian quotient does not vanish past its "
+            "expected top degree; the singular locus is positive "
+            "dimensional"
+        )
+    return (delta - 1) ** d
 
 
 # The prime of the modular rank, the largest below 2^20.  A packed row holds
 # one 64-bit slot per column; each pivot a row meets adds less than p^2 to a
-# slot, so slots stay below 2^64 while a degree has fewer than 2^24 columns.
+# slot, so slots stay below 2^64 while the matrix has fewer than 2^24 columns.
 _PRIME = 1048573
 _SLOT = 64
 _SLOT_MASK = (1 << _SLOT) - 1

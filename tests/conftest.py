@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import signal
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -102,3 +105,29 @@ def edited(document, path, value):
     else:
         target[last] = value
     return document
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str):
+    """The benchmark module bench/<name>.py, loaded once as `bench_<name>`.
+
+    It is registered in sys.modules, where a dataclass looks its module up,
+    and runs with bench/ on the import path, so that it imports its siblings
+    by name as it does in the benchmark.
+    """
+    key = f"bench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        sys.path.insert(0, str(BENCH))
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[key]
+            raise
+        finally:
+            sys.path.remove(str(BENCH))
+    return sys.modules[key]

@@ -9,29 +9,18 @@ both calls are made here as the benchmark makes them.
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from loopsing.cli import main, validate_report
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from conftest import bench_module
 
 
 @pytest.fixture(scope="module")
 def worker():
-    # The worker imports its siblings `calibrate` and `workloads` by name.
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("bench_worker", BENCH / "worker.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
-    return module
+    return bench_module("worker")
 
 
 @pytest.mark.parametrize("workload", ["functional", "jacobian", "tower"])

@@ -22,6 +22,7 @@ import loopsing
 from loopsing import cohom, grobner, loopfun
 from loopsing.cli import (
     CHECK_NAMES,
+    FUNCTIONAL_CHECKS,
     CheckOutcome,
     ConfigError,
     Report,
@@ -30,15 +31,12 @@ from loopsing.cli import (
     run,
     validate_report,
 )
-from loopsing.cli.main import MAX_N_MAX
 from loopsing.cli.parser import MAX_PRODUCT_WORK
+from loopsing.cohom import MAX_N_MAX, GradedDims
 from loopsing.loopfun import MAX_JET_TERMS
-from loopsing.cohom import GradedDims
 from loopsing.exactalg import LoopPoly, LoopVar
 
 from conftest import CORPUS, DELETE, NON_ISOLATED_SOURCES, deadline, edited
-
-FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
 
 
 def run_source(source: str, **overrides) -> Report:
@@ -279,6 +277,23 @@ class TestRun:
         assert "not isolated" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    def test_oracle_matrix_missing_rows_fails_the_check(self, monkeypatch):
+        # Only the oracle reads _monomial_exponents: dropping every other
+        # shift leaves its Macaulay matrix short of rows, while the basis count
+        # is untouched.
+        exponents = grobner._monomial_exponents
+        monkeypatch.setattr(
+            grobner, "_monomial_exponents", lambda d, degree: exponents(d, degree)[::2]
+        )
+        source = "(2*x - y + w)^5 + (x + 3*y - 2*w)^5 + (-x + y + 3*w)^5"
+        report = run_source(source, checks=("milnor",))
+        assert report.checks["milnor"] == CheckOutcome(
+            ok=False,
+            witness="linear-algebra oracle finds the singularity not isolated, "
+            "basis count gives 64",
+        )
+        assert report.milnor_number == 64 and report.exit_status == 1
+
     def test_axioms_listed_when_cohomology_runs(self):
         report = run_source("z^2")
         assert any("residue" in axiom for axiom in report.axioms)
@@ -340,11 +355,7 @@ class TestStructuredOutput:
         ]
         assert validate_report(dict(good, bogus=1)) == ["bogus: unexpected"]
         broken = dict(good, checks={"nonsense": {"ok": True}})
-        assert validate_report(broken) == [
-            "checks.nonsense: unexpected",
-            "cohomology: expected null, found an object of length 4",
-            "axioms: expected an array of length 0, found an array of length 1",
-        ]
+        assert validate_report(broken) == ["checks: unknown checks: nonsense"]
 
         # Documents of the right shape that no Report can produce.
         good = run_source("x^3 + y^3").to_dict()
@@ -416,6 +427,43 @@ class TestStructuredOutput:
         # are fixed by the function, the window bottom and the tower height.
         good = run_source("x^3 + y^3").to_dict()
         assert validate_report(edited(good, path, value)) == errors
+
+    @pytest.mark.parametrize(
+        "checks, edits, error",
+        [
+            (("lambda", "milnor"), {"checks": {}}, "checks: at least one check must be enabled"),
+            (
+                ("lambda", "milnor"), {"checks": {"milnor": {"ok": True}}},
+                "lambda: present beside no functional check",
+            ),
+            (
+                ("lambda", "milnor"),
+                {"checks": {"lambda": {"ok": True, "witness": "w"}, "milnor": {"ok": True}}},
+                "checks.lambda: ok with a witness",
+            ),
+            (
+                ("lambda", "milnor"),
+                {"checks": {"linearity": {"ok": True}}, "window": {"bottom": 0, "top": 0}},
+                "window.bottom: linearity and derivative checks need window >= 1",
+            ),
+            (
+                CHECK_NAMES, {"window": {"bottom": 5, "top": 10}},
+                "cohomology: n-max must be >= 2 and >= the window bottom",
+            ),
+            (
+                ("lambda", "milnor"), {"checks": {"lambda": {"ok": True}}},
+                "isolated: set beside no milnor or cohomology check",
+            ),
+        ],
+        ids=["no checks", "lambda alone", "ok witness", "linearity at 0", "short tower",
+             "isolated alone"],
+    )
+    def test_schema_rejects_a_run_that_run_refuses(self, checks, edits, error):
+        # The rules RunConfig.validate applies to a run, and the sections
+        # each check brings, are the Report's own rules too.
+        good = run_source("x^3 + y^3", checks=checks, n_max=2).to_dict()
+        assert validate_report(good) == []
+        assert validate_report(dict(good, **edits)) == [error]
 
     @pytest.mark.parametrize(
         "path, value",
@@ -651,15 +699,23 @@ class TestMain:
                          "--format", "structured"]) == 0
         assert json.loads(capsys.readouterr().out)["lambda"]["term_count"] == 2 * 8001
 
-    @pytest.mark.parametrize("window", ["100000", "1000000000"])
-    def test_huge_window_stops_at_the_budget(self, capsys, window):
+    @pytest.mark.parametrize(
+        "window, error",
+        [
+            (
+                "100000",
+                f"the loop functional on window [-100000, 100000] needs more than "
+                f"{MAX_JET_TERMS} terms",
+            ),
+            # Past the jet budget the window itself is refused.
+            ("1000000000", f"window bottom must be at most {MAX_JET_TERMS}"),
+        ],
+    )
+    def test_huge_window_stops_at_the_budget(self, capsys, window, error):
         with deadline(10):
             assert main(["-f", "x^2+y^2", "--window", window, "--checks", "lambda"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"loopsing: error: the loop functional on window [-{window}, {window}] "
-            f"needs more than {MAX_JET_TERMS} terms\n"
-        )
+        assert captured.err == f"loopsing: error: {error}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -733,6 +789,23 @@ class TestMain:
             assert main(["-f", "x^2 + y^2", "--n-max", n_max]) == 2
         err = capsys.readouterr().err
         assert err == f"loopsing: error: n-max must be at most {MAX_N_MAX}\n"
+
+    @pytest.mark.parametrize("output_format", ["text", "structured"])
+    @pytest.mark.parametrize("window", [str(MAX_JET_TERMS + 1), "9" + "0" * 4299])
+    def test_window_budget_is_a_configuration_error(self, capsys, output_format, window):
+        # No check builds a functional here, so only the window bound stops
+        # a window top too long to print.
+        argv = ["-f", "x^3 + y^3", "--checks", "milnor", "--window", window]
+        with deadline(10):
+            assert main(argv + ["--format", output_format]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"loopsing: error: window bottom must be at most {MAX_JET_TERMS}\n"
+        assert captured.out == ""
+
+    def test_window_at_the_budget_runs(self, capsys):
+        argv = ["-f", "x^3 + y^3", "--checks", "milnor", "--window", str(MAX_JET_TERMS)]
+        assert main(argv + ["--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["window"]["top"] == 2 * MAX_JET_TERMS
 
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(Path(loopsing.__file__).parents[1]))

@@ -17,6 +17,7 @@ from loopsing.cohom import (
     Inconsistent,
     LesSolution,
     LesSystem,
+    MAX_N_MAX,
     RankFact,
     Underdetermined,
     declared_support_floor,
@@ -30,8 +31,6 @@ from loopsing.cohom import (
     sphere_cohomology,
     truncation_cohomology,
 )
-
-from loopsing.cli.main import MAX_N_MAX
 
 from conftest import CORPUS, deadline
 

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
+import math
 import random
-import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
-from pathlib import Path
+from operator import add, le, mul, sub
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -32,7 +30,7 @@ from loopsing.grobner import (
     standard_monomials,
 )
 
-from conftest import CORPUS, NON_ISOLATED_SOURCES, build, fermat_source
+from conftest import CORPUS, NON_ISOLATED_SOURCES, bench_module, build, fermat_source
 
 
 def lv(coord: int) -> LoopPoly:
@@ -574,11 +572,86 @@ def _rank_refused(rows):
     raise AssertionError("the exact rank ran")
 
 
+def _complete_intersection_hilbert(d: int, delta: int) -> list[int]:
+    """HF_CI(k) for k = 0 .. d*(delta-2)+1: the coefficients of
+    (1 + t + ... + t^(delta-2))^d, then the 0 one past the top degree.
+
+    It is the Hilbert function of the quotient by d forms of degree delta-1
+    that form a regular sequence (Froeberg 1985; Eisenbud, Commutative
+    Algebra, section 17).
+    """
+    series = [1]
+    for _ in range(d):
+        series = [
+            sum(series[max(0, k - delta + 2) : k + 1]) for k in range(len(series) + delta - 2)
+        ]
+    return series + [0]
+
+
+def _per_degree_oracle(func) -> int:
+    """Reference: the oracle as it was before one matrix decided isolation.
+
+    Each degree up to one past the top degree d*(delta-2) is ranked modulo the
+    prime until the rank reaches the column count minus HF_CI there, with the
+    exact `_rank` where it falls short; the coranks below the top are summed,
+    and a nonzero corank one past the top raises NotIsolated.
+    """
+    d, delta = func.d, func.delta
+    top = d * (delta - 2) + 1
+    weights = [(top + 1) ** i for i in range(d - 1)] + [0]
+    gens = [
+        {sum(map(mul, e, weights)): c for e, c in gen} for gen in jacobian_ideal(func)._terms
+    ]
+    packed = [grobner._pack(gen) for gen in gens]
+    floors = _complete_intersection_hilbert(d, delta)
+    total = 0
+    for degree in range(top + 1):
+        columns = math.comb(degree + d - 1, d - 1)
+        offsets = [
+            sum(map(mul, e, weights))
+            for e in grobner._monomial_exponents(d, degree - delta + 1)
+        ]
+        target = columns - floors[degree]
+        rows = (g << (grobner._SLOT * o) for g in packed for o in offsets)
+        rank = grobner._rank_mod_p(rows, target)
+        if rank < target:
+            rank = grobner._rank(
+                {col + o: c for col, c in g.items()} for g in gens for o in offsets
+            )
+        if degree == top:
+            if columns > rank:
+                raise NotIsolated("positive-dimensional singular locus")
+        else:
+            total += columns - rank
+    return total
+
+
+def _oracle_outcome(oracle, func) -> int | str:
+    try:
+        return oracle(func)
+    except NotIsolated:
+        return "not isolated"
+
+
+def _agrees_with_the_reference(func) -> int | str:
+    """The oracle's outcome, after asserting that the reference's is the same."""
+    outcome = _oracle_outcome(milnor_number_oracle, func)
+    assert outcome == _oracle_outcome(_per_degree_oracle, func)
+    return outcome
+
+
+# A d = 4 form with a line of singular points: three cubes of dense linear
+# forms vanish to second order on their common kernel.
+_DENSE_4_3_NOT_ISOLATED = (
+    "(x + 2*y - w + v)^3 + (3*x - y + w - 2*v)^3 + (x + y + 2*w + 3*v)^3"
+)
+
+
 class TestModularOracle:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("delta", [2, 3, 4, 5, 6])
     def test_complete_intersection_bound_is_the_fermat_hilbert_function(self, d, delta):
-        floors = grobner._complete_intersection_hilbert(d, delta)
+        floors = _complete_intersection_hilbert(d, delta)
         assert floors == _exact_hilbert_function(build(_fermat_form(d, delta)))
         top = d * (delta - 2) + 1
         assert len(floors) == top + 1 and floors[top] == 0
@@ -625,14 +698,71 @@ class TestModularOracle:
         monkeypatch.setattr(grobner, "_rank", _rank_refused)
         assert milnor_number_oracle(func) == (func.delta - 1) ** func.d
 
+    @pytest.mark.parametrize(
+        "source",
+        [entry.source for entry in CORPUS]
+        + list(NON_ISOLATED_SOURCES)
+        + ["x^3 + y^3 + w^3 - 3*x*y*w", _DENSE_4_4],
+    )
+    def test_matches_the_per_degree_reference(self, source):
+        _agrees_with_the_reference(build(source))
+
+    def test_matches_the_per_degree_reference_on_the_benchmark(self):
+        for case in bench_module("workloads").generate("jacobian", 1, 20.0):
+            expected = case.mu if case.isolated else "not isolated"
+            assert _agrees_with_the_reference(build(case.source)) == expected, case.source
+
+    @settings(deadline=None, max_examples=40)
+    @given(_dense_forms())
+    def test_matches_the_per_degree_reference_on_dense_forms(self, source):
+        try:
+            func = build(source)
+        except (ParseError, DegreeTooLow):  # the powers cancel a variable, or all of them, away
+            assume(False)
+        _agrees_with_the_reference(func)
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (_gl_fermat_source(3, 6, 1), 125),
+            (_gl_fermat_source(4, 3, 1), 16),
+            (_gl_fermat_source(4, 3, 2), 16),
+            (_DENSE_4_4, 81),
+            (_DENSE_4_3_NOT_ISOLATED, "not isolated"),
+        ],
+    )
+    def test_shapes_the_command_line_does_not_run(self, source, expected):
+        # The milnor check runs the oracle for d <= 3 and delta <= 5 only.
+        func = build(source)
+        assert (func.d, func.delta) in ((3, 6), (4, 3), (4, 4))
+        assert _oracle_outcome(milnor_number, func) == expected
+        assert _agrees_with_the_reference(func) == expected
+
+    @pytest.mark.parametrize("prime", [grobner._PRIME, 7])
+    def test_ranks_one_matrix(self, monkeypatch, prime):
+        calls = {"mod p": 0, "exact": 0}
+
+        def counted(name, rank):
+            def call(*args):
+                calls[name] += 1
+                return rank(*args)
+
+            return call
+
+        monkeypatch.setattr(grobner, "_rank_mod_p", counted("mod p", grobner._rank_mod_p))
+        monkeypatch.setattr(grobner, "_rank", counted("exact", grobner._rank))
+        monkeypatch.setattr(grobner, "_PRIME", prime)
+        sources = [entry.source for entry in CORPUS] + list(NON_ISOLATED_SOURCES) + [
+            "x^3 + y^3 + w^3 + x*y*w", _DENSE_4_4, _DENSE_4_3_NOT_ISOLATED,
+        ]
+        for source in sources:
+            calls.update({"mod p": 0, "exact": 0})
+            _oracle_outcome(milnor_number_oracle, build(source))
+            assert calls["mod p"] == 1 and calls["exact"] <= 1, source
+
     def test_benchmark_inputs_need_no_exact_rank(self, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
-        spec.loader.exec_module(workloads)
-        cases = [case for case in workloads.generate("jacobian", 1, 20.0) if case.isolated]
+        cases = [case for case in bench_module("workloads").generate("jacobian", 1, 20.0)
+                 if case.isolated]
         assert len(cases) > 50
         monkeypatch.setattr(grobner, "_rank", _rank_refused)
         for case in cases:

@@ -16,6 +16,7 @@ import pytest
 
 from loopsing.cli import RunConfig, run, validate_report
 from loopsing.cli.report import CHECK_NAMES
+from loopsing.loopfun import MAX_JET_TERMS
 
 from conftest import CORPUS, DELETE, NON_ISOLATED_SOURCES, edited
 
@@ -247,8 +248,12 @@ def test_odd_json_values_are_refused_without_raising(text):
 @pytest.mark.parametrize(
     "path, value, errors",
     [
-        # The window top, bottom * (delta - 1), is past the length that can be printed.
-        (("window", "bottom"), 9 * 10**4299, ["window.top: expected an integer, found 2"]),
+        # A bottom past the jet budget, whose window top could not even be printed.
+        (
+            ("window", "bottom"),
+            9 * 10**4299,
+            [f"window.bottom: window bottom must be at most {MAX_JET_TERMS}"],
+        ),
         # run() never times a report as NaN, and NaN equals nothing, itself included.
         (("timing", "seconds"), float("nan"), ["timing.seconds: expected NaN, found NaN"]),
         (("checks", "a.b"), {"ok": True}, ["checks.a.b.ok: not a boolean"]),

@@ -9,16 +9,12 @@ class must define them itself, not inherit them.
 from __future__ import annotations
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-)
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+from conftest import bench_module
+
+tracer = bench_module("tracer")
 
 
 @pytest.mark.parametrize("span", sorted(tracer.FUNCTIONS))
