@@ -1,7 +1,7 @@
 """Report assembly: structured (JSON) and fixed-layout text output.
 
-The structured document is what Report.to_dict renders; validate_report
-rebuilds the Report a document claims to be and compares the renderings.
+The structured document is what Report.to_dict renders and to_json writes;
+validate_report rebuilds the Report a document claims to be and compares them.
 Degree-indexed maps use decimal-string keys so that negative degrees survive
 serialization unambiguously.  Reports are deterministic: two runs on the same
 configuration produce byte-identical documents apart from the timing field.
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Collection, Iterator, Mapping
 
-from ..cohom import MAX_N_MAX, GradedDims, RenormalizedReport, gysin_tower
+from ..cohom import MAX_N_MAX, GradedDims, RenormalizedReport, declared_support_floor, gysin_tower
 from ..loopfun import MAX_JET_TERMS, Window, minimal_window
 from .parser import parse_function
 
@@ -141,17 +142,10 @@ class Report:
                     for n, dims in enumerate(tower.truncations)
                 ],
                 "renormalized": _dims_dict(self.cohomology.stable),
-                "stabilization": {
-                    str(degree): step
-                    for degree, step in sorted(self.cohomology.stabilization_step.items())
-                },
+                "stabilization": {str(s): n for s, n in self.cohomology.stabilization_step.items()},
                 "escape": [
-                    {
-                        "n": row.n,
-                        "degree": row.degree,
-                        "declared_floor": row.declared_floor,
-                    }
-                    for row in tower.escape_table()
+                    {"n": n, "degree": degree, "declared_floor": declared_support_floor(tower.d, n)}
+                    for n, degree in enumerate(tower.degrees)
                 ],
             }
 
@@ -170,7 +164,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json(self.to_dict(), "") + "\n"
 
     def to_text(self) -> str:
         lines = []
@@ -206,11 +200,9 @@ class Report:
                 for degree, step in sorted(self.cohomology.stabilization_step.items())
             )
             row("stabilization", stab)
-            for entry in tower.escape_table():
-                row(
-                    f"escape n={entry.n}",
-                    f"degree {entry.degree} (declared floor {entry.declared_floor})",
-                )
+            for n, degree in enumerate(tower.degrees):
+                floor = declared_support_floor(tower.d, n)
+                row(f"escape n={n}", f"degree {degree} (declared floor {floor})")
         for axiom in self.axioms:
             row("axiom", axiom)
         row("timing", f"{self.timing_seconds:.3f}s")
@@ -219,6 +211,29 @@ class Report:
 
 def _dims_dict(dims: GradedDims) -> dict[str, int]:
     return {str(degree): dim for degree, dim in dims.items()}
+
+
+def _json(value: Any, pad: str) -> str:
+    """`value` as json.dumps(value, sort_keys=True, indent=2) writes it at indent
+    `pad`.  That encoder runs token by token in Python once it indents."""
+    kind, inner = type(value), pad + "  "
+    if kind is dict and value:
+        members = [
+            f"{encode_basestring_ascii(key)}: "
+            + (int.__repr__(item) if type(item) is int else _json(item, inner))
+            for key, item in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "}"
+    if kind is list and value:
+        members = [_json(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "]"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind in (dict, list, bool, float) or value is None:
+        return json.dumps(value)
+    raise TypeError(f"{kind.__name__} is not a JSON value")
 
 
 class _Mismatch(ValueError):

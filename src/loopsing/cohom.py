@@ -70,7 +70,9 @@ class Inconsistent(ValueError):
 
 
 class NotStabilized(RuntimeError):
-    """A tracked degree failed to stabilize within the tower; a bug."""
+    """A tracked degree still moving at the last step: a bug, unreachable on a
+    tower from gysin_tower at any n_max >= 2.  Past n0 only the unit class
+    moves, and it leaves the lowest tracked degree at step n_max - 2."""
 
 
 class GradedDims:
@@ -85,7 +87,7 @@ class GradedDims:
         items = dims.items() if isinstance(dims, Mapping) else dims
         store: dict[int, int] = {}
         for degree, dim in items:
-            if not isinstance(degree, int) or not isinstance(dim, int):
+            if type(degree) is not int or type(dim) is not int:
                 raise TypeError("degrees and dimensions must be ints")
             if dim < 0:
                 raise ValueError(f"negative dimension {dim} in degree {degree}")
@@ -112,8 +114,15 @@ class GradedDims:
     def euler(self) -> int:
         return sum(dim if degree % 2 == 0 else -dim for degree, dim in self._dims.items())
 
+    @classmethod
+    def _of(cls, store: dict[int, int]) -> "GradedDims":
+        """Wrap a store of int degrees to positive int dimensions, unchecked."""
+        dims = object.__new__(cls)
+        dims._dims = store
+        return dims
+
     def shifted(self, offset: int) -> "GradedDims":
-        return GradedDims({degree + offset: dim for degree, dim in self._dims.items()})
+        return GradedDims._of({degree + offset: dim for degree, dim in self._dims.items()})
 
     def plus(self, other: "GradedDims | Mapping[int, int]") -> "GradedDims":
         other_items = other.items() if isinstance(other, (GradedDims, Mapping)) else other
@@ -124,7 +133,7 @@ class GradedDims:
 
     def with_unit(self) -> "GradedDims":
         """Add the one-dimensional unit class in degree 0."""
-        return self.plus({0: 1})
+        return GradedDims._of({**self._dims, 0: self.dim(0) + 1})
 
     def drop_unit(self) -> "GradedDims":
         """Remove one dimension in degree 0 (pass to reduced cohomology)."""
@@ -418,7 +427,8 @@ class GysinTower:
     concentration audit found it on the directly solved steps, translated
     after them.  gysin_ranks[n-1] holds only the nonzero ranks of the Gysin
     maps into truncation n, keyed by their target degree; axioms are the
-    declared facts the solved sequences rest on.
+    declared facts the solved sequences rest on.  Past n0 each step is the
+    one before with the mu block moved up by 2d, as the blocks certify.
     """
 
     d: int
@@ -427,35 +437,24 @@ class GysinTower:
     degrees: tuple[int, ...]
     gysin_ranks: tuple[Mapping[int, int], ...]
     axioms: tuple[str, ...]
+    n0: int
 
     @property
     def n_max(self) -> int:
         return len(self.gysin_ranks)
-
-    def escape_table(self) -> tuple[EscapeRow, ...]:
-        """Per truncation step, the single degree carrying reduced cohomology.
-
-        The degrees grow without bound (an arithmetic progression of step 2d),
-        which is why nothing survives the naive colimit; the declared floor is
-        recorded alongside.
-        """
-        return tuple(
-            EscapeRow(n=n, degree=degree, declared_floor=declared_support_floor(self.d, n))
-            for n, degree in enumerate(self.degrees)
-        )
 
     def renormalized(self, normalization: int = 0) -> RenormalizedReport:
         """Colimit of the truncation cohomologies along the Gysin maps.
 
         See renormalized_nearby_cohomology.
         """
-        d, n_max = self.d, self.n_max
+        d, n_max, n0 = self.d, self.n_max, self.n0
         if n_max < 2:
             raise ValueError("need n_max >= 2")
 
         fulls = self.truncations
         shift = 2 * normalization
-        tracked = range(-2 * d * (n_max - 2) - shift, 3 * d - shift + 1)
+        head = min(n_max, n0 + 1)
 
         # Step n contributes its degree s + 2*delta(n) = s + shift + 2*n*d.
         def value(s: int, n: int) -> int:
@@ -469,10 +468,10 @@ class GysinTower:
 
         # The Gysin map at step n can fail to be an isomorphism in degree s
         # only where truncation n or n+1 carries a class there or the map has
-        # nonzero rank there.  Scanning the steps backward, the first failure
-        # seen in a degree is its last one; it stabilizes at the next step.
+        # nonzero rank there.  Scanning the steps up to n0 backward, the first
+        # failure seen in a degree is its last one among them.
         last_failure: dict[int, int] = {}
-        for n in reversed(range(n_max)):
+        for n in reversed(range(head)):
             here, there = shift + 2 * n * d, shift + 2 * (n + 1) * d
             candidates = {m - here for m in fulls[n].support}
             candidates.update(m - there for m in fulls[n + 1].support)
@@ -480,15 +479,26 @@ class GysinTower:
             for s in candidates:
                 if s not in last_failure and not is_iso(s, n):
                     last_failure[s] = n
+        # Each later map is map n0 with the mu block moved up by 2d, as fast as
+        # the renormalization: its failures away from the unit class recur.
+        for s, n in last_failure.items():
+            if n == n0 and s not in (-shift - 2 * d * n0, -shift - 2 * d * head):
+                last_failure[s] = n_max - 1
 
         stable: dict[int, int] = {}
         steps: dict[int, int] = {}
-        for s in tracked:
-            first = last_failure.get(s, -1) + 1
+        for s in range(-2 * d * (n_max - 2) - shift, 3 * d - shift + 1):
+            # Past n0 the unit class leaves degree -shift - 2dk at map k.
+            k, r = divmod(-shift - s, 2 * d)
+            first = max(last_failure.get(s, -1), k if r == 0 and k >= head else -1) + 1
             if first == n_max:
-                raise NotStabilized(f"renormalized degree {s} not stable by step {n_max}")
+                raise NotStabilized(
+                    f"renormalized degree {s} not stable by step {n_max}: "
+                    "the tower is below its certified height"
+                )
             steps[s] = first
-            dim = value(s, first)
+            # Past step `head` a degree holds what it held there, the unit aside.
+            dim = value(s, first) if first <= head else value(s, head) - (k == head)
             if dim:
                 stable[s] = dim
 
@@ -561,7 +571,7 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
             gysin_ranks.append({s + offset: r for s, r in gysin_ranks[n0 - 1].items()})
     return GysinTower(
         d=d, mu=mu, truncations=tuple(truncations), degrees=tuple(degrees),
-        gysin_ranks=tuple(gysin_ranks), axioms=tuple(sorted(axioms)),
+        gysin_ranks=tuple(gysin_ranks), axioms=tuple(sorted(axioms)), n0=n0,
     )
 
 
@@ -598,8 +608,9 @@ class EscapeRow:
 
 
 def escape_table(d: int, mu: int, n_max: int) -> tuple[EscapeRow, ...]:
-    """Escape degrees of the tower with the declared floor recorded alongside."""
-    return gysin_tower(d, mu, n_max).escape_table()
+    """Each step's reduced-cohomology degree (2d apart, unbounded) and declared floor."""
+    rows = enumerate(gysin_tower(d, mu, n_max).degrees)
+    return tuple(EscapeRow(n, degree, declared_support_floor(d, n)) for n, degree in rows)
 
 
 @dataclass(frozen=True)
@@ -634,7 +645,6 @@ def renormalized_nearby_cohomology(
     any class at negative degrees) die through the residue and are reported
     as stabilized zeros.
 
-    Raises NotStabilized if a tracked degree has not settled by n_max, which
-    would be a bug rather than a feature of the tower.
+    Raises NotStabilized if a tracked degree has not settled by n_max: a bug.
     """
     return gysin_tower(d, mu, n_max).renormalized(normalization)

@@ -31,12 +31,28 @@ from loopsing.cli import (
     run,
     validate_report,
 )
+from loopsing.cli import report as report_module
 from loopsing.cli.parser import MAX_PRODUCT_WORK
 from loopsing.cohom import MAX_N_MAX, GradedDims
 from loopsing.loopfun import MAX_JET_TERMS
 from loopsing.exactalg import LoopPoly, LoopVar
 
-from conftest import CORPUS, DELETE, NON_ISOLATED_SOURCES, deadline, edited
+from conftest import CORPUS, DELETE, NON_ISOLATED_SOURCES, bench_module, deadline, edited
+
+
+def _reference_json(document) -> str:
+    """The structured report's bytes as the standard encoder writes them."""
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+_json_strings = st.text() | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600a'))
+_json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers().map(lambda n: n * 10**40)
+    | st.floats() | _json_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_json_strings | st.integers().map(str), children, max_size=4),
+    max_leaves=30,
+)
 
 
 def run_source(source: str, **overrides) -> Report:
@@ -584,6 +600,22 @@ class TestStructuredOutput:
                 "b637a30cc1b0c7b70fdcf5c7c467f0fcb4d3e245cc4f986e5f976723a2f70c72",
                 "07134fef1f12557b5eda992299981bce0ed8fb19087ede7b635b3cd297e6de4a",
             ),
+            # Towers at MAX_N_MAX, far past the steps solved directly.
+            (
+                "z^3", MAX_N_MAX,
+                "71d460ee21a001f19aa749663cb9bc414aa0df3d06fbf676e72ab7362a2dbeff",
+                "f0ba6b6be4c5094ea4c917f50a9d0f9fae276a2b68189896d247c693f5f53145",
+            ),
+            (
+                "x^3 + y^3", MAX_N_MAX,
+                "54552fcf1ebd23f06d337a3ca41447b1cc9357944f9879505866ef7dc04cc78f",
+                "611b10962e89406a4bede2d4f68312a449983a99fd92e24eba86e9fc380c0ea3",
+            ),
+            (
+                "x^2 + y^2 + w^2", MAX_N_MAX,
+                "59ccb35476d462b22eee9492f57dfe47a3b71f05119d66526337a94f9e97e994",
+                "078b81c81e5239f06d970806f2d11d3b69e09dc628de2bfc195cccd8ba30b236",
+            ),
         ],
     )
     def test_whole_report_is_pinned(self, source, n_max, json_digest, text_digest):
@@ -618,6 +650,26 @@ class TestStructuredOutput:
         # and at (4, 4), where it runs the Groebner route alone.
         report = run_source(source, checks=("milnor",))
         assert _untimed_digests(report) == (json_digest, text_digest)
+
+    @pytest.mark.parametrize("workload", ["functional", "jacobian", "tower"])
+    def test_json_writer_matches_the_standard_encoder_on_benchmark_reports(self, workload):
+        # Every case a 20-second benchmark run of seed 1 issues.
+        for case in bench_module("workloads").generate(workload, 1, 20):
+            report = run_source(
+                case.source, window_bottom=case.window, n_max=case.n_max,
+                checks=case.checks, emit_lambda=case.emit_lambda,
+            )
+            assert report.to_json() == _reference_json(report.to_dict()), case.source
+
+    @given(_json_documents)
+    @settings(max_examples=200, deadline=None)
+    def test_json_writer_matches_the_standard_encoder(self, document):
+        assert report_module._json(document, "") + "\n" == _reference_json(document)
+
+    @pytest.mark.parametrize("value", [(1, 2), {1: 2}, {"a": {3}}, b"x"])
+    def test_json_writer_refuses_what_is_not_json(self, value):
+        with pytest.raises(TypeError):
+            report_module._json(value, "")
 
     def test_degree_keys_are_decimal_strings(self):
         document = run_source("x^3 + y^3").to_dict()

@@ -18,7 +18,9 @@ from loopsing.cohom import (
     LesSolution,
     LesSystem,
     MAX_N_MAX,
+    NotStabilized,
     RankFact,
+    RenormalizedReport,
     Underdetermined,
     declared_support_floor,
     escape_table,
@@ -49,11 +51,14 @@ def _walk_gysin_towers(d: int, mu: int, n_max: int) -> list[GysinTower]:
 
     Every step is its own Gysin solve, checked against the shift rule and for
     concentration; the tower of height n is the record of the first n steps.
+    It records the n0 that gysin_tower certifies from: the first step whose
+    unit and mu blocks a zero node separates.
     """
+    n0 = 2 if d == 1 else 1
     base = milnor_fiber_cohomology(d, mu)
     (degree,) = base.drop_unit().support
     truncations, degrees, gysin_ranks, axioms = [base], [degree], [], set()
-    towers = [GysinTower(d, mu, (base,), (degree,), (), ())]
+    towers = [GysinTower(d, mu, (base,), (degree,), (), (), n0)]
     reduced = base.drop_unit()
     for _ in range(n_max):
         solution = solve_les_detailed(gysin_system(reduced.with_unit(), d))
@@ -67,9 +72,56 @@ def _walk_gysin_towers(d: int, mu: int, n_max: int) -> list[GysinTower]:
         )
         axioms.update(solution.axioms)
         towers.append(GysinTower(
-            d, mu, tuple(truncations), tuple(degrees), tuple(gysin_ranks), tuple(sorted(axioms))
+            d, mu, tuple(truncations), tuple(degrees), tuple(gysin_ranks), tuple(sorted(axioms)),
+            n0,
         ))
     return towers
+
+
+def _scan_renormalized(tower: GysinTower, normalization: int = 0) -> RenormalizedReport:
+    """Reference: the colimit read by scanning every Gysin map of the record.
+
+    The map at step n can fail to be an isomorphism in degree s only where
+    truncation n or n+1 carries a class there or the map has nonzero rank
+    there.  Scanning the steps backward, the first failure seen in a degree is
+    its last one; it stabilizes at the next step.
+    """
+    d, n_max, fulls = tower.d, tower.n_max, tower.truncations
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
+    shift = 2 * normalization
+
+    def value(s: int, n: int) -> int:
+        m = s + shift + 2 * n * d
+        return fulls[n].dim(m) if m >= 0 else 0
+
+    def is_iso(s: int, n: int) -> bool:
+        m = s + shift + 2 * (n + 1) * d
+        rank = tower.gysin_ranks[n].get(m, 0) if m >= 2 * d else 0
+        return value(s, n) == value(s, n + 1) == rank
+
+    last_failure: dict[int, int] = {}
+    for n in reversed(range(n_max)):
+        here, there = shift + 2 * n * d, shift + 2 * (n + 1) * d
+        candidates = {m - here for m in fulls[n].support}
+        candidates.update(m - there for m in fulls[n + 1].support)
+        candidates.update(m - there for m in tower.gysin_ranks[n])
+        for s in candidates:
+            if s not in last_failure and not is_iso(s, n):
+                last_failure[s] = n
+
+    stable, steps = {}, {}
+    for s in range(-2 * d * (n_max - 2) - shift, 3 * d - shift + 1):
+        first = last_failure.get(s, -1) + 1
+        if first == n_max:
+            raise NotStabilized(f"renormalized degree {s} not stable by step {n_max}")
+        steps[s] = first
+        if value(s, first):
+            stable[s] = value(s, first)
+    outcome = GradedDims(stable)
+    if outcome != GradedDims({d - 1 - shift: tower.mu}):
+        raise RuntimeError(f"stable renormalized cohomology {outcome} is not mu in degree d-1")
+    return RenormalizedReport(outcome, steps, normalization, tower)
 
 
 def _dense_solve_les(system: LesSystem) -> LesSolution | Underdetermined:
@@ -247,6 +299,12 @@ class TestGradedDims:
         with pytest.raises(ValueError):
             GradedDims({0: -1})
 
+    @pytest.mark.parametrize("dims", [{True: True, 2: 3}, {True: 1}, {1: False}, {1.0: 1}, {1: 2.0}])
+    def test_rejects_degrees_and_dimensions_that_are_not_ints(self, dims):
+        # A bool degree would reach a report as the dims key "True".
+        with pytest.raises(TypeError):
+            GradedDims(dims)
+
     def test_shift_and_euler(self):
         dims = GradedDims({0: 1, 1: 4})
         assert dims.shifted(4) == GradedDims({4: 1, 5: 4})
@@ -260,6 +318,8 @@ class TestGradedDims:
 
     def test_unit_bookkeeping(self):
         assert GradedDims({1: 4}).with_unit() == GradedDims({0: 1, 1: 4})
+        assert GradedDims({0: 2}).with_unit() == GradedDims({0: 3})
+        assert GradedDims().with_unit().items() == ((0, 1),)
         assert GradedDims({0: 2}).drop_unit() == GradedDims({0: 1})
         with pytest.raises(ValueError):
             GradedDims({1: 1}).drop_unit()
@@ -378,7 +438,7 @@ class TestGysinTower:
             assert len(tower.truncations) == n_max + 1
             for n, full in enumerate(tower.truncations):
                 assert full == truncation_cohomology(d, mu, n)
-            assert tower.escape_table() == escape_table(d, mu, n_max)
+            assert [row.degree for row in escape_table(d, mu, n_max)] == list(tower.degrees)
             if n_max >= 2:
                 assert tower.renormalized() == renormalized_nearby_cohomology(d, mu, n_max)
 
@@ -403,10 +463,9 @@ class TestGysinTower:
         for n_max, walked in enumerate(_walk_gysin_towers(d, mu, MAX_N_MAX)):
             tower = gysin_tower(d, mu, n_max)
             assert tower == walked
-            assert tower.escape_table() == walked.escape_table()
             if n_max >= 2:
                 k = n_max % 3 - 1
-                assert tower.renormalized(k) == walked.renormalized(k)
+                assert tower.renormalized(k) == _scan_renormalized(walked, k)
 
     @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
     def test_shift_rule_is_checked_on_every_base_step_and_block(self, monkeypatch, d, n0):
@@ -446,8 +505,9 @@ class TestGysinTower:
         assert solve_les_detailed(reaching(GradedDims({0: 1}), 2)).b == GradedDims({0: 1})
         with pytest.raises(RuntimeError, match="do not split"):
             gysin_tower(2, 4, 6)
-        # Below the first separated step the tower is the direct walk alone.
-        assert gysin_tower(2, 4, 2) == _walk_gysin_towers(2, 4, 2)[2]
+        # Below the first separated step, now step 3, the tower is the direct
+        # walk alone.
+        assert gysin_tower(2, 4, 2) == replace(_walk_gysin_towers(2, 4, 2)[2], n0=3)
 
     def test_block_union_must_match_the_direct_solve(self, monkeypatch):
         solve = cohom.solve_les_detailed
@@ -512,7 +572,70 @@ class TestEscape:
             assert not row.meets_floor
 
 
+class _ReadCounter(tuple):
+    """A tuple that records in `read` the indices read from it."""
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        self.read.update(picked if isinstance(index, slice) else [picked])
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        self.read.update(range(len(self)))
+        return super().__iter__()
+
+
+def _counted(items: tuple) -> _ReadCounter:
+    counter = _ReadCounter(items)
+    counter.read = set()
+    return counter
+
+
 class TestRenormalized:
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("mu", [1, 2, 5])
+    def test_equals_the_backward_scan(self, d, mu):
+        # Heights up to 24 cross the head steps and many translated ones; 60 is
+        # the benchmark's tallest and MAX_N_MAX the command line's.  The direct
+        # walk test covers every height, one normalization each.
+        for n_max in [*range(2, 25), 60, MAX_N_MAX]:
+            tower = gysin_tower(d, mu, n_max)
+            for k in (-2, 0, 1, 3):
+                assert tower.renormalized(k) == _scan_renormalized(tower, k)
+
+    @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
+    @pytest.mark.parametrize("n_max", [20, 60, MAX_N_MAX])
+    def test_reads_a_fixed_number_of_steps(self, d, n0, n_max):
+        tower = gysin_tower(d, 4, n_max)
+        truncations, ranks = _counted(tower.truncations), _counted(tower.gysin_ranks)
+        counted = replace(tower, truncations=truncations, gysin_ranks=ranks)
+        assert counted.n0 == n0
+        report = counted.renormalized(1)
+        assert truncations.read <= set(range(n0 + 2))
+        assert ranks.read <= set(range(n0 + 1))
+        assert report == _scan_renormalized(tower, 1)
+
+    @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
+    def test_a_head_map_that_is_not_an_isomorphism_raises(self, d, n0):
+        tower = gysin_tower(d, 4, 20)
+
+        def broken_from(step: int, to: int = 20) -> GysinTower:
+            # The maps from `step` to `to` send mu classes onto a rank-3 image.
+            return replace(tower, gysin_ranks=tuple(
+                {m: 3 if step <= n < to else r for m, r in ranks.items()}
+                for n, ranks in enumerate(tower.gysin_ranks)
+            ))
+
+        for step in range(n0 + 1):
+            with pytest.raises(NotStabilized):
+                _scan_renormalized(broken_from(step))
+            with pytest.raises(NotStabilized, match="below its certified height"):
+                broken_from(step).renormalized()
+        # Past n0 the record is read as map n0 translated, so breaking map n0
+        # alone breaks every later one.
+        with pytest.raises(NotStabilized):
+            broken_from(n0, n0 + 1).renormalized()
+
     def test_quadric(self):
         report = renormalized_nearby_cohomology(1, 1, 4)
         assert report.stable == GradedDims({0: 1})
