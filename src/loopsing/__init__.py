@@ -44,9 +44,7 @@ from .loopfun import (
     check_derivative_identity,
     check_support_bound,
     check_top_linearity,
-    constant_loop_restriction,
     jet_coefficient,
-    jet_coefficient_by_enumeration,
     lambda_of,
     minimal_window,
     support_window,
@@ -76,13 +74,11 @@ __all__ = [
     "check_derivative_identity",
     "check_support_bound",
     "check_top_linearity",
-    "constant_loop_restriction",
     "escape_table",
     "gysin_step",
     "gysin_tower",
     "jacobian_ideal",
     "jet_coefficient",
-    "jet_coefficient_by_enumeration",
     "lambda_of",
     "milnor_fiber_cohomology",
     "milnor_number",

@@ -287,7 +287,8 @@ def parse_function(source: str) -> InputFunction:
 
 
 def read_function_file(path: str) -> str:
-    """Read one expression from a file, skipping leading # comment lines.
+    """Read one expression from a file: every line that is not blank and does
+    not start with #, joined by spaces.
 
     A file that is not UTF-8 text raises OSError naming the file and the
     offset of its first bad byte.

@@ -108,12 +108,6 @@ class GradedDims:
     def __bool__(self) -> bool:
         return bool(self._dims)
 
-    def total(self) -> int:
-        return sum(self._dims.values())
-
-    def euler(self) -> int:
-        return sum(dim if degree % 2 == 0 else -dim for degree, dim in self._dims.items())
-
     @classmethod
     def _of(cls, store: dict[int, int]) -> "GradedDims":
         """Wrap a store of int degrees to positive int dimensions, unchecked."""
@@ -602,10 +596,6 @@ class EscapeRow:
     degree: int
     declared_floor: int
 
-    @property
-    def meets_floor(self) -> bool:
-        return self.degree >= self.declared_floor
-
 
 def escape_table(d: int, mu: int, n_max: int) -> tuple[EscapeRow, ...]:
     """Each step's reduced-cohomology degree (2d apart, unbounded) and declared floor."""
@@ -621,11 +611,6 @@ class RenormalizedReport:
     stabilization_step: Mapping[int, int]
     normalization: int
     tower: GysinTower
-
-    @property
-    def tracked(self) -> tuple[int, ...]:
-        """The renormalized degrees read, in increasing order."""
-        return tuple(self.stabilization_step)
 
     @property
     def axioms(self) -> tuple[str, ...]:

@@ -30,13 +30,8 @@ __all__ = [
     "Monomial",
     "LoopPoly",
     "UNIT",
-    "MissingAssignment",
     "format_terms",
 ]
-
-
-class MissingAssignment(KeyError):
-    """A substitution did not cover some variable of the polynomial."""
 
 
 class LoopVar(tuple):
@@ -110,15 +105,8 @@ class Monomial:
     def degree(self) -> int:
         return self.key[0]
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.factors
-
     def variables(self) -> tuple[LoopVar, ...]:
         return tuple(var for var, _ in self.factors)
-
-    def exponent(self, var: LoopVar) -> int:
-        return dict(self.factors).get(var, 0)
 
     def weight(self, weight_of: Callable[[LoopVar], int]) -> int:
         """Total weight of the monomial under a per-variable weight."""
@@ -126,10 +114,6 @@ class Monomial:
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(self.factors + other.factors)
-
-    def divides(self, other: "Monomial") -> bool:
-        it = dict(other.factors)
-        return all(it.get(v, 0) >= e for v, e in self.factors)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
@@ -203,18 +187,11 @@ class LoopPoly:
         """Terms in decreasing monomial order."""
         return self._terms
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return dict(self._terms).get(mono, Fraction(0))
 
     @property
     def leading_monomial(self) -> Monomial:
@@ -285,7 +262,7 @@ class LoopPoly:
             out = out * self
         return out
 
-    # -- calculus and substitution ------------------------------------------
+    # -- calculus and renaming ----------------------------------------------
 
     def partial(self, var: LoopVar) -> "LoopPoly":
         """Formal partial derivative with respect to var."""
@@ -302,23 +279,6 @@ class LoopPoly:
             prev = acc.get(m)
             acc[m] = coeff * e if prev is None else prev + coeff * e
         return LoopPoly(acc)
-
-    def substitute(self, assignment: Mapping[LoopVar, PolyLike]) -> "LoopPoly":
-        """Simultaneous substitution, fully expanded.
-
-        The assignment must cover every variable occurring in the polynomial;
-        an uncovered variable raises MissingAssignment.
-        """
-        images = {v: as_poly(p) for v, p in assignment.items()}
-        out = LoopPoly()
-        for mono, coeff in self._terms:
-            prod = LoopPoly.constant(coeff)
-            for var, exp in mono.factors:
-                if var not in images:
-                    raise MissingAssignment(var)
-                prod = prod * images[var] ** exp
-            out = out + prod
-        return out
 
     def map_variables(self, rename: Callable[[LoopVar], LoopVar]) -> "LoopPoly":
         """Rename every variable; colliding images are merged."""
@@ -345,8 +305,7 @@ class LoopPoly:
     def to_string(self, names: Sequence[str] | None = None) -> str:
         """Render with per-coordinate names; z_j / zI_j fallback without names."""
         if names is None:
-            top = max((v.coord for v in self.variables()), default=1)
-            names = ("z",) if top == 1 else tuple(f"z{i}" for i in range(1, top + 1))
+            names = _default_names(max((v.coord for v in self.variables()), default=1))
         return format_terms(self._terms, lambda var: f"{names[var.coord - 1]}_{var.cdeg}")
 
     def __str__(self) -> str:
@@ -354,6 +313,11 @@ class LoopPoly:
 
     def __repr__(self) -> str:
         return f"LoopPoly({self.to_string()})"
+
+
+def _default_names(d: int) -> tuple[str, ...]:
+    """The coordinate names of d unnamed coordinates: z alone, else z1, ..., zd."""
+    return ("z",) if d == 1 else tuple(f"z{i}" for i in range(1, d + 1))
 
 
 def as_poly(value: PolyLike) -> LoopPoly:

@@ -210,7 +210,7 @@ class Ideal:
     """An ideal in the polynomial ring on the degree-0 variables z^1_0..z^d_0."""
 
     def __init__(self, generators: Sequence[LoopPoly], d: int):
-        gens = tuple(g for g in generators if not g.is_zero)
+        gens = tuple(g for g in generators if g)
         if not gens:
             raise ValueError("an ideal needs at least one nonzero generator")
         if d < 1:
@@ -254,7 +254,7 @@ def normal_form(p: LoopPoly, divisors: Sequence[LoopPoly]) -> LoopPoly:
     divisor whose leading monomial divides it; the result has no monomial
     divisible by any divisor's leading monomial.
     """
-    if p.is_zero:
+    if not p:
         return p
     variables = _variables(p, *divisors)
     terms = _to_terms(p, variables)

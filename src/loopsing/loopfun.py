@@ -13,14 +13,13 @@ Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import LoopPoly, LoopVar, Monomial
+from .exactalg import LoopPoly, LoopVar, Monomial, _default_names
 
 __all__ = [
     "Window",
@@ -29,14 +28,12 @@ __all__ = [
     "DegreeTooLow",
     "FunctionalTooLarge",
     "jet_coefficient",
-    "jet_coefficient_by_enumeration",
     "lambda_of",
     "minimal_window",
     "support_window",
     "check_support_bound",
     "check_top_linearity",
     "check_derivative_identity",
-    "constant_loop_restriction",
     "SupportBoundReport",
     "TopLinearityReport",
     "DerivativeIdentityReport",
@@ -54,11 +51,12 @@ class NotHomogeneous(ValueError):
 
 
 class DegreeTooLow(ValueError):
-    """The input polynomial has degree < 2 (no genuine singularity)."""
+    """Degree below 2, or the zero polynomial (degree None): no genuine singularity."""
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int | None):
         self.degree = degree
-        super().__init__(f"homogeneity degree must be >= 2, got {degree}")
+        got = "the zero polynomial" if degree is None else degree
+        super().__init__(f"homogeneity degree must be >= 2, got {got}")
 
 
 # Bound on the terms one jet expansion builds: every term of a power expansion
@@ -98,22 +96,8 @@ class Window:
                 f"window top {self.top} lies below -bottom = {-self.bottom}"
             )
 
-    @property
-    def lo(self) -> int:
-        return -self.bottom
-
-    @property
-    def hi(self) -> int:
-        return self.top
-
-    def indices(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-    def contains(self, cdeg: int) -> bool:
-        return self.lo <= cdeg <= self.hi
-
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{-self.bottom}, {self.top}]"
 
 
 class InputFunction:
@@ -125,8 +109,8 @@ class InputFunction:
     """
 
     def __init__(self, poly: LoopPoly, names: Sequence[str] | None = None):
-        if poly.is_zero:
-            raise DegreeTooLow(0)
+        if not poly:
+            raise DegreeTooLow(None)
         variables = poly.variables()
         if any(v.cdeg != 0 for v in variables):
             raise ValueError("ambient polynomial must use conformal degree 0 only")
@@ -142,9 +126,7 @@ class InputFunction:
         self.d = len(coords)
         self.delta = degrees[0]
         self.poly = poly
-        if names is None:
-            names = ("z",) if self.d == 1 else tuple(f"z{i}" for i in coords)
-        names = tuple(names)
+        names = _default_names(self.d) if names is None else tuple(names)
         if len(names) != self.d or len(set(names)) != self.d:
             raise ValueError(f"need {self.d} distinct coordinate names, got {names}")
         self.names = names
@@ -205,7 +187,7 @@ def _power_expansion(
     coefficient exp!/prod(count!); the terms are grouped by t-degree.  Raises
     FunctionalTooLarge once more than `budget` terms are found.
     """
-    lo, hi = window.lo, window.hi
+    lo, hi = -window.bottom, window.top
     variables: dict[int, LoopVar] = {}
     found: dict[int, list[tuple[tuple[tuple[LoopVar, int], ...], int]]] = {}
     made = 0
@@ -250,7 +232,7 @@ def _jet_of_poly(poly: LoopPoly, window: Window, k: int) -> LoopPoly:
     Every expansion term and partial product counts against MAX_JET_TERMS,
     before it is built; past the bound FunctionalTooLarge is raised.
     """
-    lo, hi = window.lo, window.hi
+    lo, hi = -window.bottom, window.top
     built = 0
     terms: list[tuple[Monomial, Fraction]] = []
     for mono, coeff in poly.terms:
@@ -304,27 +286,6 @@ def jet_coefficient(func: InputFunction, window: Window, k: int) -> LoopPoly:
     MAX_JET_TERMS terms.
     """
     return _jet_of_poly(func.poly, window, k)
-
-
-def jet_coefficient_by_enumeration(
-    func: InputFunction, window: Window, k: int
-) -> LoopPoly:
-    """Brute-force oracle for jet_coefficient.
-
-    Enumerates every assignment of window indices to the factor slots of every
-    monomial, with no pruning and no shared code with the convolution route.
-    Feasible only for small degree/window combinations.
-    """
-    indices = list(window.indices())
-    acc: dict[Monomial, Fraction] = {}
-    for mono, coeff in func.poly.terms:
-        slots = [v.coord for v, e in mono.factors for _ in range(e)]
-        for assignment in itertools.product(indices, repeat=len(slots)):
-            if sum(assignment) != k:
-                continue
-            m = Monomial(tuple((LoopVar(c, j), 1) for c, j in zip(slots, assignment)))
-            acc[m] = acc.get(m, Fraction(0)) + coeff
-    return LoopPoly(acc)
 
 
 def lambda_of(func: InputFunction, window: Window) -> LoopPoly:
@@ -455,12 +416,8 @@ class DerivativeIdentityReport:
     window: Window
 
     @property
-    def ok_per_coord(self) -> tuple[bool, ...]:
-        return tuple(chk.ok for chk in self.checks)
-
-    @property
     def ok(self) -> bool:
-        return all(self.ok_per_coord)
+        return all(chk.ok for chk in self.checks)
 
 
 def check_derivative_identity(
@@ -500,17 +457,3 @@ def check_derivative_identity(
             )
         )
     return DerivativeIdentityReport(checks=tuple(checks), top_cdeg=top, window=window)
-
-
-def constant_loop_restriction(func: InputFunction, window: Window) -> LoopPoly:
-    """Restrict the loop functional to constant loops.
-
-    Setting every variable of nonzero conformal degree to zero must recover F
-    itself in the degree-0 variables.
-    """
-    if not window.contains(0):
-        raise ValueError(f"window {window} does not contain 0")
-    restricted = lambda_of(func, window).zero_out(lambda v: v.cdeg != 0)
-    if restricted != func.poly:
-        raise RuntimeError("constant-loop restriction does not recover the input")
-    return restricted

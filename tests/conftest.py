@@ -1,19 +1,23 @@
-"""Shared corpus of input functions used across the test modules."""
+"""Shared corpus of input functions, and the references more than one test module uses."""
 
 from __future__ import annotations
 
 import copy
 import importlib.util
+import itertools
 import signal
 import sys
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from loopsing.cli import parse_function
-from loopsing.loopfun import InputFunction
+from loopsing.exactalg import LoopPoly, LoopVar, Monomial
+from loopsing.loopfun import InputFunction, Window
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,46 @@ def fermat_source(d: int, delta: int) -> str:
 
 def build(source: str) -> InputFunction:
     return parse_function(source)
+
+
+def jet_coefficient_by_enumeration(func: InputFunction, window: Window, k: int) -> LoopPoly:
+    """Reference for jet_coefficient: the t^k coefficient by brute force.
+
+    Enumerates every assignment of window indices to the factor slots of every
+    monomial, with no pruning and no shared code with the convolution route.
+    Feasible only for small degree/window combinations.
+    """
+    indices = range(-window.bottom, window.top + 1)
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in func.poly.terms:
+        slots = [v.coord for v, e in mono.factors for _ in range(e)]
+        for assignment in itertools.product(indices, repeat=len(slots)):
+            if sum(assignment) != k:
+                continue
+            m = Monomial(tuple((LoopVar(c, j), 1) for c, j in zip(slots, assignment)))
+            acc[m] = acc.get(m, Fraction(0)) + coeff
+    return LoopPoly(acc)
+
+
+class MissingAssignment(KeyError):
+    """A substitution did not cover some variable of the polynomial."""
+
+
+def substitute(poly: LoopPoly, assignment: Mapping[LoopVar, LoopPoly]) -> LoopPoly:
+    """Simultaneous substitution, fully expanded.
+
+    The assignment must cover every variable occurring in the polynomial;
+    an uncovered variable raises MissingAssignment.
+    """
+    out = LoopPoly()
+    for mono, coeff in poly.terms:
+        prod = LoopPoly.constant(coeff)
+        for var, exp in mono.factors:
+            if var not in assignment:
+                raise MissingAssignment(var)
+            prod = prod * assignment[var] ** exp
+        out = out + prod
+    return out
 
 
 @pytest.fixture(params=CORPUS, ids=lambda entry: entry.source)

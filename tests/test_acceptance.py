@@ -32,12 +32,11 @@ from loopsing.loopfun import (
     check_derivative_identity,
     check_support_bound,
     check_top_linearity,
-    jet_coefficient_by_enumeration,
     lambda_of,
     minimal_window,
 )
 
-from conftest import CORPUS, build, fermat_source
+from conftest import CORPUS, build, fermat_source, jet_coefficient_by_enumeration
 
 
 class _Budget:

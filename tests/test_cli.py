@@ -55,6 +55,10 @@ _json_documents = st.recursive(
 )
 
 
+def _x(cdeg: int) -> LoopPoly:
+    return LoopPoly.variable(LoopVar(1, cdeg))
+
+
 def run_source(source: str, **overrides) -> Report:
     return run(RunConfig(function_source=source, **overrides))
 
@@ -215,6 +219,39 @@ class TestRun:
         captured = capsys.readouterr()
         assert "conformal weights" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_CHECKS)
+    def test_broken_functional_fails_its_check_with_its_witness(self, monkeypatch, name):
+        # x^3 + y^3 at window bottom 1: the bound is 2 and the functional
+        # holds the term 3*x_-1^2*x_2.  Each edit breaks the one property
+        # its check reads.
+        edit, witness = {
+            "lambda": (
+                lambda lam: lam - _x(0) ** 3,
+                "constant-loop restriction does not recover the input",
+            ),
+            "support": (
+                lambda lam: lam + _x(-3) * _x(0) * _x(3),
+                "conformal degree 3 exceeds bound 2",
+            ),
+            "linearity": (
+                lambda lam: lam + _x(-4) * _x(2) * LoopPoly.variable(LoopVar(2, 2)),
+                "nonlinear monomial z1_-4*z1_2*z2_2",
+            ),
+            "derivative": (
+                lambda lam: lam + 3 * _x(-1) ** 2 * _x(2),
+                "identity fails for coordinates [1]",
+            ),
+        }[name]
+        pipeline = importlib.import_module("loopsing.cli.main")
+        functional = pipeline.lambda_of
+        monkeypatch.setattr(
+            pipeline, "lambda_of", lambda func, window: edit(functional(func, window))
+        )
+        report = run_source("x^3 + y^3", checks=(name,))
+        assert report.checks == {name: CheckOutcome(ok=False, witness=witness)}
+        assert report.exit_status == 1
+        assert validate_report(report.to_dict()) == []
 
     def test_oversized_functional_is_not_a_failed_check(self, monkeypatch):
         monkeypatch.setattr(loopfun, "MAX_JET_TERMS", 20)
@@ -710,6 +747,15 @@ class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert main(["-f", "x^2 + y^3"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source, got", [("x - x", "the zero polynomial"), ("0", "the zero polynomial"), ("7", "0")]
+    )
+    def test_low_degree_error_names_the_zero_polynomial(self, capsys, source, got):
+        assert main(["-f", source]) == 2
+        assert capsys.readouterr().err == (
+            f"loopsing: error: homogeneity degree must be >= 2, got {got}\n"
+        )
 
     def test_syntax_error_exit_code(self, capsys):
         assert main(["-f", "x +"]) == 2

@@ -288,6 +288,11 @@ _facts = st.lists(
 _systems = st.builds(LesSystem, st.integers(1, 3), _small_dims, _small_dims, _facts)
 
 
+def _euler(dims: GradedDims) -> int:
+    """The Euler characteristic: the alternating sum of the dimensions."""
+    return sum(dim if degree % 2 == 0 else -dim for degree, dim in dims.items())
+
+
 class TestGradedDims:
     def test_prunes_zeros_and_merges(self):
         dims = GradedDims({0: 1, 3: 0, -2: 2})
@@ -308,8 +313,7 @@ class TestGradedDims:
     def test_shift_and_euler(self):
         dims = GradedDims({0: 1, 1: 4})
         assert dims.shifted(4) == GradedDims({4: 1, 5: 4})
-        assert dims.euler() == -3
-        assert dims.total() == 5
+        assert _euler(dims) == -3
 
     def test_plus_takes_any_mapping(self):
         assert GradedDims({1: 2}).plus(MappingProxyType({3: 1})) == GradedDims({1: 2, 3: 1})
@@ -332,12 +336,12 @@ class TestBaseCases:
     def test_milnor_fiber_wedge_of_circles(self):
         dims = milnor_fiber_cohomology(2, 4)
         assert dims == GradedDims({0: 1, 1: 4})
-        assert dims.euler() == 1 - 4
+        assert _euler(dims) == 1 - 4
 
     def test_milnor_fiber_affine_quadric_surface(self):
         dims = milnor_fiber_cohomology(3, 1)
         assert dims == GradedDims({0: 1, 2: 1})
-        assert dims.euler() == 1 + 1
+        assert _euler(dims) == 1 + 1
 
     @pytest.mark.parametrize("d,expected", [(1, {0: 1, 1: 1}), (2, {0: 1, 3: 1}), (5, {0: 1, 9: 1})])
     def test_sphere(self, d, expected):
@@ -425,7 +429,7 @@ class TestGysinShift:
         for n in range(4):
             full = truncation_cohomology(entry.d, entry.mu, n)
             nxt = solve_les_detailed(gysin_system(full, entry.d)).b
-            assert nxt.euler() == full.euler() + sphere_cohomology(entry.d).euler()
+            assert _euler(nxt) == _euler(full) + _euler(sphere_cohomology(entry.d))
 
 
 class TestGysinTower:
@@ -569,7 +573,7 @@ class TestEscape:
             assert row.declared_floor == declared_support_floor(2, row.n)
             # the computed degree sits exactly d below the declared floor
             assert row.declared_floor - row.degree == 2
-            assert not row.meets_floor
+            assert row.degree < row.declared_floor
 
 
 class _ReadCounter(tuple):
@@ -652,7 +656,7 @@ class TestRenormalized:
 
     def test_negative_degrees_report_zero(self):
         report = renormalized_nearby_cohomology(2, 4, 4)
-        negatives = [s for s in report.tracked if s < 0]
+        negatives = [s for s in report.stabilization_step if s < 0]
         assert negatives
         for s in negatives:
             assert report.stable.dim(s) == 0
@@ -686,7 +690,6 @@ class TestRenormalized:
         # a normalization change by k rigidly shifts every renormalized degree
         # by 2k (the colimit degree offset is twice the normalization)
         assert shifted.stable == base.stable.shifted(-2 * k)
-        assert set(shifted.tracked) == {s - 2 * k for s in base.tracked}
         assert shifted.stabilization_step == {
             s - 2 * k: step for s, step in base.stabilization_step.items()
         }

@@ -11,12 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsing.exactalg import (
-    LoopPoly,
-    LoopVar,
-    MissingAssignment,
-    Monomial,
-)
+from loopsing.exactalg import LoopPoly, LoopVar, Monomial
+
+from conftest import MissingAssignment, substitute
 
 
 def var(coord: int, cdeg: int) -> LoopPoly:
@@ -121,24 +118,24 @@ def test_partial_examples():
 
 
 def test_substitute_binomial():
-    assert (z0**2).substitute({LoopVar(1, 0): z0 + z1}) == z0**2 + 2 * z0 * z1 + z1**2
+    assert substitute(z0**2, {LoopVar(1, 0): z0 + z1}) == z0**2 + 2 * z0 * z1 + z1**2
 
 
 def test_substitute_identity():
     p = z0**2 + 2 * z1 * zm1 - y0
     identity = {v: LoopPoly.variable(v) for v in p.variables()}
-    assert p.substitute(identity) == p
+    assert substitute(p, identity) == p
 
 
 def test_substitute_cube():
     image = zm1 + z0
     expected = zm1**3 + 3 * zm1**2 * z0 + 3 * zm1 * z0**2 + z0**3
-    assert (z0**3).substitute({LoopVar(1, 0): image}) == expected
+    assert substitute(z0**3, {LoopVar(1, 0): image}) == expected
 
 
 def test_substitute_missing_assignment():
     with pytest.raises(MissingAssignment):
-        (z0 * y0).substitute({LoopVar(1, 0): z0})
+        substitute(z0 * y0, {LoopVar(1, 0): z0})
 
 
 def test_grading_examples():
@@ -181,9 +178,9 @@ def test_zero_out():
 
 def test_zero_coefficients_are_pruned():
     p = LoopPoly({Monomial({LoopVar(1, 0): 1}): Fraction(0)})
-    assert p.is_zero
+    assert not p
     q = z0 - z0
-    assert q.is_zero and len(q) == 0
+    assert not q and len(q) == 0
     with pytest.raises(ValueError, match="no leading term"):
         q.leading_monomial
 
@@ -222,7 +219,7 @@ def test_substitute_commutes_with_mul(p, q, images):
     assignment.update({v: img for v, img in images.items()})
     for v in set(p.variables()) | set(q.variables()):
         assignment.setdefault(v, LoopPoly.variable(v))
-    assert (p * q).substitute(assignment) == p.substitute(assignment) * q.substitute(assignment)
+    assert substitute(p * q, assignment) == substitute(p, assignment) * substitute(q, assignment)
 
 
 # -- the monomial order against the grevlex definition --------------------------
@@ -238,8 +235,8 @@ def _grevlex_greater(a: Monomial, b: Monomial) -> bool:
     variables = sorted(
         set(a.variables()) | set(b.variables()), key=lambda v: (v.cdeg, v.coord), reverse=True
     )
-    alpha = [a.exponent(v) for v in variables]
-    beta = [b.exponent(v) for v in variables]
+    alpha = [dict(a.factors).get(v, 0) for v in variables]
+    beta = [dict(b.factors).get(v, 0) for v in variables]
     if sum(alpha) != sum(beta):
         return sum(alpha) > sum(beta)
     differences = [x - y for x, y in zip(alpha, beta) if x != y]

@@ -67,7 +67,7 @@ class TestBuchberger:
         elements = gb.elements
         for i in range(len(elements)):
             for j in range(i + 1, len(elements)):
-                assert normal_form(s_polynomial(elements[i], elements[j]), elements).is_zero
+                assert not normal_form(s_polynomial(elements[i], elements[j]), elements)
 
     def test_nontrivial_pair_processing(self):
         # x^2 y - 1 and x y^2 - 1 need genuine S-polynomial work
@@ -75,9 +75,14 @@ class TestBuchberger:
         g = x * y**2 - LoopPoly.constant(1)
         gb = buchberger(Ideal([f, g], 2))
         for p in (f, g):
-            assert normal_form(p, gb.elements).is_zero
+            assert not normal_form(p, gb.elements)
         lead = {e.leading_monomial for e in gb.elements}
         assert mono((1, 1)) in lead or mono((2, 1)) in lead  # x - y reduces one of them
+
+
+def _divides(a: Monomial, b: Monomial) -> bool:
+    exponents = dict(b.factors)
+    return all(exponents.get(v, 0) >= e for v, e in a.factors)
 
 
 class TestNormalForm:
@@ -92,7 +97,7 @@ class TestNormalForm:
         remainder = normal_form(x**5 + y**5 + x**2 * y**2, gb.elements)
         heads = [g.leading_monomial for g in gb.elements]
         for m, _ in remainder.terms:
-            assert not any(h.divides(m) for h in heads)
+            assert not any(_divides(h, m) for h in heads)
 
 
 def loop_var(coord: int, cdeg: int) -> LoopPoly:
@@ -146,7 +151,7 @@ def _monomial_standard_monomials(gb: GroebnerBasis) -> list[Monomial] | None:
     """Reference: the Monomial-based enumeration grobner ran before it counted
     on exponent vectors; None when the standard monomials are infinite."""
     heads = [g.leading_monomial for g in gb.elements]
-    if any(head.is_unit for head in heads):
+    if any(not head.factors for head in heads):
         return []
     exponents: list[int | None] = [None] * gb.d
     for head in heads:
@@ -160,7 +165,7 @@ def _monomial_standard_monomials(gb: GroebnerBasis) -> list[Monomial] | None:
     out = []
     for combo in itertools.product(*(range(k) for k in exponents)):
         m = Monomial(tuple((LoopVar(i + 1, 0), e) for i, e in enumerate(combo) if e))
-        if not any(h.divides(m) for h in heads):
+        if not any(_divides(h, m) for h in heads):
             out.append(m)
     out.sort()
     return out

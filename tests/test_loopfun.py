@@ -22,15 +22,13 @@ from loopsing.loopfun import (
     check_derivative_identity,
     check_support_bound,
     check_top_linearity,
-    constant_loop_restriction,
     jet_coefficient,
-    jet_coefficient_by_enumeration,
     lambda_of,
     minimal_window,
     support_window,
 )
 
-from conftest import CORPUS, build, deadline
+from conftest import CORPUS, build, deadline, jet_coefficient_by_enumeration, substitute
 
 
 def lv(coord: int, cdeg: int) -> LoopPoly:
@@ -59,7 +57,7 @@ def small_homogeneous_forms(draw) -> InputFunction:
     )
     coefficients = st.integers(-3, 3).filter(bool)
     poly = LoopPoly(draw(st.lists(st.tuples(monomials, coefficients), min_size=1, max_size=4)))
-    assume(not poly.is_zero)
+    assume(poly)
     used = sorted({v.coord for v in poly.variables()})
     return InputFunction(poly.map_variables(lambda v: LoopVar(used.index(v.coord) + 1, 0)))
 
@@ -67,9 +65,8 @@ def small_homogeneous_forms(draw) -> InputFunction:
 class TestWindow:
     def test_bounds(self):
         w = Window(2, 3)
-        assert (w.lo, w.hi) == (-2, 3)
-        assert list(w.indices()) == [-2, -1, 0, 1, 2, 3]
-        assert w.contains(0) and not w.contains(4)
+        assert (w.bottom, w.top) == (2, 3)
+        assert str(w) == "[-2, 3]"
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -78,7 +75,7 @@ class TestWindow:
             Window(1, -2)
 
     def test_negative_top_allowed(self):
-        assert list(Window(2, -1).indices()) == [-2, -1]
+        assert str(Window(2, -1)) == "[-2, -1]"
 
 
 class TestInputFunction:
@@ -303,7 +300,7 @@ class TestDerivativeIdentity:
     def test_quadric(self):
         func = build("z^2")
         report = check_derivative_identity(func, 1)
-        assert report.ok_per_coord == (True,)
+        assert [check.ok for check in report.checks] == [True]
         lam = lambda_of(func, Window(1, 1))
         assert lam.partial(LoopVar(1, 1)) == 2 * lv(1, -1)
 
@@ -316,7 +313,7 @@ class TestDerivativeIdentity:
 
     def test_plane_quadric(self):
         func = build("x^2 + y^2")
-        assert check_derivative_identity(func, 1).ok_per_coord == (True, True)
+        assert [check.ok for check in check_derivative_identity(func, 1).checks] == [True, True]
         lam = lambda_of(func, Window(1, 1))
         assert lam.partial(LoopVar(1, 1)) == 2 * lv(1, -1)
         assert lam.partial(LoopVar(2, 1)) == 2 * lv(2, -1)
@@ -329,21 +326,22 @@ class TestDerivativeIdentity:
             assert check.via_bottom_evaluation
 
 
+def _on_constant_loops(func: InputFunction, window: Window) -> LoopPoly:
+    """The functional with every variable of nonzero conformal degree set to zero."""
+    return lambda_of(func, window).zero_out(lambda v: v.cdeg != 0)
+
+
 class TestConstantLoopRestriction:
     def test_quadric(self):
-        assert constant_loop_restriction(build("z^2"), Window(2, 2)) == lv(1, 0) ** 2
+        assert _on_constant_loops(build("z^2"), Window(2, 2)) == lv(1, 0) ** 2
 
     def test_fermat_cubic(self):
         expected = lv(1, 0) ** 3 + lv(2, 0) ** 3
-        assert constant_loop_restriction(build("x^3 + y^3"), Window(2, 4)) == expected
+        assert _on_constant_loops(build("x^3 + y^3"), Window(2, 4)) == expected
 
     def test_recovers_corpus_functions(self, corpus_function):
         w = minimal_window(corpus_function, 1)
-        assert constant_loop_restriction(corpus_function, w) == corpus_function.poly
-
-    def test_requires_zero_in_window(self):
-        with pytest.raises(ValueError):
-            constant_loop_restriction(build("z^2"), Window(2, -1))
+        assert _on_constant_loops(corpus_function, w) == corpus_function.poly
 
 
 class TestSizeBudget:
@@ -422,14 +420,14 @@ class TestGLInvariance:
         d = len(matrix)
         for source in GL_BASES[d]:
             func = build(source)
-            transformed = InputFunction(func.poly.substitute(_linear_change(matrix, 0)))
+            transformed = InputFunction(substitute(func.poly, _linear_change(matrix, 0)))
             window = minimal_window(func, bottom)
             assert minimal_window(transformed, bottom) == window
             change = {}
             for cdeg in range(-window.bottom, window.top + 1):
                 change.update(_linear_change(matrix, cdeg))
-            assert lambda_of(transformed, window) == lambda_of(func, window).substitute(change)
+            assert lambda_of(transformed, window) == substitute(lambda_of(func, window), change)
 
     def test_hand_checked_transform(self):
         func = build("(x + 2*y)^3 + (3*x - y)^3")
-        assert func.poly == build("x^3 + y^3").poly.substitute(_linear_change(GL_MATRICES[0], 0))
+        assert func.poly == substitute(build("x^3 + y^3").poly, _linear_change(GL_MATRICES[0], 0))

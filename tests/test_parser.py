@@ -25,6 +25,10 @@ from loopsing.loopfun import DegreeTooLow, NotHomogeneous, lambda_of, minimal_wi
 from conftest import CORPUS, NON_ISOLATED_SOURCES, deadline
 
 
+def _coefficient(poly: LoopPoly, mono: Monomial) -> Fraction:
+    return dict(poly.terms).get(mono, Fraction(0))
+
+
 class TestGrammar:
     def test_quadric(self):
         func = parse_function("z^2")
@@ -38,17 +42,17 @@ class TestGrammar:
     def test_first_occurrence_coordinate_order(self):
         poly, names = parse_polynomial("y^3 + x^3")
         assert names == ("y", "x")
-        assert poly.coefficient(Monomial({LoopVar(1, 0): 3})) == 1
+        assert _coefficient(poly, Monomial({LoopVar(1, 0): 3})) == 1
 
     def test_rational_coefficients(self):
         poly, _ = parse_polynomial("1/2*x^2 + 3*x*y - y^2")
-        assert poly.coefficient(Monomial({LoopVar(1, 0): 2})) == Fraction(1, 2)
-        assert poly.coefficient(Monomial({LoopVar(1, 0): 1, LoopVar(2, 0): 1})) == 3
-        assert poly.coefficient(Monomial({LoopVar(2, 0): 2})) == -1
+        assert _coefficient(poly, Monomial({LoopVar(1, 0): 2})) == Fraction(1, 2)
+        assert _coefficient(poly, Monomial({LoopVar(1, 0): 1, LoopVar(2, 0): 1})) == 3
+        assert _coefficient(poly, Monomial({LoopVar(2, 0): 2})) == -1
 
     def test_unary_minus_binds_below_product(self):
         poly, _ = parse_polynomial("-x*y")
-        assert poly.coefficient(Monomial({LoopVar(1, 0): 1, LoopVar(2, 0): 1})) == -1
+        assert _coefficient(poly, Monomial({LoopVar(1, 0): 1, LoopVar(2, 0): 1})) == -1
 
     def test_parentheses(self):
         poly, _ = parse_polynomial("(x + y)^2")
@@ -60,7 +64,7 @@ class TestGrammar:
 
     def test_multidigit_numbers(self):
         poly, _ = parse_polynomial("12*x^10")
-        assert poly.coefficient(Monomial({LoopVar(1, 0): 10})) == 12
+        assert _coefficient(poly, Monomial({LoopVar(1, 0): 10})) == 12
 
     def test_long_sum_parses_in_linear_time(self):
         # 2000 operands of both signs over 500 monomials, so that operands merge;
@@ -256,7 +260,7 @@ def _reference_coefficient_source(coeff: Fraction) -> str:
 
 
 def _reference_poly_to_source(poly: LoopPoly, names: Sequence[str]) -> str:
-    if poly.is_zero:
+    if not poly:
         return "0"
     parts: list[str] = []
     for i, (mono, coeff) in enumerate(poly.terms):
@@ -265,7 +269,7 @@ def _reference_poly_to_source(poly: LoopPoly, names: Sequence[str]) -> str:
             for v, e in mono.factors
         )
         mag = abs(coeff)
-        if mono.is_unit:
+        if not mono.factors:
             body = _reference_coefficient_source(coeff)
         elif mag == 1:
             body = factors
