@@ -6,7 +6,6 @@ from .parser import (
     format_function,
     loop_poly_string,
     parse_function,
-    parse_polynomial,
     poly_to_source,
     read_function_file,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "loop_poly_string",
     "main",
     "parse_function",
-    "parse_polynomial",
     "poly_to_source",
     "read_function_file",
     "run",

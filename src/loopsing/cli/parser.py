@@ -22,7 +22,6 @@ from ..loopfun import InputFunction
 
 __all__ = [
     "ParseError",
-    "parse_polynomial",
     "parse_function",
     "read_function_file",
     "format_function",
@@ -257,11 +256,6 @@ def _check_degree(token: _Token, degree: int) -> None:
         )
 
 
-def parse_polynomial(source: str) -> tuple[LoopPoly, tuple[str, ...]]:
-    """Parse an expression into an ambient polynomial plus coordinate names."""
-    return _Parser(source).parse()
-
-
 def parse_function(source: str) -> InputFunction:
     """Parse and validate a homogeneous input function.
 
@@ -288,7 +282,7 @@ def parse_function(source: str) -> InputFunction:
 
 def read_function_file(path: str) -> str:
     """Read one expression from a file: every line that is not blank and does
-    not start with #, joined by spaces.
+    not start with #, joined by spaces.  One leading byte-order mark is dropped.
 
     A file that is not UTF-8 text raises OSError naming the file and the
     offset of its first bad byte.
@@ -296,7 +290,7 @@ def read_function_file(path: str) -> str:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OSError(errno.EILSEQ, f"not UTF-8 text at byte {exc.start}", path) from None
     lines = [line.strip() for line in io.StringIO(text, newline=None)]

@@ -142,6 +142,8 @@ class LoopPoly:
     Terms are stored as a tuple of (monomial, coefficient) pairs sorted in
     decreasing monomial order, with zero coefficients pruned, so the
     representation of a polynomial is independent of how it was assembled.
+    The constructor alone merges, prunes and orders terms: every operation
+    hands it raw terms, repeats and zeros included.
     """
 
     __slots__ = ("_terms",)
@@ -224,12 +226,7 @@ class LoopPoly:
         return LoopPoly({m: -c for m, c in self._terms})
 
     def __add__(self, other: PolyLike) -> "LoopPoly":
-        other = as_poly(other)
-        acc = dict(self._terms)
-        for mono, coeff in other._terms:
-            prev = acc.get(mono)
-            acc[mono] = coeff if prev is None else prev + coeff
-        return LoopPoly(acc)
+        return LoopPoly(self._terms + as_poly(other)._terms)
 
     __radd__ = __add__
 
@@ -243,14 +240,8 @@ class LoopPoly:
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return LoopPoly({m: c * q for m, c in self._terms}) if q else LoopPoly()
-        other = as_poly(other)
-        acc: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms:
-            for mb, cb in other._terms:
-                m = ma.mul(mb)
-                prev = acc.get(m)
-                acc[m] = ca * cb if prev is None else prev + ca * cb
-        return LoopPoly(acc)
+        pairs = as_poly(other)._terms
+        return LoopPoly((ma.mul(mb), ca * cb) for ma, ca in self._terms for mb, cb in pairs)
 
     __rmul__ = __mul__
 
@@ -266,7 +257,7 @@ class LoopPoly:
 
     def partial(self, var: LoopVar) -> "LoopPoly":
         """Formal partial derivative with respect to var."""
-        acc: dict[Monomial, Fraction] = {}
+        terms = []
         for mono, coeff in self._terms:
             factors = mono.factors
             # Factors are sorted by variable, so a search finds var's slot;
@@ -275,18 +266,15 @@ class LoopPoly:
             if i == len(factors) or factors[i][0] != var:
                 continue
             e = factors[i][1]
-            m = Monomial(factors[:i] + ((var, e - 1),) + factors[i + 1 :])
-            prev = acc.get(m)
-            acc[m] = coeff * e if prev is None else prev + coeff * e
-        return LoopPoly(acc)
+            terms.append((Monomial(factors[:i] + ((var, e - 1),) + factors[i + 1 :]), coeff * e))
+        return LoopPoly(terms)
 
     def map_variables(self, rename: Callable[[LoopVar], LoopVar]) -> "LoopPoly":
         """Rename every variable; colliding images are merged."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms:
-            m = Monomial(tuple((rename(v), e) for v, e in mono.factors))
-            acc[m] = acc.get(m, Fraction(0)) + coeff
-        return LoopPoly(acc)
+        return LoopPoly(
+            (Monomial(tuple((rename(v), e) for v, e in mono.factors)), coeff)
+            for mono, coeff in self._terms
+        )
 
     def zero_out(self, doomed: Callable[[LoopVar], bool]) -> "LoopPoly":
         """Set every variable satisfying the predicate to zero.

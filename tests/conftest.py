@@ -1,4 +1,4 @@
-"""Shared corpus of input functions, and the references more than one test module uses."""
+"""Shared corpus of input functions, and the references and helpers the test modules import."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from loopsing.cli import parse_function
+from loopsing.cli.parser import _Parser
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.loopfun import InputFunction, Window
 
@@ -58,6 +59,12 @@ def fermat_source(d: int, delta: int) -> str:
 
 def build(source: str) -> InputFunction:
     return parse_function(source)
+
+
+def parse_polynomial(source: str) -> tuple[LoopPoly, tuple[str, ...]]:
+    """The grammar alone: an expression's ambient polynomial and coordinate
+    names, without the checks parse_function makes."""
+    return _Parser(source).parse()
 
 
 def jet_coefficient_by_enumeration(func: InputFunction, window: Window, k: int) -> LoopPoly:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,91 @@ def test_substitute_commutes_with_mul(p, q, images):
     for v in set(p.variables()) | set(q.variables()):
         assignment.setdefault(v, LoopPoly.variable(v))
     assert substitute(p * q, assignment) == substitute(p, assignment) * substitute(q, assignment)
+
+
+# -- each operation against the accumulating version it replaced ---------------
+# These merge equal monomials in a dict of their own before the constructor
+# prunes and orders them; the operations hand the constructor raw terms.
+
+
+def _reference_add(p: LoopPoly, q: LoopPoly) -> LoopPoly:
+    acc = dict(p.terms)
+    for mono, coeff in q.terms:
+        prev = acc.get(mono)
+        acc[mono] = coeff if prev is None else prev + coeff
+    return LoopPoly(acc)
+
+
+def _reference_mul(p: LoopPoly, q: LoopPoly) -> LoopPoly:
+    acc: dict[Monomial, Fraction] = {}
+    for ma, ca in p.terms:
+        for mb, cb in q.terms:
+            m = ma.mul(mb)
+            prev = acc.get(m)
+            acc[m] = ca * cb if prev is None else prev + ca * cb
+    return LoopPoly(acc)
+
+
+def _reference_partial(p: LoopPoly, var: LoopVar) -> LoopPoly:
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in p.terms:
+        factors = mono.factors
+        i = bisect_left(factors, (var,))
+        if i == len(factors) or factors[i][0] != var:
+            continue
+        e = factors[i][1]
+        m = Monomial(factors[:i] + ((var, e - 1),) + factors[i + 1 :])
+        prev = acc.get(m)
+        acc[m] = coeff * e if prev is None else prev + coeff * e
+    return LoopPoly(acc)
+
+
+def _reference_map_variables(p: LoopPoly, rename) -> LoopPoly:
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in p.terms:
+        m = Monomial(tuple((rename(v), e) for v, e in mono.factors))
+        acc[m] = acc.get(m, Fraction(0)) + coeff
+    return LoopPoly(acc)
+
+
+def _assert_operations_match_references(p, q, v, rename):
+    assert (p + q).terms == _reference_add(p, q).terms
+    assert (p * q).terms == _reference_mul(p, q).terms
+    assert p.partial(v).terms == _reference_partial(p, v).terms
+    assert p.map_variables(rename).terms == _reference_map_variables(p, rename).terms
+
+
+@settings(deadline=None)
+@given(_polys, _polys, _vars, st.dictionaries(_vars, _vars, max_size=4))
+def test_operations_match_their_accumulating_references(p, q, v, images):
+    def rename(w: LoopVar) -> LoopVar:
+        return images.get(w, w)
+
+    _assert_operations_match_references(p, q, v, rename)
+    _assert_operations_match_references(p, -p, v, rename)
+
+
+def test_operations_match_their_references_where_terms_cancel():
+    x, y, w = LoopVar(1, 0), LoopVar(2, 0), LoopVar(1, 1)
+    px, py, pw = map(LoopPoly.variable, (x, y, w))
+    p = 3 * px * pw - Fraction(1, 2) * py**2
+
+    def onto_x(var: LoopVar) -> LoopVar:
+        return x if var == y else var
+
+    # a sum that cancels to zero
+    assert (p + -p).terms == _reference_add(p, -p).terms == ()
+    # a product whose cross terms cancel
+    square = ((px + py) * (px - py)).terms
+    assert square == _reference_mul(px + py, px - py).terms == (px**2 - py**2).terms
+    assert len(square) == 2
+    # a partial by a variable that does not occur
+    assert p.partial(LoopVar(2, 5)).terms == _reference_partial(p, LoopVar(2, 5)).terms == ()
+    # a rename that sends two variables to one, whose coefficients cancel
+    cancelling = 2 * px * pw - 2 * py * pw + px**2
+    renamed = cancelling.map_variables(onto_x)
+    assert renamed.terms == _reference_map_variables(cancelling, onto_x).terms == (px**2).terms
+    _assert_operations_match_references(p, -p, y, onto_x)
 
 
 # -- the monomial order against the grevlex definition --------------------------

@@ -14,7 +14,6 @@ from loopsing.cli import (
     ParseError,
     format_function,
     parse_function,
-    parse_polynomial,
     poly_to_source,
     read_function_file,
 )
@@ -22,7 +21,7 @@ from loopsing.cli.parser import MAX_DEGREE, MAX_NESTING, MAX_PRODUCT_WORK
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.loopfun import DegreeTooLow, NotHomogeneous, lambda_of, minimal_window
 
-from conftest import CORPUS, NON_ISOLATED_SOURCES, deadline
+from conftest import CORPUS, NON_ISOLATED_SOURCES, deadline, parse_polynomial
 
 
 def _coefficient(poly: LoopPoly, mono: Monomial) -> Fraction:
@@ -396,3 +395,19 @@ class TestFunctionFile:
         path = tmp_path / "input.txt"
         path.write_bytes(b"# note\r\n# a\x0cx^2\rx^3 +\r\ny^3\n")
         assert read_function_file(str(path)) == "x^3 + y^3"
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xef\xbb\xbfx^3 + y^3\n", b"\xef\xbb\xbf# the plane cubic\nx^3 + y^3\n"],
+        ids=["expression", "comment"],
+    )
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, data):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        assert read_function_file(str(path)) == "x^3 + y^3"
+
+    def test_a_bad_byte_after_a_mark_is_reported_at_its_file_offset(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xef\xbb\xbfab\xff")
+        with pytest.raises(OSError, match="not UTF-8 text at byte 5"):
+            read_function_file(str(path))
