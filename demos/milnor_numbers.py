@@ -29,7 +29,7 @@ print("reduced Groebner basis:", ", ".join(poly_to_source(g, fermat.names) for g
 monomials = standard_monomials(basis)
 print(
     "standard monomials:",
-    ", ".join(poly_to_source(LoopPoly.term(m), fermat.names) for m in monomials),
+    ", ".join(poly_to_source(LoopPoly({m: 1}), fermat.names) for m in monomials),
 )
 print("mu =", len(monomials), "= (3-1)^2")
 

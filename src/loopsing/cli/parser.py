@@ -5,6 +5,12 @@ Grammar: identifiers [A-Za-z][A-Za-z0-9]* are variables, integer and rational
 ^ > * > unary minus > binary +/-, explicit * is required (no juxtaposition),
 parentheses group.  Ambient coordinates are numbered in order of first
 occurrence.
+
+The grammar is evaluated with a small dict arithmetic: a value is its terms,
+{exponent vector: coefficient}, entry i of a vector being the exponent of
+coordinate i+1, equal vectors merged, zero coefficients pruned and trailing
+zero exponents left off until parse() pads every vector to the coordinate
+count.  parse_function hands the terms to InputFunction, which keeps this form.
 """
 
 from __future__ import annotations
@@ -13,11 +19,11 @@ import errno
 import io
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
-from ..exactalg import LoopPoly, LoopVar, Monomial, format_terms
+from ..exactalg import LoopPoly, format_terms
 from ..loopfun import InputFunction
 
 __all__ = [
@@ -59,15 +65,10 @@ MAX_PRODUCT_WORK = 20_000
 
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/])")
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
+_Terms = dict[tuple[int, ...], int | Fraction]
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[re.Match[str]]:
     tokens = []
     pos = 0
     while pos < len(source):
@@ -77,8 +78,7 @@ def _tokenize(source: str) -> list[_Token]:
         match = _TOKEN_RE.match(source, pos)
         if match is None:
             raise ParseError(pos, "a number, variable or operator", repr(source[pos]))
-        kind = match.lastgroup or "op"
-        tokens.append(_Token(kind, match.group(), pos))
+        tokens.append(match)
         pos = match.end()
     return tokens
 
@@ -93,10 +93,10 @@ class _Parser:
         # Variable name -> (coordinate, position of its first occurrence).
         self.coords: dict[str, tuple[int, int]] = {}
 
-    def _peek(self) -> _Token | None:
+    def _peek(self) -> re.Match[str] | None:
         return self.tokens[self.cursor] if self.cursor < len(self.tokens) else None
 
-    def _take(self) -> _Token:
+    def _take(self) -> re.Match[str]:
         token = self._peek()
         if token is None:
             raise ParseError(len(self.source), "more input", "end of input")
@@ -107,152 +107,144 @@ class _Parser:
         token = self._peek()
         if token is None:
             return ParseError(len(self.source), expected, "end of input")
-        return ParseError(token.position, expected, repr(token.text))
+        return ParseError(token.start(), expected, repr(token[0]))
 
-    def parse(self) -> tuple[LoopPoly, tuple[str, ...]]:
-        poly = self._expression()
+    def parse(self) -> tuple[_Terms, tuple[str, ...]]:
+        """The expression's terms, one vector entry per coordinate, and the coordinate names."""
+        terms = self._expression()
         if self._peek() is not None:
             raise self._fail("'+', '-' or end of input")
-        return poly, tuple(self.coords)
+        d = len(self.coords)
+        return {e + (0,) * (d - len(e)): c for e, c in terms.items()}, tuple(self.coords)
 
-    def _expression(self) -> LoopPoly:
-        # The signed operands' terms are collected and merged by one LoopPoly
-        # at the end, so a long sum costs one sort instead of one per operand.
-        terms = list(self._signed().terms)
-        while True:
-            token = self._peek()
-            if token is None or token.text not in ("+", "-"):
-                return LoopPoly(terms)
-            self._take()
-            operand = self._signed()
-            terms.extend(operand.terms if token.text == "+" else (-operand).terms)
-
-    def _signed(self) -> LoopPoly:
+    def _expression(self) -> _Terms:
+        # The signed operands are summed into one dict, pruned once at the end.
+        total: _Terms = {}
         negate = False
-        while (token := self._peek()) is not None and token.text == "-":
-            self._take()
-            negate = not negate
-        poly = self._product()
-        return -poly if negate else poly
-
-    def _product(self) -> LoopPoly:
-        poly = self._power()
         while True:
+            while (token := self._peek()) is not None and token[0] == "-":
+                self._take()
+                negate = not negate
+            for e, c in self._product().items():
+                total[e] = total.get(e, 0) + (-c if negate else c)
             token = self._peek()
-            if token is None or token.text != "*":
-                return poly
+            if token is None or token[0] not in ("+", "-"):
+                return {e: c for e, c in total.items() if c}
+            negate = self._take()[0] == "-"
+
+    def _product(self) -> _Terms:
+        terms = self._power()
+        while (token := self._peek()) is not None and token[0] == "*":
             self._take()
             factor = self._power()
-            _check_degree(token, _degree(poly) + _degree(factor))
-            poly = self._times(token, poly, factor)
+            _check_degree(token, _degree(terms) + _degree(factor))
+            terms = self._times(token, terms, factor)
+        return terms
 
-    def _power(self) -> LoopPoly:
+    def _power(self) -> _Terms:
         base = self._atom()
         token = self._peek()
-        if token is not None and token.text == "^":
+        if token is not None and token[0] == "^":
             self._take()
             exp_token = self._peek()
-            if exp_token is None or exp_token.kind != "int":
+            if exp_token is None or exp_token.lastgroup != "int":
                 raise self._fail("an integer exponent")
-            self._take()
-            exponent = _int_value(exp_token)
+            exponent = _int_value(self._take())
             if exponent > MAX_DEGREE:
                 raise ParseError(
-                    exp_token.position, f"an exponent of at most {MAX_DEGREE}", repr(exp_token.text)
+                    exp_token.start(), f"an exponent of at most {MAX_DEGREE}", repr(exp_token[0])
                 )
             _check_degree(exp_token, _degree(base) * exponent)
             if len(base) == 1:
-                # One term c*m: the power is c^e * m^e, built directly.  It is
-                # charged as e one-pair products, which stop at the first
-                # pair past the budget.
+                # (c*x^e)^n is c^n*x^(n*e), charged as n one-pair products that
+                # stop at the first pair past the budget.
                 self._charge(exp_token, min(exponent, MAX_PRODUCT_WORK + 1 - self.work))
-                ((mono, coeff),) = base.terms
-                return LoopPoly.term(
-                    Monomial((v, x * exponent) for v, x in mono.factors), coeff**exponent
-                )
-            power = LoopPoly.constant(1)
+                ((e, c),) = base.items()
+                return {tuple(x * exponent for x in e) if exponent else (): c**exponent}
+            power: _Terms = {(): 1}
             for _ in range(exponent):
                 power = self._times(exp_token, power, base)
             return power
         return base
 
-    def _times(self, token: _Token, a: LoopPoly, b: LoopPoly) -> LoopPoly:
+    def _times(self, token: re.Match[str], a: _Terms, b: _Terms) -> _Terms:
         """a * b, rejected before it is built when it exhausts MAX_PRODUCT_WORK."""
         self._charge(token, len(a) * len(b))
-        return a * b
+        product: _Terms = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                # At most one of the vectors has entries past the other's end.
+                e = (*map(add, ea, eb), *ea[len(eb) :], *eb[len(ea) :])
+                product[e] = product.get(e, 0) + ca * cb
+        return {e: c for e, c in product.items() if c}
 
-    def _charge(self, token: _Token, pairs: int) -> None:
+    def _charge(self, token: re.Match[str], pairs: int) -> None:
         """Count `pairs` more term pairs, rejecting them when they exhaust MAX_PRODUCT_WORK."""
         self.work += pairs
         if self.work > MAX_PRODUCT_WORK:
             raise ParseError(
-                token.position,
+                token.start(),
                 f"products of at most {MAX_PRODUCT_WORK} term pairs in all",
                 f"{self.work} term pairs",
             )
 
-    def _atom(self) -> LoopPoly:
+    def _atom(self) -> _Terms:
         token = self._peek()
         if token is None:
             raise self._fail("a number, variable or '('")
-        if token.kind == "int":
-            self._take()
-            numerator = _int_value(token)
+        if token.lastgroup == "int":
+            value: int | Fraction = _int_value(self._take())
             nxt = self._peek()
-            if nxt is not None and nxt.text == "/":
+            if nxt is not None and nxt[0] == "/":
                 self._take()
                 den_token = self._peek()
-                if den_token is None or den_token.kind != "int":
+                if den_token is None or den_token.lastgroup != "int":
                     raise self._fail("an integer denominator")
-                self._take()
-                denominator = _int_value(den_token)
+                denominator = _int_value(self._take())
                 if denominator == 0:
-                    raise ParseError(den_token.position, "a nonzero denominator", "0")
-                return LoopPoly.constant(Fraction(numerator, denominator))
-            return LoopPoly.constant(numerator)
-        if token.kind == "name":
+                    raise ParseError(den_token.start(), "a nonzero denominator", "0")
+                value = Fraction(value, denominator)
+            return {(): value} if value else {}
+        if token.lastgroup == "name":
             self._take()
-            coord, _ = self.coords.setdefault(
-                token.text, (len(self.coords) + 1, token.position)
-            )
-            return LoopPoly.variable(LoopVar(coord, 0))
-        if token.text == "(":
+            coord, _ = self.coords.setdefault(token[0], (len(self.coords) + 1, token.start()))
+            return {(0,) * (coord - 1) + (1,): 1}
+        if token[0] == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
-                    token.position, f"at most {MAX_NESTING} nested parentheses", "'('"
+                    token.start(), f"at most {MAX_NESTING} nested parentheses", "'('"
                 )
             self._take()
             self.depth += 1
             inner = self._expression()
             self.depth -= 1
             closing = self._peek()
-            if closing is None or closing.text != ")":
+            if closing is None or closing[0] != ")":
                 raise self._fail("')'")
             self._take()
             return inner
         raise self._fail("a number, variable or '('")
 
 
-def _int_value(token: _Token) -> int:
+def _int_value(token: re.Match[str]) -> int:
     try:
-        return int(token.text)
+        return int(token[0])
     except ValueError:  # more digits than the interpreter converts
         limit = sys.get_int_max_str_digits()
         raise ParseError(
-            token.position, f"an integer of at most {limit} digits", f"{len(token.text)} digits"
+            token.start(), f"an integer of at most {limit} digits", f"{len(token[0])} digits"
         ) from None
 
 
-def _degree(poly: LoopPoly) -> int:
-    # The leading monomial has the largest degree in a graded order.
-    return poly.leading_monomial.degree if poly else 0
+def _degree(terms: _Terms) -> int:
+    return max(map(sum, terms), default=0)
 
 
-def _check_degree(token: _Token, degree: int) -> None:
+def _check_degree(token: re.Match[str], degree: int) -> None:
     """Reject a product or power of total degree above MAX_DEGREE before it is built."""
     if degree > MAX_DEGREE:
         raise ParseError(
-            token.position, f"a total degree of at most {MAX_DEGREE}", f"degree {degree}"
+            token.start(), f"a total degree of at most {MAX_DEGREE}", f"degree {degree}"
         )
 
 
@@ -266,18 +258,17 @@ def parse_function(source: str) -> InputFunction:
     occurrence.
     """
     parser = _Parser(source)
-    poly, names = parser.parse()
-    if poly:
-        # A variable without a term would leave a gap in the coordinates.
-        present = {v.coord for v in poly.variables()}
+    terms, names = parser.parse()
+    if terms:
+        # A variable without a term would leave a coordinate that F lacks.
         for name, (coord, position) in parser.coords.items():
-            if coord not in present:
+            if not any(e[coord - 1] for e in terms):
                 raise ParseError(
                     position,
                     "every variable to occur in a nonzero term",
                     f"{name!r}, whose terms all vanish",
                 )
-    return InputFunction(poly, names=names or None)
+    return InputFunction(terms, names)
 
 
 def read_function_file(path: str) -> str:

@@ -178,10 +178,6 @@ class LoopPoly:
     def variable(cls, var: LoopVar) -> "LoopPoly":
         return cls({Monomial(((var, 1),)): Fraction(1)})
 
-    @classmethod
-    def term(cls, mono: Monomial, coeff: Fraction | int = 1) -> "LoopPoly":
-        return cls({mono: Fraction(coeff)})
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -194,12 +190,6 @@ class LoopPoly:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    @property
-    def leading_monomial(self) -> Monomial:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no leading term")
-        return self._terms[0][0]
 
     def variables(self) -> tuple[LoopVar, ...]:
         seen: set[LoopVar] = set()
@@ -253,7 +243,7 @@ class LoopPoly:
             out = out * self
         return out
 
-    # -- calculus and renaming ----------------------------------------------
+    # -- calculus ------------------------------------------------------------
 
     def partial(self, var: LoopVar) -> "LoopPoly":
         """Formal partial derivative with respect to var."""
@@ -268,13 +258,6 @@ class LoopPoly:
             e = factors[i][1]
             terms.append((Monomial(factors[:i] + ((var, e - 1),) + factors[i + 1 :]), coeff * e))
         return LoopPoly(terms)
-
-    def map_variables(self, rename: Callable[[LoopVar], LoopVar]) -> "LoopPoly":
-        """Rename every variable; colliding images are merged."""
-        return LoopPoly(
-            (Monomial(tuple((rename(v), e) for v, e in mono.factors)), coeff)
-            for mono, coeff in self._terms
-        )
 
     def zero_out(self, doomed: Callable[[LoopVar], bool]) -> "LoopPoly":
         """Set every variable satisfying the predicate to zero.
@@ -306,6 +289,13 @@ class LoopPoly:
 def _default_names(d: int) -> tuple[str, ...]:
     """The coordinate names of d unnamed coordinates: z alone, else z1, ..., zd."""
     return ("z",) if d == 1 else tuple(f"z{i}" for i in range(1, d + 1))
+
+
+def _from_exponents(
+    terms: Iterable[tuple[Sequence[int], Fraction | int]], variables: Sequence[LoopVar]
+) -> LoopPoly:
+    """The LoopPoly of exponent-vector terms, entry i being the exponent of variables[i]."""
+    return LoopPoly((Monomial(zip(variables, e)), c) for e, c in terms)
 
 
 def as_poly(value: PolyLike) -> LoopPoly:

@@ -16,12 +16,14 @@ Inside this module a polynomial is a list of (exponent vector, int) terms in
 decreasing grevlex order, one vector position per variable in ascending
 (cdeg, coord) order.  Each list is primitive: its coefficients have content 1
 and its leading coefficient is positive, so it stands for the whole line of
-its rational multiples.  A LoopPoly is converted to primitive terms once on
-the way in (`_to_terms`), and Fractions are built once on the way out
-(`_from_terms`): monic ones for `GroebnerBasis.elements`, exact rescalings of
-the integer results for `normal_form` and `s_polynomial`.  Buchberger, the basis
-reduction, the audit and the oracle do no Fraction arithmetic and build no
-LoopPoly or Monomial per step:
+its rational multiples.  `_primitive_terms` makes one from exact terms: the
+Jacobian ideal's from InputFunction's partials, so the Milnor routes build no
+LoopPoly, and those of a LoopPoly given to `Ideal`, `normal_form` or
+`s_polynomial` at the boundary (`_to_terms`).  Fractions are built once on the
+way out (`_from_terms`): monic ones for `GroebnerBasis.elements`, exact
+rescalings of the integer results for `normal_form` and `s_polynomial`.
+Buchberger, the basis reduction, the audit and the oracle do no Fraction
+arithmetic and build no LoopPoly or Monomial:
 
 - division (`_reduce`) keeps the pending integer coefficients in a dict and
   their exponent vectors in a heap, cancels each term fraction-free against
@@ -55,8 +57,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, mul, sub
 
-from .exactalg import LoopPoly, LoopVar, Monomial
-from .loopfun import InputFunction
+from .exactalg import LoopPoly, LoopVar, Monomial, _from_exponents
+from .loopfun import InputFunction, _coordinates
 
 __all__ = [
     "Ideal",
@@ -96,35 +98,31 @@ def _key(e: Exponents) -> tuple[int, tuple[int, ...]]:
     return (sum(e), tuple(-x for x in e))
 
 
-def _ambient(d: int) -> tuple[LoopVar, ...]:
-    return tuple(LoopVar(coord, 0) for coord in range(1, d + 1))
-
-
 def _variables(*polys: LoopPoly) -> tuple[LoopVar, ...]:
     """The variables of the polynomials, in ascending order."""
     return tuple(sorted({v for p in polys for v in p.variables()}))
 
 
 def _to_terms(p: LoopPoly, variables: Sequence[LoopVar]) -> Terms:
-    """p's primitive integer multiple as exponent terms over the ascending
-    `variables`, in p's term order; the zero polynomial gives no terms.
+    """p's primitive integer multiple over `variables`, ascending and holding all of p's."""
+    return _primitive_terms(
+        (tuple(map(dict(mono.factors).get, variables, itertools.repeat(0))), c)
+        for mono, c in p.terms
+    )
 
-    Raises KeyError when p has a variable outside the list.
-    """
-    position = {v: i for i, v in enumerate(variables)}
-    scale = math.lcm(*(c.denominator for _, c in p.terms))
-    out = []
-    for mono, c in p.terms:
-        e = [0] * len(variables)
-        for v, x in mono.factors:
-            e[position[v]] = x
-        out.append((tuple(e), c.numerator * (scale // c.denominator)))
-    return _primitive(out) if out else out
+
+def _primitive_terms(exact: Iterable[tuple[Exponents, Fraction]]) -> Terms:
+    """The primitive integer multiple of exact terms with distinct vectors, in decreasing order."""
+    ordered = sorted(exact, key=lambda term: _key(term[0]), reverse=True)
+    if not ordered:
+        return []
+    scale = math.lcm(*(c.denominator for _, c in ordered))
+    return _primitive([(e, c.numerator * (scale // c.denominator)) for e, c in ordered])
 
 
 def _from_terms(terms: Iterable[Term], variables: Sequence[LoopVar], scale: Fraction) -> LoopPoly:
     """The LoopPoly with the terms' coefficients times `scale`."""
-    return LoopPoly((Monomial(zip(variables, e)), c * scale) for e, c in terms)
+    return _from_exponents(((e, c * scale) for e, c in terms), variables)
 
 
 def _primitive(terms: Terms) -> Terms:
@@ -223,7 +221,7 @@ class Ideal:
                     raise ValueError(f"generator uses coordinate {v.coord} > d = {d}")
         self.generators = gens
         self.d = d
-        self._terms = tuple(_to_terms(g, _ambient(d)) for g in gens)
+        self._terms = tuple(_to_terms(g, _coordinates(d, 0)) for g in gens)
 
     def __repr__(self) -> str:
         return f"Ideal({', '.join(str(g) for g in self.generators)}; d={self.d})"
@@ -243,7 +241,7 @@ class GroebnerBasis:
     @property
     def elements(self) -> tuple[LoopPoly, ...]:
         """The basis as monic LoopPolys, built on each access."""
-        variables = _ambient(self.d)
+        variables = _coordinates(self.d, 0)
         return tuple(_from_terms(g, variables, Fraction(1, g[0][1])) for g in self._terms)
 
 
@@ -389,7 +387,7 @@ def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
     leads = [g[0][0] for g in gb._terms]
     if not all(map(any, leads)):
         return []  # the unit ideal: nothing survives in the quotient
-    variables = _ambient(gb.d)
+    variables = _coordinates(gb.d, 0)
     return sorted(
         Monomial(zip(variables, e))
         for e in itertools.product(*map(range, _box(leads, gb.d)))
@@ -437,8 +435,20 @@ def _staircase_size(leads: Sequence[Exponents], box: Sequence[int]) -> int:
     )
 
 
+class _JacobianIdeal(Ideal):
+    """The ideal of F's exact partials; `generators` builds their LoopPolys on each access."""
+
+    def __init__(self, func: InputFunction):
+        self.d, self._partials = func.d, func.partials
+        self._terms = tuple(_primitive_terms(p.items()) for p in func.partials)
+
+    @property
+    def generators(self) -> tuple[LoopPoly, ...]:
+        return tuple(_from_exponents(p.items(), _coordinates(self.d, 0)) for p in self._partials)
+
+
 def jacobian_ideal(func: InputFunction) -> Ideal:
-    return Ideal(func.partials, func.d)
+    return _JacobianIdeal(func)
 
 
 def milnor_number(func: InputFunction) -> int:

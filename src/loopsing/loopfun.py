@@ -13,13 +13,14 @@ Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .exactalg import LoopPoly, LoopVar, Monomial, _default_names
+from .exactalg import LoopPoly, LoopVar, Monomial, _default_names, _from_exponents
 
 __all__ = [
     "Window",
@@ -101,61 +102,65 @@ class Window:
 
 
 class InputFunction:
-    """A nonzero homogeneous polynomial of degree >= 2 in d ambient coordinates.
+    """A nonzero homogeneous polynomial F of degree >= 2 in d ambient coordinates.
 
-    The ambient coordinates are represented by the conformal-degree-0 variables
-    z^1_0, ..., z^d_0.  Optional display names (one per coordinate) are carried
-    along for parsing and report rendering.
+    F is `terms`, {exponent vector: Fraction}, entry i of a vector being the
+    exponent of coordinate i+1; its d exact `partials` take the same form, the
+    one the jets and both Milnor routes read.  `poly`, F as a LoopPoly in
+    z^1_0, ..., z^d_0, is built when first read.  Optional display names (one
+    per coordinate) are carried along for parsing and report rendering.
     """
 
-    def __init__(self, poly: LoopPoly, names: Sequence[str] | None = None):
-        if not poly:
+    def __init__(
+        self, terms: Mapping[tuple[int, ...], Fraction | int], names: Sequence[str] | None = None
+    ):
+        self.terms = {e: Fraction(c) for e, c in terms.items() if c}
+        if not self.terms:
             raise DegreeTooLow(None)
-        variables = poly.variables()
-        if any(v.cdeg != 0 for v in variables):
-            raise ValueError("ambient polynomial must use conformal degree 0 only")
-        coords = sorted({v.coord for v in variables})
-        if coords != list(range(1, len(coords) + 1)):
-            raise ValueError(f"coordinates must be contiguous from 1, got {coords}")
-        degrees = sorted({mono.degree for mono, _ in poly.terms})
+        if not all(map(any, zip(*self.terms))):
+            raise ValueError("every coordinate must occur in some term")
+        degrees = {sum(e) for e in self.terms}
         if len(degrees) > 1:
-            raise NotHomogeneous(degrees[0], degrees[-1])
-        if degrees[0] < 2:
-            raise DegreeTooLow(degrees[0])
+            raise NotHomogeneous(min(degrees), max(degrees))
+        (self.delta,) = degrees
+        if self.delta < 2:
+            raise DegreeTooLow(self.delta)
+        self.d = d = len(next(iter(self.terms)))
+        self.names = _default_names(d) if names is None else tuple(names)
+        if len(self.names) != d or len(set(self.names)) != d:
+            raise ValueError(f"need {d} distinct coordinate names, got {self.names}")
+        # Distinct terms have distinct derivatives, so none merge.
+        self.partials = tuple(
+            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]}
+            for i in range(d)
+        )
 
-        self.d = len(coords)
-        self.delta = degrees[0]
-        self.poly = poly
-        names = _default_names(self.d) if names is None else tuple(names)
-        if len(names) != self.d or len(set(names)) != self.d:
-            raise ValueError(f"need {self.d} distinct coordinate names, got {names}")
-        self.names = names
-        # The d partial derivatives, in coordinate order.
-        self.partials = tuple(poly.partial(LoopVar(i, 0)) for i in range(1, self.d + 1))
+    @functools.cached_property
+    def poly(self) -> LoopPoly:
+        return _from_exponents(self.terms.items(), _coordinates(self.d, 0))
 
     def _named_terms(self) -> frozenset:
         return frozenset(
-            (
-                tuple(sorted((self.names[v.coord - 1], e) for v, e in mono.factors)),
-                coeff,
-            )
-            for mono, coeff in self.poly.terms
+            (tuple(sorted((self.names[i], x) for i, x in enumerate(e) if x)), c)
+            for e, c in self.terms.items()
         )
 
     def __eq__(self, other: object) -> bool:
+        # Equal named terms have the same coordinates and degree.
         if not isinstance(other, InputFunction):
             return NotImplemented
-        return (
-            self.d == other.d
-            and self.delta == other.delta
-            and self._named_terms() == other._named_terms()
-        )
+        return self._named_terms() == other._named_terms()
 
     def __repr__(self) -> str:
         return (
             f"InputFunction(d={self.d}, delta={self.delta}, "
             f"poly={self.poly.to_string(self.names)})"
         )
+
+
+def _coordinates(d: int, cdeg: int) -> tuple[LoopVar, ...]:
+    """z^1_cdeg, ..., z^d_cdeg: the variables of the entries of an exponent vector."""
+    return tuple(LoopVar(coord, cdeg) for coord in range(1, d + 1))
 
 
 def minimal_window(func: InputFunction, bottom: int) -> Window:
@@ -219,8 +224,8 @@ def _power_expansion(
     return found
 
 
-def _jet_of_poly(poly: LoopPoly, window: Window, k: int) -> LoopPoly:
-    """Coefficient of t^k after substituting windowed Laurent series.
+def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: int) -> LoopPoly:
+    """Coefficient of t^k after substituting windowed Laurent series into exponent terms.
 
     Each factor z_i^e of a monomial expands over multisets of e window
     indices, weighted by their multinomial coefficients; the factors are then
@@ -234,17 +239,19 @@ def _jet_of_poly(poly: LoopPoly, window: Window, k: int) -> LoopPoly:
     """
     lo, hi = -window.bottom, window.top
     built = 0
-    terms: list[tuple[Monomial, Fraction]] = []
-    for mono, coeff in poly.terms:
-        remaining = mono.degree
+    jet: list[tuple[Monomial, Fraction]] = []
+    for e, coeff in terms.items():
+        remaining = sum(e)
         # t-degree -> partial products (factor items, integer weight)
         state: dict[int, list[tuple[tuple, int]]] = {0: [((), 1)]}
-        for var, exp in mono.factors:
+        for coord, exp in enumerate(e, 1):
+            if not exp:
+                continue
             remaining -= exp
             # The t-degree after this factor must still reach k.
             after_lo, after_hi = k - remaining * hi, k - remaining * lo
             expansion = _power_expansion(
-                var.coord,
+                coord,
                 exp,
                 window,
                 max(exp * lo, after_lo - max(state)),
@@ -274,8 +281,8 @@ def _jet_of_poly(poly: LoopPoly, window: Window, k: int) -> LoopPoly:
             product = products.get(weight)
             if product is None:
                 product = products[weight] = coeff * weight
-            terms.append((Monomial(items), product))
-    return LoopPoly(terms)
+            jet.append((Monomial(items), product))
+    return LoopPoly(jet)
 
 
 def jet_coefficient(func: InputFunction, window: Window, k: int) -> LoopPoly:
@@ -285,7 +292,7 @@ def jet_coefficient(func: InputFunction, window: Window, k: int) -> LoopPoly:
     FunctionalTooLarge when the expansion would build more than
     MAX_JET_TERMS terms.
     """
-    return _jet_of_poly(func.poly, window, k)
+    return _jet_of_poly(func.terms, window, k)
 
 
 def lambda_of(func: InputFunction, window: Window) -> LoopPoly:
@@ -296,7 +303,7 @@ def lambda_of(func: InputFunction, window: Window) -> LoopPoly:
     FunctionalTooLarge when the expansion would build more than
     MAX_JET_TERMS terms.
     """
-    result = _jet_of_poly(func.poly, window, 0)
+    result = _jet_of_poly(func.terms, window, 0)
     cdeg_weights = result.weight_set(operator.attrgetter("cdeg"))
     if cdeg_weights not in (frozenset(), frozenset({0})):
         raise RuntimeError(f"loop functional has conformal weights {set(cdeg_weights)}")
@@ -444,11 +451,10 @@ def check_derivative_identity(
     lam = lambda_of(func, window) if functional is None else functional
 
     checks = []
-    for j in range(1, func.d + 1):
+    for j, d_j in enumerate(func.partials, 1):
         lhs = lam.partial(LoopVar(j, top))
-        d_j = func.partials[j - 1]
         via_coeff = _jet_of_poly(d_j, window, -top)
-        via_eval = d_j.map_variables(lambda v: LoopVar(v.coord, -bottom))
+        via_eval = _from_exponents(d_j.items(), _coordinates(func.d, -bottom))
         checks.append(
             CoordinateDerivativeCheck(
                 coord=j,

@@ -7,7 +7,7 @@ import importlib.util
 import itertools
 import signal
 import sys
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +17,7 @@ import pytest
 
 from loopsing.cli import parse_function
 from loopsing.cli.parser import _Parser
-from loopsing.exactalg import LoopPoly, LoopVar, Monomial
+from loopsing.exactalg import LoopPoly, LoopVar, Monomial, _from_exponents
 from loopsing.loopfun import InputFunction, Window
 
 
@@ -62,9 +62,44 @@ def build(source: str) -> InputFunction:
 
 
 def parse_polynomial(source: str) -> tuple[LoopPoly, tuple[str, ...]]:
-    """The grammar alone: an expression's ambient polynomial and coordinate
-    names, without the checks parse_function makes."""
-    return _Parser(source).parse()
+    """The grammar alone: an expression's ambient polynomial, in the
+    conformal-degree-0 variables, and coordinate names, without the checks
+    parse_function makes."""
+    terms, names = _Parser(source).parse()
+    variables = [LoopVar(coord, 0) for coord in range(1, len(names) + 1)]
+    return _from_exponents(terms.items(), variables), names
+
+
+def input_function(poly: LoopPoly, names: Sequence[str] | None = None) -> InputFunction:
+    """The InputFunction of an ambient LoopPoly, coordinate i being z^i_0.
+
+    Raises ValueError for a variable of nonzero conformal degree.
+    """
+    variables = poly.variables()
+    if any(v.cdeg for v in variables):
+        raise ValueError("an ambient polynomial uses conformal degree 0 only")
+    return InputFunction(exponent_terms(poly, max((v.coord for v in variables), default=0)), names)
+
+
+def exponent_terms(poly: LoopPoly, d: int) -> dict[tuple[int, ...], Fraction]:
+    """An ambient LoopPoly's terms as {exponent vector: coefficient}, entry i
+    being the exponent of z^(i+1)_0, over d coordinates."""
+    terms = {}
+    for mono, coeff in poly.terms:
+        e = [0] * d
+        for v, x in mono.factors:
+            e[v.coord - 1] = x
+        terms[tuple(e)] = coeff
+    return terms
+
+
+def rename_variables(p: LoopPoly, rename: Callable[[LoopVar], LoopVar]) -> LoopPoly:
+    """p with every variable v renamed rename(v); colliding images are merged."""
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in p.terms:
+        m = Monomial(tuple((rename(v), e) for v, e in mono.factors))
+        acc[m] = acc.get(m, Fraction(0)) + coeff
+    return LoopPoly(acc)
 
 
 def jet_coefficient_by_enumeration(func: InputFunction, window: Window, k: int) -> LoopPoly:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import timedelta
@@ -27,7 +28,9 @@ from loopsing.cli import (
     ConfigError,
     Report,
     RunConfig,
+    format_function,
     main,
+    parse_function,
     run,
     validate_report,
 )
@@ -35,7 +38,7 @@ from loopsing.cli import report as report_module
 from loopsing.cli.parser import MAX_PRODUCT_WORK
 from loopsing.cohom import MAX_N_MAX, GradedDims
 from loopsing.loopfun import MAX_JET_TERMS
-from loopsing.exactalg import LoopPoly, LoopVar
+from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 
 from conftest import CORPUS, DELETE, NON_ISOLATED_SOURCES, bench_module, deadline, edited
 
@@ -352,6 +355,47 @@ class TestRun:
         assert any("residue" in axiom for axiom in report.axioms)
         bare = run_source("z^2", checks=("lambda",))
         assert bare.axioms == ()
+
+
+class TestOneFormOfF:
+    """F is held as exponent terms from the parser on: parsing and both Milnor
+    routes build no LoopPoly or Monomial, and a Milnor run builds only what
+    its printer builds."""
+
+    # A dense GL transform of a (3, 4) Fermat form, and a (4, 3) one.
+    SOURCES = (
+        "(x + 2*y - w)^4 + (3*x - y + w)^4 + (x + y + 2*w)^4",
+        "(x + y - v)^3 + (x - y + w)^3 + (w + 2*v - y)^3 + (x + 3*v + 2*w)^3",
+    )
+
+    @pytest.fixture
+    def constructions(self, monkeypatch) -> Counter:
+        counts: Counter = Counter()
+        for cls in (LoopPoly, Monomial):
+
+            def counted(obj, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        return counts
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_parsing_and_both_milnor_routes_build_no_polynomial(self, constructions, source):
+        func = parse_function(source)
+        mu = (func.delta - 1) ** func.d
+        assert grobner.milnor_number(func) == grobner.milnor_number_oracle(func) == mu
+        assert not constructions
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_a_milnor_run_builds_what_its_printer_builds(self, constructions, source):
+        report = run_source(source, checks=("milnor",))
+        assert report.exit_status == 0
+        in_run = Counter(constructions)
+        constructions.clear()
+        assert format_function(parse_function(source)) == report.function
+        assert in_run == constructions
+        assert constructions["LoopPoly"] == 1
 
 
 class TestConfigValidation:

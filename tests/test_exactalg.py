@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 
-from conftest import MissingAssignment, substitute
+from conftest import MissingAssignment, rename_variables, substitute
 
 
 def var(coord: int, cdeg: int) -> LoopPoly:
@@ -90,7 +90,7 @@ def _naive_mul(p: LoopPoly, q: LoopPoly) -> LoopPoly:
     total = LoopPoly()
     for mono, coeff in p.terms:
         for other, c2 in q.terms:
-            total = total + LoopPoly.term(mono.mul(other), coeff * c2)
+            total = total + LoopPoly({mono.mul(other): coeff * c2})
     return total
 
 
@@ -181,9 +181,7 @@ def test_zero_coefficients_are_pruned():
     p = LoopPoly({Monomial({LoopVar(1, 0): 1}): Fraction(0)})
     assert not p
     q = z0 - z0
-    assert not q and len(q) == 0
-    with pytest.raises(ValueError, match="no leading term"):
-        q.leading_monomial
+    assert not q and len(q) == 0 and q.terms == ()
 
 
 # -- randomized algebraic laws -------------------------------------------------
@@ -260,38 +258,23 @@ def _reference_partial(p: LoopPoly, var: LoopVar) -> LoopPoly:
     return LoopPoly(acc)
 
 
-def _reference_map_variables(p: LoopPoly, rename) -> LoopPoly:
-    acc: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms:
-        m = Monomial(tuple((rename(v), e) for v, e in mono.factors))
-        acc[m] = acc.get(m, Fraction(0)) + coeff
-    return LoopPoly(acc)
-
-
-def _assert_operations_match_references(p, q, v, rename):
+def _assert_operations_match_references(p, q, v):
     assert (p + q).terms == _reference_add(p, q).terms
     assert (p * q).terms == _reference_mul(p, q).terms
     assert p.partial(v).terms == _reference_partial(p, v).terms
-    assert p.map_variables(rename).terms == _reference_map_variables(p, rename).terms
 
 
 @settings(deadline=None)
-@given(_polys, _polys, _vars, st.dictionaries(_vars, _vars, max_size=4))
-def test_operations_match_their_accumulating_references(p, q, v, images):
-    def rename(w: LoopVar) -> LoopVar:
-        return images.get(w, w)
-
-    _assert_operations_match_references(p, q, v, rename)
-    _assert_operations_match_references(p, -p, v, rename)
+@given(_polys, _polys, _vars)
+def test_operations_match_their_accumulating_references(p, q, v):
+    _assert_operations_match_references(p, q, v)
+    _assert_operations_match_references(p, -p, v)
 
 
 def test_operations_match_their_references_where_terms_cancel():
     x, y, w = LoopVar(1, 0), LoopVar(2, 0), LoopVar(1, 1)
     px, py, pw = map(LoopPoly.variable, (x, y, w))
     p = 3 * px * pw - Fraction(1, 2) * py**2
-
-    def onto_x(var: LoopVar) -> LoopVar:
-        return x if var == y else var
 
     # a sum that cancels to zero
     assert (p + -p).terms == _reference_add(p, -p).terms == ()
@@ -301,11 +284,11 @@ def test_operations_match_their_references_where_terms_cancel():
     assert len(square) == 2
     # a partial by a variable that does not occur
     assert p.partial(LoopVar(2, 5)).terms == _reference_partial(p, LoopVar(2, 5)).terms == ()
-    # a rename that sends two variables to one, whose coefficients cancel
+    # the tests' renaming helper, sending two variables to one whose coefficients cancel
     cancelling = 2 * px * pw - 2 * py * pw + px**2
-    renamed = cancelling.map_variables(onto_x)
-    assert renamed.terms == _reference_map_variables(cancelling, onto_x).terms == (px**2).terms
-    _assert_operations_match_references(p, -p, y, onto_x)
+    renamed = rename_variables(cancelling, lambda var: x if var == y else var)
+    assert renamed.terms == (px**2).terms
+    _assert_operations_match_references(p, -p, y)
 
 
 # -- the monomial order against the grevlex definition --------------------------

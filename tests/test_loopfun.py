@@ -28,7 +28,15 @@ from loopsing.loopfun import (
     support_window,
 )
 
-from conftest import CORPUS, build, deadline, jet_coefficient_by_enumeration, substitute
+from conftest import (
+    CORPUS,
+    build,
+    deadline,
+    input_function,
+    jet_coefficient_by_enumeration,
+    rename_variables,
+    substitute,
+)
 
 
 def lv(coord: int, cdeg: int) -> LoopPoly:
@@ -59,7 +67,7 @@ def small_homogeneous_forms(draw) -> InputFunction:
     poly = LoopPoly(draw(st.lists(st.tuples(monomials, coefficients), min_size=1, max_size=4)))
     assume(poly)
     used = sorted({v.coord for v in poly.variables()})
-    return InputFunction(poly.map_variables(lambda v: LoopVar(used.index(v.coord) + 1, 0)))
+    return input_function(rename_variables(poly, lambda v: LoopVar(used.index(v.coord) + 1, 0)))
 
 
 class TestWindow:
@@ -96,8 +104,9 @@ class TestInputFunction:
             build("3")
 
     def test_rejects_nonzero_cdeg_variables(self):
+        # A LoopPoly reaches an InputFunction only through the tests' helper.
         with pytest.raises(ValueError):
-            InputFunction(lv(1, 1) ** 2)
+            input_function(lv(1, 1) ** 2)
 
     def test_semantic_equality_ignores_coordinate_numbering(self):
         assert build("x^3 + y^3") == build("y^3 + x^3")
@@ -171,7 +180,7 @@ class TestLambda:
         f, g = build("x^3 + y^3"), build("x^2*y + y^3")
         w = Window(2, 4)
         a, b = Fraction(3), Fraction(-1, 2)
-        combined = InputFunction(a * f.poly + b * g.poly, names=("x", "y"))
+        combined = input_function(a * f.poly + b * g.poly, names=("x", "y"))
         assert lambda_of(combined, w) == a * lambda_of(f, w) + b * lambda_of(g, w)
 
     def test_window_stability(self, corpus_entry, corpus_function):
@@ -420,7 +429,7 @@ class TestGLInvariance:
         d = len(matrix)
         for source in GL_BASES[d]:
             func = build(source)
-            transformed = InputFunction(substitute(func.poly, _linear_change(matrix, 0)))
+            transformed = input_function(substitute(func.poly, _linear_change(matrix, 0)))
             window = minimal_window(func, bottom)
             assert minimal_window(transformed, bottom) == window
             change = {}

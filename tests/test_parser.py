@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopsing.cli import (
@@ -17,11 +17,18 @@ from loopsing.cli import (
     poly_to_source,
     read_function_file,
 )
-from loopsing.cli.parser import MAX_DEGREE, MAX_NESTING, MAX_PRODUCT_WORK
+from loopsing.cli.parser import MAX_DEGREE, MAX_NESTING, MAX_PRODUCT_WORK, _Parser
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.loopfun import DegreeTooLow, NotHomogeneous, lambda_of, minimal_window
 
-from conftest import CORPUS, NON_ISOLATED_SOURCES, deadline, parse_polynomial
+from conftest import (
+    CORPUS,
+    NON_ISOLATED_SOURCES,
+    deadline,
+    exponent_terms,
+    parse_polynomial,
+    rename_variables,
+)
 
 
 def _coefficient(poly: LoopPoly, mono: Monomial) -> Fraction:
@@ -246,6 +253,120 @@ class TestRoundTrip:
 
 
 
+# -- the grammar against LoopPoly arithmetic ------------------------------------
+
+# An expression tree: ("name", s), ("int", n), ("ratio", p, q), ("neg", t),
+# ("+", a, b), ("-", a, b), ("*", a, b), ("^", t, n) or ("()", t).
+_TREE_NAMES = ("x", "y", "w2", "v")
+
+_names = st.tuples(st.just("name"), st.sampled_from(_TREE_NAMES))
+# Names are drawn twice as often as each kind of constant.
+_leaves = st.one_of(
+    _names,
+    _names,
+    st.tuples(st.just("int"), st.integers(0, 12)),
+    st.tuples(st.just("ratio"), st.integers(0, 9), st.integers(1, 9)),
+)
+
+
+@st.composite
+def _trees(draw, size: int | None = None):
+    """A tree of about `size` nodes, drawn from 1 to 12 when not given."""
+    if size is None:
+        size = draw(st.integers(1, 12))
+    if size == 1:
+        return draw(_leaves)
+    kind = draw(st.sampled_from(("+", "-", "*", "*", "neg", "^", "()", "cancel", "square")))
+    if kind in ("neg", "()"):
+        return (kind, draw(_trees(size - 1)))
+    if kind == "^":
+        return ("^", draw(_trees(size - 1)), draw(st.integers(0, 3)))
+    left = draw(st.integers(1, size - 1))
+    a, b = draw(_trees(left)), draw(_trees(size - left))
+    # terms that cancel: a + b - a, and b + a*a - a^2
+    if kind == "cancel":
+        return ("-", ("+", a, b), a)
+    if kind == "square":
+        return ("-", ("+", b, ("*", a, a)), ("^", a, 2))
+    return (kind, a, b)
+
+
+# The binding level of each node: sums, unary minus, products, powers; any
+# other node is an atom (level 4).
+_LEVEL = {"+": 0, "-": 0, "neg": 1, "*": 2, "^": 3}
+
+
+def _render(tree, at_least: int = 0) -> str:
+    """Source text of the tree, parenthesized where it binds more loosely than
+    its place in the grammar allows."""
+    kind = tree[0]
+    if kind == "name":
+        text = tree[1]
+    elif kind == "int":
+        text = str(tree[1])
+    elif kind == "ratio":
+        text = f"{tree[1]}/{tree[2]}"
+    elif kind == "()":
+        text = f"({_render(tree[1])})"
+    elif kind in ("+", "-"):
+        text = f"{_render(tree[1], 0)} {kind} {_render(tree[2], 1)}"
+    elif kind == "neg":
+        text = "-" + _render(tree[1], 1)
+    elif kind == "*":
+        text = f"{_render(tree[1], 2)}*{_render(tree[2], 3)}"
+    else:
+        text = f"{_render(tree[1], 4)}^{tree[2]}"
+    return f"({text})" if _LEVEL.get(kind, 4) < at_least else text
+
+
+def _evaluate(tree, coords: dict[str, int]) -> LoopPoly:
+    """The tree's polynomial by LoopPoly arithmetic; `coords` numbers the
+    names in the order the source first shows them."""
+    kind = tree[0]
+    if kind == "name":
+        return LoopPoly.variable(LoopVar(coords.setdefault(tree[1], len(coords) + 1), 0))
+    if kind == "int":
+        return LoopPoly.constant(tree[1])
+    if kind == "ratio":
+        return LoopPoly.constant(Fraction(tree[1], tree[2]))
+    if kind == "()":
+        return _evaluate(tree[1], coords)
+    if kind == "neg":
+        return -_evaluate(tree[1], coords)
+    if kind == "^":
+        return _evaluate(tree[1], coords) ** tree[2]
+    a, b = _evaluate(tree[1], coords), _evaluate(tree[2], coords)
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+def _degree_bound(tree) -> int:
+    kind = tree[0]
+    if kind == "name":
+        return 1
+    if kind in ("int", "ratio"):
+        return 0
+    if kind in ("()", "neg"):
+        return _degree_bound(tree[1])
+    if kind == "^":
+        return _degree_bound(tree[1]) * tree[2]
+    if kind == "*":
+        return _degree_bound(tree[1]) + _degree_bound(tree[2])
+    return max(_degree_bound(tree[1]), _degree_bound(tree[2]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_trees())
+def test_grammar_matches_loop_poly_arithmetic(tree):
+    # Degree 10 keeps every input well inside MAX_DEGREE and MAX_PRODUCT_WORK.
+    assume(_degree_bound(tree) <= 10)
+    source = _render(tree)
+    terms, names = _Parser(source).parse()
+    coords: dict[str, int] = {}
+    expected = _evaluate(tree, coords)
+    assert names == tuple(coords)
+    assert terms == exponent_terms(expected, len(names))
+
+
 # -- the printers against the three they replaced ------------------------------
 #
 # Before one term renderer served them all, the package wrote polynomials
@@ -373,8 +494,8 @@ _printer_polys = st.dictionaries(
 @given(_printer_polys, st.sampled_from([("z",), ("x", "y", "w"), ("a1", "b", "c22")]))
 def test_printers_match_their_references_on_drawn_polynomials(poly, names):
     if len(names) == 1:
-        poly = poly.map_variables(lambda v: LoopVar(1, v.cdeg))
-    ambient = poly.map_variables(lambda v: LoopVar(v.coord, 0))
+        poly = rename_variables(poly, lambda v: LoopVar(1, v.cdeg))
+    ambient = rename_variables(poly, lambda v: LoopVar(v.coord, 0))
     assert poly_to_source(ambient, names) == _reference_poly_to_source(ambient, names)
     _assert_printers_agree(poly, names)
 
