@@ -24,6 +24,8 @@ from ..loopfun import (
     InputFunction,
     NotHomogeneous,
     Window,
+    _on_constant_loops,
+    _truncated,
     check_derivative_identity,
     check_support_bound,
     check_top_linearity,
@@ -147,15 +149,17 @@ def _functional_checks(
 
     The functional is computed once, on the support check's window when that
     check runs; the functional on the smaller `window` is that one with every
-    variable above the window set to zero.  An audit that raises becomes a
-    failed check with the error as its witness: a failed audit of the
-    functional itself fails every named check and leaves no functional.
+    variable above the window set to zero.  When the support bound holds no
+    term reaches above the window, and the wide functional is kept as it is.
+    An audit that raises becomes a failed check with the error as its
+    witness: a failed audit of the functional itself fails every named check
+    and leaves no functional.
     """
     try:
         wide = lambda_of(func, support_window(func, bottom) if "support" in names else window)
     except RuntimeError as exc:
         return None, {name: CheckOutcome(ok=False, witness=str(exc)) for name in names}
-    lam = wide.zero_out(lambda v: v.cdeg > window.top)
+    lam = _truncated(wide, window.top)
     outcomes: dict[str, CheckOutcome] = {}
     for name in names:
         try:
@@ -170,7 +174,7 @@ def _functional_outcome(
 ) -> CheckOutcome:
     if name == "lambda":
         # lambda_of has audited the conformal and scaling weights.
-        if lam.zero_out(lambda v: v.cdeg != 0) != func.poly:
+        if _on_constant_loops(lam) != func.poly:
             return CheckOutcome(
                 ok=False, witness="constant-loop restriction does not recover the input"
             )

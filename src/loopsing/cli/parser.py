@@ -18,7 +18,6 @@ from __future__ import annotations
 import errno
 import io
 import re
-import sys
 from fractions import Fraction
 from operator import add
 from typing import Sequence
@@ -62,6 +61,14 @@ MAX_DEGREE = 64
 # (x+y+w+v+u)^20, from running for seconds; test and benchmark inputs need
 # a few hundred pairs at most.
 MAX_PRODUCT_WORK = 20_000
+
+# Bound on the decimal digits of the numerator and of the denominator of every
+# coefficient the parser reads or computes.  A printed coefficient is one of
+# F's, times at most 64 in a partial or a multinomial coefficient of at most
+# 64! (90 digits) in a jet, so it stays under 640 digits, the least limit the
+# interpreter can set on integer-to-string conversion.
+MAX_COEFFICIENT_DIGITS = 500
+_COEFFICIENT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
 
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/])")
 
@@ -119,6 +126,7 @@ class _Parser:
 
     def _expression(self) -> _Terms:
         # The signed operands are summed into one dict, pruned once at the end.
+        start = self._peek()
         total: _Terms = {}
         negate = False
         while True:
@@ -129,7 +137,7 @@ class _Parser:
                 total[e] = total.get(e, 0) + (-c if negate else c)
             token = self._peek()
             if token is None or token[0] not in ("+", "-"):
-                return {e: c for e, c in total.items() if c}
+                return _check_coefficients(start, {e: c for e, c in total.items() if c})
             negate = self._take()[0] == "-"
 
     def _product(self) -> _Terms:
@@ -160,7 +168,9 @@ class _Parser:
                 # stop at the first pair past the budget.
                 self._charge(exp_token, min(exponent, MAX_PRODUCT_WORK + 1 - self.work))
                 ((e, c),) = base.items()
-                return {tuple(x * exponent for x in e) if exponent else (): c**exponent}
+                return _check_coefficients(
+                    exp_token, {tuple(x * exponent for x in e) if exponent else (): c**exponent}
+                )
             power: _Terms = {(): 1}
             for _ in range(exponent):
                 power = self._times(exp_token, power, base)
@@ -176,7 +186,7 @@ class _Parser:
                 # At most one of the vectors has entries past the other's end.
                 e = (*map(add, ea, eb), *ea[len(eb) :], *eb[len(ea) :])
                 product[e] = product.get(e, 0) + ca * cb
-        return {e: c for e, c in product.items() if c}
+        return _check_coefficients(token, {e: c for e, c in product.items() if c})
 
     def _charge(self, token: re.Match[str], pairs: int) -> None:
         """Count `pairs` more term pairs, rejecting them when they exhaust MAX_PRODUCT_WORK."""
@@ -227,13 +237,28 @@ class _Parser:
 
 
 def _int_value(token: re.Match[str]) -> int:
-    try:
-        return int(token[0])
-    except ValueError:  # more digits than the interpreter converts
-        limit = sys.get_int_max_str_digits()
+    if len(token[0]) > MAX_COEFFICIENT_DIGITS:
         raise ParseError(
-            token.start(), f"an integer of at most {limit} digits", f"{len(token[0])} digits"
-        ) from None
+            token.start(),
+            f"an integer of at most {MAX_COEFFICIENT_DIGITS} digits",
+            f"{len(token[0])} digits",
+        )
+    return int(token[0])
+
+
+def _check_coefficients(token: re.Match[str], terms: _Terms) -> _Terms:
+    """terms, when no numerator or denominator exceeds MAX_COEFFICIENT_DIGITS digits."""
+    for c in terms.values():
+        if not (
+            -_COEFFICIENT_LIMIT < c.numerator < _COEFFICIENT_LIMIT
+            and c.denominator < _COEFFICIENT_LIMIT
+        ):
+            raise ParseError(
+                token.start(),
+                f"a coefficient of at most {MAX_COEFFICIENT_DIGITS} digits",
+                "a longer one",
+            )
+    return terms
 
 
 def _degree(terms: _Terms) -> int:

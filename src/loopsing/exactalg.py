@@ -9,8 +9,15 @@ sorted form, which makes equality of representations a reliable identity test.
 The monomial order is graded reverse lexicographic, induced by the variable
 order, which is native tuple order on (cdeg, coord).  Each monomial computes
 its grevlex key once, when it is built, and native tuple order on that key is
-the monomial order; hashing, equality and ordering of variables and keys all
-run in the interpreter's tuple code.
+the monomial order.  `Monomial.__hash__`, `__eq__` and `__lt__` are Python
+methods, but each reads only the key, whose hashing and comparison run in the
+interpreter's tuple code.
+
+A monomial's factors are always sorted by variable, that is by (cdeg, coord).
+So its smallest and largest conformal degrees are those of its first and last
+factors, and its factors of any one conformal degree form a contiguous run.
+The structural checks of `loopfun` read conformal degrees off these ends
+instead of scanning every factor.
 
 All values are immutable after construction and all operations are pure, so
 polynomials can be shared freely between threads.
@@ -65,6 +72,17 @@ class LoopVar(tuple):
 FactorItems = Union[Mapping["LoopVar", int], Iterable[tuple["LoopVar", int]]]
 
 
+def _pairs(items: Mapping | Iterable[tuple]) -> Iterable[tuple]:
+    """The (key, value) pairs of a mapping or of an iterable of pairs.
+
+    Tuples, lists and dicts are tested first, since the Mapping ABC check
+    runs in Python.
+    """
+    if isinstance(items, (tuple, list)):
+        return items
+    return items.items() if isinstance(items, (dict, Mapping)) else items
+
+
 @functools.total_ordering
 class Monomial:
     """A product of loop variables with positive integer exponents.
@@ -85,9 +103,8 @@ class Monomial:
     __slots__ = ("factors", "key")
 
     def __init__(self, factors: FactorItems = ()) -> None:
-        items = factors.items() if isinstance(factors, Mapping) else factors
         merged: dict[LoopVar, int] = {}
-        for var, exp in items:
+        for var, exp in _pairs(factors):
             if not isinstance(exp, int):
                 raise TypeError(f"exponent must be an int, got {exp!r}")
             if exp < 0:
@@ -153,10 +170,9 @@ class LoopPoly:
         terms: Mapping[Monomial, Fraction | int]
         | Iterable[tuple[Monomial, Fraction | int]] = (),
     ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in items:
-            q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        for mono, coeff in _pairs(terms):
+            q = coeff if type(coeff) is Fraction else Fraction(coeff)
             if q:
                 prev = acc.get(mono)
                 total = q if prev is None else prev + q
@@ -322,22 +338,24 @@ def format_terms(
     """
 
     # Each distinct factor (var, exp) and coefficient is formatted once per
-    # call; the caches live only as long as the call.
+    # call; the caches live only as long as the call.  Coefficients are cached
+    # by their integer ratio, since Fraction.__hash__ runs in Python.
     @functools.cache
     def factor_text(factor: tuple[LoopVar, int]) -> str:
         var, e = factor
         return name(var) if e == 1 else f"{name(var)}^{e}"
 
     @functools.cache
-    def coeff_text(coeff: Fraction | int) -> tuple[str, str, str, str]:
+    def coeff_text(ratio: tuple[int, int]) -> tuple[str, str, str, str]:
         """(sign of a first term, sign of a later one, factor prefix, magnitude)."""
-        mag = abs(coeff)
-        lead, sign = ("", "+ ") if coeff > 0 else ("-", "- ")
-        return lead, sign, "" if mag == 1 else f"{mag}*", str(mag)
+        p, q = ratio
+        mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+        lead, sign = ("", "+ ") if p > 0 else ("-", "- ")
+        return lead, sign, "" if mag == "1" else f"{mag}*", mag
 
     parts: list[str] = []
     for mono, coeff in terms:
-        lead, sign, prefix, mag = coeff_text(coeff)
+        lead, sign, prefix, mag = coeff_text(coeff.as_integer_ratio())
         body = prefix + "*".join(map(factor_text, mono.factors)) if mono.factors else mag
         parts.append((sign if parts else lead) + body)
     return " ".join(parts) if parts else "0"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -304,13 +303,60 @@ def lambda_of(func: InputFunction, window: Window) -> LoopPoly:
     MAX_JET_TERMS terms.
     """
     result = _jet_of_poly(func.terms, window, 0)
-    cdeg_weights = result.weight_set(operator.attrgetter("cdeg"))
+    cdeg_weights = _conformal_weights(result)
     if cdeg_weights not in (frozenset(), frozenset({0})):
         raise RuntimeError(f"loop functional has conformal weights {set(cdeg_weights)}")
-    scale_weights = frozenset(mono.degree for mono, _ in result.terms)
+    scale_weights = frozenset([mono.key[0] for mono, _ in result.terms])
     if scale_weights not in (frozenset(), frozenset({func.delta})):
         raise RuntimeError(f"loop functional has scaling weights {set(scale_weights)}")
     return result
+
+
+# The helpers below read a monomial's conformal degrees off its factor order
+# (see exactalg): factors are sorted by (cdeg, coord), so the first and last
+# factors carry the smallest and largest conformal degrees.
+
+
+def _conformal_weights(poly: LoopPoly) -> frozenset[int]:
+    """The conformal weights of poly's terms: each the sum of cdeg * exponent."""
+    return frozenset([sum([v[0] * e for v, e in mono.factors]) for mono, _ in poly.terms])
+
+
+def _max_cdeg(poly: LoopPoly) -> int:
+    """The largest conformal degree of a variable of poly, read off last factors."""
+    top = max([mono.factors[-1][0][0] for mono, _ in poly.terms if mono.factors], default=None)
+    if top is None:
+        raise ValueError("the functional has no variables")
+    return top
+
+
+def _truncated(poly: LoopPoly, top: int) -> LoopPoly:
+    """poly with every variable of conformal degree above `top` set to zero.
+
+    A term survives when its last factor lies at or below `top`; poly itself
+    is returned when every term survives.
+    """
+    kept = [(m, c) for m, c in poly.terms if not m.factors or m.factors[-1][0][0] <= top]
+    return poly if len(kept) == len(poly.terms) else LoopPoly(kept)
+
+
+def _on_constant_loops(poly: LoopPoly) -> LoopPoly:
+    """poly with every variable of nonzero conformal degree set to zero.
+
+    A term survives when its first and last factors both lie at degree 0.
+    """
+    return LoopPoly(
+        [
+            (mono, c)
+            for mono, c in poly.terms
+            if not mono.factors or mono.factors[0][0][0] == mono.factors[-1][0][0] == 0
+        ]
+    )
+
+
+def _reaching(poly: LoopPoly, top: int) -> list[tuple[Monomial, Fraction]]:
+    """The terms of poly with a variable of conformal degree `top` or above."""
+    return [(mono, c) for mono, c in poly.terms if mono.factors and mono.factors[-1][0][0] >= top]
 
 
 @dataclass(frozen=True)
@@ -328,14 +374,15 @@ def check_support_bound(
 
     The functional is computed on a window reaching strictly beyond the bound
     (`support_window`), so the check is not vacuous.  A caller that already
-    holds the functional on that window may pass it as `functional`.
+    holds the functional on that window may pass it as `functional`; one with
+    no variables raises ValueError.
     """
     if bottom < 0:
         raise ValueError("bottom must be nonnegative")
     bound = minimal_window(func, bottom).top
     window = support_window(func, bottom)
     lam = lambda_of(func, window) if functional is None else functional
-    max_present = max(v.cdeg for v in lam.variables())
+    max_present = _max_cdeg(lam)
     return SupportBoundReport(
         bound=bound,
         max_cdeg_present=max_present,
@@ -345,8 +392,17 @@ def check_support_bound(
 
 
 def _top_exponent(mono: Monomial, top: int) -> int:
-    """The total exponent of mono in the variables of conformal degree `top`."""
-    return sum(e for v, e in mono.factors if v.cdeg == top)
+    """The total exponent of mono in the variables of conformal degree `top`.
+
+    Those factors are a run read from the end, past any above `top`.
+    """
+    total = 0
+    for v, e in reversed(mono.factors):
+        if v[0] < top:
+            break
+        if v[0] == top:
+            total += e
+    return total
 
 
 @dataclass(frozen=True)
@@ -395,7 +451,7 @@ def check_top_linearity(
     top = window.top
     lam = lambda_of(func, window) if functional is None else functional
 
-    offending = tuple(mono for mono, _ in lam.terms if _top_exponent(mono, top) > 1)
+    offending = tuple(mono for mono, _ in _reaching(lam, top) if _top_exponent(mono, top) > 1)
     return TopLinearityReport(
         ok=not offending,
         top_cdeg=top,
@@ -449,10 +505,12 @@ def check_derivative_identity(
     window = minimal_window(func, bottom)
     top = window.top
     lam = lambda_of(func, window) if functional is None else functional
+    # Only terms reaching conformal degree N hold a degree-N variable.
+    reaching = LoopPoly(_reaching(lam, top))
 
     checks = []
     for j, d_j in enumerate(func.partials, 1):
-        lhs = lam.partial(LoopVar(j, top))
+        lhs = reaching.partial(LoopVar(j, top))
         via_coeff = _jet_of_poly(d_j, window, -top)
         via_eval = _from_exponents(d_j.items(), _coordinates(func.d, -bottom))
         checks.append(

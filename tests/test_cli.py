@@ -35,7 +35,7 @@ from loopsing.cli import (
     validate_report,
 )
 from loopsing.cli import report as report_module
-from loopsing.cli.parser import MAX_PRODUCT_WORK
+from loopsing.cli.parser import MAX_COEFFICIENT_DIGITS, MAX_PRODUCT_WORK
 from loopsing.cohom import MAX_N_MAX, GradedDims
 from loopsing.loopfun import MAX_JET_TERMS
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
@@ -255,6 +255,26 @@ class TestRun:
         assert report.checks == {name: CheckOutcome(ok=False, witness=witness)}
         assert report.exit_status == 1
         assert validate_report(report.to_dict()) == []
+
+    def test_checks_read_the_window_functional_when_the_support_bound_fails(self, monkeypatch):
+        # x_-1*x_-2*x_3 reaches past the bound 2 of x^3 + y^3 at window
+        # bottom 1.  Only the support check may see it: the other checks read
+        # the functional with every variable above the window set to zero.
+        plain = run_source("x^3 + y^3", emit_lambda=True)
+        pipeline = importlib.import_module("loopsing.cli.main")
+        functional = pipeline.lambda_of
+        monkeypatch.setattr(
+            pipeline,
+            "lambda_of",
+            lambda func, window: functional(func, window) + _x(-1) * _x(-2) * _x(3),
+        )
+        report = run_source("x^3 + y^3", checks=FUNCTIONAL_CHECKS, emit_lambda=True)
+        assert report.checks["support"] == CheckOutcome(
+            ok=False, witness="conformal degree 3 exceeds bound 2"
+        )
+        assert all(report.checks[name].ok for name in ("lambda", "linearity", "derivative"))
+        assert report.lambda_term_count == plain.lambda_term_count
+        assert report.lambda_polynomial == plain.lambda_polynomial
 
     def test_oversized_functional_is_not_a_failed_check(self, monkeypatch):
         monkeypatch.setattr(loopfun, "MAX_JET_TERMS", 20)
@@ -924,6 +944,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("loopsing: error:") and err.count("\n") == 1
         assert f"at most {MAX_PRODUCT_WORK} term pairs" in err
+
+    @pytest.mark.parametrize(
+        "source", ["((2^64)^64)^64*x^2", "9" * (MAX_COEFFICIENT_DIGITS + 1) + "*x^2"]
+    )
+    def test_coefficient_budget_is_a_syntax_error(self, capsys, source):
+        with deadline(10):
+            assert main(["-f", source, "--checks", "milnor"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loopsing: error:") and err.count("\n") == 1
+        assert f"at most {MAX_COEFFICIENT_DIGITS} digits" in err
+
+    @pytest.mark.parametrize("output_format", ["text", "structured"])
+    def test_coefficients_at_the_budget_print_under_the_least_digit_limit(
+        self, capsys, output_format
+    ):
+        # 640 is the least limit on integer-to-string conversion the
+        # interpreter accepts; the functional multiplies F's coefficients.
+        big = "9" * MAX_COEFFICIENT_DIGITS
+        source = f"{big}/{big[:-1]}7*x^6 + {big}*x^3*y^3 - y^6"
+        argv = ["-f", source, "--emit-lambda", "--window", "2", "--format", output_format]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(argv) == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert big in capsys.readouterr().out
 
     @pytest.mark.parametrize("n_max", ["100000", str(MAX_N_MAX + 1)])
     def test_nmax_budget_is_a_configuration_error(self, capsys, n_max):

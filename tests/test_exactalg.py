@@ -348,3 +348,30 @@ def test_grevlex_textbook_examples():
 def test_terms_are_in_decreasing_grevlex_order(p):
     monomials = [mono for mono, _ in p.terms]
     assert all(_grevlex_greater(s, t) for s, t in zip(monomials, monomials[1:]))
+
+
+def _sorted_by_variable(mono: Monomial) -> bool:
+    """The invariant the structural checks read: factors strictly increase in (cdeg, coord)."""
+    keys = [(v.cdeg, v.coord) for v, _ in mono.factors]
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(_vars, st.integers(0, 3)), max_size=6), _monomials)
+def test_every_way_of_building_a_monomial_sorts_its_factors(pairs, other):
+    variables = [v for v, _ in pairs]
+    exponents = [e for _, e in pairs]
+    built = [
+        Monomial(dict(pairs)),
+        Monomial(zip(variables, exponents)),
+        Monomial((v, e) for v, e in pairs),
+        Monomial(tuple(pairs)),
+        Monomial(list(pairs)),
+    ]
+    built.append(built[0].mul(other))
+    built += [mono for v in variables for mono, _ in LoopPoly({built[1]: 1}).partial(v).terms]
+    for mono in built:
+        assert _sorted_by_variable(mono)
+        assert all(e > 0 for _, e in mono.factors)
+    # Every route merges repeated variables to the same monomial.
+    assert built[1] == built[2] == built[3] == built[4]

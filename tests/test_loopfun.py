@@ -353,6 +353,113 @@ class TestConstantLoopRestriction:
         assert _on_constant_loops(corpus_function, w) == corpus_function.poly
 
 
+# -- the order-reading forms against the scans they replace -------------------
+#
+# The structural checks read conformal degrees off a monomial's first and last
+# factors.  Each scan below reads every factor instead; drawn polynomials mix
+# conformal degrees below, inside and above the window [-1, 2] of x^3 + y^3 at
+# bottom 1 (N = 2), in its two coordinates, and may hold the unit monomial.
+
+ORDER_TOP = 2
+ORDER_FUNC = build("x^3 + y^3")
+
+
+def _scan_max_cdeg(poly: LoopPoly) -> int:
+    return max(v.cdeg for v in poly.variables())
+
+
+def _scan_top_exponent(mono: Monomial, top: int) -> int:
+    return sum(e for v, e in mono.factors if v.cdeg == top)
+
+
+drawn_monomials = st.lists(
+    st.tuples(
+        st.builds(LoopVar, st.integers(1, 2), st.integers(-3, ORDER_TOP + 2)),
+        st.integers(1, 3),
+    ),
+    max_size=4,
+).map(Monomial)
+drawn_polys = st.lists(
+    st.tuples(drawn_monomials, st.integers(-4, 4).filter(bool)), max_size=8
+).map(LoopPoly)
+
+
+class TestOrderReadingForms:
+    @given(drawn_polys)
+    @settings(deadline=None)
+    def test_max_cdeg_is_the_largest_variable(self, poly):
+        if poly.variables():
+            assert loopfun._max_cdeg(poly) == _scan_max_cdeg(poly)
+        else:
+            with pytest.raises(ValueError, match="no variables"):
+                loopfun._max_cdeg(poly)
+
+    @given(drawn_polys, st.integers(-3, ORDER_TOP + 2))
+    @settings(deadline=None)
+    def test_top_exponent_and_reaching_terms(self, poly, top):
+        for mono, _ in poly.terms:
+            assert loopfun._top_exponent(mono, top) == _scan_top_exponent(mono, top)
+        reaching = loopfun._reaching(poly, top)
+        assert [t for t in poly.terms if t in reaching] == reaching
+        assert {m for m, _ in reaching} == {
+            m for m, _ in poly.terms if any(v.cdeg >= top for v in m.variables())
+        }
+
+    @given(drawn_polys, st.integers(-3, ORDER_TOP + 2))
+    @settings(deadline=None)
+    def test_truncation_and_constant_loops_match_zero_out(self, poly, top):
+        reference = poly.zero_out(lambda v: v.cdeg > top)
+        truncated = loopfun._truncated(poly, top)
+        assert truncated == reference
+        assert (truncated is poly) == (reference is poly)
+        assert loopfun._on_constant_loops(poly) == poly.zero_out(lambda v: v.cdeg != 0)
+
+    @given(drawn_polys)
+    @settings(deadline=None)
+    def test_conformal_weights_match_weight_set(self, poly):
+        assert loopfun._conformal_weights(poly) == poly.weight_set(lambda v: v.cdeg)
+
+    @given(drawn_polys, st.integers(-3, ORDER_TOP + 2))
+    @settings(deadline=None)
+    def test_partials_of_the_reaching_terms(self, poly, top):
+        reaching = LoopPoly(loopfun._reaching(poly, top))
+        for coord in (1, 2):
+            var = LoopVar(coord, top)
+            assert reaching.partial(var) == poly.partial(var)
+
+    @given(drawn_polys)
+    @settings(deadline=None)
+    def test_checks_match_their_scans(self, extra):
+        window = minimal_window(ORDER_FUNC, 1)
+        lam = lambda_of(ORDER_FUNC, window) + extra
+        linearity = check_top_linearity(ORDER_FUNC, 1, lam)
+        assert linearity.offending_monomials == tuple(
+            m for m, _ in lam.terms if _scan_top_exponent(m, ORDER_TOP) > 1
+        )
+        assert (linearity.linear_part, linearity.remainder) == _linearity_by_products(
+            ORDER_FUNC, 1, lam
+        )
+        derivative = check_derivative_identity(ORDER_FUNC, 1, lam)
+        for check, d_j in zip(derivative.checks, ORDER_FUNC.partials):
+            lhs = lam.partial(LoopVar(check.coord, ORDER_TOP))
+            assert check.via_t_coefficient == (lhs == loopfun._jet_of_poly(d_j, window, -2))
+        if lam.variables():
+            support = check_support_bound(ORDER_FUNC, 1, lam)
+            assert support.max_cdeg_present == _scan_max_cdeg(lam)
+
+    @pytest.mark.parametrize("functional", [LoopPoly(), LoopPoly.constant(3)], ids=["zero", "unit"])
+    def test_a_functional_without_variables_is_a_value_error(self, functional):
+        with pytest.raises(ValueError, match="^the functional has no variables$"):
+            check_support_bound(ORDER_FUNC, 1, functional)
+
+    def test_the_unit_monomial_is_skipped(self):
+        lam = LoopPoly.constant(3) + lv(1, -1) * lv(1, 1) ** 2
+        assert check_support_bound(ORDER_FUNC, 1, lam).max_cdeg_present == 1
+        assert check_top_linearity(ORDER_FUNC, 1, lam).ok
+        assert loopfun._on_constant_loops(lam) == LoopPoly.constant(3)
+        assert loopfun._truncated(lam, 0) == LoopPoly.constant(3)
+
+
 class TestSizeBudget:
     def test_oversized_expansion_is_a_value_error(self, monkeypatch):
         monkeypatch.setattr(loopfun, "MAX_JET_TERMS", 20)

@@ -17,7 +17,13 @@ from loopsing.cli import (
     poly_to_source,
     read_function_file,
 )
-from loopsing.cli.parser import MAX_DEGREE, MAX_NESTING, MAX_PRODUCT_WORK, _Parser
+from loopsing.cli.parser import (
+    MAX_COEFFICIENT_DIGITS,
+    MAX_DEGREE,
+    MAX_NESTING,
+    MAX_PRODUCT_WORK,
+    _Parser,
+)
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.loopfun import DegreeTooLow, NotHomogeneous, lambda_of, minimal_window
 
@@ -184,6 +190,61 @@ class TestDegreeBudget:
         with pytest.raises(ParseError) as excinfo:
             parse_function("x^2 + " + "7" * 5000 + "*y^2")
         assert excinfo.value.found == "5000 digits"
+
+
+class TestCoefficientBudget:
+    BIG = "9" * MAX_COEFFICIENT_DIGITS
+    TEN_250 = "1" + "0" * 250
+
+    @pytest.mark.parametrize(
+        "source, value",
+        [
+            (f"{BIG}*x^2", int(BIG)),
+            (f"1/{BIG}*x^2", Fraction(1, int(BIG))),
+            (f"-{BIG}*x^2", -int(BIG)),
+            (f"({TEN_250} - 1)*({TEN_250} + 1)*x^2", 10**500 - 1),
+            (f"({BIG} + 2 - 1 - 1)*x^2", int(BIG)),
+        ],
+        ids=["literal", "denominator", "negative", "product", "sum"],
+    )
+    def test_coefficients_at_the_budget_parse(self, source, value):
+        assert parse_function(source).terms == {(2,): Fraction(value)}
+
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            # At the exponent of the power, the operator of the product, or
+            # the start of the sum that first exceeds the budget.
+            ("((2^64)^64)^64*x^2", 8),
+            (f"({TEN_250})^2*x^2", 254),
+            (f"{'9' * 300}*{'9' * 300}*x^2", 300),
+            (f"1/{'9' * 300}*1/{'9' * 300}*x^2", 302),
+            (f"{BIG}*x^2 + {BIG}*x^2", 0),
+            (f"x^2 + ({BIG} + 1)*y^2", 7),
+            (f"(x + 3*y)^2*(x + {'9' * 499}*y)^2", 520),
+        ],
+        ids=[
+            "nested powers",
+            "power",
+            "product",
+            "denominator",
+            "sum",
+            "parenthesized sum",
+            "power of a sum",
+        ],
+    )
+    def test_computed_coefficients_above_the_budget(self, source, position):
+        with deadline(10), pytest.raises(ParseError) as excinfo:
+            parse_function(source)
+        assert excinfo.value.position == position
+        assert excinfo.value.expected == f"a coefficient of at most {MAX_COEFFICIENT_DIGITS} digits"
+
+    @pytest.mark.parametrize("literal", ["1" + "0" * MAX_COEFFICIENT_DIGITS, "0" + BIG])
+    def test_literals_above_the_budget(self, literal):
+        for source in (f"{literal}*x^2", f"1/{literal}*x^2", f"x^{literal}"):
+            with pytest.raises(ParseError) as excinfo:
+                parse_function(source)
+            assert excinfo.value.found == f"{MAX_COEFFICIENT_DIGITS + 1} digits"
 
 
 class TestProductBudget:
