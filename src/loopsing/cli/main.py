@@ -4,8 +4,8 @@ Checks run in dependency order (parse, loop functional, structural checks,
 Milnor number, cohomology); cohomology is skipped when the singularity turns
 out not to be isolated.  Exit status 0 means every enabled check passed,
 1 means some check failed or was skipped, 2 means the configuration or the
-input expression was invalid, the loop functional would exceed its size
-budget, or the input or output file could not be used.
+input expression was invalid, the loop functional or the Groebner basis
+would exceed its budget, or the input or output file could not be used.
 """
 
 from __future__ import annotations
@@ -286,7 +286,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             sys.stdout.write(rendered)
     except (
-        ConfigError, ParseError, NotHomogeneous, DegreeTooLow, FunctionalTooLarge, OSError
+        ConfigError,
+        ParseError,
+        NotHomogeneous,
+        DegreeTooLow,
+        FunctionalTooLarge,
+        grobner._BasisTooLarge,
+        OSError,
     ) as exc:
         print(f"loopsing: error: {exc}", file=sys.stderr)
         return 2

@@ -26,11 +26,11 @@ Buchberger, the basis reduction, the audit and the oracle do no Fraction
 arithmetic and build no LoopPoly or Monomial:
 
 - division (`_reduce`) keeps the pending integer coefficients in a dict and
-  their exponent vectors in a heap, cancels each term fraction-free against
+  their packed vectors in a heap, cancels each term fraction-free against
   a divisor's lead and subtracts the divisor's tail, shifted by the quotient
   vector, in place; the remainder comes out up to a nonzero multiplier;
-- the S-pairs wait in a heap keyed by (lcm key, i, j), each pushed once, when
-  its second element joins the basis, and each nonzero remainder is made
+- the S-pairs wait in a heap keyed by (packed lcm, i, j), each pushed once,
+  when its second element joins the basis, and each nonzero remainder is made
   primitive once;
 - the audit of the reduced basis reduces only the S-pairs that Buchberger's
   coprime and strict chain criteria keep (`_verify_basis`);
@@ -39,6 +39,28 @@ arithmetic and build no LoopPoly or Monomial:
   per column, and eliminates it modulo a prime below 2^20 (`_rank_mod_p`);
   a matrix that falls short of full rank goes to `_rank`, which eliminates
   sparse integer rows fraction-free, dividing each by its content.
+
+Division, the S-pairs, the basis reduction and the audit hold each exponent
+vector packed into one int (`_packed`), as Monagan and Pearce do in
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors" (CASC 2007) and "Sparse polynomial division using a heap" (J. Symb.
+Comput. 2011).  Its fields, _FIELD bits each, are from the bottom up the d
+entries e_i, then deg - e_i for i < d-1, then the total degree deg.  Every
+field is at most deg, and deg at most _MAX_DEGREE, so the top bit of each
+entry field, its guard bit, is clear.  So:
+
+- a monomial product is an int sum and a quotient by a divisor an int
+  difference, since no field overflows or goes negative;
+- int order is grevlex order: deg decides first, then the smaller e_0, and
+  so on, and the upper fields fix the vector;
+- l divides e exactly when ((e | G) - l) & G == G, for the mask G of the
+  guard bits: an entry field of e below l's borrows its guard bit, and no
+  field borrows from the one above it.
+
+`buchberger` packs the generators once and unpacks the reduced basis once,
+so `GroebnerBasis`, the Milnor count and the oracle read tuples; `normal_form`
+and `s_polynomial` pack and unpack at the boundary.  A degree above
+_MAX_DEGREE, or division work beyond MAX_REDUCTION_WORK, raises a ValueError.
 
 Fraction-free elimination is classical: Bareiss 1968, and Cox, Little and
 O'Shea, "Ideals, Varieties, and Algorithms", ch. 2.  The Hilbert function of
@@ -55,7 +77,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, le, mul, sub
+from operator import le, mul
 
 from .exactalg import LoopPoly, LoopVar, Monomial, _from_exponents
 from .loopfun import InputFunction, _coordinates
@@ -76,6 +98,8 @@ __all__ = [
 Exponents = tuple[int, ...]
 Term = tuple[Exponents, int]
 Terms = list[Term]
+PackedTerm = tuple[int, int]
+PackedTerms = list[PackedTerm]
 
 
 class NotIsolated(ArithmeticError):
@@ -88,14 +112,61 @@ class NotIsolated(ArithmeticError):
 
 # -- exponent-vector terms ------------------------------------------------------
 
+# Each field of a packed exponent vector is _FIELD bits wide.  The top bit of
+# an entry's field is its guard bit, so an entry, and with it every field,
+# holds at most _MAX_DEGREE, whose ones fill the bits below the guard bit.
+_FIELD = 16
+_MAX_DEGREE = (1 << (_FIELD - 1)) - 1
 
-def _key(e: Exponents) -> tuple[int, tuple[int, ...]]:
-    """The grevlex key of an exponent vector; its tuple order is Monomial.key order.
 
-    At equal degree the first position whose exponents differ decides, and the
-    larger exponent there ranks lower: the rule the Monomial key encodes.
-    """
-    return (sum(e), tuple(-x for x in e))
+# The division work one Buchberger run, or one normal_form, may do: each tail
+# term a division subtracts counts once per 64-bit word of the coefficient it
+# cancels, so coefficient growth is charged as well as term count.  About
+# 100 times the most any test input or benchmark input needs (53,162, for a
+# dense quartic in four variables).  x^8+y^8+w^8+v^8+(x+y+w+v)^8, whose basis
+# ran a minute unbounded, meets it in its 225th S-pair reduction, after about
+# 1.1 s on a 2 vCPU Intel Xeon.
+MAX_REDUCTION_WORK = 6_000_000
+
+
+class _BasisTooLarge(ValueError):
+    """A Groebner basis computation would exceed MAX_REDUCTION_WORK, or meet
+    an exponent vector of degree above _MAX_DEGREE."""
+
+
+def _packed(e: Exponents) -> int:
+    """The exponent vector as one int: fields, from the top, deg, deg - e_i for
+    i < d-1, then e_0 .. e_{d-1}.  Raises _BasisTooLarge above _MAX_DEGREE."""
+    degree = sum(e)
+    if degree > _MAX_DEGREE:
+        raise _BasisTooLarge(
+            f"the Groebner basis computation meets a monomial of degree {degree}, "
+            f"above {_MAX_DEGREE}"
+        )
+    v = degree
+    for x in e[:-1]:
+        v = (v << _FIELD) | (degree - x)
+    for x in e:
+        v = (v << _FIELD) | x
+    return v
+
+
+def _unpacked(v: int, d: int) -> Exponents:
+    """The exponent vector of d entries that `_packed` packed into v."""
+    return tuple((v >> (_FIELD * i)) & _MAX_DEGREE for i in range(d - 1, -1, -1))
+
+
+class _Run:
+    """One computation's division state: the number d of vector entries, the
+    guard mask of their packed fields, and the work its divisions may still
+    do before _BasisTooLarge is raised."""
+
+    __slots__ = ("d", "guard", "left")
+
+    def __init__(self, d: int):
+        self.d = d
+        self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(d))
+        self.left = MAX_REDUCTION_WORK
 
 
 def _variables(*polys: LoopPoly) -> tuple[LoopVar, ...]:
@@ -113,7 +184,7 @@ def _to_terms(p: LoopPoly, variables: Sequence[LoopVar]) -> Terms:
 
 def _primitive_terms(exact: Iterable[tuple[Exponents, Fraction]]) -> Terms:
     """The primitive integer multiple of exact terms with distinct vectors, in decreasing order."""
-    ordered = sorted(exact, key=lambda term: _key(term[0]), reverse=True)
+    ordered = sorted(exact, key=lambda term: _packed(term[0]), reverse=True)
     if not ordered:
         return []
     scale = math.lcm(*(c.denominator for _, c in ordered))
@@ -125,7 +196,15 @@ def _from_terms(terms: Iterable[Term], variables: Sequence[LoopVar], scale: Frac
     return _from_exponents(((e, c * scale) for e, c in terms), variables)
 
 
-def _primitive(terms: Terms) -> Terms:
+def _packed_terms(terms: Iterable[Term]) -> PackedTerms:
+    return [(_packed(e), c) for e, c in terms]
+
+
+def _unpacked_terms(terms: Iterable[PackedTerm], d: int) -> Terms:
+    return [(_unpacked(e, d), c) for e, c in terms]
+
+
+def _primitive(terms: list) -> list:
     """The nonempty terms divided by their content, signed so the lead is positive."""
     content = math.gcd(*(c for _, c in terms))
     if terms[0][1] < 0:
@@ -135,38 +214,44 @@ def _primitive(terms: Terms) -> Terms:
     return [(e, c // content) for e, c in terms]
 
 
-def _reduce(terms: Iterable[Term], divisors: Sequence[Terms]) -> tuple[Terms, int]:
+def _reduce(
+    terms: Iterable[PackedTerm], divisors: Sequence[PackedTerms], run: _Run
+) -> tuple[PackedTerms, int]:
     """Remainder of the sum of `terms` under division by the divisors, up to a
     nonzero integer multiplier; returns (remainder, multiplier).
 
-    The terms may come in any order and repeat a vector.  The largest pending
-    term c*x^e is cancelled against the first divisor whose leading term
-    a*x^l divides it, fraction-free: with g = gcd(c, a), the pending
-    coefficients and the remainder so far are multiplied by a/g, and
+    Vectors are packed for `run`, and every tail subtracted is charged to its
+    work budget.  The terms may come in any order and repeat a vector.  The
+    largest pending term c*x^e is cancelled against the first divisor whose
+    leading term a*x^l divides it, fraction-free: with g = gcd(c, a), the
+    pending coefficients and the remainder so far are multiplied by a/g, and
     (c/g)*x^(e-l) times the divisor's tail is subtracted straight from the
     pending coefficients.  A term no leading vector divides goes to the
     remainder, which comes out in decreasing order.  The steps are those of
     division over the rationals, so the remainder is the rational remainder
     times the product of the factors a/g, the returned multiplier.
     """
-    pending: dict[Exponents, int] = {}
+    pending: dict[int, int] = {}
     for e, c in terms:
         pending[e] = pending.get(e, 0) + c
-    # (-degree, vector) negates the key elementwise, so the heap pops the
-    # largest vector first.  A vector is in the heap while it is in pending.
-    heap = [(-sum(e), e) for e in pending]
+    # The heap holds the negated vectors, so it pops the largest vector first.
+    # A vector is in the heap while it is in pending.
+    heap = [-e for e in pending]
     heapify(heap)
     heads = [(g[0][0], g[0][1], g[1:]) for g in divisors if g]
-    remainder: Terms = []
+    remainder: PackedTerms = []
     multiplier = 1
+    guard, left = run.guard, run.left
     while heap:
-        e = heappop(heap)[1]
+        e = -heappop(heap)
         c = pending.pop(e)
         if not c:
             continue
+        # l divides e when no entry field of e - l borrows its guard bit.
+        probe = e | guard
         for lead, lead_c, tail in heads:
-            if all(map(le, lead, e)):
-                shift = tuple(map(sub, e, lead))
+            if (probe - lead) & guard == guard:
+                shift = e - lead
                 common = math.gcd(c, lead_c)
                 scale = lead_c // common
                 if scale != 1:
@@ -175,33 +260,40 @@ def _reduce(terms: Iterable[Term], divisors: Sequence[Terms]) -> tuple[Terms, in
                         pending[m] *= scale
                     remainder = [(r, rc * scale) for r, rc in remainder]
                 factor = c // common
+                left -= len(tail) * (c.bit_length() // 64 + 1)
+                if left < 0:
+                    raise _BasisTooLarge(
+                        "the Groebner basis computation exceeds its budget of "
+                        f"{MAX_REDUCTION_WORK} reduction term-words"
+                    )
                 for t, tc in tail:
-                    m = tuple(map(add, t, shift))
+                    m = t + shift
                     old = pending.get(m)
                     if old is None:
                         pending[m] = -factor * tc
-                        heappush(heap, (-sum(m), m))
+                        heappush(heap, -m)
                     else:
                         pending[m] = old - factor * tc
                 break
         else:
             remainder.append((e, c))
+    run.left = left
     return remainder, multiplier
 
 
-def _s_terms(f: Terms, g: Terms) -> Iterable[Term]:
+def _s_terms(f: PackedTerms, g: PackedTerms, lcm: int) -> Iterable[PackedTerm]:
     """The S-polynomial of f and g times c_f*c_g/gcd(c_f, c_g), for the leading
-    coefficients c_f and c_g, as unsorted terms without the leads that cancel.
+    coefficients c_f and c_g and the packed lcm of the leads, as unsorted
+    terms without the leads that cancel.
     """
     (lead_f, c_f), (lead_g, c_g) = f[0], g[0]
-    lcm = tuple(map(max, lead_f, lead_g))
-    shift_f, shift_g = tuple(map(sub, lcm, lead_f)), tuple(map(sub, lcm, lead_g))
+    shift_f, shift_g = lcm - lead_f, lcm - lead_g
     common = math.gcd(c_f, c_g)
     scale_f, scale_g = c_g // common, -(c_f // common)
     for e, c in f[1:]:
-        yield tuple(map(add, e, shift_f)), c * scale_f
+        yield e + shift_f, c * scale_f
     for e, c in g[1:]:
-        yield tuple(map(add, e, shift_g)), c * scale_g
+        yield e + shift_g, c * scale_g
 
 
 class Ideal:
@@ -256,9 +348,17 @@ def normal_form(p: LoopPoly, divisors: Sequence[LoopPoly]) -> LoopPoly:
         return p
     variables = _variables(p, *divisors)
     terms = _to_terms(p, variables)
-    remainder, multiplier = _reduce(terms, [_to_terms(g, variables) for g in divisors])
+    remainder, multiplier = _reduce(
+        _packed_terms(terms),
+        [_packed_terms(_to_terms(g, variables)) for g in divisors],
+        _Run(len(variables)),
+    )
     # terms is p times terms' lead over p's lead; undo that and the multiplier.
-    return _from_terms(remainder, variables, p.terms[0][1] / (multiplier * terms[0][1]))
+    return _from_terms(
+        _unpacked_terms(remainder, len(variables)),
+        variables,
+        p.terms[0][1] / (multiplier * terms[0][1]),
+    )
 
 
 def s_polynomial(f: LoopPoly, g: LoopPoly) -> LoopPoly:
@@ -266,7 +366,9 @@ def s_polynomial(f: LoopPoly, g: LoopPoly) -> LoopPoly:
     f_terms, g_terms = _to_terms(f, variables), _to_terms(g, variables)
     c_f, c_g = f_terms[0][1], g_terms[0][1]
     scale = Fraction(math.gcd(c_f, c_g), c_f * c_g)
-    return _from_terms(_s_terms(f_terms, g_terms), variables, scale)
+    lcm = _packed(tuple(map(max, f_terms[0][0], g_terms[0][0])))
+    s_terms = _s_terms(_packed_terms(f_terms), _packed_terms(g_terms), lcm)
+    return _from_terms(_unpacked_terms(s_terms, len(variables)), variables, scale)
 
 
 def _pair_key(i: int, j: int) -> tuple[int, int]:
@@ -282,51 +384,58 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     It is returned only after `_verify_basis` has proved it a Groebner basis
     by which every generator reduces to zero.
     """
-    basis: list[Terms] = []
-    for g in ideal._terms:
+    d = ideal.d
+    run = _Run(d)
+    guard = run.guard
+    generators = [_packed_terms(g) for g in ideal._terms]
+    basis: list[PackedTerms] = []
+    for g in generators:
         if g not in basis:
             basis.append(g)
-    leads = [g[0][0] for g in basis]
+    # The leads as vectors, for their lcms, and packed.
+    leads = [_unpacked(g[0][0], d) for g in basis]
+    packed_leads = [g[0][0] for g in basis]
 
     pending: set[tuple[int, int]] = set()
-    queue: list[tuple] = []
+    queue: list[tuple[int, int, int]] = []
 
     def install(new: int) -> None:
         for k in range(new):
-            lcm = tuple(map(max, leads[k], leads[new]))
             pending.add((k, new))
-            heappush(queue, (_key(lcm), k, new, lcm))
+            heappush(queue, (_packed(tuple(map(max, leads[k], leads[new]))), k, new))
 
     for new in range(len(basis)):
         install(new)
 
     while queue:
-        _, i, j, lcm = heappop(queue)
+        lcm, i, j = heappop(queue)
         pending.discard((i, j))
-        if not any(map(min, leads[i], leads[j])):  # coprime leading monomials
+        if lcm == packed_leads[i] + packed_leads[j]:  # coprime leading monomials
             continue
+        probe = lcm | guard
         chain = any(
             k != i
             and k != j
-            and all(map(le, leads[k], lcm))
+            and (probe - lead) & guard == guard
             and _pair_key(i, k) not in pending
             and _pair_key(j, k) not in pending
-            for k in range(len(basis))
+            for k, lead in enumerate(packed_leads)
         )
         if chain:
             continue
-        remainder, _ = _reduce(_s_terms(basis[i], basis[j]), basis)
+        remainder, _ = _reduce(_s_terms(basis[i], basis[j], lcm), basis, run)
         if remainder:
             basis.append(_primitive(remainder))
-            leads.append(remainder[0][0])
+            leads.append(_unpacked(remainder[0][0], d))
+            packed_leads.append(remainder[0][0])
             install(len(basis) - 1)
 
-    reduced = _reduce_basis(basis)
-    _verify_basis(reduced, ideal._terms)
-    return GroebnerBasis(tuple(map(tuple, reduced)), ideal.d)
+    reduced = _reduce_basis(basis, run)
+    _verify_basis(reduced, generators, run)
+    return GroebnerBasis(tuple(tuple(_unpacked_terms(g, d)) for g in reduced), d)
 
 
-def _reduce_basis(basis: Sequence[Terms]) -> list[Terms]:
+def _reduce_basis(basis: Sequence[PackedTerms], run: _Run) -> list[PackedTerms]:
     """The reduced basis of a Groebner basis, in increasing order of leads.
 
     In that order a lead comes after every lead that divides it, so an element
@@ -334,16 +443,20 @@ def _reduce_basis(basis: Sequence[Terms]) -> list[Terms]:
     against the kept ones.  No larger lead divides a term below its own lead,
     so each kept element comes out fully reduced.
     """
-    reduced: list[Terms] = []
-    for g in sorted(basis, key=lambda g: _key(g[0][0])):
-        if not any(all(map(le, r[0][0], g[0][0])) for r in reduced):
-            reduced.append(_primitive(_reduce(g, reduced)[0]))
+    reduced: list[PackedTerms] = []
+    guard = run.guard
+    for g in sorted(basis, key=lambda g: g[0][0]):
+        probe = g[0][0] | guard
+        if not any((probe - r[0][0]) & guard == guard for r in reduced):
+            reduced.append(_primitive(_reduce(g, reduced, run)[0]))
     return reduced
 
 
-def _verify_basis(elements: Sequence[Terms], generators: Sequence[Terms]) -> None:
-    """Raise RuntimeError unless the elements are a Groebner basis by which
-    every generator reduces to zero.
+def _verify_basis(
+    elements: Sequence[PackedTerms], generators: Sequence[PackedTerms], run: _Run
+) -> None:
+    """Raise RuntimeError unless the elements, packed for `run`, are a
+    Groebner basis by which every generator reduces to zero.
 
     Only the S-pairs that Buchberger's criteria keep are reduced.  A pair with
     coprime leads reduces to zero (criterion 1).  A pair (i, j) is also
@@ -356,23 +469,27 @@ def _verify_basis(elements: Sequence[Terms], generators: Sequence[Terms]) -> Non
     O'Shea, ch. 2 section 10, Theorem 6).  No pair order is needed; the audit
     passes exactly when the audit of all pairs does.
     """
-    leads = [g[0][0] for g in elements]
+    guard = run.guard
+    packed_leads = [g[0][0] for g in elements]
+    leads = [_unpacked(lead, run.d) for lead in packed_leads]
     for i, j in itertools.combinations(range(len(elements)), 2):
         if not any(map(min, leads[i], leads[j])):
             continue
         lcm = tuple(map(max, leads[i], leads[j]))
+        packed_lcm = _packed(lcm)
+        probe = packed_lcm | guard
         # k = i or k = j never passes: its lcm with the other lead is lcm_ij.
         if any(
-            all(map(le, lead, lcm))
+            (probe - packed_lead) & guard == guard
             and tuple(map(max, leads[i], lead)) != lcm
             and tuple(map(max, leads[j], lead)) != lcm
-            for lead in leads
+            for packed_lead, lead in zip(packed_leads, leads)
         ):
             continue
-        if _reduce(_s_terms(elements[i], elements[j]), elements)[0]:
+        if _reduce(_s_terms(elements[i], elements[j], packed_lcm), elements, run)[0]:
             raise RuntimeError("S-polynomial does not reduce to zero")
     for g in generators:
-        if _reduce(g, elements)[0]:
+        if _reduce(g, elements, run)[0]:
             raise RuntimeError("an ideal generator does not reduce to zero")
 
 
@@ -457,7 +574,8 @@ def milnor_number(func: InputFunction) -> int:
     The standard monomials are counted on the leading exponent vectors
     (`_staircase_size`), not listed.  For a homogeneous isolated singularity
     the count must equal (delta-1)^d, and that cross-check is enforced on
-    every call.  Raises NotIsolated when the quotient is infinite dimensional.
+    every call.  Raises NotIsolated when the quotient is infinite dimensional,
+    and a ValueError when the basis would exceed MAX_REDUCTION_WORK.
     """
     leads = [g[0][0] for g in buchberger(jacobian_ideal(func))._terms]
     mu = _staircase_size(leads, _box(leads, func.d))

@@ -284,7 +284,7 @@ class TestRun:
     @pytest.mark.parametrize("audit", ["basis", "count"])
     def test_failed_groebner_audit_fails_the_milnor_check(self, monkeypatch, capsys, audit):
         if audit == "basis":
-            def unverified(elements, generators):
+            def unverified(elements, generators, run):
                 raise RuntimeError("S-polynomial does not reduce to zero")
 
             monkeypatch.setattr(grobner, "_verify_basis", unverified)
@@ -317,9 +317,9 @@ class TestRun:
     def test_corrupted_basis_fails_the_real_audit(self, monkeypatch, capsys):
         reduce_basis = grobner._reduce_basis
 
-        def corrupted(basis):
+        def corrupted(basis, run):
             # One tail coefficient of the first element that has a tail, off by one.
-            reduced = reduce_basis(basis)
+            reduced = reduce_basis(basis, run)
             g = next(g for g in reduced if len(g) > 1)
             g[-1] = (g[-1][0], g[-1][1] + 1)
             return reduced
@@ -850,6 +850,20 @@ class TestMain:
         assert captured.err == (
             "loopsing: error: the loop functional on window [-8, 82] "
             f"needs more than {MAX_JET_TERMS} terms\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("output_format", ["text", "structured"])
+    def test_groebner_basis_past_its_budget_is_a_usage_error(self, capsys, output_format):
+        # The coefficients of this basis grow without end in sight: unbounded,
+        # it ran a minute; the budget stops it after about a second.
+        argv = ["-f", "x^8+y^8+w^8+v^8+(x+y+w+v)^8", "--checks", "milnor"]
+        with deadline(30):
+            assert main(argv + ["--format", output_format]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "loopsing: error: the Groebner basis computation exceeds its budget of "
+            f"{grobner.MAX_REDUCTION_WORK} reduction term-words\n"
         )
         assert captured.out == ""
 

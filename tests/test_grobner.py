@@ -895,13 +895,91 @@ class TestIntegerKernel:
             assert not _fraction_reduce(_fraction_terms(g, variables), elements)
 
 
+def _key(e) -> tuple:
+    """Reference grevlex key of an exponent vector; its tuple order is Monomial.key order.
+
+    At equal degree the first position whose exponents differ decides, and the
+    larger exponent there ranks lower: the rule the Monomial key encodes.
+    """
+    return (sum(e), tuple(-x for x in e))
+
+
+def _tuple_reduce(terms, divisors) -> tuple[list, int]:
+    """Reference division: the integer kernel grobner ran on tuple vectors
+    before it packed them, with the same steps and multiplier as `_reduce`."""
+    pending = {}
+    for e, c in terms:
+        pending[e] = pending.get(e, 0) + c
+    heap = [(-sum(e), e) for e in pending]
+    heapify(heap)
+    heads = [(g[0][0], g[0][1], g[1:]) for g in divisors if g]
+    remainder = []
+    multiplier = 1
+    while heap:
+        e = heappop(heap)[1]
+        c = pending.pop(e)
+        if not c:
+            continue
+        for lead, lead_c, tail in heads:
+            if all(map(le, lead, e)):
+                shift = tuple(map(sub, e, lead))
+                common = math.gcd(c, lead_c)
+                scale = lead_c // common
+                if scale != 1:
+                    multiplier *= scale
+                    for m in pending:
+                        pending[m] *= scale
+                    remainder = [(r, rc * scale) for r, rc in remainder]
+                factor = c // common
+                for t, tc in tail:
+                    m = tuple(map(add, t, shift))
+                    old = pending.get(m)
+                    if old is None:
+                        pending[m] = -factor * tc
+                        heappush(heap, (-sum(m), m))
+                    else:
+                        pending[m] = old - factor * tc
+                break
+        else:
+            remainder.append((e, c))
+    return remainder, multiplier
+
+
+def _tuple_s_terms(f, g):
+    """Reference S-polynomial on tuple vectors, scaled as `_s_terms` scales it."""
+    (lead_f, c_f), (lead_g, c_g) = f[0], g[0]
+    lcm = tuple(map(max, lead_f, lead_g))
+    shift_f, shift_g = tuple(map(sub, lcm, lead_f)), tuple(map(sub, lcm, lead_g))
+    common = math.gcd(c_f, c_g)
+    scale_f, scale_g = c_g // common, -(c_f // common)
+    for e, c in f[1:]:
+        yield tuple(map(add, e, shift_f)), c * scale_f
+    for e, c in g[1:]:
+        yield tuple(map(add, e, shift_g)), c * scale_g
+
+
+def _packed(polys) -> list:
+    """Tuple-vector term lists with every vector packed."""
+    return [grobner._packed_terms(g) for g in polys]
+
+
+def _unpacked(polys, d: int) -> list:
+    return [grobner._unpacked_terms(g, d) for g in polys]
+
+
+def _packed_verify(elements, generators) -> None:
+    """grobner's audit on tuple-vector elements and generators, packed for it."""
+    d = len(generators[0][0][0])
+    grobner._verify_basis(_packed(elements), _packed(generators), grobner._Run(d))
+
+
 def _all_pairs_verify(elements, generators) -> None:
     """Reference audit: the one grobner ran before it pruned pairs, every S-pair reduced."""
     for i, j in itertools.combinations(range(len(elements)), 2):
-        if grobner._reduce(grobner._s_terms(elements[i], elements[j]), elements)[0]:
+        if _tuple_reduce(_tuple_s_terms(elements[i], elements[j]), elements)[0]:
             raise RuntimeError("S-polynomial does not reduce to zero")
     for g in generators:
-        if grobner._reduce(g, elements)[0]:
+        if _tuple_reduce(g, elements)[0]:
             raise RuntimeError("an ideal generator does not reduce to zero")
 
 
@@ -926,11 +1004,11 @@ def _fixed_point_reduce_basis(basis) -> list:
         changed = False
         for idx in range(len(minimal)):
             others = minimal[:idx] + minimal[idx + 1 :]
-            reduced = grobner._primitive(grobner._reduce(minimal[idx], others)[0])
+            reduced = grobner._primitive(_tuple_reduce(minimal[idx], others)[0])
             if reduced != minimal[idx]:
                 minimal[idx] = reduced
                 changed = True
-    minimal.sort(key=lambda g: grobner._key(g[0][0]))
+    minimal.sort(key=lambda g: _key(g[0][0]))
     return minimal
 
 
@@ -946,7 +1024,7 @@ def _audit_outcome(audit, elements, generators) -> str | None:
 def _sorted_terms(terms: dict) -> list:
     """The nonzero terms of {vector: coefficient} in decreasing grevlex order."""
     return sorted(
-        ((e, c) for e, c in terms.items() if c), key=lambda t: grobner._key(t[0]), reverse=True
+        ((e, c) for e, c in terms.items() if c), key=lambda t: _key(t[0]), reverse=True
     )
 
 
@@ -964,7 +1042,7 @@ def _vectors_below(lead) -> list:
     return [
         e
         for e in itertools.product(range(sum(lead) + 1), repeat=len(lead))
-        if sum(e) <= sum(lead) and grobner._key(e) < grobner._key(lead)
+        if sum(e) <= sum(lead) and _key(e) < _key(lead)
     ]
 
 
@@ -1021,7 +1099,7 @@ class TestAudit:
         for kind, index, pick, step in mutations:
             if elements:
                 elements = _mutate(elements, kind, index % len(elements), pick, step)
-        assert _audit_outcome(grobner._verify_basis, elements, ideal._terms) == _audit_outcome(
+        assert _audit_outcome(_packed_verify, elements, ideal._terms) == _audit_outcome(
             _all_pairs_verify, elements, ideal._terms
         )
 
@@ -1029,13 +1107,13 @@ class TestAudit:
     def test_every_single_mutation_of_a_pinned_basis(self, source):
         ideal = jacobian_ideal(build(source))
         elements = [list(g) for g in buchberger(ideal)._terms]
-        assert _audit_outcome(grobner._verify_basis, elements, ideal._terms) is None
+        assert _audit_outcome(_packed_verify, elements, ideal._terms) is None
         failures = 0
         for index, kind, pick in itertools.product(
             range(len(elements)), ("drop", "coefficient", "term"), (0, 1)
         ):
             mutated = _mutate(elements, kind, index, pick, 1)
-            outcome = _audit_outcome(grobner._verify_basis, mutated, ideal._terms)
+            outcome = _audit_outcome(_packed_verify, mutated, ideal._terms)
             assert outcome == _audit_outcome(_all_pairs_verify, mutated, ideal._terms)
             failures += outcome is not None
         assert failures >= len(elements)
@@ -1045,13 +1123,13 @@ class TestAudit:
         elements = buchberger(ideal)._terms
         reduce, pairs = grobner._reduce, []
 
-        def counted(terms, divisors):
+        def counted(terms, divisors, run):
             terms = list(terms)
             pairs.append(terms)
-            return reduce(terms, divisors)
+            return reduce(terms, divisors, run)
 
         monkeypatch.setattr(grobner, "_reduce", counted)
-        grobner._verify_basis(elements, ideal._terms)
+        _packed_verify(elements, ideal._terms)
         n = len(elements)
         assert len(ideal._terms) < len(pairs) < len(ideal._terms) + n * (n - 1) // 2
 
@@ -1068,7 +1146,7 @@ class TestAudit:
             shifts = [
                 s
                 for s in itertools.product(range(3), repeat=len(lead_i))
-                if grobner._key(tuple(map(add, s, lead_j))) < grobner._key(lead_i)
+                if _key(tuple(map(add, s, lead_j))) < _key(lead_i)
             ]
             c = data.draw(st.sampled_from((-2, -1, 1, 2)))
             how = data.draw(st.sampled_from(("multiple", "replace", "append")))
@@ -1082,7 +1160,8 @@ class TestAudit:
                 basis.append(_plus_multiple(basis[i], basis[j], c, shift))
         basis = [[(e, 2 * c) for e, c in g] if data.draw(st.booleans()) else g for g in basis]
         basis = data.draw(st.permutations(basis))
-        assert grobner._reduce_basis(basis) == _fixed_point_reduce_basis(basis) == reduced
+        packed = grobner._reduce_basis(_packed(basis), grobner._Run(ideal.d))
+        assert _unpacked(packed, ideal.d) == _fixed_point_reduce_basis(basis) == reduced
 
 
 _key_variables = st.lists(
@@ -1097,8 +1176,117 @@ def test_vector_key_orders_as_monomial_key(variables, data):
     a = tuple(data.draw(vectors))
     b = tuple(data.draw(st.one_of(vectors, st.permutations(a))))  # a permutation keeps the degree
     ma, mb = Monomial(zip(variables, a)), Monomial(zip(variables, b))
-    assert (grobner._key(a) < grobner._key(b)) == (ma < mb)
-    assert (grobner._key(a) == grobner._key(b)) == (ma == mb)
+    assert (_key(a) < _key(b)) == (ma < mb)
+    assert (_key(a) == _key(b)) == (ma == mb)
+
+
+@st.composite
+def _vectors(draw, d: int, cap: int | None = None) -> tuple[int, ...]:
+    """Exponent vectors of d entries and degree at most `cap`, by default
+    the largest degree a packed field holds; a single entry can reach it."""
+    cap = grobner._MAX_DEGREE if cap is None else cap
+    cap = draw(st.sampled_from((min(3, cap), cap)))
+    e = draw(st.lists(st.integers(0, cap), min_size=d, max_size=d))
+    total = sum(e)
+    return tuple(x * cap // total if total > cap else x for x in e)
+
+
+@st.composite
+def _packed_divisions(draw) -> tuple[int, list, list]:
+    """d, terms in any order with repeated vectors, and divisors in decreasing order."""
+    d = draw(st.integers(1, 4))
+    coefficients = st.integers(-9, 9).filter(bool)
+    small = st.tuples(*[st.integers(0, 4)] * d)
+    terms = draw(st.lists(st.tuples(small, st.integers(-9, 9)), max_size=8))
+    divisor = st.dictionaries(st.tuples(*[st.integers(0, 2)] * d), coefficients, max_size=3)
+    divisors = [
+        sorted(g.items(), key=lambda t: _key(t[0]), reverse=True)
+        for g in draw(st.lists(divisor, max_size=3))
+    ]
+    return d, terms, divisors
+
+
+class TestPacking:
+    """The packed exponent vectors against the tuple vectors they stand for."""
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_unpack_inverts_pack(self, d, data):
+        e = data.draw(_vectors(d))
+        assert grobner._unpacked(grobner._packed(e), d) == e
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_int_order_is_grevlex(self, d, data):
+        a = data.draw(_vectors(d))
+        b = data.draw(st.one_of(_vectors(d), st.permutations(a).map(tuple)))
+        assert (grobner._packed(a) < grobner._packed(b)) == (_key(a) < _key(b))
+        assert (grobner._packed(a) == grobner._packed(b)) == (a == b)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_product_is_a_sum(self, d, data):
+        a = data.draw(_vectors(d, grobner._MAX_DEGREE // 2))
+        b = data.draw(_vectors(d, grobner._MAX_DEGREE - sum(a)))
+        assert grobner._packed(tuple(map(add, a, b))) == grobner._packed(a) + grobner._packed(b)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_guard_test_is_divisibility(self, d, data):
+        guard = grobner._Run(d).guard
+        a = data.draw(_vectors(d))
+        b = data.draw(
+            st.one_of(_vectors(d), _vectors(d, grobner._MAX_DEGREE - sum(a)).map(
+                lambda c: tuple(map(add, a, c))
+            ))
+        )
+        packed_a, packed_b = grobner._packed(a), grobner._packed(b)
+        divides = ((packed_b | guard) - packed_a) & guard == guard
+        assert divides == all(map(le, a, b))
+        if divides:
+            assert packed_b - packed_a == grobner._packed(tuple(map(sub, b, a)))
+
+    @settings(deadline=None, max_examples=300)
+    @given(_packed_divisions())
+    def test_reduce_matches_the_tuple_reference(self, division):
+        d, terms, divisors = division
+        remainder, multiplier = grobner._reduce(
+            grobner._packed_terms(terms), _packed(divisors), grobner._Run(d)
+        )
+        assert (grobner._unpacked_terms(remainder, d), multiplier) == _tuple_reduce(
+            terms, divisors
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_degree_past_the_field_is_refused(self, d):
+        for i in range(d):
+            top = tuple(grobner._MAX_DEGREE if k == i else 0 for k in range(d))
+            assert grobner._unpacked(grobner._packed(top), d) == top
+            over = tuple(x + (k == d - 1 - i) for k, x in enumerate(top))
+            with pytest.raises(grobner._BasisTooLarge, match="degree 32768, above 32767"):
+                grobner._packed(over)
+
+    def test_lcm_past_the_field_is_refused(self):
+        def power(a: int, b: int) -> LoopPoly:
+            return LoopPoly([(Monomial(zip(_ring, (a, b))), Fraction(1))])
+
+        top = grobner._MAX_DEGREE
+        assert buchberger(Ideal([power(top, 0)], 2)).elements == (power(top, 0),)
+        with pytest.raises(grobner._BasisTooLarge, match=f"degree {top + 1}, above"):
+            Ideal([power(top, 1)], 2)
+        # Both leads fit; the lcm of the pair does not.
+        with pytest.raises(grobner._BasisTooLarge, match="degree 32770, above"):
+            buchberger(Ideal([power(16385, 1), power(1, 16385)], 2))
+        assert issubclass(grobner._BasisTooLarge, ValueError)
+
+    def test_work_past_the_budget_is_refused(self, monkeypatch):
+        ideal = jacobian_ideal(build(_gl_fermat_source(3, 5, 2)))
+        gb = buchberger(ideal)
+        monkeypatch.setattr(grobner, "MAX_REDUCTION_WORK", 100)
+        with pytest.raises(grobner._BasisTooLarge, match="budget of 100 reduction"):
+            buchberger(ideal)
+        with pytest.raises(grobner._BasisTooLarge, match="budget of 100 reduction"):
+            normal_form(x**20 + y**20 + w**20, gb.elements)
 
 
 class TestIdealValidation:
