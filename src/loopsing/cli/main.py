@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
-from typing import NoReturn, Sequence
+from collections.abc import Sequence
 
 from .. import cohom, grobner
 from ..exactalg import LoopPoly
@@ -43,15 +42,18 @@ class ConfigError(ValueError):
     """Invalid run configuration (not a check failure)."""
 
 
-@dataclass
 class RunConfig:
-    function_source: str
-    source_is_file: bool = False
-    window_bottom: int = 1
-    n_max: int = 4
-    checks: tuple[str, ...] = CHECK_NAMES
-    output_format: str = "text"
-    emit_lambda: bool = False
+    def __init__(
+        self, function_source: str, window_bottom: int = 1, n_max: int = 4,
+        checks: tuple[str, ...] = CHECK_NAMES, output_format: str = "text",
+        emit_lambda: bool = False,
+    ) -> None:
+        self.function_source = function_source
+        self.window_bottom = window_bottom
+        self.n_max = n_max
+        self.checks = checks
+        self.output_format = output_format
+        self.emit_lambda = emit_lambda
 
     def validate(self) -> None:
         problem = run_problem(self.checks, self.window_bottom, self.n_max)
@@ -66,16 +68,12 @@ def _ordered(checks: Sequence[str]) -> tuple[str, ...]:
 
 
 def run(config: RunConfig) -> Report:
-    """Execute the enabled checks and assemble a report."""
+    """Execute the enabled checks on the expression `config.function_source`
+    and assemble a report."""
     config.validate()
     started = time.perf_counter()
 
-    source = (
-        read_function_file(config.function_source)
-        if config.source_is_file
-        else config.function_source
-    )
-    func = parse_function(source)
+    func = parse_function(config.function_source)
     bottom = config.window_bottom
     window = minimal_window(func, bottom)
     enabled = _ordered(config.checks)
@@ -222,7 +220,7 @@ def _milnor_check(func: InputFunction, mu: int) -> CheckOutcome:
 class _ArgumentParser(argparse.ArgumentParser):
     """Ends a command-line error with one `loopsing: error:` line, exit status 2."""
 
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str) -> "NoReturn":
         if message == "argument -f/--function: expected one argument":
             message += " (write -f=EXPR for an expression that starts with '-')"
         self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
@@ -268,8 +266,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_arg_parser().parse_args(argv)
 
     config = RunConfig(
-        function_source=args.function if args.function is not None else args.file,
-        source_is_file=args.function is None,
+        function_source=args.function,
         window_bottom=args.window,
         n_max=args.n_max,
         checks=tuple(name.strip() for name in args.checks.split(",") if name.strip()),
@@ -278,6 +275,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     try:
+        if args.function is None:
+            config.validate()  # a configuration error comes before an unreadable file
+            config.function_source = read_function_file(args.file)
         report = run(config)
         rendered = report.to_json() if config.output_format == "structured" else report.to_text()
         if args.output:

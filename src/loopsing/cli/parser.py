@@ -18,9 +18,9 @@ from __future__ import annotations
 import errno
 import io
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import add
-from typing import Sequence
 
 from ..exactalg import LoopPoly, format_terms
 from ..loopfun import InputFunction

@@ -10,10 +10,10 @@ configuration produce byte-identical documents apart from the timing field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Collection, Iterator, Mapping
 from json.encoder import encode_basestring_ascii
-from typing import Any, Collection, Iterator, Mapping
 
+from .._record import fields
 from ..cohom import MAX_N_MAX, GradedDims, RenormalizedReport, declared_support_floor, gysin_tower
 from ..loopfun import MAX_JET_TERMS, Window, minimal_window
 from .parser import parse_function
@@ -63,44 +63,45 @@ def run_problem(checks: Collection[str], bottom: int, n_max: int | None) -> tupl
     return None
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    ok: bool
-    witness: str | None = None
-    skipped: bool = False
+class CheckOutcome(tuple):
+    __slots__ = ()
+    ok, witness, skipped = fields(3)
 
-    def __post_init__(self) -> None:
-        if self.ok and (self.skipped or self.witness is not None):
-            raise ValueError("skipped but ok" if self.skipped else "ok with a witness")
-        if not self.ok and self.witness is None:
+    def __new__(cls, ok: bool, witness: str | None = None, skipped: bool = False) -> CheckOutcome:
+        if ok and (skipped or witness is not None):
+            raise ValueError("skipped but ok" if skipped else "ok with a witness")
+        if not ok and witness is None:
             raise ValueError("failed without a witness")
+        return tuple.__new__(cls, (ok, witness, skipped))
 
 
-@dataclass(frozen=True)
-class Report:
-    function: str
-    d: int
-    delta: int
-    window: Window
-    milnor_number: int | None
-    isolated: bool | None
-    lambda_term_count: int | None
-    lambda_polynomial: str | None
-    checks: Mapping[str, CheckOutcome]
-    cohomology: RenormalizedReport | None
-    timing_seconds: float = field(compare=False, default=0.0)
+class Report(tuple):
+    __slots__ = ()
+    (
+        function, d, delta, window, milnor_number, isolated, lambda_term_count,
+        lambda_polynomial, checks, cohomology, timing_seconds,
+    ) = fields(11)
 
-    def __post_init__(self) -> None:
-        n_max = None if self.cohomology is None else self.cohomology.tower.n_max
-        problem = run_problem(self.checks, self.window.bottom, n_max)
-        if problem is None and self.lambda_term_count is not None:
-            if not any(name in self.checks for name in FUNCTIONAL_CHECKS):
+    def __new__(
+        cls, function: str, d: int, delta: int, window: Window, milnor_number: int | None,
+        isolated: bool | None, lambda_term_count: int | None, lambda_polynomial: str | None,
+        checks: Mapping[str, CheckOutcome], cohomology: RenormalizedReport | None,
+        timing_seconds: float = 0.0,
+    ) -> Report:
+        n_max = None if cohomology is None else cohomology.tower.n_max
+        problem = run_problem(checks, window.bottom, n_max)
+        if problem is None and lambda_term_count is not None:
+            if not any(name in checks for name in FUNCTIONAL_CHECKS):
                 problem = "lambda", "present beside no functional check"
-        if problem is None and self.isolated is not None:
-            if "milnor" not in self.checks and "cohomology" not in self.checks:
+        if problem is None and isolated is not None:
+            if "milnor" not in checks and "cohomology" not in checks:
                 problem = "isolated", "set beside no milnor or cohomology check"
         if problem is not None:
             raise _Mismatch(": ".join(problem))
+        return tuple.__new__(cls, (
+            function, d, delta, window, milnor_number, isolated, lambda_term_count,
+            lambda_polynomial, checks, cohomology, timing_seconds,
+        ))
 
     @property
     def axioms(self) -> tuple[str, ...]:
@@ -114,13 +115,13 @@ class Report:
     def exit_status(self) -> int:
         return 0 if self.ok else 1
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         checks = {}
         for name in CHECK_NAMES:
             if name not in self.checks:
                 continue
             outcome = self.checks[name]
-            entry: dict[str, Any] = {"ok": outcome.ok}
+            entry: dict[str, object] = {"ok": outcome.ok}
             if outcome.witness is not None:
                 entry["witness"] = outcome.witness
             if outcome.skipped:
@@ -169,7 +170,7 @@ class Report:
     def to_text(self) -> str:
         lines = []
 
-        def row(label: str, value: Any) -> None:
+        def row(label: str, value: object) -> None:
             lines.append(f"{label:<18}{value}")
 
         row("function", self.function)
@@ -213,7 +214,7 @@ def _dims_dict(dims: GradedDims) -> dict[str, int]:
     return {str(degree): dim for degree, dim in dims.items()}
 
 
-def _json(value: Any, pad: str) -> str:
+def _json(value: object, pad: str) -> str:
     """`value` as json.dumps(value, sort_keys=True, indent=2) writes it at indent
     `pad`.  That encoder runs token by token in Python once it indents."""
     kind, inner = type(value), pad + "  "
@@ -245,7 +246,7 @@ _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an in
                float: "a float", bool: "a boolean", type(None): "null"}
 
 
-def _read(document: Any, path: str, *kinds: type) -> Any:
+def _read(document: object, path: str, *kinds: type) -> object:
     """The leaf at the dotted `path`, of a JSON type in `kinds`; a missing one is null."""
     value = document
     for key in path.split("."):
@@ -255,7 +256,7 @@ def _read(document: Any, path: str, *kinds: type) -> Any:
     return value
 
 
-def _departures(expected: Any, found: Any, path: str) -> Iterator[str]:
+def _departures(expected: object, found: object, path: str) -> Iterator[str]:
     """A `path: problem` line for each leaf where `found` departs from `expected`."""
     if type(expected) is dict and type(found) is dict:
         for key in [*expected, *(key for key in found if key not in expected)]:
@@ -271,7 +272,7 @@ def _departures(expected: Any, found: Any, path: str) -> Iterator[str]:
         yield f"{path or 'document'}: expected {_show(expected)}, found {_show(found)}"
 
 
-def _show(value: Any) -> str:
+def _show(value: object) -> str:
     if type(value) in (dict, list):
         return f"{_JSON_KINDS[type(value)]} of length {len(value)}"
     try:
@@ -280,7 +281,7 @@ def _show(value: Any) -> str:
         return _JSON_KINDS[int]
 
 
-def validate_report(document: Any) -> list[str]:
+def validate_report(document: object) -> list[str]:
     """Check a structured report by rebuilding it; this is the contract.
 
     A document conforms when it is what `to_dict` renders for the Report it

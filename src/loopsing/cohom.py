@@ -27,7 +27,8 @@ invocation is safe, there is no shared state.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+
+from ._record import fields
 
 __all__ = [
     "GradedDims",
@@ -150,8 +151,11 @@ class GradedDims:
         return f"GradedDims({self})"
 
 
-@dataclass(frozen=True)
-class RankFact:
+_SLOTS = ("A", "B", "C")
+_KINDS = ("gysin", "restriction", "residue")
+
+
+class RankFact(tuple):
     """Declared rank of one connecting map of the sequence at one degree.
 
     kind is 'gysin' (A^{s-2c} -> B^s), 'restriction' (B^s -> C^s) or
@@ -160,55 +164,63 @@ class RankFact:
     verbatim.
     """
 
-    kind: str
-    degree: int
-    rank: int
-    justification: str
+    __slots__ = ()
+    kind, degree, rank, justification = fields(4)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("gysin", "restriction", "residue"):
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.rank < 0:
+    def __new__(cls, kind: str, degree: int, rank: int, justification: str) -> RankFact:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown map kind {kind!r}")
+        if rank < 0:
             raise ValueError("a rank cannot be negative")
+        return tuple.__new__(cls, (kind, degree, rank, justification))
 
 
-@dataclass(frozen=True)
-class LesSystem:
+class LesSystem(tuple):
     """A Gysin long exact sequence with B unknown.
 
     codim is the codimension c of the closed embedding; a holds the known
     dimensions of the A-column, c_dims those of the open complement C.
     """
 
-    codim: int
-    a: GradedDims
-    c_dims: GradedDims
-    rank_facts: tuple[RankFact, ...] = ()
+    __slots__ = ()
+    codim, a, c_dims, rank_facts = fields(4)
 
-    def __post_init__(self) -> None:
-        if self.codim < 1:
+    def __new__(
+        cls, codim: int, a: GradedDims, c_dims: GradedDims, rank_facts: tuple[RankFact, ...] = ()
+    ) -> LesSystem:
+        if codim < 1:
             raise ValueError("codimension must be positive")
+        return tuple.__new__(cls, (codim, a, c_dims, rank_facts))
 
 
-@dataclass(frozen=True)
-class Underdetermined:
+class Underdetermined(tuple):
     """The declared ranks do not pin B down; lists the ambiguous degrees."""
 
-    degrees: tuple[int, ...]
+    __slots__ = ()
+    (degrees,) = fields(1)
+
+    def __new__(cls, degrees: tuple[int, ...]) -> Underdetermined:
+        return tuple.__new__(cls, (degrees,))
+
+    def __repr__(self) -> str:
+        return f"Underdetermined(degrees={self.degrees})"
 
 
-@dataclass(frozen=True)
-class LesSolution:
+class LesSolution(tuple):
     """A solved sequence: its B-column and how the sequence splits.
 
     ranks holds the nonzero ranks only, keyed by (kind, degree) as in
     RankFact; segments are the runs of nonzero entries between zero ones.
     """
 
-    b: GradedDims
-    ranks: Mapping[tuple[str, int], int]
-    segments: tuple[tuple[tuple[str, int], ...], ...]
-    axioms: tuple[str, ...] = field(default=())
+    __slots__ = ()
+    b, ranks, segments, axioms = fields(4)
+
+    def __new__(
+        cls, b: GradedDims, ranks: Mapping[tuple[str, int], int],
+        segments: tuple[tuple[tuple[str, int], ...], ...], axioms: tuple[str, ...] = (),
+    ) -> LesSolution:
+        return tuple.__new__(cls, (b, ranks, segments, axioms))
 
     def segment_alternating_sums(self, system: LesSystem) -> tuple[int, ...]:
         """Alternating dimension sum of every segment; exactness forces 0."""
@@ -225,10 +237,6 @@ class LesSolution:
                 total += dim if position % 2 == 0 else -dim
             sums.append(total)
         return tuple(sums)
-
-
-_SLOTS = ("A", "B", "C")
-_KINDS = ("gysin", "restriction", "residue")
 
 
 def solve_les_detailed(system: LesSystem) -> LesSolution | Underdetermined:
@@ -412,8 +420,7 @@ def _concentration_degree(full: GradedDims, n: int) -> int:
     return support[0]
 
 
-@dataclass(frozen=True)
-class GysinTower:
+class GysinTower(tuple):
     """The truncation tower up to n_max, solved once from the Milnor fiber.
 
     truncations holds the full cohomology of truncations 0..n_max, and
@@ -425,13 +432,14 @@ class GysinTower:
     one before with the mu block moved up by 2d, as the blocks certify.
     """
 
-    d: int
-    mu: int
-    truncations: tuple[GradedDims, ...]
-    degrees: tuple[int, ...]
-    gysin_ranks: tuple[Mapping[int, int], ...]
-    axioms: tuple[str, ...]
-    n0: int
+    __slots__ = ()
+    d, mu, truncations, degrees, gysin_ranks, axioms, n0 = fields(7)
+
+    def __new__(
+        cls, d: int, mu: int, truncations: tuple[GradedDims, ...], degrees: tuple[int, ...],
+        gysin_ranks: tuple[Mapping[int, int], ...], axioms: tuple[str, ...], n0: int,
+    ) -> GysinTower:
+        return tuple.__new__(cls, (d, mu, truncations, degrees, gysin_ranks, axioms, n0))
 
     @property
     def n_max(self) -> int:
@@ -446,7 +454,7 @@ class GysinTower:
         if n_max < 2:
             raise ValueError("need n_max >= 2")
 
-        fulls = self.truncations
+        fulls, ranks = self.truncations, self.gysin_ranks
         shift = 2 * normalization
         head = min(n_max, n0 + 1)
 
@@ -457,7 +465,7 @@ class GysinTower:
 
         def is_iso(s: int, n: int) -> bool:
             m = s + shift + 2 * (n + 1) * d
-            rank = self.gysin_ranks[n].get(m, 0) if m >= 2 * d else 0
+            rank = ranks[n].get(m, 0) if m >= 2 * d else 0
             return value(s, n) == value(s, n + 1) == rank
 
         # The Gysin map at step n can fail to be an isomorphism in degree s
@@ -469,7 +477,7 @@ class GysinTower:
             here, there = shift + 2 * n * d, shift + 2 * (n + 1) * d
             candidates = {m - here for m in fulls[n].support}
             candidates.update(m - there for m in fulls[n + 1].support)
-            candidates.update(m - there for m in self.gysin_ranks[n])
+            candidates.update(m - there for m in ranks[n])
             for s in candidates:
                 if s not in last_failure and not is_iso(s, n):
                     last_failure[s] = n
@@ -590,11 +598,12 @@ def declared_support_floor(d: int, n: int) -> int:
     return 2 * (n + 1) * d - 1
 
 
-@dataclass(frozen=True)
-class EscapeRow:
-    n: int
-    degree: int
-    declared_floor: int
+class EscapeRow(tuple):
+    __slots__ = ()
+    n, degree, declared_floor = fields(3)
+
+    def __new__(cls, n: int, degree: int, declared_floor: int) -> EscapeRow:
+        return tuple.__new__(cls, (n, degree, declared_floor))
 
 
 def escape_table(d: int, mu: int, n_max: int) -> tuple[EscapeRow, ...]:
@@ -603,14 +612,17 @@ def escape_table(d: int, mu: int, n_max: int) -> tuple[EscapeRow, ...]:
     return tuple(EscapeRow(n, degree, declared_support_floor(d, n)) for n, degree in rows)
 
 
-@dataclass(frozen=True)
-class RenormalizedReport:
+class RenormalizedReport(tuple):
     """The renormalized colimit together with the tower it was read from."""
 
-    stable: GradedDims
-    stabilization_step: Mapping[int, int]
-    normalization: int
-    tower: GysinTower
+    __slots__ = ()
+    stable, stabilization_step, normalization, tower = fields(4)
+
+    def __new__(
+        cls, stable: GradedDims, stabilization_step: Mapping[int, int], normalization: int,
+        tower: GysinTower,
+    ) -> RenormalizedReport:
+        return tuple.__new__(cls, (stable, stabilization_step, normalization, tower))
 
     @property
     def axioms(self) -> tuple[str, ...]:

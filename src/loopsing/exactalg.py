@@ -30,7 +30,6 @@ import operator
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Union
 
 __all__ = [
     "LoopVar",
@@ -69,9 +68,6 @@ class LoopVar(tuple):
         return f"LoopVar(coord={self[1]}, cdeg={self[0]})"
 
 
-FactorItems = Union[Mapping["LoopVar", int], Iterable[tuple["LoopVar", int]]]
-
-
 def _pairs(items: Mapping | Iterable[tuple]) -> Iterable[tuple]:
     """The (key, value) pairs of a mapping or of an iterable of pairs.
 
@@ -102,7 +98,9 @@ class Monomial:
 
     __slots__ = ("factors", "key")
 
-    def __init__(self, factors: FactorItems = ()) -> None:
+    def __init__(
+        self, factors: Mapping[LoopVar, int] | Iterable[tuple[LoopVar, int]] = ()
+    ) -> None:
         merged: dict[LoopVar, int] = {}
         for var, exp in _pairs(factors):
             if not isinstance(exp, int):
@@ -118,16 +116,8 @@ class Monomial:
             tuple([(v, -e) for v, e in self.factors]),
         )
 
-    @property
-    def degree(self) -> int:
-        return self.key[0]
-
     def variables(self) -> tuple[LoopVar, ...]:
         return tuple(var for var, _ in self.factors)
-
-    def weight(self, weight_of: Callable[[LoopVar], int]) -> int:
-        """Total weight of the monomial under a per-variable weight."""
-        return sum([weight_of(v) * e for v, e in self.factors])
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(self.factors + other.factors)
@@ -148,9 +138,6 @@ class Monomial:
 
 
 UNIT = Monomial()
-
-
-PolyLike = Union["LoopPoly", "LoopVar", int, Fraction]
 
 
 class LoopPoly:
@@ -213,13 +200,6 @@ class LoopPoly:
             seen.update(mono.variables())
         return tuple(sorted(seen))
 
-    def weight_set(
-        self, weight: Callable[[LoopVar], int] | Mapping[LoopVar, int]
-    ) -> frozenset[int]:
-        """Weights of the homogeneous components under a variable weighting."""
-        weight_of = weight.__getitem__ if isinstance(weight, Mapping) else weight
-        return frozenset(mono.weight(weight_of) for mono, _ in self._terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -231,18 +211,18 @@ class LoopPoly:
     def __neg__(self) -> "LoopPoly":
         return LoopPoly({m: -c for m, c in self._terms})
 
-    def __add__(self, other: PolyLike) -> "LoopPoly":
+    def __add__(self, other: LoopPoly | LoopVar | int | Fraction) -> "LoopPoly":
         return LoopPoly(self._terms + as_poly(other)._terms)
 
     __radd__ = __add__
 
-    def __sub__(self, other: PolyLike) -> "LoopPoly":
+    def __sub__(self, other: LoopPoly | LoopVar | int | Fraction) -> "LoopPoly":
         return self + (-as_poly(other))
 
-    def __rsub__(self, other: PolyLike) -> "LoopPoly":
+    def __rsub__(self, other: LoopPoly | LoopVar | int | Fraction) -> "LoopPoly":
         return as_poly(other) - self
 
-    def __mul__(self, other: PolyLike) -> "LoopPoly":
+    def __mul__(self, other: LoopPoly | LoopVar | int | Fraction) -> "LoopPoly":
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return LoopPoly({m: c * q for m, c in self._terms}) if q else LoopPoly()
@@ -275,18 +255,6 @@ class LoopPoly:
             terms.append((Monomial(factors[:i] + ((var, e - 1),) + factors[i + 1 :]), coeff * e))
         return LoopPoly(terms)
 
-    def zero_out(self, doomed: Callable[[LoopVar], bool]) -> "LoopPoly":
-        """Set every variable satisfying the predicate to zero.
-
-        Returns the polynomial itself when no variable of it is doomed.
-        """
-        kept = {
-            mono: coeff
-            for mono, coeff in self._terms
-            if not any(doomed(v) for v, _ in mono.factors)
-        }
-        return self if len(kept) == len(self._terms) else LoopPoly(kept)
-
     # -- display -------------------------------------------------------------
 
     def to_string(self, names: Sequence[str] | None = None) -> str:
@@ -314,7 +282,7 @@ def _from_exponents(
     return LoopPoly((Monomial(zip(variables, e)), c) for e, c in terms)
 
 
-def as_poly(value: PolyLike) -> LoopPoly:
+def as_poly(value: LoopPoly | LoopVar | int | Fraction) -> LoopPoly:
     """Coerce a variable or rational constant to a polynomial."""
     if isinstance(value, LoopPoly):
         return value

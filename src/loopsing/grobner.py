@@ -74,11 +74,11 @@ import itertools
 import math
 import struct
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le, mul
 
+from ._record import fields
 from .exactalg import LoopPoly, LoopVar, Monomial, _from_exponents
 from .loopfun import InputFunction, _coordinates
 
@@ -319,16 +319,18 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators)}; d={self.d})"
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(tuple):
     """The reduced Groebner basis of an ideal on z^1_0..z^d_0.
 
     It is held as primitive integer terms, one tuple per element, in
     increasing order of leading vectors.
     """
 
-    _terms: tuple[tuple[Term, ...], ...]
-    d: int
+    __slots__ = ()
+    _terms, d = fields(2)
+
+    def __new__(cls, _terms: tuple[tuple[Term, ...], ...], d: int) -> GroebnerBasis:
+        return tuple.__new__(cls, (_terms, d))
 
     @property
     def elements(self) -> tuple[LoopPoly, ...]:

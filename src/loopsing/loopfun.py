@@ -16,9 +16,9 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import fields
 from .exactalg import LoopPoly, LoopVar, Monomial, _default_names, _from_exponents
 
 __all__ = [
@@ -78,23 +78,21 @@ class FunctionalTooLarge(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(tuple):
     """The closed interval [-bottom, top] of allowed conformal degrees.
 
     `bottom` bounds the pole order (cdeg >= -bottom), `top` the positive tail.
     """
 
-    bottom: int
-    top: int
+    __slots__ = ()
+    bottom, top = fields(2)
 
-    def __post_init__(self) -> None:
-        if self.bottom < 0:
-            raise ValueError(f"window bottom must be nonnegative, got {self.bottom}")
-        if self.top < -self.bottom:
-            raise ValueError(
-                f"window top {self.top} lies below -bottom = {-self.bottom}"
-            )
+    def __new__(cls, bottom: int, top: int) -> Window:
+        if bottom < 0:
+            raise ValueError(f"window bottom must be nonnegative, got {bottom}")
+        if top < -bottom:
+            raise ValueError(f"window top {top} lies below -bottom = {-bottom}")
+        return tuple.__new__(cls, (bottom, top))
 
     def __str__(self) -> str:
         return f"[{-self.bottom}, {self.top}]"
@@ -359,12 +357,12 @@ def _reaching(poly: LoopPoly, top: int) -> list[tuple[Monomial, Fraction]]:
     return [(mono, c) for mono, c in poly.terms if mono.factors and mono.factors[-1][0][0] >= top]
 
 
-@dataclass(frozen=True)
-class SupportBoundReport:
-    bound: int
-    max_cdeg_present: int
-    ok: bool
-    window: Window
+class SupportBoundReport(tuple):
+    __slots__ = ()
+    bound, max_cdeg_present, ok = fields(3)
+
+    def __new__(cls, bound: int, max_cdeg_present: int, ok: bool) -> SupportBoundReport:
+        return tuple.__new__(cls, (bound, max_cdeg_present, ok))
 
 
 def check_support_bound(
@@ -380,15 +378,9 @@ def check_support_bound(
     if bottom < 0:
         raise ValueError("bottom must be nonnegative")
     bound = minimal_window(func, bottom).top
-    window = support_window(func, bottom)
-    lam = lambda_of(func, window) if functional is None else functional
+    lam = lambda_of(func, support_window(func, bottom)) if functional is None else functional
     max_present = _max_cdeg(lam)
-    return SupportBoundReport(
-        bound=bound,
-        max_cdeg_present=max_present,
-        ok=max_present <= bound,
-        window=window,
-    )
+    return SupportBoundReport(bound=bound, max_cdeg_present=max_present, ok=max_present <= bound)
 
 
 def _top_exponent(mono: Monomial, top: int) -> int:
@@ -405,13 +397,15 @@ def _top_exponent(mono: Monomial, top: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class TopLinearityReport:
-    ok: bool
-    top_cdeg: int
-    offending_monomials: tuple[Monomial, ...]
-    functional: LoopPoly
-    window: Window
+class TopLinearityReport(tuple):
+    __slots__ = ()
+    ok, top_cdeg, offending_monomials, functional, window = fields(5)
+
+    def __new__(
+        cls, ok: bool, top_cdeg: int, offending_monomials: tuple[Monomial, ...],
+        functional: LoopPoly, window: Window,
+    ) -> TopLinearityReport:
+        return tuple.__new__(cls, (ok, top_cdeg, offending_monomials, functional, window))
 
     @property
     def linear_part(self) -> LoopPoly:
@@ -453,30 +447,32 @@ def check_top_linearity(
 
     offending = tuple(mono for mono, _ in _reaching(lam, top) if _top_exponent(mono, top) > 1)
     return TopLinearityReport(
-        ok=not offending,
-        top_cdeg=top,
-        offending_monomials=offending,
-        functional=lam,
-        window=window,
+        ok=not offending, top_cdeg=top, offending_monomials=offending, functional=lam, window=window
     )
 
 
-@dataclass(frozen=True)
-class CoordinateDerivativeCheck:
-    coord: int
-    via_t_coefficient: bool
-    via_bottom_evaluation: bool
+class CoordinateDerivativeCheck(tuple):
+    __slots__ = ()
+    coord, via_t_coefficient, via_bottom_evaluation = fields(3)
+
+    def __new__(
+        cls, coord: int, via_t_coefficient: bool, via_bottom_evaluation: bool
+    ) -> CoordinateDerivativeCheck:
+        return tuple.__new__(cls, (coord, via_t_coefficient, via_bottom_evaluation))
 
     @property
     def ok(self) -> bool:
         return self.via_t_coefficient and self.via_bottom_evaluation
 
 
-@dataclass(frozen=True)
-class DerivativeIdentityReport:
-    checks: tuple[CoordinateDerivativeCheck, ...]
-    top_cdeg: int
-    window: Window
+class DerivativeIdentityReport(tuple):
+    __slots__ = ()
+    checks, top_cdeg = fields(2)
+
+    def __new__(
+        cls, checks: tuple[CoordinateDerivativeCheck, ...], top_cdeg: int
+    ) -> DerivativeIdentityReport:
+        return tuple.__new__(cls, (checks, top_cdeg))
 
     @property
     def ok(self) -> bool:
@@ -520,4 +516,4 @@ def check_derivative_identity(
                 via_bottom_evaluation=lhs == via_eval,
             )
         )
-    return DerivativeIdentityReport(checks=tuple(checks), top_cdeg=top, window=window)
+    return DerivativeIdentityReport(checks=tuple(checks), top_cdeg=top)

@@ -102,6 +102,18 @@ def rename_variables(p: LoopPoly, rename: Callable[[LoopVar], LoopVar]) -> LoopP
     return LoopPoly(acc)
 
 
+def zero_out(poly: LoopPoly, doomed: Callable[[LoopVar], bool]) -> LoopPoly:
+    """poly with every variable satisfying `doomed` set to zero; poly itself
+    when no variable of it is doomed."""
+    kept = [(m, c) for m, c in poly.terms if not any(doomed(v) for v, _ in m.factors)]
+    return poly if len(kept) == len(poly.terms) else LoopPoly(kept)
+
+
+def weight_set(poly: LoopPoly, weight_of: Callable[[LoopVar], int]) -> frozenset[int]:
+    """The weights of poly's homogeneous components under a per-variable weight."""
+    return frozenset(sum(weight_of(v) * e for v, e in m.factors) for m, _ in poly.terms)
+
+
 def jet_coefficient_by_enumeration(func: InputFunction, window: Window, k: int) -> LoopPoly:
     """Reference for jet_coefficient: the t^k coefficient by brute force.
 

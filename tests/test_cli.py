@@ -11,7 +11,6 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from loopsing.cli import (
 )
 from loopsing.cli import report as report_module
 from loopsing.cli.parser import MAX_COEFFICIENT_DIGITS, MAX_PRODUCT_WORK
-from loopsing.cohom import MAX_N_MAX, GradedDims
+from loopsing.cohom import MAX_N_MAX, GradedDims, LesSolution
 from loopsing.loopfun import MAX_JET_TERMS
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 
@@ -173,7 +172,9 @@ class TestRun:
 
         def wrong(system):
             solution = solve(system)
-            return replace(solution, b=solution.b.shifted(1))
+            return LesSolution(
+                solution.b.shifted(1), solution.ranks, solution.segments, solution.axioms
+            )
 
         monkeypatch.setattr(cohom, "solve_les_detailed", wrong)
         report = run_source("x^3 + y^3")
@@ -921,6 +922,10 @@ class TestMain:
     def test_missing_file_exit_code(self, capsys):
         assert main(["--file", "/nonexistent/input.txt"]) == 2
 
+    def test_configuration_error_comes_before_an_unreadable_file(self, capsys):
+        assert main(["--file", "/nonexistent", "--checks", "bogus"]) == 2
+        assert capsys.readouterr().err == "loopsing: error: unknown checks: bogus\n"
+
     def test_file_input(self, tmp_path, capsys):
         path = tmp_path / "fn.txt"
         path.write_text("# plane cubic\nx^3 + y^3\n")
@@ -1174,3 +1179,20 @@ def test_export_list_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_cold_start_loads_no_dataclasses_inspect_or_typing():
+    # A fresh interpreter without site (-S), which may load typing itself,
+    # imports the command line and runs it once.
+    src = str(Path(loopsing.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import loopsing.cli; "
+        "status = loopsing.cli.main(['-f', 'z^2', '--format', 'structured']); "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))); "
+        "sys.exit(status)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

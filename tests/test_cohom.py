@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from types import MappingProxyType
 
 import pytest
@@ -482,7 +481,9 @@ class TestGysinTower:
                 solution = solve(system)
                 if len(calls) < wrong_call:
                     return solution
-                return replace(solution, b=solution.b.shifted(1))
+                return LesSolution(
+                    solution.b.shifted(1), solution.ranks, solution.segments, solution.axioms
+                )
 
             monkeypatch.setattr(cohom, "solve_les_detailed", solve_wrong_once)
             with pytest.raises(RuntimeError, match="shift rule"):
@@ -498,11 +499,11 @@ class TestGysinTower:
                 return system
             # C^8 onto A^5, where the mu block sits at step 2, through a
             # residue of rank 1: the unit block's B-column is still the unit.
-            return replace(
-                system,
-                a=system.a.plus({5: 1}),
-                c_dims=system.c_dims.plus({8: 1}),
-                rank_facts=system.rank_facts + (RankFact("residue", 8, 1, "test: reach"),),
+            return LesSystem(
+                system.codim,
+                system.a.plus({5: 1}),
+                system.c_dims.plus({8: 1}),
+                system.rank_facts + (RankFact("residue", 8, 1, "test: reach"),),
             )
 
         monkeypatch.setattr(cohom, "_gysin_system", reaching)
@@ -511,7 +512,11 @@ class TestGysinTower:
             gysin_tower(2, 4, 6)
         # Below the first separated step, now step 3, the tower is the direct
         # walk alone.
-        assert gysin_tower(2, 4, 2) == replace(_walk_gysin_towers(2, 4, 2)[2], n0=3)
+        walked = _walk_gysin_towers(2, 4, 2)[2]
+        assert gysin_tower(2, 4, 2) == GysinTower(
+            walked.d, walked.mu, walked.truncations, walked.degrees, walked.gysin_ranks,
+            walked.axioms, n0=3,
+        )
 
     def test_block_union_must_match_the_direct_solve(self, monkeypatch):
         solve = cohom.solve_les_detailed
@@ -520,7 +525,9 @@ class TestGysinTower:
             solution = solve(system)
             if system.a.dim(0) != 1 or len(system.a.support) < 2:
                 return solution
-            return replace(solution, segments=(sum(solution.segments, ()),))
+            return LesSolution(
+                solution.b, solution.ranks, (sum(solution.segments, ()),), solution.axioms
+            )
 
         monkeypatch.setattr(cohom, "solve_les_detailed", merged_segments)
         with pytest.raises(RuntimeError, match="do not split"):
@@ -612,7 +619,9 @@ class TestRenormalized:
     def test_reads_a_fixed_number_of_steps(self, d, n0, n_max):
         tower = gysin_tower(d, 4, n_max)
         truncations, ranks = _counted(tower.truncations), _counted(tower.gysin_ranks)
-        counted = replace(tower, truncations=truncations, gysin_ranks=ranks)
+        counted = GysinTower(
+            tower.d, tower.mu, truncations, tower.degrees, ranks, tower.axioms, tower.n0
+        )
         assert counted.n0 == n0
         report = counted.renormalized(1)
         assert truncations.read <= set(range(n0 + 2))
@@ -625,10 +634,14 @@ class TestRenormalized:
 
         def broken_from(step: int, to: int = 20) -> GysinTower:
             # The maps from `step` to `to` send mu classes onto a rank-3 image.
-            return replace(tower, gysin_ranks=tuple(
+            gysin_ranks = tuple(
                 {m: 3 if step <= n < to else r for m, r in ranks.items()}
                 for n, ranks in enumerate(tower.gysin_ranks)
-            ))
+            )
+            return GysinTower(
+                tower.d, tower.mu, tower.truncations, tower.degrees, gysin_ranks, tower.axioms,
+                tower.n0,
+            )
 
         for step in range(n0 + 1):
             with pytest.raises(NotStabilized):

@@ -36,6 +36,8 @@ from conftest import (
     jet_coefficient_by_enumeration,
     rename_variables,
     substitute,
+    weight_set,
+    zero_out,
 )
 
 
@@ -132,7 +134,7 @@ class TestJetCoefficient:
     @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
     def test_conformal_weight_is_k(self, k):
         result = jet_coefficient(build("x^3 + y^3"), Window(1, 2), k)
-        weights = result.weight_set(lambda v: v.cdeg)
+        weights = weight_set(result, lambda v: v.cdeg)
         assert weights <= {k}
 
     @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2, 3])
@@ -194,7 +196,7 @@ class TestLambda:
         func = build("z^2")
         small = lambda_of(func, Window(1, 1))
         large = lambda_of(func, Window(3, 3))
-        assert large.zero_out(lambda v: abs(v.cdeg) > 1) == small
+        assert zero_out(large, lambda v: abs(v.cdeg) > 1) == small
 
     def test_oracle_equivalence(self, corpus_entry, corpus_function):
         if corpus_entry.delta > 4:
@@ -230,7 +232,7 @@ class TestPrecomputedFunctional:
         window = minimal_window(func, bottom)
         wide = lambda_of(func, support_window(func, bottom))
         assert support_window(func, bottom).top > window.top
-        assert wide.zero_out(lambda v: v.cdeg > window.top) == lambda_of(func, window)
+        assert zero_out(wide, lambda v: v.cdeg > window.top) == lambda_of(func, window)
 
 
 class TestSupportBound:
@@ -337,7 +339,7 @@ class TestDerivativeIdentity:
 
 def _on_constant_loops(func: InputFunction, window: Window) -> LoopPoly:
     """The functional with every variable of nonzero conformal degree set to zero."""
-    return lambda_of(func, window).zero_out(lambda v: v.cdeg != 0)
+    return zero_out(lambda_of(func, window), lambda v: v.cdeg != 0)
 
 
 class TestConstantLoopRestriction:
@@ -408,16 +410,16 @@ class TestOrderReadingForms:
     @given(drawn_polys, st.integers(-3, ORDER_TOP + 2))
     @settings(deadline=None)
     def test_truncation_and_constant_loops_match_zero_out(self, poly, top):
-        reference = poly.zero_out(lambda v: v.cdeg > top)
+        reference = zero_out(poly, lambda v: v.cdeg > top)
         truncated = loopfun._truncated(poly, top)
         assert truncated == reference
         assert (truncated is poly) == (reference is poly)
-        assert loopfun._on_constant_loops(poly) == poly.zero_out(lambda v: v.cdeg != 0)
+        assert loopfun._on_constant_loops(poly) == zero_out(poly, lambda v: v.cdeg != 0)
 
     @given(drawn_polys)
     @settings(deadline=None)
     def test_conformal_weights_match_weight_set(self, poly):
-        assert loopfun._conformal_weights(poly) == poly.weight_set(lambda v: v.cdeg)
+        assert loopfun._conformal_weights(poly) == weight_set(poly, lambda v: v.cdeg)
 
     @given(drawn_polys, st.integers(-3, ORDER_TOP + 2))
     @settings(deadline=None)
