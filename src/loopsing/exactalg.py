@@ -19,6 +19,12 @@ factors, and its factors of any one conformal degree form a contiguous run.
 The structural checks of `loopfun` read conformal degrees off these ends
 instead of scanning every factor.
 
+The checked constructors `Monomial(...)` and `LoopPoly(...)` canonicalize:
+every operation hands them raw terms.  One producer, the jet kernel of
+`loopfun`, builds its terms already canonical and hands them to the unchecked
+`Monomial._of` and `LoopPoly._of_distinct`; the latter still sorts, and
+refuses a repeated monomial instead of merging it.
+
 All values are immutable after construction and all operations are pure, so
 polynomials can be shared freely between threads.
 """
@@ -116,6 +122,20 @@ class Monomial:
             tuple([(v, -e) for v, e in self.factors]),
         )
 
+    @classmethod
+    def _of(cls, factors: tuple[tuple[LoopVar, int], ...]) -> "Monomial":
+        """The monomial of factors with distinct variables, positive exponents
+        and sorted by variable, unchecked; the key is built from them."""
+        degree = 0
+        negated = []
+        for var, exp in factors:
+            degree += exp
+            negated.append((var, -exp))
+        mono = object.__new__(cls)
+        mono.factors = factors
+        mono.key = (degree, tuple(negated))
+        return mono
+
     def variables(self) -> tuple[LoopVar, ...]:
         return tuple(var for var, _ in self.factors)
 
@@ -146,8 +166,11 @@ class LoopPoly:
     Terms are stored as a tuple of (monomial, coefficient) pairs sorted in
     decreasing monomial order, with zero coefficients pruned, so the
     representation of a polynomial is independent of how it was assembled.
-    The constructor alone merges, prunes and orders terms: every operation
-    hands it raw terms, repeats and zeros included.
+    The constructor merges, prunes and orders terms: every operation hands it
+    raw terms, repeats and zeros included.  Only the loop functional's jet
+    kernel, whose terms are distinct and nonzero by construction, goes
+    through `_of_distinct`, which orders them and raises RuntimeError on a
+    repeated monomial.
     """
 
     __slots__ = ("_terms",)
@@ -172,6 +195,23 @@ class LoopPoly:
         )
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of_distinct(cls, terms: Iterable[tuple[Monomial, Fraction]]) -> "LoopPoly":
+        """The polynomial of terms with distinct monomials and nonzero Fraction
+        coefficients, unmerged and unpruned.
+
+        The terms are sorted once; a monomial that occurs twice raises
+        RuntimeError instead of being merged.
+        """
+        ordered = sorted(terms, key=lambda term: term[0].key, reverse=True)
+        keys = [mono.key for mono, _ in ordered]
+        if any(map(operator.eq, keys, keys[1:])):
+            mono = next(m for (m, _), (n, _) in zip(ordered, ordered[1:]) if m.key == n.key)
+            raise RuntimeError(f"monomial {mono} occurs twice among distinct terms")
+        poly = object.__new__(cls)
+        poly._terms = tuple(ordered)
+        return poly
 
     @classmethod
     def constant(cls, value: Fraction | int) -> "LoopPoly":

@@ -17,6 +17,7 @@ import functools
 import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from types import MappingProxyType
 
 from ._record import fields
 from .exactalg import LoopPoly, LoopVar, Monomial, _default_names, _from_exponents
@@ -106,31 +107,47 @@ class InputFunction:
     one the jets and both Milnor routes read.  `poly`, F as a LoopPoly in
     z^1_0, ..., z^d_0, is built when first read.  Optional display names (one
     per coordinate) are carried along for parsing and report rendering.
+
+    An InputFunction is immutable: `terms` and each of `partials` are
+    read-only mappings, and no attribute can be assigned or deleted.
     """
 
     def __init__(
         self, terms: Mapping[tuple[int, ...], Fraction | int], names: Sequence[str] | None = None
     ):
-        self.terms = {e: Fraction(c) for e, c in terms.items() if c}
-        if not self.terms:
+        own = {e: Fraction(c) for e, c in terms.items() if c}
+        if not own:
             raise DegreeTooLow(None)
-        if not all(map(any, zip(*self.terms))):
+        if not all(map(any, zip(*own))):
             raise ValueError("every coordinate must occur in some term")
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(e) for e in own}
         if len(degrees) > 1:
             raise NotHomogeneous(min(degrees), max(degrees))
-        (self.delta,) = degrees
-        if self.delta < 2:
-            raise DegreeTooLow(self.delta)
-        self.d = d = len(next(iter(self.terms)))
-        self.names = _default_names(d) if names is None else tuple(names)
-        if len(self.names) != d or len(set(self.names)) != d:
-            raise ValueError(f"need {d} distinct coordinate names, got {self.names}")
+        (delta,) = degrees
+        if delta < 2:
+            raise DegreeTooLow(delta)
+        d = len(next(iter(own)))
+        names = _default_names(d) if names is None else tuple(names)
+        if len(names) != d or len(set(names)) != d:
+            raise ValueError(f"need {d} distinct coordinate names, got {names}")
         # Distinct terms have distinct derivatives, so none merge.
-        self.partials = tuple(
-            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]}
+        partials = tuple(
+            MappingProxyType(
+                {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in own.items() if e[i]}
+            )
             for i in range(d)
         )
+        # Assignment is refused, so the attributes go straight into __dict__,
+        # where `poly` is cached as well.
+        vars(self).update(
+            terms=MappingProxyType(own), delta=delta, d=d, names=names, partials=partials
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"InputFunction is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"InputFunction is immutable: cannot delete {name!r}")
 
     @functools.cached_property
     def poly(self) -> LoopPoly:
@@ -231,6 +248,12 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
     loop monomials (the exponents per coordinate differ), and so do distinct
     choices of multisets, so every surviving term is built exactly once.
 
+    The jet is the one producer of terms already in canonical form: each
+    monomial is built unchecked (`Monomial._of`) from its sorted factors, and
+    `LoopPoly._of_distinct` sorts the terms without merging.  Two audits stay:
+    a monomial built twice, or a coefficient product of zero, raises
+    RuntimeError instead of being merged or pruned.
+
     Every expansion term and partial product counts against MAX_JET_TERMS,
     before it is built; past the bound FunctionalTooLarge is raised.
     """
@@ -272,14 +295,18 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
             state = grown
             if not state:
                 break
-        # Few distinct weights occur, so each coefficient product is made once.
+        # Few distinct weights occur, so each coefficient product is made, and
+        # checked for zero, once.  The items of a finished term come from
+        # distinct (coordinate, index) pairs, so native order is variable order.
         products: dict[int, Fraction] = {}
         for items, weight in state.get(k, ()):
             product = products.get(weight)
             if product is None:
                 product = products[weight] = coeff * weight
-            jet.append((Monomial(items), product))
-    return LoopPoly(jet)
+                if not product:
+                    raise RuntimeError(f"the jet term of {e} has coefficient zero")
+            jet.append((Monomial._of(tuple(sorted(items))), product))
+    return LoopPoly._of_distinct(jet)
 
 
 def jet_coefficient(func: InputFunction, window: Window, k: int) -> LoopPoly:

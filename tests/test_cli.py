@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -222,6 +223,34 @@ class TestRun:
         assert main(["-f", "x^3 + y^3"]) == 1
         captured = capsys.readouterr()
         assert "conformal weights" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_a_jet_term_built_twice_fails_every_functional_check(self, monkeypatch, capsys):
+        expansion = loopfun._power_expansion
+
+        def doubled(*args):
+            # One group of the expansion holds its first term twice.
+            found = expansion(*args)
+            group = next(iter(found.values()))
+            group.append(group[0])
+            return found
+
+        monkeypatch.setattr(loopfun, "_power_expansion", doubled)
+        report = run_source("x^3 + y^3")
+        witnesses = set()
+        for name in FUNCTIONAL_CHECKS:
+            outcome = report.checks[name]
+            assert not outcome.ok and not outcome.skipped
+            witnesses.add(outcome.witness)
+        (witness,) = witnesses
+        assert re.fullmatch(r"monomial \S+ occurs twice among distinct terms", witness)
+        assert report.lambda_term_count is None
+        assert report.checks["milnor"].ok and report.checks["cohomology"].ok
+        assert validate_report(report.to_dict()) == []
+        capsys.readouterr()
+        assert main(["-f", "x^3 + y^3"]) == 1
+        captured = capsys.readouterr()
+        assert witness in captured.out
         assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("name", FUNCTIONAL_CHECKS)

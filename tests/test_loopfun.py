@@ -114,6 +114,22 @@ class TestInputFunction:
         assert build("x^3 + y^3") == build("y^3 + x^3")
         assert build("x^3 + y^3") != build("x^3 + w^3")
 
+    def test_is_immutable(self):
+        func = build("x^3 + y^3")
+        poly, partials = func.poly, func.partials
+        for name in ("terms", "partials", "d", "delta", "names", "poly"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(func, name, 7)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(func, name)
+        with pytest.raises(TypeError):
+            func.terms[(3, 0)] = 5
+        for partial in func.partials:
+            with pytest.raises(TypeError):
+                partial[(2, 0)] = 5
+        assert func.delta == 3 and func.terms == {(3, 0): 1, (0, 3): 1}
+        assert func.poly is poly and func.partials == partials == ({(2, 0): 3}, {(0, 2): 3})
+
 
 class TestJetCoefficient:
     def test_quadric_window2(self):
@@ -549,3 +565,68 @@ class TestGLInvariance:
     def test_hand_checked_transform(self):
         func = build("(x + 2*y)^3 + (3*x - y)^3")
         assert func.poly == substitute(build("x^3 + y^3").poly, _linear_change(GL_MATRICES[0], 0))
+
+
+def _canonical_jets(func: InputFunction, bottom: int):
+    """The jets run() builds for func at `bottom`: the functional on the
+    support and minimal windows, and the t^(-N) coefficient of each partial."""
+    window = minimal_window(func, bottom)
+    yield lambda_of(func, support_window(func, bottom))
+    yield lambda_of(func, window)
+    for d_j in func.partials:
+        yield loopfun._jet_of_poly(d_j, window, -window.top)
+
+
+DENSE_GL_FORMS = [(source, matrix) for matrix in GL_MATRICES for source in GL_BASES[len(matrix)]]
+
+
+class TestCanonicalJets:
+    """The jet builds its terms unchecked; the checked constructors are the reference."""
+
+    @staticmethod
+    def assert_canonical(jet: LoopPoly):
+        for mono, coeff in jet.terms:
+            reference = Monomial(mono.factors)
+            assert mono.factors == reference.factors
+            assert mono.key == reference.key
+            assert type(coeff) is Fraction and coeff
+        assert LoopPoly(jet.terms).terms == jet.terms
+
+    @given(func=small_homogeneous_forms(), bottom=st.integers(0, 2), k=st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_on_random_forms(self, func, bottom, k):
+        self.assert_canonical(jet_coefficient(func, Window(bottom, bottom + 2), k))
+        if bottom:
+            for jet in _canonical_jets(func, bottom):
+                self.assert_canonical(jet)
+
+    @pytest.mark.parametrize("bottom", [1, 2])
+    def test_on_corpus(self, corpus_function, bottom):
+        for jet in _canonical_jets(corpus_function, bottom):
+            self.assert_canonical(jet)
+
+    @pytest.mark.parametrize("source, matrix", DENSE_GL_FORMS, ids=str)
+    def test_on_dense_gl_forms(self, source, matrix):
+        func = input_function(substitute(build(source).poly, _linear_change(matrix, 0)))
+        for bottom in (1, 2):
+            for jet in _canonical_jets(func, bottom):
+                self.assert_canonical(jet)
+
+
+class TestJetAudits:
+    def test_a_term_built_twice_raises(self, monkeypatch):
+        expansion = loopfun._power_expansion
+
+        def doubled(*args):
+            found = expansion(*args)
+            group = next(iter(found.values()))
+            group.append(group[0])
+            return found
+
+        monkeypatch.setattr(loopfun, "_power_expansion", doubled)
+        with pytest.raises(RuntimeError, match="occurs twice among distinct terms"):
+            lambda_of(build("x^3 + y^3"), Window(1, 2))
+
+    def test_a_zero_coefficient_raises(self):
+        with pytest.raises(RuntimeError, match="coefficient zero"):
+            loopfun._jet_of_poly({(2,): Fraction(0)}, Window(1, 1), 0)
