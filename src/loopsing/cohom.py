@@ -27,6 +27,7 @@ invocation is safe, there is no shared state.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 from ._record import fields
 
@@ -79,7 +80,9 @@ class NotStabilized(RuntimeError):
 class GradedDims:
     """Finite-support map from integer degree to a nonnegative dimension.
 
-    Zero entries are never stored; degrees may be negative.
+    Zero entries are never stored; degrees may be negative.  A GradedDims is
+    immutable: its store is a read-only mapping, and no attribute can be
+    assigned or deleted.
     """
 
     __slots__ = ("_dims",)
@@ -94,10 +97,17 @@ class GradedDims:
                 raise ValueError(f"negative dimension {dim} in degree {degree}")
             if dim:
                 store[degree] = store.get(degree, 0) + dim
-        self._dims = store
+        _set_store(self, MappingProxyType(store))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GradedDims is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GradedDims is immutable: cannot delete {name!r}")
 
     def dim(self, degree: int) -> int:
-        return self._dims.get(degree, 0)
+        dims = self._dims
+        return dims[degree] if degree in dims else 0
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -111,9 +121,10 @@ class GradedDims:
 
     @classmethod
     def _of(cls, store: dict[int, int]) -> "GradedDims":
-        """Wrap a store of int degrees to positive int dimensions, unchecked."""
+        """Wrap a fresh store of int degrees to positive int dimensions,
+        unchecked; no one else may hold it."""
         dims = object.__new__(cls)
-        dims._dims = store
+        _set_store(dims, MappingProxyType(store))
         return dims
 
     def shifted(self, offset: int) -> "GradedDims":
@@ -121,20 +132,22 @@ class GradedDims:
 
     def plus(self, other: "GradedDims | Mapping[int, int]") -> "GradedDims":
         other_items = other.items() if isinstance(other, (GradedDims, Mapping)) else other
-        merged = dict(self._dims)
+        merged = self._dims.copy()
         for degree, dim in other_items:
             merged[degree] = merged.get(degree, 0) + dim
         return GradedDims(merged)
 
     def with_unit(self) -> "GradedDims":
         """Add the one-dimensional unit class in degree 0."""
-        return GradedDims._of({**self._dims, 0: self.dim(0) + 1})
+        store = self._dims.copy()
+        store[0] = store.get(0, 0) + 1
+        return GradedDims._of(store)
 
     def drop_unit(self) -> "GradedDims":
         """Remove one dimension in degree 0 (pass to reduced cohomology)."""
         if self.dim(0) < 1:
             raise ValueError("no unit class in degree 0 to drop")
-        out = dict(self._dims)
+        out = self._dims.copy()
         out[0] -= 1
         return GradedDims(out)
 
@@ -149,6 +162,10 @@ class GradedDims:
 
     def __repr__(self) -> str:
         return f"GradedDims({self})"
+
+
+# Assignment is refused, so the store goes in through its slot's descriptor.
+_set_store = GradedDims.__dict__["_dims"].__set__
 
 
 _SLOTS = ("A", "B", "C")

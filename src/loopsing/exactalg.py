@@ -21,8 +21,9 @@ instead of scanning every factor.
 
 The checked constructors `Monomial(...)` and `LoopPoly(...)` canonicalize:
 every operation hands them raw terms.  One producer, the jet kernel of
-`loopfun`, builds its terms already canonical and hands them to the unchecked
-`Monomial._of` and `LoopPoly._of_distinct`; the latter still sorts, and
+`loopfun`, sorts its terms itself and hands them to the unchecked
+`LoopPoly._of_sorted`, which builds each monomial from factor pairs
+(var, e) and key entries (var, -e) shared through the kernel's table, and
 refuses a repeated monomial instead of merging it.
 
 All values are immutable after construction and all operations are pure, so
@@ -122,20 +123,6 @@ class Monomial:
             tuple([(v, -e) for v, e in self.factors]),
         )
 
-    @classmethod
-    def _of(cls, factors: tuple[tuple[LoopVar, int], ...]) -> "Monomial":
-        """The monomial of factors with distinct variables, positive exponents
-        and sorted by variable, unchecked; the key is built from them."""
-        degree = 0
-        negated = []
-        for var, exp in factors:
-            degree += exp
-            negated.append((var, -exp))
-        mono = object.__new__(cls)
-        mono.factors = factors
-        mono.key = (degree, tuple(negated))
-        return mono
-
     def variables(self) -> tuple[LoopVar, ...]:
         return tuple(var for var, _ in self.factors)
 
@@ -168,9 +155,9 @@ class LoopPoly:
     representation of a polynomial is independent of how it was assembled.
     The constructor merges, prunes and orders terms: every operation hands it
     raw terms, repeats and zeros included.  Only the loop functional's jet
-    kernel, whose terms are distinct and nonzero by construction, goes
-    through `_of_distinct`, which orders them and raises RuntimeError on a
-    repeated monomial.
+    kernel, whose terms are distinct and nonzero by construction and which
+    orders them itself, goes through `_of_sorted`, which builds the
+    monomials and raises RuntimeError on a repeated one.
     """
 
     __slots__ = ("_terms",)
@@ -197,20 +184,37 @@ class LoopPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of_distinct(cls, terms: Iterable[tuple[Monomial, Fraction]]) -> "LoopPoly":
-        """The polynomial of terms with distinct monomials and nonzero Fraction
-        coefficients, unmerged and unpruned.
+    def _of_sorted(
+        cls,
+        rows: Iterable[tuple[int, tuple, Fraction]],
+        factor: Mapping[object, tuple[LoopVar, int]],
+        negated: Mapping[object, tuple[LoopVar, int]],
+    ) -> "LoopPoly":
+        """The polynomial of rows (degree, labels, coefficient), unchecked but for repeats.
 
-        The terms are sorted once; a monomial that occurs twice raises
-        RuntimeError instead of being merged.
+        Each label stands for the factor factor[label] = (var, e), whose
+        grevlex key entry is negated[label] = (var, -e); the pairs are shared
+        by every monomial that holds the label.  The rows must come in
+        decreasing key order, each with its labels in variable order, the
+        degree they sum to, and a nonzero Fraction coefficient.  A monomial
+        that occurs twice raises RuntimeError instead of being merged.
         """
-        ordered = sorted(terms, key=lambda term: term[0].key, reverse=True)
-        keys = [mono.key for mono, _ in ordered]
-        if any(map(operator.eq, keys, keys[1:])):
-            mono = next(m for (m, _), (n, _) in zip(ordered, ordered[1:]) if m.key == n.key)
-            raise RuntimeError(f"monomial {mono} occurs twice among distinct terms")
-        poly = object.__new__(cls)
-        poly._terms = tuple(ordered)
+        new = object.__new__
+        pair, entry = factor.__getitem__, negated.__getitem__
+        terms = []
+        previous = None
+        for degree, labels, coeff in rows:
+            if labels == previous:
+                raise RuntimeError(
+                    f"monomial {Monomial(map(pair, labels))} occurs twice among distinct terms"
+                )
+            previous = labels
+            mono = new(Monomial)
+            mono.factors = tuple(map(pair, labels))
+            mono.key = (degree, tuple(map(entry, labels)))
+            terms.append((mono, coeff))
+        poly = new(cls)
+        poly._terms = tuple(terms)
         return poly
 
     @classmethod

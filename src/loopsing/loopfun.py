@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
+from operator import itemgetter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from types import MappingProxyType
@@ -197,18 +199,22 @@ def support_window(func: InputFunction, bottom: int) -> Window:
 
 
 def _power_expansion(
-    coord: int, exp: int, window: Window, sum_lo: int, sum_hi: int, budget: int
-) -> dict[int, list[tuple[tuple[tuple[LoopVar, int], ...], int]]]:
+    coord: int, exp: int, window: Window, d: int, m: int, sum_lo: int, sum_hi: int, budget: int
+) -> dict[int, list[tuple[tuple[int, ...], int]]]:
     """Terms of (sum_{j in window} z^coord_j t^j)^exp with t-degree in [sum_lo, sum_hi].
 
-    Each term is a multiset of exp window indices, given as the factor items
-    ((z^coord_j, count), ...) in increasing j, with its multinomial
-    coefficient exp!/prod(count!); the terms are grouped by t-degree.  Raises
-    FunctionalTooLarge once more than `budget` terms are found.
+    Each term is a multiset of exp window indices, weighted by its multinomial
+    coefficient exp!/prod(count!); the terms are grouped by t-degree.  A term
+    is the tuple of its factor codes in the layout of `_jet_of_poly` for d
+    coordinates and exponents below m: index j taken count times is the code
+    ((j + bottom)*d + coord - 1)*m + m - count, so increasing j gives
+    increasing codes.  Raises FunctionalTooLarge once more than `budget`
+    terms are found.
     """
-    lo, hi = -window.bottom, window.top
-    variables: dict[int, LoopVar] = {}
-    found: dict[int, list[tuple[tuple[tuple[LoopVar, int], ...], int]]] = {}
+    bottom, hi = window
+    stride = d * m
+    offset = bottom * stride + coord * m
+    found: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     made = 0
 
     def extend(start: int, left: int, total: int, chosen: tuple, weight: int) -> None:
@@ -216,25 +222,29 @@ def _power_expansion(
         # An index below the first cannot reach sum_lo even with the rest at hi.
         nonlocal made
         for j in range(max(start, sum_lo - total - (left - 1) * hi), hi + 1):
-            if total + left * j > sum_hi:
+            reached = total + left * j
+            if reached > sum_hi:
                 return
-            var = variables.get(j)
-            if var is None:
-                var = variables[j] = LoopVar(coord, j)
-            for count in range(left, 0, -1):
+            code = j * stride + offset
+            if reached >= sum_lo:
+                made += 1
+                if made > budget:
+                    raise FunctionalTooLarge(window)
+                found.setdefault(reached, []).append((chosen + (code - left,), weight))
+            if j == hi:
+                return
+            # With count copies of j, the rest need at least j + 1 each; that
+            # least total grows as count falls.
+            for count in range(left - 1, 0, -1):
                 reached = total + count * j
-                rest = left - count
-                items = chosen + ((var, count),)
-                if not rest:
-                    if reached >= sum_lo:
-                        made += 1
-                        if made > budget:
-                            raise FunctionalTooLarge(window)
-                        found.setdefault(reached, []).append((items, weight))
-                elif j < hi and reached + rest * (j + 1) <= sum_hi:
-                    extend(j + 1, rest, reached, items, weight * math.comb(left, count))
+                if reached + (left - count) * (j + 1) > sum_hi:
+                    break
+                extend(
+                    j + 1, left - count, reached, chosen + (code - count,),
+                    weight * math.comb(left, count),
+                )
 
-    extend(lo, exp, 0, (), 1)
+    extend(-bottom, exp, 0, (), 1)
     return found
 
 
@@ -248,65 +258,125 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
     loop monomials (the exponents per coordinate differ), and so do distinct
     choices of multisets, so every surviving term is built exactly once.
 
-    The jet is the one producer of terms already in canonical form: each
-    monomial is built unchecked (`Monomial._of`) from its sorted factors, and
-    `LoopPoly._of_distinct` sorts the terms without merging.  Two audits stay:
-    a monomial built twice, or a coefficient product of zero, raises
+    Inside the kernel a factor (z^c_j)^n is one int, its code
+    slot*m + (m - n): slot = (j + bottom)*d + (c - 1) numbers the window's
+    variables in (cdeg, coord) order, and m = deg + 1 exceeds every exponent,
+    deg being the largest degree of a term.  So codes order as the pairs
+    (variable, -exponent) of a grevlex key (see exactalg.Monomial): a term is
+    the sorted tuple of its codes, which is its factor order, and at equal
+    degree native order on those tuples is grevlex key order.  A term of one
+    coordinate comes out of its expansion sorted; others are sorted once.
+
+    Each power is expanded once per jet for each (exp, t-degree bounds), and
+    reused by every ambient monomial and coordinate that needs it: moving
+    an expansion from coordinate c0 to c adds (c - c0)*m to every code.  Each
+    use is charged the terms it supplies.
+
+    The finished terms are sorted once on (degree, codes), the degree being
+    read off the codes, and handed to `LoopPoly._of_sorted` with one factor
+    pair per code, shared by every monomial holding it.  Two audits stay: a
+    monomial built twice, or a coefficient product of zero, raises
     RuntimeError instead of being merged or pruned.
 
     Every expansion term and partial product counts against MAX_JET_TERMS,
     before it is built; past the bound FunctionalTooLarge is raised.
     """
-    lo, hi = -window.bottom, window.top
+    bottom, hi = window
+    lo = -bottom
+    if not terms:
+        return LoopPoly()
+    d = len(next(iter(terms)))
+    m = max(map(sum, terms)) + 1
     built = 0
-    jet: list[tuple[Monomial, Fraction]] = []
+    # (exp, t-degree bounds) -> {coordinate: the expansion in its codes}
+    expansions: dict[tuple[int, int, int], dict[int, dict]] = {}
+    # (degree, codes, coefficient) per finished term
+    rows: list[tuple[int, tuple[int, ...], Fraction]] = []
     for e, coeff in terms.items():
         remaining = sum(e)
-        # t-degree -> partial products (factor items, integer weight)
-        state: dict[int, list[tuple[tuple, int]]] = {0: [((), 1)]}
+        # t-degree -> partial products (codes, integer weight)
+        state: dict[int, list[tuple[tuple[int, ...], int]]] = {0: [((), 1)]}
+        placed = 0
         for coord, exp in enumerate(e, 1):
             if not exp:
                 continue
             remaining -= exp
             # The t-degree after this factor must still reach k.
             after_lo, after_hi = k - remaining * hi, k - remaining * lo
-            expansion = _power_expansion(
-                coord,
-                exp,
-                window,
-                max(exp * lo, after_lo - max(state)),
-                min(exp * hi, after_hi - min(state)),
-                MAX_JET_TERMS - built,
-            )
-            built += sum(map(len, expansion.values()))
-            grown: dict[int, list[tuple[tuple, int]]] = {}
-            for t_deg, partials in state.items():
-                for factor_deg, group in expansion.items():
-                    total = t_deg + factor_deg
-                    if not after_lo <= total <= after_hi:
-                        continue
-                    built += len(partials) * len(group)
-                    if built > MAX_JET_TERMS:
-                        raise FunctionalTooLarge(window)
-                    target = grown.setdefault(total, [])
-                    for items, weight in partials:
-                        for extra, factor_weight in group:
-                            target.append((items + extra, weight * factor_weight))
-            state = grown
+            s_lo = max(exp * lo, after_lo - max(state))
+            s_hi = min(exp * hi, after_hi - min(state))
+            by_coord = expansions.get((exp, s_lo, s_hi))
+            if by_coord is None:
+                by_coord = expansions[exp, s_lo, s_hi] = {}
+            groups = by_coord.get(coord)
+            if groups is None:
+                if by_coord:
+                    source, found = next(iter(by_coord.items()))
+                    shift = (coord - source) * m
+                    groups = {
+                        t_deg: [(tuple(map(shift.__add__, codes)), w) for codes, w in group]
+                        for t_deg, group in found.items()
+                    }
+                else:
+                    groups = _power_expansion(
+                        coord, exp, window, d, m, s_lo, s_hi, MAX_JET_TERMS - built
+                    )
+                by_coord[coord] = groups
+            size = sum(map(len, groups.values()))
+            # The first factor's partial products are its expansion itself.
+            built += size if placed else 2 * size
+            if built > MAX_JET_TERMS:
+                raise FunctionalTooLarge(window)
+            placed += 1
+            if placed == 1:
+                state = groups
+            else:
+                grown: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+                for t_deg, partials in state.items():
+                    for factor_deg, group in groups.items():
+                        total = t_deg + factor_deg
+                        if not after_lo <= total <= after_hi:
+                            continue
+                        built += len(partials) * len(group)
+                        if built > MAX_JET_TERMS:
+                            raise FunctionalTooLarge(window)
+                        grown.setdefault(total, []).extend(
+                            [
+                                (items + extra, weight * factor_weight)
+                                for items, weight in partials
+                                for extra, factor_weight in group
+                            ]
+                        )
+                state = grown
             if not state:
                 break
+        finished = state.get(k)
+        if not finished:
+            continue
         # Few distinct weights occur, so each coefficient product is made, and
-        # checked for zero, once.  The items of a finished term come from
-        # distinct (coordinate, index) pairs, so native order is variable order.
-        products: dict[int, Fraction] = {}
-        for items, weight in state.get(k, ()):
-            product = products.get(weight)
-            if product is None:
-                product = products[weight] = coeff * weight
-                if not product:
-                    raise RuntimeError(f"the jet term of {e} has coefficient zero")
-            jet.append((Monomial._of(tuple(sorted(items))), product))
-    return LoopPoly._of_distinct(jet)
+        # checked for zero, once; a unit weight takes the coefficient itself.
+        products = {1: coeff}
+        for _, weight in finished:
+            if weight not in products:
+                products[weight] = coeff * weight
+        if not all(products.values()):
+            raise RuntimeError(f"the jet term of {e} has coefficient zero")
+        if placed > 1:
+            finished = [(tuple(sorted(codes)), w) for codes, w in finished]
+        # The exponent of code c is m - c % m.
+        rows += [(len(c) * m - sum(map(m.__rmod__, c)), c, products[w]) for c, w in finished]
+    # code -> its factor (var, n) and grevlex key entry (var, -n)
+    factor: dict[int, tuple[LoopVar, int]] = {}
+    negated: dict[int, tuple[LoopVar, int]] = {}
+    variables: dict[int, LoopVar] = {}
+    for code in set(chain.from_iterable(map(itemgetter(1), rows))):
+        slot, rest = divmod(code, m)
+        var = variables.get(slot)
+        if var is None:
+            var = variables[slot] = LoopVar(slot % d + 1, slot // d - bottom)
+        factor[code], negated[code] = (var, m - rest), (var, rest - m)
+    rows.sort(reverse=True)
+    return LoopPoly._of_sorted(rows, factor, negated)
 
 
 def jet_coefficient(func: InputFunction, window: Window, k: int) -> LoopPoly:

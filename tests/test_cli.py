@@ -1053,6 +1053,31 @@ class TestMain:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["milnor_number"] == 4
 
+    def test_reports_do_not_depend_on_the_hash_seed(self):
+        # A dense GL transform of x^3 + y^3 + w^3: the jet kernel iterates
+        # over dicts and sets, so only separate processes with different
+        # hash seeds can show an order that depends on the seed.
+        source = (
+            "18*x^3 + 84*x^2*y - 45*x^2*w + 48*x*y^2 - 198*x*y*w + 27*x*w^2"
+            " + y^3 - 72*y^2*w + 108*y*w^2"
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(
+                os.environ, PYTHONPATH=str(Path(loopsing.__file__).parents[1]), PYTHONHASHSEED=seed
+            )
+            result = subprocess.run(
+                [sys.executable, "-m", "loopsing.cli", "-f", source, "--window", "2",
+                 "--emit-lambda", "--format", "structured"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            document = json.loads(result.stdout)
+            assert int(document["lambda"]["term_count"]) > 100
+            document.pop("timing")
+            outputs.append(json.dumps(document, sort_keys=True).encode())
+        assert outputs[0] == outputs[1]
+
     def test_run_ignores_the_removed_cache_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("LOOPSING_CACHE", raising=False)
         assert main(["-f", "x^3 + y^3", "--format", "structured"]) == 0

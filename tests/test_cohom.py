@@ -327,6 +327,25 @@ class TestGradedDims:
         with pytest.raises(ValueError):
             GradedDims({1: 1}).drop_unit()
 
+    def test_is_immutable(self):
+        source = {0: 1, 2: 3}
+        dims = GradedDims(source)
+        for name in ("_dims", "support"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(dims, name, {})
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(dims, name)
+        with pytest.raises(TypeError):
+            dims._dims[2] = 5
+        # Neither the constructor's argument nor any derived value shares the store.
+        source[2] = 7
+        derived = (dims.shifted(1), dims.with_unit(), dims.drop_unit(), dims.plus({2: 1}))
+        assert all(type(d._dims) is MappingProxyType for d in (dims, *derived))
+        assert dims.items() == ((0, 1), (2, 3))
+        assert [d.items() for d in derived] == [
+            ((1, 1), (3, 3)), ((0, 2), (2, 3)), ((2, 3),), ((0, 1), (2, 4))
+        ]
+
 
 class TestBaseCases:
     def test_milnor_fiber_two_points(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -611,6 +612,45 @@ class TestCanonicalJets:
         for bottom in (1, 2):
             for jet in _canonical_jets(func, bottom):
                 self.assert_canonical(jet)
+
+
+class TestExpansionSharing:
+    """One jet expands each power once per (exp, t-degree bounds), for every
+    ambient monomial and coordinate that needs it."""
+
+    # SHA-256 of str(lambda_of(F, support_window(F, 2))), as computed before
+    # the expansions were shared, with the term counts.
+    PINNED = {
+        "fermat": (21, "05636b65e5099b4c321614c1fcff4731e02ada0223ebc12f07579d5dd75c32da"),
+        "dense": (138, "818c5d095b2b0f611cb53f7865aa4b0861fa2d9bd19965caaa131664e5b09e93"),
+    }
+
+    @staticmethod
+    def function(case: str) -> InputFunction:
+        if case == "fermat":
+            return build("x^3 + y^3 + w^3")
+        source, matrix = next((s, m) for s, m in DENSE_GL_FORMS if len(m) == 3)
+        return input_function(substitute(build(source).poly, _linear_change(matrix, 0)))
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_each_power_is_expanded_once(self, monkeypatch, case):
+        func = self.function(case)
+        expansion = loopfun._power_expansion
+        expanded = []
+
+        def counted(coord, exp, window, d, m, sum_lo, sum_hi, budget):
+            expanded.append((exp, sum_lo, sum_hi))
+            return expansion(coord, exp, window, d, m, sum_lo, sum_hi, budget)
+
+        monkeypatch.setattr(loopfun, "_power_expansion", counted)
+        functional = lambda_of(func, support_window(func, 2))
+        assert len(set(expanded)) == len(expanded)
+        # Every ambient monomial expands a power per coordinate it holds.
+        powers = sum(1 for e in func.terms for exp in e if exp)
+        assert len(expanded) == 1 if case == "fermat" else len(expanded) < powers
+        count, digest = self.PINNED[case]
+        assert len(functional) == count
+        assert hashlib.sha256(str(functional).encode()).hexdigest() == digest
 
 
 class TestJetAudits:
