@@ -184,20 +184,14 @@ class LoopPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of_sorted(
-        cls,
-        rows: Iterable[tuple[int, tuple, Fraction]],
-        factor: Mapping[object, tuple[LoopVar, int]],
-        negated: Mapping[object, tuple[LoopVar, int]],
-    ) -> "LoopPoly":
+    def _of_sorted(cls, rows: Iterable[tuple], factor: Mapping, negated: Mapping) -> "LoopPoly":
         """The polynomial of rows (degree, labels, coefficient), unchecked but for repeats.
 
-        Each label stands for the factor factor[label] = (var, e), whose
-        grevlex key entry is negated[label] = (var, -e); the pairs are shared
-        by every monomial that holds the label.  The rows must come in
-        decreasing key order, each with its labels in variable order, the
-        degree they sum to, and a nonzero Fraction coefficient.  A monomial
-        that occurs twice raises RuntimeError instead of being merged.
+        The rows come in decreasing key order, their coefficients nonzero
+        Fractions.  Label l stands for the factor factor[l] = (var, e) and the
+        key entry negated[l] = (var, -e), shared by every monomial holding l,
+        and each row's labels are in variable order.  A monomial occurring
+        twice raises RuntimeError instead of being merged.
         """
         new = object.__new__
         pair, entry = factor.__getitem__, negated.__getitem__
@@ -205,9 +199,8 @@ class LoopPoly:
         previous = None
         for degree, labels, coeff in rows:
             if labels == previous:
-                raise RuntimeError(
-                    f"monomial {Monomial(map(pair, labels))} occurs twice among distinct terms"
-                )
+                mono = Monomial(map(pair, labels))
+                raise RuntimeError(f"monomial {mono} occurs twice among distinct terms")
             previous = labels
             mono = new(Monomial)
             mono.factors = tuple(map(pair, labels))

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
-from operator import itemgetter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 from ._record import fields
@@ -203,48 +202,37 @@ def _power_expansion(
 ) -> dict[int, list[tuple[tuple[int, ...], int]]]:
     """Terms of (sum_{j in window} z^coord_j t^j)^exp with t-degree in [sum_lo, sum_hi].
 
-    Each term is a multiset of exp window indices, weighted by its multinomial
-    coefficient exp!/prod(count!); the terms are grouped by t-degree.  A term
-    is the tuple of its factor codes in the layout of `_jet_of_poly` for d
-    coordinates and exponents below m: index j taken count times is the code
-    ((j + bottom)*d + coord - 1)*m + m - count, so increasing j gives
-    increasing codes.  Raises FunctionalTooLarge once more than `budget`
-    terms are found.
+    Each term is a multiset of exp window indices, given as its codes for d
+    coordinates and m (see `_jet_of_poly`) in increasing j, with its
+    multinomial coefficient exp!/prod(count!); the terms are grouped by
+    t-degree.  Raises FunctionalTooLarge once more than `budget` terms are found.
     """
     bottom, hi = window
-    stride = d * m
-    offset = bottom * stride + coord * m
     found: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     made = 0
-
-    def extend(start: int, left: int, total: int, chosen: tuple, weight: int) -> None:
-        # The `left` indices still to choose lie in [start, hi].
+    # (start, left, total, chosen, weight): `left` indices still to come from [start, hi]
+    stack = [(-bottom, exp, 0, (), 1)]
+    while stack:
+        start, left, total, chosen, weight = stack.pop()
         # An index below the first cannot reach sum_lo even with the rest at hi.
-        nonlocal made
         for j in range(max(start, sum_lo - total - (left - 1) * hi), hi + 1):
             reached = total + left * j
             if reached > sum_hi:
-                return
-            code = j * stride + offset
+                break
+            code = ((j + bottom) * d + coord) * m  # less the count taken
             if reached >= sum_lo:
                 made += 1
                 if made > budget:
                     raise FunctionalTooLarge(window)
                 found.setdefault(reached, []).append((chosen + (code - left,), weight))
-            if j == hi:
-                return
-            # With count copies of j, the rest need at least j + 1 each; that
-            # least total grows as count falls.
-            for count in range(left - 1, 0, -1):
+            # With `count` copies of j the rest need at least j + 1 each, a
+            # least total that grows as count falls.
+            for count in range(left - 1, 0, -1) if j < hi else ():
                 reached = total + count * j
                 if reached + (left - count) * (j + 1) > sum_hi:
                     break
-                extend(
-                    j + 1, left - count, reached, chosen + (code - count,),
-                    weight * math.comb(left, count),
-                )
-
-    extend(-bottom, exp, 0, (), 1)
+                stack.append((j + 1, left - count, reached, chosen + (code - count,),
+                              weight * math.comb(left, count)))
     return found
 
 
@@ -258,45 +246,34 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
     loop monomials (the exponents per coordinate differ), and so do distinct
     choices of multisets, so every surviving term is built exactly once.
 
-    Inside the kernel a factor (z^c_j)^n is one int, its code
-    slot*m + (m - n): slot = (j + bottom)*d + (c - 1) numbers the window's
-    variables in (cdeg, coord) order, and m = deg + 1 exceeds every exponent,
-    deg being the largest degree of a term.  So codes order as the pairs
-    (variable, -exponent) of a grevlex key (see exactalg.Monomial): a term is
-    the sorted tuple of its codes, which is its factor order, and at equal
-    degree native order on those tuples is grevlex key order.  A term of one
-    coordinate comes out of its expansion sorted; others are sorted once.
-
-    Each power is expanded once per jet for each (exp, t-degree bounds), and
-    reused by every ambient monomial and coordinate that needs it: moving
-    an expansion from coordinate c0 to c adds (c - c0)*m to every code.  Each
-    use is charged the terms it supplies.
-
-    The finished terms are sorted once on (degree, codes), the degree being
-    read off the codes, and handed to `LoopPoly._of_sorted` with one factor
-    pair per code, shared by every monomial holding it.  Two audits stay: a
+    A factor (z^c_j)^n is the int code slot*m + (m - n), the slot
+    (j + bottom)*d + (c - 1) numbering the variables in (cdeg, coord) order
+    and m = deg + 1 exceeding every exponent.  Codes thus order as the
+    grevlex key's pairs (variable, -exponent): a term is the sorted tuple of
+    its codes, in factor order, and at equal degree tuple order is key order.
+    Each power is expanded once per (exp, t-degree bounds), for all monomials
+    and coordinates (moved to coordinate c by adding (c - c0)*m to its codes).
+    The finished terms are sorted once on (degree, codes) and built by
+    `LoopPoly._of_sorted` from one (var, n) and (var, -n) pair per code.  A
     monomial built twice, or a coefficient product of zero, raises
     RuntimeError instead of being merged or pruned.
 
     Every expansion term and partial product counts against MAX_JET_TERMS,
     before it is built; past the bound FunctionalTooLarge is raised.
     """
-    bottom, hi = window
-    lo = -bottom
     if not terms:
         return LoopPoly()
-    d = len(next(iter(terms)))
-    m = max(map(sum, terms)) + 1
+    bottom, hi = window
+    lo, d, m = -bottom, len(next(iter(terms))), max(map(sum, terms)) + 1
     built = 0
-    # (exp, t-degree bounds) -> {coordinate: the expansion in its codes}
-    expansions: dict[tuple[int, int, int], dict[int, dict]] = {}
-    # (degree, codes, coefficient) per finished term
+    # (exp, t-degree bounds) -> (coordinate, that power's expansion in its codes)
+    expansions: dict[tuple[int, int, int], tuple[int, dict]] = {}
     rows: list[tuple[int, tuple[int, ...], Fraction]] = []
+    # t-degree -> partial products (codes, integer weight), before any factor
+    start: dict[int, list[tuple[tuple[int, ...], int]]] = {0: [((), 1)]}
     for e, coeff in terms.items():
         remaining = sum(e)
-        # t-degree -> partial products (codes, integer weight)
-        state: dict[int, list[tuple[tuple[int, ...], int]]] = {0: [((), 1)]}
-        placed = 0
+        state = start
         for coord, exp in enumerate(e, 1):
             if not exp:
                 continue
@@ -305,35 +282,25 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
             after_lo, after_hi = k - remaining * hi, k - remaining * lo
             s_lo = max(exp * lo, after_lo - max(state))
             s_hi = min(exp * hi, after_hi - min(state))
-            by_coord = expansions.get((exp, s_lo, s_hi))
-            if by_coord is None:
-                by_coord = expansions[exp, s_lo, s_hi] = {}
-            groups = by_coord.get(coord)
-            if groups is None:
-                if by_coord:
-                    source, found = next(iter(by_coord.items()))
-                    shift = (coord - source) * m
-                    groups = {
-                        t_deg: [(tuple(map(shift.__add__, codes)), w) for codes, w in group]
-                        for t_deg, group in found.items()
-                    }
-                else:
-                    groups = _power_expansion(
-                        coord, exp, window, d, m, s_lo, s_hi, MAX_JET_TERMS - built
-                    )
-                by_coord[coord] = groups
-            size = sum(map(len, groups.values()))
-            # The first factor's partial products are its expansion itself.
-            built += size if placed else 2 * size
+            key = (exp, s_lo, s_hi)
+            if key not in expansions:
+                expansions[key] = coord, _power_expansion(
+                    coord, exp, window, d, m, s_lo, s_hi, MAX_JET_TERMS - built)
+            source, expansion = expansions[key]
+            if coord != source:
+                shift = (coord - source) * m
+                expansion = {t_deg: [(tuple([x + shift for x in c]), w) for c, w in group]
+                             for t_deg, group in expansion.items()}
+            # Each use is charged its terms, twice for the first factor's partial products.
+            built += sum(map(len, expansion.values())) * (2 if state is start else 1)
             if built > MAX_JET_TERMS:
                 raise FunctionalTooLarge(window)
-            placed += 1
-            if placed == 1:
-                state = groups
+            if state is start:
+                state = expansion
             else:
                 grown: dict[int, list[tuple[tuple[int, ...], int]]] = {}
                 for t_deg, partials in state.items():
-                    for factor_deg, group in groups.items():
+                    for factor_deg, group in expansion.items():
                         total = t_deg + factor_deg
                         if not after_lo <= total <= after_hi:
                             continue
@@ -341,35 +308,26 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
                         if built > MAX_JET_TERMS:
                             raise FunctionalTooLarge(window)
                         grown.setdefault(total, []).extend(
-                            [
-                                (items + extra, weight * factor_weight)
-                                for items, weight in partials
-                                for extra, factor_weight in group
-                            ]
-                        )
+                            [(items + extra, weight * factor_weight)
+                             for items, weight in partials for extra, factor_weight in group])
                 state = grown
             if not state:
                 break
-        finished = state.get(k)
-        if not finished:
-            continue
+        finished = state.get(k, ())
         # Few distinct weights occur, so each coefficient product is made, and
         # checked for zero, once; a unit weight takes the coefficient itself.
         products = {1: coeff}
         for _, weight in finished:
             if weight not in products:
                 products[weight] = coeff * weight
-        if not all(products.values()):
+        if finished and not all(products.values()):
             raise RuntimeError(f"the jet term of {e} has coefficient zero")
-        if placed > 1:
-            finished = [(tuple(sorted(codes)), w) for codes, w in finished]
-        # The exponent of code c is m - c % m.
-        rows += [(len(c) * m - sum(map(m.__rmod__, c)), c, products[w]) for c, w in finished]
-    # code -> its factor (var, n) and grevlex key entry (var, -n)
-    factor: dict[int, tuple[LoopVar, int]] = {}
-    negated: dict[int, tuple[LoopVar, int]] = {}
-    variables: dict[int, LoopVar] = {}
-    for code in set(chain.from_iterable(map(itemgetter(1), rows))):
+        if sum(map(bool, e)) > 1:
+            finished = [(tuple(sorted(codes)), weight) for codes, weight in finished]
+        # A code is -n modulo m and degrees stay below m: -sum(c) % m is c's degree.
+        rows += [(-sum(c) % m, c, products[w]) for c, w in finished]
+    factor, negated, variables = {}, {}, {}
+    for code in set(chain.from_iterable([c for _, c, _ in rows])):
         slot, rest = divmod(code, m)
         var = variables.get(slot)
         if var is None:
