@@ -18,6 +18,7 @@ import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 
 from ._record import fields
@@ -258,8 +259,9 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
     monomial built twice, or a coefficient product of zero, raises
     RuntimeError instead of being merged or pruned.
 
-    Every expansion term and partial product counts against MAX_JET_TERMS,
-    before it is built; past the bound FunctionalTooLarge is raised.
+    Every expansion term, at each use of a shared expansion, and every
+    partial product counts against MAX_JET_TERMS, before it is built; past
+    the bound FunctionalTooLarge is raised.
     """
     if not terms:
         return LoopPoly()
@@ -284,8 +286,8 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
             s_hi = min(exp * hi, after_hi - min(state))
             key = (exp, s_lo, s_hi)
             if key not in expansions:
-                expansions[key] = coord, _power_expansion(
-                    coord, exp, window, d, m, s_lo, s_hi, MAX_JET_TERMS - built)
+                expansions[key] = (coord, _power_expansion(
+                    coord, exp, window, d, m, s_lo, s_hi, MAX_JET_TERMS - built))
             source, expansion = expansions[key]
             if coord != source:
                 shift = (coord - source) * m
@@ -324,16 +326,19 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
             raise RuntimeError(f"the jet term of {e} has coefficient zero")
         if sum(map(bool, e)) > 1:
             finished = [(tuple(sorted(codes)), weight) for codes, weight in finished]
-        # A code is -n modulo m and degrees stay below m: -sum(c) % m is c's degree.
+        # A code is -n modulo m, and a term's degree, that of its monomial, is
+        # below m: -sum(c) % m is the degree of c.
         rows += [(-sum(c) % m, c, products[w]) for c, w in finished]
     factor, negated, variables = {}, {}, {}
-    for code in set(chain.from_iterable([c for _, c, _ in rows])):
+    for code in set(chain.from_iterable(map(itemgetter(1), rows))):
         slot, rest = divmod(code, m)
         var = variables.get(slot)
         if var is None:
             var = variables[slot] = LoopVar(slot % d + 1, slot // d - bottom)
         factor[code], negated[code] = (var, m - rest), (var, rest - m)
-    rows.sort(reverse=True)
+    # On (degree, codes), decreasing: stable sorts on codes, then on degree.
+    rows.sort(key=itemgetter(1), reverse=True)
+    rows.sort(key=itemgetter(0), reverse=True)
     return LoopPoly._of_sorted(rows, factor, negated)
 
 
