@@ -137,9 +137,10 @@ class GradedDims:
             merged[degree] = merged.get(degree, 0) + dim
         return GradedDims(merged)
 
-    def with_unit(self) -> "GradedDims":
-        """Add the one-dimensional unit class in degree 0."""
-        store = self._dims.copy()
+    def with_unit(self, shift: int = 0) -> "GradedDims":
+        """Move every class up by `shift`, then add the one-dimensional unit
+        class in degree 0."""
+        store = {degree + shift: dim for degree, dim in self._dims.items()}
         store[0] = store.get(0, 0) + 1
         return GradedDims._of(store)
 
@@ -585,7 +586,7 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
         # rank and the reduced class of step n0 lie in the mu block.
         for n in range(n0 + 1, n_max + 1):
             offset = 2 * d * (n - n0)
-            truncations.append(block.b.shifted(offset).with_unit())
+            truncations.append(block.b.with_unit(shift=offset))
             degrees.append(degrees[n0] + offset)
             gysin_ranks.append({s + offset: r for s, r in gysin_ranks[n0 - 1].items()})
     return GysinTower(
