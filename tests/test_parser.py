@@ -103,6 +103,76 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_function(source)
 
+    BIG = "9" * MAX_COEFFICIENT_DIGITS
+    TEN_250 = "1" + "0" * 250
+    FIVE = "(x + y + w + v + u)"
+    PAIRS = f"products of at most {MAX_PRODUCT_WORK} term pairs in all"
+    DEGREE = f"a total degree of at most {MAX_DEGREE}"
+    LONG = f"a coefficient of at most {MAX_COEFFICIENT_DIGITS} digits"
+    VANISH = "every variable to occur in a nonzero term"
+    CHARACTER = "a number, variable or operator"
+    OPERAND = "a number, variable or '('"
+
+    @pytest.mark.parametrize(
+        "source, position, expected, found",
+        [
+            ("x$", 1, CHARACTER, "'$'"),
+            ("x^2 + y^2\x0c$", 10, CHARACTER, "'$'"),
+            ("x^2 + y^2 é", 10, CHARACTER, "'é'"),
+            ("x +", 3, OPERAND, "end of input"),
+            ("", 0, OPERAND, "end of input"),
+            ("^2", 0, OPERAND, "'^'"),
+            ("x + * y", 4, OPERAND, "'*'"),
+            ("x ^ y", 4, "an integer exponent", "'y'"),
+            ("x^", 2, "an integer exponent", "end of input"),
+            ("x^65", 2, f"an exponent of at most {MAX_DEGREE}", "'65'"),
+            ("x^002 + y^0065", 10, f"an exponent of at most {MAX_DEGREE}", "'0065'"),
+            ("2*x*(x + y)^2*y^70", 16, f"an exponent of at most {MAX_DEGREE}", "'70'"),
+            ("x^40*y^40", 4, DEGREE, "degree 80"),
+            ("(x^10)^7", 7, DEGREE, "degree 70"),
+            ("x^64*y", 4, DEGREE, "degree 65"),
+            ("(x + y)^33*x^32", 10, DEGREE, "degree 65"),
+            ("x*(x + y)^32*y^32", 12, DEGREE, "degree 65"),
+            (f"{FIVE}^20", 20, PAIRS, "21840 term pairs"),
+            (f"{FIVE}^11*{FIVE}", 22, PAIRS, "21840 term pairs"),
+            # A one-term power is charged a pair per factor, a 1x1 product one pair.
+            (f"{FIVE}^11" + " + x^64" * 78, 566, PAIRS, f"{MAX_PRODUCT_WORK + 1} term pairs"),
+            (f"{FIVE}^11" + " + x*y" * 4986, 29936, PAIRS, f"{MAX_PRODUCT_WORK + 1} term pairs"),
+            (f"1{'0' * MAX_COEFFICIENT_DIGITS}*x^2", 0,
+             f"an integer of at most {MAX_COEFFICIENT_DIGITS} digits", "501 digits"),
+            (f"x^{'0' * 501}", 2, f"an integer of at most {MAX_COEFFICIENT_DIGITS} digits",
+             "501 digits"),
+            (f"1/1{'0' * MAX_COEFFICIENT_DIGITS}*x^2", 2,
+             f"an integer of at most {MAX_COEFFICIENT_DIGITS} digits", "501 digits"),
+            ("((2^64)^64)^64*x^2", 8, LONG, "a longer one"),
+            (f"({TEN_250})^2*x^2", 254, LONG, "a longer one"),
+            (f"{'9' * 300}*{'9' * 300}*x^2", 300, LONG, "a longer one"),
+            (f"1/{'9' * 300}*1/{'9' * 300}*x^2", 302, LONG, "a longer one"),
+            (f"{BIG}*x^2 + {BIG}*x^2", 0, LONG, "a longer one"),
+            (f"x^2 + ({BIG} + 1)*y^2", 7, LONG, "a longer one"),
+            ("1/x", 2, "an integer denominator", "'x'"),
+            ("1/", 2, "an integer denominator", "end of input"),
+            ("1/0*x^2", 2, "a nonzero denominator", "0"),
+            ("(" * 101 + "x" + ")" * 101, MAX_NESTING, f"at most {MAX_NESTING} nested parentheses",
+             "'('"),
+            ("(x + y", 6, "')'", "end of input"),
+            ("(x y)", 3, "')'", "'y'"),
+            ("x y", 2, "'+', '-' or end of input", "'y'"),
+            ("x^3 + y^3)", 9, "'+', '-' or end of input", "')'"),
+            ("x^2 + y^2 ٣", 10, "'+', '-' or end of input", "'٣'"),
+            ("x^3*y^0", 4, VANISH, "'y', whose terms all vanish"),
+            ("x^3 + 0*y^3", 8, VANISH, "'y', whose terms all vanish"),
+            # A zero factor has degree 0, so the product after it stays in budget.
+            ("0*x^40*y^40 + x^2", 7, VANISH, "'y', whose terms all vanish"),
+        ],
+    )
+    def test_every_error_is_pinned(self, source, position, expected, found):
+        with deadline(10), pytest.raises(ParseError) as excinfo:
+            parse_function(source)
+        error = excinfo.value
+        assert (error.position, error.expected, error.found) == (position, expected, found)
+        assert str(error) == f"syntax error at position {position}: expected {expected}, found {found}"
+
     def test_error_carries_position_and_expectation(self):
         with pytest.raises(ParseError) as excinfo:
             parse_function("x + * y")
