@@ -6,11 +6,19 @@ Grammar: identifiers [A-Za-z][A-Za-z0-9]* are variables, integer and rational
 parentheses group.  Ambient coordinates are numbered in order of first
 occurrence.
 
-The grammar is evaluated with a small dict arithmetic: a value is its terms,
-{exponent vector: coefficient}, entry i of a vector being the exponent of
-coordinate i+1, equal vectors merged, zero coefficients pruned and trailing
-zero exponents left off until parse() pads every vector to the coordinate
-count.  parse_function hands the terms to InputFunction, which keeps this form.
+The grammar is evaluated on terms {exponent vector: coefficient}, equal
+vectors merged and zero coefficients pruned.  In the parser a vector is one
+int, byte i (little-endian) the exponent of coordinate i+1: a product of
+monomials adds ints, a power scales one, and the total degree is the int
+modulo 255.  That is exact while no degree reaches 255, which the degree bound,
+checked before any product or power is built, guarantees.  parse() unpacks
+each vector to one entry per coordinate, the form InputFunction keeps.
+
+While the factors of a product are single terms (a constant, a variable, a
+power of one, or parentheses holding one term), the product so far is the
+pair (vector, coefficient) and no dict is built; a factor of several terms,
+or of none, is multiplied by dict arithmetic.  Either way a product is
+charged its term pairs and checked where the dict product would be.
 """
 
 from __future__ import annotations
@@ -18,9 +26,8 @@ from __future__ import annotations
 import errno
 import io
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from operator import add
 
 from ..exactalg import LoopPoly, format_terms
 from ..loopfun import InputFunction
@@ -53,7 +60,7 @@ MAX_NESTING = 100
 
 # Bound on exponents and on the total degree of every product.  The size of a
 # loop functional grows steeply with the degree; test and benchmark inputs
-# have degree 10 or less.
+# have degree 10 or less.  The parser's packed exponent vectors need it below 255.
 MAX_DEGREE = 64
 
 # Bound on the term pairs that the products of one input multiply in all, a
@@ -70,45 +77,41 @@ MAX_PRODUCT_WORK = 20_000
 MAX_COEFFICIENT_DIGITS = 500
 _COEFFICIENT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
 
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/])")
+# Bound on the bytes of an input file; reading stops one byte past it.
+MAX_SOURCE_BYTES = 1 << 20
 
-_Terms = dict[tuple[int, ...], int | Fraction]
+_TOKEN_RE = re.compile(
+    r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/])|(?P<bad>\S)"
+)
 
-
-def _tokenize(source: str) -> list[re.Match[str]]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        if source[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise ParseError(pos, "a number, variable or operator", repr(source[pos]))
-        tokens.append(match)
-        pos = match.end()
-    return tokens
+# Terms keyed by packed exponent vectors; a value is its terms, or the pair
+# (packed vector, coefficient) of its one term.
+_Terms = dict[int, int | Fraction]
+_Value = _Terms | tuple[int, int | Fraction]
 
 
 class _Parser:
     def __init__(self, source: str):
         self.source = source
-        self.tokens = _tokenize(source)
+        # Whitespace matches no group, so the search steps over it.
+        self.tokens: list[re.Match[str] | None] = list(_TOKEN_RE.finditer(source))
+        for token in self.tokens:
+            if token.lastgroup == "bad":
+                raise ParseError(token.start(), "a number, variable or operator", repr(token[0]))
+        self.tokens.append(None)  # end of input
         self.cursor = 0
         self.depth = 0
         self.work = 0
-        # Variable name -> (coordinate, position of its first occurrence).
+        # Variable name -> (packed exponent vector, position of its first occurrence).
         self.coords: dict[str, tuple[int, int]] = {}
 
     def _peek(self) -> re.Match[str] | None:
-        return self.tokens[self.cursor] if self.cursor < len(self.tokens) else None
+        return self.tokens[self.cursor]
 
     def _take(self) -> re.Match[str]:
-        token = self._peek()
-        if token is None:
-            raise ParseError(len(self.source), "more input", "end of input")
+        """The next token, which the caller has peeked at."""
         self.cursor += 1
-        return token
+        return self.tokens[self.cursor - 1]
 
     def _fail(self, expected: str) -> ParseError:
         token = self._peek()
@@ -116,13 +119,13 @@ class _Parser:
             return ParseError(len(self.source), expected, "end of input")
         return ParseError(token.start(), expected, repr(token[0]))
 
-    def parse(self) -> tuple[_Terms, tuple[str, ...]]:
+    def parse(self) -> tuple[dict[tuple[int, ...], int | Fraction], tuple[str, ...]]:
         """The expression's terms, one vector entry per coordinate, and the coordinate names."""
         terms = self._expression()
         if self._peek() is not None:
             raise self._fail("'+', '-' or end of input")
         d = len(self.coords)
-        return {e + (0,) * (d - len(e)): c for e, c in terms.items()}, tuple(self.coords)
+        return {tuple(e.to_bytes(d, "little")): c for e, c in terms.items()}, tuple(self.coords)
 
     def _expression(self) -> _Terms:
         # The signed operands are summed into one dict, pruned once at the end.
@@ -131,29 +134,45 @@ class _Parser:
         negate = False
         while True:
             while (token := self._peek()) is not None and token[0] == "-":
-                self._take()
+                self.cursor += 1
                 negate = not negate
-            for e, c in self._product().items():
+            value = self._product()
+            for e, c in value.items() if type(value) is dict else (value,):
                 total[e] = total.get(e, 0) + (-c if negate else c)
             token = self._peek()
             if token is None or token[0] not in ("+", "-"):
-                return _check_coefficients(start, {e: c for e, c in total.items() if c})
-            negate = self._take()[0] == "-"
+                total = {e: c for e, c in total.items() if c}
+                _check_coefficients(start, total.values())
+                return total
+            self.cursor += 1
+            negate = token[0] == "-"
 
-    def _product(self) -> _Terms:
-        terms = self._power()
+    def _product(self) -> _Value:
+        value = self._power()
         while (token := self._peek()) is not None and token[0] == "*":
-            self._take()
+            self.cursor += 1
             factor = self._power()
-            _check_degree(token, _degree(terms) + _degree(factor))
-            terms = self._times(token, terms, factor)
-        return terms
+            if type(value) is tuple and type(factor) is tuple:
+                # A 1x1 product, with the checks and the one-pair charge of
+                # the dict product; a factor 1 leaves a checked coefficient.
+                (ea, ca), (eb, cb) = value, factor
+                _check_degree(token, ea % 255 + eb % 255)
+                self._charge(token, 1)
+                if cb != 1:
+                    ca *= cb
+                    _check_coefficients(token, (ca,))
+                value = ea + eb, ca
+            else:
+                a, b = _terms(value), _terms(factor)
+                _check_degree(token, _degree(a) + _degree(b))
+                value = self._times(token, a, b)
+        return value
 
-    def _power(self) -> _Terms:
+    def _power(self) -> _Value:
         base = self._atom()
         token = self._peek()
         if token is not None and token[0] == "^":
-            self._take()
+            self.cursor += 1
             exp_token = self._peek()
             if exp_token is None or exp_token.lastgroup != "int":
                 raise self._fail("an integer exponent")
@@ -162,16 +181,18 @@ class _Parser:
                 raise ParseError(
                     exp_token.start(), f"an exponent of at most {MAX_DEGREE}", repr(exp_token[0])
                 )
-            _check_degree(exp_token, _degree(base) * exponent)
-            if len(base) == 1:
+            if type(base) is tuple:
                 # (c*x^e)^n is c^n*x^(n*e), charged as n one-pair products that
                 # stop at the first pair past the budget.
+                e, c = base
+                _check_degree(exp_token, e % 255 * exponent)
                 self._charge(exp_token, min(exponent, MAX_PRODUCT_WORK + 1 - self.work))
-                ((e, c),) = base.items()
-                return _check_coefficients(
-                    exp_token, {tuple(x * exponent for x in e) if exponent else (): c**exponent}
-                )
-            power: _Terms = {(): 1}
+                if c != 1:
+                    c **= exponent
+                    _check_coefficients(exp_token, (c,))
+                return e * exponent, c
+            _check_degree(exp_token, _degree(base) * exponent)
+            power: _Terms = {0: 1}
             for _ in range(exponent):
                 power = self._times(exp_token, power, base)
             return power
@@ -183,10 +204,10 @@ class _Parser:
         product: _Terms = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                # At most one of the vectors has entries past the other's end.
-                e = (*map(add, ea, eb), *ea[len(eb) :], *eb[len(ea) :])
-                product[e] = product.get(e, 0) + ca * cb
-        return _check_coefficients(token, {e: c for e, c in product.items() if c})
+                product[ea + eb] = product.get(ea + eb, 0) + ca * cb
+        product = {e: c for e, c in product.items() if c}
+        _check_coefficients(token, product.values())
+        return product
 
     def _charge(self, token: re.Match[str], pairs: int) -> None:
         """Count `pairs` more term pairs, rejecting them when they exhaust MAX_PRODUCT_WORK."""
@@ -198,15 +219,21 @@ class _Parser:
                 f"{self.work} term pairs",
             )
 
-    def _atom(self) -> _Terms:
+    def _atom(self) -> _Value:
         token = self._peek()
         if token is None:
             raise self._fail("a number, variable or '('")
-        if token.lastgroup == "int":
+        kind = token.lastgroup
+        if kind == "name":
+            self.cursor += 1
+            if token[0] not in self.coords:
+                self.coords[token[0]] = (1 << 8 * len(self.coords), token.start())
+            return self.coords[token[0]][0], 1
+        if kind == "int":
             value: int | Fraction = _int_value(self._take())
             nxt = self._peek()
             if nxt is not None and nxt[0] == "/":
-                self._take()
+                self.cursor += 1
                 den_token = self._peek()
                 if den_token is None or den_token.lastgroup != "int":
                     raise self._fail("an integer denominator")
@@ -214,26 +241,26 @@ class _Parser:
                 if denominator == 0:
                     raise ParseError(den_token.start(), "a nonzero denominator", "0")
                 value = Fraction(value, denominator)
-            return {(): value} if value else {}
-        if token.lastgroup == "name":
-            self._take()
-            coord, _ = self.coords.setdefault(token[0], (len(self.coords) + 1, token.start()))
-            return {(0,) * (coord - 1) + (1,): 1}
+            return (0, value) if value else {}
         if token[0] == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
                     token.start(), f"at most {MAX_NESTING} nested parentheses", "'('"
                 )
-            self._take()
+            self.cursor += 1
             self.depth += 1
             inner = self._expression()
             self.depth -= 1
             closing = self._peek()
             if closing is None or closing[0] != ")":
                 raise self._fail("')'")
-            self._take()
-            return inner
+            self.cursor += 1
+            return next(iter(inner.items())) if len(inner) == 1 else inner
         raise self._fail("a number, variable or '('")
+
+
+def _terms(value: _Value) -> _Terms:
+    return value if type(value) is dict else dict((value,))
 
 
 def _int_value(token: re.Match[str]) -> int:
@@ -246,9 +273,9 @@ def _int_value(token: re.Match[str]) -> int:
     return int(token[0])
 
 
-def _check_coefficients(token: re.Match[str], terms: _Terms) -> _Terms:
-    """terms, when no numerator or denominator exceeds MAX_COEFFICIENT_DIGITS digits."""
-    for c in terms.values():
+def _check_coefficients(token: re.Match[str], coefficients: Iterable[int | Fraction]) -> None:
+    """Reject a coefficient whose numerator or denominator exceeds MAX_COEFFICIENT_DIGITS digits."""
+    for c in coefficients:
         if not (
             -_COEFFICIENT_LIMIT < c.numerator < _COEFFICIENT_LIMIT
             and c.denominator < _COEFFICIENT_LIMIT
@@ -258,11 +285,10 @@ def _check_coefficients(token: re.Match[str], terms: _Terms) -> _Terms:
                 f"a coefficient of at most {MAX_COEFFICIENT_DIGITS} digits",
                 "a longer one",
             )
-    return terms
 
 
 def _degree(terms: _Terms) -> int:
-    return max(map(sum, terms), default=0)
+    return max((e % 255 for e in terms), default=0)
 
 
 def _check_degree(token: re.Match[str], degree: int) -> None:
@@ -286,8 +312,8 @@ def parse_function(source: str) -> InputFunction:
     terms, names = parser.parse()
     if terms:
         # A variable without a term would leave a coordinate that F lacks.
-        for name, (coord, position) in parser.coords.items():
-            if not any(e[coord - 1] for e in terms):
+        for (name, (_, position)), used in zip(parser.coords.items(), map(any, zip(*terms))):
+            if not used:
                 raise ParseError(
                     position,
                     "every variable to occur in a nonzero term",
@@ -301,10 +327,13 @@ def read_function_file(path: str) -> str:
     not start with #, joined by spaces.  One leading byte-order mark is dropped.
 
     A file that is not UTF-8 text raises OSError naming the file and the
-    offset of its first bad byte.
+    offset of its first bad byte; so does one longer than MAX_SOURCE_BYTES,
+    naming the bound.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_SOURCE_BYTES + 1)
+    if len(data) > MAX_SOURCE_BYTES:
+        raise OSError(errno.EFBIG, f"longer than {MAX_SOURCE_BYTES} bytes", path)
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -316,15 +345,26 @@ def read_function_file(path: str) -> str:
 
 def poly_to_source(poly: LoopPoly, names: Sequence[str]) -> str:
     """Render an ambient polynomial back into the expression grammar."""
-    return format_terms(poly.terms, lambda var: names[var.coord - 1])
+    return format_terms(
+        ((mono.factors, c) for mono, c in poly.terms), lambda var: names[var.coord - 1]
+    )
 
 
 def format_function(func: InputFunction) -> str:
     """Source form of an input function; it reparses to an equal InputFunction.
 
+    The terms come in the order of `func.poly`, decreasing grevlex, which at
+    F's one degree is increasing lexicographic order of the exponent vectors.
+
     The text need not be a fixed point: reparsing numbers coordinates by first use.
     """
-    return poly_to_source(func.poly, func.names)
+    return format_terms(
+        (
+            (tuple([(i, x) for i, x in enumerate(e) if x]), c)
+            for e, c in sorted(func.terms.items())
+        ),
+        func.names.__getitem__,
+    )
 
 
 def loop_poly_string(poly: LoopPoly, names: Sequence[str]) -> str:

@@ -139,7 +139,7 @@ class Monomial:
         return self.key < other.key
 
     def __str__(self) -> str:
-        return format_terms(((self, 1),), str)
+        return format_terms(((self.factors, 1),), str)
 
     __repr__ = __str__
 
@@ -298,7 +298,10 @@ class LoopPoly:
         """Render with per-coordinate names; z_j / zI_j fallback without names."""
         if names is None:
             names = _default_names(max((v.coord for v in self.variables()), default=1))
-        return format_terms(self._terms, lambda var: f"{names[var.coord - 1]}_{var.cdeg}")
+        return format_terms(
+            ((mono.factors, c) for mono, c in self._terms),
+            lambda var: f"{names[var.coord - 1]}_{var.cdeg}",
+        )
 
     def __str__(self) -> str:
         return self.to_string()
@@ -331,22 +334,25 @@ def as_poly(value: LoopPoly | LoopVar | int | Fraction) -> LoopPoly:
 
 
 def format_terms(
-    terms: Iterable[tuple[Monomial, Fraction | int]], name: Callable[[LoopVar], str]
+    terms: Iterable[tuple[Sequence[tuple[object, int]], Fraction | int]],
+    name: Callable[[object], str],
 ) -> str:
-    """The text of a sum of terms, each variable written as `name(var)`.
+    """The text of a sum of terms (factors, coefficient), each variable written as `name(var)`.
 
-    A term is `c*v^e*w`: the magnitude c as `p` or `p/q`, left out when it is
-    1 unless the monomial is the unit, and `^e` only when e > 1.  A negative
-    first term starts with `-`, later terms are joined by ` + ` or ` - `, and
-    no terms at all read `0`.  This is the one way the package writes a
-    polynomial.
+    The factors of a term are its pairs (var, e) in the order they are
+    written.  A term is `c*v^e*w`: the magnitude c as `p` or `p/q`, left out
+    when it is 1 unless the term has no factors, and `^e` only when e > 1.  A
+    negative first term starts with `-`, later terms are joined by ` + ` or
+    ` - `, and no terms at all read `0`.  This is the one way the package
+    writes a polynomial, whatever its variables are: a monomial's factors
+    hold LoopVars, the source form of F holds coordinate indices.
     """
 
     # Each distinct factor (var, exp) and coefficient is formatted once per
     # call; the caches live only as long as the call.  Coefficients are cached
     # by their integer ratio, since Fraction.__hash__ runs in Python.
     @functools.cache
-    def factor_text(factor: tuple[LoopVar, int]) -> str:
+    def factor_text(factor: tuple[object, int]) -> str:
         var, e = factor
         return name(var) if e == 1 else f"{name(var)}^{e}"
 
@@ -359,8 +365,8 @@ def format_terms(
         return lead, sign, "" if mag == "1" else f"{mag}*", mag
 
     parts: list[str] = []
-    for mono, coeff in terms:
+    for factors, coeff in terms:
         lead, sign, prefix, mag = coeff_text(coeff.as_integer_ratio())
-        body = prefix + "*".join(map(factor_text, mono.factors)) if mono.factors else mag
+        body = prefix + "*".join(map(factor_text, factors)) if factors else mag
         parts.append((sign if parts else lead) + body)
     return " ".join(parts) if parts else "0"

@@ -106,8 +106,9 @@ class InputFunction:
 
     F is `terms`, {exponent vector: Fraction}, entry i of a vector being the
     exponent of coordinate i+1; its d exact `partials` take the same form, the
-    one the jets and both Milnor routes read.  `poly`, F as a LoopPoly in
-    z^1_0, ..., z^d_0, is built when first read.  Optional display names (one
+    one the jets, both Milnor routes and the printer read.  `poly`, F as a
+    LoopPoly in z^1_0, ..., z^d_0, is built when first read: by the lambda
+    check and by `repr`.  Optional display names (one
     per coordinate) are carried along for parsing and report rendering.
 
     An InputFunction is immutable: `terms` and each of `partials` are
@@ -132,10 +133,12 @@ class InputFunction:
         names = _default_names(d) if names is None else tuple(names)
         if len(names) != d or len(set(names)) != d:
             raise ValueError(f"need {d} distinct coordinate names, got {names}")
-        # Distinct terms have distinct derivatives, so none merge.
+        # Distinct terms have distinct derivatives, so none merge.  Integral
+        # coefficients multiply as ints, since Fraction arithmetic is slow.
+        scaled = [(e, c.numerator if c.denominator == 1 else c) for e, c in own.items()]
         partials = tuple(
             MappingProxyType(
-                {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in own.items() if e[i]}
+                {e[:i] + (e[i] - 1,) + e[i + 1 :]: Fraction(c * e[i]) for e, c in scaled if e[i]}
             )
             for i in range(d)
         )

@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from loopsing.cli import parse_function
 from loopsing.cli.parser import _Parser
@@ -55,6 +57,25 @@ def fermat_source(d: int, delta: int) -> str:
     if d == 1:
         return f"z^{delta}"
     return " + ".join(f"{name}^{delta}" for name in _FERMAT_NAMES[:d])
+
+
+@st.composite
+def homogeneous_forms(draw, max_d: int = 4, max_delta: int = 4) -> dict[tuple[int, ...], int | Fraction]:
+    """The terms of a form of degree 2..max_delta in 1..max_d coordinates, each
+    of which occurs.  Coefficients are nonzero ints and Fractions of either
+    sign; the first term printed, the smallest exponent vector, is as often
+    negative as not."""
+    d = draw(st.integers(1, max_d))
+    delta = draw(st.integers(2, max_delta))
+    vectors = [e for e in itertools.product(range(delta + 1), repeat=d) if sum(e) == delta]
+    coefficients = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))
+    terms = draw(
+        st.dictionaries(st.sampled_from(vectors), coefficients.filter(bool), min_size=1, max_size=8)
+    )
+    assume(all(map(any, zip(*terms))))
+    lead = min(terms)
+    terms[lead] = abs(terms[lead]) * draw(st.sampled_from((-1, 1)))
+    return terms
 
 
 def build(source: str) -> InputFunction:

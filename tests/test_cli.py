@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import importlib
 import io
@@ -35,7 +36,7 @@ from loopsing.cli import (
     validate_report,
 )
 from loopsing.cli import report as report_module
-from loopsing.cli.parser import MAX_COEFFICIENT_DIGITS, MAX_PRODUCT_WORK
+from loopsing.cli.parser import MAX_COEFFICIENT_DIGITS, MAX_PRODUCT_WORK, MAX_SOURCE_BYTES
 from loopsing.cohom import MAX_N_MAX, GradedDims, LesSolution
 from loopsing.loopfun import MAX_JET_TERMS
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
@@ -408,9 +409,9 @@ class TestRun:
 
 
 class TestOneFormOfF:
-    """F is held as exponent terms from the parser on: parsing and both Milnor
-    routes build no LoopPoly or Monomial, and a Milnor run builds only what
-    its printer builds."""
+    """F is held as exponent terms from the parser on: parsing, both Milnor
+    routes and the printer of F build no LoopPoly or Monomial, so neither
+    does a Milnor run."""
 
     # A dense GL transform of a (3, 4) Fermat form, and a (4, 3) one.
     SOURCES = (
@@ -438,14 +439,11 @@ class TestOneFormOfF:
         assert not constructions
 
     @pytest.mark.parametrize("source", SOURCES)
-    def test_a_milnor_run_builds_what_its_printer_builds(self, constructions, source):
+    def test_a_milnor_run_builds_no_polynomial(self, constructions, source):
         report = run_source(source, checks=("milnor",))
         assert report.exit_status == 0
-        in_run = Counter(constructions)
-        constructions.clear()
         assert format_function(parse_function(source)) == report.function
-        assert in_run == constructions
-        assert constructions["LoopPoly"] == 1
+        assert not constructions
 
 
 class TestConfigValidation:
@@ -1106,6 +1104,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("loopsing: error:") and err.count("\n") == 1
         assert "not UTF-8 text at byte 0" in err and str(path) in err
+
+    def test_file_one_byte_over_the_bound_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "fn.txt"
+        path.write_bytes(b"x^3 + y^3" + b" " * (MAX_SOURCE_BYTES - 8))
+        assert main(["--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loopsing: error:") and err.count("\n") == 1
+        assert f"longer than {MAX_SOURCE_BYTES} bytes" in err and str(path) in err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /dev/zero")
+    def test_endless_file_is_a_usage_error(self, capsys):
+        # Reading stops one byte past the bound instead of running out of memory.
+        with deadline(10):
+            assert main(["--file", "/dev/zero"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"loopsing: error: [Errno {errno.EFBIG}] longer than {MAX_SOURCE_BYTES} bytes: "
+            "'/dev/zero'\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, message",

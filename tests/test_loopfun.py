@@ -33,6 +33,7 @@ from conftest import (
     CORPUS,
     build,
     deadline,
+    homogeneous_forms,
     input_function,
     jet_coefficient_by_enumeration,
     rename_variables,
@@ -130,6 +131,18 @@ class TestInputFunction:
                 partial[(2, 0)] = 5
         assert func.delta == 3 and func.terms == {(3, 0): 1, (0, 3): 1}
         assert func.poly is poly and func.partials == partials == ({(2, 0): 3}, {(0, 2): 3})
+
+    @settings(deadline=None)
+    @given(homogeneous_forms())
+    def test_partials_are_exact_fractions(self, terms):
+        func = InputFunction(terms)
+        assert all(type(c) is Fraction for c in func.terms.values())
+        for i, partial in enumerate(func.partials):
+            expected = {
+                e[:i] + (e[i] - 1,) + e[i + 1 :]: Fraction(c) * e[i] for e, c in terms.items() if e[i]
+            }
+            assert partial == expected
+            assert all(type(c) is Fraction for c in partial.values())
 
 
 class TestJetCoefficient:

@@ -22,16 +22,25 @@ from loopsing.cli.parser import (
     MAX_DEGREE,
     MAX_NESTING,
     MAX_PRODUCT_WORK,
+    MAX_SOURCE_BYTES,
     _Parser,
 )
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
-from loopsing.loopfun import DegreeTooLow, NotHomogeneous, lambda_of, minimal_window
+from loopsing.loopfun import (
+    DegreeTooLow,
+    InputFunction,
+    NotHomogeneous,
+    lambda_of,
+    minimal_window,
+)
 
 from conftest import (
     CORPUS,
     NON_ISOLATED_SOURCES,
+    bench_module,
     deadline,
     exponent_terms,
+    homogeneous_forms,
     parse_polynomial,
     rename_variables,
 )
@@ -631,6 +640,32 @@ def test_printers_match_their_references_on_drawn_polynomials(poly, names):
     _assert_printers_agree(poly, names)
 
 
+def _assert_prints_from_exponents(func: InputFunction) -> None:
+    text = format_function(func)
+    assert text == _reference_poly_to_source(func.poly, func.names)
+    assert parse_function(text) == func
+
+
+@pytest.mark.parametrize("source", PRINTER_SOURCES)
+def test_function_printer_matches_its_reference(source):
+    try:
+        func = parse_function(source)
+    except (DegreeTooLow, NotHomogeneous):
+        return
+    _assert_prints_from_exponents(func)
+
+
+def test_function_printer_matches_its_reference_on_the_benchmark():
+    for case in bench_module("workloads").generate("jacobian", 1, 20.0):
+        _assert_prints_from_exponents(parse_function(case.source))
+
+
+@settings(deadline=None)
+@given(homogeneous_forms(), st.sampled_from([("x", "y", "w", "v"), ("a1", "b", "c22", "z")]))
+def test_function_printer_matches_its_reference_on_drawn_forms(terms, pool):
+    _assert_prints_from_exponents(InputFunction(terms, pool[: len(next(iter(terms)))]))
+
+
 class TestFunctionFile:
     def test_comments_are_skipped(self, tmp_path):
         path = tmp_path / "input.txt"
@@ -657,6 +692,18 @@ class TestFunctionFile:
         path = tmp_path / "input.txt"
         path.write_bytes(data)
         assert read_function_file(str(path)) == "x^3 + y^3"
+
+    def test_a_file_at_the_bound_is_read(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"x^3 + y^3" + b" " * (MAX_SOURCE_BYTES - 9))
+        assert read_function_file(str(path)) == "x^3 + y^3"
+
+    def test_a_file_past_the_bound_is_refused(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"x^3 + y^3" + b" " * (MAX_SOURCE_BYTES - 8))
+        with pytest.raises(OSError, match=f"longer than {MAX_SOURCE_BYTES} bytes") as excinfo:
+            read_function_file(str(path))
+        assert excinfo.value.filename == str(path)
 
     def test_a_bad_byte_after_a_mark_is_reported_at_its_file_offset(self, tmp_path):
         path = tmp_path / "input.txt"
