@@ -60,7 +60,9 @@ def fermat_source(d: int, delta: int) -> str:
 
 
 @st.composite
-def homogeneous_forms(draw, max_d: int = 4, max_delta: int = 4) -> dict[tuple[int, ...], int | Fraction]:
+def homogeneous_forms(
+    draw, max_d: int = 4, max_delta: int = 4
+) -> dict[tuple[int, ...], int | Fraction]:
     """The terms of a form of degree 2..max_delta in 1..max_d coordinates, each
     of which occurs.  Coefficients are nonzero ints and Fractions of either
     sign; the first term printed, the smallest exponent vector, is as often

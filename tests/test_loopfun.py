@@ -139,7 +139,9 @@ class TestInputFunction:
         assert all(type(c) is Fraction for c in func.terms.values())
         for i, partial in enumerate(func.partials):
             expected = {
-                e[:i] + (e[i] - 1,) + e[i + 1 :]: Fraction(c) * e[i] for e, c in terms.items() if e[i]
+                e[:i] + (e[i] - 1,) + e[i + 1 :]: Fraction(c) * e[i]
+                for e, c in terms.items()
+                if e[i]
             }
             assert partial == expected
             assert all(type(c) is Fraction for c in partial.values())

@@ -180,7 +180,9 @@ class TestErrors:
             parse_function(source)
         error = excinfo.value
         assert (error.position, error.expected, error.found) == (position, expected, found)
-        assert str(error) == f"syntax error at position {position}: expected {expected}, found {found}"
+        assert str(error) == (
+            f"syntax error at position {position}: expected {expected}, found {found}"
+        )
 
     def test_error_carries_position_and_expectation(self):
         with pytest.raises(ParseError) as excinfo:
