@@ -1,20 +1,23 @@
 """Report assembly: structured (JSON) and fixed-layout text output.
 
-The structured document is what Report.to_dict renders and to_json writes;
-validate_report rebuilds the Report a document claims to be and compares them.
-Degree-indexed maps use decimal-string keys so that negative degrees survive
-serialization unambiguously.  Reports are deterministic: two runs on the same
-configuration produce byte-identical documents apart from the timing field.
+Report.to_json writes the structured document as json.dumps(sort_keys=True,
+indent=2) would; `_cohomology_json`, the one writer of the cohomology layout,
+writes that section row by row from the tower, and to_dict reads it back.
+validate_report rebuilds the Report a document claims to be and compares its
+to_dict.  Degree-indexed maps use decimal-string keys so that negative degrees
+survive serialization unambiguously.  Reports are deterministic: two runs on the
+same configuration produce byte-identical documents apart from the timing field.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Collection, Iterator, Mapping
+import math
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from json.encoder import encode_basestring_ascii
 
 from .._record import fields
-from ..cohom import MAX_N_MAX, GradedDims, RenormalizedReport, declared_support_floor, gysin_tower
+from ..cohom import MAX_N_MAX, RenormalizedReport, declared_support_floor, gysin_tower
 from ..loopfun import MAX_JET_TERMS, Window, minimal_window
 from .parser import parse_function
 
@@ -116,39 +119,28 @@ class Report(tuple):
         return 0 if self.ok else 1
 
     def to_dict(self) -> dict[str, object]:
-        checks = {}
+        return self._document(json.loads)
+
+    def to_json(self) -> str:
+        return _json(self._document(_Verbatim), "") + "\n"
+
+    def _document(self, section: Callable[[str], object]) -> dict[str, object]:
+        """The document's members; the cohomology section is `section` of its text."""
+        checks: dict[str, dict[str, object]] = {}
         for name in CHECK_NAMES:
-            if name not in self.checks:
-                continue
-            outcome = self.checks[name]
-            entry: dict[str, object] = {"ok": outcome.ok}
-            if outcome.witness is not None:
-                entry["witness"] = outcome.witness
-            if outcome.skipped:
-                entry["skipped"] = True
-            checks[name] = entry
+            if name in self.checks:
+                outcome = self.checks[name]
+                entry = checks[name] = {"ok": outcome.ok}
+                if outcome.witness is not None:
+                    entry["witness"] = outcome.witness
+                if outcome.skipped:
+                    entry["skipped"] = True
 
         lam = None
         if self.lambda_term_count is not None:
             lam = {"term_count": self.lambda_term_count}
             if self.lambda_polynomial is not None:
                 lam["polynomial"] = self.lambda_polynomial
-
-        cohomology = None
-        if self.cohomology is not None:
-            tower = self.cohomology.tower
-            cohomology = {
-                "truncations": [
-                    {"n": n, "dims": _dims_dict(dims)}
-                    for n, dims in enumerate(tower.truncations)
-                ],
-                "renormalized": _dims_dict(self.cohomology.stable),
-                "stabilization": {str(s): n for s, n in self.cohomology.stabilization_step.items()},
-                "escape": [
-                    {"n": n, "degree": degree, "declared_floor": declared_support_floor(tower.d, n)}
-                    for n, degree in enumerate(tower.degrees)
-                ],
-            }
 
         return {
             "function": self.function,
@@ -159,13 +151,10 @@ class Report(tuple):
             "isolated": self.isolated,
             "lambda": lam,
             "checks": checks,
-            "cohomology": cohomology,
+            "cohomology": self.cohomology and section(_cohomology_json(self.cohomology)),
             "axioms": list(self.axioms),
             "timing": {"seconds": self.timing_seconds},
         }
-
-    def to_json(self) -> str:
-        return _json(self.to_dict(), "") + "\n"
 
     def to_text(self) -> str:
         lines = []
@@ -210,8 +199,31 @@ class Report(tuple):
         return "\n".join(lines) + "\n"
 
 
-def _dims_dict(dims: GradedDims) -> dict[str, int]:
-    return {str(degree): dim for degree, dim in dims.items()}
+def _cohomology_json(cohomology: RenormalizedReport) -> str:
+    """The cohomology section as `_json` writes it at the top level, row by row."""
+    def degrees(items: Iterable[tuple[int, int]], pad: str) -> str:
+        # Sorting the members as written sorts their decimal keys as strings: "-10" before "-2".
+        members = sorted([f'"{degree}": {count}' for degree, count in items])
+        return "{\n  " + pad + (",\n  " + pad).join(members) + "\n" + pad + "}"
+    tower, rows = cohomology.tower, ",\n      ".join
+    escape = rows([
+        f'{{\n        "declared_floor": {declared_support_floor(tower.d, n)},\n        "degree": '
+        f'{degree},\n        "n": {n}\n      }}' for n, degree in enumerate(tower.degrees)
+    ])
+    truncations = rows([
+        f'{{\n        "dims": {degrees(dims.items(), "        ")},\n        "n": {n}\n      }}'
+        for n, dims in enumerate(tower.truncations)
+    ])
+    return (
+        f'{{\n    "escape": [\n      {escape}\n    ],'
+        f'\n    "renormalized": {degrees(cohomology.stable.items(), "    ")},'
+        f'\n    "stabilization": {degrees(cohomology.stabilization_step.items(), "    ")},'
+        f'\n    "truncations": [\n      {truncations}\n    ]\n  }}'
+    )
+
+
+class _Verbatim(str):
+    """JSON text that `_json` writes as it is."""
 
 
 def _json(value: object, pad: str) -> str:
@@ -230,6 +242,8 @@ def _json(value: object, pad: str) -> str:
         return "[\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "]"
     if kind is str:
         return encode_basestring_ascii(value)
+    if kind is _Verbatim:
+        return value
     if kind is int:
         return int.__repr__(value)
     if kind in (dict, list, bool, float) or value is None:
@@ -243,16 +257,17 @@ class _Mismatch(ValueError):
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-               float: "a float", bool: "a boolean", type(None): "null"}
+               float: "a finite float", bool: "a boolean", type(None): "null"}
 
 
-def _read(document: object, path: str, *kinds: type) -> object:
-    """The leaf at the dotted `path`, of a JSON type in `kinds`; a missing one is null."""
+def _read(document: object, path: str | tuple[str, ...], *kinds: type) -> object:
+    """The leaf at `path` (dotted, or a tuple of keys), null if missing, of a type in `kinds`."""
+    keys = path.split(".") if type(path) is str else path
     value = document
-    for key in path.split("."):
+    for key in keys:
         value = value.get(key) if type(value) is dict else None
-    if type(value) not in kinds:
-        raise _Mismatch(f"{path}: not {' or '.join(_JSON_KINDS[kind] for kind in kinds)}")
+    if type(value) not in kinds or type(value) is float and not math.isfinite(value):
+        raise _Mismatch(f"{'.'.join(keys)}: not {' or '.join(_JSON_KINDS[kind] for kind in kinds)}")
     return value
 
 
@@ -303,9 +318,9 @@ def validate_report(document: object) -> list[str]:
         for name in _read(document, "checks", dict):
             path = f"checks.{name}"
             checks[name] = CheckOutcome(
-                ok=_read(document, f"{path}.ok", bool),
-                witness=_read(document, f"{path}.witness", str, type(None)),
-                skipped=_read(document, f"{path}.skipped", bool, type(None)) is True,
+                ok=_read(document, ("checks", name, "ok"), bool),
+                witness=_read(document, ("checks", name, "witness"), str, type(None)),
+                skipped=_read(document, ("checks", name, "skipped"), bool, type(None)) is True,
             )
         term_count = polynomial = None
         if _read(document, "lambda", dict, type(None)) is not None:

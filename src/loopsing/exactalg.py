@@ -349,24 +349,27 @@ def format_terms(
     """
 
     # Each distinct factor (var, exp) and coefficient is formatted once per
-    # call; the caches live only as long as the call.  Coefficients are cached
-    # by their integer ratio, since Fraction.__hash__ runs in Python.
-    @functools.cache
-    def factor_text(factor: tuple[object, int]) -> str:
-        var, e = factor
-        return name(var) if e == 1 else f"{name(var)}^{e}"
-
-    @functools.cache
-    def coeff_text(ratio: tuple[int, int]) -> tuple[str, str, str, str]:
-        """(sign of a first term, sign of a later one, factor prefix, magnitude)."""
-        p, q = ratio
-        mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
-        lead, sign = ("", "+ ") if p > 0 else ("-", "- ")
-        return lead, sign, "" if mag == "1" else f"{mag}*", mag
-
+    # call, in dicts that live only as long as the call.  Coefficients are
+    # keyed by their integer ratio, since Fraction.__hash__ runs in Python.
+    factor_texts: dict[tuple[object, int], str] = {}
+    # (sign of a first term, sign of a later one, factor prefix, magnitude)
+    coeff_texts: dict[tuple[int, int], tuple[str, str, str, str]] = {}
     parts: list[str] = []
     for factors, coeff in terms:
-        lead, sign, prefix, mag = coeff_text(coeff.as_integer_ratio())
-        body = prefix + "*".join(map(factor_text, factors)) if factors else mag
+        ratio = coeff.as_integer_ratio()
+        if ratio not in coeff_texts:
+            p, q = ratio
+            mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+            lead, sign = ("", "+ ") if p > 0 else ("-", "- ")
+            coeff_texts[ratio] = lead, sign, "" if mag == "1" else f"{mag}*", mag
+        lead, sign, prefix, mag = coeff_texts[ratio]
+        texts = []
+        for factor in factors:
+            text = factor_texts.get(factor)
+            if text is None:
+                var, e = factor
+                text = factor_texts[factor] = name(var) if e == 1 else f"{name(var)}^{e}"
+            texts.append(text)
+        body = prefix + "*".join(texts) if factors else mag
         parts.append((sign if parts else lead) + body)
     return " ".join(parts) if parts else "0"

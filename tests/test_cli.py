@@ -6,6 +6,7 @@ import errno
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import re
@@ -65,6 +66,14 @@ def _x(cdeg: int) -> LoopPoly:
 
 def run_source(source: str, **overrides) -> Report:
     return run(RunConfig(function_source=source, **overrides))
+
+
+def _assert_cohomology_section_round_trips(report: Report) -> None:
+    """The structured report, cohomology section and all, is what the standard
+    encoder writes for to_dict, and to_dict's section is the one it parses."""
+    document, text = report.to_dict(), report.to_json()
+    assert text == _reference_json(document)
+    assert document["cohomology"] == json.loads(text)["cohomology"]
 
 
 def _untimed_digests(report: Report) -> tuple[str, str]:
@@ -501,6 +510,8 @@ class TestStructuredOutput:
         assert validate_report(dict(good, bogus=1)) == ["bogus: unexpected"]
         broken = dict(good, checks={"nonsense": {"ok": True}})
         assert validate_report(broken) == ["checks: unknown checks: nonsense"]
+        broken = dict(good, checks={"a.b": {"ok": True}})  # a check name is one key, dots and all
+        assert validate_report(broken) == ["checks: unknown checks: a.b"]
 
         # Documents of the right shape that no Report can produce.
         good = run_source("x^3 + y^3").to_dict()
@@ -789,6 +800,48 @@ class TestStructuredOutput:
                 checks=case.checks, emit_lambda=case.emit_lambda,
             )
             assert report.to_json() == _reference_json(report.to_dict()), case.source
+
+    @pytest.mark.parametrize(
+        "source", [entry.source for entry in CORPUS] + list(NON_ISOLATED_SOURCES)
+    )
+    def test_cohomology_writer_matches_the_standard_encoder_on_the_corpus(self, source):
+        _assert_cohomology_section_round_trips(run_source(source))
+
+    @pytest.mark.parametrize("n_max", [2, 3, MAX_N_MAX])
+    @pytest.mark.parametrize("source", ["z^2", "x^3 + y^3 + w^3"])
+    def test_cohomology_writer_matches_the_standard_encoder_at_each_height(self, source, n_max):
+        _assert_cohomology_section_round_trips(run_source(source, n_max=n_max))
+
+    def test_cohomology_writer_puts_unit_and_mu_in_one_degree_for_a_quadric(self):
+        # z^2: d = 1, so the unit class and the mu class share degree d - 1 = 0.
+        report = run_source("z^2")
+        _assert_cohomology_section_round_trips(report)
+        assert report.to_dict()["cohomology"]["truncations"][0] == {"dims": {"0": 2}, "n": 0}
+
+    @pytest.mark.parametrize(
+        "checks",
+        [
+            (*subset, "cohomology")
+            for size in range(len(CHECK_NAMES))
+            for subset in itertools.combinations(CHECK_NAMES[:-1], size)
+        ],
+        ids=",".join,
+    )
+    def test_cohomology_writer_matches_the_standard_encoder_on_check_subsets(self, checks):
+        _assert_cohomology_section_round_trips(run_source("x^3 + y^3", checks=checks))
+
+    def test_cohomology_writer_beside_a_witness_that_needs_escapes(self, monkeypatch):
+        witness = 'a "quoted" \\ backslash, an é, a bell \x07 and a newline\n'
+
+        def failing(func, window):
+            raise RuntimeError(witness)
+
+        monkeypatch.setattr(importlib.import_module("loopsing.cli.main"), "lambda_of", failing)
+        report = run_source("x^3 + y^3")
+        assert report.checks["lambda"] == CheckOutcome(ok=False, witness=witness)
+        assert report.cohomology is not None
+        _assert_cohomology_section_round_trips(report)
+        assert validate_report(json.loads(report.to_json())) == []
 
     @given(_json_documents)
     @settings(max_examples=200, deadline=None)

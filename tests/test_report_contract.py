@@ -254,11 +254,14 @@ def test_odd_json_values_are_refused_without_raising(text):
             9 * 10**4299,
             [f"window.bottom: window bottom must be at most {MAX_JET_TERMS}"],
         ),
-        # run() never times a report as NaN, and NaN equals nothing, itself included.
-        (("timing", "seconds"), float("nan"), ["timing.seconds: expected NaN, found NaN"]),
-        (("checks", "a.b"), {"ok": True}, ["checks.a.b.ok: not a boolean"]),
+        # run() never times a report as NaN or infinite, and RFC 8259 has no such number.
+        (("timing", "seconds"), float("nan"), ["timing.seconds: not a finite float"]),
+        (("timing", "seconds"), float("inf"), ["timing.seconds: not a finite float"]),
+        (("timing", "seconds"), -float("inf"), ["timing.seconds: not a finite float"]),
+        # A check name is one key, dots and all.
+        (("checks", "a.b"), {"ok": True}, ["checks: unknown checks: a.b"]),
     ],
-    ids=["huge bottom", "nan", "dotted name"],
+    ids=["huge bottom", "nan", "infinity", "negative infinity", "dotted name"],
 )
 def test_odd_leaves_are_refused_without_raising(path, value, errors):
     good = run(RunConfig(function_source="x^3 + y^3", checks=("milnor",))).to_dict()
