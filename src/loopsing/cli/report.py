@@ -182,15 +182,18 @@ class Report(tuple):
             row(f"check {name}", status)
         if self.cohomology is not None:
             tower = self.cohomology.tower
-            for n, dims in enumerate(tower.truncations):
+            count, later = tower._later_steps()
+            for n, dims in enumerate(tower.head_truncations):
                 row(f"truncation n={n}", dims)
+            for n, degree in later:
+                row(f"truncation n={n}", f"{{0: 1, {degree}: {count}}}")
             row("renormalized", self.cohomology.stable)
             stab = "; ".join(
                 f"{degree}: n={step}"
                 for degree, step in sorted(self.cohomology.stabilization_step.items())
             )
             row("stabilization", stab)
-            for n, degree in enumerate(tower.degrees):
+            for n, degree in [*enumerate(tower.head_degrees), *later]:
                 floor = declared_support_floor(tower.d, n)
                 row(f"escape n={n}", f"degree {degree} (declared floor {floor})")
         for axiom in self.axioms:
@@ -206,13 +209,22 @@ def _cohomology_json(cohomology: RenormalizedReport) -> str:
         members = sorted([f'"{degree}": {count}' for degree, count in items])
         return "{\n  " + pad + (",\n  " + pad).join(members) + "\n" + pad + "}"
     tower, rows = cohomology.tower, ",\n      ".join
+    count, later = tower._later_steps()
     escape = rows([
         f'{{\n        "declared_floor": {declared_support_floor(tower.d, n)},\n        "degree": '
-        f'{degree},\n        "n": {n}\n      }}' for n, degree in enumerate(tower.degrees)
+        f'{degree},\n        "n": {n}\n      }}'
+        for n, degree in [*enumerate(tower.head_degrees), *later]
     ])
     truncations = rows([
-        f'{{\n        "dims": {degrees(dims.items(), "        ")},\n        "n": {n}\n      }}'
-        for n, dims in enumerate(tower.truncations)
+        *(
+            f'{{\n        "dims": {degrees(dims.items(), "        ")},\n        "n": {n}\n      }}'
+            for n, dims in enumerate(tower.head_truncations)
+        ),
+        # The unit class's key "0" sorts before the block's positive degree.
+        *(
+            f'{{\n        "dims": {{\n          "0": 1,\n          "{degree}": {count}\n'
+            f'        }},\n        "n": {n}\n      }}' for n, degree in later
+        ),
     ])
     return (
         f'{{\n    "escape": [\n      {escape}\n    ],'

@@ -16,9 +16,11 @@ On top of the solver sits gysin_tower, the tower of truncation cohomologies of
 the nearby fiber of a loop functional, certified from a few base steps and two
 blocks that every later Gysin sequence splits into: a constant number of
 solves, each checked against the shift rule, with the concentration of the
-reduced cohomology audited on the way.  The truncation table, the escape
-bookkeeping showing reduced classes running off to infinity, and the
-renormalized colimit along Gysin maps are all read from that one record.
+reduced cohomology audited on the way.  Its record stores those base steps
+only; every later step is derived from the last of them on access.  The
+truncation table, the escape bookkeeping showing reduced classes running off
+to infinity, and the renormalized colimit along Gysin maps are all read from
+that one record, the colimit without a walk over the steps or the degrees.
 
 Everything is a pure function over small immutable values; concurrent
 invocation is safe, there is no shared state.
@@ -439,29 +441,74 @@ def _concentration_degree(full: GradedDims, n: int) -> int:
 
 
 class GysinTower(tuple):
-    """The truncation tower up to n_max, solved once from the Milnor fiber.
+    """The truncation tower up to n_max, certified from the Milnor fiber.
 
-    truncations holds the full cohomology of truncations 0..n_max, and
-    degrees the single degree carrying the reduced cohomology of each, as the
-    concentration audit found it on the directly solved steps, translated
-    after them.  gysin_ranks[n-1] holds only the nonzero ranks of the Gysin
-    maps into truncation n, keyed by their target degree; axioms are the
-    declared facts the solved sequences rest on.  Past n0 each step is the
-    one before with the mu block moved up by 2d, as the blocks certify.
+    The record stores the steps gysin_tower solves directly, 0..min(n0,
+    n_max): head_truncations holds the full cohomology of each truncation,
+    head_degrees the single degree carrying its reduced cohomology, as the
+    concentration audit found it, and head_ranks[n-1] only the nonzero ranks
+    of the Gysin map into truncation n, keyed by their target degree; axioms
+    are the declared facts the solved sequences rest on.  A step past n0 is
+    not stored: it is step n0 with the mu block moved up by 2d per step, as
+    the blocks certify.  `truncations`, `degrees` and `gysin_ranks` build
+    every step 0..n_max on access.
     """
 
     __slots__ = ()
-    d, mu, truncations, degrees, gysin_ranks, axioms, n0 = fields(7)
+    d, mu, head_truncations, head_degrees, head_ranks, axioms, n0, n_max = fields(8)
 
     def __new__(
-        cls, d: int, mu: int, truncations: tuple[GradedDims, ...], degrees: tuple[int, ...],
-        gysin_ranks: tuple[Mapping[int, int], ...], axioms: tuple[str, ...], n0: int,
+        cls, d: int, mu: int, head_truncations: tuple[GradedDims, ...],
+        head_degrees: tuple[int, ...], head_ranks: tuple[Mapping[int, int], ...],
+        axioms: tuple[str, ...], n0: int, n_max: int,
     ) -> GysinTower:
-        return tuple.__new__(cls, (d, mu, truncations, degrees, gysin_ranks, axioms, n0))
+        return tuple.__new__(
+            cls, (d, mu, head_truncations, head_degrees, head_ranks, axioms, n0, n_max)
+        )
+
+    def _step(self, n: int) -> tuple[GradedDims, int, Mapping[int, int]]:
+        """Truncation n, its reduced degree and the nonzero Gysin ranks into it
+        (none into step 0), for 0 <= n <= n_max.
+
+        Past n0 the step is derived from step n0: the unit block's B-column is
+        the unit class alone, so every Gysin rank and the reduced classes lie
+        in the mu block, which moves up by 2d per step.  The audits found step
+        n0 to be the unit class beside its reduced classes, all in its degree.
+        """
+        if n < len(self.head_truncations):
+            ranks = self.head_ranks[n - 1] if n else {}
+            return self.head_truncations[n], self.head_degrees[n], ranks
+        n0 = self.n0
+        offset, degree = 2 * self.d * (n - n0), self.head_degrees[n0]
+        return (
+            GradedDims._of({0: 1, degree + offset: self.head_truncations[n0].dim(degree)}),
+            degree + offset,
+            {s + offset: r for s, r in self.head_ranks[n0 - 1].items()},
+        )
+
+    def _later_steps(self) -> tuple[int, list[tuple[int, int]]]:
+        """The mu block's dimension, and each step past the stored head with
+        its reduced degree, for the reports that print those steps' rows
+        without building their truncations: each is the unit class in degree
+        0 beside that block in that degree, as in `_step`."""
+        last = len(self.head_degrees) - 1  # step n0 whenever a later step exists
+        dims, degree, _ = self._step(last)
+        return dims.dim(degree), [
+            (n, degree + 2 * self.d * (n - last)) for n in range(last + 1, self.n_max + 1)
+        ]
 
     @property
-    def n_max(self) -> int:
-        return len(self.gysin_ranks)
+    def truncations(self) -> tuple[GradedDims, ...]:
+        return tuple(self._step(n)[0] for n in range(self.n_max + 1))
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return self.head_degrees + tuple(degree for _, degree in self._later_steps()[1])
+
+    @property
+    def gysin_ranks(self) -> tuple[Mapping[int, int], ...]:
+        """gysin_ranks[n-1]: the nonzero ranks of the Gysin map into truncation n."""
+        return tuple(self._step(n)[2] for n in range(1, self.n_max + 1))
 
     def renormalized(self, normalization: int = 0) -> RenormalizedReport:
         """Colimit of the truncation cohomologies along the Gysin maps.
@@ -472,9 +519,11 @@ class GysinTower(tuple):
         if n_max < 2:
             raise ValueError("need n_max >= 2")
 
-        fulls, ranks = self.truncations, self.gysin_ranks
         shift = 2 * normalization
         head = min(n_max, n0 + 1)
+        # Steps 0..head; ranks[n] belongs to the map from step n to step n+1.
+        fulls, _, into = zip(*map(self._step, range(head + 1)))
+        ranks = into[1:]
 
         # Step n contributes its degree s + 2*delta(n) = s + shift + 2*n*d.
         def value(s: int, n: int) -> int:
@@ -505,10 +554,23 @@ class GysinTower(tuple):
             if n == n0 and s not in (-shift - 2 * d * n0, -shift - 2 * d * head):
                 last_failure[s] = n_max - 1
 
-        stable: dict[int, int] = {}
-        steps: dict[int, int] = {}
-        for s in range(-2 * d * (n_max - 2) - shift, 3 * d - shift + 1):
-            # Past n0 the unit class leaves degree -shift - 2dk at map k.
+        # A degree where no map up to n0 fails and the unit class does not pass
+        # is stable from step 0 on, holding what truncation 0 holds there.
+        low, high = -2 * d * (n_max - 2) - shift, 3 * d - shift
+        steps = dict.fromkeys(range(low, high + 1), 0)
+        stable = {
+            m - shift: dim for m, dim in fulls[0].items() if m >= 0 and low <= m - shift <= high
+        }
+        # Past n0 the unit class leaves degree -shift - 2dk at map k, for
+        # head <= k <= n_max - 2, so that degree is stable from step k + 1.
+        # Truncation head has no class there for k > head, so only k = head
+        # and the head failures need their dimension read.
+        unit = -shift - 2 * d * head
+        steps.update(zip(range(low, unit + 1, 2 * d), range(n_max - 1, head, -1)))
+        special = {s for s in last_failure if low <= s <= high}
+        if unit >= low:
+            special.add(unit)
+        for s in sorted(special):
             k, r = divmod(-shift - s, 2 * d)
             first = max(last_failure.get(s, -1), k if r == 0 and k >= head else -1) + 1
             if first == n_max:
@@ -521,6 +583,8 @@ class GysinTower(tuple):
             dim = value(s, first) if first <= head else value(s, head) - (k == head)
             if dim:
                 stable[s] = dim
+            else:
+                stable.pop(s, None)
 
         outcome = GradedDims(stable)
         expected = GradedDims({d - 1 - shift: self.mu})
@@ -549,6 +613,7 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
     segments split by a zero node independently (locality) and a translated
     system to the translated solution (translation equivariance), so each
     later step is step n0 with the mu block moved up: n0 + 2 solves in all.
+    The record stores the directly solved steps and derives the later ones.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -582,28 +647,22 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
             tuple(sorted({*unit.axioms, *block.axioms})),
         ):
             raise RuntimeError(f"the unit and mu blocks do not split the sequence at step {n0}")
-        # The unit block's B-column is the unit class alone, so every Gysin
-        # rank and the reduced class of step n0 lie in the mu block.
-        for n in range(n0 + 1, n_max + 1):
-            offset = 2 * d * (n - n0)
-            truncations.append(block.b.with_unit(shift=offset))
-            degrees.append(degrees[n0] + offset)
-            gysin_ranks.append({s + offset: r for s, r in gysin_ranks[n0 - 1].items()})
     return GysinTower(
-        d=d, mu=mu, truncations=tuple(truncations), degrees=tuple(degrees),
-        gysin_ranks=tuple(gysin_ranks), axioms=tuple(sorted(axioms)), n0=n0,
+        d=d, mu=mu, head_truncations=tuple(truncations), head_degrees=tuple(degrees),
+        head_ranks=tuple(gysin_ranks), axioms=tuple(sorted(axioms)), n0=n0, n_max=n_max,
     )
 
 
 def truncation_cohomology(d: int, mu: int, n: int) -> GradedDims:
     """Full cohomology of the n-th truncation of the nearby fiber.
 
-    Walks the Gysin tower from the Milnor fiber base case; the reduced part
-    is concentrated in the single degree 2nd + d - 1 with dimension mu.
+    Read from the certified Gysin tower of height n, whose solves and record
+    do not grow with n; the reduced part is concentrated in the single degree
+    2nd + d - 1 with dimension mu.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return gysin_tower(d, mu, n).truncations[n]
+    return gysin_tower(d, mu, n)._step(n)[0]
 
 
 def declared_support_floor(d: int, n: int) -> int:

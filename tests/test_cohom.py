@@ -45,19 +45,16 @@ def gysin_system(full_a: GradedDims, d: int) -> LesSystem:
     )
 
 
-def _walk_gysin_towers(d: int, mu: int, n_max: int) -> list[GysinTower]:
-    """Reference: the tower of every height up to n_max, from one direct walk.
+def _walk_gysin_tower(d: int, mu: int, n_max: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """Reference: the rows of the tower up to n_max, from one direct walk.
 
     Every step is its own Gysin solve, checked against the shift rule and for
-    concentration; the tower of height n is the record of the first n steps.
-    It records the n0 that gysin_tower certifies from: the first step whose
-    unit and mu blocks a zero node separates.
+    concentration; the tower of height n has the first n + 1 truncations and
+    degrees, the first n Gysin ranks and axioms[n].
     """
-    n0 = 2 if d == 1 else 1
     base = milnor_fiber_cohomology(d, mu)
     (degree,) = base.drop_unit().support
-    truncations, degrees, gysin_ranks, axioms = [base], [degree], [], set()
-    towers = [GysinTower(d, mu, (base,), (degree,), (), (), n0)]
+    truncations, degrees, gysin_ranks, axioms = [base], [degree], [], [()]
     reduced = base.drop_unit()
     for _ in range(n_max):
         solution = solve_les_detailed(gysin_system(reduced.with_unit(), d))
@@ -69,12 +66,8 @@ def _walk_gysin_towers(d: int, mu: int, n_max: int) -> list[GysinTower]:
         gysin_ranks.append(
             {deg: rank for (kind, deg), rank in solution.ranks.items() if kind == "gysin"}
         )
-        axioms.update(solution.axioms)
-        towers.append(GysinTower(
-            d, mu, tuple(truncations), tuple(degrees), tuple(gysin_ranks), tuple(sorted(axioms)),
-            n0,
-        ))
-    return towers
+        axioms.append(tuple(sorted({*axioms[-1], *solution.axioms})))
+    return tuple(truncations), tuple(degrees), tuple(gysin_ranks), tuple(axioms)
 
 
 def _scan_renormalized(tower: GysinTower, normalization: int = 0) -> RenormalizedReport:
@@ -85,7 +78,7 @@ def _scan_renormalized(tower: GysinTower, normalization: int = 0) -> Renormalize
     there.  Scanning the steps backward, the first failure seen in a degree is
     its last one; it stabilizes at the next step.
     """
-    d, n_max, fulls = tower.d, tower.n_max, tower.truncations
+    d, n_max, fulls, gysin_ranks = tower.d, tower.n_max, tower.truncations, tower.gysin_ranks
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     shift = 2 * normalization
@@ -96,7 +89,7 @@ def _scan_renormalized(tower: GysinTower, normalization: int = 0) -> Renormalize
 
     def is_iso(s: int, n: int) -> bool:
         m = s + shift + 2 * (n + 1) * d
-        rank = tower.gysin_ranks[n].get(m, 0) if m >= 2 * d else 0
+        rank = gysin_ranks[n].get(m, 0) if m >= 2 * d else 0
         return value(s, n) == value(s, n + 1) == rank
 
     last_failure: dict[int, int] = {}
@@ -104,7 +97,7 @@ def _scan_renormalized(tower: GysinTower, normalization: int = 0) -> Renormalize
         here, there = shift + 2 * n * d, shift + 2 * (n + 1) * d
         candidates = {m - here for m in fulls[n].support}
         candidates.update(m - there for m in fulls[n + 1].support)
-        candidates.update(m - there for m in tower.gysin_ranks[n])
+        candidates.update(m - there for m in gysin_ranks[n])
         for s in candidates:
             if s not in last_failure and not is_iso(s, n):
                 last_failure[s] = n
@@ -486,12 +479,23 @@ class TestGysinTower:
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("mu", [1, 4, 27])
     def test_block_solve_equals_the_direct_walk(self, d, mu):
-        for n_max, walked in enumerate(_walk_gysin_towers(d, mu, MAX_N_MAX)):
+        # The record holds the directly solved steps up to n0, the first whose
+        # unit and mu blocks a zero node separates; the rows past it are derived.
+        n0 = 2 if d == 1 else 1
+        truncations, degrees, gysin_ranks, axioms = _walk_gysin_tower(d, mu, MAX_N_MAX)
+        for n_max in range(MAX_N_MAX + 1):
             tower = gysin_tower(d, mu, n_max)
-            assert tower == walked
+            head = min(n0, n_max)
+            assert tower == GysinTower(
+                d, mu, truncations[: head + 1], degrees[: head + 1], gysin_ranks[:head],
+                axioms[n_max], n0, n_max,
+            )
+            assert tower.truncations == truncations[: n_max + 1]
+            assert tower.degrees == degrees[: n_max + 1]
+            assert tower.gysin_ranks == gysin_ranks[:n_max]
             if n_max >= 2:
                 k = n_max % 3 - 1
-                assert tower.renormalized(k) == _scan_renormalized(walked, k)
+                assert tower.renormalized(k) == _scan_renormalized(tower, k)
 
     @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
     def test_shift_rule_is_checked_on_every_base_step_and_block(self, monkeypatch, d, n0):
@@ -534,11 +538,10 @@ class TestGysinTower:
         with pytest.raises(RuntimeError, match="do not split"):
             gysin_tower(2, 4, 6)
         # Below the first separated step, now step 3, the tower is the direct
-        # walk alone.
-        walked = _walk_gysin_towers(2, 4, 2)[2]
+        # walk alone, every step of it stored.
+        truncations, degrees, gysin_ranks, axioms = _walk_gysin_tower(2, 4, 2)
         assert gysin_tower(2, 4, 2) == GysinTower(
-            walked.d, walked.mu, walked.truncations, walked.degrees, walked.gysin_ranks,
-            walked.axioms, n0=3,
+            2, 4, truncations, degrees, gysin_ranks, axioms[2], n0=3, n_max=2
         )
 
     def test_block_union_must_match_the_direct_solve(self, monkeypatch):
@@ -606,25 +609,6 @@ class TestEscape:
             assert row.degree < row.declared_floor
 
 
-class _ReadCounter(tuple):
-    """A tuple that records in `read` the indices read from it."""
-
-    def __getitem__(self, index):
-        picked = range(len(self))[index]
-        self.read.update(picked if isinstance(index, slice) else [picked])
-        return super().__getitem__(index)
-
-    def __iter__(self):
-        self.read.update(range(len(self)))
-        return super().__iter__()
-
-
-def _counted(items: tuple) -> _ReadCounter:
-    counter = _ReadCounter(items)
-    counter.read = set()
-    return counter
-
-
 class TestRenormalized:
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("mu", [1, 2, 5])
@@ -639,42 +623,46 @@ class TestRenormalized:
 
     @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
     @pytest.mark.parametrize("n_max", [20, 60, MAX_N_MAX])
-    def test_reads_a_fixed_number_of_steps(self, d, n0, n_max):
+    def test_reads_a_fixed_number_of_steps(self, monkeypatch, d, n0, n_max):
+        # The record stores steps 0..n0 whatever the height, and the colimit
+        # reads steps 0..n0 + 1 of it, the last one derived.
         tower = gysin_tower(d, 4, n_max)
-        truncations, ranks = _counted(tower.truncations), _counted(tower.gysin_ranks)
-        counted = GysinTower(
-            tower.d, tower.mu, truncations, tower.degrees, ranks, tower.axioms, tower.n0
-        )
-        assert counted.n0 == n0
-        report = counted.renormalized(1)
-        assert truncations.read <= set(range(n0 + 2))
-        assert ranks.read <= set(range(n0 + 1))
+        assert tower.n0 == n0
+        assert len(tower.head_truncations) == len(tower.head_degrees) == n0 + 1
+        assert len(tower.head_ranks) == n0
+        step, read = GysinTower._step, set()
+
+        def counted(record, n):
+            read.add(n)
+            return step(record, n)
+
+        monkeypatch.setattr(GysinTower, "_step", counted)
+        report = tower.renormalized(1)
+        monkeypatch.undo()
+        assert read == set(range(n0 + 2))
         assert report == _scan_renormalized(tower, 1)
 
     @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
     def test_a_head_map_that_is_not_an_isomorphism_raises(self, d, n0):
         tower = gysin_tower(d, 4, 20)
 
-        def broken_from(step: int, to: int = 20) -> GysinTower:
-            # The maps from `step` to `to` send mu classes onto a rank-3 image.
-            gysin_ranks = tuple(
-                {m: 3 if step <= n < to else r for m, r in ranks.items()}
-                for n, ranks in enumerate(tower.gysin_ranks)
+        def broken_from(step: int) -> GysinTower:
+            # The stored maps from `step` on send mu classes onto a rank-3
+            # image; every map past n0 is the last stored one translated.
+            head_ranks = tuple(
+                {m: 3 if step <= n else r for m, r in ranks.items()}
+                for n, ranks in enumerate(tower.head_ranks)
             )
             return GysinTower(
-                tower.d, tower.mu, tower.truncations, tower.degrees, gysin_ranks, tower.axioms,
-                tower.n0,
+                tower.d, tower.mu, tower.head_truncations, tower.head_degrees, head_ranks,
+                tower.axioms, tower.n0, tower.n_max,
             )
 
-        for step in range(n0 + 1):
+        for step in range(n0):
             with pytest.raises(NotStabilized):
                 _scan_renormalized(broken_from(step))
             with pytest.raises(NotStabilized, match="below its certified height"):
                 broken_from(step).renormalized()
-        # Past n0 the record is read as map n0 translated, so breaking map n0
-        # alone breaks every later one.
-        with pytest.raises(NotStabilized):
-            broken_from(n0, n0 + 1).renormalized()
 
     def test_quadric(self):
         report = renormalized_nearby_cohomology(1, 1, 4)
