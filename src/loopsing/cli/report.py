@@ -1,20 +1,20 @@
 """Report assembly: structured (JSON) and fixed-layout text output.
 
-Report.to_json writes the structured document as json.dumps(sort_keys=True,
-indent=2) would; `_cohomology_json`, the one writer of the cohomology layout,
-writes that section row by row from the tower, and to_dict reads it back.
-validate_report rebuilds the Report a document claims to be and compares its
-to_dict.  Degree-indexed maps use decimal-string keys so that negative degrees
-survive serialization unambiguously.  Reports are deterministic: two runs on the
-same configuration produce byte-identical documents apart from the timing field.
+Report.to_json writes the structured document with the standard encoder
+(sorted keys, a two-space indent), except for the cohomology section, which
+`_cohomology_json`, the one writer of that layout, writes row by row from the
+tower and to_json splices in; to_dict reads that text back.  validate_report
+rebuilds the Report a document claims to be and compares its to_dict.
+Degree-indexed maps use decimal-string keys so that negative degrees survive
+serialization unambiguously.  Reports are deterministic: two runs on the same
+configuration produce byte-identical documents apart from the timing field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
-from json.encoder import encode_basestring_ascii
+from collections.abc import Collection, Iterable, Iterator, Mapping
 
 from .._record import fields
 from ..cohom import MAX_N_MAX, RenormalizedReport, declared_support_floor, gysin_tower
@@ -28,6 +28,9 @@ __all__ = [
     "Report",
     "validate_report",
 ]
+
+# The structured report's encoder; to_json splices the cohomology section in.
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 # Dependency order; reports always list checks this way.
 CHECK_NAMES = ("lambda", "support", "linearity", "derivative", "milnor", "cohomology")
@@ -119,13 +122,20 @@ class Report(tuple):
         return 0 if self.ok else 1
 
     def to_dict(self) -> dict[str, object]:
-        return self._document(json.loads)
+        return self._document(self.cohomology and json.loads(_cohomology_json(self.cohomology)))
 
     def to_json(self) -> str:
-        return _json(self._document(_Verbatim), "") + "\n"
+        text = _ENCODER.encode(self._document(None)) + "\n"
+        if self.cohomology is None:
+            return text
+        # The only line that is exactly this: an encoded string holds no raw
+        # newline, and every nested member sits at four or more spaces.
+        return text.replace(
+            '\n  "cohomology": null,', f'\n  "cohomology": {_cohomology_json(self.cohomology)},', 1
+        )
 
-    def _document(self, section: Callable[[str], object]) -> dict[str, object]:
-        """The document's members; the cohomology section is `section` of its text."""
+    def _document(self, cohomology: object) -> dict[str, object]:
+        """The document's members, with `cohomology` as the section's value."""
         checks: dict[str, dict[str, object]] = {}
         for name in CHECK_NAMES:
             if name in self.checks:
@@ -151,7 +161,7 @@ class Report(tuple):
             "isolated": self.isolated,
             "lambda": lam,
             "checks": checks,
-            "cohomology": self.cohomology and section(_cohomology_json(self.cohomology)),
+            "cohomology": cohomology,
             "axioms": list(self.axioms),
             "timing": {"seconds": self.timing_seconds},
         }
@@ -182,18 +192,15 @@ class Report(tuple):
             row(f"check {name}", status)
         if self.cohomology is not None:
             tower = self.cohomology.tower
-            count, later = tower._later_steps()
-            for n, dims in enumerate(tower.head_truncations):
+            for n, dims in enumerate(tower.truncations):
                 row(f"truncation n={n}", dims)
-            for n, degree in later:
-                row(f"truncation n={n}", f"{{0: 1, {degree}: {count}}}")
             row("renormalized", self.cohomology.stable)
             stab = "; ".join(
                 f"{degree}: n={step}"
                 for degree, step in sorted(self.cohomology.stabilization_step.items())
             )
             row("stabilization", stab)
-            for n, degree in [*enumerate(tower.head_degrees), *later]:
+            for n, degree in enumerate(tower.degrees):
                 floor = declared_support_floor(tower.d, n)
                 row(f"escape n={n}", f"degree {degree} (declared floor {floor})")
         for axiom in self.axioms:
@@ -203,7 +210,8 @@ class Report(tuple):
 
 
 def _cohomology_json(cohomology: RenormalizedReport) -> str:
-    """The cohomology section as `_json` writes it at the top level, row by row."""
+    """The cohomology section as the standard encoder writes it at the top
+    level of the document, row by row."""
     def degrees(items: Iterable[tuple[int, int]], pad: str) -> str:
         # Sorting the members as written sorts their decimal keys as strings: "-10" before "-2".
         members = sorted([f'"{degree}": {count}' for degree, count in items])
@@ -232,35 +240,6 @@ def _cohomology_json(cohomology: RenormalizedReport) -> str:
         f'\n    "stabilization": {degrees(cohomology.stabilization_step.items(), "    ")},'
         f'\n    "truncations": [\n      {truncations}\n    ]\n  }}'
     )
-
-
-class _Verbatim(str):
-    """JSON text that `_json` writes as it is."""
-
-
-def _json(value: object, pad: str) -> str:
-    """`value` as json.dumps(value, sort_keys=True, indent=2) writes it at indent
-    `pad`.  That encoder runs token by token in Python once it indents."""
-    kind, inner = type(value), pad + "  "
-    if kind is dict and value:
-        members = [
-            f"{encode_basestring_ascii(key)}: "
-            + (int.__repr__(item) if type(item) is int else _json(item, inner))
-            for key, item in sorted(value.items())
-        ]
-        return "{\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "}"
-    if kind is list and value:
-        members = [_json(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "]"
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is _Verbatim:
-        return value
-    if kind is int:
-        return int.__repr__(value)
-    if kind in (dict, list, bool, float) or value is None:
-        return json.dumps(value)
-    raise TypeError(f"{kind.__name__} is not a JSON value")
 
 
 class _Mismatch(ValueError):

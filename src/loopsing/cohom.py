@@ -58,7 +58,8 @@ __all__ = [
 ]
 
 # Bound on the height of the tower a report or its validation builds.  Its Gysin
-# solves are a fixed few, but the record and its colimit grow with the height.
+# solves are a fixed few and its record stores only the steps solved directly,
+# but the colimit's stabilization map and the report's rows grow with the height.
 MAX_N_MAX = 200
 
 RESIDUE_FULL_RANK_AXIOM = (
@@ -139,10 +140,9 @@ class GradedDims:
             merged[degree] = merged.get(degree, 0) + dim
         return GradedDims(merged)
 
-    def with_unit(self, shift: int = 0) -> "GradedDims":
-        """Move every class up by `shift`, then add the one-dimensional unit
-        class in degree 0."""
-        store = {degree + shift: dim for degree, dim in self._dims.items()}
+    def with_unit(self) -> "GradedDims":
+        """Add the one-dimensional unit class in degree 0."""
+        store = self._dims.copy()
         store[0] = store.get(0, 0) + 1
         return GradedDims._of(store)
 
@@ -488,9 +488,10 @@ class GysinTower(tuple):
 
     def _later_steps(self) -> tuple[int, list[tuple[int, int]]]:
         """The mu block's dimension, and each step past the stored head with
-        its reduced degree, for the reports that print those steps' rows
-        without building their truncations: each is the unit class in degree
-        0 beside that block in that degree, as in `_step`."""
+        its reduced degree, for `degrees` and the structured report's writer,
+        which prints those steps' rows without building their truncations:
+        each is the unit class in degree 0 beside that block in that degree,
+        as in `_step`."""
         last = len(self.head_degrees) - 1  # step n0 whenever a later step exists
         dims, degree, _ = self._step(last)
         return dims.dim(degree), [

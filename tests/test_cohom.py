@@ -316,10 +316,6 @@ class TestGradedDims:
         assert GradedDims({1: 4}).with_unit() == GradedDims({0: 1, 1: 4})
         assert GradedDims({0: 2}).with_unit() == GradedDims({0: 3})
         assert GradedDims().with_unit().items() == ((0, 1),)
-        # Shifted first, so a class moved onto degree 0 joins the unit class.
-        for dims in (GradedDims({1: 4}), GradedDims({-2: 1, 3: 2}), GradedDims()):
-            assert dims.with_unit(shift=2) == dims.shifted(2).with_unit()
-        assert GradedDims({-2: 1}).with_unit(shift=2) == GradedDims({0: 2})
         assert GradedDims({0: 2}).drop_unit() == GradedDims({0: 1})
         with pytest.raises(ValueError):
             GradedDims({1: 1}).drop_unit()

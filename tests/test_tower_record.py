@@ -60,7 +60,7 @@ def _filled_rows(d: int, mu: int, n_max: int) -> tuple[tuple, tuple, tuple]:
         block = solve_les_detailed(LesSystem(d, step, GradedDims()))
         for n in range(n0 + 1, n_max + 1):
             offset = 2 * d * (n - n0)
-            truncations.append(block.b.with_unit(shift=offset))
+            truncations.append(block.b.shifted(offset).with_unit())
             degrees.append(degrees[n0] + offset)
             gysin_ranks.append({s + offset: r for s, r in gysin_ranks[n0 - 1].items()})
     return tuple(truncations), tuple(degrees), tuple(gysin_ranks)
