@@ -836,6 +836,41 @@ class TestStructuredOutput:
             _assert_cohomology_section_round_trips(report)
             assert validate_report(json.loads(report.to_json())) == []
 
+    @pytest.mark.parametrize("member", ["function", "witness", "lambda_polynomial"])
+    @given(
+        text=st.text()
+        | st.text(st.sampled_from('"\\\n\r\t\x00\x1f\x7fé  ,:ln{}'))
+        | st.sampled_from(['\n  "cohomology": null,', '\n  "cohomology": null,\n  "d": 0,'])
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_splice_matches_the_standard_encoder_for_any_string(self, member, text):
+        # Each string member the report holds beside a tower, drawn to spell
+        # out the line that to_json replaces with the cohomology section.
+        strings = {"function": "z^2", "witness": "w", "lambda_polynomial": "0"}
+        strings[member] = text
+        report = Report(
+            strings["function"], 1, 2, loopfun.Window(1, 1), None, None, 1,
+            strings["lambda_polynomial"],
+            {"lambda": CheckOutcome(False, strings["witness"]), "cohomology": CheckOutcome(True)},
+            cohom.gysin_tower(1, 1, 2).renormalized(),
+        )
+        _assert_cohomology_section_round_trips(report)
+
+    @pytest.mark.parametrize("writer", ["to_json", "to_dict"])
+    def test_each_writer_renders_the_cohomology_section_once(self, monkeypatch, writer):
+        report_module = importlib.import_module("loopsing.cli.report")
+        calls = []
+
+        def counted(cohomology):
+            calls.append(cohomology)
+            return section(cohomology)
+
+        section = report_module._cohomology_json
+        monkeypatch.setattr(report_module, "_cohomology_json", counted)
+        report = run_source("x^3 + y^3")
+        getattr(report, writer)()
+        assert calls == [report.cohomology]
+
     def test_degree_keys_are_decimal_strings(self):
         document = run_source("x^3 + y^3").to_dict()
         stabilization = document["cohomology"]["stabilization"]
