@@ -511,7 +511,7 @@ class GysinTower(tuple):
         """gysin_ranks[n-1]: the nonzero ranks of the Gysin map into truncation n."""
         return tuple(self._step(n)[2] for n in range(1, self.n_max + 1))
 
-    def renormalized(self, normalization: int = 0) -> RenormalizedReport:
+    def renormalized(self) -> RenormalizedReport:
         """Colimit of the truncation cohomologies along the Gysin maps.
 
         See renormalized_nearby_cohomology.
@@ -520,19 +520,18 @@ class GysinTower(tuple):
         if n_max < 2:
             raise ValueError("need n_max >= 2")
 
-        shift = 2 * normalization
         head = min(n_max, n0 + 1)
         # Steps 0..head; ranks[n] belongs to the map from step n to step n+1.
         fulls, _, into = zip(*map(self._step, range(head + 1)))
         ranks = into[1:]
 
-        # Step n contributes its degree s + 2*delta(n) = s + shift + 2*n*d.
+        # Step n contributes its degree s + 2*delta(n) = s + 2*n*d.
         def value(s: int, n: int) -> int:
-            m = s + shift + 2 * n * d
+            m = s + 2 * n * d
             return fulls[n].dim(m) if m >= 0 else 0
 
         def is_iso(s: int, n: int) -> bool:
-            m = s + shift + 2 * (n + 1) * d
+            m = s + 2 * (n + 1) * d
             rank = ranks[n].get(m, 0) if m >= 2 * d else 0
             return value(s, n) == value(s, n + 1) == rank
 
@@ -542,7 +541,7 @@ class GysinTower(tuple):
         # failure seen in a degree is its last one among them.
         last_failure: dict[int, int] = {}
         for n in reversed(range(head)):
-            here, there = shift + 2 * n * d, shift + 2 * (n + 1) * d
+            here, there = 2 * n * d, 2 * (n + 1) * d
             candidates = {m - here for m in fulls[n].support}
             candidates.update(m - there for m in fulls[n + 1].support)
             candidates.update(m - there for m in ranks[n])
@@ -550,29 +549,27 @@ class GysinTower(tuple):
                 if s not in last_failure and not is_iso(s, n):
                     last_failure[s] = n
         # Each later map is map n0 with the mu block moved up by 2d, as fast as
-        # the renormalization: its failures away from the unit class recur.
+        # 2*delta(n): its failures away from the unit class recur.
         for s, n in last_failure.items():
-            if n == n0 and s not in (-shift - 2 * d * n0, -shift - 2 * d * head):
+            if n == n0 and s not in (-2 * d * n0, -2 * d * head):
                 last_failure[s] = n_max - 1
 
         # A degree where no map up to n0 fails and the unit class does not pass
         # is stable from step 0 on, holding what truncation 0 holds there.
-        low, high = -2 * d * (n_max - 2) - shift, 3 * d - shift
+        low, high = -2 * d * (n_max - 2), 3 * d
         steps = dict.fromkeys(range(low, high + 1), 0)
-        stable = {
-            m - shift: dim for m, dim in fulls[0].items() if m >= 0 and low <= m - shift <= high
-        }
-        # Past n0 the unit class leaves degree -shift - 2dk at map k, for
+        stable = {m: dim for m, dim in fulls[0].items() if 0 <= m <= high}
+        # Past n0 the unit class leaves degree -2dk at map k, for
         # head <= k <= n_max - 2, so that degree is stable from step k + 1.
         # Truncation head has no class there for k > head, so only k = head
         # and the head failures need their dimension read.
-        unit = -shift - 2 * d * head
+        unit = -2 * d * head
         steps.update(zip(range(low, unit + 1, 2 * d), range(n_max - 1, head, -1)))
         special = {s for s in last_failure if low <= s <= high}
         if unit >= low:
             special.add(unit)
         for s in sorted(special):
-            k, r = divmod(-shift - s, 2 * d)
+            k, r = divmod(-s, 2 * d)
             first = max(last_failure.get(s, -1), k if r == 0 and k >= head else -1) + 1
             if first == n_max:
                 raise NotStabilized(
@@ -588,17 +585,12 @@ class GysinTower(tuple):
                 stable.pop(s, None)
 
         outcome = GradedDims(stable)
-        expected = GradedDims({d - 1 - shift: self.mu})
+        expected = GradedDims({d - 1: self.mu})
         if outcome != expected:
             raise RuntimeError(
                 f"stable renormalized cohomology {outcome} != expected {expected}"
             )
-        return RenormalizedReport(
-            stable=outcome,
-            stabilization_step=steps,
-            normalization=normalization,
-            tower=self,
-        )
+        return RenormalizedReport(stable=outcome, stabilization_step=steps, tower=self)
 
 
 def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
@@ -694,32 +686,30 @@ class RenormalizedReport(tuple):
     """The renormalized colimit together with the tower it was read from."""
 
     __slots__ = ()
-    stable, stabilization_step, normalization, tower = fields(4)
+    stable, stabilization_step, tower = fields(3)
 
     def __new__(
-        cls, stable: GradedDims, stabilization_step: Mapping[int, int], normalization: int,
-        tower: GysinTower,
+        cls, stable: GradedDims, stabilization_step: Mapping[int, int], tower: GysinTower
     ) -> RenormalizedReport:
-        return tuple.__new__(cls, (stable, stabilization_step, normalization, tower))
+        return tuple.__new__(cls, (stable, stabilization_step, tower))
 
     @property
     def axioms(self) -> tuple[str, ...]:
         return self.tower.axioms
 
 
-def renormalized_nearby_cohomology(
-    d: int, mu: int, n_max: int, normalization: int = 0
-) -> RenormalizedReport:
+def renormalized_nearby_cohomology(d: int, mu: int, n_max: int) -> RenormalizedReport:
     """Colimit of truncation cohomologies along Gysin maps, degree-shifted.
 
     The contribution of step n to renormalized degree s is its cohomology in
-    degree s + 2*delta(n), with delta(n) = normalization + n*d; a degree has
-    stabilized once the Gysin maps are isomorphisms there from some step
-    onward.  With the default normalization (delta vanishing at step 0) the
-    stable reduced outcome is mu in degree d-1; transient classes (the unit,
-    any class at negative degrees) die through the residue and are reported
-    as stabilized zeros.
+    degree s + 2*delta(n), with delta(n) = n*d, the one renormalizing shift,
+    which vanishes at step 0; a degree has stabilized once the Gysin maps are
+    isomorphisms there from some step onward.  The stable reduced outcome is
+    mu in degree d-1; transient classes (the unit, any class at negative
+    degrees) die through the residue and are reported as stabilized zeros.
+    Any other shift delta(n) = k + n*d only reindexes degrees s -> s - 2k:
+    its stable outcome is `.stable.shifted(-2 * k)`.
 
     Raises NotStabilized if a tracked degree has not settled by n_max: a bug.
     """
-    return gysin_tower(d, mu, n_max).renormalized(normalization)
+    return gysin_tower(d, mu, n_max).renormalized()

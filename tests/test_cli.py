@@ -37,7 +37,7 @@ from loopsing.cli import (
     validate_report,
 )
 from loopsing.cli.parser import MAX_COEFFICIENT_DIGITS, MAX_PRODUCT_WORK, MAX_SOURCE_BYTES
-from loopsing.cohom import MAX_N_MAX, GradedDims, LesSolution
+from loopsing.cohom import MAX_N_MAX, GradedDims, GysinTower, LesSolution, LesSystem
 from loopsing.loopfun import MAX_JET_TERMS
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 
@@ -184,6 +184,49 @@ class TestRun:
         assert report.cohomology is None
         assert report.exit_status == 1
         assert main(["-f", "x^3 + y^3"]) == 1
+
+    def test_a_colimit_other_than_mu_fails_the_check(self, monkeypatch, capsys):
+        # A record that claims mu = 5 over the certified mu = 4 head of
+        # x^3 + y^3: its colimit is {1: 4}, and the audit expects {d-1: mu}.
+        t = cohom.gysin_tower(2, 4, 6)
+        forged = GysinTower(
+            t.d, 5, t.head_truncations, t.head_degrees, t.head_ranks, t.axioms, t.n0, t.n_max
+        )
+        witness = "stable renormalized cohomology {1: 4} != expected {1: 5}"
+        with pytest.raises(RuntimeError) as raised:
+            forged.renormalized()
+        assert str(raised.value) == witness
+        monkeypatch.setattr(cohom, "gysin_tower", lambda d, mu, n_max: forged)
+        report = run_source("x^3 + y^3")
+        assert report.checks["cohomology"] == CheckOutcome(ok=False, witness=witness)
+        assert report.cohomology is None
+        assert validate_report(report.to_dict()) == []
+        capsys.readouterr()
+        assert main(["-f", "x^3 + y^3"]) == 1
+        captured = capsys.readouterr()
+        assert witness in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_an_underdetermined_gysin_system_fails_the_check(self, monkeypatch, capsys):
+        # Without the declared residue fact, exactness alone leaves the first
+        # Gysin sequence of x^3 + y^3 free in degrees 3 and 4.
+        solve = cohom.solve_les_detailed
+        monkeypatch.setattr(
+            cohom, "solve_les_detailed",
+            lambda system: solve(LesSystem(system.codim, system.a, system.c_dims)),
+        )
+        witness = "gysin system unexpectedly underdetermined at degrees (3, 4)"
+        with pytest.raises(RuntimeError) as raised:
+            cohom.gysin_tower(2, 4, 6)
+        assert str(raised.value) == witness
+        report = run_source("x^3 + y^3")
+        assert report.checks["cohomology"] == CheckOutcome(ok=False, witness=witness)
+        assert report.cohomology is None
+        capsys.readouterr()
+        assert main(["-f", "x^3 + y^3"]) == 1
+        captured = capsys.readouterr()
+        assert witness in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
     def test_functional_computed_once(self, monkeypatch, entry):

@@ -70,7 +70,7 @@ def _walk_gysin_tower(d: int, mu: int, n_max: int) -> tuple[tuple, tuple, tuple,
     return tuple(truncations), tuple(degrees), tuple(gysin_ranks), tuple(axioms)
 
 
-def _scan_renormalized(tower: GysinTower, normalization: int = 0) -> RenormalizedReport:
+def _scan_renormalized(tower: GysinTower) -> RenormalizedReport:
     """Reference: the colimit read by scanning every Gysin map of the record.
 
     The map at step n can fail to be an isomorphism in degree s only where
@@ -81,20 +81,19 @@ def _scan_renormalized(tower: GysinTower, normalization: int = 0) -> Renormalize
     d, n_max, fulls, gysin_ranks = tower.d, tower.n_max, tower.truncations, tower.gysin_ranks
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    shift = 2 * normalization
 
     def value(s: int, n: int) -> int:
-        m = s + shift + 2 * n * d
+        m = s + 2 * n * d
         return fulls[n].dim(m) if m >= 0 else 0
 
     def is_iso(s: int, n: int) -> bool:
-        m = s + shift + 2 * (n + 1) * d
+        m = s + 2 * (n + 1) * d
         rank = gysin_ranks[n].get(m, 0) if m >= 2 * d else 0
         return value(s, n) == value(s, n + 1) == rank
 
     last_failure: dict[int, int] = {}
     for n in reversed(range(n_max)):
-        here, there = shift + 2 * n * d, shift + 2 * (n + 1) * d
+        here, there = 2 * n * d, 2 * (n + 1) * d
         candidates = {m - here for m in fulls[n].support}
         candidates.update(m - there for m in fulls[n + 1].support)
         candidates.update(m - there for m in gysin_ranks[n])
@@ -103,7 +102,7 @@ def _scan_renormalized(tower: GysinTower, normalization: int = 0) -> Renormalize
                 last_failure[s] = n
 
     stable, steps = {}, {}
-    for s in range(-2 * d * (n_max - 2) - shift, 3 * d - shift + 1):
+    for s in range(-2 * d * (n_max - 2), 3 * d + 1):
         first = last_failure.get(s, -1) + 1
         if first == n_max:
             raise NotStabilized(f"renormalized degree {s} not stable by step {n_max}")
@@ -111,9 +110,9 @@ def _scan_renormalized(tower: GysinTower, normalization: int = 0) -> Renormalize
         if value(s, first):
             stable[s] = value(s, first)
     outcome = GradedDims(stable)
-    if outcome != GradedDims({d - 1 - shift: tower.mu}):
+    if outcome != GradedDims({d - 1: tower.mu}):
         raise RuntimeError(f"stable renormalized cohomology {outcome} is not mu in degree d-1")
-    return RenormalizedReport(outcome, steps, normalization, tower)
+    return RenormalizedReport(outcome, steps, tower)
 
 
 def _dense_solve_les(system: LesSystem) -> LesSolution | Underdetermined:
@@ -490,8 +489,7 @@ class TestGysinTower:
             assert tower.degrees == degrees[: n_max + 1]
             assert tower.gysin_ranks == gysin_ranks[:n_max]
             if n_max >= 2:
-                k = n_max % 3 - 1
-                assert tower.renormalized(k) == _scan_renormalized(tower, k)
+                assert tower.renormalized() == _scan_renormalized(tower)
 
     @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
     def test_shift_rule_is_checked_on_every_base_step_and_block(self, monkeypatch, d, n0):
@@ -611,11 +609,10 @@ class TestRenormalized:
     def test_equals_the_backward_scan(self, d, mu):
         # Heights up to 24 cross the head steps and many translated ones; 60 is
         # the benchmark's tallest and MAX_N_MAX the command line's.  The direct
-        # walk test covers every height, one normalization each.
+        # walk test covers every height.
         for n_max in [*range(2, 25), 60, MAX_N_MAX]:
             tower = gysin_tower(d, mu, n_max)
-            for k in (-2, 0, 1, 3):
-                assert tower.renormalized(k) == _scan_renormalized(tower, k)
+            assert tower.renormalized() == _scan_renormalized(tower)
 
     @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
     @pytest.mark.parametrize("n_max", [20, 60, MAX_N_MAX])
@@ -633,10 +630,10 @@ class TestRenormalized:
             return step(record, n)
 
         monkeypatch.setattr(GysinTower, "_step", counted)
-        report = tower.renormalized(1)
+        report = tower.renormalized()
         monkeypatch.undo()
         assert read == set(range(n0 + 2))
-        assert report == _scan_renormalized(tower, 1)
+        assert report == _scan_renormalized(tower)
 
     @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
     def test_a_head_map_that_is_not_an_isomorphism_raises(self, d, n0):
@@ -701,15 +698,3 @@ class TestRenormalized:
     def test_theorem_values_on_corpus(self, entry):
         report = renormalized_nearby_cohomology(entry.d, entry.mu, 4)
         assert report.stable == GradedDims({entry.d - 1: entry.mu})
-
-    @pytest.mark.parametrize("k", [-2, -1, 1, 3])
-    def test_normalization_shift_covariance(self, k):
-        base = renormalized_nearby_cohomology(2, 4, 4)
-        shifted = renormalized_nearby_cohomology(2, 4, 4, normalization=k)
-        assert shifted.normalization == k
-        # a normalization change by k rigidly shifts every renormalized degree
-        # by 2k (the colimit degree offset is twice the normalization)
-        assert shifted.stable == base.stable.shifted(-2 * k)
-        assert shifted.stabilization_step == {
-            s - 2 * k: step for s, step in base.stabilization_step.items()
-        }

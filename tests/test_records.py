@@ -40,7 +40,7 @@ RECORDS = {
     ),
     "GysinTower": lambda: gysin_tower(2, 4, 3),
     "EscapeRow": lambda: escape_table(2, 4, 2)[1],
-    "RenormalizedReport": lambda: gysin_tower(2, 4, 3).renormalized(1),
+    "RenormalizedReport": lambda: gysin_tower(2, 4, 3).renormalized(),
     "Window": lambda: Window(2, 4),
     "SupportBoundReport": lambda: check_support_bound(CUBIC, 1),
     "TopLinearityReport": lambda: check_top_linearity(CUBIC, 1),

@@ -108,28 +108,27 @@ def _text_from_rows(
 
 
 def _walked_renormalized(
-    tower: GysinTower, truncations: tuple, gysin_ranks: tuple, normalization: int = 0
+    tower: GysinTower, truncations: tuple, gysin_ranks: tuple
 ) -> RenormalizedReport:
     """Reference: the colimit read from one row per step, every degree of the
     range walked in turn, as `renormalized()` read it before it was taken
     from step 0 and the special degrees."""
     d, n_max, n0 = tower.d, tower.n_max, tower.n0
     fulls, ranks = truncations, gysin_ranks
-    shift = 2 * normalization
     head = min(n_max, n0 + 1)
 
     def value(s: int, n: int) -> int:
-        m = s + shift + 2 * n * d
+        m = s + 2 * n * d
         return fulls[n].dim(m) if m >= 0 else 0
 
     def is_iso(s: int, n: int) -> bool:
-        m = s + shift + 2 * (n + 1) * d
+        m = s + 2 * (n + 1) * d
         rank = ranks[n].get(m, 0) if m >= 2 * d else 0
         return value(s, n) == value(s, n + 1) == rank
 
     last_failure: dict[int, int] = {}
     for n in reversed(range(head)):
-        here, there = shift + 2 * n * d, shift + 2 * (n + 1) * d
+        here, there = 2 * n * d, 2 * (n + 1) * d
         candidates = {m - here for m in fulls[n].support}
         candidates.update(m - there for m in fulls[n + 1].support)
         candidates.update(m - there for m in ranks[n])
@@ -137,13 +136,13 @@ def _walked_renormalized(
             if s not in last_failure and not is_iso(s, n):
                 last_failure[s] = n
     for s, n in last_failure.items():
-        if n == n0 and s not in (-shift - 2 * d * n0, -shift - 2 * d * head):
+        if n == n0 and s not in (-2 * d * n0, -2 * d * head):
             last_failure[s] = n_max - 1
 
     stable: dict[int, int] = {}
     steps: dict[int, int] = {}
-    for s in range(-2 * d * (n_max - 2) - shift, 3 * d - shift + 1):
-        k, r = divmod(-shift - s, 2 * d)
+    for s in range(-2 * d * (n_max - 2), 3 * d + 1):
+        k, r = divmod(-s, 2 * d)
         first = max(last_failure.get(s, -1), k if r == 0 and k >= head else -1) + 1
         if first == n_max:
             raise NotStabilized(
@@ -156,10 +155,10 @@ def _walked_renormalized(
             stable[s] = dim
 
     outcome = GradedDims(stable)
-    expected = GradedDims({d - 1 - shift: tower.mu})
+    expected = GradedDims({d - 1: tower.mu})
     if outcome != expected:
         raise RuntimeError(f"stable renormalized cohomology {outcome} != expected {expected}")
-    return RenormalizedReport(outcome, steps, normalization, tower)
+    return RenormalizedReport(outcome, steps, tower)
 
 
 def _outcome(read) -> tuple:
@@ -212,10 +211,9 @@ def test_renormalized_equals_the_per_degree_walk(d, mu):
     for n_max in range(2, MAX_N_MAX + 1):
         tower = gysin_tower(d, mu, n_max)
         rows = truncations[: n_max + 1], gysin_ranks[:n_max]
-        for k in (-2, 0, 1, 3):
-            assert _outcome(lambda: tower.renormalized(k)) == _outcome(
-                lambda: _walked_renormalized(tower, *rows, k)
-            )
+        assert _outcome(tower.renormalized) == _outcome(
+            lambda: _walked_renormalized(tower, *rows)
+        )
 
 
 @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
@@ -235,12 +233,9 @@ def test_broken_ranks_raise_as_the_per_degree_walk_does(d, n0):
                 tower.axioms, tower.n0, tower.n_max,
             ))
     for record in broken:
-        for k in (-2, 0, 1, 3):
-            found = _outcome(lambda: record.renormalized(k))
-            expected = _outcome(
-                lambda: _walked_renormalized(record, record.truncations, record.gysin_ranks, k)
-            )
-            assert found == expected
+        assert _outcome(record.renormalized) == _outcome(
+            lambda: _walked_renormalized(record, record.truncations, record.gysin_ranks)
+        )
     # Breaking the last stored map breaks every later one: the colimit fails.
     assert _outcome(broken[-1].renormalized)[0] is NotStabilized
 
