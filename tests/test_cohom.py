@@ -657,6 +657,24 @@ class TestRenormalized:
             with pytest.raises(NotStabilized, match="below its certified height"):
                 broken_from(step).renormalized()
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("claimed", [3, 5])
+    def test_a_claimed_mu_other_than_the_head_fails_the_colimit_audit(self, d, claimed):
+        # The certified mu = 4 head settles to mu in degree d-1 at every height;
+        # a record claiming another mu over it must fail the audit, not report.
+        for n_max in (2, 6, MAX_N_MAX):
+            tower = gysin_tower(d, 4, n_max)
+            forged = GysinTower(
+                tower.d, claimed, tower.head_truncations, tower.head_degrees,
+                tower.head_ranks, tower.axioms, tower.n0, tower.n_max,
+            )
+            with pytest.raises(RuntimeError) as raised:
+                forged.renormalized()
+            assert str(raised.value) == (
+                f"stable renormalized cohomology {{{d - 1}: 4}} "
+                f"!= expected {{{d - 1}: {claimed}}}"
+            )
+
     def test_quadric(self):
         report = renormalized_nearby_cohomology(1, 1, 4)
         assert report.stable == GradedDims({0: 1})
