@@ -19,14 +19,17 @@ factors, and its factors of any one conformal degree form a contiguous run.
 The structural checks of `loopfun` read conformal degrees off these ends
 instead of scanning every factor.
 
-The checked constructors `Monomial(...)` and `LoopPoly(...)` canonicalize:
-every operation hands them raw terms.  One producer, the jet kernel of
-`loopfun`, sorts its terms itself and hands them to the unchecked
-`LoopPoly._of_sorted`, which builds each monomial from factor pairs
-(var, e) and key entries (var, -e) shared through the kernel's table, and
-refuses a repeated monomial instead of merging it.
+There is no ring arithmetic here: the package computes on exponent vectors
+and on the jet kernel's codes, and builds each polynomial it reports from
+its terms.  The checked constructors `Monomial(...)` and `LoopPoly(...)`
+canonicalize whatever raw terms they are handed, repeats and zeros
+included.  One producer, the jet kernel of `loopfun`, sorts its terms
+itself and hands them to the unchecked `LoopPoly._of_sorted`, which builds
+each monomial from factor pairs (var, e) and key entries (var, -e) shared
+through the kernel's table, and refuses a repeated monomial instead of
+merging it.
 
-All values are immutable after construction and all operations are pure, so
+All values are immutable after construction and every method is pure, so
 polynomials can be shared freely between threads.
 """
 
@@ -42,7 +45,6 @@ __all__ = [
     "LoopVar",
     "Monomial",
     "LoopPoly",
-    "UNIT",
     "format_terms",
 ]
 
@@ -126,9 +128,6 @@ class Monomial:
     def variables(self) -> tuple[LoopVar, ...]:
         return tuple(var for var, _ in self.factors)
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.factors + other.factors)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
 
@@ -144,17 +143,14 @@ class Monomial:
     __repr__ = __str__
 
 
-UNIT = Monomial()
-
-
 class LoopPoly:
     """Sparse polynomial with exact rational coefficients over loop variables.
 
     Terms are stored as a tuple of (monomial, coefficient) pairs sorted in
     decreasing monomial order, with zero coefficients pruned, so the
     representation of a polynomial is independent of how it was assembled.
-    The constructor merges, prunes and orders terms: every operation hands it
-    raw terms, repeats and zeros included.  Only the loop functional's jet
+    The constructor merges, prunes and orders terms, so its callers hand
+    it raw terms, repeats and zeros included.  Only the loop functional's jet
     kernel, whose terms are distinct and nonzero by construction and which
     orders them itself, goes through `_of_sorted`, which builds the
     monomials and raises RuntimeError on a repeated one.
@@ -210,14 +206,6 @@ class LoopPoly:
         poly._terms = tuple(terms)
         return poly
 
-    @classmethod
-    def constant(cls, value: Fraction | int) -> "LoopPoly":
-        return cls({UNIT: Fraction(value)})
-
-    @classmethod
-    def variable(cls, var: LoopVar) -> "LoopPoly":
-        return cls({Monomial(((var, 1),)): Fraction(1)})
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -237,44 +225,11 @@ class LoopPoly:
             seen.update(mono.variables())
         return tuple(sorted(seen))
 
-    # -- arithmetic --------------------------------------------------------
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LoopPoly) and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(self._terms)
-
-    def __neg__(self) -> "LoopPoly":
-        return LoopPoly({m: -c for m, c in self._terms})
-
-    def __add__(self, other: LoopPoly | LoopVar | int | Fraction) -> "LoopPoly":
-        return LoopPoly(self._terms + as_poly(other)._terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: LoopPoly | LoopVar | int | Fraction) -> "LoopPoly":
-        return self + (-as_poly(other))
-
-    def __rsub__(self, other: LoopPoly | LoopVar | int | Fraction) -> "LoopPoly":
-        return as_poly(other) - self
-
-    def __mul__(self, other: LoopPoly | LoopVar | int | Fraction) -> "LoopPoly":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return LoopPoly({m: c * q for m, c in self._terms}) if q else LoopPoly()
-        pairs = as_poly(other)._terms
-        return LoopPoly((ma.mul(mb), ca * cb) for ma, ca in self._terms for mb, cb in pairs)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exp: int) -> "LoopPoly":
-        if exp < 0:
-            raise ValueError("negative powers are not defined")
-        out = LoopPoly.constant(1)
-        for _ in range(exp):
-            out = out * self
-        return out
 
     # -- calculus ------------------------------------------------------------
 
@@ -320,17 +275,6 @@ def _from_exponents(
 ) -> LoopPoly:
     """The LoopPoly of exponent-vector terms, entry i being the exponent of variables[i]."""
     return LoopPoly((Monomial(zip(variables, e)), c) for e, c in terms)
-
-
-def as_poly(value: LoopPoly | LoopVar | int | Fraction) -> LoopPoly:
-    """Coerce a variable or rational constant to a polynomial."""
-    if isinstance(value, LoopPoly):
-        return value
-    if isinstance(value, LoopVar):
-        return LoopPoly.variable(value)
-    if isinstance(value, (int, Fraction)):
-        return LoopPoly.constant(value)
-    raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
 def format_terms(

@@ -42,12 +42,24 @@ CORPUS: tuple[CorpusEntry, ...] = (
     CorpusEntry("x^4 + y^4", d=2, delta=4, mu=9),
     CorpusEntry("x^2 + y^2 + w^2", d=3, delta=2, mu=1),
     CorpusEntry("x^3 + y^3 + w^3", d=3, delta=3, mu=8),
+    # Forms that no linear change of coordinates takes to a Fermat form.
+    # A smooth plane cubic of the Hesse pencil whose j-invariant is not 0,
+    # the Fermat cubic's.
+    CorpusEntry("x^3 + y^3 + w^3 + x*y*w", d=3, delta=3, mu=8),
+    # The binary quartic x^4 + 6c*x^2*y^2 + y^4 at c = 1/2: its invariant
+    # J = c - c^3 is 3/8, where x^4 + y^4 (c = 0) has J = 0.
+    CorpusEntry("x^4 + 3*x^2*y^2 + y^4", d=2, delta=4, mu=9),
+    # The Klein quartic: 168 automorphisms of the curve, the Fermat quartic 96.
+    CorpusEntry("x^3*y + y^3*w + w^3*x", d=3, delta=4, mu=27),
 )
 
 # Homogeneous but with positive-dimensional singular locus.
 NON_ISOLATED_SOURCES: tuple[str, ...] = (
     "x^2*y",
     "x^3*y + x^2*y^2",
+    # Singular along the lines x = w = 0 and y = w = 0; not a product of
+    # linear forms.
+    "x^2*y^2 + w^4",
 )
 
 _FERMAT_NAMES = ("x", "y", "w")
@@ -91,6 +103,63 @@ def parse_polynomial(source: str) -> tuple[LoopPoly, tuple[str, ...]]:
     terms, names = _Parser(source).parse()
     variables = [LoopVar(coord, 0) for coord in range(1, len(names) + 1)]
     return _from_exponents(terms.items(), variables), names
+
+
+class Poly(LoopPoly):
+    """The reference ring: LoopPoly with +, -, * and ** for the tests.
+
+    The package builds polynomials from their terms only; the tests compute
+    expected values here, handing the checked constructor raw terms.  A
+    LoopVar or a rational constant stands for its polynomial, and a
+    LoopPoly of the package joins in through the reflected operators.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def constant(cls, value: Fraction | int) -> Poly:
+        return cls({Monomial(): Fraction(value)})
+
+    @classmethod
+    def variable(cls, var: LoopVar) -> Poly:
+        return cls({Monomial(((var, 1),)): 1})
+
+    @classmethod
+    def of(cls, value: LoopPoly | LoopVar | Fraction | int) -> Poly:
+        """value as a Poly: a polynomial's terms, a variable, or a constant."""
+        if isinstance(value, LoopPoly):
+            return cls(value.terms)
+        return cls.variable(value) if isinstance(value, LoopVar) else cls.constant(value)
+
+    def __neg__(self) -> Poly:
+        return Poly((m, -c) for m, c in self.terms)
+
+    def __add__(self, other) -> Poly:
+        return Poly(self.terms + Poly.of(other).terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> Poly:
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other) -> Poly:
+        return Poly.of(other) + -self
+
+    def __mul__(self, other) -> Poly:
+        pairs = Poly.of(other).terms
+        return Poly(
+            (Monomial(m.factors + n.factors), x * y) for m, x in self.terms for n, y in pairs
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exp: int) -> Poly:
+        if exp < 0:
+            raise ValueError("negative powers are not defined")
+        out = Poly.constant(1)
+        for _ in range(exp):
+            out = out * self
+        return out
 
 
 def input_function(poly: LoopPoly, names: Sequence[str] | None = None) -> InputFunction:
@@ -160,19 +229,19 @@ class MissingAssignment(KeyError):
     """A substitution did not cover some variable of the polynomial."""
 
 
-def substitute(poly: LoopPoly, assignment: Mapping[LoopVar, LoopPoly]) -> LoopPoly:
+def substitute(poly: LoopPoly, assignment: Mapping[LoopVar, LoopPoly]) -> Poly:
     """Simultaneous substitution, fully expanded.
 
     The assignment must cover every variable occurring in the polynomial;
     an uncovered variable raises MissingAssignment.
     """
-    out = LoopPoly()
+    out = Poly()
     for mono, coeff in poly.terms:
-        prod = LoopPoly.constant(coeff)
+        prod = Poly.constant(coeff)
         for var, exp in mono.factors:
             if var not in assignment:
                 raise MissingAssignment(var)
-            prod = prod * assignment[var] ** exp
+            prod = prod * Poly.of(assignment[var]) ** exp
         out = out + prod
     return out
 

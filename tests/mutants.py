@@ -1,0 +1,132 @@
+"""Mutation run: does the test suite notice when one audit or check is switched off?
+
+Each mutant replaces one exact string, which must occur once in its file
+under src/, with code that drops the guarantee named beside it.  For each
+mutant the checkout is copied to a temporary directory, the replacement is
+made there, and tier-1 (the whole suite, `PYTHONPATH=src python -m pytest
+--continue-on-collection-errors`) runs in the copy with `-x -q`.  One line per mutant
+reads `killed` with the first failing test, or `survived`; the run exits 1
+if any mutant survived, and 2 without running any if some mutant's string
+does not occur exactly once.
+
+    python tests/mutants.py
+
+Standard library only; pytest does not collect this file.  The run takes
+several minutes: a killed mutant stops at its first failure, a survivor
+costs a whole tier-1 run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIER_1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+          "--continue-on-collection-errors"]
+UNCOPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/loopsing
+    old: str
+    new: str
+    guarantee: str
+
+
+MUTANTS = (
+    Mutant("colimit", "cohom.py", "if outcome != expected:", "if False:",
+           "the stable renormalized cohomology is {d-1: mu}"),
+    Mutant("underdetermined", "cohom.py", "if isinstance(solution, Underdetermined):",
+           "if False:", "every Gysin sequence of the tower is determined"),
+    Mutant("shift-rule", "cohom.py", "if solution.b != expected:", "if False:",
+           "each solved B-column equals the shift rule's"),
+    Mutant("concentration", "cohom.py", "if len(support) != 1:", "if False:",
+           "each truncation's reduced cohomology sits in one degree"),
+    Mutant("block-split", "cohom.py", "if solution != LesSolution(",
+           "if False and solution != LesSolution(",
+           "step n0 is the union of its unit and mu blocks"),
+    Mutant("exactness", "cohom.py",
+           "bad = [s for s in solution.segment_alternating_sums(system) if s != 0]", "bad = []",
+           "each exact segment's alternating sum of dimensions is 0"),
+    Mutant("s-pairs", "grobner.py",
+           "if _reduce(_s_terms(elements[i], elements[j], packed_lcm), elements, run)[0]:",
+           "if False:", "every kept S-pair reduces to zero on the basis"),
+    Mutant("generators", "grobner.py", "if _reduce(g, elements, run)[0]:", "if False:",
+           "every ideal generator reduces to zero on the basis"),
+    Mutant("staircase", "grobner.py", "if mu != expected:", "if False:",
+           "the standard-monomial count is (delta-1)^d"),
+    Mutant("oracle-gate", "cli/main.py", "if func.d <= 3 and func.delta <= 5:", "if False:",
+           "the milnor check runs the linear-algebra oracle for d <= 3, delta <= 5"),
+    Mutant("linearity", "loopfun.py", "_top_exponent(mono, top) > 1",
+           "_top_exponent(mono, top) > 2", "the functional is linear in the top variables"),
+    Mutant("conformal-weight", "loopfun.py", "if cdeg_weights not in",
+           "if False and cdeg_weights not in", "the functional has conformal weight 0"),
+    Mutant("scaling-weight", "loopfun.py", "if scale_weights not in",
+           "if False and scale_weights not in", "the functional has scaling weight delta"),
+    Mutant("doubled-term", "exactalg.py", "if labels == previous:", "if False:",
+           "the jet kernel hands no monomial over twice"),
+    Mutant("zero-coefficient", "loopfun.py", "if finished and not all(products.values()):",
+           "if False:", "no jet term has coefficient zero"),
+    Mutant("support", "loopfun.py", "ok=max_present <= bound", "ok=True",
+           "no variable lies above conformal degree b*(delta-1)"),
+    Mutant("derivative-coefficient", "loopfun.py", "lhs == via_coeff", "True",
+           "the derivative identity via the t-coefficient"),
+    Mutant("derivative-evaluation", "loopfun.py", "lhs == via_eval", "True",
+           "the derivative identity via the bottom evaluation"),
+    Mutant("constant-loops", "cli/main.py", "if _on_constant_loops(lam) != func.poly:",
+           "if False:", "the functional restricted to constant loops is F"),
+)
+
+
+def first_failure(output: str) -> str:
+    """The first failing or erroring test a `-q` run names, else its last line."""
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0].removeprefix("FAILED ")
+    lines = output.strip().splitlines()
+    return lines[-1] if lines else "no output"
+
+
+def anchor_error(mutant: Mutant) -> str | None:
+    """Why mutant cannot be applied to the checkout, or None when its string occurs once."""
+    count = (ROOT / "src" / "loopsing" / mutant.path).read_text().count(mutant.old)
+    if count != 1:
+        return f"{mutant.name}: {mutant.old!r} occurs {count} times in {mutant.path}"
+    return None
+
+
+def run(mutant: Mutant, workdir: Path) -> str:
+    """`killed <test>` or `survived`, for tier-1 on a copy of the checkout with mutant applied."""
+    copy = workdir / mutant.name
+    shutil.copytree(ROOT, copy, ignore=UNCOPIED)
+    target = copy / "src" / "loopsing" / mutant.path
+    target.write_text(target.read_text().replace(mutant.old, mutant.new))
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(TIER_1, cwd=copy, env=env, capture_output=True, text=True)
+    shutil.rmtree(copy)
+    return "survived" if result.returncode == 0 else f"killed    {first_failure(result.stdout)}"
+
+
+def main() -> int:
+    errors = [error for error in map(anchor_error, MUTANTS) if error]
+    if errors:
+        print(*errors, sep="\n", file=sys.stderr)
+        return 2
+    survivors = 0
+    with tempfile.TemporaryDirectory(prefix="loopsing-mutants-") as workdir:
+        for mutant in MUTANTS:
+            verdict = run(mutant, Path(workdir))
+            survivors += verdict == "survived"
+            print(f"{mutant.name:<24} {verdict}    ({mutant.guarantee})", flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

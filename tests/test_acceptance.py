@@ -25,7 +25,7 @@ from loopsing.cohom import (
     sphere_cohomology,
     truncation_cohomology,
 )
-from loopsing.exactalg import LoopPoly, LoopVar
+from loopsing.exactalg import LoopVar
 from loopsing.grobner import NotIsolated, milnor_number, milnor_number_oracle
 from loopsing.loopfun import (
     Window,
@@ -36,7 +36,7 @@ from loopsing.loopfun import (
     minimal_window,
 )
 
-from conftest import CORPUS, build, fermat_source, jet_coefficient_by_enumeration
+from conftest import CORPUS, Poly, build, fermat_source, jet_coefficient_by_enumeration
 
 
 class _Budget:
@@ -58,8 +58,8 @@ class _Budget:
             )
 
 
-def lv(coord: int, cdeg: int) -> LoopPoly:
-    return LoopPoly.variable(LoopVar(coord, cdeg))
+def lv(coord: int, cdeg: int) -> Poly:
+    return Poly.variable(LoopVar(coord, cdeg))
 
 
 def test_criterion_1_intro_example_reproduction():

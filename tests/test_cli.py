@@ -41,7 +41,7 @@ from loopsing.cohom import MAX_N_MAX, GradedDims, GysinTower, LesSolution, LesSy
 from loopsing.loopfun import MAX_JET_TERMS
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 
-from conftest import CORPUS, DELETE, NON_ISOLATED_SOURCES, bench_module, deadline, edited
+from conftest import CORPUS, DELETE, NON_ISOLATED_SOURCES, Poly, bench_module, deadline, edited
 
 
 def _reference_json(document) -> str:
@@ -49,8 +49,8 @@ def _reference_json(document) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def _x(cdeg: int) -> LoopPoly:
-    return LoopPoly.variable(LoopVar(1, cdeg))
+def _x(cdeg: int) -> Poly:
+    return Poly.variable(LoopVar(1, cdeg))
 
 
 def run_source(source: str, **overrides) -> Report:
@@ -244,27 +244,39 @@ class TestRun:
         assert len(calls) == 1 + entry.d
         assert [k for _, k in calls] == [0] + [-2 * (entry.delta - 1)] * entry.d
 
-    def test_failed_functional_audit_fails_every_functional_check(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "factor, witness",
+        [
+            # a t^0 coefficient of conformal weight 1
+            (LoopVar(1, 1), "loop functional has conformal weights {1}"),
+            # one of conformal weight 0 but of degree delta + 1
+            (LoopVar(1, 0), "loop functional has scaling weights {4}"),
+        ],
+        ids=["conformal", "scaling"],
+    )
+    def test_failed_functional_audit_fails_every_functional_check(
+        self, monkeypatch, capsys, factor, witness
+    ):
         jet = loopfun._jet_of_poly
 
         def shifted(poly, window, k):
-            # a t^0 coefficient of conformal weight 1, which lambda_of's audit rejects
+            # lambda_of's weight audits reject the functional
             result = jet(poly, window, k)
-            return result * LoopPoly.variable(LoopVar(1, 1)) if k == 0 else result
+            return result * Poly.variable(factor) if k == 0 else result
 
         monkeypatch.setattr(loopfun, "_jet_of_poly", shifted)
         report = run_source("x^3 + y^3")
         for name in FUNCTIONAL_CHECKS:
             outcome = report.checks[name]
             assert not outcome.ok and not outcome.skipped
-            assert outcome.witness == "loop functional has conformal weights {1}"
+            assert outcome.witness == witness
         assert report.lambda_term_count is None
         assert report.checks["milnor"].ok and report.checks["cohomology"].ok
         assert validate_report(report.to_dict()) == []
         capsys.readouterr()
         assert main(["-f", "x^3 + y^3"]) == 1
         captured = capsys.readouterr()
-        assert "conformal weights" in captured.out
+        assert witness in captured.out
         assert "Traceback" not in captured.out + captured.err
 
     def test_a_jet_term_built_twice_fails_every_functional_check(self, monkeypatch, capsys):
@@ -310,7 +322,7 @@ class TestRun:
                 "conformal degree 3 exceeds bound 2",
             ),
             "linearity": (
-                lambda lam: lam + _x(-4) * _x(2) * LoopPoly.variable(LoopVar(2, 2)),
+                lambda lam: lam + _x(-4) * _x(2) * Poly.variable(LoopVar(2, 2)),
                 "nonlinear monomial z1_-4*z1_2*z2_2",
             ),
             "derivative": (
@@ -763,6 +775,21 @@ class TestStructuredOutput:
                 "6bf94640e93770ec4eb3b3566b8515bfcc057f0e50fb83982994206b582817f8",
             ),
             (
+                "x^3 + y^3 + w^3 + x*y*w", 9,
+                "cb1c03bc9cb76444ade2c990dc87d05ca7ed1cc7f4a9dd580da502a575b3d9bd",
+                "dd0460688ac026a99165880d01e57d0b6572c3e8b5835bf3ba3a739ec69661e1",
+            ),
+            (
+                "x^4 + 3*x^2*y^2 + y^4", 9,
+                "53f3f82ac19f5f7bbff1f9c018fd3b8d16d6cbf451cf0b8e15b968de1ab9e790",
+                "128af700363ba15fe5667d766c054abf1912aaba6f37147010e408cad8c60d1f",
+            ),
+            (
+                "x^3*y + y^3*w + w^3*x", 9,
+                "42f35e1a745853cc22a13754cc05574b75a72c5706dbfe50d71ecd8954a672af",
+                "770ee29a8aa6c9296d1be8b2a9ca288f840a3a67a573bc087062c109b81ff958",
+            ),
+            (
                 "x^2*y", 4,
                 "4ab940c6f624f362b722235a21a179853ba35c6bc0ce0e4047445747784fc451",
                 "150c6189a5d34fa75332693fa182bcdecadcd29b27fb86b9d5b5fc81aab46f28",
@@ -771,6 +798,11 @@ class TestStructuredOutput:
                 "x^3*y + x^2*y^2", 4,
                 "b637a30cc1b0c7b70fdcf5c7c467f0fcb4d3e245cc4f986e5f976723a2f70c72",
                 "07134fef1f12557b5eda992299981bce0ed8fb19087ede7b635b3cd297e6de4a",
+            ),
+            (
+                "x^2*y^2 + w^4", 4,
+                "98b97ca89685f5926ce9ef289c2f8d0dd238fc09904924ce28e36c583049b719",
+                "6c0ce3f6a1b9c63ceb59358fbae56b14cacaba28ceb50a7471ff392b2027fd21",
             ),
             # Towers at MAX_N_MAX, far past the steps solved directly.
             (

@@ -30,11 +30,11 @@ from loopsing.grobner import (
     standard_monomials,
 )
 
-from conftest import CORPUS, NON_ISOLATED_SOURCES, bench_module, build, fermat_source
+from conftest import CORPUS, NON_ISOLATED_SOURCES, Poly, bench_module, build, fermat_source
 
 
-def lv(coord: int) -> LoopPoly:
-    return LoopPoly.variable(LoopVar(coord, 0))
+def lv(coord: int) -> Poly:
+    return Poly.variable(LoopVar(coord, 0))
 
 
 x, y, w = lv(1), lv(2), lv(3)
@@ -71,8 +71,8 @@ class TestBuchberger:
 
     def test_nontrivial_pair_processing(self):
         # x^2 y - 1 and x y^2 - 1 need genuine S-polynomial work
-        f = x**2 * y - LoopPoly.constant(1)
-        g = x * y**2 - LoopPoly.constant(1)
+        f = x**2 * y - Poly.constant(1)
+        g = x * y**2 - Poly.constant(1)
         gb = buchberger(Ideal([f, g], 2))
         for p in (f, g):
             assert not normal_form(p, gb.elements)
@@ -88,7 +88,7 @@ def _divides(a: Monomial, b: Monomial) -> bool:
 class TestNormalForm:
     def test_reduction_is_idempotent(self):
         gb = buchberger(jacobian_ideal(build("x^3 + y^3")))
-        probe = x**4 + x * y**2 + y + LoopPoly.constant(5)
+        probe = x**4 + x * y**2 + y + Poly.constant(5)
         once = normal_form(probe, gb.elements)
         assert normal_form(once, gb.elements) == once
 
@@ -100,8 +100,8 @@ class TestNormalForm:
             assert not any(_divides(h, m) for h in heads)
 
 
-def loop_var(coord: int, cdeg: int) -> LoopPoly:
-    return LoopPoly.variable(LoopVar(coord, cdeg))
+def loop_var(coord: int, cdeg: int) -> Poly:
+    return Poly.variable(LoopVar(coord, cdeg))
 
 
 class TestLoopVariables:
@@ -141,7 +141,7 @@ class TestLoopVariables:
     def test_s_polynomial(self, pair, expected):
         left, right = (getattr(self, name) for name in pair)
         assert str(s_polynomial(left, right)) == expected
-        assert s_polynomial(right, left) == -s_polynomial(left, right)
+        assert s_polynomial(right, left) == -Poly.of(s_polynomial(left, right))
 
     def test_zero_divisors_are_skipped(self):
         assert normal_form(self.p, [LoopPoly(), self.f]) == normal_form(self.p, [self.f])
@@ -211,14 +211,14 @@ class TestStandardMonomials:
             standard_monomials(gb)
 
     def test_unit_ideal_has_empty_quotient(self):
-        gb = buchberger(Ideal([LoopPoly.constant(2), x], 1))
+        gb = buchberger(Ideal([Poly.constant(2), x], 1))
         assert standard_monomials(gb) == []
 
     @settings(deadline=None, max_examples=200)
     @given(_monomial_and_binomial_ideals())
     @example(Ideal([x], 2))
     @example(Ideal([x * y - y**2, y], 3))
-    @example(Ideal([x + LoopPoly.constant(1), x], 1))
+    @example(Ideal([x + Poly.constant(1), x], 1))
     def test_matches_the_monomial_enumeration(self, ideal):
         gb = buchberger(ideal)
         expected = _monomial_standard_monomials(gb)
@@ -885,7 +885,7 @@ class TestIntegerKernel:
             st.lists(_coefficients, min_size=len(generators), max_size=len(generators))
         )
         gb = buchberger(Ideal(generators, d))
-        assert buchberger(Ideal([q * g for q, g in zip(scales, generators)], d)) == gb
+        assert buchberger(Ideal([q * Poly.of(g) for q, g in zip(scales, generators)], d)) == gb
 
         variables = tuple(LoopVar(coord, 0) for coord in range(1, d + 1))
         elements = [_fraction_terms(g, variables) for g in gb.elements]
@@ -1296,5 +1296,5 @@ class TestIdealValidation:
 
     def test_rejects_loop_variables(self):
         with pytest.raises(ValueError):
-            Ideal([LoopPoly.variable(LoopVar(1, -1))], 1)
+            Ideal([Poly.variable(LoopVar(1, -1))], 1)
 

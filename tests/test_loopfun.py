@@ -31,6 +31,7 @@ from loopsing.loopfun import (
 
 from conftest import (
     CORPUS,
+    Poly,
     build,
     deadline,
     homogeneous_forms,
@@ -43,8 +44,8 @@ from conftest import (
 )
 
 
-def lv(coord: int, cdeg: int) -> LoopPoly:
-    return LoopPoly.variable(LoopVar(coord, cdeg))
+def lv(coord: int, cdeg: int) -> Poly:
+    return Poly.variable(LoopVar(coord, cdeg))
 
 
 def quadric_lambda(n: int) -> LoopPoly:
@@ -214,8 +215,8 @@ class TestLambda:
         f, g = build("x^3 + y^3"), build("x^2*y + y^3")
         w = Window(2, 4)
         a, b = Fraction(3), Fraction(-1, 2)
-        combined = input_function(a * f.poly + b * g.poly, names=("x", "y"))
-        assert lambda_of(combined, w) == a * lambda_of(f, w) + b * lambda_of(g, w)
+        combined = input_function(a * Poly.of(f.poly) + b * Poly.of(g.poly), names=("x", "y"))
+        assert lambda_of(combined, w) == a * Poly.of(lambda_of(f, w)) + b * Poly.of(lambda_of(g, w))
 
     def test_window_stability(self, corpus_entry, corpus_function):
         for bottom in (1, 2):
@@ -288,10 +289,10 @@ class TestSupportBound:
 def _linearity_by_products(func: InputFunction, bottom: int, lam: LoopPoly):
     """Reference: sum_j z^j_N * d(lam)/d(z^j_N) from d products, and lam minus it."""
     top = bottom * (func.delta - 1)
-    linear = LoopPoly()
+    linear = Poly()
     for j in range(1, func.d + 1):
         var = LoopVar(j, top)
-        linear = linear + LoopPoly.variable(var) * lam.partial(var)
+        linear = linear + Poly.variable(var) * lam.partial(var)
     return linear, lam - linear
 
 
@@ -335,7 +336,7 @@ class TestTopLinearity:
         assert report.ok and not report.offending_monomials
         # the emitted decomposition really is a decomposition
         lam = lambda_of(corpus_function, report.window)
-        assert report.linear_part + report.remainder == lam
+        assert Poly.of(report.linear_part) + report.remainder == lam
         assert all(v.cdeg < report.top_cdeg for v in report.remainder.variables())
 
 
@@ -415,7 +416,7 @@ drawn_monomials = st.lists(
 ).map(Monomial)
 drawn_polys = st.lists(
     st.tuples(drawn_monomials, st.integers(-4, 4).filter(bool)), max_size=8
-).map(LoopPoly)
+).map(Poly)
 
 
 class TestOrderReadingForms:
@@ -474,24 +475,27 @@ class TestOrderReadingForms:
             ORDER_FUNC, 1, lam
         )
         derivative = check_derivative_identity(ORDER_FUNC, 1, lam)
+        at_bottom = {LoopVar(i, 0): Poly.variable(LoopVar(i, -1)) for i in (1, 2)}
         for check, d_j in zip(derivative.checks, ORDER_FUNC.partials):
             lhs = lam.partial(LoopVar(check.coord, ORDER_TOP))
             assert check.via_t_coefficient == (lhs == loopfun._jet_of_poly(d_j, window, -2))
+            d_j_at_bottom = substitute(ORDER_FUNC.poly.partial(LoopVar(check.coord, 0)), at_bottom)
+            assert check.via_bottom_evaluation == (lhs == d_j_at_bottom)
         if lam.variables():
             support = check_support_bound(ORDER_FUNC, 1, lam)
             assert support.max_cdeg_present == _scan_max_cdeg(lam)
 
-    @pytest.mark.parametrize("functional", [LoopPoly(), LoopPoly.constant(3)], ids=["zero", "unit"])
+    @pytest.mark.parametrize("functional", [LoopPoly(), Poly.constant(3)], ids=["zero", "unit"])
     def test_a_functional_without_variables_is_a_value_error(self, functional):
         with pytest.raises(ValueError, match="^the functional has no variables$"):
             check_support_bound(ORDER_FUNC, 1, functional)
 
     def test_the_unit_monomial_is_skipped(self):
-        lam = LoopPoly.constant(3) + lv(1, -1) * lv(1, 1) ** 2
+        lam = Poly.constant(3) + lv(1, -1) * lv(1, 1) ** 2
         assert check_support_bound(ORDER_FUNC, 1, lam).max_cdeg_present == 1
         assert check_top_linearity(ORDER_FUNC, 1, lam).ok
-        assert loopfun._on_constant_loops(lam) == LoopPoly.constant(3)
-        assert loopfun._truncated(lam, 0) == LoopPoly.constant(3)
+        assert loopfun._on_constant_loops(lam) == Poly.constant(3)
+        assert loopfun._truncated(lam, 0) == Poly.constant(3)
 
 
 class TestSizeBudget:

@@ -37,6 +37,7 @@ from loopsing.loopfun import (
 from conftest import (
     CORPUS,
     NON_ISOLATED_SOURCES,
+    Poly,
     bench_module,
     deadline,
     exponent_terms,
@@ -369,10 +370,10 @@ class TestProductBudget:
     )
     def test_single_term_power_is_repeated_product(self, base, exponent):
         power = parse_polynomial(f"({base})^{exponent}")[0]
-        assert power == parse_polynomial(base)[0] ** exponent
+        assert power == Poly.of(parse_polynomial(base)[0]) ** exponent
 
     def test_power_is_repeated_product(self):
-        base, _ = parse_polynomial("x + 2*y - 3*w")
+        base = Poly.of(parse_polynomial("x + 2*y - 3*w")[0])
         assert parse_polynomial("(x + 2*y - 3*w)^5")[0] == base**5
         assert parse_polynomial("(x + 2*y - 3*w)^0")[0] == base**0
 
@@ -395,7 +396,7 @@ class TestRoundTrip:
 
 
 
-# -- the grammar against LoopPoly arithmetic ------------------------------------
+# -- the grammar against the reference ring ------------------------------------
 
 # An expression tree: ("name", s), ("int", n), ("ratio", p, q), ("neg", t),
 # ("+", a, b), ("-", a, b), ("*", a, b), ("^", t, n) or ("()", t).
@@ -461,16 +462,16 @@ def _render(tree, at_least: int = 0) -> str:
     return f"({text})" if _LEVEL.get(kind, 4) < at_least else text
 
 
-def _evaluate(tree, coords: dict[str, int]) -> LoopPoly:
-    """The tree's polynomial by LoopPoly arithmetic; `coords` numbers the
-    names in the order the source first shows them."""
+def _evaluate(tree, coords: dict[str, int]) -> Poly:
+    """The tree's polynomial by the reference ring's arithmetic; `coords`
+    numbers the names in the order the source first shows them."""
     kind = tree[0]
     if kind == "name":
-        return LoopPoly.variable(LoopVar(coords.setdefault(tree[1], len(coords) + 1), 0))
+        return Poly.variable(LoopVar(coords.setdefault(tree[1], len(coords) + 1), 0))
     if kind == "int":
-        return LoopPoly.constant(tree[1])
+        return Poly.constant(tree[1])
     if kind == "ratio":
-        return LoopPoly.constant(Fraction(tree[1], tree[2]))
+        return Poly.constant(Fraction(tree[1], tree[2]))
     if kind == "()":
         return _evaluate(tree[1], coords)
     if kind == "neg":
