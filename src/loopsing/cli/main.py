@@ -16,19 +16,17 @@ import time
 from collections.abc import Sequence
 
 from .. import cohom, grobner
-from ..exactalg import LoopPoly
 from ..loopfun import (
     DegreeTooLow,
     FunctionalTooLarge,
     InputFunction,
     NotHomogeneous,
     Window,
-    _on_constant_loops,
-    _truncated,
-    check_derivative_identity,
-    check_support_bound,
-    check_top_linearity,
-    lambda_of,
+    _derivative_report,
+    _functional_jet,
+    _Jet,
+    _nonlinear,
+    _support_report,
     minimal_window,
     support_window,
 )
@@ -142,8 +140,8 @@ def run(config: RunConfig) -> Report:
 
 def _functional_checks(
     func: InputFunction, bottom: int, window: Window, names: Sequence[str]
-) -> tuple[LoopPoly | None, dict[str, CheckOutcome]]:
-    """The functional on `window` and the outcomes of the named checks.
+) -> tuple[_Jet | None, dict[str, CheckOutcome]]:
+    """The functional on `window`, in the jet's codes, and the outcomes of the named checks.
 
     The functional is computed once, on the support check's window when that
     check runs; the functional on the smaller `window` is that one with every
@@ -151,34 +149,34 @@ def _functional_checks(
     term reaches above the window, and the wide functional is kept as it is.
     An audit that raises becomes a failed check with the error as its
     witness: a failed audit of the functional itself fails every named check
-    and leaves no functional.
+    and leaves no functional.  No LoopPoly is built: the checks read codes.
     """
     try:
-        wide = lambda_of(func, support_window(func, bottom) if "support" in names else window)
+        wide = _functional_jet(func, support_window(func, bottom) if "support" in names else window)
     except RuntimeError as exc:
         return None, {name: CheckOutcome(ok=False, witness=str(exc)) for name in names}
-    lam = _truncated(wide, window.top)
+    lam = wide.truncated(window.top)
     outcomes: dict[str, CheckOutcome] = {}
     for name in names:
         try:
-            outcomes[name] = _functional_outcome(name, func, bottom, lam, wide)
+            outcomes[name] = _functional_outcome(name, func, window, lam, wide)
         except RuntimeError as exc:
             outcomes[name] = CheckOutcome(ok=False, witness=str(exc))
     return lam, outcomes
 
 
 def _functional_outcome(
-    name: str, func: InputFunction, bottom: int, lam: LoopPoly, wide: LoopPoly
+    name: str, func: InputFunction, window: Window, lam: _Jet, wide: _Jet
 ) -> CheckOutcome:
     if name == "lambda":
-        # lambda_of has audited the conformal and scaling weights.
-        if _on_constant_loops(lam) != func.poly:
+        # The functional's weights are audited as it is computed.
+        if lam.on_constant_loops() != lam.coded(func.terms, 0):
             return CheckOutcome(
                 ok=False, witness="constant-loop restriction does not recover the input"
             )
         return CheckOutcome(ok=True)
     if name == "support":
-        report = check_support_bound(func, bottom, wide)
+        report = _support_report(func, window.bottom, wide)
         return CheckOutcome(
             ok=report.ok,
             witness=None
@@ -186,15 +184,14 @@ def _functional_outcome(
             else f"conformal degree {report.max_cdeg_present} exceeds bound {report.bound}",
         )
     if name == "linearity":
-        report = check_top_linearity(func, bottom, lam)
+        offending = _nonlinear(lam, window.top)
         return CheckOutcome(
-            ok=report.ok,
-            witness=None
-            if report.ok
-            else "nonlinear monomial "
-            + ", ".join(str(m) for m in report.offending_monomials),
+            ok=not offending,
+            witness="nonlinear monomial " + ", ".join(map(lam.monomial_text, offending))
+            if offending
+            else None,
         )
-    report = check_derivative_identity(func, bottom, lam)
+    report = _derivative_report(func, window, lam)
     bad = [c.coord for c in report.checks if not c.ok]
     return CheckOutcome(
         ok=report.ok,

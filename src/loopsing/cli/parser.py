@@ -29,8 +29,8 @@ import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from ..exactalg import LoopPoly, format_terms
-from ..loopfun import InputFunction
+from ..exactalg import LoopPoly, _powers, format_terms
+from ..loopfun import InputFunction, _Jet
 
 __all__ = [
     "ParseError",
@@ -346,7 +346,7 @@ def read_function_file(path: str) -> str:
 def poly_to_source(poly: LoopPoly, names: Sequence[str]) -> str:
     """Render an ambient polynomial back into the expression grammar."""
     return format_terms(
-        ((mono.factors, c) for mono, c in poly.terms), lambda var: names[var.coord - 1]
+        ((mono.factors, c) for mono, c in poly.terms), _powers(lambda var: names[var.coord - 1])
     )
 
 
@@ -363,10 +363,14 @@ def format_function(func: InputFunction) -> str:
             (tuple([(i, x) for i, x in enumerate(e) if x]), c)
             for e, c in sorted(func.terms.items())
         ),
-        func.names.__getitem__,
+        _powers(func.names.__getitem__),
     )
 
 
-def loop_poly_string(poly: LoopPoly, names: Sequence[str]) -> str:
-    """Display form of a loop polynomial, variables as name_cdeg (e.g. x_-2)."""
+def loop_poly_string(poly: LoopPoly | _Jet, names: Sequence[str]) -> str:
+    """Display form of a loop polynomial, variables as name_cdeg (e.g. x_-2).
+
+    The polynomial is a LoopPoly, or a jet in the kernel's codes, which
+    prints the same text as its LoopPoly without building it.
+    """
     return poly.to_string(names)

@@ -16,18 +16,15 @@ interpreter's tuple code.
 A monomial's factors are always sorted by variable, that is by (cdeg, coord).
 So its smallest and largest conformal degrees are those of its first and last
 factors, and its factors of any one conformal degree form a contiguous run.
-The structural checks of `loopfun` read conformal degrees off these ends
+The jet kernel of `loopfun` codes factors so that int order is this order,
+and its structural checks read conformal degrees off a term's end codes
 instead of scanning every factor.
 
 There is no ring arithmetic here: the package computes on exponent vectors
-and on the jet kernel's codes, and builds each polynomial it reports from
-its terms.  The checked constructors `Monomial(...)` and `LoopPoly(...)`
-canonicalize whatever raw terms they are handed, repeats and zeros
-included.  One producer, the jet kernel of `loopfun`, sorts its terms
-itself and hands them to the unchecked `LoopPoly._of_sorted`, which builds
-each monomial from factor pairs (var, e) and key entries (var, -e) shared
-through the kernel's table, and refuses a repeated monomial instead of
-merging it.
+and on the jet kernel's codes, and builds a polynomial from its terms only
+where its public API returns one.  The constructors `Monomial(...)` and
+`LoopPoly(...)` canonicalize whatever raw terms they are handed, repeats and
+zeros included; they are the only way either is built.
 
 All values are immutable after construction and every method is pure, so
 polynomials can be shared freely between threads.
@@ -38,7 +35,7 @@ from __future__ import annotations
 import functools
 import operator
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 
 __all__ = [
@@ -138,7 +135,7 @@ class Monomial:
         return self.key < other.key
 
     def __str__(self) -> str:
-        return format_terms(((self.factors, 1),), str)
+        return format_terms(((self.factors, 1),), _powers(str))
 
     __repr__ = __str__
 
@@ -150,10 +147,7 @@ class LoopPoly:
     decreasing monomial order, with zero coefficients pruned, so the
     representation of a polynomial is independent of how it was assembled.
     The constructor merges, prunes and orders terms, so its callers hand
-    it raw terms, repeats and zeros included.  Only the loop functional's jet
-    kernel, whose terms are distinct and nonzero by construction and which
-    orders them itself, goes through `_of_sorted`, which builds the
-    monomials and raises RuntimeError on a repeated one.
+    it raw terms, repeats and zeros included.
     """
 
     __slots__ = ("_terms",)
@@ -176,35 +170,6 @@ class LoopPoly:
         self._terms: tuple[tuple[Monomial, Fraction], ...] = tuple(
             sorted(acc.items(), key=lambda term: term[0].key, reverse=True)
         )
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _of_sorted(cls, rows: Iterable[tuple], factor: Mapping, negated: Mapping) -> "LoopPoly":
-        """The polynomial of rows (degree, labels, coefficient), unchecked but for repeats.
-
-        The rows come in decreasing key order, their coefficients nonzero
-        Fractions.  Label l stands for the factor factor[l] = (var, e) and the
-        key entry negated[l] = (var, -e), shared by every monomial holding l,
-        and each row's labels are in variable order.  A monomial occurring
-        twice raises RuntimeError instead of being merged.
-        """
-        new = object.__new__
-        pair, entry = factor.__getitem__, negated.__getitem__
-        terms = []
-        previous = None
-        for degree, labels, coeff in rows:
-            if labels == previous:
-                mono = Monomial(map(pair, labels))
-                raise RuntimeError(f"monomial {mono} occurs twice among distinct terms")
-            previous = labels
-            mono = new(Monomial)
-            mono.factors = tuple(map(pair, labels))
-            mono.key = (degree, tuple(map(entry, labels)))
-            terms.append((mono, coeff))
-        poly = new(cls)
-        poly._terms = tuple(terms)
-        return poly
 
     # -- inspection --------------------------------------------------------
 
@@ -255,7 +220,7 @@ class LoopPoly:
             names = _default_names(max((v.coord for v in self.variables()), default=1))
         return format_terms(
             ((mono.factors, c) for mono, c in self._terms),
-            lambda var: f"{names[var.coord - 1]}_{var.cdeg}",
+            _powers(lambda var: f"{names[var.coord - 1]}_{var.cdeg}"),
         )
 
     def __str__(self) -> str:
@@ -277,25 +242,35 @@ def _from_exponents(
     return LoopPoly((Monomial(zip(variables, e)), c) for e, c in terms)
 
 
-def format_terms(
-    terms: Iterable[tuple[Sequence[tuple[object, int]], Fraction | int]],
-    name: Callable[[object], str],
-) -> str:
-    """The text of a sum of terms (factors, coefficient), each variable written as `name(var)`.
+def _powers(name: Callable[[object], str]) -> Callable[[tuple[object, int]], str]:
+    """The text function of factors (var, e): `name(var)`, then `^e` when e > 1."""
 
-    The factors of a term are its pairs (var, e) in the order they are
-    written.  A term is `c*v^e*w`: the magnitude c as `p` or `p/q`, left out
-    when it is 1 unless the term has no factors, and `^e` only when e > 1.  A
-    negative first term starts with `-`, later terms are joined by ` + ` or
-    ` - `, and no terms at all read `0`.  This is the one way the package
-    writes a polynomial, whatever its variables are: a monomial's factors
-    hold LoopVars, the source form of F holds coordinate indices.
+    def text(factor: tuple[object, int]) -> str:
+        var, e = factor
+        return name(var) if e == 1 else f"{name(var)}^{e}"
+
+    return text
+
+
+def format_terms(
+    terms: Iterable[tuple[Sequence[Hashable], Fraction | int]], text: Callable[[Hashable], str]
+) -> str:
+    """The text of a sum of terms (factors, coefficient), each factor written as `text(factor)`.
+
+    The factors of a term are opaque values in the order they are written,
+    and `text` gives the text of one, a power such as `x_-1^2`.  A term is
+    `c*f*g`: the magnitude c as `p` or `p/q`, left out when it is 1 unless
+    the term has no factors.  A negative first term starts with `-`, later
+    terms are joined by ` + ` or ` - `, and no terms at all read `0`.  This
+    is the one way the package writes a polynomial, whatever its factors
+    are: a monomial's pairs (LoopVar, e) through `_powers`, the jet kernel's
+    int codes, the source form of F's pairs (coordinate index, e).
     """
 
-    # Each distinct factor (var, exp) and coefficient is formatted once per
-    # call, in dicts that live only as long as the call.  Coefficients are
-    # keyed by their integer ratio, since Fraction.__hash__ runs in Python.
-    factor_texts: dict[tuple[object, int], str] = {}
+    # Each distinct factor and coefficient is formatted once per call, in
+    # dicts that live only as long as the call.  Coefficients are keyed by
+    # their integer ratio, since Fraction.__hash__ runs in Python.
+    factor_texts: dict[Hashable, str] = {}
     # (sign of a first term, sign of a later one, factor prefix, magnitude)
     coeff_texts: dict[tuple[int, int], tuple[str, str, str, str]] = {}
     parts: list[str] = []
@@ -309,11 +284,10 @@ def format_terms(
         lead, sign, prefix, mag = coeff_texts[ratio]
         texts = []
         for factor in factors:
-            text = factor_texts.get(factor)
-            if text is None:
-                var, e = factor
-                text = factor_texts[factor] = name(var) if e == 1 else f"{name(var)}^{e}"
-            texts.append(text)
+            written = factor_texts.get(factor)
+            if written is None:
+                written = factor_texts[factor] = text(factor)
+            texts.append(written)
         body = prefix + "*".join(texts) if factors else mag
         parts.append((sign if parts else lead) + body)
     return " ".join(parts) if parts else "0"

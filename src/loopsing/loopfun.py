@@ -8,6 +8,12 @@ machine-checks the structural identities that they satisfy: the support bound
 on conformal degrees, linearity in the top-degree variables, and the two forms
 of the top-variable derivative identity.
 
+The jet kernel computes a coefficient as sorted rows of small int codes (a
+`_Jet`), and the weight audits, the truncation, the checks and the printer
+all read those codes.  A LoopPoly is built only where the public API returns
+one (`jet_coefficient`, `lambda_of`, the linearity report), and a LoopPoly
+handed to a check as its functional is coded once on the way in.
+
 Everything here is a pure function over immutable inputs.
 """
 
@@ -15,14 +21,15 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 
 from ._record import fields
-from .exactalg import LoopPoly, LoopVar, Monomial, _default_names, _from_exponents
+from .exactalg import LoopPoly, LoopVar, Monomial, _default_names, _from_exponents, format_terms
 
 __all__ = [
     "Window",
@@ -106,10 +113,11 @@ class InputFunction:
 
     F is `terms`, {exponent vector: Fraction}, entry i of a vector being the
     exponent of coordinate i+1; its d exact `partials` take the same form, the
-    one the jets, both Milnor routes and the printer read.  `poly`, F as a
-    LoopPoly in z^1_0, ..., z^d_0, is built when first read: by the lambda
-    check and by `repr`.  Optional display names (one
-    per coordinate) are carried along for parsing and report rendering.
+    one the jets, the checks, both Milnor routes and the printer read.
+    `poly`, F as a LoopPoly in z^1_0, ..., z^d_0, is built when first read,
+    by `repr` or a caller of the public API; no report reads it.  Optional
+    display names (one per coordinate) are carried along for parsing and
+    report rendering.
 
     An InputFunction is immutable: `terms` and each of `partials` are
     read-only mappings, and no attribute can be assigned or deleted.
@@ -201,6 +209,124 @@ def support_window(func: InputFunction, bottom: int) -> Window:
     return Window(bottom, minimal_window(func, bottom).top + func.delta)
 
 
+class _Jet:
+    """A jet coefficient in the kernel's codes, the form the functional checks read.
+
+    `rows` are its terms (degree, codes, coefficient) in decreasing
+    (degree, codes) order, which is decreasing grevlex order of their
+    monomials; each coefficient is a nonzero Fraction and each term's codes
+    are sorted, which is factor order.  Code slot*m + (m - n) stands for the
+    factor (z^c_j)^n, with slot (j + bottom)*d + (c - 1) (see
+    `_jet_of_poly`), so the codes of the variables of conformal degree j are
+    [start(j), start(j + 1)).  Floor division decodes a slot below 0 too,
+    which a functional forged beneath the window holds.
+
+    Only the public API builds the jet's LoopPoly (`poly`); the printer
+    writes the same text from the codes (`to_string`).
+    """
+
+    __slots__ = ("rows", "m", "d", "bottom")
+
+    def __init__(self, rows: list[tuple[int, tuple[int, ...], Fraction]], m: int, d: int,
+                 bottom: int) -> None:
+        self.rows, self.m, self.d, self.bottom = rows, m, d, bottom
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def start(self, cdeg: int) -> int:
+        """The least code of a variable of conformal degree cdeg."""
+        return (cdeg + self.bottom) * self.d * self.m
+
+    def cdeg(self, code: int) -> int:
+        """The conformal degree of a code's variable."""
+        return code // self.m // self.d - self.bottom
+
+    def coefficients(self) -> dict[tuple[int, ...], Fraction]:
+        """The terms as {codes: coefficient}."""
+        return {codes: c for _, codes, c in self.rows}
+
+    def coded(
+        self, terms: Mapping[tuple[int, ...], Fraction], cdeg: int
+    ) -> dict[tuple[int, ...], Fraction]:
+        """Exponent-vector terms in these codes, coordinate i+1 read as z^(i+1)_cdeg."""
+        m, base = self.m, (cdeg + self.bottom) * self.d
+        return {
+            tuple([(base + i) * m + m - x for i, x in enumerate(e) if x]): c
+            for e, c in terms.items()
+        }
+
+    # -- decoding: the public boundary and the printer ---------------------
+
+    def monomial(self, codes: tuple[int, ...]) -> Monomial:
+        m, d, bottom = self.m, self.d, self.bottom
+        factors = []
+        for code in codes:
+            slot, rest = divmod(code, m)
+            factors.append((LoopVar(slot % d + 1, slot // d - bottom), m - rest))
+        return Monomial(factors)
+
+    def poly(self) -> LoopPoly:
+        return LoopPoly([(self.monomial(codes), c) for _, codes, c in self.rows])
+
+    def text(self, names: Sequence[str]) -> Callable[[int], str]:
+        """The text function of codes: (z^c_j)^n is written `names[c-1]_j^n`."""
+        m, d, bottom = self.m, self.d, self.bottom
+
+        def text(code: int) -> str:
+            slot, rest = divmod(code, m)
+            name = f"{names[slot % d]}_{slot // d - bottom}"
+            return name if rest == m - 1 else f"{name}^{m - rest}"
+
+        return text
+
+    def to_string(self, names: Sequence[str]) -> str:
+        """The text of `self.poly().to_string(names)`, written from the codes."""
+        return format_terms(((codes, c) for _, codes, c in self.rows), self.text(names))
+
+    def monomial_text(self, codes: tuple[int, ...]) -> str:
+        """The text of `str(self.monomial(codes))`, written from the codes."""
+        return format_terms(((codes, 1),), self.text([f"z{c}" for c in range(1, self.d + 1)]))
+
+    # -- the structural checks' readings, off each term's end codes -------
+
+    def conformal_weights(self) -> set[int]:
+        """The conformal weights of the terms: each the sum of cdeg * exponent."""
+        m = self.m
+        weight = {code: self.cdeg(code) * (m - code % m)
+                  for code in set(chain.from_iterable(map(itemgetter(1), self.rows)))}
+        return {sum(map(weight.__getitem__, codes)) for _, codes, _ in self.rows}
+
+    def max_cdeg(self) -> int:
+        """The largest conformal degree of a variable, read off last codes."""
+        last = max([codes[-1] for _, codes, _ in self.rows if codes], default=None)
+        if last is None:
+            raise ValueError("the functional has no variables")
+        return self.cdeg(last)
+
+    def truncated(self, top: int) -> _Jet:
+        """The jet with every variable of conformal degree above `top` set to zero.
+
+        A term survives when its last code lies below start(top + 1); the jet
+        itself is returned when every term survives.
+        """
+        after = self.start(top + 1)
+        kept = [row for row in self.rows if not row[1] or row[1][-1] < after]
+        return self if len(kept) == len(self.rows) else _Jet(kept, self.m, self.d, self.bottom)
+
+    def on_constant_loops(self) -> dict[tuple[int, ...], Fraction]:
+        """The terms free of every variable of nonzero conformal degree, as {codes: coefficient}.
+
+        A term is kept when its first and last codes lie at conformal degree 0.
+        """
+        first, after = self.start(0), self.start(1)
+        return {
+            codes: c
+            for _, codes, c in self.rows
+            if not codes or first <= codes[0] and codes[-1] < after
+        }
+
+
 def _power_expansion(
     coord: int, exp: int, window: Window, d: int, m: int, sum_lo: int, sum_hi: int, budget: int
 ) -> dict[int, list[tuple[tuple[int, ...], int]]]:
@@ -240,7 +366,9 @@ def _power_expansion(
     return found
 
 
-def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: int) -> LoopPoly:
+def _jet_of_poly(
+    terms: Mapping[tuple[int, ...], Fraction], window: Window, k: int, m: int | None = None
+) -> _Jet:
     """Coefficient of t^k after substituting windowed Laurent series into exponent terms.
 
     Each factor z_i^e of a monomial expands over multisets of e window
@@ -252,24 +380,25 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
 
     A factor (z^c_j)^n is the int code slot*m + (m - n), the slot
     (j + bottom)*d + (c - 1) numbering the variables in (cdeg, coord) order
-    and m = deg + 1 exceeding every exponent.  Codes thus order as the
+    and m exceeding every exponent: deg + 1, or the caller's m, which the
+    derivative check gives so that a partial's jet shares the functional's
+    codes.  Codes thus order as the
     grevlex key's pairs (variable, -exponent): a term is the sorted tuple of
     its codes, in factor order, and at equal degree tuple order is key order.
     Each power is expanded once per (exp, t-degree bounds), for all monomials
     and coordinates (moved to coordinate c by adding (c - c0)*m to its codes).
-    The finished terms are sorted once on (degree, codes) and built by
-    `LoopPoly._of_sorted` from one (var, n) and (var, -n) pair per code.  A
-    monomial built twice, or a coefficient product of zero, raises
-    RuntimeError instead of being merged or pruned.
+    The finished terms are sorted once on (degree, codes) and returned as a
+    `_Jet`; no monomial is built.  A monomial built twice, or a coefficient
+    product of zero, raises RuntimeError instead of being merged or pruned.
 
     Every expansion term, at each use of a shared expansion, and every
     partial product counts against MAX_JET_TERMS, before it is built; past
     the bound FunctionalTooLarge is raised.
     """
-    if not terms:
-        return LoopPoly()
     bottom, hi = window
-    lo, d, m = -bottom, len(next(iter(terms))), max(map(sum, terms)) + 1
+    lo, d = -bottom, len(next(iter(terms), ()))
+    if m is None:
+        m = max(map(sum, terms), default=0) + 1
     built = 0
     # (exp, t-degree bounds) -> (coordinate, that power's expansion in its codes)
     expansions: dict[tuple[int, int, int], tuple[int, dict]] = {}
@@ -332,17 +461,18 @@ def _jet_of_poly(terms: Mapping[tuple[int, ...], Fraction], window: Window, k: i
         # A code is -n modulo m, and a term's degree, that of its monomial, is
         # below m: -sum(c) % m is the degree of c.
         rows += [(-sum(c) % m, c, products[w]) for c, w in finished]
-    factor, negated, variables = {}, {}, {}
-    for code in set(chain.from_iterable(map(itemgetter(1), rows))):
-        slot, rest = divmod(code, m)
-        var = variables.get(slot)
-        if var is None:
-            var = variables[slot] = LoopVar(slot % d + 1, slot // d - bottom)
-        factor[code], negated[code] = (var, m - rest), (var, rest - m)
     # On (degree, codes), decreasing: stable sorts on codes, then on degree.
     rows.sort(key=itemgetter(1), reverse=True)
     rows.sort(key=itemgetter(0), reverse=True)
-    return LoopPoly._of_sorted(rows, factor, negated)
+    jet = _Jet(rows, m, d, bottom)
+    # Equal codes have equal degrees, so a term built twice lies next to itself.
+    previous = None
+    for _, codes, _ in rows:
+        if codes == previous:
+            mono = jet.monomial_text(codes)
+            raise RuntimeError(f"monomial {mono} occurs twice among distinct terms")
+        previous = codes
+    return jet
 
 
 def jet_coefficient(func: InputFunction, window: Window, k: int) -> LoopPoly:
@@ -352,7 +482,7 @@ def jet_coefficient(func: InputFunction, window: Window, k: int) -> LoopPoly:
     FunctionalTooLarge when the expansion would build more than
     MAX_JET_TERMS terms.
     """
-    return _jet_of_poly(func.terms, window, k)
+    return _jet_of_poly(func.terms, window, k).poly()
 
 
 def lambda_of(func: InputFunction, window: Window) -> LoopPoly:
@@ -363,61 +493,51 @@ def lambda_of(func: InputFunction, window: Window) -> LoopPoly:
     FunctionalTooLarge when the expansion would build more than
     MAX_JET_TERMS terms.
     """
-    result = _jet_of_poly(func.terms, window, 0)
-    cdeg_weights = _conformal_weights(result)
-    if cdeg_weights not in (frozenset(), frozenset({0})):
-        raise RuntimeError(f"loop functional has conformal weights {set(cdeg_weights)}")
-    scale_weights = frozenset([mono.key[0] for mono, _ in result.terms])
-    if scale_weights not in (frozenset(), frozenset({func.delta})):
-        raise RuntimeError(f"loop functional has scaling weights {set(scale_weights)}")
-    return result
+    return _functional_jet(func, window).poly()
 
 
-# The helpers below read a monomial's conformal degrees off its factor order
-# (see exactalg): factors are sorted by (cdeg, coord), so the first and last
-# factors carry the smallest and largest conformal degrees.
+def _functional_jet(func: InputFunction, window: Window) -> _Jet:
+    """The loop functional of F on a window in the jet's codes, its weights audited.
 
-
-def _conformal_weights(poly: LoopPoly) -> frozenset[int]:
-    """The conformal weights of poly's terms: each the sum of cdeg * exponent."""
-    return frozenset([sum([v[0] * e for v, e in mono.factors]) for mono, _ in poly.terms])
-
-
-def _max_cdeg(poly: LoopPoly) -> int:
-    """The largest conformal degree of a variable of poly, read off last factors."""
-    top = max([mono.factors[-1][0][0] for mono, _ in poly.terms if mono.factors], default=None)
-    if top is None:
-        raise ValueError("the functional has no variables")
-    return top
-
-
-def _truncated(poly: LoopPoly, top: int) -> LoopPoly:
-    """poly with every variable of conformal degree above `top` set to zero.
-
-    A term survives when its last factor lies at or below `top`; poly itself
-    is returned when every term survives.
+    A term of conformal weight other than 0 or of scaling weight other than
+    delta raises RuntimeError.
     """
-    kept = [(m, c) for m, c in poly.terms if not m.factors or m.factors[-1][0][0] <= top]
-    return poly if len(kept) == len(poly.terms) else LoopPoly(kept)
+    jet = _jet_of_poly(func.terms, window, 0)
+    cdeg_weights = jet.conformal_weights()
+    if cdeg_weights not in (set(), {0}):
+        raise RuntimeError(f"loop functional has conformal weights {cdeg_weights}")
+    scale_weights = set(map(itemgetter(0), jet.rows))
+    if scale_weights not in (set(), {func.delta}):
+        raise RuntimeError(f"loop functional has scaling weights {scale_weights}")
+    return jet
 
 
-def _on_constant_loops(poly: LoopPoly) -> LoopPoly:
-    """poly with every variable of nonzero conformal degree set to zero.
+def _encoded(poly: LoopPoly, func: InputFunction, bottom: int) -> _Jet:
+    """A functional given as a LoopPoly, in the codes of F's jets at window bottom `bottom`.
 
-    A term survives when its first and last factors both lie at degree 0.
+    m exceeds delta and the degree of every term, so that F's partials
+    share the codes.  A variable beyond F's d coordinates raises ValueError.
     """
-    return LoopPoly(
-        [
-            (mono, c)
-            for mono, c in poly.terms
-            if not mono.factors or mono.factors[0][0][0] == mono.factors[-1][0][0] == 0
-        ]
-    )
+    d = func.d
+    m = max([func.delta] + [mono.key[0] for mono, _ in poly.terms]) + 1
+    rows = []
+    for mono, coeff in poly.terms:
+        codes = []
+        for (cdeg, coord), e in mono.factors:
+            if coord > d:
+                raise ValueError(
+                    f"the functional's variable z{coord}_{cdeg} lies beyond F's {d} coordinates"
+                )
+            codes.append(((cdeg + bottom) * d + coord - 1) * m + m - e)
+        rows.append((mono.key[0], tuple(codes), coeff))
+    return _Jet(rows, m, d, bottom)
 
 
-def _reaching(poly: LoopPoly, top: int) -> list[tuple[Monomial, Fraction]]:
-    """The terms of poly with a variable of conformal degree `top` or above."""
-    return [(mono, c) for mono, c in poly.terms if mono.factors and mono.factors[-1][0][0] >= top]
+def _jet_for(func: InputFunction, window: Window, functional: LoopPoly | None) -> _Jet:
+    """The functional on `window` in codes: computed, or encoded from the caller's."""
+    if functional is None:
+        return _functional_jet(func, window)
+    return _encoded(functional, func, window.bottom)
 
 
 class SupportBoundReport(tuple):
@@ -440,24 +560,13 @@ def check_support_bound(
     """
     if bottom < 0:
         raise ValueError("bottom must be nonnegative")
+    return _support_report(func, bottom, _jet_for(func, support_window(func, bottom), functional))
+
+
+def _support_report(func: InputFunction, bottom: int, jet: _Jet) -> SupportBoundReport:
     bound = minimal_window(func, bottom).top
-    lam = lambda_of(func, support_window(func, bottom)) if functional is None else functional
-    max_present = _max_cdeg(lam)
+    max_present = jet.max_cdeg()
     return SupportBoundReport(bound=bound, max_cdeg_present=max_present, ok=max_present <= bound)
-
-
-def _top_exponent(mono: Monomial, top: int) -> int:
-    """The total exponent of mono in the variables of conformal degree `top`.
-
-    Those factors are a run read from the end, past any above `top`.
-    """
-    total = 0
-    for v, e in reversed(mono.factors):
-        if v[0] < top:
-            break
-        if v[0] == top:
-            total += e
-    return total
 
 
 class TopLinearityReport(tuple):
@@ -470,19 +579,21 @@ class TopLinearityReport(tuple):
     ) -> TopLinearityReport:
         return tuple.__new__(cls, (ok, top_cdeg, offending_monomials, functional, window))
 
+    def _top_exponents(self) -> list[tuple[Monomial, int, Fraction]]:
+        """(m, k, c) per term c*m, k being m's total exponent in the degree-N variables."""
+        top = self.top_cdeg
+        return [(m, sum([e for v, e in m.factors if v[0] == top]), c)
+                for m, c in self.functional.terms]
+
     @property
     def linear_part(self) -> LoopPoly:
         """sum_j z^j_N * d(functional)/d(z^j_N), N being top_cdeg."""
-        return LoopPoly(
-            {m: _top_exponent(m, self.top_cdeg) * c for m, c in self.functional.terms}
-        )
+        return LoopPoly({m: k * c for m, k, c in self._top_exponents()})
 
     @property
     def remainder(self) -> LoopPoly:
         """The functional minus its linear part."""
-        return LoopPoly(
-            {m: (1 - _top_exponent(m, self.top_cdeg)) * c for m, c in self.functional.terms}
-        )
+        return LoopPoly({m: (1 - k) * c for m, k, c in self._top_exponents()})
 
 
 def check_top_linearity(
@@ -505,13 +616,30 @@ def check_top_linearity(
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
     window = minimal_window(func, bottom)
-    top = window.top
-    lam = lambda_of(func, window) if functional is None else functional
-
-    offending = tuple(mono for mono, _ in _reaching(lam, top) if _top_exponent(mono, top) > 1)
+    jet = _jet_for(func, window, functional)
+    offending = tuple(map(jet.monomial, _nonlinear(jet, window.top)))
     return TopLinearityReport(
-        ok=not offending, top_cdeg=top, offending_monomials=offending, functional=lam, window=window
+        ok=not offending, top_cdeg=window.top, offending_monomials=offending,
+        functional=jet.poly() if functional is None else functional, window=window,
     )
+
+
+def _nonlinear(jet: _Jet, top: int) -> list[tuple[int, ...]]:
+    """The codes of the terms of total exponent above 1 in the variables of cdeg `top`."""
+    first, after, m = jet.start(top), jet.start(top + 1), jet.m
+    return [codes for _, codes, _ in jet.rows
+            if codes and codes[-1] >= first and _top_exponent(codes, first, after, m) > 1]
+
+
+def _top_exponent(codes: tuple[int, ...], first: int, after: int, m: int) -> int:
+    """The total exponent of the codes in [first, after), a run read from the end past any above."""
+    total = 0
+    for code in reversed(codes):
+        if code < first:
+            break
+        if code < after:
+            total += m - code % m
+    return total
 
 
 class CoordinateDerivativeCheck(tuple):
@@ -562,16 +690,21 @@ def check_derivative_identity(
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
     window = minimal_window(func, bottom)
-    top = window.top
-    lam = lambda_of(func, window) if functional is None else functional
+    return _derivative_report(func, window, _jet_for(func, window, functional))
+
+
+def _derivative_report(func: InputFunction, window: Window, jet: _Jet) -> DerivativeIdentityReport:
+    """Both forms of the identity on codes; the jets of the partials share the functional's m."""
+    top, m = window.top, jet.m
+    first = jet.start(top)
     # Only terms reaching conformal degree N hold a degree-N variable.
-    reaching = LoopPoly(_reaching(lam, top))
+    reaching = [row for row in jet.rows if row[1] and row[1][-1] >= first]
 
     checks = []
     for j, d_j in enumerate(func.partials, 1):
-        lhs = reaching.partial(LoopVar(j, top))
-        via_coeff = _jet_of_poly(d_j, window, -top)
-        via_eval = _from_exponents(d_j.items(), _coordinates(func.d, -bottom))
+        lhs = _partial(reaching, first + (j - 1) * m, m)
+        via_coeff = _jet_of_poly(d_j, window, -top, m).coefficients()
+        via_eval = jet.coded(d_j, -window.bottom)
         checks.append(
             CoordinateDerivativeCheck(
                 coord=j,
@@ -580,3 +713,21 @@ def check_derivative_identity(
             )
         )
     return DerivativeIdentityReport(checks=tuple(checks), top_cdeg=top)
+
+
+def _partial(
+    rows: Iterable[tuple[int, tuple[int, ...], Fraction]], first: int, m: int
+) -> dict[tuple[int, ...], Fraction]:
+    """The partial derivative of the terms `rows` by the variable whose codes
+    are [first, first + m), as {codes: coefficient}.
+
+    Lowering the factor's exponent n adds 1 to its code, and n = 1 drops it.
+    Distinct terms holding the variable have distinct derivatives, so none merge.
+    """
+    out = {}
+    for _, codes, c in rows:
+        i = bisect_left(codes, first)
+        if i < len(codes) and codes[i] < first + m:
+            n = first + m - codes[i]
+            out[codes[:i] + ((codes[i] + 1,) if n > 1 else ()) + codes[i + 1 :]] = c * n
+    return out

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from loopsing.cli import parse_function
+from loopsing import loopfun
+from loopsing.cli import CheckOutcome, parse_function
 from loopsing.cli.parser import _Parser
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial, _from_exponents
-from loopsing.loopfun import InputFunction, Window
+from loopsing.loopfun import InputFunction, Window, lambda_of, minimal_window, support_window
 
 
 @dataclass(frozen=True)
@@ -223,6 +224,72 @@ def jet_coefficient_by_enumeration(func: InputFunction, window: Window, k: int) 
             m = Monomial(tuple((LoopVar(c, j), 1) for c, j in zip(slots, assignment)))
             acc[m] = acc.get(m, Fraction(0)) + coeff
     return LoopPoly(acc)
+
+
+def coded(poly: LoopPoly, func: InputFunction, bottom: int) -> loopfun._Jet:
+    """A functional given as a LoopPoly, in the codes of F's jets at window
+    bottom `bottom`, encoded as the public checks encode one; a test forges
+    the functional run() checks by editing a LoopPoly and coding it here."""
+    return loopfun._encoded(poly, func, bottom)
+
+
+def top_exponent(mono: Monomial, top: int) -> int:
+    """Reference: mono's total exponent in the variables of conformal degree `top`, by a scan."""
+    return sum(e for v, e in mono.factors if v.cdeg == top)
+
+
+def reference_functional_checks(
+    func: InputFunction,
+    bottom: int,
+    names: Sequence[str],
+    edit: Callable[[LoopPoly], LoopPoly] | None = None,
+) -> tuple[int | None, str | None, dict[str, CheckOutcome]]:
+    """What run() reports for the functional checks `names`, computed on LoopPolys.
+
+    Returns (lambda_term_count, lambda_polynomial, outcomes).  The functional
+    comes from the public lambda_of, on the support window when that check
+    runs, then passes through `edit` if one is given, and every check reads
+    it by scans: truncation and the constant-loop restriction by zero_out,
+    the derivative identity by LoopPoly.partial against the decoded
+    t-coefficient jet and a substitution.
+    """
+    window = minimal_window(func, bottom)
+    top = window.top
+    try:
+        wide = lambda_of(func, support_window(func, bottom) if "support" in names else window)
+    except RuntimeError as exc:
+        return None, None, {name: CheckOutcome(ok=False, witness=str(exc)) for name in names}
+    if edit is not None:
+        wide = edit(wide)
+    lam = zero_out(wide, lambda v: v.cdeg > top)
+    outcomes = {}
+    for name in names:
+        if name == "lambda":
+            ok = zero_out(lam, lambda v: v.cdeg != 0) == func.poly
+            witness = "constant-loop restriction does not recover the input"
+        elif name == "support":
+            present = max(v.cdeg for v in wide.variables())
+            ok = present <= top
+            witness = f"conformal degree {present} exceeds bound {top}"
+        elif name == "linearity":
+            offending = [m for m, _ in lam.terms if top_exponent(m, top) > 1]
+            ok = not offending
+            witness = "nonlinear monomial " + ", ".join(map(str, offending))
+        else:
+            at_bottom = {
+                LoopVar(i, 0): Poly.variable(LoopVar(i, -bottom)) for i in range(1, func.d + 1)
+            }
+            bad = []
+            for j, d_j in enumerate(func.partials, 1):
+                lhs = lam.partial(LoopVar(j, top))
+                via_coeff = loopfun._jet_of_poly(d_j, window, -top).poly()
+                via_eval = substitute(func.poly.partial(LoopVar(j, 0)), at_bottom)
+                if not lhs == via_coeff == via_eval:
+                    bad.append(j)
+            ok = not bad
+            witness = f"identity fails for coordinates {bad}"
+        outcomes[name] = CheckOutcome(ok=True) if ok else CheckOutcome(ok=False, witness=witness)
+    return len(lam), lam.to_string(func.names), outcomes
 
 
 class MissingAssignment(KeyError):

@@ -4,7 +4,8 @@ Each mutant replaces one exact string, which must occur once in its file
 under src/, with code that drops the guarantee named beside it.  For each
 mutant the checkout is copied to a temporary directory, the replacement is
 made there, and tier-1 (the whole suite, `PYTHONPATH=src python -m pytest
---continue-on-collection-errors`) runs in the copy with `-x -q`.  One line per mutant
+--continue-on-collection-errors`) runs in the copy with `-x -q`, less the
+test of this table's strings.  One line per mutant
 reads `killed` with the first failing test, or `survived`; the run exits 1
 if any mutant survived, and 2 without running any if some mutant's string
 does not occur exactly once.
@@ -27,8 +28,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# A mutated copy no longer holds its mutant's string, so the test of the
+# table's strings (test_mutation_table.py) would kill every mutant by itself.
 TIER_1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-          "--continue-on-collection-errors"]
+          "--continue-on-collection-errors", "--ignore=tests/test_mutation_table.py"]
 UNCOPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
 
 
@@ -64,13 +67,14 @@ MUTANTS = (
            "the standard-monomial count is (delta-1)^d"),
     Mutant("oracle-gate", "cli/main.py", "if func.d <= 3 and func.delta <= 5:", "if False:",
            "the milnor check runs the linear-algebra oracle for d <= 3, delta <= 5"),
-    Mutant("linearity", "loopfun.py", "_top_exponent(mono, top) > 1",
-           "_top_exponent(mono, top) > 2", "the functional is linear in the top variables"),
+    Mutant("linearity", "loopfun.py", "_top_exponent(codes, first, after, m) > 1",
+           "_top_exponent(codes, first, after, m) > 2",
+           "the functional is linear in the top variables"),
     Mutant("conformal-weight", "loopfun.py", "if cdeg_weights not in",
            "if False and cdeg_weights not in", "the functional has conformal weight 0"),
     Mutant("scaling-weight", "loopfun.py", "if scale_weights not in",
            "if False and scale_weights not in", "the functional has scaling weight delta"),
-    Mutant("doubled-term", "exactalg.py", "if labels == previous:", "if False:",
+    Mutant("doubled-term", "loopfun.py", "if codes == previous:", "if False:",
            "the jet kernel hands no monomial over twice"),
     Mutant("zero-coefficient", "loopfun.py", "if finished and not all(products.values()):",
            "if False:", "no jet term has coefficient zero"),
@@ -80,8 +84,19 @@ MUTANTS = (
            "the derivative identity via the t-coefficient"),
     Mutant("derivative-evaluation", "loopfun.py", "lhs == via_eval", "True",
            "the derivative identity via the bottom evaluation"),
-    Mutant("constant-loops", "cli/main.py", "if _on_constant_loops(lam) != func.poly:",
+    Mutant("constant-loops", "cli/main.py",
+           "if lam.on_constant_loops() != lam.coded(func.terms, 0):",
            "if False:", "the functional restricted to constant loops is F"),
+    Mutant("jet-budget", "loopfun.py", "MAX_JET_TERMS = 100_000", "MAX_JET_TERMS = 10**9",
+           "a loop functional past 100,000 built terms ends in exit 2"),
+    Mutant("reduction-budget", "grobner.py", "if left < 0:", "if False:",
+           "a Groebner basis past MAX_REDUCTION_WORK term-words ends in exit 2"),
+    Mutant("source-budget", "cli/parser.py", "if len(data) > MAX_SOURCE_BYTES:", "if False:",
+           "an input file longer than MAX_SOURCE_BYTES ends in exit 2"),
+    Mutant("coefficient-budget", "cli/parser.py", "for c in coefficients:", "for c in ():",
+           "a coefficient past MAX_COEFFICIENT_DIGITS digits ends in exit 2"),
+    Mutant("product-budget", "cli/parser.py", "if self.work > MAX_PRODUCT_WORK:", "if False:",
+           "products past MAX_PRODUCT_WORK term pairs end in exit 2"),
 )
 
 

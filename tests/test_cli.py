@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
@@ -38,10 +39,21 @@ from loopsing.cli import (
 )
 from loopsing.cli.parser import MAX_COEFFICIENT_DIGITS, MAX_PRODUCT_WORK, MAX_SOURCE_BYTES
 from loopsing.cohom import MAX_N_MAX, GradedDims, GysinTower, LesSolution, LesSystem
-from loopsing.loopfun import MAX_JET_TERMS
+from loopsing.loopfun import MAX_JET_TERMS, InputFunction, lambda_of
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 
-from conftest import CORPUS, DELETE, NON_ISOLATED_SOURCES, Poly, bench_module, deadline, edited
+from conftest import (
+    CORPUS,
+    DELETE,
+    NON_ISOLATED_SOURCES,
+    Poly,
+    bench_module,
+    coded,
+    deadline,
+    edited,
+    homogeneous_forms,
+    reference_functional_checks,
+)
 
 
 def _reference_json(document) -> str:
@@ -233,9 +245,9 @@ class TestRun:
         jet = loopfun._jet_of_poly
         calls = []
 
-        def counted(poly, window, k):
+        def counted(poly, window, k, *codes):
             calls.append((window, k))
-            return jet(poly, window, k)
+            return jet(poly, window, k, *codes)
 
         monkeypatch.setattr(loopfun, "_jet_of_poly", counted)
         report = run_source(entry.source, window_bottom=2, checks=FUNCTIONAL_CHECKS)
@@ -258,11 +270,14 @@ class TestRun:
         self, monkeypatch, capsys, factor, witness
     ):
         jet = loopfun._jet_of_poly
+        func = parse_function("x^3 + y^3")
 
-        def shifted(poly, window, k):
-            # lambda_of's weight audits reject the functional
-            result = jet(poly, window, k)
-            return result * Poly.variable(factor) if k == 0 else result
+        def shifted(poly, window, k, *codes):
+            # The functional's weight audits reject it.
+            result = jet(poly, window, k, *codes)
+            if k:
+                return result
+            return coded(Poly.of(result.poly()) * Poly.variable(factor), func, window.bottom)
 
         monkeypatch.setattr(loopfun, "_jet_of_poly", shifted)
         report = run_source("x^3 + y^3")
@@ -330,10 +345,10 @@ class TestRun:
                 "identity fails for coordinates [1]",
             ),
         }[name]
-        pipeline = importlib.import_module("loopsing.cli.main")
-        functional = pipeline.lambda_of
         monkeypatch.setattr(
-            pipeline, "lambda_of", lambda func, window: edit(functional(func, window))
+            importlib.import_module("loopsing.cli.main"),
+            "_functional_jet",
+            lambda func, window: coded(edit(lambda_of(func, window)), func, window.bottom),
         )
         report = run_source("x^3 + y^3", checks=(name,))
         assert report.checks == {name: CheckOutcome(ok=False, witness=witness)}
@@ -345,12 +360,12 @@ class TestRun:
         # bottom 1.  Only the support check may see it: the other checks read
         # the functional with every variable above the window set to zero.
         plain = run_source("x^3 + y^3", emit_lambda=True)
-        pipeline = importlib.import_module("loopsing.cli.main")
-        functional = pipeline.lambda_of
         monkeypatch.setattr(
-            pipeline,
-            "lambda_of",
-            lambda func, window: functional(func, window) + _x(-1) * _x(-2) * _x(3),
+            importlib.import_module("loopsing.cli.main"),
+            "_functional_jet",
+            lambda func, window: coded(
+                lambda_of(func, window) + _x(-1) * _x(-2) * _x(3), func, window.bottom
+            ),
         )
         report = run_source("x^3 + y^3", checks=FUNCTIONAL_CHECKS, emit_lambda=True)
         assert report.checks["support"] == CheckOutcome(
@@ -464,7 +479,8 @@ class TestRun:
 class TestOneFormOfF:
     """F is held as exponent terms from the parser on: parsing, both Milnor
     routes and the printer of F build no LoopPoly or Monomial, so neither
-    does a Milnor run."""
+    does a Milnor run.  The functional checks and the emitted functional read
+    the jet's codes, so a passing functional report builds none either."""
 
     # A dense GL transform of a (3, 4) Fermat form, and a (4, 3) one.
     SOURCES = (
@@ -497,6 +513,85 @@ class TestOneFormOfF:
         assert report.exit_status == 0
         assert format_function(parse_function(source)) == report.function
         assert not constructions
+
+    @pytest.mark.parametrize("bottom", [1, 2])
+    @pytest.mark.parametrize("source", ["x^3 + y^3", "x^3*y + y^3*w + w^3*x", SOURCES[0]])
+    def test_a_functional_run_builds_no_polynomial(self, constructions, source, bottom):
+        report = run_source(
+            source, window_bottom=bottom, checks=FUNCTIONAL_CHECKS, emit_lambda=True
+        )
+        assert report.exit_status == 0 and report.lambda_polynomial
+        assert not constructions
+
+
+def _assert_run_matches_the_reference(
+    source: str, bottom: int, edit: Callable[[LoopPoly], LoopPoly] | None = None
+) -> list[Report]:
+    """run() on the jet's codes against the LoopPoly reference on lambda_of,
+    with and without the support check (whose window the functional then
+    comes from): every outcome and witness, the term count and the text.
+    With `edit`, both sides check the edited functional; run() reads it
+    coded.  Returns run()'s reports."""
+    func = parse_function(source)
+    reports = []
+    for checks in (FUNCTIONAL_CHECKS, ("lambda", "linearity", "derivative")):
+        try:
+            count, text, outcomes = reference_functional_checks(func, bottom, checks, edit)
+        except loopfun.FunctionalTooLarge:
+            with pytest.raises(loopfun.FunctionalTooLarge):
+                run_source(source, window_bottom=bottom, checks=checks, emit_lambda=True)
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            if edit is not None:
+                patch.setattr(
+                    importlib.import_module("loopsing.cli.main"),
+                    "_functional_jet",
+                    lambda f, window: coded(edit(lambda_of(f, window)), f, window.bottom),
+                )
+            report = run_source(source, window_bottom=bottom, checks=checks, emit_lambda=True)
+        assert report.checks == outcomes
+        assert (report.lambda_term_count, report.lambda_polynomial) == (count, text)
+        reports.append(report)
+    return reports
+
+
+def _breaking_every_check(func: InputFunction, bottom: int) -> Callable[[LoopPoly], LoopPoly]:
+    """An edit of the functional that each functional check sees: one term of
+    F dropped from the constant loops, a term of degree 2 in z1_N, and a
+    term past the bound N."""
+    top = bottom * (func.delta - 1)
+
+    def x(cdeg: int) -> Poly:
+        return Poly.variable(LoopVar(1, cdeg))
+
+    def edit(lam: LoopPoly) -> LoopPoly:
+        dropped = LoopPoly(func.poly.terms[:1])
+        nonlinear = x(top) ** 2 * x(-bottom) ** (func.delta - 2)
+        return Poly.of(lam) - dropped + nonlinear + x(top + 1) * x(-bottom) ** (func.delta - 1)
+
+    return edit
+
+
+CODED_SOURCES = [entry.source for entry in CORPUS] + list(NON_ISOLATED_SOURCES)
+
+
+class TestCodedChecksMatchTheReference:
+    @pytest.mark.parametrize("bottom", [1, 2, 3])
+    @pytest.mark.parametrize("source", CODED_SOURCES)
+    def test_corpus(self, source, bottom):
+        _assert_run_matches_the_reference(source, bottom)
+
+    @pytest.mark.parametrize("bottom", [1, 2, 3])
+    @pytest.mark.parametrize("source", CODED_SOURCES)
+    def test_corpus_with_every_check_broken(self, source, bottom):
+        edit = _breaking_every_check(parse_function(source), bottom)
+        for report in _assert_run_matches_the_reference(source, bottom, edit):
+            assert not any(outcome.ok for outcome in report.checks.values())
+
+    @given(terms=homogeneous_forms(max_d=3, max_delta=4), bottom=st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_dense_forms(self, terms, bottom):
+        _assert_run_matches_the_reference(format_function(InputFunction(terms)), bottom)
 
 
 class TestConfigValidation:
@@ -904,7 +999,9 @@ class TestStructuredOutput:
             def failing(func, window, witness=witness):
                 raise RuntimeError(witness)
 
-            monkeypatch.setattr(importlib.import_module("loopsing.cli.main"), "lambda_of", failing)
+            monkeypatch.setattr(
+                importlib.import_module("loopsing.cli.main"), "_functional_jet", failing
+            )
             report = run_source("x^3 + y^3")
             assert report.checks["lambda"] == CheckOutcome(ok=False, witness=witness)
             assert report.cohomology is not None

@@ -33,12 +33,14 @@ from conftest import (
     CORPUS,
     Poly,
     build,
+    coded,
     deadline,
     homogeneous_forms,
     input_function,
     jet_coefficient_by_enumeration,
     rename_variables,
     substitute,
+    top_exponent,
     weight_set,
     zero_out,
 )
@@ -388,23 +390,29 @@ class TestConstantLoopRestriction:
         assert _on_constant_loops(corpus_function, w) == corpus_function.poly
 
 
-# -- the order-reading forms against the scans they replace -------------------
+# -- the code-reading forms against the scans they replace --------------------
 #
-# The structural checks read conformal degrees off a monomial's first and last
-# factors.  Each scan below reads every factor instead; drawn polynomials mix
-# conformal degrees below, inside and above the window [-1, 2] of x^3 + y^3 at
-# bottom 1 (N = 2), in its two coordinates, and may hold the unit monomial.
+# The structural checks read the jet's codes: conformal degrees off a term's
+# first and last codes.  Each scan below reads every factor of the LoopPoly
+# instead; drawn polynomials, coded as a functional of x^3 + y^3 at bottom 1
+# (window [-1, 2], N = 2), mix conformal degrees below, inside and above the
+# window, in its two coordinates, and may hold the unit monomial.
 
 ORDER_TOP = 2
 ORDER_FUNC = build("x^3 + y^3")
 
 
+def _coded(poly: LoopPoly) -> loopfun._Jet:
+    return coded(poly, ORDER_FUNC, 1)
+
+
+def _decoded(jet: loopfun._Jet, terms: dict) -> dict:
+    """{codes: coefficient} as {Monomial: coefficient}."""
+    return {jet.monomial(codes): c for codes, c in terms.items()}
+
+
 def _scan_max_cdeg(poly: LoopPoly) -> int:
     return max(v.cdeg for v in poly.variables())
-
-
-def _scan_top_exponent(mono: Monomial, top: int) -> int:
-    return sum(e for v, e in mono.factors if v.cdeg == top)
 
 
 drawn_monomials = st.lists(
@@ -417,50 +425,63 @@ drawn_monomials = st.lists(
 drawn_polys = st.lists(
     st.tuples(drawn_monomials, st.integers(-4, 4).filter(bool)), max_size=8
 ).map(Poly)
+drawn_tops = st.integers(-3, ORDER_TOP + 2)
 
 
 class TestOrderReadingForms:
     @given(drawn_polys)
     @settings(deadline=None)
+    def test_codes_decode_to_the_polynomial_and_its_text(self, poly):
+        jet = _coded(poly)
+        assert [jet.monomial(codes) for _, codes, _ in jet.rows] == [m for m, _ in poly.terms]
+        assert jet.poly() == poly
+        for names in (("x", "y"), ("a1", "b22")):
+            assert jet.to_string(names) == poly.to_string(names)
+        for (_, codes, _), (mono, _) in zip(jet.rows, poly.terms):
+            assert jet.monomial_text(codes) == str(mono)
+
+    @given(drawn_polys)
+    @settings(deadline=None)
     def test_max_cdeg_is_the_largest_variable(self, poly):
         if poly.variables():
-            assert loopfun._max_cdeg(poly) == _scan_max_cdeg(poly)
+            assert _coded(poly).max_cdeg() == _scan_max_cdeg(poly)
         else:
             with pytest.raises(ValueError, match="no variables"):
-                loopfun._max_cdeg(poly)
+                _coded(poly).max_cdeg()
 
-    @given(drawn_polys, st.integers(-3, ORDER_TOP + 2))
+    @given(drawn_polys, drawn_tops)
     @settings(deadline=None)
     def test_top_exponent_and_reaching_terms(self, poly, top):
-        for mono, _ in poly.terms:
-            assert loopfun._top_exponent(mono, top) == _scan_top_exponent(mono, top)
-        reaching = loopfun._reaching(poly, top)
-        assert [t for t in poly.terms if t in reaching] == reaching
-        assert {m for m, _ in reaching} == {
-            m for m, _ in poly.terms if any(v.cdeg >= top for v in m.variables())
-        }
+        jet = _coded(poly)
+        assert [jet.monomial(codes) for codes in loopfun._nonlinear(jet, top)] == [
+            m for m, _ in poly.terms if top_exponent(m, top) > 1
+        ]
 
-    @given(drawn_polys, st.integers(-3, ORDER_TOP + 2))
+    @given(drawn_polys, drawn_tops)
     @settings(deadline=None)
     def test_truncation_and_constant_loops_match_zero_out(self, poly, top):
+        jet = _coded(poly)
         reference = zero_out(poly, lambda v: v.cdeg > top)
-        truncated = loopfun._truncated(poly, top)
-        assert truncated == reference
-        assert (truncated is poly) == (reference is poly)
-        assert loopfun._on_constant_loops(poly) == zero_out(poly, lambda v: v.cdeg != 0)
+        truncated = jet.truncated(top)
+        assert truncated.poly() == reference
+        assert (truncated is jet) == (reference is poly)
+        assert _decoded(jet, jet.on_constant_loops()) == dict(
+            zero_out(poly, lambda v: v.cdeg != 0).terms
+        )
 
     @given(drawn_polys)
     @settings(deadline=None)
     def test_conformal_weights_match_weight_set(self, poly):
-        assert loopfun._conformal_weights(poly) == weight_set(poly, lambda v: v.cdeg)
+        assert _coded(poly).conformal_weights() == weight_set(poly, lambda v: v.cdeg)
 
-    @given(drawn_polys, st.integers(-3, ORDER_TOP + 2))
+    @given(drawn_polys, drawn_tops)
     @settings(deadline=None)
     def test_partials_of_the_reaching_terms(self, poly, top):
-        reaching = LoopPoly(loopfun._reaching(poly, top))
+        jet = _coded(poly)
         for coord in (1, 2):
-            var = LoopVar(coord, top)
-            assert reaching.partial(var) == poly.partial(var)
+            first = jet.start(top) + (coord - 1) * jet.m
+            partial = loopfun._partial(jet.rows, first, jet.m)
+            assert _decoded(jet, partial) == dict(poly.partial(LoopVar(coord, top)).terms)
 
     @given(drawn_polys)
     @settings(deadline=None)
@@ -469,7 +490,7 @@ class TestOrderReadingForms:
         lam = lambda_of(ORDER_FUNC, window) + extra
         linearity = check_top_linearity(ORDER_FUNC, 1, lam)
         assert linearity.offending_monomials == tuple(
-            m for m, _ in lam.terms if _scan_top_exponent(m, ORDER_TOP) > 1
+            m for m, _ in lam.terms if top_exponent(m, ORDER_TOP) > 1
         )
         assert (linearity.linear_part, linearity.remainder) == _linearity_by_products(
             ORDER_FUNC, 1, lam
@@ -478,7 +499,8 @@ class TestOrderReadingForms:
         at_bottom = {LoopVar(i, 0): Poly.variable(LoopVar(i, -1)) for i in (1, 2)}
         for check, d_j in zip(derivative.checks, ORDER_FUNC.partials):
             lhs = lam.partial(LoopVar(check.coord, ORDER_TOP))
-            assert check.via_t_coefficient == (lhs == loopfun._jet_of_poly(d_j, window, -2))
+            via_coeff = loopfun._jet_of_poly(d_j, window, -2).poly()
+            assert check.via_t_coefficient == (lhs == via_coeff)
             d_j_at_bottom = substitute(ORDER_FUNC.poly.partial(LoopVar(check.coord, 0)), at_bottom)
             assert check.via_bottom_evaluation == (lhs == d_j_at_bottom)
         if lam.variables():
@@ -494,8 +516,13 @@ class TestOrderReadingForms:
         lam = Poly.constant(3) + lv(1, -1) * lv(1, 1) ** 2
         assert check_support_bound(ORDER_FUNC, 1, lam).max_cdeg_present == 1
         assert check_top_linearity(ORDER_FUNC, 1, lam).ok
-        assert loopfun._on_constant_loops(lam) == Poly.constant(3)
-        assert loopfun._truncated(lam, 0) == Poly.constant(3)
+        jet = _coded(lam)
+        assert jet.on_constant_loops() == {(): 3}
+        assert jet.truncated(0).poly() == Poly.constant(3)
+
+    def test_a_variable_beyond_the_coordinates_is_a_value_error(self):
+        with pytest.raises(ValueError, match="z3_0 lies beyond F's 2 coordinates"):
+            check_support_bound(ORDER_FUNC, 1, lv(1, 0) * lv(3, 0) ** 2)
 
 
 class TestSizeBudget:
@@ -589,33 +616,38 @@ class TestGLInvariance:
 
 def _canonical_jets(func: InputFunction, bottom: int):
     """The jets run() builds for func at `bottom`: the functional on the
-    support and minimal windows, and the t^(-N) coefficient of each partial."""
+    support and minimal windows, and the t^(-N) coefficient of each partial
+    in the functional's codes."""
     window = minimal_window(func, bottom)
-    yield lambda_of(func, support_window(func, bottom))
-    yield lambda_of(func, window)
+    yield loopfun._functional_jet(func, support_window(func, bottom))
+    functional = loopfun._functional_jet(func, window)
+    yield functional
     for d_j in func.partials:
-        yield loopfun._jet_of_poly(d_j, window, -window.top)
+        yield loopfun._jet_of_poly(d_j, window, -window.top, functional.m)
 
 
 DENSE_GL_FORMS = [(source, matrix) for matrix in GL_MATRICES for source in GL_BASES[len(matrix)]]
 
 
 class TestCanonicalJets:
-    """The jet builds its terms unchecked; the checked constructors are the reference."""
+    """The jet sorts its coded terms itself; the checked constructors are the reference."""
 
     @staticmethod
-    def assert_canonical(jet: LoopPoly):
-        for mono, coeff in jet.terms:
-            reference = Monomial(mono.factors)
-            assert mono.factors == reference.factors
-            assert mono.key == reference.key
+    def assert_canonical(jet: loopfun._Jet):
+        for degree, codes, coeff in jet.rows:
+            mono = jet.monomial(codes)
+            # One code per variable, in factor order.
+            assert list(codes) == sorted(codes) and len(mono.factors) == len(codes)
+            assert degree == mono.key[0]
             assert type(coeff) is Fraction and coeff
-        assert LoopPoly(jet.terms).terms == jet.terms
+        # LoopPoly merges repeats and orders by key: it keeps every row, in order.
+        decoded = [(jet.monomial(codes), c) for _, codes, c in jet.rows]
+        assert list(LoopPoly(decoded).terms) == decoded
 
     @given(func=small_homogeneous_forms(), bottom=st.integers(0, 2), k=st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
     def test_on_random_forms(self, func, bottom, k):
-        self.assert_canonical(jet_coefficient(func, Window(bottom, bottom + 2), k))
+        self.assert_canonical(loopfun._jet_of_poly(func.terms, Window(bottom, bottom + 2), k))
         if bottom:
             for jet in _canonical_jets(func, bottom):
                 self.assert_canonical(jet)
