@@ -16,24 +16,29 @@ Inside this module a polynomial is a list of (exponent vector, int) terms in
 decreasing grevlex order, one vector position per variable in ascending
 (cdeg, coord) order.  Each list is primitive: its coefficients have content 1
 and its leading coefficient is positive, so it stands for the whole line of
-its rational multiples.  `_primitive_terms` makes one from exact terms: the
-Jacobian ideal's from InputFunction's partials, so the Milnor routes build no
-LoopPoly, and those of a LoopPoly given to `Ideal`, `normal_form` or
-`s_polynomial` at the boundary (`_to_terms`).  Fractions are built once on the
-way out (`_from_terms`): monic ones for `GroebnerBasis.elements`, exact
-rescalings of the integer results for `normal_form` and `s_polynomial`.
-Buchberger, the basis reduction, the audit and the oracle do no Fraction
-arithmetic and build no LoopPoly or Monomial:
+its rational multiples.  The Jacobian ideal's are InputFunction's
+`integer_partials`, built once per function and read by both Milnor routes,
+so neither builds a LoopPoly; a LoopPoly given to `Ideal`, `normal_form` or
+`s_polynomial` is made one at the boundary (`_to_terms`).  Fractions are
+built once on the way out (`_from_terms`): monic ones for
+`GroebnerBasis.elements`, exact rescalings of the integer results for
+`normal_form` and `s_polynomial`.  Buchberger, the basis reduction, the audit
+and the oracle do no Fraction arithmetic and build no LoopPoly or Monomial:
 
 - division (`_reduce`) keeps the pending integer coefficients in a dict and
   their packed vectors in a heap, cancels each term fraction-free against
   a divisor's lead and subtracts the divisor's tail, shifted by the quotient
   vector, in place; the remainder comes out up to a nonzero multiplier;
+- the divisors are a record (`_Divisors`) that Buchberger, the basis
+  reduction and the audit each build once and append to as their basis
+  grows; it remembers each vector's first dividing lead, so a division looks
+  a vector's divisor up once per basis;
 - the S-pairs wait in a heap keyed by (packed lcm, i, j), each pushed once,
   when its second element joins the basis, and each nonzero remainder is made
   primitive once;
-- the audit of the reduced basis reduces only the S-pairs that Buchberger's
-  coprime and strict chain criteria keep (`_verify_basis`);
+- the audit of the reduced basis reduces only the S-pairs that the coprime
+  criterion, the chain criterion in one fixed pair order and, on homogeneous
+  bases, the degree of the leads' staircase leave (`_verify_basis`);
 - the Milnor count reads the leading vectors only (`_staircase_size`);
 - the oracle packs each (monomial * partial) row into one int, a 64-bit slot
   per column, and eliminates it modulo a prime below 2^20 (`_rank_mod_p`);
@@ -175,16 +180,14 @@ def _variables(*polys: LoopPoly) -> tuple[LoopVar, ...]:
 
 
 def _to_terms(p: LoopPoly, variables: Sequence[LoopVar]) -> Terms:
-    """p's primitive integer multiple over `variables`, ascending and holding all of p's."""
-    return _primitive_terms(
-        (tuple(map(dict(mono.factors).get, variables, itertools.repeat(0))), c)
-        for mono, c in p.terms
+    """p's primitive integer multiple over `variables`, ascending and holding
+    all of p's, in decreasing order."""
+    ordered = sorted(
+        ((tuple(map(dict(mono.factors).get, variables, itertools.repeat(0))), c)
+         for mono, c in p.terms),
+        key=lambda term: _packed(term[0]),
+        reverse=True,
     )
-
-
-def _primitive_terms(exact: Iterable[tuple[Exponents, Fraction]]) -> Terms:
-    """The primitive integer multiple of exact terms with distinct vectors, in decreasing order."""
-    ordered = sorted(exact, key=lambda term: _packed(term[0]), reverse=True)
     if not ordered:
         return []
     scale = math.lcm(*(c.denominator for _, c in ordered))
@@ -214,8 +217,31 @@ def _primitive(terms: list) -> list:
     return [(e, c // content) for e, c in terms]
 
 
+class _Divisors:
+    """The divisors of a division, as a growing basis holds them.
+
+    `heads` has one (lead, lead coefficient, tail) triple per nonzero element,
+    in the order the elements were appended; `first` maps a packed vector
+    already met to the first triple whose lead divides it.  An appended lead
+    comes after every earlier one, so a first divisor stays first and `first`
+    stays valid for as long as the record lives; a vector no lead divided is
+    not remembered, since a later lead may divide it.  Each record belongs to
+    one computation and is built once per basis.
+    """
+
+    __slots__ = ("heads", "first")
+
+    def __init__(self, elements: Iterable[PackedTerms] = ()):
+        self.heads = [(g[0][0], g[0][1], g[1:]) for g in elements if g]
+        self.first: dict[int, tuple[int, int, PackedTerms]] = {}
+
+    def append(self, g: PackedTerms) -> None:
+        if g:
+            self.heads.append((g[0][0], g[0][1], g[1:]))
+
+
 def _reduce(
-    terms: Iterable[PackedTerm], divisors: Sequence[PackedTerms], run: _Run
+    terms: Iterable[PackedTerm], divisors: _Divisors, run: _Run
 ) -> tuple[PackedTerms, int]:
     """Remainder of the sum of `terms` under division by the divisors, up to a
     nonzero integer multiplier; returns (remainder, multiplier).
@@ -238,7 +264,7 @@ def _reduce(
     # A vector is in the heap while it is in pending.
     heap = [-e for e in pending]
     heapify(heap)
-    heads = [(g[0][0], g[0][1], g[1:]) for g in divisors if g]
+    heads, first = divisors.heads, divisors.first
     remainder: PackedTerms = []
     multiplier = 1
     guard, left = run.guard, run.left
@@ -247,36 +273,41 @@ def _reduce(
         c = pending.pop(e)
         if not c:
             continue
-        # l divides e when no entry field of e - l borrows its guard bit.
-        probe = e | guard
-        for lead, lead_c, tail in heads:
-            if (probe - lead) & guard == guard:
-                shift = e - lead
-                common = math.gcd(c, lead_c)
-                scale = lead_c // common
-                if scale != 1:
-                    multiplier *= scale
-                    for m in pending:
-                        pending[m] *= scale
-                    remainder = [(r, rc * scale) for r, rc in remainder]
-                factor = c // common
-                left -= len(tail) * (c.bit_length() // 64 + 1)
-                if left < 0:
-                    raise _BasisTooLarge(
-                        "the Groebner basis computation exceeds its budget of "
-                        f"{MAX_REDUCTION_WORK} reduction term-words"
-                    )
-                for t, tc in tail:
-                    m = t + shift
-                    old = pending.get(m)
-                    if old is None:
-                        pending[m] = -factor * tc
-                        heappush(heap, -m)
-                    else:
-                        pending[m] = old - factor * tc
-                break
-        else:
-            remainder.append((e, c))
+        head = first.get(e)
+        if head is None:
+            # l divides e when no entry field of e - l borrows its guard bit.
+            probe = e | guard
+            for head in heads:
+                if (probe - head[0]) & guard == guard:
+                    first[e] = head
+                    break
+            else:
+                remainder.append((e, c))
+                continue
+        lead, lead_c, tail = head
+        shift = e - lead
+        common = math.gcd(c, lead_c)
+        scale = lead_c // common
+        if scale != 1:
+            multiplier *= scale
+            for m in pending:
+                pending[m] *= scale
+            remainder = [(r, rc * scale) for r, rc in remainder]
+        factor = c // common
+        left -= len(tail) * (c.bit_length() // 64 + 1)
+        if left < 0:
+            raise _BasisTooLarge(
+                "the Groebner basis computation exceeds its budget of "
+                f"{MAX_REDUCTION_WORK} reduction term-words"
+            )
+        for t, tc in tail:
+            m = t + shift
+            old = pending.get(m)
+            if old is None:
+                pending[m] = -factor * tc
+                heappush(heap, -m)
+            else:
+                pending[m] = old - factor * tc
     run.left = left
     return remainder, multiplier
 
@@ -352,7 +383,7 @@ def normal_form(p: LoopPoly, divisors: Sequence[LoopPoly]) -> LoopPoly:
     terms = _to_terms(p, variables)
     remainder, multiplier = _reduce(
         _packed_terms(terms),
-        [_packed_terms(_to_terms(g, variables)) for g in divisors],
+        _Divisors(_packed_terms(_to_terms(g, variables)) for g in divisors),
         _Run(len(variables)),
     )
     # terms is p times terms' lead over p's lead; undo that and the multiplier.
@@ -394,6 +425,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     for g in generators:
         if g not in basis:
             basis.append(g)
+    divisors = _Divisors(basis)
     # The leads as vectors, for their lcms, and packed.
     leads = [_unpacked(g[0][0], d) for g in basis]
     packed_leads = [g[0][0] for g in basis]
@@ -425,9 +457,10 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         )
         if chain:
             continue
-        remainder, _ = _reduce(_s_terms(basis[i], basis[j], lcm), basis, run)
+        remainder, _ = _reduce(_s_terms(basis[i], basis[j], lcm), divisors, run)
         if remainder:
             basis.append(_primitive(remainder))
+            divisors.append(basis[-1])
             leads.append(_unpacked(remainder[0][0], d))
             packed_leads.append(remainder[0][0])
             install(len(basis) - 1)
@@ -446,11 +479,13 @@ def _reduce_basis(basis: Sequence[PackedTerms], run: _Run) -> list[PackedTerms]:
     so each kept element comes out fully reduced.
     """
     reduced: list[PackedTerms] = []
+    divisors = _Divisors()
     guard = run.guard
     for g in sorted(basis, key=lambda g: g[0][0]):
         probe = g[0][0] | guard
-        if not any((probe - r[0][0]) & guard == guard for r in reduced):
-            reduced.append(_primitive(_reduce(g, reduced, run)[0]))
+        if not any((probe - lead) & guard == guard for lead, _, _ in divisors.heads):
+            reduced.append(_primitive(_reduce(g, divisors, run)[0]))
+            divisors.append(reduced[-1])
     return reduced
 
 
@@ -460,39 +495,81 @@ def _verify_basis(
     """Raise RuntimeError unless the elements, packed for `run`, are a
     Groebner basis by which every generator reduces to zero.
 
-    Only the S-pairs that Buchberger's criteria keep are reduced.  A pair with
-    coprime leads reduces to zero (criterion 1).  A pair (i, j) is also
-    skipped when some lead_k divides lcm_ij and lcm_ik, lcm_jk are proper
-    divisors of it (strict chain): the leading-term syzygy of (i, j) is then a
-    monomial combination of those of (i, k) and (j, k), of strictly smaller
-    lcm.  By induction on the lcm under divisibility, the kept and coprime
-    pairs generate the whole syzygy module of the leads, so their
-    S-polynomials reducing to zero proves a Groebner basis (Cox, Little and
-    O'Shea, ch. 2 section 10, Theorem 6).  No pair order is needed; the audit
-    passes exactly when the audit of all pairs does.
+    The elements are a Groebner basis when the S-polynomial of every pair
+    (i, j) has a standard representation below lcm_ij: a sum of multiples of
+    elements whose leads all lie below it (the lcm representations of Cox,
+    Little and O'Shea, ch. 2, "Improvements on Buchberger's Algorithm").  An
+    S-polynomial that reduces to zero has one, and so does that of a pair
+    with coprime leads (Buchberger's first criterion).  Two more criteria
+    leave pairs unreduced:
+
+    - The chain criterion, in one fixed order (Gebauer and Moeller, "On an
+      installation of Buchberger's algorithm", J. Symb. Comput. 6, 1988).
+      The pairs that are not coprime are taken in increasing order of
+      (packed lcm, i, j), and (i, j) is skipped when some lead_k divides
+      lcm_ij while (i, k) and (j, k) are coprime or came earlier.  S_ij is
+      then a combination of the monomial multiples lcm_ij/lcm_ik * S_ik and
+      lcm_ij/lcm_jk * S_jk, whose representations lie below lcm_ij; by
+      induction along the order, a pair relies only on earlier pairs, so
+      every pair has a representation.  This is the sequential form of
+      `buchberger`'s own test against its pending pairs.
+    - The homogeneous degree bound.  When every element is homogeneous, an
+      S-polynomial is homogeneous of its lcm's degree, and so is each stage
+      of its division; past the top degree of the leads' staircase every
+      monomial is a multiple of some lead, so no term reaches the remainder
+      and the S-polynomial reduces to zero (`_degree_cut`).  The pairs come
+      in increasing degree, so the audit stops at the first pair past it.
+
+    A pair is left out only when its S-polynomial is proved to have a
+    representation, and a Groebner basis reduces every S-polynomial to zero,
+    so the audit passes exactly when the audit of all pairs does.
     """
     guard = run.guard
     packed_leads = [g[0][0] for g in elements]
     leads = [_unpacked(lead, run.d) for lead in packed_leads]
-    for i, j in itertools.combinations(range(len(elements)), 2):
-        if not any(map(min, leads[i], leads[j])):
-            continue
-        lcm = tuple(map(max, leads[i], leads[j]))
-        packed_lcm = _packed(lcm)
-        probe = packed_lcm | guard
-        # k = i or k = j never passes: its lcm with the other lead is lcm_ij.
-        if any(
-            (probe - packed_lead) & guard == guard
-            and tuple(map(max, leads[i], lead)) != lcm
-            and tuple(map(max, leads[j], lead)) != lcm
-            for packed_lead, lead in zip(packed_leads, leads)
+    n = len(elements)
+    # treated[i][k]: the pair (i, k) is coprime or came earlier in the order.
+    # The diagonal stays False, so no k in {i, j} counts for (i, j).
+    treated = [[False] * n for _ in range(n)]
+    pairs = []
+    for i, j in itertools.combinations(range(n), 2):
+        if any(map(min, leads[i], leads[j])):
+            pairs.append((_packed(tuple(map(max, leads[i], leads[j]))), i, j))
+        else:
+            treated[i][j] = treated[j][i] = True
+    pairs.sort()
+    cut = _degree_cut(elements, leads, run.d) if pairs else None
+    degree_shift = _FIELD * (2 * run.d - 1)
+    divisors = _Divisors(elements)
+    for lcm, i, j in pairs:
+        if cut is not None and lcm >> degree_shift > cut:
+            break
+        probe = lcm | guard
+        with_i, with_j = treated[i], treated[j]
+        if not any(
+            with_i[k] and with_j[k] and (probe - lead) & guard == guard
+            for k, lead in enumerate(packed_leads)
         ):
-            continue
-        if _reduce(_s_terms(elements[i], elements[j], packed_lcm), elements, run)[0]:
-            raise RuntimeError("S-polynomial does not reduce to zero")
+            if _reduce(_s_terms(elements[i], elements[j], lcm), divisors, run)[0]:
+                raise RuntimeError("S-polynomial does not reduce to zero")
+        with_i[j] = with_j[i] = True
     for g in generators:
-        if _reduce(g, elements, run)[0]:
+        if _reduce(g, divisors, run)[0]:
             raise RuntimeError("an ideal generator does not reduce to zero")
+
+
+def _degree_cut(
+    elements: Sequence[PackedTerms], leads: Sequence[Exponents], d: int
+) -> int | None:
+    """The degree past which every S-pair of the elements reduces to zero, or
+    None when the elements are not all homogeneous or the staircase of their
+    leads is infinite."""
+    shift = _FIELD * (2 * d - 1)
+    for g in elements:
+        degree = g[0][0] >> shift
+        if any(e >> shift != degree for e, _ in g):
+            return None
+    return _staircase_top(leads, d)
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
@@ -554,12 +631,49 @@ def _staircase_size(leads: Sequence[Exponents], box: Sequence[int]) -> int:
     )
 
 
+def _staircase_top(leads: Sequence[Exponents], d: int) -> int | None:
+    """The largest degree of an exponent vector no leading vector divides.
+
+    None when there are infinitely many, that is when some coordinate has no
+    pure-power lead, and -1 when there are none, that is for a unit lead.
+    """
+    if not all(map(any, leads)):
+        return -1
+    try:
+        box = _box(leads, d)
+    except NotIsolated:
+        return None
+    return _slab_top(leads, box)
+
+
+def _slab_top(leads: Sequence[Exponents], box: Sequence[int]) -> int:
+    """The largest degree of a vector in the box that no leading vector
+    divides, or -1 when there is none.
+
+    The slab recursion of `_staircase_size`: between two consecutive values
+    that some lead takes on the last coordinate the same leads can divide a
+    vector, so a slab's top is that of the other coordinates plus the largest
+    last coordinate in the slab.
+    """
+    if not all(map(any, leads)):
+        return -1
+    if not box:
+        return 0
+    side = box[-1]
+    cuts = sorted({lead[-1] for lead in leads if lead[-1] < side} | {0}) + [side]
+    top = -1
+    for lo, hi in zip(cuts, cuts[1:]):
+        below = _slab_top([lead[:-1] for lead in leads if lead[-1] <= lo], box[:-1])
+        if below >= 0:
+            top = max(top, below + hi - 1)
+    return top
+
+
 class _JacobianIdeal(Ideal):
     """The ideal of F's exact partials; `generators` builds their LoopPolys on each access."""
 
     def __init__(self, func: InputFunction):
-        self.d, self._partials = func.d, func.partials
-        self._terms = tuple(_primitive_terms(p.items()) for p in func.partials)
+        self.d, self._partials, self._terms = func.d, func.partials, func.integer_partials
 
     @property
     def generators(self) -> tuple[LoopPoly, ...]:
@@ -615,7 +729,7 @@ def milnor_number_oracle(func: InputFunction) -> int:
     # (monomial * partial) row is the partial's row shifted by the monomial.
     weights = [(top + 1) ** i for i in range(d - 1)] + [0]
     gens = [
-        {sum(map(mul, e, weights)): c for e, c in gen} for gen in jacobian_ideal(func)._terms
+        {sum(map(mul, e, weights)): c for e, c in gen} for gen in func.integer_partials
     ]
     offsets = [sum(map(mul, e, weights)) for e in _monomial_exponents(d, top - delta + 1)]
     columns = math.comb(top + d - 1, d - 1)

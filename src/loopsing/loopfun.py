@@ -113,7 +113,8 @@ class InputFunction:
 
     F is `terms`, {exponent vector: Fraction}, entry i of a vector being the
     exponent of coordinate i+1; its d exact `partials` take the same form, the
-    one the jets, the checks, both Milnor routes and the printer read.
+    one the jets, the checks and the printer read.  Both Milnor routes read
+    `integer_partials`, built once from them when first read.
     `poly`, F as a LoopPoly in z^1_0, ..., z^d_0, is built when first read,
     by `repr` or a caller of the public API; no report reads it.  Optional
     display names (one per coordinate) are carried along for parsing and
@@ -165,6 +166,22 @@ class InputFunction:
     @functools.cached_property
     def poly(self) -> LoopPoly:
         return _from_exponents(self.terms.items(), _coordinates(self.d, 0))
+
+    @functools.cached_property
+    def integer_partials(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+        """Each partial's primitive integer multiple, the Jacobian ideal both
+        Milnor routes read: (vector, int) terms in decreasing grevlex order,
+        with content 1 and a positive leading coefficient."""
+        out = []
+        for partial in self.partials:
+            # The vectors share one degree, and there decreasing grevlex order
+            # is increasing tuple order.
+            terms = sorted(partial.items())
+            scale = math.lcm(*(c.denominator for _, c in terms))
+            ints = [c.numerator * (scale // c.denominator) for _, c in terms]
+            content = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
+            out.append(tuple((e, c // content) for (e, _), c in zip(terms, ints)))
+        return tuple(out)
 
     def _named_terms(self) -> frozenset:
         return frozenset(

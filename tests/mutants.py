@@ -59,9 +59,14 @@ MUTANTS = (
            "bad = [s for s in solution.segment_alternating_sums(system) if s != 0]", "bad = []",
            "each exact segment's alternating sum of dimensions is 0"),
     Mutant("s-pairs", "grobner.py",
-           "if _reduce(_s_terms(elements[i], elements[j], packed_lcm), elements, run)[0]:",
+           "if _reduce(_s_terms(elements[i], elements[j], lcm), divisors, run)[0]:",
            "if False:", "every kept S-pair reduces to zero on the basis"),
-    Mutant("generators", "grobner.py", "if _reduce(g, elements, run)[0]:", "if False:",
+    Mutant("degree-cut", "grobner.py", "lcm >> degree_shift > cut:",
+           "lcm >> degree_shift >= cut:",
+           "the audit leaves out only S-pairs past the top degree of the staircase"),
+    Mutant("ordered-chain", "grobner.py", "with_i[k] and with_j[k] and", "with_i[k] and",
+           "the chain criterion skips a pair only on two pairs treated before it"),
+    Mutant("generators", "grobner.py", "if _reduce(g, divisors, run)[0]:", "if False:",
            "every ideal generator reduces to zero on the basis"),
     Mutant("staircase", "grobner.py", "if mu != expected:", "if False:",
            "the standard-monomial count is (delta-1)^d"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import functools
 import hashlib
 import importlib
 import io
@@ -255,6 +256,32 @@ class TestRun:
         # one functional, then one jet per partial derivative
         assert len(calls) == 1 + entry.d
         assert [k for _, k in calls] == [0] + [-2 * (entry.delta - 1)] * entry.d
+
+    @pytest.mark.parametrize(
+        "source, mu",
+        [("(x + 2*y - w)^4 + (y - w)^4 + (x - w)^4", 27), ("x^3 + y^3", 4)],
+        ids=["dense", "fermat"],
+    )
+    def test_one_jacobian_ideal_per_report(self, monkeypatch, source, mu):
+        # Both Milnor routes run (d <= 3, delta <= 5) and read one build of the partials.
+        build = InputFunction.__dict__["integer_partials"].func
+        calls = []
+
+        def counted(func):
+            calls.append(func)
+            return build(func)
+
+        counted_property = functools.cached_property(counted)
+        counted_property.__set_name__(InputFunction, "integer_partials")
+        monkeypatch.setattr(InputFunction, "integer_partials", counted_property)
+        oracle = grobner.milnor_number_oracle
+        oracles = []
+        monkeypatch.setattr(
+            grobner, "milnor_number_oracle", lambda func: oracles.append(func) or oracle(func)
+        )
+        report = run_source(source, checks=("milnor",))
+        assert report.exit_status == 0 and report.milnor_number == mu
+        assert len(calls) == 1 and oracles == calls
 
     @pytest.mark.parametrize(
         "factor, witness",

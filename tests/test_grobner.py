@@ -254,6 +254,37 @@ class TestStandardMonomials:
         )
         assert grobner._staircase_size(leads, box) == expected
 
+    @settings(deadline=None, max_examples=200)
+    @given(_monomial_and_binomial_ideals())
+    @example(Ideal([x], 2))
+    @example(Ideal([x + Poly.constant(1), x], 1))
+    @example(Ideal([x**2, y**3, x * y], 2))
+    @example(Ideal([x**2 - y * w, y**2, w**3, x * y * w], 3))
+    def test_staircase_top_matches_the_enumeration(self, ideal):
+        gb = buchberger(ideal)
+        leads = [g[0][0] for g in gb._terms]
+        try:
+            degrees = [sum(e for _, e in m.factors) for m in standard_monomials(gb)]
+        except NotIsolated:
+            expected = None  # infinitely many standard monomials: no top
+        else:
+            expected = max(degrees, default=-1)  # -1 for the unit ideal
+        assert grobner._staircase_top(leads, gb.d) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(_boxes_and_leads())
+    def test_slab_top_of_any_leads(self, box_and_leads):
+        box, leads = box_and_leads
+        expected = max(
+            (
+                sum(e)
+                for e in itertools.product(*map(range, box))
+                if not any(all(map(le, lead, e)) for lead in leads)
+            ),
+            default=-1,
+        )
+        assert grobner._slab_top(leads, box) == expected
+
 
 class TestMilnorNumber:
     def test_quadric(self):
@@ -1089,8 +1120,31 @@ def _audited_ideals(draw) -> Ideal:
         assume(False)
 
 
+@st.composite
+def _dense_jacobian_ideals(draw) -> Ideal:
+    """The Jacobian ideal of a dense form: its generators are homogeneous."""
+    try:
+        return jacobian_ideal(build(draw(_dense_forms())))
+    except (ParseError, DegreeTooLow):  # the powers cancel a variable, or all of them, away
+        assume(False)
+
+
+def _audit_reductions(monkeypatch, elements, generators) -> int:
+    """The number of divisions `_verify_basis` makes on the elements and generators."""
+    reduce, count = grobner._reduce, []
+
+    def counted(terms, divisors, run):
+        count.append(None)
+        return reduce(terms, divisors, run)
+
+    monkeypatch.setattr(grobner, "_reduce", counted)
+    _packed_verify(elements, generators)
+    monkeypatch.setattr(grobner, "_reduce", reduce)
+    return len(count)
+
+
 class TestAudit:
-    """The audit on the S-pairs Buchberger's criteria keep, against the all-pairs audit."""
+    """The audit on the S-pairs that its pair criteria keep, against the all-pairs audit."""
 
     @settings(deadline=None, max_examples=150)
     @given(_audited_ideals(), st.lists(_mutations, max_size=2))
@@ -1118,20 +1172,73 @@ class TestAudit:
             failures += outcome is not None
         assert failures >= len(elements)
 
+    def test_a_chain_relies_only_on_pairs_treated_before_it(self):
+        # The leads xy, xz and yz share the lcm xyz, so the pairs come in the
+        # order (0, 1), (0, 2), (1, 2).  S_01 reduces to zero and S_02 does
+        # not.  Lead 1 divides lcm_02 and (0, 1) came before it, but (1, 2)
+        # comes after it, so (0, 2) is reduced.  Skipped on (0, 1) alone, it
+        # would let (1, 2) be skipped on (0, 1) and (0, 2), and the audit pass.
+        elements = [
+            [((1, 1, 0), 1), ((2, 0, 0), 1)],
+            [((1, 0, 1), 1), ((1, 1, 0), 1)],
+            [((0, 1, 1), 1), ((0, 2, 0), -1)],
+        ]
+        assert not _tuple_reduce(_tuple_s_terms(elements[0], elements[1]), elements)[0]
+        assert _tuple_reduce(_tuple_s_terms(elements[0], elements[2]), elements)[0]
+        with pytest.raises(RuntimeError, match="S-polynomial does not reduce to zero"):
+            _packed_verify(elements, elements)
+
     def test_criteria_skip_pairs_of_a_dense_basis(self, monkeypatch):
         ideal = jacobian_ideal(build(_gl_fermat_source(3, 5, 2)))
         elements = buchberger(ideal)._terms
-        reduce, pairs = grobner._reduce, []
+        # Of the 105 pairs of the 15 elements, the criteria leave 21 to reduce
+        # (the strict chain criterion left 33); the 3 generators are reduced too.
+        assert (len(elements), len(ideal._terms)) == (15, 3)
+        assert _audit_reductions(monkeypatch, elements, ideal._terms) == 21 + 3
 
-        def counted(terms, divisors, run):
-            terms = list(terms)
-            pairs.append(terms)
-            return reduce(terms, divisors, run)
+    @settings(deadline=None, max_examples=100)
+    @given(_dense_jacobian_ideals(), st.lists(_mutations, max_size=2))
+    def test_s_pairs_past_the_staircase_top_reduce_to_zero(self, ideal, mutations):
+        """On homogeneous elements, Groebner basis or not, as the degree cut assumes."""
+        elements = [list(g) for g in buchberger(ideal)._terms]
+        for _, index, pick, step in mutations:  # a changed coefficient keeps the degree
+            elements = _mutate(elements, "coefficient", index % len(elements), pick, step)
+        leads = [g[0][0] for g in elements]
+        top = grobner._degree_cut(_packed(elements), leads, ideal.d)
+        if top is None:  # a term of lower degree, or an infinite staircase
+            assert not all(
+                len({sum(e) for e, _ in g}) == 1 for g in elements
+            ) or grobner._staircase_top(leads, ideal.d) is None
+            return
+        for f, g in itertools.combinations(elements, 2):
+            if sum(map(max, f[0][0], g[0][0])) > top:
+                assert _tuple_reduce(_tuple_s_terms(f, g), elements)[0] == []
 
-        monkeypatch.setattr(grobner, "_reduce", counted)
-        _packed_verify(elements, ideal._terms)
-        n = len(elements)
-        assert len(ideal._terms) < len(pairs) < len(ideal._terms) + n * (n - 1) // 2
+    @pytest.mark.parametrize("source", sorted(PINNED_BASES))
+    def test_a_lower_degree_term_gets_no_degree_cut(self, monkeypatch, source):
+        ideal = jacobian_ideal(build(source))
+        elements = [list(g) for g in buchberger(ideal)._terms]
+        leads = [g[0][0] for g in elements]
+        top = grobner._degree_cut(_packed(elements), leads, ideal.d)
+        assert top == ideal.d * (build(source).delta - 2)
+        # The last element gains a term one degree below its lead.
+        lead = elements[-1][0][0]
+        i = lead.index(max(lead))
+        lower = lead[:i] + (lead[i] - 1,) + lead[i + 1 :]
+        forged = elements[:-1] + [elements[-1] + [(lower, 1)]]
+        assert grobner._degree_cut(_packed(forged), leads, ideal.d) is None
+        assert _audit_outcome(_packed_verify, forged, ideal._terms) == _audit_outcome(
+            _all_pairs_verify, forged, ideal._terms
+        )
+        # Without the cut the audit reduces the pairs past the top as well.
+        past = sum(
+            any(map(min, f, g)) and sum(map(max, f, g)) > top
+            for f, g in itertools.combinations(leads, 2)
+        )
+        monkeypatch.setattr(grobner, "_degree_cut", lambda *args: None)
+        uncut = _audit_reductions(monkeypatch, elements, ideal._terms)
+        monkeypatch.undo()
+        assert past > 0 and _audit_reductions(monkeypatch, elements, ideal._terms) < uncut
 
     @settings(deadline=None, max_examples=150)
     @given(_audited_ideals(), st.data())
@@ -1251,11 +1358,38 @@ class TestPacking:
     def test_reduce_matches_the_tuple_reference(self, division):
         d, terms, divisors = division
         remainder, multiplier = grobner._reduce(
-            grobner._packed_terms(terms), _packed(divisors), grobner._Run(d)
+            grobner._packed_terms(terms), grobner._Divisors(_packed(divisors)), grobner._Run(d)
         )
         assert (grobner._unpacked_terms(remainder, d), multiplier) == _tuple_reduce(
             terms, divisors
         )
+
+    @settings(deadline=None, max_examples=300)
+    @given(_packed_divisions(), st.data())
+    def test_a_reused_divisor_record_divides_as_a_fresh_one(self, division, data):
+        """One record, appended to between divisions as a growing basis is, remembers
+        no first divisor that an appended lead would change."""
+        d, terms, divisors = division
+        vectors = st.tuples(*[st.integers(0, 4)] * d)
+        dividends = [terms] + data.draw(
+            st.lists(st.lists(st.tuples(vectors, st.integers(-9, 9)), max_size=8), max_size=3)
+        )
+        record, run = grobner._Divisors(), grobner._Run(d)
+        held = 0
+        for dividend in dividends:
+            more = data.draw(st.integers(held, len(divisors)))
+            for g in divisors[held:more]:
+                record.append(grobner._packed_terms(g))
+            held = more
+            packed = grobner._packed_terms(dividend)
+            reused = grobner._reduce(packed, record, run)
+            fresh = grobner._reduce(
+                packed, grobner._Divisors(_packed(divisors[:held])), grobner._Run(d)
+            )
+            assert reused == fresh
+            assert (grobner._unpacked_terms(reused[0], d), reused[1]) == _tuple_reduce(
+                dividend, divisors[:held]
+            )
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_degree_past_the_field_is_refused(self, d):

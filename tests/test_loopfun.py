@@ -137,6 +137,23 @@ class TestInputFunction:
 
     @settings(deadline=None)
     @given(homogeneous_forms())
+    def test_integer_partials_are_the_primitive_partials(self, terms):
+        func = InputFunction(terms)
+        assert len(func.integer_partials) == func.d
+        for partial, integer in zip(func.partials, func.integer_partials):
+            # Decreasing grevlex order: the degree, then the smaller first entry, and so on.
+            ordered = sorted(
+                partial.items(), key=lambda t: (sum(t[0]), [-x for x in t[0]]), reverse=True
+            )
+            assert [e for e, _ in integer] == [e for e, _ in ordered]
+            ratio = Fraction(integer[0][1]) / ordered[0][1]
+            assert all(c == ratio * exact for (_, c), (_, exact) in zip(integer, ordered))
+            assert all(type(c) is int for _, c in integer)
+            assert integer[0][1] > 0 and math.gcd(*(c for _, c in integer)) == 1
+        assert func.integer_partials is func.integer_partials
+
+    @settings(deadline=None)
+    @given(homogeneous_forms())
     def test_partials_are_exact_fractions(self, terms):
         func = InputFunction(terms)
         assert all(type(c) is Fraction for c in func.terms.values())
