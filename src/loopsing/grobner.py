@@ -33,12 +33,13 @@ and the oracle do no Fraction arithmetic and build no LoopPoly or Monomial:
   reduction and the audit each build once and append to as their basis
   grows; it remembers each vector's first dividing lead, so a division looks
   a vector's divisor up once per basis;
-- the S-pairs wait in a heap keyed by (packed lcm, i, j), each pushed once,
-  when its second element joins the basis, and each nonzero remainder is made
-  primitive once;
-- the audit of the reduced basis reduces only the S-pairs that the coprime
-  criterion, the chain criterion in one fixed pair order and, on homogeneous
-  bases, the degree of the leads' staircase leave (`_verify_basis`);
+- one pair loop (`_pairs_to_reduce`) serves Buchberger and the audit of the
+  reduced basis (`_verify_basis`): the S-pairs wait in a heap keyed by
+  (packed lcm, i, j), each pushed once, when its second element joins the
+  basis, and it yields only those that the coprime criterion, the chain
+  criterion in the order taken and, on homogeneous input, the degree of the
+  leads' staircase leave; Buchberger makes each nonzero remainder primitive
+  once and appends it, and the audit fails at the first nonzero one;
 - the Milnor count reads the leading vectors only (`_staircase_size`);
 - the oracle packs each (monomial * partial) row into one int, a 64-bit slot
   per column, and eliminates it modulo a prime below 2^20 (`_rank_mod_p`);
@@ -78,7 +79,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le, mul
@@ -404,70 +405,111 @@ def s_polynomial(f: LoopPoly, g: LoopPoly) -> LoopPoly:
     return _from_terms(_unpacked_terms(s_terms, len(variables)), variables, scale)
 
 
-def _pair_key(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
-
-
 def buchberger(ideal: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal.
 
     Pairs are processed by lowest lcm first (normal strategy) and eliminated
-    by the coprimality and chain criteria.  The output is the unique reduced
-    basis, so running buchberger on its own output returns an equal basis.
-    It is returned only after `_verify_basis` has proved it a Groebner basis
-    by which every generator reduces to zero.
+    by the criteria of `_pairs_to_reduce`; each nonzero remainder joins the
+    basis.  The output is the unique reduced basis, so running buchberger on
+    its own output returns an equal basis.  It is returned only after
+    `_verify_basis` has proved it a Groebner basis by which every generator
+    reduces to zero.
     """
-    d = ideal.d
-    run = _Run(d)
-    guard = run.guard
+    run = _Run(ideal.d)
     generators = [_packed_terms(g) for g in ideal._terms]
     basis: list[PackedTerms] = []
     for g in generators:
         if g not in basis:
             basis.append(g)
     divisors = _Divisors(basis)
-    # The leads as vectors, for their lcms, and packed.
-    leads = [_unpacked(g[0][0], d) for g in basis]
-    packed_leads = [g[0][0] for g in basis]
-
-    pending: set[tuple[int, int]] = set()
-    queue: list[tuple[int, int, int]] = []
-
-    def install(new: int) -> None:
-        for k in range(new):
-            pending.add((k, new))
-            heappush(queue, (_packed(tuple(map(max, leads[k], leads[new]))), k, new))
-
-    for new in range(len(basis)):
-        install(new)
-
-    while queue:
-        lcm, i, j = heappop(queue)
-        pending.discard((i, j))
-        if lcm == packed_leads[i] + packed_leads[j]:  # coprime leading monomials
-            continue
-        probe = lcm | guard
-        chain = any(
-            k != i
-            and k != j
-            and (probe - lead) & guard == guard
-            and _pair_key(i, k) not in pending
-            and _pair_key(j, k) not in pending
-            for k, lead in enumerate(packed_leads)
-        )
-        if chain:
-            continue
+    for lcm, i, j in _pairs_to_reduce(basis, run):
         remainder, _ = _reduce(_s_terms(basis[i], basis[j], lcm), divisors, run)
         if remainder:
             basis.append(_primitive(remainder))
             divisors.append(basis[-1])
-            leads.append(_unpacked(remainder[0][0], d))
-            packed_leads.append(remainder[0][0])
-            install(len(basis) - 1)
-
     reduced = _reduce_basis(basis, run)
     _verify_basis(reduced, generators, run)
-    return GroebnerBasis(tuple(tuple(_unpacked_terms(g, d)) for g in reduced), d)
+    return GroebnerBasis(tuple(tuple(_unpacked_terms(g, ideal.d)) for g in reduced), ideal.d)
+
+
+def _pairs_to_reduce(
+    basis: Sequence[PackedTerms], run: _Run
+) -> Iterator[tuple[int, int, int]]:
+    """The S-pairs (packed lcm, i, j) of the basis that the pair criteria
+    leave to reduce, each the least of the pairs queued when it is taken.
+
+    The basis is packed for `run`.  An element the caller appends between two
+    yields is queued with the others: each of its pairs whose leads are not
+    coprime waits in the queue from then on.  The pairs left out are those
+    whose S-polynomial is proved to have a standard representation below
+    lcm_ij, a sum of multiples of elements whose leads all lie below it (the
+    lcm representations of Cox, Little and O'Shea, "Ideals, Varieties, and
+    Algorithms", ch. 2, "Improvements on Buchberger's Algorithm").  An
+    S-polynomial that reduces to zero has one, and so does that of a pair
+    with coprime leads (Buchberger's first criterion).  The elements are a
+    Groebner basis once every pair has one.  Three criteria leave pairs out:
+
+    - Coprime leads.  Such a pair is marked treated as soon as its second
+      element is queued.  Cox, Little and O'Shea's improved algorithm may
+      take its pairs in any order, and taking the coprime pairs of an element
+      first is one such order.
+    - The chain criterion, in that order (Gebauer and Moeller, "On an
+      installation of Buchberger's algorithm", J. Symb. Comput. 6, 1988).  A
+      pair (i, j) is skipped when some lead_k divides lcm_ij while (i, k) and
+      (j, k) are already treated, that is coprime or taken before it.  S_ij is
+      then a combination of the monomial multiples lcm_ij/lcm_ik * S_ik and
+      lcm_ij/lcm_jk * S_jk, whose representations lie below lcm_ij; by
+      induction along the order, a pair relies only on earlier pairs, so
+      every pair has a representation once the caller has reduced each
+      yielded pair to zero, appending what did not.
+    - The homogeneous degree bound (`_degree_cut`).  When every element is
+      homogeneous, an S-polynomial is homogeneous of its lcm's degree, and so
+      is each stage of its division; past the top degree of the leads'
+      staircase every monomial is a multiple of some lead, so no term reaches
+      the remainder and the S-polynomial reduces to zero.  The cut is
+      computed again whenever the basis has grown, and a cut of an earlier,
+      smaller basis is still sound, since appended leads only shrink the
+      staircase.  The remainder of a homogeneous S-polynomial has its degree,
+      so on homogeneous input no later pair has a lower degree than the one
+      taken, and the loop stops at the first pair past the cut.
+    """
+    d, guard = run.d, run.guard
+    degree_shift = _FIELD * (2 * d - 1)
+    leads: list[Exponents] = []
+    packed_leads: list[int] = []
+    # treated[i][k]: the pair (i, k) is coprime or was taken.  The diagonal
+    # stays False, so no k in {i, j} counts for (i, j).
+    treated: list[list[bool]] = []
+    queue: list[tuple[int, int, int]] = []
+    cut, cut_size = None, 0  # the degree cut, and the basis size it is of
+    while True:
+        for new in range(len(leads), len(basis)):
+            lead = _unpacked(basis[new][0][0], d)
+            row = []
+            for k, other in enumerate(leads):
+                coprime = not any(map(min, other, lead))
+                treated[k].append(coprime)
+                row.append(coprime)
+                if not coprime:
+                    heappush(queue, (_packed(tuple(map(max, other, lead))), k, new))
+            treated.append(row + [False])
+            leads.append(lead)
+            packed_leads.append(basis[new][0][0])
+        if not queue:
+            return
+        lcm, i, j = heappop(queue)
+        if cut_size < len(basis):
+            cut, cut_size = _degree_cut(basis, leads, d), len(basis)
+        if cut is not None and lcm >> degree_shift > cut:
+            return
+        probe = lcm | guard
+        with_i, with_j = treated[i], treated[j]
+        if not any(
+            with_i[k] and with_j[k] and (probe - lead) & guard == guard
+            for k, lead in enumerate(packed_leads)
+        ):
+            yield lcm, i, j
+        with_i[j] = with_j[i] = True
 
 
 def _reduce_basis(basis: Sequence[PackedTerms], run: _Run) -> list[PackedTerms]:
@@ -495,64 +537,15 @@ def _verify_basis(
     """Raise RuntimeError unless the elements, packed for `run`, are a
     Groebner basis by which every generator reduces to zero.
 
-    The elements are a Groebner basis when the S-polynomial of every pair
-    (i, j) has a standard representation below lcm_ij: a sum of multiples of
-    elements whose leads all lie below it (the lcm representations of Cox,
-    Little and O'Shea, ch. 2, "Improvements on Buchberger's Algorithm").  An
-    S-polynomial that reduces to zero has one, and so does that of a pair
-    with coprime leads (Buchberger's first criterion).  Two more criteria
-    leave pairs unreduced:
-
-    - The chain criterion, in one fixed order (Gebauer and Moeller, "On an
-      installation of Buchberger's algorithm", J. Symb. Comput. 6, 1988).
-      The pairs that are not coprime are taken in increasing order of
-      (packed lcm, i, j), and (i, j) is skipped when some lead_k divides
-      lcm_ij while (i, k) and (j, k) are coprime or came earlier.  S_ij is
-      then a combination of the monomial multiples lcm_ij/lcm_ik * S_ik and
-      lcm_ij/lcm_jk * S_jk, whose representations lie below lcm_ij; by
-      induction along the order, a pair relies only on earlier pairs, so
-      every pair has a representation.  This is the sequential form of
-      `buchberger`'s own test against its pending pairs.
-    - The homogeneous degree bound.  When every element is homogeneous, an
-      S-polynomial is homogeneous of its lcm's degree, and so is each stage
-      of its division; past the top degree of the leads' staircase every
-      monomial is a multiple of some lead, so no term reaches the remainder
-      and the S-polynomial reduces to zero (`_degree_cut`).  The pairs come
-      in increasing degree, so the audit stops at the first pair past it.
-
-    A pair is left out only when its S-polynomial is proved to have a
-    representation, and a Groebner basis reduces every S-polynomial to zero,
-    so the audit passes exactly when the audit of all pairs does.
+    Each S-pair that `_pairs_to_reduce` keeps must reduce to zero; the pairs
+    it leaves out are proved to have a standard representation, and a
+    Groebner basis reduces every S-polynomial to zero, so the audit passes
+    exactly when the audit of all pairs does.
     """
-    guard = run.guard
-    packed_leads = [g[0][0] for g in elements]
-    leads = [_unpacked(lead, run.d) for lead in packed_leads]
-    n = len(elements)
-    # treated[i][k]: the pair (i, k) is coprime or came earlier in the order.
-    # The diagonal stays False, so no k in {i, j} counts for (i, j).
-    treated = [[False] * n for _ in range(n)]
-    pairs = []
-    for i, j in itertools.combinations(range(n), 2):
-        if any(map(min, leads[i], leads[j])):
-            pairs.append((_packed(tuple(map(max, leads[i], leads[j]))), i, j))
-        else:
-            treated[i][j] = treated[j][i] = True
-    pairs.sort()
-    cut = _degree_cut(elements, leads, run.d) if pairs else None
-    degree_shift = _FIELD * (2 * run.d - 1)
     divisors = _Divisors(elements)
-    for lcm, i, j in pairs:
-        if cut is not None and lcm >> degree_shift > cut:
-            break
-        probe = lcm | guard
-        with_i, with_j = treated[i], treated[j]
-        if not any(
-            with_i[k] and with_j[k] and (probe - lead) & guard == guard
-            for k, lead in enumerate(packed_leads)
-        ):
-            if _reduce(_s_terms(elements[i], elements[j], lcm), divisors, run)[0]:
-                raise RuntimeError("S-polynomial does not reduce to zero")
-        with_i[j] = with_j[i] = True
+    for lcm, i, j in _pairs_to_reduce(elements, run):
+        if _reduce(_s_terms(elements[i], elements[j], lcm), divisors, run)[0]:
+            raise RuntimeError("S-polynomial does not reduce to zero")
     for g in generators:
         if _reduce(g, divisors, run)[0]:
             raise RuntimeError("an ideal generator does not reduce to zero")
@@ -563,12 +556,12 @@ def _degree_cut(
 ) -> int | None:
     """The degree past which every S-pair of the elements reduces to zero, or
     None when the elements are not all homogeneous or the staircase of their
-    leads is infinite."""
+    leads is infinite.  The degree is a packed vector's top field and the
+    terms come in decreasing order, so an element is homogeneous when its
+    first and last terms have one degree."""
     shift = _FIELD * (2 * d - 1)
-    for g in elements:
-        degree = g[0][0] >> shift
-        if any(e >> shift != degree for e, _ in g):
-            return None
+    if any(g[0][0] >> shift != g[-1][0] >> shift for g in elements):
+        return None
     return _staircase_top(leads, d)
 
 
@@ -596,12 +589,13 @@ def _box(leads: Sequence[Exponents], d: int) -> list[int]:
 
     Raises NotIsolated when some coordinate has none.
     """
-    # A reduced basis has at most one pure power of each variable.
+    # A basis not yet reduced may hold several pure powers of one variable;
+    # the last is taken, and the vectors past the least are its multiples.
     box = [0] * d
     for lead in leads:
-        support = [i for i, x in enumerate(lead) if x]
-        if len(support) == 1:
-            box[support[0]] = lead[support[0]]
+        if lead.count(0) == d - 1:
+            side = max(lead)
+            box[lead.index(side)] = side
     if not all(box):
         raise NotIsolated(
             "the Jacobian ideal has infinitely many standard monomials; "

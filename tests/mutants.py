@@ -20,6 +20,7 @@ costs a whole tier-1 run.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -63,9 +64,12 @@ MUTANTS = (
            "if False:", "every kept S-pair reduces to zero on the basis"),
     Mutant("degree-cut", "grobner.py", "lcm >> degree_shift > cut:",
            "lcm >> degree_shift >= cut:",
-           "the audit leaves out only S-pairs past the top degree of the staircase"),
+           "Buchberger and the audit leave out only S-pairs past the staircase top"),
     Mutant("ordered-chain", "grobner.py", "with_i[k] and with_j[k] and", "with_i[k] and",
            "the chain criterion skips a pair only on two pairs treated before it"),
+    Mutant("pair-queue", "grobner.py", "coprime = not any(map(min, other, lead))",
+           "coprime = True",
+           "every non-coprime pair of the basis, appended elements' included, is queued"),
     Mutant("generators", "grobner.py", "if _reduce(g, divisors, run)[0]:", "if False:",
            "every ideal generator reduces to zero on the basis"),
     Mutant("staircase", "grobner.py", "if mu != expected:", "if False:",
@@ -105,11 +109,20 @@ MUTANTS = (
 )
 
 
+# A summary line of a `-q` run: `FAILED <id> - <message>`, or `ERROR` for a
+# test or file that errored.  A node id holds no space outside the brackets
+# of its parameters, and those may hold " - " themselves, so the id ends at
+# the first "]" that a " - " or the end of the line follows.
+_SUMMARY = re.compile(r"(FAILED |ERROR )(\S*?(?:\[.*?\])?)(?: - |$)")
+
+
 def first_failure(output: str) -> str:
     """The first failing or erroring test a `-q` run names, else its last line."""
     for line in output.splitlines():
-        if line.startswith(("FAILED ", "ERROR ")):
-            return line.split(" - ")[0].removeprefix("FAILED ")
+        match = _SUMMARY.match(line)
+        if match:
+            kind, test = match.groups()
+            return test if kind == "FAILED " else kind + test
     lines = output.strip().splitlines()
     return lines[-1] if lines else "no output"
 

@@ -284,6 +284,9 @@ class TestStandardMonomials:
             default=-1,
         )
         assert grobner._slab_top(leads, box) == expected
+        # Buchberger's degree cut reads the leads of a basis not yet reduced,
+        # where a pure power may repeat and the box comes from any of them.
+        assert grobner._staircase_top(leads, len(box)) == expected
 
 
 class TestMilnorNumber:
@@ -1195,6 +1198,35 @@ class TestAudit:
         # (the strict chain criterion left 33); the 3 generators are reduced too.
         assert (len(elements), len(ideal._terms)) == (15, 3)
         assert _audit_reductions(monkeypatch, elements, ideal._terms) == 21 + 3
+
+    def test_criteria_skip_pairs_in_buchberger(self, monkeypatch):
+        ideal = jacobian_ideal(build(_gl_fermat_source(3, 5, 2)))
+        # Buchberger reduces 23 S-pairs on the way to the basis above.  Its
+        # chain test against the pairs still pending, without the degree cut,
+        # reduced 26.
+        with monkeypatch.context() as patch:
+            s_terms, count = grobner._s_terms, []
+
+            def counted(f, g, lcm):
+                count.append(None)
+                return s_terms(f, g, lcm)
+
+            patch.setattr(grobner, "_s_terms", counted)
+            patch.setattr(grobner, "_verify_basis", lambda *args: None)
+            buchberger(ideal)
+        assert len(count) == 23
+
+    # Buchberger and its audit share one pair loop, so the reference audit,
+    # which reduces every pair, checks Buchberger's own choice of pairs.
+    @settings(deadline=None, max_examples=100)
+    @given(_audited_ideals())
+    def test_buchberger_passes_the_all_pairs_audit(self, ideal):
+        _all_pairs_verify([list(g) for g in buchberger(ideal)._terms], ideal._terms)
+
+    @pytest.mark.parametrize("source", sorted(PINNED_BASES))
+    def test_buchberger_passes_the_all_pairs_audit_on_a_pinned_basis(self, source):
+        ideal = jacobian_ideal(build(source))
+        _all_pairs_verify([list(g) for g in buchberger(ideal)._terms], ideal._terms)
 
     @settings(deadline=None, max_examples=100)
     @given(_dense_jacobian_ideals(), st.lists(_mutations, max_size=2))

@@ -20,3 +20,19 @@ def test_the_mutant_string_occurs_once(mutant):
 def test_mutant_names_are_distinct():
     names = [mutant.name for mutant in mutants.MUTANTS]
     assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize(
+    "line, test",
+    [
+        (
+            "FAILED tests/test_cli.py::TestRun::test_x[(x + 2*y - w)^4] - RuntimeError: a - b",
+            "tests/test_cli.py::TestRun::test_x[(x + 2*y - w)^4]",
+        ),
+        ("FAILED tests/test_cli.py::test_y - assert [1] == [2]", "tests/test_cli.py::test_y"),
+        ("FAILED tests/test_cli.py::test_z[a]", "tests/test_cli.py::test_z[a]"),
+        ("ERROR tests/test_cli.py - ImportError: x - y", "ERROR tests/test_cli.py"),
+    ],
+)
+def test_first_failure_names_the_whole_test_id(line, test):
+    assert mutants.first_failure(f"..F.\n{line}\n1 failed, 3 passed in 0.1s\n") == test
