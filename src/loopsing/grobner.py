@@ -34,12 +34,13 @@ and the oracle do no Fraction arithmetic and build no LoopPoly or Monomial:
   grows; it remembers each vector's first dividing lead, so a division looks
   a vector's divisor up once per basis;
 - one pair loop (`_pairs_to_reduce`) serves Buchberger and the audit of the
-  reduced basis (`_verify_basis`): the S-pairs wait in a heap keyed by
-  (packed lcm, i, j), each pushed once, when its second element joins the
-  basis, and it yields only those that the coprime criterion, the chain
-  criterion in the order taken and, on homogeneous input, the degree of the
-  leads' staircase leave; Buchberger makes each nonzero remainder primitive
-  once and appends it, and the audit fails at the first nonzero one;
+  reduced basis (`_verify_basis`): it keeps the leads' staircase as they
+  arrive, and the S-pairs wait in a heap keyed by (packed lcm, i, j), each
+  pushed when its second element joins the basis unless it lies past the
+  staircase top; it yields only those that the coprime criterion, on
+  support masks, and the chain criterion in the order taken, on bit sets,
+  leave; Buchberger makes each nonzero remainder primitive once and appends
+  it, and the audit fails at the first nonzero one;
 - the Milnor count reads the leading vectors only (`_staircase_size`);
 - the oracle packs each (monomial * partial) row into one int, a 64-bit slot
   per column, and eliminates it modulo a prime below 2^20 (`_rank_mod_p`);
@@ -440,19 +441,20 @@ def _pairs_to_reduce(
 
     The basis is packed for `run`.  An element the caller appends between two
     yields is queued with the others: each of its pairs whose leads are not
-    coprime waits in the queue from then on.  The pairs left out are those
-    whose S-polynomial is proved to have a standard representation below
-    lcm_ij, a sum of multiples of elements whose leads all lie below it (the
-    lcm representations of Cox, Little and O'Shea, "Ideals, Varieties, and
+    coprime waits in the queue from then on, unless the degree cut below
+    already rules it out.  The pairs left out are those whose S-polynomial
+    is proved to have a standard representation below lcm_ij, a sum of
+    multiples of elements whose leads all lie below it (the lcm
+    representations of Cox, Little and O'Shea, "Ideals, Varieties, and
     Algorithms", ch. 2, "Improvements on Buchberger's Algorithm").  An
     S-polynomial that reduces to zero has one, and so does that of a pair
     with coprime leads (Buchberger's first criterion).  The elements are a
     Groebner basis once every pair has one.  Three criteria leave pairs out:
 
-    - Coprime leads.  Such a pair is marked treated as soon as its second
-      element is queued.  Cox, Little and O'Shea's improved algorithm may
-      take its pairs in any order, and taking the coprime pairs of an element
-      first is one such order.
+    - Coprime leads, whose support masks share no bit.  Such a pair is
+      marked treated as soon as its second element is queued.  Cox, Little
+      and O'Shea's improved algorithm may take its pairs in any order, and
+      taking the coprime pairs of an element first is one such order.
     - The chain criterion, in that order (Gebauer and Moeller, "On an
       installation of Buchberger's algorithm", J. Symb. Comput. 6, 1988).  A
       pair (i, j) is skipped when some lead_k divides lcm_ij while (i, k) and
@@ -461,55 +463,82 @@ def _pairs_to_reduce(
       lcm_ij/lcm_jk * S_jk, whose representations lie below lcm_ij; by
       induction along the order, a pair relies only on earlier pairs, so
       every pair has a representation once the caller has reduced each
-      yielded pair to zero, appending what did not.
-    - The homogeneous degree bound (`_degree_cut`).  When every element is
-      homogeneous, an S-polynomial is homogeneous of its lcm's degree, and so
-      is each stage of its division; past the top degree of the leads'
-      staircase every monomial is a multiple of some lead, so no term reaches
-      the remainder and the S-polynomial reduces to zero.  The cut is
-      computed again whenever the basis has grown, and a cut of an earlier,
-      smaller basis is still sound, since appended leads only shrink the
-      staircase.  The remainder of a homogeneous S-polynomial has its degree,
-      so on homogeneous input no later pair has a lower degree than the one
-      taken, and the loop stops at the first pair past the cut.
+      yielded pair to zero, appending what did not.  Each row of `treated`
+      is a bit set, so only the k treated with both i and j are tried.
+    - The homogeneous degree cut.  When every element is homogeneous, an
+      S-polynomial is homogeneous of its lcm's degree, and so is each stage
+      of its division; past the top degree of the leads' staircase every
+      monomial is a multiple of some lead, so no term reaches the remainder
+      and the S-polynomial reduces to zero.  A batch's leads join the
+      staircase before its pairs are queued, as soon as some pair waits:
+      whether every element is homogeneous, whether a lead is 1 (the top is
+      then -1), and the pure-power leads, whose box, once complete, bounds
+      it.  Its top is taken again only when the basis has grown.  The
+      remainder of a homogeneous S-polynomial has its degree, so on
+      homogeneous input no later pair has a lower degree than the one taken,
+      and the loop stops at the first pair past the cut.  A pair past the
+      cut when it is formed is never queued, which changes no yield:
+      appended leads only lower the cut (they shrink the staircase, and on
+      homogeneous input they are homogeneous), and the loop already stops at
+      the first popped pair past the cut, so at that pair or before.
     """
     d, guard = run.d, run.guard
     degree_shift = _FIELD * (2 * d - 1)
     leads: list[Exponents] = []
     packed_leads: list[int] = []
-    # treated[i][k]: the pair (i, k) is coprime or was taken.  The diagonal
-    # stays False, so no k in {i, j} counts for (i, j).
-    treated: list[list[bool]] = []
+    supports: list[int] = []  # bit c of supports[k]: lead k holds coordinate c
+    # Bit k of treated[i]: the pair (i, k) is coprime or was taken.  Bit i
+    # stays clear, so no k in {i, j} counts for (i, j).
+    treated: list[int] = []
     queue: list[tuple[int, int, int]] = []
-    cut, cut_size = None, 0  # the degree cut, and the basis size it is of
+    homogeneous, unit, box = True, False, [0] * d
+    bits = [1 << c for c in range(d)]
     while True:
-        for new in range(len(leads), len(basis)):
-            lead = _unpacked(basis[new][0][0], d)
-            row = []
-            for k, other in enumerate(leads):
-                coprime = not any(map(min, other, lead))
-                treated[k].append(coprime)
-                row.append(coprime)
-                if not coprime:
-                    heappush(queue, (_packed(tuple(map(max, other, lead))), k, new))
-            treated.append(row + [False])
-            leads.append(lead)
-            packed_leads.append(basis[new][0][0])
+        if len(leads) < len(basis):
+            old = len(leads)
+            packed_leads += [g[0][0] for g in basis[old:]]
+            leads += [_unpacked(v, d) for v in packed_leads[old:]]
+            supports += [sum(itertools.compress(bits, lead)) for lead in leads[old:]]
+            pairs = []
+            for new in range(old, len(leads)):
+                lead, support, row = leads[new], supports[new], 0
+                for k in range(new):
+                    if supports[k] & support:
+                        pairs.append((tuple(map(max, leads[k], lead)), k, new))
+                    else:
+                        row |= 1 << k
+                        treated[k] |= 1 << new
+                treated.append(row)
+            if not (pairs or queue):
+                return
+            for g, lead, support in zip(basis[old:], leads[old:], supports[old:]):
+                homogeneous = homogeneous and g[0][0] >> degree_shift == g[-1][0] >> degree_shift
+                if not support:
+                    unit = True
+                elif not support & (support - 1):  # a pure power
+                    box[support.bit_length() - 1] = sum(lead)
+            cut = None  # the degree cut of the basis so far
+            if homogeneous and (unit or all(box)):
+                cut = -1 if unit else _slab_top(leads, box)
+            for lcm, i, j in pairs:
+                if cut is None or sum(lcm) <= cut:
+                    heappush(queue, (_packed(lcm), i, j))
         if not queue:
             return
         lcm, i, j = heappop(queue)
-        if cut_size < len(basis):
-            cut, cut_size = _degree_cut(basis, leads, d), len(basis)
         if cut is not None and lcm >> degree_shift > cut:
             return
         probe = lcm | guard
-        with_i, with_j = treated[i], treated[j]
-        if not any(
-            with_i[k] and with_j[k] and (probe - lead) & guard == guard
-            for k, lead in enumerate(packed_leads)
-        ):
+        both = treated[i] & treated[j]
+        while both:
+            low = both & -both
+            if (probe - packed_leads[low.bit_length() - 1]) & guard == guard:
+                break
+            both ^= low
+        else:
             yield lcm, i, j
-        with_i[j] = with_j[i] = True
+        treated[i] |= 1 << j
+        treated[j] |= 1 << i
 
 
 def _reduce_basis(basis: Sequence[PackedTerms], run: _Run) -> list[PackedTerms]:
@@ -549,20 +578,6 @@ def _verify_basis(
     for g in generators:
         if _reduce(g, divisors, run)[0]:
             raise RuntimeError("an ideal generator does not reduce to zero")
-
-
-def _degree_cut(
-    elements: Sequence[PackedTerms], leads: Sequence[Exponents], d: int
-) -> int | None:
-    """The degree past which every S-pair of the elements reduces to zero, or
-    None when the elements are not all homogeneous or the staircase of their
-    leads is infinite.  The degree is a packed vector's top field and the
-    terms come in decreasing order, so an element is homogeneous when its
-    first and last terms have one degree."""
-    shift = _FIELD * (2 * d - 1)
-    if any(g[0][0] >> shift != g[-1][0] >> shift for g in elements):
-        return None
-    return _staircase_top(leads, d)
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
@@ -625,34 +640,19 @@ def _staircase_size(leads: Sequence[Exponents], box: Sequence[int]) -> int:
     )
 
 
-def _staircase_top(leads: Sequence[Exponents], d: int) -> int | None:
-    """The largest degree of an exponent vector no leading vector divides.
-
-    None when there are infinitely many, that is when some coordinate has no
-    pure-power lead, and -1 when there are none, that is for a unit lead.
-    """
-    if not all(map(any, leads)):
-        return -1
-    try:
-        box = _box(leads, d)
-    except NotIsolated:
-        return None
-    return _slab_top(leads, box)
-
-
 def _slab_top(leads: Sequence[Exponents], box: Sequence[int]) -> int:
     """The largest degree of a vector in the box that no leading vector
     divides, or -1 when there is none.
 
     The slab recursion of `_staircase_size`: between two consecutive values
     that some lead takes on the last coordinate the same leads can divide a
-    vector, so a slab's top is that of the other coordinates plus the largest
-    last coordinate in the slab.
+    vector, so a slab's top is that of the others plus the slab's largest
+    last coordinate.  On one coordinate it is one below the least lead or side.
     """
     if not all(map(any, leads)):
         return -1
-    if not box:
-        return 0
+    if len(box) == 1:
+        return min([box[0], *(lead[0] for lead in leads)]) - 1
     side = box[-1]
     cuts = sorted({lead[-1] for lead in leads if lead[-1] < side} | {0}) + [side]
     top = -1

@@ -8,9 +8,11 @@ made there, and tier-1 (the whole suite, `PYTHONPATH=src python -m pytest
 test of this table's strings.  One line per mutant
 reads `killed` with the first failing test, or `survived`; the run exits 1
 if any mutant survived, and 2 without running any if some mutant's string
-does not occur exactly once.
+does not occur exactly once or a name given is no mutant's.  Names given on
+the command line run those mutants alone, in the table's order.
 
     python tests/mutants.py
+    python tests/mutants.py s-pairs degree-cut
 
 Standard library only; pytest does not collect this file.  The run takes
 several minutes: a killed mutant stops at its first failure, a survivor
@@ -25,6 +27,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -65,11 +68,13 @@ MUTANTS = (
     Mutant("degree-cut", "grobner.py", "lcm >> degree_shift > cut:",
            "lcm >> degree_shift >= cut:",
            "Buchberger and the audit leave out only S-pairs past the staircase top"),
-    Mutant("ordered-chain", "grobner.py", "with_i[k] and with_j[k] and", "with_i[k] and",
+    Mutant("ordered-chain", "grobner.py", "both = treated[i] & treated[j]",
+           "both = treated[i]",
            "the chain criterion skips a pair only on two pairs treated before it"),
-    Mutant("pair-queue", "grobner.py", "coprime = not any(map(min, other, lead))",
-           "coprime = True",
-           "every non-coprime pair of the basis, appended elements' included, is queued"),
+    Mutant("pair-queue", "grobner.py", "if supports[k] & support:", "if False:",
+           "every non-coprime pair at or below the staircase top is queued"),
+    Mutant("pair-cut", "grobner.py", "sum(lcm) <= cut", "sum(lcm) < cut",
+           "a pair is dropped when queued only if its lcm lies past the staircase top"),
     Mutant("generators", "grobner.py", "if _reduce(g, divisors, run)[0]:", "if False:",
            "every ideal generator reduces to zero on the basis"),
     Mutant("staircase", "grobner.py", "if mu != expected:", "if False:",
@@ -147,14 +152,17 @@ def run(mutant: Mutant, workdir: Path) -> str:
     return "survived" if result.returncode == 0 else f"killed    {first_failure(result.stdout)}"
 
 
-def main() -> int:
-    errors = [error for error in map(anchor_error, MUTANTS) if error]
+def main(names: Sequence[str]) -> int:
+    known = {mutant.name for mutant in MUTANTS}
+    errors = [f"{name}: no such mutant" for name in names if name not in known]
+    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    errors += [error for error in map(anchor_error, chosen) if error]
     if errors:
         print(*errors, sep="\n", file=sys.stderr)
         return 2
     survivors = 0
     with tempfile.TemporaryDirectory(prefix="loopsing-mutants-") as workdir:
-        for mutant in MUTANTS:
+        for mutant in chosen:
             verdict = run(mutant, Path(workdir))
             survivors += verdict == "survived"
             print(f"{mutant.name:<24} {verdict}    ({mutant.guarantee})", flush=True)
@@ -162,4 +170,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

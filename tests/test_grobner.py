@@ -269,7 +269,7 @@ class TestStandardMonomials:
             expected = None  # infinitely many standard monomials: no top
         else:
             expected = max(degrees, default=-1)  # -1 for the unit ideal
-        assert grobner._staircase_top(leads, gb.d) == expected
+        assert _staircase_top(leads, gb.d) == expected
 
     @settings(deadline=None, max_examples=200)
     @given(_boxes_and_leads())
@@ -285,8 +285,8 @@ class TestStandardMonomials:
         )
         assert grobner._slab_top(leads, box) == expected
         # Buchberger's degree cut reads the leads of a basis not yet reduced,
-        # where a pure power may repeat and the box comes from any of them.
-        assert grobner._staircase_top(leads, len(box)) == expected
+        # where a pure power may repeat and the box takes the last of them.
+        assert _staircase_top(leads, len(box)) == expected
 
 
 class TestMilnorNumber:
@@ -1017,6 +1017,119 @@ def _all_pairs_verify(elements, generators) -> None:
             raise RuntimeError("an ideal generator does not reduce to zero")
 
 
+def _reference_pairs_to_reduce(basis, run):
+    """Reference pair loop: the one grobner ran before it kept the staircase
+    as leads arrive.  It queues every non-coprime pair, keeps `treated` as
+    lists of bools, scans every lead for the chain criterion, and takes the
+    degree cut from nothing (`_degree_cut`) whenever the basis has grown."""
+    d, guard = run.d, run.guard
+    degree_shift = grobner._FIELD * (2 * d - 1)
+    leads, packed_leads, treated, queue = [], [], [], []
+    cut, cut_size = None, 0
+    while True:
+        for new in range(len(leads), len(basis)):
+            lead = grobner._unpacked(basis[new][0][0], d)
+            row = []
+            for k, other in enumerate(leads):
+                coprime = not any(map(min, other, lead))
+                treated[k].append(coprime)
+                row.append(coprime)
+                if not coprime:
+                    heappush(queue, (grobner._packed(tuple(map(max, other, lead))), k, new))
+            treated.append(row + [False])
+            leads.append(lead)
+            packed_leads.append(basis[new][0][0])
+        if not queue:
+            return
+        lcm, i, j = heappop(queue)
+        if cut_size < len(basis):
+            cut, cut_size = _degree_cut(basis, leads, d), len(basis)
+        if cut is not None and lcm >> degree_shift > cut:
+            return
+        probe = lcm | guard
+        with_i, with_j = treated[i], treated[j]
+        if not any(
+            with_i[k] and with_j[k] and (probe - lead) & guard == guard
+            for k, lead in enumerate(packed_leads)
+        ):
+            yield lcm, i, j
+        with_i[j] = with_j[i] = True
+
+
+def _degree_cut(elements, leads, d: int):
+    """The degree past which every S-pair of the packed elements reduces to
+    zero, or None when they are not all homogeneous or the staircase of
+    their leads is infinite."""
+    shift = grobner._FIELD * (2 * d - 1)
+    if any(g[0][0] >> shift != g[-1][0] >> shift for g in elements):
+        return None
+    return _staircase_top(leads, d)
+
+
+def _staircase_top(leads, d: int):
+    """The largest degree of an exponent vector no leading vector divides:
+    None when some coordinate has no pure-power lead, -1 for a unit lead."""
+    if not all(map(any, leads)):
+        return -1
+    try:
+        box = grobner._box(leads, d)
+    except NotIsolated:
+        return None
+    return grobner._slab_top(leads, box)
+
+
+def _replayed_pairs(pairs_to_reduce, ideal) -> tuple[list, list]:
+    """The pairs a pair loop yields to Buchberger on the ideal, and the basis
+    it leaves: each yielded pair is reduced and a nonzero remainder appended,
+    as `buchberger` does."""
+    run = grobner._Run(ideal.d)
+    basis = []
+    for g in _packed(ideal._terms):
+        if g not in basis:
+            basis.append(g)
+    divisors = grobner._Divisors(basis)
+    pairs = []
+    for lcm, i, j in pairs_to_reduce(basis, run):
+        pairs.append((lcm, i, j))
+        remainder, _ = grobner._reduce(grobner._s_terms(basis[i], basis[j], lcm), divisors, run)
+        if remainder:
+            basis.append(grobner._primitive(remainder))
+            divisors.append(basis[-1])
+    return pairs, basis
+
+
+def _audited_pairs(pairs_to_reduce, elements, d: int) -> list:
+    """The pairs a pair loop yields to the audit of the elements, given as one batch."""
+    return list(pairs_to_reduce(_packed(elements), grobner._Run(d)))
+
+
+def _assert_same_pairs(ideal, *audited) -> None:
+    """The pair loop yields the reference loop's pairs, in its order, to
+    Buchberger on the ideal and to the audit of each list of elements."""
+    assert _replayed_pairs(grobner._pairs_to_reduce, ideal) == _replayed_pairs(
+        _reference_pairs_to_reduce, ideal
+    )
+    for elements in audited:
+        assert _audited_pairs(grobner._pairs_to_reduce, elements, ideal.d) == _audited_pairs(
+            _reference_pairs_to_reduce, elements, ideal.d
+        )
+
+
+def _slab_top_calls(monkeypatch, call) -> int:
+    """The number of staircase tops `call()` takes: the calls of `_slab_top`
+    on a whole box, not counting its recursion on the slabs."""
+    slab_top, count = grobner._slab_top, []
+
+    def counted(leads, box):
+        count.append(len(box))
+        return slab_top(leads, box)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grobner, "_slab_top", counted)
+        call()
+    return count.count(max(count, default=0))
+
+
 def _fixed_point_reduce_basis(basis) -> list:
     """Reference interreduction: the loop grobner ran before its one pass.
 
@@ -1216,6 +1329,42 @@ class TestAudit:
             buchberger(ideal)
         assert len(count) == 23
 
+    @settings(deadline=None, max_examples=100)
+    @given(_audited_ideals(), st.lists(_mutations, max_size=2))
+    def test_pair_loop_yields_the_reference_pairs(self, ideal, mutations):
+        elements = [list(g) for g in buchberger(ideal)._terms]
+        mutated = elements
+        for kind, index, pick, step in mutations:
+            if mutated:
+                mutated = _mutate(mutated, kind, index % len(mutated), pick, step)
+        _assert_same_pairs(ideal, elements, mutated, ideal._terms)
+
+    @pytest.mark.parametrize("source", sorted(PINNED_BASES))
+    def test_pair_loop_yields_the_reference_pairs_on_a_pinned_basis(self, source):
+        ideal = jacobian_ideal(build(source))
+        _assert_same_pairs(ideal, [list(g) for g in buchberger(ideal)._terms])
+
+    @pytest.mark.parametrize(
+        "ideal",
+        [
+            Ideal([x * y, x**2 + y**2, Poly.constant(3)], 2),  # homogeneous: the top is -1
+            Ideal([x + Poly.constant(1), x], 1),  # Buchberger appends the unit
+            Ideal([x**2 * y - Poly.constant(1), x * y**2 - Poly.constant(1), x * y], 2),
+        ],
+    )
+    def test_pair_loop_yields_the_reference_pairs_with_a_unit_lead(self, ideal):
+        _assert_same_pairs(ideal, [list(g) for g in buchberger(ideal)._terms], ideal._terms)
+
+    def test_the_staircase_top_is_taken_only_when_a_pair_needs_it(self, monkeypatch):
+        # The Fermat cubic's partials have pure-power leads, so every pair of
+        # Buchberger's basis and of its audit is coprime.
+        fermat = jacobian_ideal(build("x^3 + y^3 + w^3"))
+        assert _slab_top_calls(monkeypatch, lambda: buchberger(fermat)) == 0
+        # The audit takes its whole basis as one batch, so one top serves it.
+        ideal = jacobian_ideal(build(_gl_fermat_source(3, 5, 2)))
+        elements = buchberger(ideal)._terms
+        assert _slab_top_calls(monkeypatch, lambda: _packed_verify(elements, ideal._terms)) == 1
+
     # Buchberger and its audit share one pair loop, so the reference audit,
     # which reduces every pair, checks Buchberger's own choice of pairs.
     @settings(deadline=None, max_examples=100)
@@ -1236,11 +1385,11 @@ class TestAudit:
         for _, index, pick, step in mutations:  # a changed coefficient keeps the degree
             elements = _mutate(elements, "coefficient", index % len(elements), pick, step)
         leads = [g[0][0] for g in elements]
-        top = grobner._degree_cut(_packed(elements), leads, ideal.d)
+        top = _degree_cut(_packed(elements), leads, ideal.d)
         if top is None:  # a term of lower degree, or an infinite staircase
             assert not all(
                 len({sum(e) for e, _ in g}) == 1 for g in elements
-            ) or grobner._staircase_top(leads, ideal.d) is None
+            ) or _staircase_top(leads, ideal.d) is None
             return
         for f, g in itertools.combinations(elements, 2):
             if sum(map(max, f[0][0], g[0][0])) > top:
@@ -1251,14 +1400,19 @@ class TestAudit:
         ideal = jacobian_ideal(build(source))
         elements = [list(g) for g in buchberger(ideal)._terms]
         leads = [g[0][0] for g in elements]
-        top = grobner._degree_cut(_packed(elements), leads, ideal.d)
+        top = _degree_cut(_packed(elements), leads, ideal.d)
         assert top == ideal.d * (build(source).delta - 2)
         # The last element gains a term one degree below its lead.
         lead = elements[-1][0][0]
         i = lead.index(max(lead))
         lower = lead[:i] + (lead[i] - 1,) + lead[i + 1 :]
         forged = elements[:-1] + [elements[-1] + [(lower, 1)]]
-        assert grobner._degree_cut(_packed(forged), leads, ideal.d) is None
+        assert _degree_cut(_packed(forged), leads, ideal.d) is None
+        # The pair loop takes one top for the basis and none for the forgery.
+        assert [
+            _slab_top_calls(monkeypatch, lambda: _audit_outcome(_packed_verify, g, ideal._terms))
+            for g in (elements, forged)
+        ] == [1, 0]
         assert _audit_outcome(_packed_verify, forged, ideal._terms) == _audit_outcome(
             _all_pairs_verify, forged, ideal._terms
         )
@@ -1267,7 +1421,7 @@ class TestAudit:
             any(map(min, f, g)) and sum(map(max, f, g)) > top
             for f, g in itertools.combinations(leads, 2)
         )
-        monkeypatch.setattr(grobner, "_degree_cut", lambda *args: None)
+        monkeypatch.setattr(grobner, "_slab_top", lambda leads, box: math.inf)
         uncut = _audit_reductions(monkeypatch, elements, ideal._terms)
         monkeypatch.undo()
         assert past > 0 and _audit_reductions(monkeypatch, elements, ideal._terms) < uncut

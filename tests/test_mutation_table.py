@@ -22,6 +22,11 @@ def test_mutant_names_are_distinct():
     assert len(set(names)) == len(names)
 
 
+def test_an_unknown_mutant_name_runs_nothing(capsys):
+    assert mutants.main(["s-pairs", "no-such-mutant"]) == 2
+    assert capsys.readouterr().err == "no-such-mutant: no such mutant\n"
+
+
 @pytest.mark.parametrize(
     "line, test",
     [
