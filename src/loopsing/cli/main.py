@@ -61,10 +61,6 @@ class RunConfig:
             raise ConfigError(f"unknown output format {self.output_format!r}")
 
 
-def _ordered(checks: Sequence[str]) -> tuple[str, ...]:
-    return tuple(name for name in CHECK_NAMES if name in checks)
-
-
 def run(config: RunConfig) -> Report:
     """Execute the enabled checks on the expression `config.function_source`
     and assemble a report."""
@@ -74,7 +70,7 @@ def run(config: RunConfig) -> Report:
     func = parse_function(config.function_source)
     bottom = config.window_bottom
     window = minimal_window(func, bottom)
-    enabled = _ordered(config.checks)
+    enabled = tuple(name for name in CHECK_NAMES if name in config.checks)
 
     # Outcomes are added in CHECK_NAMES order, the order of report.checks.
     checks: dict[str, CheckOutcome] = {}
@@ -215,9 +211,13 @@ def _milnor_check(func: InputFunction, mu: int) -> CheckOutcome:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Ends a command-line error with one `loopsing: error:` line, exit status 2."""
+    """Ends a command-line error with one `loopsing: error:` line, exit status 2.
 
-    def error(self, message: str) -> "NoReturn":
+    `error` never returns.  It is not annotated `NoReturn`: that name would
+    load typing at every start of the command line.
+    """
+
+    def error(self, message: str):
         if message == "argument -f/--function: expected one argument":
             message += " (write -f=EXPR for an expression that starts with '-')"
         self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")

@@ -41,7 +41,8 @@ and the oracle do no Fraction arithmetic and build no LoopPoly or Monomial:
   support masks, and the chain criterion in the order taken, on bit sets,
   leave; Buchberger makes each nonzero remainder primitive once and appends
   it, and the audit fails at the first nonzero one;
-- the Milnor count reads the leading vectors only (`_staircase_size`);
+- the Milnor count and the pair loop's degree cut read the leading vectors
+  only (`_staircase`);
 - the oracle packs each (monomial * partial) row into one int, a 64-bit slot
   per column, and eliminates it modulo a prime below 2^20 (`_rank_mod_p`);
   a matrix that falls short of full rank goes to `_rank`, which eliminates
@@ -519,7 +520,7 @@ def _pairs_to_reduce(
                     box[support.bit_length() - 1] = sum(lead)
             cut = None  # the degree cut of the basis so far
             if homogeneous and (unit or all(box)):
-                cut = -1 if unit else _slab_top(leads, box)
+                cut = -1 if unit else _staircase(leads, box)[1]
             for lcm, i, j in pairs:
                 if cut is None or sum(lcm) <= cut:
                     heappush(queue, (_packed(lcm), i, j))
@@ -619,48 +620,31 @@ def _box(leads: Sequence[Exponents], d: int) -> list[int]:
     return box
 
 
-def _staircase_size(leads: Sequence[Exponents], box: Sequence[int]) -> int:
-    """The number of exponent vectors in the box that no leading vector divides.
+def _staircase(leads: Sequence[Exponents], box: Sequence[int]) -> tuple[int, int]:
+    """The number of exponent vectors in the box that no leading vector
+    divides, and the largest degree among them, or -1 when there is none.
 
-    Counted by recursion on the last coordinate: between two consecutive
-    values that some lead takes there, the leads that can divide a vector are
-    the same ones, so each such slab is counted once on the other
-    coordinates and multiplied by its thickness.  When every lead is a pure
-    power the count is the product of the box sides.
+    By recursion on the last coordinate: between two consecutive values that
+    some lead takes there, the leads that can divide a vector are the same
+    ones, so each such slab is counted once on the other coordinates and
+    multiplied by its thickness, and its top is theirs plus the slab's
+    largest last coordinate.  On one coordinate the vectors run up to one
+    below the least lead or side.
     """
     if not all(map(any, leads)):
-        return 0  # a unit lead divides everything
-    if not box:
-        return 1
-    side = box[-1]
-    cuts = sorted({lead[-1] for lead in leads if lead[-1] < side} | {0}) + [side]
-    return sum(
-        (hi - lo) * _staircase_size([lead[:-1] for lead in leads if lead[-1] <= lo], box[:-1])
-        for lo, hi in zip(cuts, cuts[1:])
-    )
-
-
-def _slab_top(leads: Sequence[Exponents], box: Sequence[int]) -> int:
-    """The largest degree of a vector in the box that no leading vector
-    divides, or -1 when there is none.
-
-    The slab recursion of `_staircase_size`: between two consecutive values
-    that some lead takes on the last coordinate the same leads can divide a
-    vector, so a slab's top is that of the others plus the slab's largest
-    last coordinate.  On one coordinate it is one below the least lead or side.
-    """
-    if not all(map(any, leads)):
-        return -1
+        return 0, -1  # a unit lead divides everything
     if len(box) == 1:
-        return min([box[0], *(lead[0] for lead in leads)]) - 1
+        side = min([box[0], *(lead[0] for lead in leads)])
+        return side, side - 1
     side = box[-1]
     cuts = sorted({lead[-1] for lead in leads if lead[-1] < side} | {0}) + [side]
-    top = -1
+    size, top = 0, -1
     for lo, hi in zip(cuts, cuts[1:]):
-        below = _slab_top([lead[:-1] for lead in leads if lead[-1] <= lo], box[:-1])
-        if below >= 0:
+        count, below = _staircase([lead[:-1] for lead in leads if lead[-1] <= lo], box[:-1])
+        if count:
+            size += (hi - lo) * count
             top = max(top, below + hi - 1)
-    return top
+    return size, top
 
 
 class _JacobianIdeal(Ideal):
@@ -682,13 +666,13 @@ def milnor_number(func: InputFunction) -> int:
     """Dimension of the Jacobian ring, counted via standard monomials.
 
     The standard monomials are counted on the leading exponent vectors
-    (`_staircase_size`), not listed.  For a homogeneous isolated singularity
+    (`_staircase`), not listed.  For a homogeneous isolated singularity
     the count must equal (delta-1)^d, and that cross-check is enforced on
     every call.  Raises NotIsolated when the quotient is infinite dimensional,
     and a ValueError when the basis would exceed MAX_REDUCTION_WORK.
     """
     leads = [g[0][0] for g in buchberger(jacobian_ideal(func))._terms]
-    mu = _staircase_size(leads, _box(leads, func.d))
+    mu = _staircase(leads, _box(leads, func.d))[0]
     expected = (func.delta - 1) ** func.d
     if mu != expected:
         raise RuntimeError(

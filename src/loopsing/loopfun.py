@@ -11,8 +11,10 @@ of the top-variable derivative identity.
 The jet kernel computes a coefficient as sorted rows of small int codes (a
 `_Jet`), and the weight audits, the truncation, the checks and the printer
 all read those codes.  A LoopPoly is built only where the public API returns
-one (`jet_coefficient`, `lambda_of`, the linearity report), and a LoopPoly
-handed to a check as its functional is coded once on the way in.
+one (`jet_coefficient`, `lambda_of`, the linearity report).  Each public check
+computes the functional and reads it with the same private readings that the
+command line runs on its one jet (`_support_report`, `_nonlinear`,
+`_derivative_report`).
 
 Everything here is a pure function over immutable inputs.
 """
@@ -529,34 +531,6 @@ def _functional_jet(func: InputFunction, window: Window) -> _Jet:
     return jet
 
 
-def _encoded(poly: LoopPoly, func: InputFunction, bottom: int) -> _Jet:
-    """A functional given as a LoopPoly, in the codes of F's jets at window bottom `bottom`.
-
-    m exceeds delta and the degree of every term, so that F's partials
-    share the codes.  A variable beyond F's d coordinates raises ValueError.
-    """
-    d = func.d
-    m = max([func.delta] + [mono.key[0] for mono, _ in poly.terms]) + 1
-    rows = []
-    for mono, coeff in poly.terms:
-        codes = []
-        for (cdeg, coord), e in mono.factors:
-            if coord > d:
-                raise ValueError(
-                    f"the functional's variable z{coord}_{cdeg} lies beyond F's {d} coordinates"
-                )
-            codes.append(((cdeg + bottom) * d + coord - 1) * m + m - e)
-        rows.append((mono.key[0], tuple(codes), coeff))
-    return _Jet(rows, m, d, bottom)
-
-
-def _jet_for(func: InputFunction, window: Window, functional: LoopPoly | None) -> _Jet:
-    """The functional on `window` in codes: computed, or encoded from the caller's."""
-    if functional is None:
-        return _functional_jet(func, window)
-    return _encoded(functional, func, window.bottom)
-
-
 class SupportBoundReport(tuple):
     __slots__ = ()
     bound, max_cdeg_present, ok = fields(3)
@@ -565,19 +539,15 @@ class SupportBoundReport(tuple):
         return tuple.__new__(cls, (bound, max_cdeg_present, ok))
 
 
-def check_support_bound(
-    func: InputFunction, bottom: int, functional: LoopPoly | None = None
-) -> SupportBoundReport:
+def check_support_bound(func: InputFunction, bottom: int) -> SupportBoundReport:
     """Verify that no variable of conformal degree > bottom*(delta-1) occurs.
 
     The functional is computed on a window reaching strictly beyond the bound
-    (`support_window`), so the check is not vacuous.  A caller that already
-    holds the functional on that window may pass it as `functional`; one with
-    no variables raises ValueError.
+    (`support_window`), so the check is not vacuous.
     """
     if bottom < 0:
         raise ValueError("bottom must be nonnegative")
-    return _support_report(func, bottom, _jet_for(func, support_window(func, bottom), functional))
+    return _support_report(func, bottom, _functional_jet(func, support_window(func, bottom)))
 
 
 def _support_report(func: InputFunction, bottom: int, jet: _Jet) -> SupportBoundReport:
@@ -613,9 +583,7 @@ class TopLinearityReport(tuple):
         return LoopPoly({m: (1 - k) * c for m, k, c in self._top_exponents()})
 
 
-def check_top_linearity(
-    func: InputFunction, bottom: int, functional: LoopPoly | None = None
-) -> TopLinearityReport:
+def check_top_linearity(func: InputFunction, bottom: int) -> TopLinearityReport:
     """Verify that each monomial of the functional is linear in top variables.
 
     With N = bottom*(delta-1), monomials of the functional can carry at most
@@ -627,17 +595,16 @@ def check_top_linearity(
     identity the first sum is k*c*m over the terms c*m of the functional, k
     being m's total exponent in the degree-N variables, so the remainder is
     (1-k)*c*m.  The report holds the functional and gives the decomposition
-    as its properties linear_part and remainder.  A caller that already holds
-    the functional on the window [-bottom, N] may pass it as `functional`.
+    as its properties linear_part and remainder.
     """
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
     window = minimal_window(func, bottom)
-    jet = _jet_for(func, window, functional)
+    jet = _functional_jet(func, window)
     offending = tuple(map(jet.monomial, _nonlinear(jet, window.top)))
     return TopLinearityReport(
         ok=not offending, top_cdeg=window.top, offending_monomials=offending,
-        functional=jet.poly() if functional is None else functional, window=window,
+        functional=jet.poly(), window=window,
     )
 
 
@@ -687,9 +654,7 @@ class DerivativeIdentityReport(tuple):
         return all(chk.ok for chk in self.checks)
 
 
-def check_derivative_identity(
-    func: InputFunction, bottom: int, functional: LoopPoly | None = None
-) -> DerivativeIdentityReport:
+def check_derivative_identity(func: InputFunction, bottom: int) -> DerivativeIdentityReport:
     """Verify both forms of the top-variable derivative identity.
 
     With N = bottom*(delta-1), for each coordinate j the derivative of the
@@ -700,14 +665,12 @@ def check_derivative_identity(
 
     Form (ii) evaluates at the most negative window index: the derivative of
     the functional has conformal weight -N and d_j F is homogeneous of degree
-    delta-1, which forces every factor down to degree -bottom.  A caller that
-    already holds the functional on the window [-bottom, N] may pass it as
-    `functional`.
+    delta-1, which forces every factor down to degree -bottom.
     """
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
     window = minimal_window(func, bottom)
-    return _derivative_report(func, window, _jet_for(func, window, functional))
+    return _derivative_report(func, window, _functional_jet(func, window))
 
 
 def _derivative_report(func: InputFunction, window: Window, jet: _Jet) -> DerivativeIdentityReport:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from loopsing import loopfun
 from loopsing.cli import CheckOutcome, parse_function
 from loopsing.cli.parser import _Parser
+from loopsing.cohom import LesSolution, LesSystem
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial, _from_exponents
 from loopsing.loopfun import InputFunction, Window, lambda_of, minimal_window, support_window
 
@@ -228,9 +229,36 @@ def jet_coefficient_by_enumeration(func: InputFunction, window: Window, k: int) 
 
 def coded(poly: LoopPoly, func: InputFunction, bottom: int) -> loopfun._Jet:
     """A functional given as a LoopPoly, in the codes of F's jets at window
-    bottom `bottom`, encoded as the public checks encode one; a test forges
-    the functional run() checks by editing a LoopPoly and coding it here."""
-    return loopfun._encoded(poly, func, bottom)
+    bottom `bottom`; a test forges the functional that run() or a check's
+    private reading reads by editing a LoopPoly and coding it here.
+
+    m exceeds delta and the degree of every term, so that F's partials
+    share the codes.  A variable beyond F's d coordinates raises ValueError.
+    """
+    d = func.d
+    m = max([func.delta] + [mono.key[0] for mono, _ in poly.terms]) + 1
+    rows = []
+    for mono, coeff in poly.terms:
+        codes = []
+        for (cdeg, coord), e in mono.factors:
+            if coord > d:
+                raise ValueError(
+                    f"the functional's variable z{coord}_{cdeg} lies beyond F's {d} coordinates"
+                )
+            codes.append(((cdeg + bottom) * d + coord - 1) * m + m - e)
+        rows.append((mono.key[0], tuple(codes), coeff))
+    return loopfun._Jet(rows, m, d, bottom)
+
+
+def alternating_sums(solution: LesSolution, system: LesSystem) -> tuple[int, ...]:
+    """Reference: the alternating dimension sum of each segment of a solved
+    sequence, which exactness makes 0."""
+    column = {"A": system.a, "B": solution.b, "C": system.c_dims}
+    return tuple(
+        sum((-1) ** position * column[slot].dim(degree)
+            for position, (slot, degree) in enumerate(segment))
+        for segment in solution.segments
+    )
 
 
 def top_exponent(mono: Monomial, top: int) -> int:

@@ -59,9 +59,6 @@ MUTANTS = (
     Mutant("block-split", "cohom.py", "if solution != LesSolution(",
            "if False and solution != LesSolution(",
            "step n0 is the union of its unit and mu blocks"),
-    Mutant("exactness", "cohom.py",
-           "bad = [s for s in solution.segment_alternating_sums(system) if s != 0]", "bad = []",
-           "each exact segment's alternating sum of dimensions is 0"),
     Mutant("s-pairs", "grobner.py",
            "if _reduce(_s_terms(elements[i], elements[j], lcm), divisors, run)[0]:",
            "if False:", "every kept S-pair reduces to zero on the basis"),
@@ -79,6 +76,14 @@ MUTANTS = (
            "every ideal generator reduces to zero on the basis"),
     Mutant("staircase", "grobner.py", "if mu != expected:", "if False:",
            "the standard-monomial count is (delta-1)^d"),
+    Mutant("isolation-box", "grobner.py", "if not all(box):", "if False:",
+           "a basis without a pure power of every variable raises NotIsolated"),
+    Mutant("oracle-rank", "grobner.py",
+           "and _rank({col + o: c for col, c in g.items()} for g in gens for o in offsets)"
+           " < columns", "and False",
+           "the oracle raises NotIsolated when the exact Macaulay rank falls short too"),
+    Mutant("packing-budget", "grobner.py", "if degree > _MAX_DEGREE:", "if False:",
+           "a Groebner basis meeting a monomial above _MAX_DEGREE ends in exit 2"),
     Mutant("oracle-gate", "cli/main.py", "if func.d <= 3 and func.delta <= 5:", "if False:",
            "the milnor check runs the linear-algebra oracle for d <= 3, delta <= 5"),
     Mutant("linearity", "loopfun.py", "_top_exponent(codes, first, after, m) > 1",
@@ -101,6 +106,8 @@ MUTANTS = (
     Mutant("constant-loops", "cli/main.py",
            "if lam.on_constant_loops() != lam.coded(func.terms, 0):",
            "if False:", "the functional restricted to constant loops is F"),
+    Mutant("homogeneity", "loopfun.py", "if len(degrees) > 1:", "if False:",
+           "a polynomial mixing two total degrees is refused as not homogeneous"),
     Mutant("jet-budget", "loopfun.py", "MAX_JET_TERMS = 100_000", "MAX_JET_TERMS = 10**9",
            "a loop functional past 100,000 built terms ends in exit 2"),
     Mutant("reduction-budget", "grobner.py", "if left < 0:", "if False:",
@@ -111,6 +118,14 @@ MUTANTS = (
            "a coefficient past MAX_COEFFICIENT_DIGITS digits ends in exit 2"),
     Mutant("product-budget", "cli/parser.py", "if self.work > MAX_PRODUCT_WORK:", "if False:",
            "products past MAX_PRODUCT_WORK term pairs end in exit 2"),
+    Mutant("exponent-budget", "cli/parser.py", "if exponent > MAX_DEGREE:", "if False:",
+           "an exponent above MAX_DEGREE ends in exit 2"),
+    Mutant("degree-budget", "cli/parser.py", "if degree > MAX_DEGREE:", "if False:",
+           "a product or power above total degree MAX_DEGREE ends in exit 2"),
+    Mutant("nesting-budget", "cli/parser.py", "if self.depth == MAX_NESTING:", "if False:",
+           "parentheses nested deeper than MAX_NESTING end in exit 2"),
+    Mutant("n-max-budget", "cli/report.py", "if n_max > MAX_N_MAX:", "if False:",
+           "an n-max above MAX_N_MAX ends in exit 2"),
 )
 
 

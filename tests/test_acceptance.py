@@ -36,7 +36,14 @@ from loopsing.loopfun import (
     minimal_window,
 )
 
-from conftest import CORPUS, Poly, build, fermat_source, jet_coefficient_by_enumeration
+from conftest import (
+    CORPUS,
+    Poly,
+    alternating_sums,
+    build,
+    fermat_source,
+    jet_coefficient_by_enumeration,
+)
 
 
 class _Budget:
@@ -161,7 +168,7 @@ def test_criterion_7_solver_coherence():
                 solution = solve_les_detailed(system)
                 stepped = gysin_step(reduced, entry.d)
                 assert solution.b == stepped.with_unit()
-                sums = solution.segment_alternating_sums(system)
+                sums = alternating_sums(solution, system)
                 assert sums and all(total == 0 for total in sums)
                 reduced = stepped
 

@@ -416,14 +416,15 @@ class TestRun:
             monkeypatch.setattr(grobner, "_verify_basis", unverified)
             witness = "S-polynomial does not reduce to zero"
         else:
-            count = grobner._staircase_size
+            staircase = grobner._staircase
 
             def one_short(leads, box):
                 # The count recurses on one coordinate fewer each time; only
                 # the outermost call, on the whole box of x^3 + y^3, errs.
-                return count(leads, box) - (len(box) == 2)
+                size, top = staircase(leads, box)
+                return size - (len(box) == 2), top
 
-            monkeypatch.setattr(grobner, "_staircase_size", one_short)
+            monkeypatch.setattr(grobner, "_staircase", one_short)
             witness = "standard-monomial count 3 != (delta-1)^d = 4"
         report = run_source("x^3 + y^3", checks=("lambda", "milnor", "cohomology"))
         assert report.checks["lambda"].ok

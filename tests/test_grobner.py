@@ -242,7 +242,7 @@ class TestStandardMonomials:
             with pytest.raises(NotIsolated):
                 grobner._box(leads, gb.d)
         else:
-            assert grobner._staircase_size(leads, grobner._box(leads, gb.d)) == expected
+            assert grobner._staircase(leads, grobner._box(leads, gb.d))[0] == expected
 
     @settings(deadline=None, max_examples=200)
     @given(_boxes_and_leads())
@@ -252,7 +252,7 @@ class TestStandardMonomials:
             not any(all(map(le, lead, e)) for lead in leads)
             for e in itertools.product(*map(range, box))
         )
-        assert grobner._staircase_size(leads, box) == expected
+        assert grobner._staircase(leads, box)[0] == expected
 
     @settings(deadline=None, max_examples=200)
     @given(_monomial_and_binomial_ideals())
@@ -283,7 +283,7 @@ class TestStandardMonomials:
             ),
             default=-1,
         )
-        assert grobner._slab_top(leads, box) == expected
+        assert grobner._staircase(leads, box)[1] == expected
         # Buchberger's degree cut reads the leads of a basis not yet reduced,
         # where a pure power may repeat and the box takes the last of them.
         assert _staircase_top(leads, len(box)) == expected
@@ -518,7 +518,7 @@ class TestBeyondFermat:
     def test_staircase_count_of_a_dense_basis(self, source):
         gb = buchberger(jacobian_ideal(build(source)))
         leads = [g[0][0] for g in gb._terms]
-        assert grobner._staircase_size(leads, grobner._box(leads, gb.d)) == len(
+        assert grobner._staircase(leads, grobner._box(leads, gb.d))[0] == len(
             standard_monomials(gb)
         )
 
@@ -1075,7 +1075,7 @@ def _staircase_top(leads, d: int):
         box = grobner._box(leads, d)
     except NotIsolated:
         return None
-    return grobner._slab_top(leads, box)
+    return grobner._staircase(leads, box)[1]
 
 
 def _replayed_pairs(pairs_to_reduce, ideal) -> tuple[list, list]:
@@ -1115,17 +1115,17 @@ def _assert_same_pairs(ideal, *audited) -> None:
         )
 
 
-def _slab_top_calls(monkeypatch, call) -> int:
-    """The number of staircase tops `call()` takes: the calls of `_slab_top`
+def _staircase_calls(monkeypatch, call) -> int:
+    """The number of staircases `call()` takes: the calls of `_staircase`
     on a whole box, not counting its recursion on the slabs."""
-    slab_top, count = grobner._slab_top, []
+    staircase, count = grobner._staircase, []
 
     def counted(leads, box):
         count.append(len(box))
-        return slab_top(leads, box)
+        return staircase(leads, box)
 
     with monkeypatch.context() as patch:
-        patch.setattr(grobner, "_slab_top", counted)
+        patch.setattr(grobner, "_staircase", counted)
         call()
     return count.count(max(count, default=0))
 
@@ -1359,11 +1359,11 @@ class TestAudit:
         # The Fermat cubic's partials have pure-power leads, so every pair of
         # Buchberger's basis and of its audit is coprime.
         fermat = jacobian_ideal(build("x^3 + y^3 + w^3"))
-        assert _slab_top_calls(monkeypatch, lambda: buchberger(fermat)) == 0
+        assert _staircase_calls(monkeypatch, lambda: buchberger(fermat)) == 0
         # The audit takes its whole basis as one batch, so one top serves it.
         ideal = jacobian_ideal(build(_gl_fermat_source(3, 5, 2)))
         elements = buchberger(ideal)._terms
-        assert _slab_top_calls(monkeypatch, lambda: _packed_verify(elements, ideal._terms)) == 1
+        assert _staircase_calls(monkeypatch, lambda: _packed_verify(elements, ideal._terms)) == 1
 
     # Buchberger and its audit share one pair loop, so the reference audit,
     # which reduces every pair, checks Buchberger's own choice of pairs.
@@ -1410,7 +1410,7 @@ class TestAudit:
         assert _degree_cut(_packed(forged), leads, ideal.d) is None
         # The pair loop takes one top for the basis and none for the forgery.
         assert [
-            _slab_top_calls(monkeypatch, lambda: _audit_outcome(_packed_verify, g, ideal._terms))
+            _staircase_calls(monkeypatch, lambda: _audit_outcome(_packed_verify, g, ideal._terms))
             for g in (elements, forged)
         ] == [1, 0]
         assert _audit_outcome(_packed_verify, forged, ideal._terms) == _audit_outcome(
@@ -1421,7 +1421,7 @@ class TestAudit:
             any(map(min, f, g)) and sum(map(max, f, g)) > top
             for f, g in itertools.combinations(leads, 2)
         )
-        monkeypatch.setattr(grobner, "_slab_top", lambda leads, box: math.inf)
+        monkeypatch.setattr(grobner, "_staircase", lambda leads, box: (0, math.inf))
         uncut = _audit_reductions(monkeypatch, elements, ideal._terms)
         monkeypatch.undo()
         assert past > 0 and _audit_reductions(monkeypatch, elements, ideal._terms) < uncut
