@@ -265,23 +265,26 @@ def format_terms(
     is the one way the package writes a polynomial, whatever its factors
     are: a monomial's pairs (LoopVar, e) through `_powers`, the jet kernel's
     int codes, the source form of F's pairs (coordinate index, e).
+
+    A coefficient is an int or a Fraction.  Each distinct factor and
+    coefficient is written once per call, in memos keyed by the factor and
+    by the coefficient itself: an int, the form of every integral
+    coefficient of F and its jets, hashes in C, and equal values hash alike
+    whichever type holds them.
     """
 
-    # Each distinct factor and coefficient is formatted once per call, in
-    # dicts that live only as long as the call.  Coefficients are keyed by
-    # their integer ratio, since Fraction.__hash__ runs in Python.
     factor_texts: dict[Hashable, str] = {}
     # (sign of a first term, sign of a later one, factor prefix, magnitude)
-    coeff_texts: dict[tuple[int, int], tuple[str, str, str, str]] = {}
+    coeff_texts: dict[Fraction | int, tuple[str, str, str, str]] = {}
     parts: list[str] = []
     for factors, coeff in terms:
-        ratio = coeff.as_integer_ratio()
-        if ratio not in coeff_texts:
-            p, q = ratio
+        known = coeff_texts.get(coeff)
+        if known is None:
+            p, q = coeff.as_integer_ratio()
             mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
             lead, sign = ("", "+ ") if p > 0 else ("-", "- ")
-            coeff_texts[ratio] = lead, sign, "" if mag == "1" else f"{mag}*", mag
-        lead, sign, prefix, mag = coeff_texts[ratio]
+            known = coeff_texts[coeff] = lead, sign, "" if mag == "1" else f"{mag}*", mag
+        lead, sign, prefix, mag = known
         texts = []
         for factor in factors:
             written = factor_texts.get(factor)

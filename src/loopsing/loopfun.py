@@ -16,6 +16,11 @@ computes the functional and reads it with the same private readings that the
 command line runs on its one jet (`_support_report`, `_nonlinear`,
 `_derivative_report`).
 
+Coefficients are exact and canonical: an int when integral, else a Fraction
+whose denominator is above 1 (`_exact`).  So on an integral F, the usual
+input, the kernel, the checks and the printer do int arithmetic only; a
+LoopPoly turns them into Fractions at the public boundary.
+
 Everything here is a pure function over immutable inputs.
 """
 
@@ -113,10 +118,12 @@ class Window(tuple):
 class InputFunction:
     """A nonzero homogeneous polynomial F of degree >= 2 in d ambient coordinates.
 
-    F is `terms`, {exponent vector: Fraction}, entry i of a vector being the
-    exponent of coordinate i+1; its d exact `partials` take the same form, the
-    one the jets, the checks and the printer read.  Both Milnor routes read
-    `integer_partials`, built once from them when first read.
+    F is `terms`, {exponent vector: coefficient}, entry i of a vector being
+    the exponent of coordinate i+1 and each coefficient nonzero and in the
+    canonical form of `_exact` (an int when integral); its d exact
+    `partials` take the same form, the one the jets, the checks and the
+    printer read.  Both Milnor routes read `integer_partials`, built once
+    from them when first read.
     `poly`, F as a LoopPoly in z^1_0, ..., z^d_0, is built when first read,
     by `repr` or a caller of the public API; no report reads it.  Optional
     display names (one per coordinate) are carried along for parsing and
@@ -129,7 +136,7 @@ class InputFunction:
     def __init__(
         self, terms: Mapping[tuple[int, ...], Fraction | int], names: Sequence[str] | None = None
     ):
-        own = {e: Fraction(c) for e, c in terms.items() if c}
+        own = {e: q for e, c in terms.items() if (q := _exact(c))}
         if not own:
             raise DegreeTooLow(None)
         if not all(map(any, zip(*own))):
@@ -144,12 +151,10 @@ class InputFunction:
         names = _default_names(d) if names is None else tuple(names)
         if len(names) != d or len(set(names)) != d:
             raise ValueError(f"need {d} distinct coordinate names, got {names}")
-        # Distinct terms have distinct derivatives, so none merge.  Integral
-        # coefficients multiply as ints, since Fraction arithmetic is slow.
-        scaled = [(e, c.numerator if c.denominator == 1 else c) for e, c in own.items()]
+        # Distinct terms have distinct derivatives, so none merge.
         partials = tuple(
             MappingProxyType(
-                {e[:i] + (e[i] - 1,) + e[i + 1 :]: Fraction(c * e[i]) for e, c in scaled if e[i]}
+                {e[:i] + (e[i] - 1,) + e[i + 1 :]: _exact(c * e[i]) for e, c in own.items() if e[i]}
             )
             for i in range(d)
         )
@@ -204,6 +209,17 @@ class InputFunction:
         )
 
 
+def _exact(c: Fraction | int) -> Fraction | int:
+    """c in canonical exact form: an int when integral, else a Fraction whose
+    denominator is above 1.  An int is returned as it is, with no Fraction
+    built.  Ints and Fractions mix exactly, and equal values compare and
+    hash alike, so every reader takes either."""
+    if type(c) is int:
+        return c
+    q = c if type(c) is Fraction else Fraction(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _coordinates(d: int, cdeg: int) -> tuple[LoopVar, ...]:
     """z^1_cdeg, ..., z^d_cdeg: the variables of the entries of an exponent vector."""
     return tuple(LoopVar(coord, cdeg) for coord in range(1, d + 1))
@@ -233,9 +249,10 @@ class _Jet:
 
     `rows` are its terms (degree, codes, coefficient) in decreasing
     (degree, codes) order, which is decreasing grevlex order of their
-    monomials; each coefficient is a nonzero Fraction and each term's codes
-    are sorted, which is factor order.  Code slot*m + (m - n) stands for the
-    factor (z^c_j)^n, with slot (j + bottom)*d + (c - 1) (see
+    monomials; each coefficient is nonzero and canonical (see `_exact`), so
+    an integral F's jet holds ints alone, and each term's codes are sorted,
+    which is factor order.  Code slot*m + (m - n) stands for the factor
+    (z^c_j)^n, with slot (j + bottom)*d + (c - 1) (see
     `_jet_of_poly`), so the codes of the variables of conformal degree j are
     [start(j), start(j + 1)).  Floor division decodes a slot below 0 too,
     which a functional forged beneath the window holds.
@@ -246,7 +263,7 @@ class _Jet:
 
     __slots__ = ("rows", "m", "d", "bottom")
 
-    def __init__(self, rows: list[tuple[int, tuple[int, ...], Fraction]], m: int, d: int,
+    def __init__(self, rows: list[tuple[int, tuple[int, ...], Fraction | int]], m: int, d: int,
                  bottom: int) -> None:
         self.rows, self.m, self.d, self.bottom = rows, m, d, bottom
 
@@ -261,13 +278,13 @@ class _Jet:
         """The conformal degree of a code's variable."""
         return code // self.m // self.d - self.bottom
 
-    def coefficients(self) -> dict[tuple[int, ...], Fraction]:
+    def coefficients(self) -> dict[tuple[int, ...], Fraction | int]:
         """The terms as {codes: coefficient}."""
         return {codes: c for _, codes, c in self.rows}
 
     def coded(
-        self, terms: Mapping[tuple[int, ...], Fraction], cdeg: int
-    ) -> dict[tuple[int, ...], Fraction]:
+        self, terms: Mapping[tuple[int, ...], Fraction | int], cdeg: int
+    ) -> dict[tuple[int, ...], Fraction | int]:
         """Exponent-vector terms in these codes, coordinate i+1 read as z^(i+1)_cdeg."""
         m, base = self.m, (cdeg + self.bottom) * self.d
         return {
@@ -333,7 +350,7 @@ class _Jet:
         kept = [row for row in self.rows if not row[1] or row[1][-1] < after]
         return self if len(kept) == len(self.rows) else _Jet(kept, self.m, self.d, self.bottom)
 
-    def on_constant_loops(self) -> dict[tuple[int, ...], Fraction]:
+    def on_constant_loops(self) -> dict[tuple[int, ...], Fraction | int]:
         """The terms free of every variable of nonzero conformal degree, as {codes: coefficient}.
 
         A term is kept when its first and last codes lie at conformal degree 0.
@@ -386,7 +403,7 @@ def _power_expansion(
 
 
 def _jet_of_poly(
-    terms: Mapping[tuple[int, ...], Fraction], window: Window, k: int, m: int | None = None
+    terms: Mapping[tuple[int, ...], Fraction | int], window: Window, k: int, m: int | None = None
 ) -> _Jet:
     """Coefficient of t^k after substituting windowed Laurent series into exponent terms.
 
@@ -421,7 +438,7 @@ def _jet_of_poly(
     built = 0
     # (exp, t-degree bounds) -> (coordinate, that power's expansion in its codes)
     expansions: dict[tuple[int, int, int], tuple[int, dict]] = {}
-    rows: list[tuple[int, tuple[int, ...], Fraction]] = []
+    rows: list[tuple[int, tuple[int, ...], Fraction | int]] = []
     # t-degree -> partial products (codes, integer weight), before any factor
     start: dict[int, list[tuple[tuple[int, ...], int]]] = {0: [((), 1)]}
     for e, coeff in terms.items():
@@ -469,10 +486,11 @@ def _jet_of_poly(
         finished = state.get(k, ())
         # Few distinct weights occur, so each coefficient product is made, and
         # checked for zero, once; a unit weight takes the coefficient itself.
+        # A Fraction product that comes out integral is stored as its int.
         products = {1: coeff}
         for _, weight in finished:
             if weight not in products:
-                products[weight] = coeff * weight
+                products[weight] = _exact(coeff * weight)
         if finished and not all(products.values()):
             raise RuntimeError(f"the jet term of {e} has coefficient zero")
         if sum(map(bool, e)) > 1:
@@ -696,8 +714,8 @@ def _derivative_report(func: InputFunction, window: Window, jet: _Jet) -> Deriva
 
 
 def _partial(
-    rows: Iterable[tuple[int, tuple[int, ...], Fraction]], first: int, m: int
-) -> dict[tuple[int, ...], Fraction]:
+    rows: Iterable[tuple[int, tuple[int, ...], Fraction | int]], first: int, m: int
+) -> dict[tuple[int, ...], Fraction | int]:
     """The partial derivative of the terms `rows` by the variable whose codes
     are [first, first + m), as {codes: coefficient}.
 

@@ -4,8 +4,8 @@ Each mutant replaces one exact string, which must occur once in its file
 under src/, with code that drops the guarantee named beside it.  For each
 mutant the checkout is copied to a temporary directory, the replacement is
 made there, and tier-1 (the whole suite, `PYTHONPATH=src python -m pytest
---continue-on-collection-errors`) runs in the copy with `-x -q`, less the
-test of this table's strings.  One line per mutant
+--continue-on-collection-errors`) runs in the copy with `-x -q` and hypothesis
+seed 0, less the test of this table's strings.  One line per mutant
 reads `killed` with the first failing test, or `survived`; the run exits 1
 if any mutant survived, and 2 without running any if some mutant's string
 does not occur exactly once or a name given is no mutant's.  Names given on
@@ -34,8 +34,11 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 # A mutated copy no longer holds its mutant's string, so the test of the
 # table's strings (test_mutation_table.py) would kill every mutant by itself.
+# A fixed hypothesis seed draws the same examples on every run, so a mutant's
+# first failing test does not move between runs.
 TIER_1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-          "--continue-on-collection-errors", "--ignore=tests/test_mutation_table.py"]
+          "--continue-on-collection-errors", "--hypothesis-seed=0",
+          "--ignore=tests/test_mutation_table.py"]
 UNCOPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
 
 

@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -950,6 +951,16 @@ class TestStructuredOutput:
         report = run_source(source, n_max=n_max)
         assert _untimed_digests(report) == (json_digest, text_digest)
 
+    def test_whole_report_of_a_rational_form_is_pinned(self):
+        # No benchmark input has a non-integral coefficient: this pins the
+        # Fraction half of the coefficients, isolated with mu = 4, at window 2.
+        report = run_source("1/2*x^3 - 3/4*x*y^2 + y^3", window_bottom=2)
+        assert (report.milnor_number, report.lambda_term_count) == (4, 30)
+        assert _untimed_digests(report) == (
+            "11a0ebbdbf9b0d5946ff2e5c503538298990cf6fd5ffad0c2006851ac2e90ba3",
+            "ca1ff1e23000fb98037cacd54b2c8084508cd6f40ad398fc86a3acdd02ca93ab",
+        )
+
     @pytest.mark.parametrize(
         "source, json_digest, text_digest",
         [
@@ -993,6 +1004,33 @@ class TestStructuredOutput:
     )
     def test_cohomology_writer_matches_the_standard_encoder_on_the_corpus(self, source):
         _assert_cohomology_section_round_trips(run_source(source))
+
+    @staticmethod
+    def fractions_made(monkeypatch, source: str) -> int:
+        """The Fractions constructed by run() and to_json() of a report on
+        source: window 2, every check, the functional emitted.  A Fraction
+        computed from others needs one constructed before it, so counting
+        the constructor counts every computation that starts from none."""
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        run_source(source, window_bottom=2, emit_lambda=True).to_json()
+        monkeypatch.undo()
+        return len(made)
+
+    @pytest.mark.parametrize(
+        "source", [entry.source for entry in CORPUS] + list(NON_ISOLATED_SOURCES)
+    )
+    def test_an_integral_input_constructs_no_fraction(self, monkeypatch, source):
+        assert self.fractions_made(monkeypatch, source) == 0
+
+    def test_a_rational_input_constructs_fractions(self, monkeypatch):
+        assert self.fractions_made(monkeypatch, "1/2*x^3 - 3/4*x*y^2 + y^3") > 0
 
     @pytest.mark.parametrize("n_max", [2, 3, MAX_N_MAX])
     @pytest.mark.parametrize("source", ["z^2", "x^3 + y^3 + w^3"])
@@ -1207,6 +1245,10 @@ class TestMain:
             (
                 "x^4 + y^4", 3, 68,
                 "ace861dbbdfea05184701c303df4e65401374e486782c390ec32542022807126",
+            ),
+            (
+                "1/2*x^3 - 3/4*x*y^2 + y^3", 2, 30,
+                "e80f431a61722359286365c1504435918e4f288837ebe512700d0caecfddfb0c",
             ),
         ],
     )

@@ -59,6 +59,11 @@ def quadric_lambda(n: int) -> LoopPoly:
     return total
 
 
+def canonical(c: int | Fraction) -> bool:
+    """c is in the package's exact form: an int exactly when integral, else a Fraction."""
+    return type(c) is (int if c.denominator == 1 else Fraction)
+
+
 # Mixed monomials, and a GL transform of x^3 + y^3 (matrix [[1, 2], [3, -1]]).
 MIXED_SOURCES = ("x^2*y*w", "x^3*y + y^4", "(x + 2*y)^3 + (3*x - y)^3")
 
@@ -155,9 +160,10 @@ class TestInputFunction:
 
     @settings(deadline=None)
     @given(homogeneous_forms())
-    def test_partials_are_exact_fractions(self, terms):
+    def test_coefficients_are_exact_and_canonical(self, terms):
         func = InputFunction(terms)
-        assert all(type(c) is Fraction for c in func.terms.values())
+        assert func.terms == terms
+        assert all(map(canonical, func.terms.values()))
         for i, partial in enumerate(func.partials):
             expected = {
                 e[:i] + (e[i] - 1,) + e[i + 1 :]: Fraction(c) * e[i]
@@ -165,7 +171,17 @@ class TestInputFunction:
                 if e[i]
             }
             assert partial == expected
-            assert all(type(c) is Fraction for c in partial.values())
+            assert all(map(canonical, partial.values()))
+
+    def test_integral_fractions_become_ints(self):
+        func = InputFunction({(2, 0): Fraction(4, 2), (0, 2): Fraction(1, 2), (1, 1): 3})
+        assert func.terms == {(2, 0): 2, (0, 2): Fraction(1, 2), (1, 1): 3}
+        assert [type(c) for c in func.terms.values()] == [int, Fraction, int]
+        # d/dy of y^2/2 is the integral y.
+        assert func.partials[1] == {(0, 1): 1, (1, 0): 3}
+        assert all(type(c) is int for c in func.partials[1].values())
+        # The public boundary keeps its Fractions.
+        assert all(type(c) is Fraction for _, c in func.poly.terms)
 
 
 class TestJetCoefficient:
@@ -645,6 +661,21 @@ def _canonical_jets(func: InputFunction, bottom: int):
         yield loopfun._jet_of_poly(d_j, window, -window.top, functional.m)
 
 
+def _fraction_jets(func: InputFunction, bottom: int):
+    """The jets of `_canonical_jets`, built from F's terms and partials with
+    every coefficient a Fraction, integral ones included."""
+
+    def fractions(terms):
+        return {e: Fraction(c) for e, c in terms.items()}
+
+    window = minimal_window(func, bottom)
+    yield loopfun._jet_of_poly(fractions(func.terms), support_window(func, bottom), 0)
+    functional = loopfun._jet_of_poly(fractions(func.terms), window, 0)
+    yield functional
+    for d_j in func.partials:
+        yield loopfun._jet_of_poly(fractions(d_j), window, -window.top, functional.m)
+
+
 DENSE_GL_FORMS = [(source, matrix) for matrix in GL_MATRICES for source in GL_BASES[len(matrix)]]
 
 
@@ -658,7 +689,7 @@ class TestCanonicalJets:
             # One code per variable, in factor order.
             assert list(codes) == sorted(codes) and len(mono.factors) == len(codes)
             assert degree == mono.key[0]
-            assert type(coeff) is Fraction and coeff
+            assert canonical(coeff) and coeff
         # LoopPoly merges repeats and orders by key: it keeps every row, in order.
         decoded = [(jet.monomial(codes), c) for _, codes, c in jet.rows]
         assert list(LoopPoly(decoded).terms) == decoded
@@ -675,6 +706,20 @@ class TestCanonicalJets:
     def test_on_corpus(self, corpus_function, bottom):
         for jet in _canonical_jets(corpus_function, bottom):
             self.assert_canonical(jet)
+
+    @given(terms=homogeneous_forms(max_d=3, max_delta=4), bottom=st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_int_and_fraction_coefficients_give_the_same_jets(self, terms, bottom):
+        # Every jet a report builds has the same rows, in order and by value,
+        # whether F's integral coefficients are ints or Fractions.
+        func = InputFunction(terms)
+        jets = list(_canonical_jets(func, bottom))
+        wrapped = list(_fraction_jets(func, bottom))
+        assert [(jet.m, jet.rows) for jet in jets] == [(jet.m, jet.rows) for jet in wrapped]
+        for jet in jets:
+            self.assert_canonical(jet)
+        functional = lambda_of(func, minimal_window(func, bottom))
+        assert all(type(c) is Fraction for _, c in functional.terms)
 
     @pytest.mark.parametrize("source, matrix", DENSE_GL_FORMS, ids=str)
     def test_on_dense_gl_forms(self, source, matrix):
