@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Mapping
 
-from .._record import fields
 from ..cohom import MAX_N_MAX, RenormalizedReport, declared_support_floor, gysin_tower
 from ..loopfun import MAX_JET_TERMS, Window, minimal_window
 from .parser import parse_function
@@ -69,24 +69,24 @@ def run_problem(checks: Collection[str], bottom: int, n_max: int | None) -> tupl
     return None
 
 
-class CheckOutcome(tuple):
+class CheckOutcome(namedtuple("CheckOutcome", "ok witness skipped")):
     __slots__ = ()
-    ok, witness, skipped = fields(3)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, ok: bool, witness: str | None = None, skipped: bool = False) -> CheckOutcome:
         if ok and (skipped or witness is not None):
             raise ValueError("skipped but ok" if skipped else "ok with a witness")
         if not ok and witness is None:
             raise ValueError("failed without a witness")
-        return tuple.__new__(cls, (ok, witness, skipped))
+        return super().__new__(cls, ok, witness, skipped)
 
 
-class Report(tuple):
+class Report(namedtuple("Report", (
+    "function d delta window milnor_number isolated lambda_term_count lambda_polynomial checks"
+    " cohomology timing_seconds"
+))):
     __slots__ = ()
-    (
-        function, d, delta, window, milnor_number, isolated, lambda_term_count,
-        lambda_polynomial, checks, cohomology, timing_seconds,
-    ) = fields(11)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(
         cls, function: str, d: int, delta: int, window: Window, milnor_number: int | None,
@@ -104,10 +104,10 @@ class Report(tuple):
                 problem = "isolated", "set beside no milnor or cohomology check"
         if problem is not None:
             raise _Mismatch(": ".join(problem))
-        return tuple.__new__(cls, (
-            function, d, delta, window, milnor_number, isolated, lambda_term_count,
+        return super().__new__(
+            cls, function, d, delta, window, milnor_number, isolated, lambda_term_count,
             lambda_polynomial, checks, cohomology, timing_seconds,
-        ))
+        )
 
     @property
     def axioms(self) -> tuple[str, ...]:

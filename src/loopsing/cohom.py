@@ -28,10 +28,9 @@ invocation is safe, there is no shared state.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-
-from ._record import fields
 
 __all__ = [
     "GradedDims",
@@ -175,7 +174,7 @@ _SLOTS = ("A", "B", "C")
 _KINDS = ("gysin", "restriction", "residue")
 
 
-class RankFact(tuple):
+class RankFact(namedtuple("RankFact", "kind degree rank justification")):
     """Declared rank of one connecting map of the sequence at one degree.
 
     kind is 'gysin' (A^{s-2c} -> B^s), 'restriction' (B^s -> C^s) or
@@ -185,17 +184,17 @@ class RankFact(tuple):
     """
 
     __slots__ = ()
-    kind, degree, rank, justification = fields(4)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, kind: str, degree: int, rank: int, justification: str) -> RankFact:
         if kind not in _KINDS:
             raise ValueError(f"unknown map kind {kind!r}")
         if rank < 0:
             raise ValueError("a rank cannot be negative")
-        return tuple.__new__(cls, (kind, degree, rank, justification))
+        return super().__new__(cls, kind, degree, rank, justification)
 
 
-class LesSystem(tuple):
+class LesSystem(namedtuple("LesSystem", "codim a c_dims rank_facts")):
     """A Gysin long exact sequence with B unknown.
 
     codim is the codimension c of the closed embedding; a holds the known
@@ -203,30 +202,23 @@ class LesSystem(tuple):
     """
 
     __slots__ = ()
-    codim, a, c_dims, rank_facts = fields(4)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(
         cls, codim: int, a: GradedDims, c_dims: GradedDims, rank_facts: tuple[RankFact, ...] = ()
     ) -> LesSystem:
         if codim < 1:
             raise ValueError("codimension must be positive")
-        return tuple.__new__(cls, (codim, a, c_dims, rank_facts))
+        return super().__new__(cls, codim, a, c_dims, rank_facts)
 
 
-class Underdetermined(tuple):
+class Underdetermined(namedtuple("Underdetermined", "degrees")):
     """The declared ranks do not pin B down; lists the ambiguous degrees."""
 
     __slots__ = ()
-    (degrees,) = fields(1)
-
-    def __new__(cls, degrees: tuple[int, ...]) -> Underdetermined:
-        return tuple.__new__(cls, (degrees,))
-
-    def __repr__(self) -> str:
-        return f"Underdetermined(degrees={self.degrees})"
 
 
-class LesSolution(tuple):
+class LesSolution(namedtuple("LesSolution", "b ranks segments axioms", defaults=((),))):
     """A solved sequence: its B-column and how the sequence splits.
 
     ranks holds the nonzero ranks only, keyed by (kind, degree) as in
@@ -234,13 +226,6 @@ class LesSolution(tuple):
     """
 
     __slots__ = ()
-    b, ranks, segments, axioms = fields(4)
-
-    def __new__(
-        cls, b: GradedDims, ranks: Mapping[tuple[str, int], int],
-        segments: tuple[tuple[tuple[str, int], ...], ...], axioms: tuple[str, ...] = (),
-    ) -> LesSolution:
-        return tuple.__new__(cls, (b, ranks, segments, axioms))
 
 
 def solve_les_detailed(system: LesSystem) -> LesSolution | Underdetermined:
@@ -429,7 +414,9 @@ def _concentration_degree(full: GradedDims, n: int) -> int:
     return support[0]
 
 
-class GysinTower(tuple):
+class GysinTower(namedtuple(
+    "GysinTower", "d mu head_truncations head_degrees head_ranks axioms n0 n_max"
+)):
     """The truncation tower up to n_max, certified from the Milnor fiber.
 
     The record stores the steps gysin_tower solves directly, 0..min(n0,
@@ -444,16 +431,6 @@ class GysinTower(tuple):
     """
 
     __slots__ = ()
-    d, mu, head_truncations, head_degrees, head_ranks, axioms, n0, n_max = fields(8)
-
-    def __new__(
-        cls, d: int, mu: int, head_truncations: tuple[GradedDims, ...],
-        head_degrees: tuple[int, ...], head_ranks: tuple[Mapping[int, int], ...],
-        axioms: tuple[str, ...], n0: int, n_max: int,
-    ) -> GysinTower:
-        return tuple.__new__(
-            cls, (d, mu, head_truncations, head_degrees, head_ranks, axioms, n0, n_max)
-        )
 
     def _step(self, n: int) -> tuple[GradedDims, int, Mapping[int, int]]:
         """Truncation n, its reduced degree and the nonzero Gysin ranks into it
@@ -657,12 +634,8 @@ def declared_support_floor(d: int, n: int) -> int:
     return 2 * (n + 1) * d - 1
 
 
-class EscapeRow(tuple):
+class EscapeRow(namedtuple("EscapeRow", "n degree declared_floor")):
     __slots__ = ()
-    n, degree, declared_floor = fields(3)
-
-    def __new__(cls, n: int, degree: int, declared_floor: int) -> EscapeRow:
-        return tuple.__new__(cls, (n, degree, declared_floor))
 
 
 def escape_table(d: int, mu: int, n_max: int) -> tuple[EscapeRow, ...]:
@@ -671,16 +644,10 @@ def escape_table(d: int, mu: int, n_max: int) -> tuple[EscapeRow, ...]:
     return tuple(EscapeRow(n, degree, declared_support_floor(d, n)) for n, degree in rows)
 
 
-class RenormalizedReport(tuple):
+class RenormalizedReport(namedtuple("RenormalizedReport", "stable stabilization_step tower")):
     """The renormalized colimit together with the tower it was read from."""
 
     __slots__ = ()
-    stable, stabilization_step, tower = fields(3)
-
-    def __new__(
-        cls, stable: GradedDims, stabilization_step: Mapping[int, int], tower: GysinTower
-    ) -> RenormalizedReport:
-        return tuple.__new__(cls, (stable, stabilization_step, tower))
 
     @property
     def axioms(self) -> tuple[str, ...]:

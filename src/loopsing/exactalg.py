@@ -59,7 +59,7 @@ class LoopVar(tuple):
     def __new__(cls, coord: int, cdeg: int) -> "LoopVar":
         if coord < 1:
             raise ValueError(f"coordinate index must be >= 1, got {coord}")
-        return tuple.__new__(cls, (cdeg, coord))
+        return super().__new__(cls, (cdeg, coord))
 
     cdeg = property(operator.itemgetter(0), doc="The conformal degree.")
     coord = property(operator.itemgetter(1), doc="The coordinate index, from 1.")

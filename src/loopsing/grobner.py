@@ -81,12 +81,12 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le, mul
 
-from ._record import fields
 from .exactalg import LoopPoly, LoopVar, Monomial, _from_exponents
 from .loopfun import InputFunction, _coordinates
 
@@ -353,24 +353,20 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators)}; d={self.d})"
 
 
-class GroebnerBasis(tuple):
+class GroebnerBasis(namedtuple("GroebnerBasis", "terms d")):
     """The reduced Groebner basis of an ideal on z^1_0..z^d_0.
 
-    It is held as primitive integer terms, one tuple per element, in
+    `terms` holds it as primitive integer terms, one tuple per element, in
     increasing order of leading vectors.
     """
 
     __slots__ = ()
-    _terms, d = fields(2)
-
-    def __new__(cls, _terms: tuple[tuple[Term, ...], ...], d: int) -> GroebnerBasis:
-        return tuple.__new__(cls, (_terms, d))
 
     @property
     def elements(self) -> tuple[LoopPoly, ...]:
         """The basis as monic LoopPolys, built on each access."""
         variables = _coordinates(self.d, 0)
-        return tuple(_from_terms(g, variables, Fraction(1, g[0][1])) for g in self._terms)
+        return tuple(_from_terms(g, variables, Fraction(1, g[0][1])) for g in self.terms)
 
 
 def normal_form(p: LoopPoly, divisors: Sequence[LoopPoly]) -> LoopPoly:
@@ -589,7 +585,7 @@ def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
     standard finiteness criterion).  Raises NotIsolated when some coordinate
     has none.
     """
-    leads = [g[0][0] for g in gb._terms]
+    leads = [g[0][0] for g in gb.terms]
     if not all(map(any, leads)):
         return []  # the unit ideal: nothing survives in the quotient
     variables = _coordinates(gb.d, 0)
@@ -671,7 +667,7 @@ def milnor_number(func: InputFunction) -> int:
     every call.  Raises NotIsolated when the quotient is infinite dimensional,
     and a ValueError when the basis would exceed MAX_REDUCTION_WORK.
     """
-    leads = [g[0][0] for g in buchberger(jacobian_ideal(func))._terms]
+    leads = [g[0][0] for g in buchberger(jacobian_ideal(func)).terms]
     mu = _staircase(leads, _box(leads, func.d))[0]
     expected = (func.delta - 1) ** func.d
     if mu != expected:

@@ -29,13 +29,13 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 
-from ._record import fields
 from .exactalg import LoopPoly, LoopVar, Monomial, _default_names, _from_exponents, format_terms
 
 __all__ = [
@@ -95,21 +95,21 @@ class FunctionalTooLarge(ValueError):
         )
 
 
-class Window(tuple):
+class Window(namedtuple("Window", "bottom top")):
     """The closed interval [-bottom, top] of allowed conformal degrees.
 
     `bottom` bounds the pole order (cdeg >= -bottom), `top` the positive tail.
     """
 
     __slots__ = ()
-    bottom, top = fields(2)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, bottom: int, top: int) -> Window:
         if bottom < 0:
             raise ValueError(f"window bottom must be nonnegative, got {bottom}")
         if top < -bottom:
             raise ValueError(f"window top {top} lies below -bottom = {-bottom}")
-        return tuple.__new__(cls, (bottom, top))
+        return super().__new__(cls, bottom, top)
 
     def __str__(self) -> str:
         return f"[{-self.bottom}, {self.top}]"
@@ -335,10 +335,7 @@ class _Jet:
 
     def max_cdeg(self) -> int:
         """The largest conformal degree of a variable, read off last codes."""
-        last = max([codes[-1] for _, codes, _ in self.rows if codes], default=None)
-        if last is None:
-            raise ValueError("the functional has no variables")
-        return self.cdeg(last)
+        return self.cdeg(max([codes[-1] for _, codes, _ in self.rows if codes]))
 
     def truncated(self, top: int) -> _Jet:
         """The jet with every variable of conformal degree above `top` set to zero.
@@ -549,12 +546,8 @@ def _functional_jet(func: InputFunction, window: Window) -> _Jet:
     return jet
 
 
-class SupportBoundReport(tuple):
+class SupportBoundReport(namedtuple("SupportBoundReport", "bound max_cdeg_present ok")):
     __slots__ = ()
-    bound, max_cdeg_present, ok = fields(3)
-
-    def __new__(cls, bound: int, max_cdeg_present: int, ok: bool) -> SupportBoundReport:
-        return tuple.__new__(cls, (bound, max_cdeg_present, ok))
 
 
 def check_support_bound(func: InputFunction, bottom: int) -> SupportBoundReport:
@@ -574,15 +567,10 @@ def _support_report(func: InputFunction, bottom: int, jet: _Jet) -> SupportBound
     return SupportBoundReport(bound=bound, max_cdeg_present=max_present, ok=max_present <= bound)
 
 
-class TopLinearityReport(tuple):
+class TopLinearityReport(namedtuple(
+    "TopLinearityReport", "ok top_cdeg offending_monomials functional window"
+)):
     __slots__ = ()
-    ok, top_cdeg, offending_monomials, functional, window = fields(5)
-
-    def __new__(
-        cls, ok: bool, top_cdeg: int, offending_monomials: tuple[Monomial, ...],
-        functional: LoopPoly, window: Window,
-    ) -> TopLinearityReport:
-        return tuple.__new__(cls, (ok, top_cdeg, offending_monomials, functional, window))
 
     def _top_exponents(self) -> list[tuple[Monomial, int, Fraction]]:
         """(m, k, c) per term c*m, k being m's total exponent in the degree-N variables."""
@@ -644,28 +632,18 @@ def _top_exponent(codes: tuple[int, ...], first: int, after: int, m: int) -> int
     return total
 
 
-class CoordinateDerivativeCheck(tuple):
+class CoordinateDerivativeCheck(namedtuple(
+    "CoordinateDerivativeCheck", "coord via_t_coefficient via_bottom_evaluation"
+)):
     __slots__ = ()
-    coord, via_t_coefficient, via_bottom_evaluation = fields(3)
-
-    def __new__(
-        cls, coord: int, via_t_coefficient: bool, via_bottom_evaluation: bool
-    ) -> CoordinateDerivativeCheck:
-        return tuple.__new__(cls, (coord, via_t_coefficient, via_bottom_evaluation))
 
     @property
     def ok(self) -> bool:
         return self.via_t_coefficient and self.via_bottom_evaluation
 
 
-class DerivativeIdentityReport(tuple):
+class DerivativeIdentityReport(namedtuple("DerivativeIdentityReport", "checks top_cdeg")):
     __slots__ = ()
-    checks, top_cdeg = fields(2)
-
-    def __new__(
-        cls, checks: tuple[CoordinateDerivativeCheck, ...], top_cdeg: int
-    ) -> DerivativeIdentityReport:
-        return tuple.__new__(cls, (checks, top_cdeg))
 
     @property
     def ok(self) -> bool:

@@ -129,6 +129,23 @@ MUTANTS = (
            "parentheses nested deeper than MAX_NESTING end in exit 2"),
     Mutant("n-max-budget", "cli/report.py", "if n_max > MAX_N_MAX:", "if False:",
            "an n-max above MAX_N_MAX ends in exit 2"),
+    Mutant("window-bottom", "loopfun.py",
+           'raise ValueError(f"window bottom must be nonnegative, got {bottom}")', "pass",
+           "a window's bottom is nonnegative"),
+    Mutant("window-top", "loopfun.py", "if top < -bottom:", "if False:",
+           "a window's top lies at or above -bottom"),
+    Mutant("window-make", "loopfun.py", "_make = classmethod(lambda cls, fields: cls(*fields))",
+           "pass", "Window._replace and Window._make check the fields as the constructor does"),
+    Mutant("rank-kind", "cohom.py", "if kind not in _KINDS:", "if False:",
+           "a declared rank is of a gysin, restriction or residue map"),
+    Mutant("rank-sign", "cohom.py", "if rank < 0:", "if False:",
+           "a declared rank is nonnegative"),
+    Mutant("les-codim", "cohom.py", "if codim < 1:", "if False:",
+           "a Gysin sequence's codimension is positive"),
+    Mutant("outcome-ok", "cli/report.py", "if ok and (skipped or witness is not None):",
+           "if False:", "a passed check is neither skipped nor carries a witness"),
+    Mutant("outcome-witness", "cli/report.py", "if not ok and witness is None:", "if False:",
+           "a failed or skipped check carries a witness"),
 )
 
 

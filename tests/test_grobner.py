@@ -234,7 +234,7 @@ class TestStandardMonomials:
     @example(Ideal([x**2 - y * w, y**2, w**3, x * y * w], 3))
     def test_staircase_count_matches_the_enumeration(self, ideal):
         gb = buchberger(ideal)
-        leads = [g[0][0] for g in gb._terms]
+        leads = [g[0][0] for g in gb.terms]
         assume(all(map(any, leads)))  # the unit ideal has no box
         try:
             expected = len(standard_monomials(gb))
@@ -262,7 +262,7 @@ class TestStandardMonomials:
     @example(Ideal([x**2 - y * w, y**2, w**3, x * y * w], 3))
     def test_staircase_top_matches_the_enumeration(self, ideal):
         gb = buchberger(ideal)
-        leads = [g[0][0] for g in gb._terms]
+        leads = [g[0][0] for g in gb.terms]
         try:
             degrees = [sum(e for _, e in m.factors) for m in standard_monomials(gb)]
         except NotIsolated:
@@ -517,7 +517,7 @@ class TestBeyondFermat:
     @pytest.mark.parametrize("source", sorted(PINNED_BASES))
     def test_staircase_count_of_a_dense_basis(self, source):
         gb = buchberger(jacobian_ideal(build(source)))
-        leads = [g[0][0] for g in gb._terms]
+        leads = [g[0][0] for g in gb.terms]
         assert grobner._staircase(leads, grobner._box(leads, gb.d))[0] == len(
             standard_monomials(gb)
         )
@@ -1265,7 +1265,7 @@ class TestAudit:
     @settings(deadline=None, max_examples=150)
     @given(_audited_ideals(), st.lists(_mutations, max_size=2))
     def test_pruned_audit_raises_exactly_when_all_pairs_does(self, ideal, mutations):
-        elements = [list(g) for g in buchberger(ideal)._terms]
+        elements = [list(g) for g in buchberger(ideal).terms]
         for kind, index, pick, step in mutations:
             if elements:
                 elements = _mutate(elements, kind, index % len(elements), pick, step)
@@ -1276,7 +1276,7 @@ class TestAudit:
     @pytest.mark.parametrize("source", sorted(PINNED_BASES))
     def test_every_single_mutation_of_a_pinned_basis(self, source):
         ideal = jacobian_ideal(build(source))
-        elements = [list(g) for g in buchberger(ideal)._terms]
+        elements = [list(g) for g in buchberger(ideal).terms]
         assert _audit_outcome(_packed_verify, elements, ideal._terms) is None
         failures = 0
         for index, kind, pick in itertools.product(
@@ -1306,7 +1306,7 @@ class TestAudit:
 
     def test_criteria_skip_pairs_of_a_dense_basis(self, monkeypatch):
         ideal = jacobian_ideal(build(_gl_fermat_source(3, 5, 2)))
-        elements = buchberger(ideal)._terms
+        elements = buchberger(ideal).terms
         # Of the 105 pairs of the 15 elements, the criteria leave 21 to reduce
         # (the strict chain criterion left 33); the 3 generators are reduced too.
         assert (len(elements), len(ideal._terms)) == (15, 3)
@@ -1332,7 +1332,7 @@ class TestAudit:
     @settings(deadline=None, max_examples=100)
     @given(_audited_ideals(), st.lists(_mutations, max_size=2))
     def test_pair_loop_yields_the_reference_pairs(self, ideal, mutations):
-        elements = [list(g) for g in buchberger(ideal)._terms]
+        elements = [list(g) for g in buchberger(ideal).terms]
         mutated = elements
         for kind, index, pick, step in mutations:
             if mutated:
@@ -1342,7 +1342,7 @@ class TestAudit:
     @pytest.mark.parametrize("source", sorted(PINNED_BASES))
     def test_pair_loop_yields_the_reference_pairs_on_a_pinned_basis(self, source):
         ideal = jacobian_ideal(build(source))
-        _assert_same_pairs(ideal, [list(g) for g in buchberger(ideal)._terms])
+        _assert_same_pairs(ideal, [list(g) for g in buchberger(ideal).terms])
 
     @pytest.mark.parametrize(
         "ideal",
@@ -1353,7 +1353,7 @@ class TestAudit:
         ],
     )
     def test_pair_loop_yields_the_reference_pairs_with_a_unit_lead(self, ideal):
-        _assert_same_pairs(ideal, [list(g) for g in buchberger(ideal)._terms], ideal._terms)
+        _assert_same_pairs(ideal, [list(g) for g in buchberger(ideal).terms], ideal._terms)
 
     def test_the_staircase_top_is_taken_only_when_a_pair_needs_it(self, monkeypatch):
         # The Fermat cubic's partials have pure-power leads, so every pair of
@@ -1362,7 +1362,7 @@ class TestAudit:
         assert _staircase_calls(monkeypatch, lambda: buchberger(fermat)) == 0
         # The audit takes its whole basis as one batch, so one top serves it.
         ideal = jacobian_ideal(build(_gl_fermat_source(3, 5, 2)))
-        elements = buchberger(ideal)._terms
+        elements = buchberger(ideal).terms
         assert _staircase_calls(monkeypatch, lambda: _packed_verify(elements, ideal._terms)) == 1
 
     # Buchberger and its audit share one pair loop, so the reference audit,
@@ -1370,18 +1370,18 @@ class TestAudit:
     @settings(deadline=None, max_examples=100)
     @given(_audited_ideals())
     def test_buchberger_passes_the_all_pairs_audit(self, ideal):
-        _all_pairs_verify([list(g) for g in buchberger(ideal)._terms], ideal._terms)
+        _all_pairs_verify([list(g) for g in buchberger(ideal).terms], ideal._terms)
 
     @pytest.mark.parametrize("source", sorted(PINNED_BASES))
     def test_buchberger_passes_the_all_pairs_audit_on_a_pinned_basis(self, source):
         ideal = jacobian_ideal(build(source))
-        _all_pairs_verify([list(g) for g in buchberger(ideal)._terms], ideal._terms)
+        _all_pairs_verify([list(g) for g in buchberger(ideal).terms], ideal._terms)
 
     @settings(deadline=None, max_examples=100)
     @given(_dense_jacobian_ideals(), st.lists(_mutations, max_size=2))
     def test_s_pairs_past_the_staircase_top_reduce_to_zero(self, ideal, mutations):
         """On homogeneous elements, Groebner basis or not, as the degree cut assumes."""
-        elements = [list(g) for g in buchberger(ideal)._terms]
+        elements = [list(g) for g in buchberger(ideal).terms]
         for _, index, pick, step in mutations:  # a changed coefficient keeps the degree
             elements = _mutate(elements, "coefficient", index % len(elements), pick, step)
         leads = [g[0][0] for g in elements]
@@ -1398,7 +1398,7 @@ class TestAudit:
     @pytest.mark.parametrize("source", sorted(PINNED_BASES))
     def test_a_lower_degree_term_gets_no_degree_cut(self, monkeypatch, source):
         ideal = jacobian_ideal(build(source))
-        elements = [list(g) for g in buchberger(ideal)._terms]
+        elements = [list(g) for g in buchberger(ideal).terms]
         leads = [g[0][0] for g in elements]
         top = _degree_cut(_packed(elements), leads, ideal.d)
         assert top == ideal.d * (build(source).delta - 2)
@@ -1429,7 +1429,7 @@ class TestAudit:
     @settings(deadline=None, max_examples=150)
     @given(_audited_ideals(), st.data())
     def test_one_pass_interreduction_matches_the_fixed_point_loop(self, ideal, data):
-        reduced = [list(g) for g in buchberger(ideal)._terms]
+        reduced = [list(g) for g in buchberger(ideal).terms]
         basis = [list(g) for g in reduced]
         # Ideal elements with a lead a basis lead divides keep it a Groebner basis.
         for _ in range(data.draw(st.integers(0, 4))):

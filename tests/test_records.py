@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import inspect
 
 import pytest
@@ -51,40 +52,37 @@ RECORDS = {
     "Report": lambda: run(RunConfig("x^3 + y^3")),
 }
 
-# Constructor calls each record's own checks refuse, with their messages.
+# Field changes each record's own checks refuse, with their messages: applied
+# to the record of RECORDS, through the constructor and through `_replace`.
 REFUSED = {
     "RankFact": [
-        (lambda: RankFact("connecting", 3, 1, "t"), "unknown map kind 'connecting'"),
-        (lambda: RankFact("gysin", 3, -1, "t"), "a rank cannot be negative"),
+        ({"kind": "connecting"}, "unknown map kind 'connecting'"),
+        ({"kind": "gysin", "rank": -1}, "a rank cannot be negative"),
     ],
-    "LesSystem": [
-        (
-            lambda: LesSystem(0, GradedDims({0: 1}), sphere_cohomology(1)),
-            "codimension must be positive",
-        ),
-    ],
+    "LesSystem": [({"codim": 0}, "codimension must be positive")],
     "Window": [
-        (lambda: Window(-1, 0), "window bottom must be nonnegative"),
-        (lambda: Window(2, -3), "window top -3 lies below -bottom = -2"),
+        ({"bottom": -1, "top": 0}, "window bottom must be nonnegative"),
+        ({"top": -3}, "window top -3 lies below -bottom = -2"),
     ],
     "CheckOutcome": [
-        (lambda: CheckOutcome(ok=True, witness="w"), "ok with a witness"),
-        (lambda: CheckOutcome(ok=True, witness="w", skipped=True), "skipped but ok"),
-        (lambda: CheckOutcome(ok=False), "failed without a witness"),
+        ({"ok": True, "skipped": False}, "ok with a witness"),
+        ({"ok": True}, "skipped but ok"),
+        ({"witness": None}, "failed without a witness"),
     ],
     "Report": [
         (
-            lambda: Report(
-                "x^2", 1, 2, Window(1, 1), None, None, 3, None, {"milnor": CheckOutcome(True)}, None
-            ),
+            {"checks": {"milnor": CheckOutcome(True)}},
             "lambda: present beside no functional check",
         ),
-        (
-            lambda: Report("x^2", 1, 2, Window(0, 0), None, None, None, None, {}, None),
-            "checks: at least one check must be enabled",
-        ),
+        ({"checks": {}}, "checks: at least one check must be enabled"),
     ],
 }
+
+
+def _fields(record) -> dict:
+    """The record's fields by name, in the order its constructor takes them."""
+    names = list(inspect.signature(type(record).__new__).parameters)[1:]
+    return {name: getattr(record, name) for name in names}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -92,18 +90,41 @@ def test_record_semantics(name):
     record = RECORDS[name]()
     cls = type(record)
     assert cls.__name__ == name
+    assert isinstance(record, tuple) and cls._fields == tuple(_fields(record))
     # A copy made through the constructor, field by field, equals the record.
-    fields = list(inspect.signature(cls.__new__).parameters)[1:]
-    copy = cls(**{field: getattr(record, field) for field in fields})
-    assert copy == record and copy is not record
-    for field in fields:
+    rebuilt = cls(**_fields(record))
+    assert rebuilt == record and rebuilt is not record
+    for field in _fields(record):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.note = "not a field"
-    for make, message in REFUSED.get(name, ()):
-        with pytest.raises(ValueError, match=message):
-            make()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_record_copies_and_replaces_to_an_equal_record(name):
+    record = RECORDS[name]()
+    assert copy.copy(record) == record
+    assert type(copy.copy(record)) is type(record)
+    assert record._replace() == record and record._make(record) == record
+
+
+@pytest.mark.parametrize(
+    "name, changes, message",
+    [
+        pytest.param(name, changes, message, id=f"{name}-{message}")
+        for name, cases in REFUSED.items()
+        for changes, message in cases
+    ],
+)
+def test_a_record_refuses_bad_fields_through_the_constructor_and_replace(name, changes, message):
+    record = RECORDS[name]()
+    with pytest.raises(ValueError, match=message):
+        type(record)(**{**_fields(record), **changes})
+    with pytest.raises(ValueError, match=message):
+        record._replace(**changes)
+    with pytest.raises(ValueError, match=message):
+        record._make({**_fields(record), **changes}.values())
 
 
 def test_underdetermined_repr():
