@@ -165,6 +165,10 @@ class GradedDims:
     def __repr__(self) -> str:
         return f"GradedDims({self})"
 
+    def __reduce__(self) -> tuple:
+        # The read-only store cannot be pickled; a copy rebuilds from a plain dict.
+        return GradedDims, (dict(self._dims),)
+
 
 # Assignment is refused, so the store goes in through its slot's descriptor.
 _set_store = GradedDims.__dict__["_dims"].__set__

@@ -63,12 +63,21 @@ entry field, its guard bit, is clear.  So:
   so on, and the upper fields fix the vector;
 - l divides e exactly when ((e | G) - l) & G == G, for the mask G of the
   guard bits: an entry field of e below l's borrows its guard bit, and no
-  field borrows from the one above it.
+  field borrows from the one above it;
+- packing is linear, so a vector packs as one dot product with the packed
+  unit vectors (`_weights`), and one `struct` unpack of its bytes reads its
+  entry fields back;
+- the same borrow picks the fieldwise max of two entry parts, so the pair
+  loop forms each S-pair's lcm, its degree and its packed key on the packed
+  leads, and each lead's support mask, the guard bits of its nonzero
+  entries, is ((l & L) | G) - O, masked by G, for the mask L of the entry
+  fields and the ones O of their lowest bits.
 
 `buchberger` packs the generators once and unpacks the reduced basis once,
-so `GroebnerBasis`, the Milnor count and the oracle read tuples; `normal_form`
-and `s_polynomial` pack and unpack at the boundary.  A degree above
-_MAX_DEGREE, or division work beyond MAX_REDUCTION_WORK, raises a ValueError.
+so `GroebnerBasis`, the Milnor count and the oracle read tuples; inside, only
+the pair loop's staircase reads leads as tuples.  `normal_form` and
+`s_polynomial` pack and unpack at the boundary.  A degree above _MAX_DEGREE,
+or division work beyond MAX_REDUCTION_WORK, raises a ValueError.
 
 Fraction-free elimination is classical: Bareiss 1968, and Cox, Little and
 O'Shea, "Ideals, Varieties, and Algorithms", ch. 2.  The Hilbert function of
@@ -78,6 +87,7 @@ section 17.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -124,6 +134,7 @@ class NotIsolated(ArithmeticError):
 # an entry's field is its guard bit, so an entry, and with it every field,
 # holds at most _MAX_DEGREE, whose ones fill the bits below the guard bit.
 _FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
 _MAX_DEGREE = (1 << (_FIELD - 1)) - 1
 
 
@@ -142,26 +153,52 @@ class _BasisTooLarge(ValueError):
     an exponent vector of degree above _MAX_DEGREE."""
 
 
+def _too_large(degree: int) -> _BasisTooLarge:
+    return _BasisTooLarge(
+        f"the Groebner basis computation meets a monomial of degree {degree}, "
+        f"above {_MAX_DEGREE}"
+    )
+
+
+@functools.cache
+def _weights(d: int) -> tuple[int, ...]:
+    """The packed unit vectors of d entries, so that e packs to sum(e_i * w_i).
+
+    e_i is its own field d-1-i and a term of deg in each upper field, but not
+    of deg - e_i, the field d-1 above its own (for i < d-1).
+    """
+    upper = ((1 << _FIELD * d) - 1) // _FIELD_MASK << _FIELD * d  # 1 in each upper field
+    return tuple(
+        (1 << _FIELD * j) + upper - ((1 << _FIELD * (j + d - 1)) if j else 0)
+        for j in range(d - 1, -1, -1)
+    )
+
+
+@functools.cache
+def _entry_fields(d: int) -> struct.Struct:
+    """The d entry fields, e_0 first, as the last 2d of 4d big-endian bytes."""
+    return struct.Struct(f">{2 * d}x{d}H")  # H: one _FIELD-bit field
+
+
 def _packed(e: Exponents) -> int:
     """The exponent vector as one int: fields, from the top, deg, deg - e_i for
-    i < d-1, then e_0 .. e_{d-1}.  Raises _BasisTooLarge above _MAX_DEGREE."""
-    degree = sum(e)
+    i < d-1, then e_0 .. e_{d-1}.  Raises _BasisTooLarge above _MAX_DEGREE.
+
+    Packing is linear while no field overflows, and an overflow only carries
+    into the degree field, so the degree read from the top field exceeds
+    _MAX_DEGREE exactly when deg does.
+    """
+    d = len(e)
+    v = sum(map(mul, e, _weights(d)))
+    degree = v >> _FIELD * (2 * d - 1) if d else 0
     if degree > _MAX_DEGREE:
-        raise _BasisTooLarge(
-            f"the Groebner basis computation meets a monomial of degree {degree}, "
-            f"above {_MAX_DEGREE}"
-        )
-    v = degree
-    for x in e[:-1]:
-        v = (v << _FIELD) | (degree - x)
-    for x in e:
-        v = (v << _FIELD) | x
+        raise _too_large(sum(e))
     return v
 
 
 def _unpacked(v: int, d: int) -> Exponents:
     """The exponent vector of d entries that `_packed` packed into v."""
-    return tuple((v >> (_FIELD * i)) & _MAX_DEGREE for i in range(d - 1, -1, -1))
+    return _entry_fields(d).unpack(v.to_bytes(4 * d, "big"))
 
 
 class _Run:
@@ -448,7 +485,7 @@ def _pairs_to_reduce(
     with coprime leads (Buchberger's first criterion).  The elements are a
     Groebner basis once every pair has one.  Three criteria leave pairs out:
 
-    - Coprime leads, whose support masks share no bit.  Such a pair is
+    - Coprime leads, whose support masks, below, share no bit.  Such a pair is
       marked treated as soon as its second element is queued.  Cox, Little
       and O'Shea's improved algorithm may take its pairs in any order, and
       taking the coprime pairs of an element first is one such order.
@@ -478,48 +515,77 @@ def _pairs_to_reduce(
       appended leads only lower the cut (they shrink the staircase, and on
       homogeneous input they are homogeneous), and the loop already stops at
       the first popped pair past the cut, so at that pair or before.
+
+    The bookkeeping reads the packed leads, and no tuple is built until the
+    staircase needs the leads.  A lead's support mask holds the guard bit of
+    each nonzero entry field, and its degree is its top field.  A pair's lcm
+    keeps, field by field, the entry of the lead whose field borrows no
+    guard bit from the other's; its degree is field d-1 of the lcm times O,
+    the ones of the entry fields, a product in which no field carries, since
+    no sum of the lcm's entries exceeds 2 * _MAX_DEGREE; and the upper
+    fields of its key are that degree times O less the entries e_0 ..
+    e_{d-2}, shifted up.  A
+    queued pair of degree above _MAX_DEGREE raises _BasisTooLarge, as
+    packing its lcm would.  So a basis whose pairs are all coprime unpacks
+    no lead.
     """
     d, guard = run.d, run.guard
-    degree_shift = _FIELD * (2 * d - 1)
-    leads: list[Exponents] = []
-    packed_leads: list[int] = []
-    supports: list[int] = []  # bit c of supports[k]: lead k holds coordinate c
+    ones = guard >> (_FIELD - 1)  # 1 in each entry field
+    entry_bits, degree_shift = _FIELD * d, _FIELD * (2 * d - 1)
+    entry_mask = (1 << entry_bits) - 1
+    sum_shift = _FIELD * (d - 1)  # the field of (v * ones) that sums v's entries
+    # The entry fields of each lead; divisibility and the lcm read no others.
+    entries: list[int] = []
+    leads: list[Exponents] = []  # the leads unpacked, only for the staircase
+    # The guard bit of each nonzero entry field of lead k.
+    supports: list[int] = []
     # Bit k of treated[i]: the pair (i, k) is coprime or was taken.  Bit i
     # stays clear, so no k in {i, j} counts for (i, j).
     treated: list[int] = []
     queue: list[tuple[int, int, int]] = []
     homogeneous, unit, box = True, False, [0] * d
-    bits = [1 << c for c in range(d)]
     while True:
-        if len(leads) < len(basis):
-            old = len(leads)
-            packed_leads += [g[0][0] for g in basis[old:]]
-            leads += [_unpacked(v, d) for v in packed_leads[old:]]
-            supports += [sum(itertools.compress(bits, lead)) for lead in leads[old:]]
+        if len(entries) < len(basis):
             pairs = []
-            for new in range(old, len(leads)):
-                lead, support, row = leads[new], supports[new], 0
+            for new in range(len(entries), len(basis)):
+                g = basis[new]
+                b = g[0][0] & entry_mask
+                support, row = ((b | guard) - ones) & guard, 0
                 for k in range(new):
                     if supports[k] & support:
-                        pairs.append((tuple(map(max, leads[k], lead)), k, new))
+                        # The fieldwise max: a where a's field borrows no guard bit.
+                        a = entries[k]
+                        take_a = (((a | guard) - b) & guard) >> (_FIELD - 1)
+                        lcm = b ^ (a ^ b) & take_a * _FIELD_MASK
+                        # Below 2 * _MAX_DEGREE, so no field of the product carries.
+                        lcm_degree = (lcm * ones >> sum_shift) & _FIELD_MASK
+                        lcm += (lcm_degree * ones - (lcm >> _FIELD)) << entry_bits
+                        pairs.append((lcm_degree, lcm, k, new))
                     else:
                         row |= 1 << k
                         treated[k] |= 1 << new
                 treated.append(row)
-            if not (pairs or queue):
-                return
-            for g, lead, support in zip(basis[old:], leads[old:], supports[old:]):
-                homogeneous = homogeneous and g[0][0] >> degree_shift == g[-1][0] >> degree_shift
+                entries.append(b)
+                supports.append(support)
+                degree = g[0][0] >> degree_shift
+                homogeneous = homogeneous and degree == g[-1][0] >> degree_shift
                 if not support:
                     unit = True
                 elif not support & (support - 1):  # a pure power
-                    box[support.bit_length() - 1] = sum(lead)
+                    box[d - support.bit_length() // _FIELD] = degree
+            if not (pairs or queue):
+                return
             cut = None  # the degree cut of the basis so far
-            if homogeneous and (unit or all(box)):
-                cut = -1 if unit else _staircase(leads, box)[1]
-            for lcm, i, j in pairs:
-                if cut is None or sum(lcm) <= cut:
-                    heappush(queue, (_packed(lcm), i, j))
+            if homogeneous and unit:
+                cut = -1
+            elif homogeneous and all(box):
+                leads += [_unpacked(v, d) for v in entries[len(leads):]]
+                cut = _staircase(leads, box)[1]
+            for lcm_degree, lcm, i, j in pairs:
+                if cut is None or lcm_degree <= cut:
+                    if lcm_degree > _MAX_DEGREE:
+                        raise _too_large(lcm_degree)
+                    heappush(queue, (lcm, i, j))
         if not queue:
             return
         lcm, i, j = heappop(queue)
@@ -529,7 +595,7 @@ def _pairs_to_reduce(
         both = treated[i] & treated[j]
         while both:
             low = both & -both
-            if (probe - packed_leads[low.bit_length() - 1]) & guard == guard:
+            if (probe - entries[low.bit_length() - 1]) & guard == guard:
                 break
             both ^= low
         else:

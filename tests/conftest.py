@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from loopsing import loopfun
+from loopsing import grobner, loopfun
 from loopsing.cli import CheckOutcome, parse_function
 from loopsing.cli.parser import _Parser
 from loopsing.cohom import LesSolution, LesSystem
@@ -162,6 +162,25 @@ class Poly(LoopPoly):
         for _ in range(exp):
             out = out * self
         return out
+
+
+def packed_vector(e: tuple[int, ...]) -> int:
+    """Reference for grobner's packed exponent vectors, built field by field:
+    from the top, deg, deg - e_i for i < d-1, then e_0 .. e_{d-1}, each
+    grobner._FIELD bits wide; 0 for the vector of no entries."""
+    degree = sum(e)
+    v = degree
+    for x in e[:-1]:
+        v = (v << grobner._FIELD) | (degree - x)
+    for x in e:
+        v = (v << grobner._FIELD) | x
+    return v
+
+
+def unpacked_vector(v: int, d: int) -> tuple[int, ...]:
+    """Reference: the d entry fields of a packed vector, one shift and mask each."""
+    mask = (1 << grobner._FIELD) - 1
+    return tuple((v >> (grobner._FIELD * i)) & mask for i in range(d - 1, -1, -1))
 
 
 def input_function(poly: LoopPoly, names: Sequence[str] | None = None) -> InputFunction:

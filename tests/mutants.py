@@ -73,8 +73,11 @@ MUTANTS = (
            "the chain criterion skips a pair only on two pairs treated before it"),
     Mutant("pair-queue", "grobner.py", "if supports[k] & support:", "if False:",
            "every non-coprime pair at or below the staircase top is queued"),
-    Mutant("pair-cut", "grobner.py", "sum(lcm) <= cut", "sum(lcm) < cut",
+    Mutant("pair-cut", "grobner.py", "lcm_degree <= cut", "lcm_degree < cut",
            "a pair is dropped when queued only if its lcm lies past the staircase top"),
+    Mutant("packed-lcm", "grobner.py", "lcm = b ^ (a ^ b) & take_a * _FIELD_MASK",
+           "lcm = a ^ (a ^ b) & take_a * _FIELD_MASK",
+           "each queued pair's packed lcm is the fieldwise max of its packed leads"),
     Mutant("generators", "grobner.py", "if _reduce(g, divisors, run)[0]:", "if False:",
            "every ideal generator reduces to zero on the basis"),
     Mutant("staircase", "grobner.py", "if mu != expected:", "if False:",
@@ -87,6 +90,8 @@ MUTANTS = (
            "the oracle raises NotIsolated when the exact Macaulay rank falls short too"),
     Mutant("packing-budget", "grobner.py", "if degree > _MAX_DEGREE:", "if False:",
            "a Groebner basis meeting a monomial above _MAX_DEGREE ends in exit 2"),
+    Mutant("pair-budget", "grobner.py", "if lcm_degree > _MAX_DEGREE:", "if False:",
+           "a queued S-pair whose lcm lies above _MAX_DEGREE is refused as too large"),
     Mutant("oracle-gate", "cli/main.py", "if func.d <= 3 and func.delta <= 5:", "if False:",
            "the milnor check runs the linear-algebra oracle for d <= 3, delta <= 5"),
     Mutant("linearity", "loopfun.py", "_top_exponent(codes, first, after, m) > 1",

@@ -30,7 +30,16 @@ from loopsing.grobner import (
     standard_monomials,
 )
 
-from conftest import CORPUS, NON_ISOLATED_SOURCES, Poly, bench_module, build, fermat_source
+from conftest import (
+    CORPUS,
+    NON_ISOLATED_SOURCES,
+    Poly,
+    bench_module,
+    build,
+    fermat_source,
+    packed_vector,
+    unpacked_vector,
+)
 
 
 def lv(coord: int) -> Poly:
@@ -1021,21 +1030,23 @@ def _reference_pairs_to_reduce(basis, run):
     """Reference pair loop: the one grobner ran before it kept the staircase
     as leads arrive.  It queues every non-coprime pair, keeps `treated` as
     lists of bools, scans every lead for the chain criterion, and takes the
-    degree cut from nothing (`_degree_cut`) whenever the basis has grown."""
+    degree cut from nothing (`_degree_cut`) whenever the basis has grown.
+    It reads each lead as a tuple and packs each lcm from its tuple, field by
+    field (`packed_vector`)."""
     d, guard = run.d, run.guard
     degree_shift = grobner._FIELD * (2 * d - 1)
     leads, packed_leads, treated, queue = [], [], [], []
     cut, cut_size = None, 0
     while True:
         for new in range(len(leads), len(basis)):
-            lead = grobner._unpacked(basis[new][0][0], d)
+            lead = unpacked_vector(basis[new][0][0], d)
             row = []
             for k, other in enumerate(leads):
                 coprime = not any(map(min, other, lead))
                 treated[k].append(coprime)
                 row.append(coprime)
                 if not coprime:
-                    heappush(queue, (grobner._packed(tuple(map(max, other, lead))), k, new))
+                    heappush(queue, (packed_vector(tuple(map(max, other, lead))), k, new))
             treated.append(row + [False])
             leads.append(lead)
             packed_leads.append(basis[new][0][0])
@@ -1355,6 +1366,26 @@ class TestAudit:
     def test_pair_loop_yields_the_reference_pairs_with_a_unit_lead(self, ideal):
         _assert_same_pairs(ideal, [list(g) for g in buchberger(ideal).terms], ideal._terms)
 
+    @pytest.mark.parametrize("source", [entry.source for entry in CORPUS])
+    def test_pair_loop_yields_the_reference_pairs_on_the_corpus(self, source):
+        ideal = jacobian_ideal(build(source))
+        _assert_same_pairs(ideal, [list(g) for g in buchberger(ideal).terms], ideal._terms)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pair_loop_yields_the_reference_pairs_on_the_benchmark(self, seed):
+        sources = {case.source for case in bench_module("workloads").generate("jacobian", seed, 20.0)}
+        assert len(sources) > 50
+        for source in sorted(sources):
+            ideal = jacobian_ideal(build(source))
+            _assert_same_pairs(ideal, [list(g) for g in buchberger(ideal).terms])
+
+    def test_a_basis_of_coprime_pairs_unpacks_no_lead(self, monkeypatch):
+        # Every pair of the Fermat quartic's partials, x^3, y^3 and w^3, is coprime.
+        ideal = jacobian_ideal(build("x^4 + y^4 + w^4"))
+        monkeypatch.setattr(grobner, "_unpacked", None)
+        assert _replayed_pairs(grobner._pairs_to_reduce, ideal) == ([], _packed(ideal._terms))
+        assert _audited_pairs(grobner._pairs_to_reduce, ideal._terms, ideal.d) == []
+
     def test_the_staircase_top_is_taken_only_when_a_pair_needs_it(self, monkeypatch):
         # The Fermat cubic's partials have pure-power leads, so every pair of
         # Buchberger's basis and of its audit is coprime.
@@ -1503,10 +1534,58 @@ class TestPacking:
     """The packed exponent vectors against the tuple vectors they stand for."""
 
     @settings(deadline=None)
-    @given(st.integers(1, 4), st.data())
+    @given(st.integers(0, 6), st.data())
+    def test_pack_matches_the_field_by_field_reference(self, d, data):
+        # d = 0 is a constant polynomial's vector, as normal_form meets it.
+        e = data.draw(_vectors(d))
+        assert grobner._packed(e) == packed_vector(e)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 6), st.data())
     def test_unpack_inverts_pack(self, d, data):
         e = data.draw(_vectors(d))
-        assert grobner._unpacked(grobner._packed(e), d) == e
+        assert grobner._unpacked(grobner._packed(e), d) == unpacked_vector(packed_vector(e), d) == e
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 6), st.data())
+    def test_a_queued_pair_has_the_packed_lcm(self, d, data):
+        """The pair loop forms each lcm, its degree and its key on the packed
+        leads; a's term of degree 0 keeps the pair from any cut."""
+        a, b = data.draw(_vectors(d)), data.draw(_vectors(d))
+        basis = [[(grobner._packed(a), 1), (0, 1)], [(grobner._packed(b), 1)]]
+        pairs = grobner._pairs_to_reduce(basis, grobner._Run(d))
+        lcm = tuple(map(max, a, b))
+        if not any(map(min, a, b)):  # coprime leads
+            assert list(pairs) == []
+        elif sum(lcm) > grobner._MAX_DEGREE:
+            with pytest.raises(grobner._BasisTooLarge) as packing:
+                grobner._packed(lcm)
+            with pytest.raises(grobner._BasisTooLarge) as queueing:
+                list(pairs)
+            assert str(queueing.value) == str(packing.value)
+        else:
+            assert list(pairs) == [(packed_vector(lcm), 0, 1)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_a_queued_pair_past_the_field_is_refused(self, d):
+        top = grobner._MAX_DEGREE
+        zeros = (0,) * (d - 2)
+        for side, refused in ((top - 1, False), (top, True)):
+            # The lcm has degree side + 1; a's term of degree 0 keeps it from any cut.
+            a, b = (side, 0) + zeros, (1, 1) + zeros
+            basis = [[(grobner._packed(a), 1), (0, 1)], [(grobner._packed(b), 1)]]
+            pairs = grobner._pairs_to_reduce(basis, grobner._Run(d))
+            if not refused:
+                assert list(pairs) == [(packed_vector((side, 1) + zeros), 0, 1)]
+                continue
+            with pytest.raises(grobner._BasisTooLarge) as queueing:
+                list(pairs)
+            with pytest.raises(grobner._BasisTooLarge) as packing:
+                grobner._packed((side, 1) + zeros)
+            assert str(queueing.value) == str(packing.value) == (
+                f"the Groebner basis computation meets a monomial of degree {top + 1}, "
+                f"above {top}"
+            )
 
     @settings(deadline=None)
     @given(st.integers(1, 4), st.data())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+import pickle
 
 import pytest
 
@@ -125,6 +126,25 @@ def test_a_record_refuses_bad_fields_through_the_constructor_and_replace(name, c
         record._replace(**changes)
     with pytest.raises(ValueError, match=message):
         record._make({**_fields(record), **changes}.values())
+
+
+@pytest.mark.parametrize(
+    "name", ["LesSystem", "LesSolution", "GysinTower", "RenormalizedReport", "Report"]
+)
+def test_a_record_holding_graded_dims_deep_copies_and_pickles(name):
+    # Each holds a GradedDims, whose store is a read-only mapping; the Report
+    # holds one through its tower.
+    record = RECORDS[name]()
+    for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and type(twin) is type(record)
+
+
+def test_graded_dims_pickles_to_an_equal_immutable_value():
+    dims = GradedDims({-2: 3, 0: 1})
+    twin = pickle.loads(pickle.dumps(dims))
+    assert twin == dims and twin.items() == ((-2, 3), (0, 1))
+    with pytest.raises(AttributeError):
+        twin._dims = {}
 
 
 def test_underdetermined_repr():
