@@ -8,6 +8,7 @@ three structural facts the rest of the package leans on.
 """
 
 from loopsing import (
+    LoopPoly,
     Window,
     check_derivative_identity,
     check_support_bound,
@@ -51,9 +52,16 @@ for source, b in (("z^2", 1), ("z^3", 1), ("x^3 + y^3", 2)):
 
 banner("Top-degree linearity")
 report = check_top_linearity(cubic, 1)
-print(f"  top degree N = {report.top_cdeg}")
-print(f"  linear part   {report.linear_part.to_string(cubic.names)}")
-print(f"  remainder     {report.remainder.to_string(cubic.names)}")
+assert report.ok and not report.offending_monomials
+# No monomial has degree 2 or more in the top variables, so the linear part
+# is the terms that hold one and the remainder the others.  A monomial's
+# factors are sorted by conformal degree: its last is its highest.
+N = report.top_cdeg
+linear = LoopPoly((m, c) for m, c in report.functional.terms if m.factors[-1][0].cdeg == N)
+remainder = LoopPoly((m, c) for m, c in report.functional.terms if m.factors[-1][0].cdeg < N)
+print(f"  top degree N = {N}")
+print(f"  linear part   {linear.to_string(cubic.names)}")
+print(f"  remainder     {remainder.to_string(cubic.names)}")
 print("""
 No monomial can hold two factors of the top degree N (their weight alone
 would exceed what the other factors can cancel), so the functional is

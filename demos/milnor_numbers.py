@@ -10,7 +10,6 @@ variables of degree delta both must give (delta-1)^d.
 """
 
 from loopsing import (
-    LoopPoly,
     NotIsolated,
     buchberger,
     jacobian_ideal,
@@ -20,16 +19,24 @@ from loopsing import (
 )
 from loopsing.cli import parse_function, poly_to_source
 
+
+def exponents(monomial, d):
+    """A monomial's exponent vector, entry i that of coordinate i+1."""
+    powers = {var.coord: e for var, e in monomial.factors}
+    return tuple(powers.get(coord, 0) for coord in range(1, d + 1))
+
+
 print("== A worked example: x^3 + y^3 ==")
 fermat = parse_function("x^3 + y^3")
-ideal = jacobian_ideal(fermat)
-print("Jacobian generators:", ", ".join(poly_to_source(g, fermat.names) for g in ideal.generators))
-basis = buchberger(ideal)
-print("reduced Groebner basis:", ", ".join(poly_to_source(g, fermat.names) for g in basis.elements))
+partials = [sorted(partial.items()) for partial in fermat.partials]
+print("Jacobian generators:", ", ".join(poly_to_source(g, fermat.names) for g in partials))
+# The basis comes as primitive integer terms; for a Fermat form they are monic.
+basis = buchberger(jacobian_ideal(fermat))
+print("reduced Groebner basis:", ", ".join(poly_to_source(g, fermat.names) for g in basis.terms))
 monomials = standard_monomials(basis)
 print(
     "standard monomials:",
-    ", ".join(poly_to_source(LoopPoly({m: 1}), fermat.names) for m in monomials),
+    ", ".join(poly_to_source([(exponents(m, fermat.d), 1)], fermat.names) for m in monomials),
 )
 print("mu =", len(monomials), "= (3-1)^2")
 

@@ -7,7 +7,7 @@ the Gysin long exact sequences of the truncation tower to reproduce the
 renormalized nearby cohomology: mu classes in degree d-1, everything else
 escaping to infinity.
 
-The records they return subclass `collections.namedtuple`; the five that
+The records they return subclass `collections.namedtuple`; the six that
 check their fields do so in `__new__`, which `_make` and `_replace` call too.
 """
 

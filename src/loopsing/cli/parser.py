@@ -1,4 +1,4 @@
-"""Expression parser and printer for ambient polynomials.
+"""Expression parser for ambient polynomials, and F's source form.
 
 Grammar: identifiers [A-Za-z][A-Za-z0-9]* are variables, integer and rational
 (p/q) literals are constants, operators are + - * ^ with precedence
@@ -29,7 +29,7 @@ import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from ..exactalg import LoopPoly, _powers, format_terms
+from ..exactalg import LoopPoly, poly_to_source
 from ..loopfun import InputFunction, _Jet
 
 __all__ = [
@@ -343,28 +343,15 @@ def read_function_file(path: str) -> str:
     return " ".join(body)
 
 
-def poly_to_source(poly: LoopPoly, names: Sequence[str]) -> str:
-    """Render an ambient polynomial back into the expression grammar."""
-    return format_terms(
-        ((mono.factors, c) for mono, c in poly.terms), _powers(lambda var: names[var.coord - 1])
-    )
-
-
 def format_function(func: InputFunction) -> str:
     """Source form of an input function; it reparses to an equal InputFunction.
 
-    The terms come in the order of `func.poly`, decreasing grevlex, which at
-    F's one degree is increasing lexicographic order of the exponent vectors.
+    The terms come in decreasing grevlex order, which at F's one degree is
+    increasing lexicographic order of the exponent vectors.
 
     The text need not be a fixed point: reparsing numbers coordinates by first use.
     """
-    return format_terms(
-        (
-            (tuple([(i, x) for i, x in enumerate(e) if x]), c)
-            for e, c in sorted(func.terms.items())
-        ),
-        _powers(func.names.__getitem__),
-    )
+    return poly_to_source(sorted(func.terms.items()), func.names)
 
 
 def loop_poly_string(poly: LoopPoly | _Jet, names: Sequence[str]) -> str:

@@ -20,11 +20,12 @@ The jet kernel of `loopfun` codes factors so that int order is this order,
 and its structural checks read conformal degrees off a term's end codes
 instead of scanning every factor.
 
-There is no ring arithmetic here: the package computes on exponent vectors
-and on the jet kernel's codes, and builds a polynomial from its terms only
-where its public API returns one.  The constructors `Monomial(...)` and
-`LoopPoly(...)` canonicalize whatever raw terms they are handed, repeats and
-zeros included; they are the only way either is built.
+There is no ring arithmetic or calculus here: the package computes on
+exponent vectors and on the jet kernel's codes, and builds a polynomial only
+where its public API returns one, never for F or its Jacobian ideal.  The
+constructors `Monomial(...)` and `LoopPoly(...)` canonicalize whatever raw
+terms they are handed, repeats and zeros included; they are the only way
+either is built.
 
 All values are immutable after construction and every method is pure, so
 polynomials can be shared freely between threads.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from bisect import bisect_left
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -43,6 +43,7 @@ __all__ = [
     "Monomial",
     "LoopPoly",
     "format_terms",
+    "poly_to_source",
 ]
 
 
@@ -196,22 +197,6 @@ class LoopPoly:
     def __hash__(self) -> int:
         return hash(self._terms)
 
-    # -- calculus ------------------------------------------------------------
-
-    def partial(self, var: LoopVar) -> "LoopPoly":
-        """Formal partial derivative with respect to var."""
-        terms = []
-        for mono, coeff in self._terms:
-            factors = mono.factors
-            # Factors are sorted by variable, so a search finds var's slot;
-            # most terms of a functional lack var and are skipped unbuilt.
-            i = bisect_left(factors, (var,))
-            if i == len(factors) or factors[i][0] != var:
-                continue
-            e = factors[i][1]
-            terms.append((Monomial(factors[:i] + ((var, e - 1),) + factors[i + 1 :]), coeff * e))
-        return LoopPoly(terms)
-
     # -- display -------------------------------------------------------------
 
     def to_string(self, names: Sequence[str] | None = None) -> str:
@@ -233,13 +218,6 @@ class LoopPoly:
 def _default_names(d: int) -> tuple[str, ...]:
     """The coordinate names of d unnamed coordinates: z alone, else z1, ..., zd."""
     return ("z",) if d == 1 else tuple(f"z{i}" for i in range(1, d + 1))
-
-
-def _from_exponents(
-    terms: Iterable[tuple[Sequence[int], Fraction | int]], variables: Sequence[LoopVar]
-) -> LoopPoly:
-    """The LoopPoly of exponent-vector terms, entry i being the exponent of variables[i]."""
-    return LoopPoly((Monomial(zip(variables, e)), c) for e, c in terms)
 
 
 def _powers(name: Callable[[object], str]) -> Callable[[tuple[object, int]], str]:
@@ -294,3 +272,15 @@ def format_terms(
         body = prefix + "*".join(texts) if factors else mag
         parts.append((sign if parts else lead) + body)
     return " ".join(parts) if parts else "0"
+
+
+def poly_to_source(
+    terms: Iterable[tuple[Sequence[int], Fraction | int]], names: Sequence[str]
+) -> str:
+    """The text of ambient terms (exponent vector, coefficient), in the order
+    given, in the expression grammar: entry i of a vector is the exponent of
+    the coordinate names[i]."""
+    return format_terms(
+        ((tuple([(i, x) for i, x in enumerate(e) if x]), c) for e, c in terms),
+        _powers(names.__getitem__),
+    )

@@ -12,15 +12,15 @@ exactalg; any global order yields the same Milnor number, this one is fixed
 for determinism.  buchberger itself runs sequentially (its loop is order
 sensitive) but independent invocations on distinct inputs are safe.
 
-Inside this module a polynomial is a list of (exponent vector, int) terms in
-decreasing grevlex order, one vector position per variable in ascending
-(cdeg, coord) order.  Each list is primitive: its coefficients have content 1
-and its leading coefficient is positive, so it stands for the whole line of
-its rational multiples.  The Jacobian ideal's are InputFunction's
-`integer_partials`, built once per function and read by both Milnor routes,
-so neither builds a LoopPoly; a LoopPoly given to `Ideal`, `normal_form` or
-`s_polynomial` is made one at the boundary (`_to_terms`).  Fractions are
-built once on the way out (`_from_terms`): monic ones for
+Inside this module a polynomial is a sequence of (exponent vector, int)
+terms in decreasing grevlex order, one vector position per variable in
+ascending (cdeg, coord) order.  Each is primitive: its coefficients have
+content 1 and its leading coefficient is positive, so it stands for the whole
+line of its rational multiples.  An `Ideal` holds its generators so, made by
+`_integer_terms`; the Jacobian ideal's are InputFunction's `integer_partials`,
+built once per function and read by both Milnor routes.  A LoopPoly given to
+`normal_form` or `s_polynomial` is made one at the boundary (`_to_terms`).
+Fractions are built once on the way out (`_from_terms`): monic ones for
 `GroebnerBasis.elements`, exact rescalings of the integer results for
 `normal_form` and `s_polynomial`.  Buchberger, the basis reduction, the audit
 and the oracle do no Fraction arithmetic and build no LoopPoly or Monomial:
@@ -97,8 +97,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le, mul
 
-from .exactalg import LoopPoly, LoopVar, Monomial, _from_exponents
-from .loopfun import InputFunction, _coordinates
+from .exactalg import LoopPoly, LoopVar, Monomial
+from .loopfun import InputFunction, _integer_terms, _primitive
 
 __all__ = [
     "Ideal",
@@ -214,29 +214,28 @@ class _Run:
         self.left = MAX_REDUCTION_WORK
 
 
+def _coordinates(d: int) -> tuple[LoopVar, ...]:
+    """z^1_0, ..., z^d_0: the variables of the entries of an exponent vector."""
+    return tuple(LoopVar(coord, 0) for coord in range(1, d + 1))
+
+
 def _variables(*polys: LoopPoly) -> tuple[LoopVar, ...]:
     """The variables of the polynomials, in ascending order."""
     return tuple(sorted({v for p in polys for v in p.variables()}))
 
 
-def _to_terms(p: LoopPoly, variables: Sequence[LoopVar]) -> Terms:
+def _to_terms(p: LoopPoly, variables: Sequence[LoopVar]) -> tuple[Term, ...]:
     """p's primitive integer multiple over `variables`, ascending and holding
     all of p's, in decreasing order."""
-    ordered = sorted(
-        ((tuple(map(dict(mono.factors).get, variables, itertools.repeat(0))), c)
-         for mono, c in p.terms),
-        key=lambda term: _packed(term[0]),
-        reverse=True,
-    )
-    if not ordered:
-        return []
-    scale = math.lcm(*(c.denominator for _, c in ordered))
-    return _primitive([(e, c.numerator * (scale // c.denominator)) for e, c in ordered])
+    return _integer_terms({
+        tuple(map(dict(mono.factors).get, variables, itertools.repeat(0))): c
+        for mono, c in p.terms
+    })
 
 
 def _from_terms(terms: Iterable[Term], variables: Sequence[LoopVar], scale: Fraction) -> LoopPoly:
     """The LoopPoly with the terms' coefficients times `scale`."""
-    return _from_exponents(((e, c * scale) for e, c in terms), variables)
+    return LoopPoly((Monomial(zip(variables, e)), c * scale) for e, c in terms)
 
 
 def _packed_terms(terms: Iterable[Term]) -> PackedTerms:
@@ -245,16 +244,6 @@ def _packed_terms(terms: Iterable[Term]) -> PackedTerms:
 
 def _unpacked_terms(terms: Iterable[PackedTerm], d: int) -> Terms:
     return [(_unpacked(e, d), c) for e, c in terms]
-
-
-def _primitive(terms: list) -> list:
-    """The nonempty terms divided by their content, signed so the lead is positive."""
-    content = math.gcd(*(c for _, c in terms))
-    if terms[0][1] < 0:
-        content = -content
-    if content == 1:
-        return terms
-    return [(e, c // content) for e, c in terms]
 
 
 class _Divisors:
@@ -367,27 +356,27 @@ def _s_terms(f: PackedTerms, g: PackedTerms, lcm: int) -> Iterable[PackedTerm]:
         yield e + shift_g, c * scale_g
 
 
-class Ideal:
-    """An ideal in the polynomial ring on the degree-0 variables z^1_0..z^d_0."""
+class Ideal(namedtuple("Ideal", "terms d")):
+    """An ideal in the polynomial ring on the degree-0 variables z^1_0..z^d_0.
 
-    def __init__(self, generators: Sequence[LoopPoly], d: int):
-        gens = tuple(g for g in generators if g)
-        if not gens:
+    It is given its generators as exponent-vector terms with exact rational
+    coefficients, each {vector: coefficient} or its items, and `terms` holds
+    each nonzero one as its primitive integer multiple (`_integer_terms`).
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, terms: Iterable[Mapping[Exponents, Fraction | int]], d: int) -> Ideal:
+        generators = tuple(filter(None, (_integer_terms(dict(g)) for g in terms)))
+        if not generators:
             raise ValueError("an ideal needs at least one nonzero generator")
         if d < 1:
             raise ValueError("need at least one ambient variable")
-        for g in gens:
-            for v in g.variables():
-                if v.cdeg != 0:
-                    raise ValueError(f"generator uses non-ambient variable {v}")
-                if v.coord > d:
-                    raise ValueError(f"generator uses coordinate {v.coord} > d = {d}")
-        self.generators = gens
-        self.d = d
-        self._terms = tuple(_to_terms(g, _coordinates(d, 0)) for g in gens)
-
-    def __repr__(self) -> str:
-        return f"Ideal({', '.join(str(g) for g in self.generators)}; d={self.d})"
+        for e, _ in itertools.chain.from_iterable(generators):
+            if len(e) != d or min(e) < 0:
+                raise ValueError(f"term {e} is not a vector of {d} nonnegative exponents")
+        return super().__new__(cls, generators, d)
 
 
 class GroebnerBasis(namedtuple("GroebnerBasis", "terms d")):
@@ -402,7 +391,7 @@ class GroebnerBasis(namedtuple("GroebnerBasis", "terms d")):
     @property
     def elements(self) -> tuple[LoopPoly, ...]:
         """The basis as monic LoopPolys, built on each access."""
-        variables = _coordinates(self.d, 0)
+        variables = _coordinates(self.d)
         return tuple(_from_terms(g, variables, Fraction(1, g[0][1])) for g in self.terms)
 
 
@@ -451,7 +440,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     reduces to zero.
     """
     run = _Run(ideal.d)
-    generators = [_packed_terms(g) for g in ideal._terms]
+    generators = [_packed_terms(g) for g in ideal.terms]
     basis: list[PackedTerms] = []
     for g in generators:
         if g not in basis:
@@ -654,7 +643,7 @@ def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
     leads = [g[0][0] for g in gb.terms]
     if not all(map(any, leads)):
         return []  # the unit ideal: nothing survives in the quotient
-    variables = _coordinates(gb.d, 0)
+    variables = _coordinates(gb.d)
     return sorted(
         Monomial(zip(variables, e))
         for e in itertools.product(*map(range, _box(leads, gb.d)))
@@ -709,19 +698,9 @@ def _staircase(leads: Sequence[Exponents], box: Sequence[int]) -> tuple[int, int
     return size, top
 
 
-class _JacobianIdeal(Ideal):
-    """The ideal of F's exact partials; `generators` builds their LoopPolys on each access."""
-
-    def __init__(self, func: InputFunction):
-        self.d, self._partials, self._terms = func.d, func.partials, func.integer_partials
-
-    @property
-    def generators(self) -> tuple[LoopPoly, ...]:
-        return tuple(_from_exponents(p.items(), _coordinates(self.d, 0)) for p in self._partials)
-
-
 def jacobian_ideal(func: InputFunction) -> Ideal:
-    return _JacobianIdeal(func)
+    """F's Jacobian ideal: `func.integer_partials`, already canonical, wrapped unchecked."""
+    return tuple.__new__(Ideal, (func.integer_partials, func.d))
 
 
 def milnor_number(func: InputFunction) -> int:

@@ -36,7 +36,7 @@ from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 
-from .exactalg import LoopPoly, LoopVar, Monomial, _default_names, _from_exponents, format_terms
+from .exactalg import LoopPoly, LoopVar, Monomial, _default_names, format_terms, poly_to_source
 
 __all__ = [
     "Window",
@@ -123,14 +123,12 @@ class InputFunction:
     canonical form of `_exact` (an int when integral); its d exact
     `partials` take the same form, the one the jets, the checks and the
     printer read.  Both Milnor routes read `integer_partials`, built once
-    from them when first read.
-    `poly`, F as a LoopPoly in z^1_0, ..., z^d_0, is built when first read,
-    by `repr` or a caller of the public API; no report reads it.  Optional
-    display names (one per coordinate) are carried along for parsing and
-    report rendering.
+    from them when first read.  Optional display names (one per coordinate)
+    are carried along for parsing and report rendering.
 
     An InputFunction is immutable: `terms` and each of `partials` are
-    read-only mappings, and no attribute can be assigned or deleted.
+    read-only mappings, and no attribute can be assigned or deleted.  Equal
+    functions hash alike, and a copy or a pickle is rebuilt from terms and names.
     """
 
     def __init__(
@@ -159,7 +157,7 @@ class InputFunction:
             for i in range(d)
         )
         # Assignment is refused, so the attributes go straight into __dict__,
-        # where `poly` is cached as well.
+        # where `integer_partials` is cached as well.
         vars(self).update(
             terms=MappingProxyType(own), delta=delta, d=d, names=names, partials=partials
         )
@@ -171,24 +169,9 @@ class InputFunction:
         raise AttributeError(f"InputFunction is immutable: cannot delete {name!r}")
 
     @functools.cached_property
-    def poly(self) -> LoopPoly:
-        return _from_exponents(self.terms.items(), _coordinates(self.d, 0))
-
-    @functools.cached_property
     def integer_partials(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
-        """Each partial's primitive integer multiple, the Jacobian ideal both
-        Milnor routes read: (vector, int) terms in decreasing grevlex order,
-        with content 1 and a positive leading coefficient."""
-        out = []
-        for partial in self.partials:
-            # The vectors share one degree, and there decreasing grevlex order
-            # is increasing tuple order.
-            terms = sorted(partial.items())
-            scale = math.lcm(*(c.denominator for _, c in terms))
-            ints = [c.numerator * (scale // c.denominator) for _, c in terms]
-            content = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
-            out.append(tuple((e, c // content) for (e, _), c in zip(terms, ints)))
-        return tuple(out)
+        """Each partial's primitive integer multiple: the Jacobian ideal both Milnor routes read."""
+        return tuple(map(_integer_terms, self.partials))
 
     def _named_terms(self) -> frozenset:
         return frozenset(
@@ -202,11 +185,17 @@ class InputFunction:
             return NotImplemented
         return self._named_terms() == other._named_terms()
 
+    def __hash__(self) -> int:
+        return hash(self._named_terms())
+
+    def __reduce__(self) -> tuple:
+        return (InputFunction, (dict(self.terms), self.names))
+
     def __repr__(self) -> str:
-        return (
-            f"InputFunction(d={self.d}, delta={self.delta}, "
-            f"poly={self.poly.to_string(self.names)})"
-        )
+        # F in decreasing grevlex order, which at its one degree is increasing
+        # tuple order, each coordinate written as its variable of conformal degree 0.
+        poly = poly_to_source(sorted(self.terms.items()), [f"{name}_0" for name in self.names])
+        return f"InputFunction(d={self.d}, delta={self.delta}, poly={poly})"
 
 
 def _exact(c: Fraction | int) -> Fraction | int:
@@ -220,9 +209,29 @@ def _exact(c: Fraction | int) -> Fraction | int:
     return q.numerator if q.denominator == 1 else q
 
 
-def _coordinates(d: int, cdeg: int) -> tuple[LoopVar, ...]:
-    """z^1_cdeg, ..., z^d_cdeg: the variables of the entries of an exponent vector."""
-    return tuple(LoopVar(coord, cdeg) for coord in range(1, d + 1))
+def _integer_terms(
+    terms: Mapping[tuple[int, ...], Fraction | int],
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The primitive integer multiple of exact-rational terms {exponent vector:
+    coefficient}: (vector, int) terms in decreasing grevlex order, with
+    content 1 and a positive lead, zeros dropped; () when none is left."""
+    # Decreasing grevlex order is decreasing degree, then increasing tuple
+    # order, which a stable sort by degree keeps, reversed or not.
+    vectors = sorted(terms)
+    vectors.sort(key=sum, reverse=True)
+    scale = math.lcm(*[c.denominator for c in terms.values()])
+    ints = [(e, c.numerator * (scale // c.denominator)) for e in vectors if (c := terms[e])]
+    return tuple(_primitive(ints)) if ints else ()
+
+
+def _primitive(terms: list) -> list:
+    """The nonempty terms divided by their content, signed so the lead is positive."""
+    content = math.gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
+        content = -content
+    if content == 1:
+        return terms
+    return [(e, c // content) for e, c in terms]
 
 
 def minimal_window(func: InputFunction, bottom: int) -> Window:
@@ -572,22 +581,6 @@ class TopLinearityReport(namedtuple(
 )):
     __slots__ = ()
 
-    def _top_exponents(self) -> list[tuple[Monomial, int, Fraction]]:
-        """(m, k, c) per term c*m, k being m's total exponent in the degree-N variables."""
-        top = self.top_cdeg
-        return [(m, sum([e for v, e in m.factors if v[0] == top]), c)
-                for m, c in self.functional.terms]
-
-    @property
-    def linear_part(self) -> LoopPoly:
-        """sum_j z^j_N * d(functional)/d(z^j_N), N being top_cdeg."""
-        return LoopPoly({m: k * c for m, k, c in self._top_exponents()})
-
-    @property
-    def remainder(self) -> LoopPoly:
-        """The functional minus its linear part."""
-        return LoopPoly({m: (1 - k) * c for m, k, c in self._top_exponents()})
-
 
 def check_top_linearity(func: InputFunction, bottom: int) -> TopLinearityReport:
     """Verify that each monomial of the functional is linear in top variables.
@@ -599,9 +592,10 @@ def check_top_linearity(func: InputFunction, bottom: int) -> TopLinearityReport:
 
     with the remainder free of conformal-degree-N variables.  By Euler's
     identity the first sum is k*c*m over the terms c*m of the functional, k
-    being m's total exponent in the degree-N variables, so the remainder is
-    (1-k)*c*m.  The report holds the functional and gives the decomposition
-    as its properties linear_part and remainder.
+    being m's total exponent in the degree-N variables, so the remainder,
+    the sum of (1-k)*c*m, is free of them exactly when no k exceeds 1.  The
+    report holds the functional and the monomials whose k does
+    (`offending_monomials`).
     """
     if bottom < 1:
         raise ValueError("bottom must be >= 1")

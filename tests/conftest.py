@@ -7,6 +7,7 @@ import importlib.util
 import itertools
 import signal
 import sys
+from bisect import bisect_left
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from loopsing import grobner, loopfun
 from loopsing.cli import CheckOutcome, parse_function
 from loopsing.cli.parser import _Parser
 from loopsing.cohom import LesSolution, LesSystem
-from loopsing.exactalg import LoopPoly, LoopVar, Monomial, _from_exponents
+from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.loopfun import InputFunction, Window, lambda_of, minimal_window, support_window
 
 
@@ -103,12 +104,24 @@ def parse_polynomial(source: str) -> tuple[LoopPoly, tuple[str, ...]]:
     conformal-degree-0 variables, and coordinate names, without the checks
     parse_function makes."""
     terms, names = _Parser(source).parse()
-    variables = [LoopVar(coord, 0) for coord in range(1, len(names) + 1)]
-    return _from_exponents(terms.items(), variables), names
+    return _ambient(terms.items(), len(names)), names
+
+
+def _ambient(terms, d: int) -> Poly:
+    """Exponent-vector terms as a polynomial in z^1_0, ..., z^d_0, entry i
+    being the exponent of z^(i+1)_0."""
+    variables = [LoopVar(coord, 0) for coord in range(1, d + 1)]
+    return Poly((Monomial(zip(variables, e)), c) for e, c in terms)
+
+
+def ambient_poly(func: InputFunction) -> Poly:
+    """F as a polynomial in z^1_0, ..., z^d_0: the tests' reference form of F,
+    which the package holds as exponent-vector terms only."""
+    return _ambient(func.terms.items(), func.d)
 
 
 class Poly(LoopPoly):
-    """The reference ring: LoopPoly with +, -, * and ** for the tests.
+    """The reference ring: LoopPoly with +, -, *, ** and partial for the tests.
 
     The package builds polynomials from their terms only; the tests compute
     expected values here, handing the checked constructor raw terms.  A
@@ -163,6 +176,20 @@ class Poly(LoopPoly):
             out = out * self
         return out
 
+    def partial(self, var: LoopVar) -> Poly:
+        """Formal partial derivative with respect to var."""
+        terms = []
+        for mono, coeff in self.terms:
+            factors = mono.factors
+            # Factors are sorted by variable, so a search finds var's slot;
+            # most terms of a functional lack var and are skipped unbuilt.
+            i = bisect_left(factors, (var,))
+            if i == len(factors) or factors[i][0] != var:
+                continue
+            e = factors[i][1]
+            terms.append((Monomial(factors[:i] + ((var, e - 1),) + factors[i + 1 :]), coeff * e))
+        return Poly(terms)
+
 
 def packed_vector(e: tuple[int, ...]) -> int:
     """Reference for grobner's packed exponent vectors, built field by field:
@@ -188,22 +215,28 @@ def input_function(poly: LoopPoly, names: Sequence[str] | None = None) -> InputF
 
     Raises ValueError for a variable of nonzero conformal degree.
     """
-    variables = poly.variables()
-    if any(v.cdeg for v in variables):
-        raise ValueError("an ambient polynomial uses conformal degree 0 only")
-    return InputFunction(exponent_terms(poly, max((v.coord for v in variables), default=0)), names)
+    d = max((v.coord for v in poly.variables()), default=0)
+    return InputFunction(exponent_terms(poly, d), names)
 
 
 def exponent_terms(poly: LoopPoly, d: int) -> dict[tuple[int, ...], Fraction]:
     """An ambient LoopPoly's terms as {exponent vector: coefficient}, entry i
-    being the exponent of z^(i+1)_0, over d coordinates."""
+    being the exponent of z^(i+1)_0, over d coordinates, in the polynomial's
+    order.  Raises ValueError for a variable other than z^1_0, ..., z^d_0."""
     terms = {}
     for mono, coeff in poly.terms:
         e = [0] * d
         for v, x in mono.factors:
+            if v.cdeg or v.coord > d:
+                raise ValueError(f"an ambient polynomial on {d} coordinates has no variable {v}")
             e[v.coord - 1] = x
         terms[tuple(e)] = coeff
     return terms
+
+
+def ideal_of(generators: Sequence[LoopPoly], d: int) -> grobner.Ideal:
+    """The Ideal of ambient LoopPolys on z^1_0, ..., z^d_0, each given through exponent_terms."""
+    return grobner.Ideal([exponent_terms(g, d) for g in generators], d)
 
 
 def rename_variables(p: LoopPoly, rename: Callable[[LoopVar], LoopVar]) -> LoopPoly:
@@ -236,7 +269,7 @@ def jet_coefficient_by_enumeration(func: InputFunction, window: Window, k: int) 
     """
     indices = range(-window.bottom, window.top + 1)
     acc: dict[Monomial, Fraction] = {}
-    for mono, coeff in func.poly.terms:
+    for mono, coeff in ambient_poly(func).terms:
         slots = [v.coord for v, e in mono.factors for _ in range(e)]
         for assignment in itertools.product(indices, repeat=len(slots)):
             if sum(assignment) != k:
@@ -297,7 +330,7 @@ def reference_functional_checks(
     comes from the public lambda_of, on the support window when that check
     runs, then passes through `edit` if one is given, and every check reads
     it by scans: truncation and the constant-loop restriction by zero_out,
-    the derivative identity by LoopPoly.partial against the decoded
+    the derivative identity by Poly.partial against the decoded
     t-coefficient jet and a substitution.
     """
     window = minimal_window(func, bottom)
@@ -312,7 +345,7 @@ def reference_functional_checks(
     outcomes = {}
     for name in names:
         if name == "lambda":
-            ok = zero_out(lam, lambda v: v.cdeg != 0) == func.poly
+            ok = zero_out(lam, lambda v: v.cdeg != 0) == ambient_poly(func)
             witness = "constant-loop restriction does not recover the input"
         elif name == "support":
             present = max(v.cdeg for v in wide.variables())
@@ -328,9 +361,9 @@ def reference_functional_checks(
             }
             bad = []
             for j, d_j in enumerate(func.partials, 1):
-                lhs = lam.partial(LoopVar(j, top))
+                lhs = Poly.of(lam).partial(LoopVar(j, top))
                 via_coeff = loopfun._jet_of_poly(d_j, window, -top).poly()
-                via_eval = substitute(func.poly.partial(LoopVar(j, 0)), at_bottom)
+                via_eval = substitute(ambient_poly(func).partial(LoopVar(j, 0)), at_bottom)
                 if not lhs == via_coeff == via_eval:
                     bad.append(j)
             ok = not bad

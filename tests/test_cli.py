@@ -49,6 +49,7 @@ from conftest import (
     DELETE,
     NON_ISOLATED_SOURCES,
     Poly,
+    ambient_poly,
     bench_module,
     coded,
     deadline,
@@ -594,7 +595,7 @@ def _breaking_every_check(func: InputFunction, bottom: int) -> Callable[[LoopPol
         return Poly.variable(LoopVar(1, cdeg))
 
     def edit(lam: LoopPoly) -> LoopPoly:
-        dropped = LoopPoly(func.poly.terms[:1])
+        dropped = LoopPoly(ambient_poly(func).terms[:1])
         nonlinear = x(top) ** 2 * x(-bottom) ** (func.delta - 2)
         return Poly.of(lam) - dropped + nonlinear + x(top + 1) * x(-bottom) ** (func.delta - 1)
 

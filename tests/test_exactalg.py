@@ -368,7 +368,7 @@ def test_every_way_of_building_a_monomial_sorts_its_factors(pairs, other):
         Monomial(list(pairs)),
     ]
     built.append(Monomial(built[0].factors + other.factors))
-    built += [mono for v in variables for mono, _ in LoopPoly({built[1]: 1}).partial(v).terms]
+    built += [mono for v in variables for mono, _ in Poly({built[1]: 1}).partial(v).terms]
     for mono in built:
         assert _sorted_by_variable(mono)
         assert all(e > 0 for _, e in mono.factors)

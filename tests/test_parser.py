@@ -38,6 +38,7 @@ from conftest import (
     CORPUS,
     NON_ISOLATED_SOURCES,
     Poly,
+    ambient_poly,
     bench_module,
     deadline,
     exponent_terms,
@@ -228,10 +229,10 @@ class TestErrors:
 
     def test_nesting_up_to_the_limit_parses(self):
         nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING + "^2"
-        assert parse_function(nested).poly == parse_function("x^2").poly
+        assert parse_function(nested).terms == parse_function("x^2").terms
 
     def test_long_unary_minus_chain_parses(self):
-        assert parse_function("- " * 3001 + "x^2").poly == parse_function("-x^2").poly
+        assert parse_function("- " * 3001 + "x^2").terms == parse_function("-x^2").terms
 
 
 class TestDegreeBudget:
@@ -266,7 +267,7 @@ class TestDegreeBudget:
         assert func.delta == MAX_DEGREE
 
     def test_leading_zeros_in_an_exponent(self):
-        assert parse_function("x^002").poly == parse_function("x^2").poly
+        assert parse_function("x^002").terms == parse_function("x^2").terms
 
     def test_overlong_integer_literal(self):
         with pytest.raises(ParseError) as excinfo:
@@ -349,7 +350,7 @@ class TestProductBudget:
         # 5 * (1 + 5 + ... + 1001) = 15015 term pairs: 1365 terms of degree 11
         with deadline(10):
             func = parse_function("(x + y + w + v + u)^11")
-        assert len(func.poly) == 1365
+        assert len(func.terms) == 1365
 
     def test_single_term_power_charges_one_pair_per_factor(self):
         # 15015 pairs for the sum's power, 64 per x^64: the 78th x^64 passes
@@ -614,7 +615,8 @@ PRINTER_SOURCES = (
 @pytest.mark.parametrize("source", PRINTER_SOURCES)
 def test_printers_match_their_references(source):
     poly, names = parse_polynomial(source)
-    assert poly_to_source(poly, names) == _reference_poly_to_source(poly, names)
+    terms = exponent_terms(poly, len(names)).items()
+    assert poly_to_source(terms, names) == _reference_poly_to_source(poly, names)
     _assert_printers_agree(poly, names)
     try:
         func = parse_function(source)
@@ -639,14 +641,48 @@ def test_printers_match_their_references_on_drawn_polynomials(poly, names):
     if len(names) == 1:
         poly = rename_variables(poly, lambda v: LoopVar(1, v.cdeg))
     ambient = rename_variables(poly, lambda v: LoopVar(v.coord, 0))
-    assert poly_to_source(ambient, names) == _reference_poly_to_source(ambient, names)
+    terms = exponent_terms(ambient, len(names)).items()
+    assert poly_to_source(terms, names) == _reference_poly_to_source(ambient, names)
     _assert_printers_agree(poly, names)
 
 
 def _assert_prints_from_exponents(func: InputFunction) -> None:
     text = format_function(func)
-    assert text == _reference_poly_to_source(func.poly, func.names)
+    assert text == _reference_poly_to_source(ambient_poly(func), func.names)
+    assert text == poly_to_source(sorted(func.terms.items()), func.names)
     assert parse_function(text) == func
+
+
+# repr(InputFunction) writes F in decreasing grevlex order, each coordinate
+# as its variable of conformal degree 0.
+REPRS = {
+    "z^2": "InputFunction(d=1, delta=2, poly=z_0^2)",
+    "z^3": "InputFunction(d=1, delta=3, poly=z_0^3)",
+    "z^5": "InputFunction(d=1, delta=5, poly=z_0^5)",
+    "x^2 + y^2": "InputFunction(d=2, delta=2, poly=y_0^2 + x_0^2)",
+    "x^3 + y^3": "InputFunction(d=2, delta=3, poly=y_0^3 + x_0^3)",
+    "x^4 + y^4": "InputFunction(d=2, delta=4, poly=y_0^4 + x_0^4)",
+    "x^2 + y^2 + w^2": "InputFunction(d=3, delta=2, poly=w_0^2 + y_0^2 + x_0^2)",
+    "x^3 + y^3 + w^3": "InputFunction(d=3, delta=3, poly=w_0^3 + y_0^3 + x_0^3)",
+    "x^3 + y^3 + w^3 + x*y*w": (
+        "InputFunction(d=3, delta=3, poly=w_0^3 + y_0^3 + x_0*y_0*w_0 + x_0^3)"
+    ),
+    "x^4 + 3*x^2*y^2 + y^4": "InputFunction(d=2, delta=4, poly=y_0^4 + 3*x_0^2*y_0^2 + x_0^4)",
+    "x^3*y + y^3*w + w^3*x": (
+        "InputFunction(d=3, delta=4, poly=y_0^3*w_0 + x_0*w_0^3 + x_0^3*y_0)"
+    ),
+    "1/2*x^2 - 3/7*y^2": "InputFunction(d=2, delta=2, poly=-3/7*y_0^2 + 1/2*x_0^2)",
+    "-1/3*x^2*y + y^3": "InputFunction(d=2, delta=3, poly=y_0^3 - 1/3*x_0^2*y_0)",
+}
+
+
+def test_reprs_cover_the_corpus():
+    assert {entry.source for entry in CORPUS} <= set(REPRS)
+
+
+@pytest.mark.parametrize("source", sorted(REPRS))
+def test_repr_is_pinned(source):
+    assert repr(parse_function(source)) == REPRS[source]
 
 
 @pytest.mark.parametrize("source", PRINTER_SOURCES)

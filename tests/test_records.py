@@ -18,7 +18,7 @@ from loopsing.cohom import (
     solve_les_detailed,
     sphere_cohomology,
 )
-from loopsing.grobner import buchberger, jacobian_ideal
+from loopsing.grobner import Ideal, buchberger, jacobian_ideal
 from loopsing.loopfun import (
     Window,
     check_derivative_identity,
@@ -49,6 +49,7 @@ RECORDS = {
     "CoordinateDerivativeCheck": lambda: check_derivative_identity(CUBIC, 1).checks[0],
     "DerivativeIdentityReport": lambda: check_derivative_identity(CUBIC, 1),
     "GroebnerBasis": lambda: buchberger(jacobian_ideal(build("x^3 + x*y^2 + y^3"))),
+    "Ideal": lambda: jacobian_ideal(build("x^3 + x*y^2 + y^3")),
     "CheckOutcome": lambda: CheckOutcome(ok=False, witness="test: failed", skipped=True),
     "Report": lambda: run(RunConfig("x^3 + y^3")),
 }
@@ -61,6 +62,12 @@ REFUSED = {
         ({"kind": "gysin", "rank": -1}, "a rank cannot be negative"),
     ],
     "LesSystem": [({"codim": 0}, "codimension must be positive")],
+    "Ideal": [
+        ({"terms": ({(3, 0): 0}, ())}, "an ideal needs at least one nonzero generator"),
+        ({"d": 0}, "need at least one ambient variable"),
+        ({"d": 3}, "is not a vector of 3 nonnegative exponents"),
+        ({"terms": ({(3, -1): 1},)}, "is not a vector of 2 nonnegative exponents"),
+    ],
     "Window": [
         ({"bottom": -1, "top": 0}, "window bottom must be nonnegative"),
         ({"top": -3}, "window top -3 lies below -bottom = -2"),
@@ -137,6 +144,38 @@ def test_a_record_holding_graded_dims_deep_copies_and_pickles(name):
     record = RECORDS[name]()
     for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert twin == record and type(twin) is type(record)
+
+
+# Values that copy, deep-copy and pickle to an equal value of their type,
+# which hashes alike: the Ideal a record, the InputFunction a class whose
+# terms and partials are read-only mappings.
+VALUES = {
+    "Ideal": RECORDS["Ideal"],
+    "InputFunction": lambda: build("1/2*x^3 - x*y^2 + y^3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_a_value_copies_deep_copies_and_pickles(name):
+    value = VALUES[name]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and type(twin) is type(value) and hash(twin) == hash(value)
+
+
+def test_ideals_compare_by_value():
+    func = build("x^3 + x*y^2 + y^3")
+    assert jacobian_ideal(func) == jacobian_ideal(func) == Ideal(func.partials, func.d)
+    assert jacobian_ideal(func) != jacobian_ideal(build("x^3 + y^3"))
+    assert hash(jacobian_ideal(func)) == hash(Ideal(func.partials, func.d))
+
+
+def test_input_functions_hash_as_they_compare():
+    assert hash(build("x^3 + y^3")) == hash(build("y^3 + x^3"))
+    twin = pickle.loads(pickle.dumps(build("1/2*x^3 - x*y^2 + y^3")))
+    assert twin.names == ("x", "y")
+    assert twin.integer_partials == build("x^3 - 2*x*y^2 + 2*y^3").integer_partials
+    with pytest.raises(AttributeError, match="immutable"):
+        twin.d = 3
 
 
 def test_graded_dims_pickles_to_an_equal_immutable_value():
