@@ -1,13 +1,15 @@
 """Report assembly: structured (JSON) and fixed-layout text output.
 
-Report.to_json writes the structured document with the standard encoder
-(sorted keys, a two-space indent), except for the cohomology section, which
-`_cohomology_json`, the one writer of that layout, writes row by row from the
-tower and to_json splices in; to_dict reads that text back.  validate_report
-rebuilds the Report a document claims to be and compares its to_dict.
-Degree-indexed maps use decimal-string keys so that negative degrees survive
-serialization unambiguously.  Reports are deterministic: two runs on the same
-configuration produce byte-identical documents apart from the timing field.
+Report.to_json writes the structured document itself, in one pass: the bytes
+the standard encoder gives for to_dict with sorted keys and a two-space
+indent, its leaves written as that encoder writes them (`_leaf`), and the
+cohomology section written row by row from the tower by `_cohomology_json`,
+the one writer of that layout; to_dict reads that section back.
+validate_report rebuilds the Report a document claims to be and compares its
+to_dict.  Degree-indexed maps use decimal-string keys so that negative degrees
+survive serialization unambiguously.  Reports are deterministic: two runs on
+the same configuration produce byte-identical documents apart from the timing
+field.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Mapping
+from json.encoder import encode_basestring_ascii
 
 from ..cohom import MAX_N_MAX, RenormalizedReport, declared_support_floor, gysin_tower
 from ..loopfun import MAX_JET_TERMS, Window, minimal_window
@@ -29,13 +32,12 @@ __all__ = [
     "validate_report",
 ]
 
-# The structured report's encoder; to_json splices the cohomology section in.
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-
 # Dependency order; reports always list checks this way.
 CHECK_NAMES = ("lambda", "support", "linearity", "derivative", "milnor", "cohomology")
 # The checks that read the loop functional.
 FUNCTIONAL_CHECKS = ("lambda", "support", "linearity", "derivative")
+# The order of the structured report's check members: its keys are sorted.
+_SORTED_CHECKS = tuple(sorted(CHECK_NAMES))
 
 
 def run_problem(checks: Collection[str], bottom: int, n_max: int | None) -> tuple[str, str] | None:
@@ -125,13 +127,38 @@ class Report(namedtuple("Report", (
         return self._document(self.cohomology and json.loads(_cohomology_json(self.cohomology)))
 
     def to_json(self) -> str:
-        text = _ENCODER.encode(self._document(None)) + "\n"
-        if self.cohomology is None:
-            return text
-        # The only line that is exactly this: an encoded string holds no raw
-        # newline, and every nested member sits at four or more spaces.
-        return text.replace(
-            '\n  "cohomology": null,', f'\n  "cohomology": {_cohomology_json(self.cohomology)},', 1
+        """The standard encoder's bytes for to_dict() with sorted keys and a
+        two-space indent, newline-terminated, written member by member."""
+        checks = []
+        for name in _SORTED_CHECKS:
+            if name in self.checks:
+                outcome = self.checks[name]
+                entry = f'"{name}": {{\n      "ok": {_leaf(outcome.ok)}'
+                if outcome.skipped:
+                    entry += ',\n      "skipped": true'
+                if outcome.witness is not None:
+                    entry += f',\n      "witness": {_leaf(outcome.witness)}'
+                checks.append(entry + "\n    }")
+        members = ",\n    ".join(checks)
+        lam = "null"
+        if self.lambda_term_count is not None:
+            lam = f'"term_count": {_leaf(self.lambda_term_count)}\n  }}'
+            if self.lambda_polynomial is not None:
+                lam = f'"polynomial": {_leaf(self.lambda_polynomial)},\n    ' + lam
+            lam = "{\n    " + lam
+        axioms = "[]"
+        if self.axioms:
+            axioms = "[\n    " + ",\n    ".join(map(_leaf, self.axioms)) + "\n  ]"
+        section = "null" if self.cohomology is None else _cohomology_json(self.cohomology)
+        return (
+            f'{{\n  "axioms": {axioms},\n  "checks": {{\n    {members}\n  }},'
+            f'\n  "cohomology": {section},\n  "d": {_leaf(self.d)},'
+            f'\n  "delta": {_leaf(self.delta)},\n  "function": {_leaf(self.function)},'
+            f'\n  "isolated": {_leaf(self.isolated)},\n  "lambda": {lam},'
+            f'\n  "milnor_number": {_leaf(self.milnor_number)},'
+            f'\n  "timing": {{\n    "seconds": {_leaf(self.timing_seconds)}\n  }},'
+            f'\n  "window": {{\n    "bottom": {_leaf(self.window.bottom)},'
+            f'\n    "top": {_leaf(self.window.top)}\n  }}\n}}\n'
         )
 
     def _document(self, cohomology: object) -> dict[str, object]:
@@ -200,13 +227,44 @@ class Report(namedtuple("Report", (
                 for degree, step in sorted(self.cohomology.stabilization_step.items())
             )
             row("stabilization", stab)
-            for n, degree in enumerate(tower.degrees):
-                floor = declared_support_floor(tower.d, n)
-                row(f"escape n={n}", f"degree {degree} (declared floor {floor})")
+            degrees = tower.degrees
+            for n, degree in enumerate(degrees):
+                row(f"escape n={n}", f"degree {degree}")
+            # The paper's first result, from the audited step-0 degree and shift.
+            first, shift = degrees[0], degrees[1] - degrees[0]
+            bound = f"(s - {first})/{shift}" if first else f"s/{shift}"
+            row("vanishing", (
+                f"reduced cohomology in degree s is 0 at every step n > {bound}; the unit"
+                " class stays in degree 0 of every truncation and dies only in the"
+                " colimit, through the residue"
+            ))
         for axiom in self.axioms:
             row("axiom", axiom)
         row("timing", f"{self.timing_seconds:.3f}s")
         return "\n".join(lines) + "\n"
+
+
+def _leaf(value: object) -> str:
+    """A scalar as the standard encoder writes it: strings escaped to ASCII,
+    ints by int.__repr__, floats as its floatstr does (NaN and the
+    infinities by name)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _cohomology_json(cohomology: RenormalizedReport) -> str:

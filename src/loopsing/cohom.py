@@ -489,6 +489,14 @@ class GysinTower(namedtuple(
         d, n_max, n0 = self.d, self.n_max, self.n0
         if n_max < 2:
             raise ValueError("need n_max >= 2")
+        # The reduced degree climbs by 2d per stored step, as every later one does.
+        degrees = self.head_degrees
+        for n in range(1, len(degrees)):
+            if degrees[n] != degrees[n - 1] + 2 * d:
+                raise RuntimeError(
+                    f"reduced cohomology in degree {degrees[n]} at step {n},"
+                    f" not moved up by 2d = {2 * d} from step {n - 1}"
+                )
 
         head = min(n_max, n0 + 1)
         # Steps 0..head; ranks[n] belongs to the map from step n to step n+1.

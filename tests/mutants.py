@@ -151,6 +151,9 @@ MUTANTS = (
            "if False:", "a passed check is neither skipped nor carries a witness"),
     Mutant("outcome-witness", "cli/report.py", "if not ok and witness is None:", "if False:",
            "a failed or skipped check carries a witness"),
+    Mutant("json-writer", "cli/report.py", '"witness": {_leaf(outcome.witness)}',
+           '"witness": "{outcome.witness}"',
+           "the structured report is the standard encoder's bytes for `to_dict()`"),
 )
 
 

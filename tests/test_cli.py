@@ -9,6 +9,7 @@ import importlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -93,6 +94,42 @@ def _untimed_digests(report: Report) -> tuple[str, str]:
         if not line.startswith("timing")
     )
     return hashlib.sha256(document.encode()).hexdigest(), hashlib.sha256(text.encode()).hexdigest()
+
+
+# Strings the structured report escapes: quotes, backslashes, control,
+# non-ASCII and non-BMP characters, and the characters of its own layout.
+_ESCAPED = st.text(st.sampled_from('"\\\n\r\t\x00\x1f\x7fé\u2028\U0001d11e ,:{}[]')) | st.text()
+# Two small certified towers; the constructor asks only n_max >= max(2, bottom).
+_TOWERS = [cohom.gysin_tower(1, 1, 2).renormalized(), cohom.gysin_tower(2, 4, 3).renormalized()]
+
+
+@st.composite
+def _reports(draw) -> Report:
+    """A Report built through its constructor, over every form of each member."""
+    checks = draw(st.lists(st.sampled_from(CHECK_NAMES), min_size=1, unique=True))
+    outcomes = (
+        st.just(CheckOutcome(True))
+        | st.builds(CheckOutcome, st.just(False), _ESCAPED)
+        | st.builds(CheckOutcome, st.just(False), _ESCAPED, st.just(True))
+    )
+    functional = any(name in FUNCTIONAL_CHECKS for name in checks)
+    term_count = draw(st.none() | st.integers(0, 2**70)) if functional else None
+    polynomial = None if term_count is None else draw(st.none() | _ESCAPED)
+    isolated = None
+    if "milnor" in checks or "cohomology" in checks:
+        isolated = draw(st.none() | st.booleans())
+    bottom = draw(st.integers(1 if {"linearity", "derivative"} & {*checks} else 0, 2))
+    return Report(
+        function=draw(_ESCAPED), d=draw(st.integers(1, 4)), delta=draw(st.integers(2, 9)),
+        window=loopfun.Window(bottom, draw(st.integers(-bottom, 40))),
+        milnor_number=draw(st.none() | st.integers(0, 2**70) | st.just(2**64 + 1)),
+        isolated=isolated, lambda_term_count=term_count, lambda_polynomial=polynomial,
+        checks={name: draw(outcomes) for name in checks},
+        cohomology=draw(st.none() | st.sampled_from(_TOWERS)),
+        timing_seconds=draw(
+            st.sampled_from([0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]) | st.floats()
+        ),
+    )
 
 
 class TestRun:
@@ -221,6 +258,29 @@ class TestRun:
         captured = capsys.readouterr()
         assert witness in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    def test_a_tower_whose_degrees_stall_fails_the_check(self, monkeypatch, capsys):
+        # A record of x^3 + y^3 whose step 1 repeats step 0: its reduced
+        # degree stays at 1 where the shift rule moves it up by 2d = 4.  The
+        # text report's vanishing row reads that climb, so none is printed.
+        t = cohom.gysin_tower(2, 4, 6)
+        forged = GysinTower(
+            t.d, t.mu, t.head_truncations[:1] * 2, (1, 1), t.head_ranks, t.axioms, t.n0, t.n_max
+        )
+        witness = "reduced cohomology in degree 1 at step 1, not moved up by 2d = 4 from step 0"
+        with pytest.raises(RuntimeError) as raised:
+            forged.renormalized()
+        assert str(raised.value) == witness
+        monkeypatch.setattr(cohom, "gysin_tower", lambda d, mu, n_max: forged)
+        report = run_source("x^3 + y^3")
+        assert report.checks["cohomology"] == CheckOutcome(ok=False, witness=witness)
+        assert report.cohomology is None
+        assert "vanishing" not in report.to_text()
+        capsys.readouterr()
+        assert main(["-f", "x^3 + y^3"]) == 1
+        captured = capsys.readouterr()
+        assert witness in captured.out
+        assert "vanishing" not in captured.out
 
     def test_an_underdetermined_gysin_system_fails_the_check(self, monkeypatch, capsys):
         # Without the declared residue fact, exactness alone leaves the first
@@ -822,97 +882,97 @@ class TestStructuredOutput:
             (
                 "z^2", 4,
                 "13216926e9bdb919e2a730ce98f0bcd81716199a247f7d0fad299aaea5eea05a",
-                "41058f4661e621c30cc4ad56fae79de1eba1714504ea8702d24cd0cc2b829c68",
+                "a6182225affdd6f05e3cf8fc87dd1d0d2052c1e9271b3fa6effb99bbdf72d68e",
             ),
             (
                 "z^3", 4,
                 "9690731b78ba36e8e064192632ad6eaecb5e33d2529ec2d6fbf8b26589270586",
-                "4ff4bae33e20e99d944e92d5c5e14109438657a3af21696940c5ffc34f40abcc",
+                "d36d12e84678bd19ac3aadf0cf16f76c568cc50838d765cb18ebad27e40aae0d",
             ),
             (
                 "z^5", 4,
                 "e8df613d727b641a59741acbce216c454f97d8e731099a7ab4bc98948812e3cf",
-                "86f4c49a768b42220d6e79c1b732dde7ebde07904a663f2f7674f71c058d730d",
+                "9232caa9a7e4b9f0ff9fdc91cfb9643556228804c6a4c4e9d5e9922e724c0026",
             ),
             (
                 "x^2 + y^2", 4,
                 "c21a74fe289976f8358a0e7c7941ee100fe4eab2d833edce8ed9c339330f43b8",
-                "8918b3d2157f1f888b2af6a0d80b561dce111c7b584e2c7e0d874eec22d8d4bd",
+                "7f7b978e71a2369038333f22dd10858d113fab3e1bc598ee42e918d714721e73",
             ),
             (
                 "x^3 + y^3", 4,
                 "fd6b1b14b7ad675d81b8b3e3a05512d6491a2ecd7099fcee7e821af10ca47915",
-                "f20219335ef67a509e9061a5272ba01f5363d42fed5513367b74169646d8f7e1",
+                "7d8d2993805ef3b532380141dbe12d413827f7a006aa499bc64eaf6592e20320",
             ),
             (
                 "x^4 + y^4", 4,
                 "4d80e221fe7cd1779993f0cb1b173b5b3ad9c252c6fd42b6c07e78f12b21aece",
-                "3c00075d85b5c0b9961d02726129e7bfd3f4a5aa4f85429aa4339f2488b694d6",
+                "b742983f1598ea03113ed92b8aec3bdb5248b4028cf43e08a7aa5387ebb1cbe7",
             ),
             (
                 "x^2 + y^2 + w^2", 4,
                 "ebfd70a4da89d5771b7c4e50a5ccd5252e86e2b9ad8169afc59b9f667773ed02",
-                "cb03265cadfdcb4619dec0b8acf4edd52cdd77e74b68488598e8a0b15012ef1b",
+                "723540708d55e8633d37eaa3ab5f887c922bd3d959350d6a08af022dd3b5093d",
             ),
             (
                 "x^3 + y^3 + w^3", 4,
                 "81d2cf5ceb70ccfc0c0859e77274ab4178113668ec181cae352ec5faae9d1ab4",
-                "f045e7cc583e48a241a007b2a1770a202eead9c408bc1293e3ee1f12d8636932",
+                "c546c5f5e24888e4b5efaa137e1ba0140bbb9ee2abbac8f34576b70495029e89",
             ),
             (
                 "z^2", 9,
                 "274a2c8a5a8f9870b7569a1447ce263ea2581cd53c0cbc8e435fabc3ef02d2a5",
-                "6a9177fdfbfce79cdd2b759ad57c651351a709e28daae92a05d2f30fb3817345",
+                "0c1c315bcba719ce6befba6399c34b101b17156ae5d8c11cc4f4777b6b122e02",
             ),
             (
                 "z^3", 9,
                 "8ebd19abb15585d595f6a22cf769bb9c1198bf75b977e1c53732301840a8d7cd",
-                "2902111eea63c5b2c1b7b66cff3d424c296c272c61afddc4f3521e0b00d1b5ca",
+                "858b41240de75e9a5c504ac190a73095533d091e2a278cd3a7c556d852db8732",
             ),
             (
                 "z^5", 9,
                 "98baaccec8cf3f0f5e4f47f53cb9f90af0a4f8be5b4c2aa198a653172fc73e10",
-                "6ef85cc3ed2264572f1d299873110c25047ba89d2731730cdbc34cd56dcada3c",
+                "523f3307c53526bf43009b60171cf4b1873ce22650ed397463b466c1ad9eab45",
             ),
             (
                 "x^2 + y^2", 9,
                 "097b467a9800f2729bf453373de51945846174cbe35e90215450edd2ae6cbcff",
-                "ef669cefcb814927ba0347b4cf1c9b7efb2def8ed4090b764bb01ba2ccf49d82",
+                "be6f7f4a3f391c52adc01e368da8b106102ee9bb35d54075e767a819dc62271c",
             ),
             (
                 "x^3 + y^3", 9,
                 "5d53c435224bd7dc2931d0acdb6a505caba16a1f5b77cdaa15d77b93b18f857a",
-                "7e4d14cc958bfcde4a0ce86e1621fd42c47acef71c1a460571b2ecee02c94ad7",
+                "9f6ae7137f8c24ab6f2afd9f2ade1c9b3c83a2a7fa90cc9fb0610012c0c0f2b9",
             ),
             (
                 "x^4 + y^4", 9,
                 "8eb83a0c5b4d0cb6c333fa10391716fefd1e134fdf28239c357a1688999ac2c9",
-                "08b8258d4626762e66eae4ca5f10181edd49a290188cc4cdc53356e1ea63e3ad",
+                "fba811701c4f3103157501c531efb274a44451a8135be63ce1e84862443caad0",
             ),
             (
                 "x^2 + y^2 + w^2", 9,
                 "67f1f64e22ebeb40f130b2f67ad4848798a1f42b0c46f915c130fc279d638105",
-                "4fd005d28826c312cd892ff9876579d83247353b5ee8ee92925f280e93d0898c",
+                "6d279edc07d2bd09baca9bf732cc94fe325d7c3a29bfa42c277e1ed5eab3b183",
             ),
             (
                 "x^3 + y^3 + w^3", 9,
                 "ab83a06f67f904f4f0a0eff436cbb61f13016f6f5c39020fcaebdd26f6d6c534",
-                "6bf94640e93770ec4eb3b3566b8515bfcc057f0e50fb83982994206b582817f8",
+                "b21d2861b64a31a5369263cf8dc4d81b8e5d3d94edecba6df0a8646ca6ab1d03",
             ),
             (
                 "x^3 + y^3 + w^3 + x*y*w", 9,
                 "cb1c03bc9cb76444ade2c990dc87d05ca7ed1cc7f4a9dd580da502a575b3d9bd",
-                "dd0460688ac026a99165880d01e57d0b6572c3e8b5835bf3ba3a739ec69661e1",
+                "6bb1e2e05a7f9f1339901ce1bc5acd96fbd92e8660c1e91925ece801b6a17549",
             ),
             (
                 "x^4 + 3*x^2*y^2 + y^4", 9,
                 "53f3f82ac19f5f7bbff1f9c018fd3b8d16d6cbf451cf0b8e15b968de1ab9e790",
-                "128af700363ba15fe5667d766c054abf1912aaba6f37147010e408cad8c60d1f",
+                "1b4a910ff5da9f5c0101564685d29c9f80204f34503a9dd3514a4c655d249322",
             ),
             (
                 "x^3*y + y^3*w + w^3*x", 9,
                 "42f35e1a745853cc22a13754cc05574b75a72c5706dbfe50d71ecd8954a672af",
-                "770ee29a8aa6c9296d1be8b2a9ca288f840a3a67a573bc087062c109b81ff958",
+                "5c83141f8bc1a471a1257e13f883b442dc1f66f50e4ba0a5a08d23fd2da2f1b4",
             ),
             (
                 "x^2*y", 4,
@@ -933,17 +993,17 @@ class TestStructuredOutput:
             (
                 "z^3", MAX_N_MAX,
                 "71d460ee21a001f19aa749663cb9bc414aa0df3d06fbf676e72ab7362a2dbeff",
-                "f0ba6b6be4c5094ea4c917f50a9d0f9fae276a2b68189896d247c693f5f53145",
+                "99dcf96fa4039d87bb511d17e2fb08ae974e53530810282f17c9c048d2118422",
             ),
             (
                 "x^3 + y^3", MAX_N_MAX,
                 "54552fcf1ebd23f06d337a3ca41447b1cc9357944f9879505866ef7dc04cc78f",
-                "611b10962e89406a4bede2d4f68312a449983a99fd92e24eba86e9fc380c0ea3",
+                "d2a6a10bb2bc2620bd0fb8b33fc8e3847dc39ecd1977adad12e857373d8ad9c8",
             ),
             (
                 "x^2 + y^2 + w^2", MAX_N_MAX,
                 "59ccb35476d462b22eee9492f57dfe47a3b71f05119d66526337a94f9e97e994",
-                "078b81c81e5239f06d970806f2d11d3b69e09dc628de2bfc195cccd8ba30b236",
+                "e62a4ec4526838daf8f32bff65888666fe38551d5749392b94065ff1ec2de311",
             ),
         ],
     )
@@ -959,7 +1019,7 @@ class TestStructuredOutput:
         assert (report.milnor_number, report.lambda_term_count) == (4, 30)
         assert _untimed_digests(report) == (
             "11a0ebbdbf9b0d5946ff2e5c503538298990cf6fd5ffad0c2006851ac2e90ba3",
-            "ca1ff1e23000fb98037cacd54b2c8084508cd6f40ad398fc86a3acdd02ca93ab",
+            "7f9635ad1ea0e91baa2716a29c66e1a534cd22bea11849fb19dd7fc57d33bc2c",
         )
 
     @pytest.mark.parametrize(
@@ -990,15 +1050,36 @@ class TestStructuredOutput:
         report = run_source(source, checks=("milnor",))
         assert _untimed_digests(report) == (json_digest, text_digest)
 
+    @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("workload", ["functional", "jacobian", "tower"])
-    def test_json_writer_matches_the_standard_encoder_on_benchmark_reports(self, workload):
-        # Every case a 20-second benchmark run of seed 1 issues.
-        for case in bench_module("workloads").generate(workload, 1, 20):
+    def test_json_writer_matches_the_standard_encoder_on_benchmark_reports(self, workload, seed):
+        # Every case a 20-second benchmark run of seeds 1 and 2 issues.
+        for case in bench_module("workloads").generate(workload, seed, 20):
             report = run_source(
                 case.source, window_bottom=case.window, n_max=case.n_max,
                 checks=case.checks, emit_lambda=case.emit_lambda,
             )
             assert report.to_json() == _reference_json(report.to_dict()), case.source
+
+    @given(report=_reports())
+    @settings(max_examples=300, deadline=None)
+    def test_json_writer_matches_the_standard_encoder_on_any_report(self, report):
+        assert report.to_json() == _reference_json(report.to_dict())
+
+    def test_json_writer_runs_no_generic_encoder(self, monkeypatch, capsys):
+        report = run_source("x^3 + y^3", n_max=9)
+        expected = _reference_json(report.to_dict())
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the generic JSON encoder ran")
+
+        monkeypatch.setattr(json.JSONEncoder, "encode", refused)
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", refused)
+        assert report.to_json() == expected
+        capsys.readouterr()
+        assert main(["-f", "x^3 + y^3", "--n-max", "9", "--format", "structured"]) == 0
+        untimed = functools.partial(re.sub, r'"seconds": .*', '"seconds"')
+        assert untimed(capsys.readouterr().out) == untimed(expected)
 
     @pytest.mark.parametrize(
         "source", [entry.source for entry in CORPUS] + list(NON_ISOLATED_SOURCES)
@@ -1059,7 +1140,7 @@ class TestStructuredOutput:
     def test_cohomology_writer_beside_a_witness_that_needs_escapes(self, monkeypatch):
         witnesses = [
             'a "quoted" \\ backslash, an é, a bell \x07 and a newline\n',
-            # The member that to_json replaces with the section.
+            # The document's own member lines around the section.
             '\n  "cohomology": null,\n  "d": 0,',
         ]
         for witness in witnesses:
@@ -1082,9 +1163,9 @@ class TestStructuredOutput:
         | st.sampled_from(['\n  "cohomology": null,', '\n  "cohomology": null,\n  "d": 0,'])
     )
     @settings(max_examples=100, deadline=None)
-    def test_splice_matches_the_standard_encoder_for_any_string(self, member, text):
+    def test_json_writer_matches_the_standard_encoder_for_any_string(self, member, text):
         # Each string member the report holds beside a tower, drawn to spell
-        # out the line that to_json replaces with the cohomology section.
+        # out the document's own member lines around the cohomology section.
         strings = {"function": "z^2", "witness": "w", "lambda_polynomial": "0"}
         strings[member] = text
         report = Report(

@@ -4,7 +4,8 @@ The record stores the steps solved directly, 0..min(n0, n_max), and derives
 every later one.  The references kept here are the computations that used to
 walk every step: the translated fill, which built each row past n0 from the
 mu block's solve; the cohomology section's writer and the text report's
-tower lines, fed one row per step; and the colimit's per-degree walk.
+tower lines, fed one row per step, with the vanishing row read off the
+concentration degree 2nd + d - 1; and the colimit's per-degree walk.
 """
 
 from __future__ import annotations
@@ -100,9 +101,13 @@ def _text_from_rows(
         f"{degree}: n={step}" for degree, step in sorted(cohomology.stabilization_step.items())
     )
     lines.append(f"{'stabilization':<18}{stabilization}")
-    lines.extend(
-        f"{f'escape n={n}':<18}degree {degree} (declared floor {declared_support_floor(d, n)})"
-        for n, degree in enumerate(degrees)
+    lines.extend(f"{f'escape n={n}':<18}degree {degree}" for n, degree in enumerate(degrees))
+    # Reduced cohomology sits in degree 2nd + d - 1 at step n alone.
+    bound = f"(s - {d - 1})/{2 * d}" if d > 1 else "s/2"
+    lines.append(
+        f"{'vanishing':<18}reduced cohomology in degree s is 0 at every step n > {bound};"
+        " the unit class stays in degree 0 of every truncation and dies only in the colimit,"
+        " through the residue"
     )
     return lines
 
@@ -200,8 +205,8 @@ def test_report_sections_equal_the_writers_fed_every_row(d, mu):
         assert _cohomology_json(cohomology) == _section_from_rows(d, *rows)
         text = _report(d, cohomology).to_text().splitlines()
         first = text.index(f"{'truncation n=0':<18}{truncations[0]}")
-        assert text[first : first + 2 * n_max + 4] == _text_from_rows(d, *rows)
-        assert not text[first + 2 * n_max + 4].startswith(("truncation", "escape"))
+        assert text[first : first + 2 * n_max + 5] == _text_from_rows(d, *rows)
+        assert not text[first + 2 * n_max + 5].startswith(("truncation", "escape", "vanishing"))
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
