@@ -10,16 +10,14 @@ colimit stabilizes to mu classes in degree d-1.
 from loopsing import (
     GradedDims,
     LesSystem,
-    escape_table,
+    gysin_tower,
     milnor_fiber_cohomology,
     milnor_number,
-    renormalized_nearby_cohomology,
     solve_les_detailed,
     sphere_cohomology,
-    truncation_cohomology,
 )
 from loopsing.cli import parse_function
-from loopsing.cohom import residue_onto_unit_fact
+from loopsing.cohom import declared_support_floor, residue_onto_unit_fact
 
 print("== One long exact sequence by hand: the quadric ==")
 print("""
@@ -46,13 +44,14 @@ print("\n== The tower for x^3 + y^3 ==")
 fermat = parse_function("x^3 + y^3")
 mu = milnor_number(fermat)
 print("mu =", mu, "; base =", milnor_fiber_cohomology(fermat.d, mu))
-for n in range(5):
-    print(f"  H*(truncation {n}) = {truncation_cohomology(fermat.d, mu, n)}")
+tower = gysin_tower(fermat.d, mu, n_max=4)
+for n, truncation in enumerate(tower.truncations):
+    print(f"  H*(truncation {n}) = {truncation}")
 
 print("\n== Escape of the reduced class ==")
 print(f"{'n':>3}{'degree':>9}{'declared floor':>17}")
-for row in escape_table(fermat.d, mu, 4):
-    print(f"{row.n:>3}{row.degree:>9}{row.declared_floor:>17}")
+for n, degree in enumerate(tower.degrees):
+    print(f"{n:>3}{degree:>9}{declared_support_floor(fermat.d, n):>17}")
 print("""
 The reduced class climbs by 2d per step, so nothing survives the naive
 colimit.  The declared floor column records the coarser bound 2(n+1)d-1
@@ -61,7 +60,7 @@ exactly d below it, and only the unbounded growth matters downstream.
 """.rstrip())
 
 print("== Renormalized colimit ==")
-report = renormalized_nearby_cohomology(fermat.d, mu, n_max=4)
+report = tower.renormalized()
 print("stable outcome:", report.stable, " (mu in degree d-1)")
 interesting = {s: n for s, n in sorted(report.stabilization_step.items()) if -5 <= s <= 2}
 print("stabilization steps near 0:", interesting)

@@ -7,35 +7,31 @@ windows of conformal degrees and verifies, symbolically and exactly, the
 three structural facts the rest of the package leans on.
 """
 
-from loopsing import (
-    LoopPoly,
-    Window,
-    check_derivative_identity,
-    check_support_bound,
-    check_top_linearity,
-    jet_coefficient,
-    lambda_of,
-)
-from loopsing.cli import parse_function
+from loopsing import check_derivative_identity, check_support_bound, check_top_linearity
+from loopsing.cli import RunConfig, parse_function, run
 
 banner = lambda title: print(f"\n== {title} " + "=" * max(0, 60 - len(title)))
 
 
+def functional(source: str, bottom: int):
+    """The report of the lambda check on `source` at window bottom `bottom`,
+    with the functional's text (`lambda_polynomial`)."""
+    return run(RunConfig(source, window_bottom=bottom, checks=("lambda",), emit_lambda=True))
+
+
 banner("The quadric z^2")
-quadric = parse_function("z^2")
 for n in range(4):
-    lam = lambda_of(quadric, Window(n, n))
-    print(f"  window [-{n}, {n}]:  {lam.to_string(quadric.names)}")
+    report = functional("z^2", n)
+    print(f"  window [-{n}, {report.window.top}]:  {report.lambda_polynomial}")
 print("""
 Each pairing z_j z_{-j} has conformal weight j + (-j) = 0, so every term of
 the functional is weight 0; the window only controls how many pairings fit.
 """.rstrip())
 
-banner("General t-coefficients")
-cubic = parse_function("z^3")
-for k in (-1, 0, 1):
-    coeff = jet_coefficient(cubic, Window(1, 2), k)
-    print(f"  t^{k:>2} coefficient of z(t)^3 on [-1, 2]:  {coeff.to_string(cubic.names)}")
+banner("The cubic z^3")
+# Poles bounded by b = 1 leave the window [-1, b*(delta-1)] = [-1, 2].
+report = functional("z^3", 1)
+print(f"  t^ 0 coefficient of z(t)^3 on {report.window}:  {report.lambda_polynomial}")
 
 banner("Support bound")
 print("""
@@ -51,17 +47,12 @@ for source, b in (("z^2", 1), ("z^3", 1), ("x^3 + y^3", 2)):
     )
 
 banner("Top-degree linearity")
-report = check_top_linearity(cubic, 1)
+report = check_top_linearity(parse_function("z^3"), 1)
 assert report.ok and not report.offending_monomials
-# No monomial has degree 2 or more in the top variables, so the linear part
-# is the terms that hold one and the remainder the others.  A monomial's
-# factors are sorted by conformal degree: its last is its highest.
 N = report.top_cdeg
-linear = LoopPoly((m, c) for m, c in report.functional.terms if m.factors[-1][0].cdeg == N)
-remainder = LoopPoly((m, c) for m, c in report.functional.terms if m.factors[-1][0].cdeg < N)
 print(f"  top degree N = {N}")
-print(f"  linear part   {linear.to_string(cubic.names)}")
-print(f"  remainder     {remainder.to_string(cubic.names)}")
+print(f"  functional    {functional('z^3', 1).lambda_polynomial}")
+print(f"  monomials of degree 2 or more in z_{N}: {', '.join(report.offending_monomials) or 'none'}")
 print("""
 No monomial can hold two factors of the top degree N (their weight alone
 would exceed what the other factors can cancel), so the functional is

@@ -2,28 +2,30 @@
 
 The dimension of the quotient by the partial derivatives counts the vanishing
 cycles of an isolated singularity.  The package computes it by Groebner basis
-plus standard-monomial enumeration, and cross-checks by the rank of one
+plus a standard-monomial count, and cross-checks by the rank of one
 Macaulay matrix: the products of each partial with the monomials of one
 degree span that degree exactly when the singularity is isolated, and then
 the partials form a regular sequence.  For a homogeneous singularity in d
 variables of degree delta both must give (delta-1)^d.
 """
 
-from loopsing import (
-    NotIsolated,
-    buchberger,
-    jacobian_ideal,
-    milnor_number,
-    milnor_number_oracle,
-    standard_monomials,
-)
+from itertools import product
+
+from loopsing import NotIsolated, buchberger, jacobian_ideal, milnor_number, milnor_number_oracle
 from loopsing.cli import parse_function, poly_to_source
 
 
-def exponents(monomial, d):
-    """A monomial's exponent vector, entry i that of coordinate i+1."""
-    powers = {var.coord: e for var, e in monomial.factors}
-    return tuple(powers.get(coord, 0) for coord in range(1, d + 1))
+def standard_monomials(leads, d):
+    """The exponent vectors that no leading vector divides, in increasing
+    grevlex order.  They lie in the box of the pure-power leads, one per
+    coordinate of an isolated singularity."""
+    sides = [max(lead) for lead in leads if lead.count(0) == d - 1]
+    vectors = [
+        e for e in product(*map(range, sides))
+        if not any(all(x >= y for x, y in zip(e, lead)) for lead in leads)
+    ]
+    # At one degree the smaller exponent of the first coordinate ranks lower.
+    return sorted(vectors, key=lambda e: (sum(e), [-x for x in e]))
 
 
 print("== A worked example: x^3 + y^3 ==")
@@ -33,10 +35,10 @@ print("Jacobian generators:", ", ".join(poly_to_source(g, fermat.names) for g in
 # The basis comes as primitive integer terms; for a Fermat form they are monic.
 basis = buchberger(jacobian_ideal(fermat))
 print("reduced Groebner basis:", ", ".join(poly_to_source(g, fermat.names) for g in basis.terms))
-monomials = standard_monomials(basis)
+monomials = standard_monomials([g[0][0] for g in basis.terms], fermat.d)
 print(
     "standard monomials:",
-    ", ".join(poly_to_source([(exponents(m, fermat.d), 1)], fermat.names) for m in monomials),
+    ", ".join(poly_to_source([(e, 1)], fermat.names) for e in monomials),
 )
 print("mu =", len(monomials), "= (3-1)^2")
 

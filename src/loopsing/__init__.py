@@ -18,14 +18,10 @@ from .cohom import (
     NotStabilized,
     RankFact,
     Underdetermined,
-    escape_table,
-    gysin_step,
     gysin_tower,
     milnor_fiber_cohomology,
-    renormalized_nearby_cohomology,
     solve_les_detailed,
     sphere_cohomology,
-    truncation_cohomology,
 )
 from .exactalg import LoopPoly, LoopVar, Monomial
 from .grobner import (
@@ -36,7 +32,6 @@ from .grobner import (
     jacobian_ideal,
     milnor_number,
     milnor_number_oracle,
-    standard_monomials,
 )
 from .loopfun import (
     DegreeTooLow,
@@ -47,8 +42,6 @@ from .loopfun import (
     check_derivative_identity,
     check_support_bound,
     check_top_linearity,
-    jet_coefficient,
-    lambda_of,
     minimal_window,
     support_window,
 )
@@ -77,21 +70,14 @@ __all__ = [
     "check_derivative_identity",
     "check_support_bound",
     "check_top_linearity",
-    "escape_table",
-    "gysin_step",
     "gysin_tower",
     "jacobian_ideal",
-    "jet_coefficient",
-    "lambda_of",
     "milnor_fiber_cohomology",
     "milnor_number",
     "milnor_number_oracle",
     "minimal_window",
-    "renormalized_nearby_cohomology",
     "solve_les_detailed",
     "sphere_cohomology",
-    "standard_monomials",
     "support_window",
-    "truncation_cohomology",
     "__version__",
 ]

@@ -145,7 +145,7 @@ def _functional_checks(
     term reaches above the window, and the wide functional is kept as it is.
     An audit that raises becomes a failed check with the error as its
     witness: a failed audit of the functional itself fails every named check
-    and leaves no functional.  No LoopPoly is built: the checks read codes.
+    and leaves no functional.  The checks read the jet's codes.
     """
     try:
         wide = _functional_jet(func, support_window(func, bottom) if "support" in names else window)

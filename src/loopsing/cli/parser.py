@@ -29,7 +29,7 @@ import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from ..exactalg import LoopPoly, poly_to_source
+from ..exactalg import poly_to_source
 from ..loopfun import InputFunction, _Jet
 
 __all__ = [
@@ -354,10 +354,6 @@ def format_function(func: InputFunction) -> str:
     return poly_to_source(sorted(func.terms.items()), func.names)
 
 
-def loop_poly_string(poly: LoopPoly | _Jet, names: Sequence[str]) -> str:
-    """Display form of a loop polynomial, variables as name_cdeg (e.g. x_-2).
-
-    The polynomial is a LoopPoly, or a jet in the kernel's codes, which
-    prints the same text as its LoopPoly without building it.
-    """
-    return poly.to_string(names)
+def loop_poly_string(jet: _Jet, names: Sequence[str]) -> str:
+    """Display form of a jet in the kernel's codes, variables as name_cdeg (e.g. x_-2)."""
+    return jet.to_string(names)

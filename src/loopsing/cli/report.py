@@ -96,6 +96,9 @@ class Report(namedtuple("Report", (
         checks: Mapping[str, CheckOutcome], cohomology: RenormalizedReport | None,
         timing_seconds: float = 0.0,
     ) -> Report:
+        # JSON has no number for NaN or the infinities, and the validator refuses them.
+        if type(timing_seconds) is not float or not math.isfinite(timing_seconds):
+            raise _Mismatch("timing.seconds: not a finite float")
         n_max = None if cohomology is None else cohomology.tower.n_max
         problem = run_problem(checks, window.bottom, n_max)
         if problem is None and lambda_term_count is not None:
@@ -246,8 +249,8 @@ class Report(namedtuple("Report", (
 
 def _leaf(value: object) -> str:
     """A scalar as the standard encoder writes it: strings escaped to ASCII,
-    ints by int.__repr__, floats as its floatstr does (NaN and the
-    infinities by name)."""
+    ints by int.__repr__, floats by float.__repr__, as its floatstr writes a
+    finite float, the only kind a Report holds."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -259,10 +262,6 @@ def _leaf(value: object) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
         return float.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -18,8 +18,8 @@ blocks that every later Gysin sequence splits into: a constant number of
 solves, each checked against the shift rule, with the concentration of the
 reduced cohomology audited on the way.  Its record stores those base steps
 only; every later step is derived from the last of them on access.  The
-truncation table, the escape bookkeeping showing reduced classes running off
-to infinity, and the renormalized colimit along Gysin maps are all read from
+truncation table, the degrees showing reduced classes running off to
+infinity, and the renormalized colimit along Gysin maps are all read from
 that one record, the colimit without a walk over the steps or the degrees.
 
 Everything is a pure function over small immutable values; concurrent
@@ -45,14 +45,9 @@ __all__ = [
     "solve_les_detailed",
     "milnor_fiber_cohomology",
     "sphere_cohomology",
-    "gysin_step",
     "gysin_tower",
     "GysinTower",
-    "truncation_cohomology",
-    "renormalized_nearby_cohomology",
     "RenormalizedReport",
-    "escape_table",
-    "EscapeRow",
     "declared_support_floor",
 ]
 
@@ -400,17 +395,6 @@ def _checked_solution(system: LesSystem, expected: GradedDims) -> LesSolution:
     return solution
 
 
-def gysin_step(reduced: GradedDims, d: int) -> GradedDims:
-    """Reduced cohomology of the next truncation: a shift up by 2d.
-
-    The unit class cancels against the two sphere classes of the open
-    complement through the full-rank residue.  The shift rule is validated on
-    every call against the generic solver on the full (non-reduced) system.
-    """
-    _checked_solution(_gysin_system(reduced.with_unit(), d), reduced.shifted(2 * d).with_unit())
-    return reduced.shifted(2 * d)
-
-
 def _concentration_degree(full: GradedDims, n: int) -> int:
     support = full.drop_unit().support
     if len(support) != 1:
@@ -430,8 +414,11 @@ class GysinTower(namedtuple(
     of the Gysin map into truncation n, keyed by their target degree; axioms
     are the declared facts the solved sequences rest on.  A step past n0 is
     not stored: it is step n0 with the mu block moved up by 2d per step, as
-    the blocks certify.  `truncations`, `degrees` and `gysin_ranks` build
-    every step 0..n_max on access.
+    the blocks certify.  `truncations` and `degrees` build every step
+    0..n_max on access; `_step(n)` gives one, with the Gysin ranks into it.
+
+    Truncation n's reduced cohomology is mu classes concentrated in the single
+    degree 2nd + d - 1, so it runs off to infinity as n grows.
     """
 
     __slots__ = ()
@@ -476,15 +463,19 @@ class GysinTower(namedtuple(
     def degrees(self) -> tuple[int, ...]:
         return self.head_degrees + tuple(degree for _, degree in self._later_steps()[1])
 
-    @property
-    def gysin_ranks(self) -> tuple[Mapping[int, int], ...]:
-        """gysin_ranks[n-1]: the nonzero ranks of the Gysin map into truncation n."""
-        return tuple(self._step(n)[2] for n in range(1, self.n_max + 1))
-
     def renormalized(self) -> RenormalizedReport:
-        """Colimit of the truncation cohomologies along the Gysin maps.
+        """Colimit of the truncation cohomologies along the Gysin maps, degree-shifted.
 
-        See renormalized_nearby_cohomology.
+        The contribution of step n to renormalized degree s is its cohomology in
+        degree s + 2*delta(n), with delta(n) = n*d, the one renormalizing shift,
+        which vanishes at step 0; a degree has stabilized once the Gysin maps are
+        isomorphisms there from some step onward.  The stable reduced outcome is
+        mu in degree d-1; transient classes (the unit, any class at negative
+        degrees) die through the residue and are reported as stabilized zeros.
+        Any other shift delta(n) = k + n*d only reindexes degrees s -> s - 2k:
+        its stable outcome is `.stable.shifted(-2 * k)`.
+
+        Raises NotStabilized if a tracked degree has not settled by n_max: a bug.
         """
         d, n_max, n0 = self.d, self.n_max, self.n0
         if n_max < 2:
@@ -596,7 +587,7 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
     n0 = 1 + max(0, -((gap - 3) // (6 * d)))
     truncations = [base]
     degrees = [_concentration_degree(base, 0)]
-    gysin_ranks: list[dict[int, int]] = []
+    head_ranks: list[dict[int, int]] = []
     axioms: set[str] = set()
     for n in range(1, min(n0, n_max) + 1):
         step = reduced.shifted(2 * d * (n - 1))
@@ -605,7 +596,7 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
         )
         truncations.append(solution.b)
         degrees.append(_concentration_degree(solution.b, n))
-        gysin_ranks.append(
+        head_ranks.append(
             {degree: rank for (kind, degree), rank in solution.ranks.items() if kind == "gysin"}
         )
         axioms.update(solution.axioms)
@@ -620,20 +611,8 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
             raise RuntimeError(f"the unit and mu blocks do not split the sequence at step {n0}")
     return GysinTower(
         d=d, mu=mu, head_truncations=tuple(truncations), head_degrees=tuple(degrees),
-        head_ranks=tuple(gysin_ranks), axioms=tuple(sorted(axioms)), n0=n0, n_max=n_max,
+        head_ranks=tuple(head_ranks), axioms=tuple(sorted(axioms)), n0=n0, n_max=n_max,
     )
-
-
-def truncation_cohomology(d: int, mu: int, n: int) -> GradedDims:
-    """Full cohomology of the n-th truncation of the nearby fiber.
-
-    Read from the certified Gysin tower of height n, whose solves and record
-    do not grow with n; the reduced part is concentrated in the single degree
-    2nd + d - 1 with dimension mu.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return gysin_tower(d, mu, n)._step(n)[0]
 
 
 def declared_support_floor(d: int, n: int) -> int:
@@ -646,16 +625,6 @@ def declared_support_floor(d: int, n: int) -> int:
     return 2 * (n + 1) * d - 1
 
 
-class EscapeRow(namedtuple("EscapeRow", "n degree declared_floor")):
-    __slots__ = ()
-
-
-def escape_table(d: int, mu: int, n_max: int) -> tuple[EscapeRow, ...]:
-    """Each step's reduced-cohomology degree (2d apart, unbounded) and declared floor."""
-    rows = enumerate(gysin_tower(d, mu, n_max).degrees)
-    return tuple(EscapeRow(n, degree, declared_support_floor(d, n)) for n, degree in rows)
-
-
 class RenormalizedReport(namedtuple("RenormalizedReport", "stable stabilization_step tower")):
     """The renormalized colimit together with the tower it was read from."""
 
@@ -664,20 +633,3 @@ class RenormalizedReport(namedtuple("RenormalizedReport", "stable stabilization_
     @property
     def axioms(self) -> tuple[str, ...]:
         return self.tower.axioms
-
-
-def renormalized_nearby_cohomology(d: int, mu: int, n_max: int) -> RenormalizedReport:
-    """Colimit of truncation cohomologies along Gysin maps, degree-shifted.
-
-    The contribution of step n to renormalized degree s is its cohomology in
-    degree s + 2*delta(n), with delta(n) = n*d, the one renormalizing shift,
-    which vanishes at step 0; a degree has stabilized once the Gysin maps are
-    isomorphisms there from some step onward.  The stable reduced outcome is
-    mu in degree d-1; transient classes (the unit, any class at negative
-    degrees) die through the residue and are reported as stabilized zeros.
-    Any other shift delta(n) = k + n*d only reindexes degrees s -> s - 2k:
-    its stable outcome is `.stable.shifted(-2 * k)`.
-
-    Raises NotStabilized if a tracked degree has not settled by n_max: a bug.
-    """
-    return gysin_tower(d, mu, n_max).renormalized()

@@ -22,10 +22,10 @@ instead of scanning every factor.
 
 There is no ring arithmetic or calculus here: the package computes on
 exponent vectors and on the jet kernel's codes, and builds a polynomial only
-where its public API returns one, never for F or its Jacobian ideal.  The
-constructors `Monomial(...)` and `LoopPoly(...)` canonicalize whatever raw
-terms they are handed, repeats and zeros included; they are the only way
-either is built.
+for `GroebnerBasis.elements`, never for F, its Jacobian ideal or the loop
+functional.  The constructors `Monomial(...)` and `LoopPoly(...)`
+canonicalize whatever raw terms they are handed, repeats and zeros
+included; they are the only way either is built.
 
 All values are immutable after construction and every method is pure, so
 polynomials can be shared freely between threads.

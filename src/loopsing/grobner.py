@@ -1,7 +1,7 @@
 """Jacobian-ideal computations over exact rationals.
 
 Buchberger's algorithm with the normal selection strategy and both classical
-pair-elimination criteria, reduced bases, standard-monomial enumeration, and
+pair-elimination criteria, reduced bases, the standard-monomial count, and
 the Milnor number of a homogeneous polynomial with isolated singularity.  A
 second, Groebner-free route decides isolation from the rank of one Macaulay
 matrix, the (monomial * partial) products of one degree, taken modulo a prime
@@ -13,17 +13,15 @@ for determinism.  buchberger itself runs sequentially (its loop is order
 sensitive) but independent invocations on distinct inputs are safe.
 
 Inside this module a polynomial is a sequence of (exponent vector, int)
-terms in decreasing grevlex order, one vector position per variable in
-ascending (cdeg, coord) order.  Each is primitive: its coefficients have
-content 1 and its leading coefficient is positive, so it stands for the whole
-line of its rational multiples.  An `Ideal` holds its generators so, made by
+terms in decreasing grevlex order, entry i of a vector the exponent of
+z^(i+1)_0.  Each is primitive: its coefficients have content 1 and its
+leading coefficient is positive, so it stands for the whole line of its
+rational multiples.  An `Ideal` holds its generators so, made by
 `_integer_terms`; the Jacobian ideal's are InputFunction's `integer_partials`,
-built once per function and read by both Milnor routes.  A LoopPoly given to
-`normal_form` or `s_polynomial` is made one at the boundary (`_to_terms`).
-Fractions are built once on the way out (`_from_terms`): monic ones for
-`GroebnerBasis.elements`, exact rescalings of the integer results for
-`normal_form` and `s_polynomial`.  Buchberger, the basis reduction, the audit
-and the oracle do no Fraction arithmetic and build no LoopPoly or Monomial:
+built once per function and read by both Milnor routes.  Fractions are built
+only for `GroebnerBasis.elements`, the monic basis (`_from_terms`).
+Buchberger, the basis reduction, the audit and the oracle do no Fraction
+arithmetic and build no polynomial object:
 
 - division (`_reduce`) keeps the pending integer coefficients in a dict and
   their packed vectors in a heap, cancels each term fraction-free against
@@ -75,8 +73,7 @@ entry field, its guard bit, is clear.  So:
 
 `buchberger` packs the generators once and unpacks the reduced basis once,
 so `GroebnerBasis`, the Milnor count and the oracle read tuples; inside, only
-the pair loop's staircase reads leads as tuples.  `normal_form` and
-`s_polynomial` pack and unpack at the boundary.  A degree above _MAX_DEGREE,
+the pair loop's staircase reads leads as tuples.  A degree above _MAX_DEGREE,
 or division work beyond MAX_REDUCTION_WORK, raises a ValueError.
 
 Fraction-free elimination is classical: Bareiss 1968, and Cox, Little and
@@ -95,7 +92,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import le, mul
+from operator import mul
 
 from .exactalg import LoopPoly, LoopVar, Monomial
 from .loopfun import InputFunction, _integer_terms, _primitive
@@ -105,9 +102,6 @@ __all__ = [
     "GroebnerBasis",
     "NotIsolated",
     "buchberger",
-    "normal_form",
-    "s_polynomial",
-    "standard_monomials",
     "jacobian_ideal",
     "milnor_number",
     "milnor_number_oracle",
@@ -138,9 +132,9 @@ _FIELD_MASK = (1 << _FIELD) - 1
 _MAX_DEGREE = (1 << (_FIELD - 1)) - 1
 
 
-# The division work one Buchberger run, or one normal_form, may do: each tail
-# term a division subtracts counts once per 64-bit word of the coefficient it
-# cancels, so coefficient growth is charged as well as term count.  About
+# The division work one Buchberger run may do: each tail term a division
+# subtracts counts once per 64-bit word of the coefficient it cancels, so
+# coefficient growth is charged as well as term count.  About
 # 100 times the most any test input or benchmark input needs (53,162, for a
 # dense quartic in four variables).  x^8+y^8+w^8+v^8+(x+y+w+v)^8, whose basis
 # ran a minute unbounded, meets it in its 225th S-pair reduction, after about
@@ -217,20 +211,6 @@ class _Run:
 def _coordinates(d: int) -> tuple[LoopVar, ...]:
     """z^1_0, ..., z^d_0: the variables of the entries of an exponent vector."""
     return tuple(LoopVar(coord, 0) for coord in range(1, d + 1))
-
-
-def _variables(*polys: LoopPoly) -> tuple[LoopVar, ...]:
-    """The variables of the polynomials, in ascending order."""
-    return tuple(sorted({v for p in polys for v in p.variables()}))
-
-
-def _to_terms(p: LoopPoly, variables: Sequence[LoopVar]) -> tuple[Term, ...]:
-    """p's primitive integer multiple over `variables`, ascending and holding
-    all of p's, in decreasing order."""
-    return _integer_terms({
-        tuple(map(dict(mono.factors).get, variables, itertools.repeat(0))): c
-        for mono, c in p.terms
-    })
 
 
 def _from_terms(terms: Iterable[Term], variables: Sequence[LoopVar], scale: Fraction) -> LoopPoly:
@@ -393,40 +373,6 @@ class GroebnerBasis(namedtuple("GroebnerBasis", "terms d")):
         """The basis as monic LoopPolys, built on each access."""
         variables = _coordinates(self.d)
         return tuple(_from_terms(g, variables, Fraction(1, g[0][1])) for g in self.terms)
-
-
-def normal_form(p: LoopPoly, divisors: Sequence[LoopPoly]) -> LoopPoly:
-    """Remainder of p under multivariate division by the divisors.
-
-    Repeatedly cancels the largest reducible monomial against the first
-    divisor whose leading monomial divides it; the result has no monomial
-    divisible by any divisor's leading monomial.
-    """
-    if not p:
-        return p
-    variables = _variables(p, *divisors)
-    terms = _to_terms(p, variables)
-    remainder, multiplier = _reduce(
-        _packed_terms(terms),
-        _Divisors(_packed_terms(_to_terms(g, variables)) for g in divisors),
-        _Run(len(variables)),
-    )
-    # terms is p times terms' lead over p's lead; undo that and the multiplier.
-    return _from_terms(
-        _unpacked_terms(remainder, len(variables)),
-        variables,
-        p.terms[0][1] / (multiplier * terms[0][1]),
-    )
-
-
-def s_polynomial(f: LoopPoly, g: LoopPoly) -> LoopPoly:
-    variables = _variables(f, g)
-    f_terms, g_terms = _to_terms(f, variables), _to_terms(g, variables)
-    c_f, c_g = f_terms[0][1], g_terms[0][1]
-    scale = Fraction(math.gcd(c_f, c_g), c_f * c_g)
-    lcm = _packed(tuple(map(max, f_terms[0][0], g_terms[0][0])))
-    s_terms = _s_terms(_packed_terms(f_terms), _packed_terms(g_terms), lcm)
-    return _from_terms(_unpacked_terms(s_terms, len(variables)), variables, scale)
 
 
 def buchberger(ideal: Ideal) -> GroebnerBasis:
@@ -630,25 +576,6 @@ def _verify_basis(
     for g in generators:
         if _reduce(g, divisors, run)[0]:
             raise RuntimeError("an ideal generator does not reduce to zero")
-
-
-def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
-    """Monomials no leading monomial divides, in increasing order.
-
-    They lie in the box below the pure-power leading monomials, and the
-    quotient is finite dimensional exactly when every coordinate has one (the
-    standard finiteness criterion).  Raises NotIsolated when some coordinate
-    has none.
-    """
-    leads = [g[0][0] for g in gb.terms]
-    if not all(map(any, leads)):
-        return []  # the unit ideal: nothing survives in the quotient
-    variables = _coordinates(gb.d)
-    return sorted(
-        Monomial(zip(variables, e))
-        for e in itertools.product(*map(range, _box(leads, gb.d)))
-        if not any(all(map(le, lead, e)) for lead in leads)
-    )
 
 
 def _box(leads: Sequence[Exponents], d: int) -> list[int]:

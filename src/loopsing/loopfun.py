@@ -10,16 +10,14 @@ of the top-variable derivative identity.
 
 The jet kernel computes a coefficient as sorted rows of small int codes (a
 `_Jet`), and the weight audits, the truncation, the checks and the printer
-all read those codes.  A LoopPoly is built only where the public API returns
-one (`jet_coefficient`, `lambda_of`, the linearity report).  Each public check
+all read those codes; no polynomial object is built.  Each public check
 computes the functional and reads it with the same private readings that the
 command line runs on its one jet (`_support_report`, `_nonlinear`,
 `_derivative_report`).
 
 Coefficients are exact and canonical: an int when integral, else a Fraction
 whose denominator is above 1 (`_exact`).  So on an integral F, the usual
-input, the kernel, the checks and the printer do int arithmetic only; a
-LoopPoly turns them into Fractions at the public boundary.
+input, the kernel, the checks and the printer do int arithmetic only.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -36,7 +34,7 @@ from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 
-from .exactalg import LoopPoly, LoopVar, Monomial, _default_names, format_terms, poly_to_source
+from .exactalg import _default_names, format_terms, poly_to_source
 
 __all__ = [
     "Window",
@@ -44,8 +42,6 @@ __all__ = [
     "NotHomogeneous",
     "DegreeTooLow",
     "FunctionalTooLarge",
-    "jet_coefficient",
-    "lambda_of",
     "minimal_window",
     "support_window",
     "check_support_bound",
@@ -265,9 +261,6 @@ class _Jet:
     `_jet_of_poly`), so the codes of the variables of conformal degree j are
     [start(j), start(j + 1)).  Floor division decodes a slot below 0 too,
     which a functional forged beneath the window holds.
-
-    Only the public API builds the jet's LoopPoly (`poly`); the printer
-    writes the same text from the codes (`to_string`).
     """
 
     __slots__ = ("rows", "m", "d", "bottom")
@@ -301,18 +294,7 @@ class _Jet:
             for e, c in terms.items()
         }
 
-    # -- decoding: the public boundary and the printer ---------------------
-
-    def monomial(self, codes: tuple[int, ...]) -> Monomial:
-        m, d, bottom = self.m, self.d, self.bottom
-        factors = []
-        for code in codes:
-            slot, rest = divmod(code, m)
-            factors.append((LoopVar(slot % d + 1, slot // d - bottom), m - rest))
-        return Monomial(factors)
-
-    def poly(self) -> LoopPoly:
-        return LoopPoly([(self.monomial(codes), c) for _, codes, c in self.rows])
+    # -- the printer -----------------------------------------------------
 
     def text(self, names: Sequence[str]) -> Callable[[int], str]:
         """The text function of codes: (z^c_j)^n is written `names[c-1]_j^n`."""
@@ -326,11 +308,11 @@ class _Jet:
         return text
 
     def to_string(self, names: Sequence[str]) -> str:
-        """The text of `self.poly().to_string(names)`, written from the codes."""
+        """The jet's text, terms in decreasing grevlex order, each variable as `name_cdeg`."""
         return format_terms(((codes, c) for _, codes, c in self.rows), self.text(names))
 
     def monomial_text(self, codes: tuple[int, ...]) -> str:
-        """The text of `str(self.monomial(codes))`, written from the codes."""
+        """The text of the monomial of the codes, (z^c_j)^n written `zc_j^n`."""
         return format_terms(((codes, 1),), self.text([f"z{c}" for c in range(1, self.d + 1)]))
 
     # -- the structural checks' readings, off each term's end codes -------
@@ -518,27 +500,6 @@ def _jet_of_poly(
     return jet
 
 
-def jet_coefficient(func: InputFunction, window: Window, k: int) -> LoopPoly:
-    """The t^k coefficient of F(z^1(t), ..., z^d(t)) on the given window.
-
-    Every monomial of the result has conformal degrees summing to k.  Raises
-    FunctionalTooLarge when the expansion would build more than
-    MAX_JET_TERMS terms.
-    """
-    return _jet_of_poly(func.terms, window, k).poly()
-
-
-def lambda_of(func: InputFunction, window: Window) -> LoopPoly:
-    """The loop functional of F on a window: the constant-in-t coefficient.
-
-    Checks on the way out that the result is of pure conformal weight 0 and of
-    pure scaling weight delta; a violation would be an arithmetic bug.  Raises
-    FunctionalTooLarge when the expansion would build more than
-    MAX_JET_TERMS terms.
-    """
-    return _functional_jet(func, window).poly()
-
-
 def _functional_jet(func: InputFunction, window: Window) -> _Jet:
     """The loop functional of F on a window in the jet's codes, its weights audited.
 
@@ -577,7 +538,7 @@ def _support_report(func: InputFunction, bottom: int, jet: _Jet) -> SupportBound
 
 
 class TopLinearityReport(namedtuple(
-    "TopLinearityReport", "ok top_cdeg offending_monomials functional window"
+    "TopLinearityReport", "ok top_cdeg offending_monomials window"
 )):
     __slots__ = ()
 
@@ -594,17 +555,16 @@ def check_top_linearity(func: InputFunction, bottom: int) -> TopLinearityReport:
     identity the first sum is k*c*m over the terms c*m of the functional, k
     being m's total exponent in the degree-N variables, so the remainder,
     the sum of (1-k)*c*m, is free of them exactly when no k exceeds 1.  The
-    report holds the functional and the monomials whose k does
-    (`offending_monomials`).
+    report names the monomials whose k does (`offending_monomials`), each as
+    the text that the command line's witness writes.
     """
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
     window = minimal_window(func, bottom)
     jet = _functional_jet(func, window)
-    offending = tuple(map(jet.monomial, _nonlinear(jet, window.top)))
+    offending = tuple(map(jet.monomial_text, _nonlinear(jet, window.top)))
     return TopLinearityReport(
-        ok=not offending, top_cdeg=window.top, offending_monomials=offending,
-        functional=jet.poly(), window=window,
+        ok=not offending, top_cdeg=window.top, offending_monomials=offending, window=window
     )
 
 

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from loopsing import grobner, loopfun
 from loopsing.cli import CheckOutcome, parse_function
 from loopsing.cli.parser import _Parser
-from loopsing.cohom import LesSolution, LesSystem
+from loopsing.cohom import GysinTower, LesSolution, LesSystem
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
-from loopsing.loopfun import InputFunction, Window, lambda_of, minimal_window, support_window
+from loopsing.loopfun import InputFunction, Window, minimal_window, support_window
 
 
 @dataclass(frozen=True)
@@ -260,6 +260,33 @@ def weight_set(poly: LoopPoly, weight_of: Callable[[LoopVar], int]) -> frozenset
     return frozenset(sum(weight_of(v) * e for v, e in m.factors) for m, _ in poly.terms)
 
 
+def decoded_monomial(jet: loopfun._Jet, codes: tuple[int, ...]) -> Monomial:
+    """The monomial of a jet's codes: code slot*m + (m - n) is the factor
+    (z^c_j)^n with c = slot % d + 1 and j = slot // d - bottom."""
+    m, d, bottom = jet.m, jet.d, jet.bottom
+    return Monomial([
+        (LoopVar(slot % d + 1, slot // d - bottom), m - rest)
+        for slot, rest in (divmod(code, m) for code in codes)
+    ])
+
+
+def decoded(jet: loopfun._Jet) -> Poly:
+    """A jet's rows as a Poly."""
+    return Poly((decoded_monomial(jet, codes), c) for _, codes, c in jet.rows)
+
+
+def jet_coefficient(func: InputFunction, window: Window, k: int) -> Poly:
+    """The t^k coefficient of F(z^1(t), ..., z^d(t)) on the window, decoded
+    from the jet kernel's codes."""
+    return decoded(loopfun._jet_of_poly(func.terms, window, k))
+
+
+def lambda_of(func: InputFunction, window: Window) -> Poly:
+    """The loop functional of F on a window, the constant-in-t coefficient,
+    its weights audited, decoded from the jet kernel's codes."""
+    return decoded(loopfun._functional_jet(func, window))
+
+
 def jet_coefficient_by_enumeration(func: InputFunction, window: Window, k: int) -> LoopPoly:
     """Reference for jet_coefficient: the t^k coefficient by brute force.
 
@@ -302,6 +329,11 @@ def coded(poly: LoopPoly, func: InputFunction, bottom: int) -> loopfun._Jet:
     return loopfun._Jet(rows, m, d, bottom)
 
 
+def ranks_into_steps(tower: GysinTower) -> tuple[Mapping[int, int], ...]:
+    """Entry n-1: the nonzero ranks of the Gysin map into truncation n, as `_step` reads them."""
+    return tuple(tower._step(n)[2] for n in range(1, tower.n_max + 1))
+
+
 def alternating_sums(solution: LesSolution, system: LesSystem) -> tuple[int, ...]:
     """Reference: the alternating dimension sum of each segment of a solved
     sequence, which exactness makes 0."""
@@ -327,7 +359,7 @@ def reference_functional_checks(
     """What run() reports for the functional checks `names`, computed on LoopPolys.
 
     Returns (lambda_term_count, lambda_polynomial, outcomes).  The functional
-    comes from the public lambda_of, on the support window when that check
+    comes from lambda_of, on the support window when that check
     runs, then passes through `edit` if one is given, and every check reads
     it by scans: truncation and the constant-loop restriction by zero_out,
     the derivative identity by Poly.partial against the decoded
@@ -362,7 +394,7 @@ def reference_functional_checks(
             bad = []
             for j, d_j in enumerate(func.partials, 1):
                 lhs = Poly.of(lam).partial(LoopVar(j, top))
-                via_coeff = loopfun._jet_of_poly(d_j, window, -top).poly()
+                via_coeff = decoded(loopfun._jet_of_poly(d_j, window, -top))
                 via_eval = substitute(ambient_poly(func).partial(LoopVar(j, 0)), at_bottom)
                 if not lhs == via_coeff == via_eval:
                     bad.append(j)

@@ -17,13 +17,10 @@ from loopsing.cohom import (
     GradedDims,
     LesSystem,
     declared_support_floor,
-    escape_table,
-    gysin_step,
-    renormalized_nearby_cohomology,
+    gysin_tower,
     residue_onto_unit_fact,
     solve_les_detailed,
     sphere_cohomology,
-    truncation_cohomology,
 )
 from loopsing.exactalg import LoopVar
 from loopsing.grobner import NotIsolated, milnor_number, milnor_number_oracle
@@ -32,7 +29,6 @@ from loopsing.loopfun import (
     check_derivative_identity,
     check_support_bound,
     check_top_linearity,
-    lambda_of,
     minimal_window,
 )
 
@@ -43,6 +39,7 @@ from conftest import (
     build,
     fermat_source,
     jet_coefficient_by_enumeration,
+    lambda_of,
 )
 
 
@@ -79,11 +76,11 @@ def test_criterion_1_intro_example_reproduction():
                 expected = expected + 2 * lv(1, j) * lv(1, -j)
             assert lambda_of(quadric, Window(n, n)) == expected
 
-            full = truncation_cohomology(1, 1, n)
+            full = gysin_tower(1, 1, n).truncations[n]
             sphere_2n = GradedDims({0: 2}) if n == 0 else GradedDims({0: 1, 2 * n: 1})
             assert full == sphere_2n
 
-        report = renormalized_nearby_cohomology(1, 1, 4)
+        report = gysin_tower(1, 1, 4).renormalized()
         assert report.stable == GradedDims({0: 1})
 
 
@@ -93,7 +90,7 @@ def test_criterion_2_renormalized_cohomology_on_corpus():
         for entry in CORPUS:
             func = build(entry.source)
             mu = milnor_number(func)
-            report = renormalized_nearby_cohomology(func.d, mu, 4)
+            report = gysin_tower(func.d, mu, 4).renormalized()
             assert report.stable == GradedDims({func.d - 1: mu}), entry.source
 
 
@@ -141,22 +138,20 @@ def test_criterion_6_escape_degrees_and_declared_floor():
     """Concentration degrees 2nd+d-1 in steps of 2d; declared floor alongside."""
     with _Budget("6 (escape report)", 10.0):
         for entry in CORPUS:
-            rows = escape_table(entry.d, entry.mu, 4)
-            degrees = [row.degree for row in rows]
-            assert degrees == [2 * n * entry.d + entry.d - 1 for n in range(5)]
+            degrees = gysin_tower(entry.d, entry.mu, 4).degrees
+            assert degrees == tuple(2 * n * entry.d + entry.d - 1 for n in range(5))
             assert all(b - a == 2 * entry.d for a, b in zip(degrees, degrees[1:]))
-            for row in rows:
-                assert row.declared_floor == declared_support_floor(entry.d, row.n)
+            for n, degree in enumerate(degrees):
                 # documented discrepancy: the computed degree sits exactly d
                 # below the declared floor; recorded, not asserted away
-                assert row.declared_floor - row.degree == entry.d
+                assert declared_support_floor(entry.d, n) - degree == entry.d
 
 
 def test_criterion_7_solver_coherence():
     """Shift rule == generic solver at every step; exactness audits clean."""
     with _Budget("7 (solver coherence)", 10.0):
         for entry in CORPUS:
-            reduced = truncation_cohomology(entry.d, entry.mu, 0).drop_unit()
+            reduced = gysin_tower(entry.d, entry.mu, 0).truncations[0].drop_unit()
             for _ in range(5):
                 full = reduced.with_unit()
                 system = LesSystem(
@@ -166,7 +161,7 @@ def test_criterion_7_solver_coherence():
                     rank_facts=(residue_onto_unit_fact(entry.d, full),),
                 )
                 solution = solve_les_detailed(system)
-                stepped = gysin_step(reduced, entry.d)
+                stepped = reduced.shifted(2 * entry.d)
                 assert solution.b == stepped.with_unit()
                 sums = alternating_sums(solution, system)
                 assert sums and all(total == 0 for total in sums)

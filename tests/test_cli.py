@@ -42,7 +42,7 @@ from loopsing.cli import (
 )
 from loopsing.cli.parser import MAX_COEFFICIENT_DIGITS, MAX_PRODUCT_WORK, MAX_SOURCE_BYTES
 from loopsing.cohom import MAX_N_MAX, GradedDims, GysinTower, LesSolution, LesSystem
-from loopsing.loopfun import MAX_JET_TERMS, InputFunction, lambda_of
+from loopsing.loopfun import MAX_JET_TERMS, InputFunction
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 
 from conftest import (
@@ -54,8 +54,10 @@ from conftest import (
     bench_module,
     coded,
     deadline,
+    decoded,
     edited,
     homogeneous_forms,
+    lambda_of,
     reference_functional_checks,
 )
 
@@ -127,7 +129,8 @@ def _reports(draw) -> Report:
         checks={name: draw(outcomes) for name in checks},
         cohomology=draw(st.none() | st.sampled_from(_TOWERS)),
         timing_seconds=draw(
-            st.sampled_from([0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]) | st.floats()
+            st.sampled_from([0.0, 5e-324, 1e300])
+            | st.floats(allow_nan=False, allow_infinity=False)
         ),
     )
 
@@ -366,7 +369,7 @@ class TestRun:
             result = jet(poly, window, k, *codes)
             if k:
                 return result
-            return coded(Poly.of(result.poly()) * Poly.variable(factor), func, window.bottom)
+            return coded(decoded(result) * Poly.variable(factor), func, window.bottom)
 
         monkeypatch.setattr(loopfun, "_jet_of_poly", shifted)
         report = run_source("x^3 + y^3")
@@ -876,136 +879,140 @@ class TestStructuredOutput:
         target[path[-1]] = value
         assert validate_report(document) != []
 
+    # The whole-report pins, one per (source, n-max), which name each test.
+    _PINNED_REPORTS = [
+        (
+            "z^2", 4,
+            "13216926e9bdb919e2a730ce98f0bcd81716199a247f7d0fad299aaea5eea05a",
+            "a6182225affdd6f05e3cf8fc87dd1d0d2052c1e9271b3fa6effb99bbdf72d68e",
+        ),
+        (
+            "z^3", 4,
+            "9690731b78ba36e8e064192632ad6eaecb5e33d2529ec2d6fbf8b26589270586",
+            "d36d12e84678bd19ac3aadf0cf16f76c568cc50838d765cb18ebad27e40aae0d",
+        ),
+        (
+            "z^5", 4,
+            "e8df613d727b641a59741acbce216c454f97d8e731099a7ab4bc98948812e3cf",
+            "9232caa9a7e4b9f0ff9fdc91cfb9643556228804c6a4c4e9d5e9922e724c0026",
+        ),
+        (
+            "x^2 + y^2", 4,
+            "c21a74fe289976f8358a0e7c7941ee100fe4eab2d833edce8ed9c339330f43b8",
+            "7f7b978e71a2369038333f22dd10858d113fab3e1bc598ee42e918d714721e73",
+        ),
+        (
+            "x^3 + y^3", 4,
+            "fd6b1b14b7ad675d81b8b3e3a05512d6491a2ecd7099fcee7e821af10ca47915",
+            "7d8d2993805ef3b532380141dbe12d413827f7a006aa499bc64eaf6592e20320",
+        ),
+        (
+            "x^4 + y^4", 4,
+            "4d80e221fe7cd1779993f0cb1b173b5b3ad9c252c6fd42b6c07e78f12b21aece",
+            "b742983f1598ea03113ed92b8aec3bdb5248b4028cf43e08a7aa5387ebb1cbe7",
+        ),
+        (
+            "x^2 + y^2 + w^2", 4,
+            "ebfd70a4da89d5771b7c4e50a5ccd5252e86e2b9ad8169afc59b9f667773ed02",
+            "723540708d55e8633d37eaa3ab5f887c922bd3d959350d6a08af022dd3b5093d",
+        ),
+        (
+            "x^3 + y^3 + w^3", 4,
+            "81d2cf5ceb70ccfc0c0859e77274ab4178113668ec181cae352ec5faae9d1ab4",
+            "c546c5f5e24888e4b5efaa137e1ba0140bbb9ee2abbac8f34576b70495029e89",
+        ),
+        (
+            "z^2", 9,
+            "274a2c8a5a8f9870b7569a1447ce263ea2581cd53c0cbc8e435fabc3ef02d2a5",
+            "0c1c315bcba719ce6befba6399c34b101b17156ae5d8c11cc4f4777b6b122e02",
+        ),
+        (
+            "z^3", 9,
+            "8ebd19abb15585d595f6a22cf769bb9c1198bf75b977e1c53732301840a8d7cd",
+            "858b41240de75e9a5c504ac190a73095533d091e2a278cd3a7c556d852db8732",
+        ),
+        (
+            "z^5", 9,
+            "98baaccec8cf3f0f5e4f47f53cb9f90af0a4f8be5b4c2aa198a653172fc73e10",
+            "523f3307c53526bf43009b60171cf4b1873ce22650ed397463b466c1ad9eab45",
+        ),
+        (
+            "x^2 + y^2", 9,
+            "097b467a9800f2729bf453373de51945846174cbe35e90215450edd2ae6cbcff",
+            "be6f7f4a3f391c52adc01e368da8b106102ee9bb35d54075e767a819dc62271c",
+        ),
+        (
+            "x^3 + y^3", 9,
+            "5d53c435224bd7dc2931d0acdb6a505caba16a1f5b77cdaa15d77b93b18f857a",
+            "9f6ae7137f8c24ab6f2afd9f2ade1c9b3c83a2a7fa90cc9fb0610012c0c0f2b9",
+        ),
+        (
+            "x^4 + y^4", 9,
+            "8eb83a0c5b4d0cb6c333fa10391716fefd1e134fdf28239c357a1688999ac2c9",
+            "fba811701c4f3103157501c531efb274a44451a8135be63ce1e84862443caad0",
+        ),
+        (
+            "x^2 + y^2 + w^2", 9,
+            "67f1f64e22ebeb40f130b2f67ad4848798a1f42b0c46f915c130fc279d638105",
+            "6d279edc07d2bd09baca9bf732cc94fe325d7c3a29bfa42c277e1ed5eab3b183",
+        ),
+        (
+            "x^3 + y^3 + w^3", 9,
+            "ab83a06f67f904f4f0a0eff436cbb61f13016f6f5c39020fcaebdd26f6d6c534",
+            "b21d2861b64a31a5369263cf8dc4d81b8e5d3d94edecba6df0a8646ca6ab1d03",
+        ),
+        (
+            "x^3 + y^3 + w^3 + x*y*w", 9,
+            "cb1c03bc9cb76444ade2c990dc87d05ca7ed1cc7f4a9dd580da502a575b3d9bd",
+            "6bb1e2e05a7f9f1339901ce1bc5acd96fbd92e8660c1e91925ece801b6a17549",
+        ),
+        (
+            "x^4 + 3*x^2*y^2 + y^4", 9,
+            "53f3f82ac19f5f7bbff1f9c018fd3b8d16d6cbf451cf0b8e15b968de1ab9e790",
+            "1b4a910ff5da9f5c0101564685d29c9f80204f34503a9dd3514a4c655d249322",
+        ),
+        (
+            "x^3*y + y^3*w + w^3*x", 9,
+            "42f35e1a745853cc22a13754cc05574b75a72c5706dbfe50d71ecd8954a672af",
+            "5c83141f8bc1a471a1257e13f883b442dc1f66f50e4ba0a5a08d23fd2da2f1b4",
+        ),
+        (
+            "x^2*y", 4,
+            "4ab940c6f624f362b722235a21a179853ba35c6bc0ce0e4047445747784fc451",
+            "150c6189a5d34fa75332693fa182bcdecadcd29b27fb86b9d5b5fc81aab46f28",
+        ),
+        (
+            "x^3*y + x^2*y^2", 4,
+            "b637a30cc1b0c7b70fdcf5c7c467f0fcb4d3e245cc4f986e5f976723a2f70c72",
+            "07134fef1f12557b5eda992299981bce0ed8fb19087ede7b635b3cd297e6de4a",
+        ),
+        (
+            "x^2*y^2 + w^4", 4,
+            "98b97ca89685f5926ce9ef289c2f8d0dd238fc09904924ce28e36c583049b719",
+            "6c0ce3f6a1b9c63ceb59358fbae56b14cacaba28ceb50a7471ff392b2027fd21",
+        ),
+        # Towers at MAX_N_MAX, far past the steps solved directly.
+        (
+            "z^3", MAX_N_MAX,
+            "71d460ee21a001f19aa749663cb9bc414aa0df3d06fbf676e72ab7362a2dbeff",
+            "99dcf96fa4039d87bb511d17e2fb08ae974e53530810282f17c9c048d2118422",
+        ),
+        (
+            "x^3 + y^3", MAX_N_MAX,
+            "54552fcf1ebd23f06d337a3ca41447b1cc9357944f9879505866ef7dc04cc78f",
+            "d2a6a10bb2bc2620bd0fb8b33fc8e3847dc39ecd1977adad12e857373d8ad9c8",
+        ),
+        (
+            "x^2 + y^2 + w^2", MAX_N_MAX,
+            "59ccb35476d462b22eee9492f57dfe47a3b71f05119d66526337a94f9e97e994",
+            "e62a4ec4526838daf8f32bff65888666fe38551d5749392b94065ff1ec2de311",
+        ),
+    ]
+
     @pytest.mark.parametrize(
         "source, n_max, json_digest, text_digest",
-        [
-            (
-                "z^2", 4,
-                "13216926e9bdb919e2a730ce98f0bcd81716199a247f7d0fad299aaea5eea05a",
-                "a6182225affdd6f05e3cf8fc87dd1d0d2052c1e9271b3fa6effb99bbdf72d68e",
-            ),
-            (
-                "z^3", 4,
-                "9690731b78ba36e8e064192632ad6eaecb5e33d2529ec2d6fbf8b26589270586",
-                "d36d12e84678bd19ac3aadf0cf16f76c568cc50838d765cb18ebad27e40aae0d",
-            ),
-            (
-                "z^5", 4,
-                "e8df613d727b641a59741acbce216c454f97d8e731099a7ab4bc98948812e3cf",
-                "9232caa9a7e4b9f0ff9fdc91cfb9643556228804c6a4c4e9d5e9922e724c0026",
-            ),
-            (
-                "x^2 + y^2", 4,
-                "c21a74fe289976f8358a0e7c7941ee100fe4eab2d833edce8ed9c339330f43b8",
-                "7f7b978e71a2369038333f22dd10858d113fab3e1bc598ee42e918d714721e73",
-            ),
-            (
-                "x^3 + y^3", 4,
-                "fd6b1b14b7ad675d81b8b3e3a05512d6491a2ecd7099fcee7e821af10ca47915",
-                "7d8d2993805ef3b532380141dbe12d413827f7a006aa499bc64eaf6592e20320",
-            ),
-            (
-                "x^4 + y^4", 4,
-                "4d80e221fe7cd1779993f0cb1b173b5b3ad9c252c6fd42b6c07e78f12b21aece",
-                "b742983f1598ea03113ed92b8aec3bdb5248b4028cf43e08a7aa5387ebb1cbe7",
-            ),
-            (
-                "x^2 + y^2 + w^2", 4,
-                "ebfd70a4da89d5771b7c4e50a5ccd5252e86e2b9ad8169afc59b9f667773ed02",
-                "723540708d55e8633d37eaa3ab5f887c922bd3d959350d6a08af022dd3b5093d",
-            ),
-            (
-                "x^3 + y^3 + w^3", 4,
-                "81d2cf5ceb70ccfc0c0859e77274ab4178113668ec181cae352ec5faae9d1ab4",
-                "c546c5f5e24888e4b5efaa137e1ba0140bbb9ee2abbac8f34576b70495029e89",
-            ),
-            (
-                "z^2", 9,
-                "274a2c8a5a8f9870b7569a1447ce263ea2581cd53c0cbc8e435fabc3ef02d2a5",
-                "0c1c315bcba719ce6befba6399c34b101b17156ae5d8c11cc4f4777b6b122e02",
-            ),
-            (
-                "z^3", 9,
-                "8ebd19abb15585d595f6a22cf769bb9c1198bf75b977e1c53732301840a8d7cd",
-                "858b41240de75e9a5c504ac190a73095533d091e2a278cd3a7c556d852db8732",
-            ),
-            (
-                "z^5", 9,
-                "98baaccec8cf3f0f5e4f47f53cb9f90af0a4f8be5b4c2aa198a653172fc73e10",
-                "523f3307c53526bf43009b60171cf4b1873ce22650ed397463b466c1ad9eab45",
-            ),
-            (
-                "x^2 + y^2", 9,
-                "097b467a9800f2729bf453373de51945846174cbe35e90215450edd2ae6cbcff",
-                "be6f7f4a3f391c52adc01e368da8b106102ee9bb35d54075e767a819dc62271c",
-            ),
-            (
-                "x^3 + y^3", 9,
-                "5d53c435224bd7dc2931d0acdb6a505caba16a1f5b77cdaa15d77b93b18f857a",
-                "9f6ae7137f8c24ab6f2afd9f2ade1c9b3c83a2a7fa90cc9fb0610012c0c0f2b9",
-            ),
-            (
-                "x^4 + y^4", 9,
-                "8eb83a0c5b4d0cb6c333fa10391716fefd1e134fdf28239c357a1688999ac2c9",
-                "fba811701c4f3103157501c531efb274a44451a8135be63ce1e84862443caad0",
-            ),
-            (
-                "x^2 + y^2 + w^2", 9,
-                "67f1f64e22ebeb40f130b2f67ad4848798a1f42b0c46f915c130fc279d638105",
-                "6d279edc07d2bd09baca9bf732cc94fe325d7c3a29bfa42c277e1ed5eab3b183",
-            ),
-            (
-                "x^3 + y^3 + w^3", 9,
-                "ab83a06f67f904f4f0a0eff436cbb61f13016f6f5c39020fcaebdd26f6d6c534",
-                "b21d2861b64a31a5369263cf8dc4d81b8e5d3d94edecba6df0a8646ca6ab1d03",
-            ),
-            (
-                "x^3 + y^3 + w^3 + x*y*w", 9,
-                "cb1c03bc9cb76444ade2c990dc87d05ca7ed1cc7f4a9dd580da502a575b3d9bd",
-                "6bb1e2e05a7f9f1339901ce1bc5acd96fbd92e8660c1e91925ece801b6a17549",
-            ),
-            (
-                "x^4 + 3*x^2*y^2 + y^4", 9,
-                "53f3f82ac19f5f7bbff1f9c018fd3b8d16d6cbf451cf0b8e15b968de1ab9e790",
-                "1b4a910ff5da9f5c0101564685d29c9f80204f34503a9dd3514a4c655d249322",
-            ),
-            (
-                "x^3*y + y^3*w + w^3*x", 9,
-                "42f35e1a745853cc22a13754cc05574b75a72c5706dbfe50d71ecd8954a672af",
-                "5c83141f8bc1a471a1257e13f883b442dc1f66f50e4ba0a5a08d23fd2da2f1b4",
-            ),
-            (
-                "x^2*y", 4,
-                "4ab940c6f624f362b722235a21a179853ba35c6bc0ce0e4047445747784fc451",
-                "150c6189a5d34fa75332693fa182bcdecadcd29b27fb86b9d5b5fc81aab46f28",
-            ),
-            (
-                "x^3*y + x^2*y^2", 4,
-                "b637a30cc1b0c7b70fdcf5c7c467f0fcb4d3e245cc4f986e5f976723a2f70c72",
-                "07134fef1f12557b5eda992299981bce0ed8fb19087ede7b635b3cd297e6de4a",
-            ),
-            (
-                "x^2*y^2 + w^4", 4,
-                "98b97ca89685f5926ce9ef289c2f8d0dd238fc09904924ce28e36c583049b719",
-                "6c0ce3f6a1b9c63ceb59358fbae56b14cacaba28ceb50a7471ff392b2027fd21",
-            ),
-            # Towers at MAX_N_MAX, far past the steps solved directly.
-            (
-                "z^3", MAX_N_MAX,
-                "71d460ee21a001f19aa749663cb9bc414aa0df3d06fbf676e72ab7362a2dbeff",
-                "99dcf96fa4039d87bb511d17e2fb08ae974e53530810282f17c9c048d2118422",
-            ),
-            (
-                "x^3 + y^3", MAX_N_MAX,
-                "54552fcf1ebd23f06d337a3ca41447b1cc9357944f9879505866ef7dc04cc78f",
-                "d2a6a10bb2bc2620bd0fb8b33fc8e3847dc39ecd1977adad12e857373d8ad9c8",
-            ),
-            (
-                "x^2 + y^2 + w^2", MAX_N_MAX,
-                "59ccb35476d462b22eee9492f57dfe47a3b71f05119d66526337a94f9e97e994",
-                "e62a4ec4526838daf8f32bff65888666fe38551d5749392b94065ff1ec2de311",
-            ),
-        ],
+        _PINNED_REPORTS,
+        ids=[f"{source}-{n_max}" for source, n_max, _, _ in _PINNED_REPORTS],
     )
     def test_whole_report_is_pinned(self, source, n_max, json_digest, text_digest):
         # Pins both renderings byte for byte, apart from the measured time.
@@ -1065,6 +1072,17 @@ class TestStructuredOutput:
     @settings(max_examples=300, deadline=None)
     def test_json_writer_matches_the_standard_encoder_on_any_report(self, report):
         assert report.to_json() == _reference_json(report.to_dict())
+
+    @given(report=_reports(), seconds=st.sampled_from([math.nan, math.inf, -math.inf, 0, 1]))
+    @settings(max_examples=50, deadline=None)
+    def test_report_refuses_a_time_that_is_not_a_finite_float(self, report, seconds):
+        # The validator refuses such a time, so no Report may hold one.
+        with pytest.raises(ValueError, match="^timing.seconds: not a finite float$"):
+            report._replace(timing_seconds=seconds)
+
+    def test_a_run_refuses_a_time_that_is_not_a_finite_float(self):
+        with pytest.raises(ValueError, match="^timing.seconds: not a finite float$"):
+            run_source("x^3 + y^3")._replace(timing_seconds=math.nan)
 
     def test_json_writer_runs_no_generic_encoder(self, monkeypatch, capsys):
         report = run_source("x^3 + y^3", n_max=9)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from loopsing import cohom
 from loopsing.cohom import (
-    EscapeRow,
     GradedDims,
     GysinTower,
     Inconsistent,
@@ -22,18 +21,14 @@ from loopsing.cohom import (
     RenormalizedReport,
     Underdetermined,
     declared_support_floor,
-    escape_table,
-    gysin_step,
     gysin_tower,
     milnor_fiber_cohomology,
-    renormalized_nearby_cohomology,
     residue_onto_unit_fact,
     solve_les_detailed,
     sphere_cohomology,
-    truncation_cohomology,
 )
 
-from conftest import CORPUS, alternating_sums, deadline
+from conftest import CORPUS, alternating_sums, deadline, ranks_into_steps
 
 
 def gysin_system(full_a: GradedDims, d: int) -> LesSystem:
@@ -78,7 +73,7 @@ def _scan_renormalized(tower: GysinTower) -> RenormalizedReport:
     there.  Scanning the steps backward, the first failure seen in a degree is
     its last one; it stabilizes at the next step.
     """
-    d, n_max, fulls, gysin_ranks = tower.d, tower.n_max, tower.truncations, tower.gysin_ranks
+    d, n_max, fulls, gysin_ranks = tower.d, tower.n_max, tower.truncations, ranks_into_steps(tower)
     if n_max < 2:
         raise ValueError("need n_max >= 2")
 
@@ -415,29 +410,34 @@ class TestSolveLes:
         assert solution.b == GradedDims({0: 1, 1_000_002: 1})
 
 
+def _solved_step(reduced: GradedDims, d: int) -> GradedDims:
+    """The next truncation's reduced cohomology, solved on the full Gysin system."""
+    return solve_les_detailed(gysin_system(reduced.with_unit(), d)).b.drop_unit()
+
+
 class TestGysinShift:
     def test_point_pair_becomes_sphere_class(self):
-        assert gysin_step(GradedDims({0: 1}), 1) == GradedDims({2: 1})
+        assert _solved_step(GradedDims({0: 1}), 1) == GradedDims({2: 1})
 
     def test_plane_cubic(self):
-        assert gysin_step(GradedDims({1: 4}), 2) == GradedDims({5: 4})
+        assert _solved_step(GradedDims({1: 4}), 2) == GradedDims({5: 4})
 
     def test_empty(self):
-        assert gysin_step(GradedDims(), 1) == GradedDims()
+        assert _solved_step(GradedDims(), 1) == GradedDims()
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
     @pytest.mark.parametrize("n", range(5))
     def test_agrees_with_generic_solver_on_corpus(self, entry, n):
-        reduced = truncation_cohomology(entry.d, entry.mu, n).drop_unit()
+        reduced = gysin_tower(entry.d, entry.mu, n).truncations[n].drop_unit()
         system = gysin_system(reduced.with_unit(), entry.d)
         solution = solve_les_detailed(system)
-        assert solution.b == gysin_step(reduced, entry.d).with_unit()
+        assert solution.b == reduced.shifted(2 * entry.d).with_unit()
         assert all(total == 0 for total in alternating_sums(solution, system))
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
     def test_euler_characteristic_bookkeeping(self, entry):
         for n in range(4):
-            full = truncation_cohomology(entry.d, entry.mu, n)
+            full = gysin_tower(entry.d, entry.mu, n).truncations[n]
             nxt = solve_les_detailed(gysin_system(full, entry.d)).b
             assert _euler(nxt) == _euler(full) + _euler(sphere_cohomology(entry.d))
 
@@ -451,17 +451,16 @@ class TestGysinTower:
             assert tower.n_max == n_max
             assert len(tower.truncations) == n_max + 1
             for n, full in enumerate(tower.truncations):
-                assert full == truncation_cohomology(d, mu, n)
-            assert [row.degree for row in escape_table(d, mu, n_max)] == list(tower.degrees)
-            if n_max >= 2:
-                assert tower.renormalized() == renormalized_nearby_cohomology(d, mu, n_max)
+                shorter = gysin_tower(d, mu, n)
+                assert full == shorter.truncations[n]
+                assert tower.degrees[n] == shorter.degrees[n]
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
     def test_steps_keep_only_nonzero_gysin_ranks(self, entry):
         d, mu = entry.d, entry.mu
         tower = gysin_tower(d, mu, 6)
-        assert len(tower.gysin_ranks) == 6
-        for n, ranks in enumerate(tower.gysin_ranks, start=1):
+        assert len(ranks_into_steps(tower)) == 6
+        for n, ranks in enumerate(ranks_into_steps(tower), start=1):
             # the reduced class maps isomorphically; the unit dies in the residue
             assert dict(ranks) == {2 * n * d + d - 1: mu}
         assert tower.axioms == (cohom.RESIDUE_FULL_RANK_AXIOM,)
@@ -487,7 +486,7 @@ class TestGysinTower:
             )
             assert tower.truncations == truncations[: n_max + 1]
             assert tower.degrees == degrees[: n_max + 1]
-            assert tower.gysin_ranks == gysin_ranks[:n_max]
+            assert ranks_into_steps(tower) == gysin_ranks[:n_max]
             if n_max >= 2:
                 assert tower.renormalized() == _scan_renormalized(tower)
 
@@ -563,44 +562,39 @@ class TestGysinTower:
 class TestTruncationTower:
     @pytest.mark.parametrize("n,expected", [(0, {0: 2}), (1, {0: 1, 2: 1}), (2, {0: 1, 4: 1})])
     def test_quadric_tower_is_even_spheres(self, n, expected):
-        assert truncation_cohomology(1, 1, n) == GradedDims(expected)
+        assert gysin_tower(1, 1, n).truncations[n] == GradedDims(expected)
 
     def test_plane_cubic_base(self):
-        assert truncation_cohomology(2, 4, 0) == GradedDims({0: 1, 1: 4})
+        assert gysin_tower(2, 4, 0).truncations[0] == GradedDims({0: 1, 1: 4})
 
     def test_plane_cubic_two_steps(self):
-        assert truncation_cohomology(2, 4, 2) == GradedDims({0: 1, 9: 4})
+        assert gysin_tower(2, 4, 2).truncations[2] == GradedDims({0: 1, 9: 4})
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
     def test_concentration_degree(self, entry):
         for n in range(4):
-            full = truncation_cohomology(entry.d, entry.mu, n)
+            full = gysin_tower(entry.d, entry.mu, n).truncations[n]
             reduced = full.drop_unit()
             assert reduced.items() == ((2 * n * entry.d + entry.d - 1, entry.mu),)
 
 
 class TestEscape:
     def test_quadric(self):
-        assert [(row.n, row.degree) for row in escape_table(1, 1, 3)] == [
-            (0, 0), (1, 2), (2, 4), (3, 6)
-        ]
+        assert gysin_tower(1, 1, 3).degrees == (0, 2, 4, 6)
 
     def test_plane_cubic(self):
-        assert [(row.n, row.degree) for row in escape_table(2, 4, 2)] == [(0, 1), (1, 5), (2, 9)]
+        assert gysin_tower(2, 4, 2).degrees == (1, 5, 9)
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
     def test_strictly_increasing_in_steps_of_2d(self, entry):
-        degrees = [row.degree for row in escape_table(entry.d, entry.mu, 4)]
+        degrees = gysin_tower(entry.d, entry.mu, 4).degrees
         assert all(b - a == 2 * entry.d for a, b in zip(degrees, degrees[1:]))
 
-    def test_table_records_declared_floor(self):
-        rows = escape_table(2, 4, 2)
-        assert rows[0] == EscapeRow(n=0, degree=1, declared_floor=3)
-        for row in rows:
-            assert row.declared_floor == declared_support_floor(2, row.n)
-            # the computed degree sits exactly d below the declared floor
-            assert row.declared_floor - row.degree == 2
-            assert row.degree < row.declared_floor
+    def test_degrees_sit_d_below_the_declared_floor(self):
+        degrees = gysin_tower(2, 4, 2).degrees
+        assert (degrees[0], declared_support_floor(2, 0)) == (1, 3)
+        for n, degree in enumerate(degrees):
+            assert declared_support_floor(2, n) - degree == 2
 
 
 class TestRenormalized:
@@ -676,21 +670,21 @@ class TestRenormalized:
             )
 
     def test_quadric(self):
-        report = renormalized_nearby_cohomology(1, 1, 4)
+        report = gysin_tower(1, 1, 4).renormalized()
         assert report.stable == GradedDims({0: 1})
         assert report.stabilization_step[0] == 1
 
     def test_plane_cubic(self):
-        report = renormalized_nearby_cohomology(2, 4, 4)
+        report = gysin_tower(2, 4, 4).renormalized()
         assert report.stable == GradedDims({1: 4})
         assert report.stabilization_step[1] == 0
         assert report.stabilization_step[0] == 1
 
     def test_space_cubic(self):
-        assert renormalized_nearby_cohomology(3, 8, 4).stable == GradedDims({2: 8})
+        assert gysin_tower(3, 8, 4).renormalized().stable == GradedDims({2: 8})
 
     def test_negative_degrees_report_zero(self):
-        report = renormalized_nearby_cohomology(2, 4, 4)
+        report = gysin_tower(2, 4, 4).renormalized()
         negatives = [s for s in report.stabilization_step if s < 0]
         assert negatives
         for s in negatives:
@@ -698,21 +692,21 @@ class TestRenormalized:
             assert s in report.stabilization_step
 
     def test_unit_death_steps_match_divisibility(self):
-        report = renormalized_nearby_cohomology(2, 4, 4)
+        report = gysin_tower(2, 4, 4).renormalized()
         # s = -4 = -2d: unit lives at step 1, dies at step 2
         assert report.stabilization_step[-4] == 2
         # s = -2 is never hit: stable zero from the start
         assert report.stabilization_step[-2] == 0
 
     def test_surfaces_the_residue_axiom(self):
-        report = renormalized_nearby_cohomology(2, 4, 4)
+        report = gysin_tower(2, 4, 4).renormalized()
         assert any("residue" in axiom for axiom in report.axioms)
 
     def test_requires_tall_enough_tower(self):
         with pytest.raises(ValueError):
-            renormalized_nearby_cohomology(2, 4, 1)
+            gysin_tower(2, 4, 1).renormalized()
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.source)
     def test_theorem_values_on_corpus(self, entry):
-        report = renormalized_nearby_cohomology(entry.d, entry.mu, 4)
+        report = gysin_tower(entry.d, entry.mu, 4).renormalized()
         assert report.stable == GradedDims({entry.d - 1: entry.mu})

@@ -21,7 +21,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_DIGESTS = {
     "cohomology_tower": "b78d0493550596f4a29de8c91afb17f9bfcdfc9a37bea95bce57274e8c4834a5",
     "loop_functional_walkthrough": (
-        "5ce80820ef51d1344eaa742091a13f3aefb06a31a35ff6ef0bd48a12e7b5b75f"
+        "c8bacb8eb2edbfde84fa38fb6c48f7f694dce6463c38a21caf1ffdb8d291e839"
     ),
     "milnor_numbers": "807525522934c3d1c8145c91381b472c39bba5c4677488986edc1e45502c2791",
 }

@@ -25,9 +25,6 @@ from loopsing.grobner import (
     jacobian_ideal,
     milnor_number,
     milnor_number_oracle,
-    normal_form,
-    s_polynomial,
-    standard_monomials,
 )
 
 from conftest import (
@@ -36,6 +33,7 @@ from conftest import (
     Poly,
     bench_module,
     build,
+    exponent_terms,
     fermat_source,
     ideal_of,
     packed_vector,
@@ -52,6 +50,47 @@ x, y, w = lv(1), lv(2), lv(3)
 
 def mono(*pairs) -> Monomial:
     return Monomial(tuple((LoopVar(c, 0), e) for c, e in pairs))
+
+
+def _quotient(m: Monomial, lead: Monomial) -> Monomial | None:
+    """m / lead when lead divides m, else None."""
+    exponents = dict(m.factors)
+    for v, e in lead.factors:
+        if exponents.get(v, 0) < e:
+            return None
+        exponents[v] -= e
+    return Monomial(exponents)
+
+
+def _normal_form(p: LoopPoly, divisors) -> Poly:
+    """Reference division on Poly terms, independent of the packed kernel:
+    the largest term of p is cancelled against the first divisor whose lead
+    divides it, else moved to the remainder, until p is zero."""
+    p, remainder = Poly.of(p), []
+    divisors = [g for g in divisors if g]
+    while p:
+        m, c = p.terms[0]
+        for g in divisors:
+            lead, lead_c = g.terms[0]
+            q = _quotient(m, lead)
+            if q is not None:
+                p = p - Poly({q: c / lead_c}) * g
+                break
+        else:
+            remainder.append((m, c))
+            p = Poly(p.terms[1:])
+    return Poly(remainder)
+
+
+def _s_polynomial(f: LoopPoly, g: LoopPoly) -> Poly:
+    """Reference S-polynomial lcm/lead(f) * f - lcm/lead(g) * g, on Poly terms."""
+    (lead_f, c_f), (lead_g, c_g) = f.terms[0], g.terms[0]
+    exponents = dict(lead_f.factors)
+    for v, e in lead_g.factors:
+        exponents[v] = max(exponents.get(v, 0), e)
+    lcm = Monomial(exponents)
+    return (Poly({_quotient(lcm, lead_f): 1 / c_f}) * f
+            - Poly({_quotient(lcm, lead_g): 1 / c_g}) * g)
 
 
 class TestBuchberger:
@@ -77,7 +116,7 @@ class TestBuchberger:
         elements = gb.elements
         for i in range(len(elements)):
             for j in range(i + 1, len(elements)):
-                assert not normal_form(s_polynomial(elements[i], elements[j]), elements)
+                assert not _normal_form(_s_polynomial(elements[i], elements[j]), elements)
 
     def test_nontrivial_pair_processing(self):
         # x^2 y - 1 and x y^2 - 1 need genuine S-polynomial work
@@ -85,7 +124,7 @@ class TestBuchberger:
         g = x * y**2 - Poly.constant(1)
         gb = buchberger(ideal_of([f, g], 2))
         for p in (f, g):
-            assert not normal_form(p, gb.elements)
+            assert not _normal_form(p, gb.elements)
         lead = {e.terms[0][0] for e in gb.elements}
         assert mono((1, 1)) in lead or mono((2, 1)) in lead  # x - y reduces one of them
 
@@ -99,62 +138,15 @@ class TestNormalForm:
     def test_reduction_is_idempotent(self):
         gb = buchberger(jacobian_ideal(build("x^3 + y^3")))
         probe = x**4 + x * y**2 + y + Poly.constant(5)
-        once = normal_form(probe, gb.elements)
-        assert normal_form(once, gb.elements) == once
+        once = _normal_form(probe, gb.elements)
+        assert _normal_form(once, gb.elements) == once
 
     def test_remainder_has_no_reducible_monomial(self):
         gb = buchberger(jacobian_ideal(build("x^3 + y^3")))
-        remainder = normal_form(x**5 + y**5 + x**2 * y**2, gb.elements)
+        remainder = _normal_form(x**5 + y**5 + x**2 * y**2, gb.elements)
         heads = [g.terms[0][0] for g in gb.elements]
         for m, _ in remainder.terms:
             assert not any(_divides(h, m) for h in heads)
-
-
-def loop_var(coord: int, cdeg: int) -> Poly:
-    return Poly.variable(LoopVar(coord, cdeg))
-
-
-class TestLoopVariables:
-    """Division and S-polynomials over variables of nonzero conformal degree.
-
-    The expected strings were computed with the LoopPoly-based division this
-    module used before it ran on exponent vectors.
-    """
-
-    a, b, c, e, t = (loop_var(1, -1), loop_var(2, 1), loop_var(1, 0), loop_var(2, -2), loop_var(1, 1))
-    p = a**2 * b + 3 * c * b - t**2 + Fraction(1, 2) * e + a * e**2
-    f = a * b - t
-    g = b**2 + 2 * c * e
-    h = e**2 - Fraction(1, 3) * a
-
-    def test_normal_form(self):
-        assert str(normal_form(self.p, [self.f, self.g, self.h])) == (
-            "-z1_1^2 + 3*z1_0*z2_1 + z1_-1*z1_1 + 1/3*z1_-1^2 + 1/2*z2_-2"
-        )
-
-    def test_normal_form_of_a_square_in_another_divisor_order(self):
-        assert str(normal_form(self.p**2, [self.h, self.g, self.f])) == (
-            "-2*z2_-2*z1_-1^4*z1_0 - 12*z2_-2*z1_-1^2*z1_0^2 + z1_1^4 - 6*z1_0*z1_1^2*z2_1"
-            " - 2*z1_-1*z1_1^3 - 2/3*z1_-1^2*z1_1^2 + 2/3*z1_-1^3*z1_1 + 1/9*z1_-1^4"
-            " - 18*z2_-2*z1_0^3 + 2*z1_-1*z1_0*z1_1 - z2_-2*z1_1^2 + 3*z2_-2*z1_0*z2_1"
-            " + z2_-2*z1_-1*z1_1 + 1/3*z2_-2*z1_-1^2 + 1/12*z1_-1"
-        )
-
-    @pytest.mark.parametrize(
-        "pair, expected",
-        [
-            ("fg", "-2*z2_-2*z1_-1*z1_0 - z1_1*z2_1"),
-            ("gh", "2*z2_-2^3*z1_0 + 1/3*z1_-1*z2_1^2"),
-            ("fh", "1/3*z1_-1^2*z2_1 - z2_-2^2*z1_1"),
-        ],
-    )
-    def test_s_polynomial(self, pair, expected):
-        left, right = (getattr(self, name) for name in pair)
-        assert str(s_polynomial(left, right)) == expected
-        assert s_polynomial(right, left) == -Poly.of(s_polynomial(left, right))
-
-    def test_zero_divisors_are_skipped(self):
-        assert normal_form(self.p, [LoopPoly(), self.f]) == normal_form(self.p, [self.f])
 
 
 def _monomial_standard_monomials(gb: GroebnerBasis) -> list[Monomial] | None:
@@ -201,58 +193,53 @@ def _boxes_and_leads(draw) -> tuple[list[int], list[tuple[int, ...]]]:
     return box, leads + draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), max_size=6))
 
 
+def _count_and_top(gb: GroebnerBasis) -> tuple[int, int]:
+    """The staircase's count and top, as the Milnor count reads them off the leads."""
+    leads = [g[0][0] for g in gb.terms]
+    return grobner._staircase(leads, grobner._box(leads, gb.d))
+
+
 class TestStandardMonomials:
     def test_principal(self):
         gb = buchberger(ideal_of([x], 1))
-        assert standard_monomials(gb) == [Monomial()]
+        assert _monomial_standard_monomials(gb) == [Monomial()]
+        assert _count_and_top(gb) == (1, 0)
 
     def test_fermat_cubic(self):
         gb = buchberger(ideal_of([x**2, y**2], 2))
-        assert standard_monomials(gb) == [
+        assert _monomial_standard_monomials(gb) == [
             Monomial(),
             mono((1, 1)),
             mono((2, 1)),
             mono((1, 1), (2, 1)),
         ]
+        assert _count_and_top(gb) == (4, 2)
 
     def test_infinite_when_a_variable_is_free(self):
         gb = buchberger(ideal_of([x], 2))
         with pytest.raises(NotIsolated):
-            standard_monomials(gb)
+            _count_and_top(gb)
 
     def test_unit_ideal_has_empty_quotient(self):
         gb = buchberger(ideal_of([Poly.constant(2), x], 1))
-        assert standard_monomials(gb) == []
+        assert grobner._staircase([g[0][0] for g in gb.terms], [1]) == (0, -1)
 
     @settings(deadline=None, max_examples=200)
     @given(_monomial_and_binomial_ideals())
     @example(ideal_of([x], 2))
     @example(ideal_of([x * y - y**2, y], 3))
-    @example(ideal_of([x + Poly.constant(1), x], 1))
-    def test_matches_the_monomial_enumeration(self, ideal):
-        gb = buchberger(ideal)
-        expected = _monomial_standard_monomials(gb)
-        if expected is None:
-            with pytest.raises(NotIsolated):
-                standard_monomials(gb)
-        else:
-            assert standard_monomials(gb) == expected
-
-    @settings(deadline=None, max_examples=200)
-    @given(_monomial_and_binomial_ideals())
     @example(ideal_of([x**2, y**3, x * y], 2))
     @example(ideal_of([x**2 - y * w, y**2, w**3, x * y * w], 3))
     def test_staircase_count_matches_the_enumeration(self, ideal):
         gb = buchberger(ideal)
         leads = [g[0][0] for g in gb.terms]
         assume(all(map(any, leads)))  # the unit ideal has no box
-        try:
-            expected = len(standard_monomials(gb))
-        except NotIsolated:
+        expected = _monomial_standard_monomials(gb)
+        if expected is None:
             with pytest.raises(NotIsolated):
                 grobner._box(leads, gb.d)
         else:
-            assert grobner._staircase(leads, grobner._box(leads, gb.d))[0] == expected
+            assert grobner._staircase(leads, grobner._box(leads, gb.d))[0] == len(expected)
 
     @settings(deadline=None, max_examples=200)
     @given(_boxes_and_leads())
@@ -273,12 +260,11 @@ class TestStandardMonomials:
     def test_staircase_top_matches_the_enumeration(self, ideal):
         gb = buchberger(ideal)
         leads = [g[0][0] for g in gb.terms]
-        try:
-            degrees = [sum(e for _, e in m.factors) for m in standard_monomials(gb)]
-        except NotIsolated:
+        standard = _monomial_standard_monomials(gb)
+        if standard is None:
             expected = None  # infinitely many standard monomials: no top
         else:
-            expected = max(degrees, default=-1)  # -1 for the unit ideal
+            expected = max((m.key[0] for m in standard), default=-1)  # -1 for the unit ideal
         assert _staircase_top(leads, gb.d) == expected
 
     @settings(deadline=None, max_examples=200)
@@ -529,7 +515,7 @@ class TestBeyondFermat:
         gb = buchberger(jacobian_ideal(build(source)))
         leads = [g[0][0] for g in gb.terms]
         assert grobner._staircase(leads, grobner._box(leads, gb.d))[0] == len(
-            standard_monomials(gb)
+            _monomial_standard_monomials(gb)
         )
 
 
@@ -831,10 +817,6 @@ def _fraction_terms(p: LoopPoly, variables) -> list:
     return out
 
 
-def _fraction_poly(terms, variables) -> LoopPoly:
-    return LoopPoly((Monomial(zip(variables, e)), c) for e, c in terms)
-
-
 def _fraction_reduce(terms, divisors) -> list:
     """Reference division: the Fraction kernel that grobner ran before its integer one."""
     pending = {}
@@ -891,11 +873,11 @@ def _polys(draw, d: int, max_degree: int = 3, min_terms: int = 1, max_terms: int
 
 
 @st.composite
-def _divisions(draw) -> tuple[LoopPoly, list[LoopPoly]]:
+def _divisions(draw) -> tuple[int, LoopPoly, list[LoopPoly]]:
     d = draw(st.integers(1, 3))
     p = draw(_polys(d, max_degree=4, min_terms=0, max_terms=6))
     divisors = st.one_of(st.just(LoopPoly()), _polys(d, max_degree=2, max_terms=3))
-    return p, draw(st.lists(divisors, max_size=3))
+    return d, p, draw(st.lists(divisors, max_size=3))
 
 
 class TestIntegerKernel:
@@ -904,22 +886,45 @@ class TestIntegerKernel:
     @settings(deadline=None, max_examples=300)
     @given(_divisions())
     # y^2 goes to the remainder before x*y is cancelled against the lead 2*x*y.
-    @example((y**2 + x * y + x, [2 * x * y + y]))
-    def test_normal_form_matches_the_fraction_kernel(self, division):
-        p, divisors = division
-        variables = grobner._variables(p, *divisors)
+    @example((2, y**2 + x * y + x, [2 * x * y + y]))
+    def test_reduce_matches_the_fraction_kernel(self, division):
+        # The remainder is the rational one times the returned multiplier,
+        # the dividend's integer multiple undone.
+        d, p, divisors = division
+        terms = exponent_terms(p, d)
         expected = _fraction_reduce(
-            _fraction_terms(p, variables), [_fraction_terms(g, variables) for g in divisors]
+            terms.items(), [list(exponent_terms(g, d).items()) for g in divisors]
         )
-        assert normal_form(p, divisors) == _fraction_poly(expected, variables)
+        scale = math.lcm(*(c.denominator for c in terms.values()))
+        remainder, multiplier = grobner._reduce(
+            [(grobner._packed(e), c.numerator * (scale // c.denominator)) for e, c in terms.items()],
+            grobner._Divisors(
+                grobner._packed_terms(grobner._integer_terms(exponent_terms(g, d)))
+                for g in divisors
+            ),
+            grobner._Run(d),
+        )
+        assert [
+            (grobner._unpacked(e, d), Fraction(c, multiplier * scale)) for e, c in remainder
+        ] == expected
 
     @settings(deadline=None)
     @given(st.integers(1, 3), st.data())
-    def test_s_polynomial_matches_the_fraction_kernel(self, d, data):
-        f, g = data.draw(_polys(d)), data.draw(_polys(d))
-        variables = grobner._variables(f, g)
-        expected = _fraction_s_terms(_fraction_terms(f, variables), _fraction_terms(g, variables))
-        assert s_polynomial(f, g) == _fraction_poly(expected, variables)
+    def test_s_terms_match_the_fraction_kernel(self, d, data):
+        # The S-polynomial times c_f*c_g/gcd(c_f, c_g), for the integer leads.
+        f, g = (exponent_terms(data.draw(_polys(d)), d) for _ in range(2))
+        f_ints, g_ints = grobner._integer_terms(f), grobner._integer_terms(g)
+        (lead_f, c_f), (lead_g, c_g) = f_ints[0], g_ints[0]
+        scale = Fraction(math.gcd(c_f, c_g), c_f * c_g)
+        got, expected = {}, {}
+        for e, c in grobner._s_terms(
+            grobner._packed_terms(f_ints), grobner._packed_terms(g_ints),
+            grobner._packed(tuple(map(max, lead_f, lead_g))),
+        ):
+            got[grobner._unpacked(e, d)] = got.get(grobner._unpacked(e, d), 0) + c * scale
+        for e, c in _fraction_s_terms(list(f.items()), list(g.items())):
+            expected[e] = expected.get(e, 0) + c
+        assert {e: c for e, c in got.items() if c} == {e: c for e, c in expected.items() if c}
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 3), st.data())
@@ -1537,7 +1542,7 @@ class TestPacking:
     @settings(deadline=None)
     @given(st.integers(0, 6), st.data())
     def test_pack_matches_the_field_by_field_reference(self, d, data):
-        # d = 0 is a constant polynomial's vector, as normal_form meets it.
+        # d = 0 is the vector of no entries.
         e = data.draw(_vectors(d))
         assert grobner._packed(e) == packed_vector(e)
 
@@ -1685,8 +1690,6 @@ class TestPacking:
         monkeypatch.setattr(grobner, "MAX_REDUCTION_WORK", 100)
         with pytest.raises(grobner._BasisTooLarge, match="budget of 100 reduction"):
             buchberger(ideal)
-        with pytest.raises(grobner._BasisTooLarge, match="budget of 100 reduction"):
-            normal_form(x**20 + y**20 + w**20, gb.elements)
 
 
 class TestIdealValidation:

@@ -24,8 +24,6 @@ from loopsing.loopfun import (
     check_derivative_identity,
     check_support_bound,
     check_top_linearity,
-    jet_coefficient,
-    lambda_of,
     minimal_window,
     support_window,
 )
@@ -37,9 +35,13 @@ from conftest import (
     build,
     coded,
     deadline,
+    decoded,
+    decoded_monomial,
     homogeneous_forms,
     input_function,
+    jet_coefficient,
     jet_coefficient_by_enumeration,
+    lambda_of,
     rename_variables,
     substitute,
     top_exponent,
@@ -328,10 +330,9 @@ def _forged_linearity(func: InputFunction, bottom: int, lam: LoopPoly) -> TopLin
     reading `_nonlinear` on lam's codes."""
     window = minimal_window(func, bottom)
     jet = coded(lam, func, bottom)
-    offending = tuple(map(jet.monomial, loopfun._nonlinear(jet, window.top)))
+    offending = tuple(map(jet.monomial_text, loopfun._nonlinear(jet, window.top)))
     return TopLinearityReport(
-        ok=not offending, top_cdeg=window.top, offending_monomials=offending,
-        functional=lam, window=window,
+        ok=not offending, top_cdeg=window.top, offending_monomials=offending, window=window
     )
 
 
@@ -348,7 +349,7 @@ class TestTopLinearity:
         # of the top variables, the remainder taken from d products.
         func = build(source)
         report = check_top_linearity(func, bottom)
-        _, remainder = _linearity_by_products(func, bottom, report.functional)
+        _, remainder = _linearity_by_products(func, bottom, lambda_of(func, report.window))
         assert report.ok and all(v.cdeg < report.top_cdeg for v in remainder.variables())
 
     def test_euler_identity_matches_the_products_off_the_theorem(self):
@@ -356,7 +357,7 @@ class TestTopLinearity:
         lam = lv(1, 1) ** 2 * lv(1, 0) + 3 * lv(1, 0) * lv(1, 1) + lv(1, -1)
         report = _forged_linearity(func, 1, lam)
         assert not report.ok
-        assert report.offending_monomials == (lam.terms[0][0],)
+        assert report.offending_monomials == (str(lam.terms[0][0]),)
         _, remainder = _linearity_by_products(func, 1, lam)
         assert any(v.cdeg == report.top_cdeg for v in remainder.variables())
 
@@ -364,7 +365,7 @@ class TestTopLinearity:
         func = build("z^2")
         report = check_top_linearity(func, 1)
         assert report.ok
-        assert _linearity_by_products(func, 1, report.functional) == (
+        assert _linearity_by_products(func, 1, lambda_of(func, report.window)) == (
             2 * lv(1, 1) * lv(1, -1), lv(1, 0) ** 2
         )
 
@@ -372,7 +373,7 @@ class TestTopLinearity:
         func = build("z^3")
         report = check_top_linearity(func, 1)
         assert report.ok
-        assert _linearity_by_products(func, 1, report.functional) == (
+        assert _linearity_by_products(func, 1, lambda_of(func, report.window)) == (
             3 * lv(1, 2) * lv(1, -1) ** 2,
             lv(1, 0) ** 3 + 6 * lv(1, -1) * lv(1, 0) * lv(1, 1),
         )
@@ -381,7 +382,7 @@ class TestTopLinearity:
     def test_holds_on_corpus(self, corpus_function, bottom):
         report = check_top_linearity(corpus_function, bottom)
         assert report.ok and not report.offending_monomials
-        assert report.functional == lambda_of(corpus_function, report.window)
+        assert report.window == minimal_window(corpus_function, bottom)
 
 
 class TestDerivativeIdentity:
@@ -450,7 +451,7 @@ def _coded(poly: LoopPoly) -> loopfun._Jet:
 
 def _decoded(jet: loopfun._Jet, terms: dict) -> dict:
     """{codes: coefficient} as {Monomial: coefficient}."""
-    return {jet.monomial(codes): c for codes, c in terms.items()}
+    return {decoded_monomial(jet, codes): c for codes, c in terms.items()}
 
 
 def _scan_max_cdeg(poly: LoopPoly) -> int:
@@ -475,8 +476,10 @@ class TestOrderReadingForms:
     @settings(deadline=None)
     def test_codes_decode_to_the_polynomial_and_its_text(self, poly):
         jet = _coded(poly)
-        assert [jet.monomial(codes) for _, codes, _ in jet.rows] == [m for m, _ in poly.terms]
-        assert jet.poly() == poly
+        assert [decoded_monomial(jet, codes) for _, codes, _ in jet.rows] == [
+            m for m, _ in poly.terms
+        ]
+        assert decoded(jet) == poly
         for names in (("x", "y"), ("a1", "b22")):
             assert jet.to_string(names) == poly.to_string(names)
         for (_, codes, _), (mono, _) in zip(jet.rows, poly.terms):
@@ -495,7 +498,7 @@ class TestOrderReadingForms:
     @settings(deadline=None)
     def test_top_exponent_and_reaching_terms(self, poly, top):
         jet = _coded(poly)
-        assert [jet.monomial(codes) for codes in loopfun._nonlinear(jet, top)] == [
+        assert [decoded_monomial(jet, codes) for codes in loopfun._nonlinear(jet, top)] == [
             m for m, _ in poly.terms if top_exponent(m, top) > 1
         ]
 
@@ -505,7 +508,7 @@ class TestOrderReadingForms:
         jet = _coded(poly)
         reference = zero_out(poly, lambda v: v.cdeg > top)
         truncated = jet.truncated(top)
-        assert truncated.poly() == reference
+        assert decoded(truncated) == reference
         assert (truncated is jet) == (reference is poly)
         assert _decoded(jet, jet.on_constant_loops()) == dict(
             zero_out(poly, lambda v: v.cdeg != 0).terms
@@ -532,13 +535,13 @@ class TestOrderReadingForms:
         lam = lambda_of(ORDER_FUNC, window) + extra
         linearity = _forged_linearity(ORDER_FUNC, 1, lam)
         assert linearity.offending_monomials == tuple(
-            m for m, _ in lam.terms if top_exponent(m, ORDER_TOP) > 1
+            str(m) for m, _ in lam.terms if top_exponent(m, ORDER_TOP) > 1
         )
         derivative = loopfun._derivative_report(ORDER_FUNC, window, _coded(lam))
         at_bottom = {LoopVar(i, 0): Poly.variable(LoopVar(i, -1)) for i in (1, 2)}
         for check, d_j in zip(derivative.checks, ORDER_FUNC.partials):
             lhs = lam.partial(LoopVar(check.coord, ORDER_TOP))
-            via_coeff = loopfun._jet_of_poly(d_j, window, -2).poly()
+            via_coeff = decoded(loopfun._jet_of_poly(d_j, window, -2))
             assert check.via_t_coefficient == (lhs == via_coeff)
             d_j_at_bottom = substitute(
                 ambient_poly(ORDER_FUNC).partial(LoopVar(check.coord, 0)), at_bottom
@@ -559,7 +562,7 @@ class TestOrderReadingForms:
         assert not loopfun._nonlinear(_coded(lam), ORDER_TOP)
         jet = _coded(lam)
         assert jet.on_constant_loops() == {(): 3}
-        assert jet.truncated(0).poly() == Poly.constant(3)
+        assert decoded(jet.truncated(0)) == Poly.constant(3)
 
     def test_a_variable_beyond_the_coordinates_is_a_value_error(self):
         with pytest.raises(ValueError, match="z3_0 lies beyond F's 2 coordinates"):
@@ -692,14 +695,14 @@ class TestCanonicalJets:
     @staticmethod
     def assert_canonical(jet: loopfun._Jet):
         for degree, codes, coeff in jet.rows:
-            mono = jet.monomial(codes)
+            mono = decoded_monomial(jet, codes)
             # One code per variable, in factor order.
             assert list(codes) == sorted(codes) and len(mono.factors) == len(codes)
             assert degree == mono.key[0]
             assert canonical(coeff) and coeff
         # LoopPoly merges repeats and orders by key: it keeps every row, in order.
-        decoded = [(jet.monomial(codes), c) for _, codes, c in jet.rows]
-        assert list(LoopPoly(decoded).terms) == decoded
+        rows = [(decoded_monomial(jet, codes), c) for _, codes, c in jet.rows]
+        assert list(LoopPoly(rows).terms) == rows
 
     @given(func=small_homogeneous_forms(), bottom=st.integers(0, 2), k=st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)

@@ -30,7 +30,6 @@ from loopsing.loopfun import (
     DegreeTooLow,
     InputFunction,
     NotHomogeneous,
-    lambda_of,
     minimal_window,
 )
 
@@ -43,6 +42,7 @@ from conftest import (
     deadline,
     exponent_terms,
     homogeneous_forms,
+    lambda_of,
     parse_polynomial,
     rename_variables,
 )

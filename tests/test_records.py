@@ -13,7 +13,6 @@ from loopsing.cohom import (
     GradedDims,
     LesSystem,
     RankFact,
-    escape_table,
     gysin_tower,
     solve_les_detailed,
     sphere_cohomology,
@@ -41,7 +40,6 @@ RECORDS = {
         LesSystem(1, GradedDims({0: 2}), sphere_cohomology(1), (RankFact("residue", 1, 1, "t"),))
     ),
     "GysinTower": lambda: gysin_tower(2, 4, 3),
-    "EscapeRow": lambda: escape_table(2, 4, 2)[1],
     "RenormalizedReport": lambda: gysin_tower(2, 4, 3).renormalized(),
     "Window": lambda: Window(2, 4),
     "SupportBoundReport": lambda: check_support_bound(CUBIC, 1),
@@ -83,6 +81,7 @@ REFUSED = {
             "lambda: present beside no functional check",
         ),
         ({"checks": {}}, "checks: at least one check must be enabled"),
+        ({"timing_seconds": float("nan")}, "timing.seconds: not a finite float"),
     ],
 }
 

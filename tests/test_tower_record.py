@@ -26,9 +26,10 @@ from loopsing.cohom import (
     residue_onto_unit_fact,
     solve_les_detailed,
     sphere_cohomology,
-    truncation_cohomology,
 )
 from loopsing.loopfun import Window
+
+from conftest import ranks_into_steps
 
 DIMENSIONS = range(1, 5)
 MILNOR_NUMBERS = (1, 4, 8)
@@ -192,7 +193,7 @@ def test_derived_rows_equal_the_translated_fill(d, mu):
         assert len(tower.head_truncations) == min(tower.n0, n_max) + 1
         assert tower.truncations == truncations[: n_max + 1]
         assert tower.degrees == degrees[: n_max + 1]
-        assert tower.gysin_ranks == gysin_ranks[:n_max]
+        assert ranks_into_steps(tower) == gysin_ranks[:n_max]
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
@@ -239,17 +240,17 @@ def test_broken_ranks_raise_as_the_per_degree_walk_does(d, n0):
             ))
     for record in broken:
         assert _outcome(record.renormalized) == _outcome(
-            lambda: _walked_renormalized(record, record.truncations, record.gysin_ranks)
+            lambda: _walked_renormalized(record, record.truncations, ranks_into_steps(record))
         )
     # Breaking the last stored map breaks every later one: the colimit fails.
     assert _outcome(broken[-1].renormalized)[0] is NotStabilized
 
 
 @pytest.mark.parametrize("d, mu", [(1, 1), (2, 4), (3, 8), (4, 1)])
-def test_truncation_cohomology_reads_one_step_at_any_height(d, mu):
+def test_a_tower_reads_one_step_at_any_height(d, mu):
     n = 10**9
-    assert truncation_cohomology(d, mu, n) == GradedDims({0: 1, 2 * n * d + d - 1: mu})
     tower = gysin_tower(d, mu, n)
+    assert tower._step(n)[0] == GradedDims({0: 1, 2 * n * d + d - 1: mu})
     assert tower.n_max == n
     assert len(tower.head_truncations) <= tower.n0 + 1
     assert len(tower.head_degrees) <= tower.n0 + 1

