@@ -149,6 +149,103 @@ class TestNormalForm:
             assert not any(_divides(h, m) for h in heads)
 
 
+def loop_var(coord: int, cdeg: int) -> Poly:
+    return Poly.variable(LoopVar(coord, cdeg))
+
+
+def _kernel_terms(p: LoopPoly, variables) -> tuple:
+    """p's primitive integer multiple as exponent vectors over `variables`."""
+    return grobner._integer_terms({
+        tuple(dict(m.factors).get(v, 0) for v in variables): c for m, c in p.terms
+    })
+
+
+def _kernel_normal_form(p: LoopPoly, divisors) -> LoopPoly:
+    """p's remainder by the packed integer kernel, each variable of p and the
+    divisors one coordinate, ascending; the integer multiples undone."""
+    variables = LoopPoly.variables(sum(divisors, Poly.of(p)))
+    terms = _kernel_terms(p, variables)
+    remainder, multiplier = grobner._reduce(
+        grobner._packed_terms(terms),
+        grobner._Divisors(grobner._packed_terms(_kernel_terms(g, variables)) for g in divisors),
+        grobner._Run(len(variables)),
+    )
+    return grobner._from_terms(
+        grobner._unpacked_terms(remainder, len(variables)),
+        variables,
+        p.terms[0][1] / (multiplier * terms[0][1]),
+    )
+
+
+def _kernel_s_polynomial(f: LoopPoly, g: LoopPoly) -> LoopPoly:
+    """The S-polynomial by the packed integer kernel, its scale undone."""
+    variables = LoopPoly.variables(Poly.of(f) + g)
+    f_terms, g_terms = _kernel_terms(f, variables), _kernel_terms(g, variables)
+    c_f, c_g = f_terms[0][1], g_terms[0][1]
+    s_terms = grobner._s_terms(
+        grobner._packed_terms(f_terms), grobner._packed_terms(g_terms),
+        grobner._packed(tuple(map(max, f_terms[0][0], g_terms[0][0]))),
+    )
+    return grobner._from_terms(
+        grobner._unpacked_terms(s_terms, len(variables)),
+        variables,
+        Fraction(math.gcd(c_f, c_g), c_f * c_g),
+    )
+
+
+class TestLoopVariables:
+    """Division and S-polynomials over variables of nonzero conformal degree.
+
+    The packed kernel runs on them as on coordinates, one exponent position
+    per variable.  The expected strings were computed with the LoopPoly-based
+    division this module used before it ran on exponent vectors; the Poly
+    reference division agrees with each.
+    """
+
+    a, b, c, e, t = (loop_var(1, -1), loop_var(2, 1), loop_var(1, 0), loop_var(2, -2), loop_var(1, 1))
+    p = a**2 * b + 3 * c * b - t**2 + Fraction(1, 2) * e + a * e**2
+    f = a * b - t
+    g = b**2 + 2 * c * e
+    h = e**2 - Fraction(1, 3) * a
+
+    def test_normal_form(self):
+        expected = "-z1_1^2 + 3*z1_0*z2_1 + z1_-1*z1_1 + 1/3*z1_-1^2 + 1/2*z2_-2"
+        divisors = [self.f, self.g, self.h]
+        assert str(_kernel_normal_form(self.p, divisors)) == expected
+        assert str(_normal_form(self.p, divisors)) == expected
+
+    def test_normal_form_of_a_square_in_another_divisor_order(self):
+        expected = (
+            "-2*z2_-2*z1_-1^4*z1_0 - 12*z2_-2*z1_-1^2*z1_0^2 + z1_1^4 - 6*z1_0*z1_1^2*z2_1"
+            " - 2*z1_-1*z1_1^3 - 2/3*z1_-1^2*z1_1^2 + 2/3*z1_-1^3*z1_1 + 1/9*z1_-1^4"
+            " - 18*z2_-2*z1_0^3 + 2*z1_-1*z1_0*z1_1 - z2_-2*z1_1^2 + 3*z2_-2*z1_0*z2_1"
+            " + z2_-2*z1_-1*z1_1 + 1/3*z2_-2*z1_-1^2 + 1/12*z1_-1"
+        )
+        divisors = [self.h, self.g, self.f]
+        assert str(_kernel_normal_form(self.p**2, divisors)) == expected
+        assert str(_normal_form(self.p**2, divisors)) == expected
+
+    @pytest.mark.parametrize(
+        "pair, expected",
+        [
+            ("fg", "-2*z2_-2*z1_-1*z1_0 - z1_1*z2_1"),
+            ("gh", "2*z2_-2^3*z1_0 + 1/3*z1_-1*z2_1^2"),
+            ("fh", "1/3*z1_-1^2*z2_1 - z2_-2^2*z1_1"),
+        ],
+    )
+    def test_s_polynomial(self, pair, expected):
+        left, right = (getattr(self, name) for name in pair)
+        assert str(_kernel_s_polynomial(left, right)) == expected
+        assert _kernel_s_polynomial(right, left) == -Poly.of(_kernel_s_polynomial(left, right))
+        assert str(_s_polynomial(left, right)) == expected
+
+    def test_zero_divisors_are_skipped(self):
+        # _Divisors keeps no triple for an element with no terms.
+        assert _kernel_normal_form(self.p, [LoopPoly(), self.f]) == _kernel_normal_form(
+            self.p, [self.f]
+        )
+
+
 def _monomial_standard_monomials(gb: GroebnerBasis) -> list[Monomial] | None:
     """Reference: the Monomial-based enumeration grobner ran before it counted
     on exponent vectors; None when the standard monomials are infinite."""
