@@ -1,15 +1,15 @@
 """Report assembly: structured (JSON) and fixed-layout text output.
 
-Report.to_json writes the structured document itself, in one pass: the bytes
-the standard encoder gives for to_dict with sorted keys and a two-space
-indent, its leaves written as that encoder writes them (`_leaf`), and the
-cohomology section written row by row from the tower by `_cohomology_json`,
-the one writer of that layout; to_dict reads that section back.
-validate_report rebuilds the Report a document claims to be and compares its
-to_dict.  Degree-indexed maps use decimal-string keys so that negative degrees
-survive serialization unambiguously.  Reports are deterministic: two runs on
-the same configuration produce byte-identical documents apart from the timing
-field.
+Report.to_json is the one writer of the structured document, in one pass:
+the bytes the standard encoder gives with sorted keys and a two-space indent,
+its leaves written as that encoder writes them (`_leaf`), and the cohomology
+section written row by row from the tower by `_cohomology_json`.  to_dict is
+that document parsed back, its keys in sorted order.  validate_report
+rebuilds the Report a document claims to be and compares its to_dict, so its
+lines follow the document's sorted keys.  Degree-indexed maps use
+decimal-string keys so that negative degrees survive serialization
+unambiguously.  Reports are deterministic: two runs on the same configuration
+produce byte-identical documents apart from the timing field.
 """
 
 from __future__ import annotations
@@ -127,11 +127,11 @@ class Report(namedtuple("Report", (
         return 0 if self.ok else 1
 
     def to_dict(self) -> dict[str, object]:
-        return self._document(self.cohomology and json.loads(_cohomology_json(self.cohomology)))
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """The standard encoder's bytes for to_dict() with sorted keys and a
-        two-space indent, newline-terminated, written member by member."""
+        """The structured document, the standard encoder's bytes with sorted
+        keys and a two-space indent, newline-terminated, written member by member."""
         checks = []
         for name in _SORTED_CHECKS:
             if name in self.checks:
@@ -163,38 +163,6 @@ class Report(namedtuple("Report", (
             f'\n  "window": {{\n    "bottom": {_leaf(self.window.bottom)},'
             f'\n    "top": {_leaf(self.window.top)}\n  }}\n}}\n'
         )
-
-    def _document(self, cohomology: object) -> dict[str, object]:
-        """The document's members, with `cohomology` as the section's value."""
-        checks: dict[str, dict[str, object]] = {}
-        for name in CHECK_NAMES:
-            if name in self.checks:
-                outcome = self.checks[name]
-                entry = checks[name] = {"ok": outcome.ok}
-                if outcome.witness is not None:
-                    entry["witness"] = outcome.witness
-                if outcome.skipped:
-                    entry["skipped"] = True
-
-        lam = None
-        if self.lambda_term_count is not None:
-            lam = {"term_count": self.lambda_term_count}
-            if self.lambda_polynomial is not None:
-                lam["polynomial"] = self.lambda_polynomial
-
-        return {
-            "function": self.function,
-            "d": self.d,
-            "delta": self.delta,
-            "window": {"bottom": self.window.bottom, "top": self.window.top},
-            "milnor_number": self.milnor_number,
-            "isolated": self.isolated,
-            "lambda": lam,
-            "checks": checks,
-            "cohomology": cohomology,
-            "axioms": list(self.axioms),
-            "timing": {"seconds": self.timing_seconds},
-        }
 
     def to_text(self) -> str:
         lines = []
@@ -352,7 +320,7 @@ def validate_report(document: object) -> list[str]:
     the functional's term count and text, `isolated`, the time) after a strict
     type check, and computes the rest as `run()` does from the function, the
     window bottom and the tower height.  Returns one `path: problem` line per
-    departure, [] when the document conforms.
+    departure, in the document's sorted-key order; [] when it conforms.
     """
     # A constructor or an audit that refuses a leaf is blamed on `path`.
     path = "function"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import itertools
+import json
 import signal
 import sys
 from bisect import bisect_left
@@ -19,8 +20,9 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from loopsing import grobner, loopfun
-from loopsing.cli import CheckOutcome, parse_function
+from loopsing.cli import CHECK_NAMES, CheckOutcome, Report, parse_function
 from loopsing.cli.parser import _Parser
+from loopsing.cli.report import _cohomology_json
 from loopsing.cohom import GysinTower, LesSolution, LesSystem
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.loopfun import InputFunction, Window, minimal_window, support_window
@@ -402,6 +404,42 @@ def reference_functional_checks(
             witness = f"identity fails for coordinates {bad}"
         outcomes[name] = CheckOutcome(ok=True) if ok else CheckOutcome(ok=False, witness=witness)
     return len(lam), lam.to_string(func.names), outcomes
+
+
+def reference_document(report: Report) -> dict[str, object]:
+    """Reference for Report.to_json: the document's members built as dicts,
+    in schema order, for the standard encoder to write.  The cohomology
+    section is the one part parsed back from its writer, `_cohomology_json`;
+    tests/test_tower_record.py holds that writer to writers of its own."""
+    checks: dict[str, dict[str, object]] = {}
+    for name in CHECK_NAMES:
+        if name in report.checks:
+            outcome = report.checks[name]
+            entry = checks[name] = {"ok": outcome.ok}
+            if outcome.witness is not None:
+                entry["witness"] = outcome.witness
+            if outcome.skipped:
+                entry["skipped"] = True
+
+    lam = None
+    if report.lambda_term_count is not None:
+        lam = {"term_count": report.lambda_term_count}
+        if report.lambda_polynomial is not None:
+            lam["polynomial"] = report.lambda_polynomial
+
+    return {
+        "function": report.function,
+        "d": report.d,
+        "delta": report.delta,
+        "window": {"bottom": report.window.bottom, "top": report.window.top},
+        "milnor_number": report.milnor_number,
+        "isolated": report.isolated,
+        "lambda": lam,
+        "checks": checks,
+        "cohomology": report.cohomology and json.loads(_cohomology_json(report.cohomology)),
+        "axioms": list(report.axioms),
+        "timing": {"seconds": report.timing_seconds},
+    }
 
 
 class MissingAssignment(KeyError):

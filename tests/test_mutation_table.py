@@ -2,8 +2,9 @@
 
 `python tests/mutants.py` runs only by hand and on manual dispatch; a
 refactor that moves an audit would leave a mutant's string behind, and the
-run would refuse to start.  This test makes that visible on every run, and
-holds the README's mutation table to the mutants, row for row.
+run would refuse to start.  This test makes that visible on every run, holds
+each mutant's aimed test to a test that is defined, and holds the README's
+mutation table to the mutants, row for row.
 """
 
 from __future__ import annotations
@@ -18,11 +19,22 @@ def test_the_mutant_string_occurs_once(mutant):
     assert mutants.anchor_error(mutant) is None
 
 
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda mutant: mutant.name)
+def test_the_aimed_test_is_defined(mutant):
+    # A stale id would fail to run, and the harness would fall through to tier-1.
+    path, *classes, function = mutant.aimed.split("[", 1)[0].split("::")
+    source = (mutants.ROOT / "tests" / path).read_text(encoding="utf-8")
+    assert all(f"\nclass {name}" in source for name in classes)
+    assert f"def {function}(" in source
+
+
 def test_the_readme_table_lists_every_mutant_with_its_guarantee():
     readme = (mutants.ROOT / "README.md").read_text(encoding="utf-8")
     table = readme.split("| mutant | guarantee | killed by |\n|---|---|---|\n", 1)[1]
-    rows = [line.strip("| ").split(" | ")[:2] for line in table.split("\n\n", 1)[0].splitlines()]
-    assert rows == [[f"`{mutant.name}`", mutant.guarantee] for mutant in mutants.MUTANTS]
+    rows = [line.strip("| ").split(" | ") for line in table.split("\n\n", 1)[0].splitlines()]
+    assert rows == [
+        [f"`{mutant.name}`", mutant.guarantee, f"`{mutant.aimed}`"] for mutant in mutants.MUTANTS
+    ]
 
 
 def test_mutant_names_are_distinct():

@@ -20,7 +20,7 @@ from loopsing.loopfun import MAX_JET_TERMS
 
 from conftest import CORPUS, DELETE, NON_ISOLATED_SOURCES, edited
 
-# Top-level keys of the structured report, in the order to_dict writes them.
+# Top-level keys of the structured report, in the schema order the reference checks them.
 _REPORT_KEYS = (
     "function", "d", "delta", "window", "milnor_number", "isolated",
     "lambda", "checks", "cohomology", "axioms", "timing",
