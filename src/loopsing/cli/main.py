@@ -21,14 +21,8 @@ from ..loopfun import (
     FunctionalTooLarge,
     InputFunction,
     NotHomogeneous,
-    Window,
-    _derivative_report,
-    _functional_jet,
-    _Jet,
-    _nonlinear,
-    _support_report,
+    _functional_checks,
     minimal_window,
-    support_window,
 )
 from .parser import ParseError, format_function, loop_poly_string, parse_function, read_function_file
 from .report import CHECK_NAMES, FUNCTIONAL_CHECKS, CheckOutcome, Report, run_problem
@@ -68,8 +62,6 @@ def run(config: RunConfig) -> Report:
     started = time.perf_counter()
 
     func = parse_function(config.function_source)
-    bottom = config.window_bottom
-    window = minimal_window(func, bottom)
     enabled = tuple(name for name in CHECK_NAMES if name in config.checks)
 
     # Outcomes are added in CHECK_NAMES order, the order of report.checks.
@@ -78,8 +70,9 @@ def run(config: RunConfig) -> Report:
     lambda_string: str | None = None
     functional_checks = [name for name in enabled if name in FUNCTIONAL_CHECKS]
     if functional_checks:
-        lam, outcomes = _functional_checks(func, bottom, window, functional_checks)
-        checks.update(outcomes)
+        lam, witnesses = _functional_checks(func, config.window_bottom, functional_checks)
+        for name, witness in witnesses.items():
+            checks[name] = CheckOutcome(ok=witness is None, witness=witness)
         if lam is not None:
             lambda_terms = len(lam)
             if config.emit_lambda:
@@ -123,7 +116,7 @@ def run(config: RunConfig) -> Report:
         function=format_function(func),
         d=func.d,
         delta=func.delta,
-        window=window,
+        window=minimal_window(func, config.window_bottom),
         milnor_number=mu,
         isolated=isolated,
         lambda_term_count=lambda_terms,
@@ -131,67 +124,6 @@ def run(config: RunConfig) -> Report:
         checks=checks,
         cohomology=cohomology,
         timing_seconds=time.perf_counter() - started,
-    )
-
-
-def _functional_checks(
-    func: InputFunction, bottom: int, window: Window, names: Sequence[str]
-) -> tuple[_Jet | None, dict[str, CheckOutcome]]:
-    """The functional on `window`, in the jet's codes, and the outcomes of the named checks.
-
-    The functional is computed once, on the support check's window when that
-    check runs; the functional on the smaller `window` is that one with every
-    variable above the window set to zero.  When the support bound holds no
-    term reaches above the window, and the wide functional is kept as it is.
-    An audit that raises becomes a failed check with the error as its
-    witness: a failed audit of the functional itself fails every named check
-    and leaves no functional.  The checks read the jet's codes.
-    """
-    try:
-        wide = _functional_jet(func, support_window(func, bottom) if "support" in names else window)
-    except RuntimeError as exc:
-        return None, {name: CheckOutcome(ok=False, witness=str(exc)) for name in names}
-    lam = wide.truncated(window.top)
-    outcomes: dict[str, CheckOutcome] = {}
-    for name in names:
-        try:
-            outcomes[name] = _functional_outcome(name, func, window, lam, wide)
-        except RuntimeError as exc:
-            outcomes[name] = CheckOutcome(ok=False, witness=str(exc))
-    return lam, outcomes
-
-
-def _functional_outcome(
-    name: str, func: InputFunction, window: Window, lam: _Jet, wide: _Jet
-) -> CheckOutcome:
-    if name == "lambda":
-        # The functional's weights are audited as it is computed.
-        if lam.on_constant_loops() != lam.coded(func.terms, 0):
-            return CheckOutcome(
-                ok=False, witness="constant-loop restriction does not recover the input"
-            )
-        return CheckOutcome(ok=True)
-    if name == "support":
-        report = _support_report(func, window.bottom, wide)
-        return CheckOutcome(
-            ok=report.ok,
-            witness=None
-            if report.ok
-            else f"conformal degree {report.max_cdeg_present} exceeds bound {report.bound}",
-        )
-    if name == "linearity":
-        offending = _nonlinear(lam, window.top)
-        return CheckOutcome(
-            ok=not offending,
-            witness="nonlinear monomial " + ", ".join(map(lam.monomial_text, offending))
-            if offending
-            else None,
-        )
-    report = _derivative_report(func, window, lam)
-    bad = [c.coord for c in report.checks if not c.ok]
-    return CheckOutcome(
-        ok=report.ok,
-        witness=None if report.ok else f"identity fails for coordinates {bad}",
     )
 
 

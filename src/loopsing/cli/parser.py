@@ -63,6 +63,13 @@ MAX_NESTING = 100
 # have degree 10 or less.  The parser's packed exponent vectors need it below 255.
 MAX_DEGREE = 64
 
+# Bound on the variables, which become F's coordinates.  The Milnor count
+# (`grobner._staircase`) recurses once per coordinate, and under the
+# interpreter's default limit of 1,000 frames it failed at 995.  This bound
+# leaves some 700 frames to any caller, pytest included; a default report on
+# a diagonal quadric at the bound takes about 0.2 s (2-vCPU Xeon).
+MAX_COORDINATES = 256
+
 # Bound on the term pairs that the products of one input multiply in all, a
 # power counting as repeated products.  It keeps powers of long sums, such as
 # (x+y+w+v+u)^20, from running for seconds; test and benchmark inputs need
@@ -227,6 +234,10 @@ class _Parser:
         if kind == "name":
             self.cursor += 1
             if token[0] not in self.coords:
+                if len(self.coords) == MAX_COORDINATES:
+                    raise ParseError(
+                        token.start(), f"at most {MAX_COORDINATES} variables", repr(token[0])
+                    )
                 self.coords[token[0]] = (1 << 8 * len(self.coords), token.start())
             return self.coords[token[0]][0], 1
         if kind == "int":

@@ -11,9 +11,10 @@ of the top-variable derivative identity.
 The jet kernel computes a coefficient as sorted rows of small int codes (a
 `_Jet`), and the weight audits, the truncation, the checks and the printer
 all read those codes; no polynomial object is built.  Each public check
-computes the functional and reads it with the same private readings that the
-command line runs on its one jet (`_support_report`, `_nonlinear`,
-`_derivative_report`).
+computes the functional and reads it with its private reading
+(`_support_report`, `_linearity_report`, `_derivative_report`), and
+`_functional_checks`, which the command line runs, reads one jet with the
+same readings and audits the constant loops beside them.
 
 Coefficients are exact and canonical: an int when integral, else a Fraction
 whose denominator is above 1 (`_exact`).  So on an integral F, the usual
@@ -526,8 +527,6 @@ def check_support_bound(func: InputFunction, bottom: int) -> SupportBoundReport:
     The functional is computed on a window reaching strictly beyond the bound
     (`support_window`), so the check is not vacuous.
     """
-    if bottom < 0:
-        raise ValueError("bottom must be nonnegative")
     return _support_report(func, bottom, _functional_jet(func, support_window(func, bottom)))
 
 
@@ -561,18 +560,21 @@ def check_top_linearity(func: InputFunction, bottom: int) -> TopLinearityReport:
     if bottom < 1:
         raise ValueError("bottom must be >= 1")
     window = minimal_window(func, bottom)
-    jet = _functional_jet(func, window)
-    offending = tuple(map(jet.monomial_text, _nonlinear(jet, window.top)))
-    return TopLinearityReport(
-        ok=not offending, top_cdeg=window.top, offending_monomials=offending, window=window
-    )
+    return _linearity_report(window, _functional_jet(func, window))
 
 
-def _nonlinear(jet: _Jet, top: int) -> list[tuple[int, ...]]:
-    """The codes of the terms of total exponent above 1 in the variables of cdeg `top`."""
+def _linearity_report(window: Window, jet: _Jet) -> TopLinearityReport:
+    """The report on a functional in the jet's codes: its terms of total
+    exponent above 1 in the variables of conformal degree window.top."""
+    top = window.top
     first, after, m = jet.start(top), jet.start(top + 1), jet.m
-    return [codes for _, codes, _ in jet.rows
-            if codes and codes[-1] >= first and _top_exponent(codes, first, after, m) > 1]
+    offending = tuple([
+        jet.monomial_text(codes) for _, codes, _ in jet.rows
+        if codes and codes[-1] >= first and _top_exponent(codes, first, after, m) > 1
+    ])
+    return TopLinearityReport(
+        ok=not offending, top_cdeg=top, offending_monomials=offending, window=window
+    )
 
 
 def _top_exponent(codes: tuple[int, ...], first: int, after: int, m: int) -> int:
@@ -661,3 +663,48 @@ def _partial(
             n = first + m - codes[i]
             out[codes[:i] + ((codes[i] + 1,) if n > 1 else ()) + codes[i + 1 :]] = c * n
     return out
+
+
+def _functional_checks(
+    func: InputFunction, bottom: int, names: Sequence[str]
+) -> tuple[_Jet | None, dict[str, str | None]]:
+    """The functional on the minimal window, in the jet's codes, and the
+    witness of each named functional check, None when the check passed.
+
+    The functional is computed once, on the support window when the support
+    check is named; the functional on the minimal window is that one with
+    every variable above its top set to zero.  When the support bound holds
+    no term reaches above the minimal window, and the wide functional is kept
+    as it is.  An audit that raises fails its check with the error as its
+    witness: a failed audit of the functional itself fails every named check
+    and leaves no functional.
+    """
+    window = minimal_window(func, bottom)
+    try:
+        wide = _functional_jet(func, support_window(func, bottom) if "support" in names else window)
+    except RuntimeError as exc:
+        return None, dict.fromkeys(names, str(exc))
+    lam = wide.truncated(window.top)
+    witnesses: dict[str, str | None] = {}
+    for name in names:
+        witness = None
+        try:
+            if name == "lambda":
+                # The functional's weights are audited as it is computed.
+                if lam.on_constant_loops() != lam.coded(func.terms, 0):
+                    witness = "constant-loop restriction does not recover the input"
+            elif name == "support":
+                support = _support_report(func, bottom, wide)
+                if not support.ok:
+                    witness = (f"conformal degree {support.max_cdeg_present}"
+                               f" exceeds bound {support.bound}")
+            elif name == "linearity":
+                if offending := _linearity_report(window, lam).offending_monomials:
+                    witness = "nonlinear monomial " + ", ".join(offending)
+            elif not (derivative := _derivative_report(func, window, lam)).ok:
+                bad = [c.coord for c in derivative.checks if not c.ok]
+                witness = f"identity fails for coordinates {bad}"
+        except RuntimeError as exc:
+            witness = str(exc)
+        witnesses[name] = witness
+    return lam, witnesses

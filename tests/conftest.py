@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume
+from hypothesis import Phase, assume, settings
 from hypothesis import strategies as st
 
 from loopsing import grobner, loopfun
@@ -26,6 +26,13 @@ from loopsing.cli.report import _cohomology_json
 from loopsing.cohom import GysinTower, LesSolution, LesSystem
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
 from loopsing.loopfun import InputFunction, Window, minimal_window, support_window
+
+# The mutation run (tests/mutants.py) needs only a verdict, pass or fail, so
+# its profile finds failing examples as the default does but neither shrinks
+# nor explains them.
+settings.register_profile(
+    "verdict", phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)]
+)
 
 
 @dataclass(frozen=True)
@@ -283,10 +290,15 @@ def jet_coefficient(func: InputFunction, window: Window, k: int) -> Poly:
     return decoded(loopfun._jet_of_poly(func.terms, window, k))
 
 
+# Bound at import: a test that forges `loopfun._functional_jet` from
+# lambda_of must not have lambda_of call the forgery.
+_functional_jet = loopfun._functional_jet
+
+
 def lambda_of(func: InputFunction, window: Window) -> Poly:
     """The loop functional of F on a window, the constant-in-t coefficient,
     its weights audited, decoded from the jet kernel's codes."""
-    return decoded(loopfun._functional_jet(func, window))
+    return decoded(_functional_jet(func, window))
 
 
 def jet_coefficient_by_enumeration(func: InputFunction, window: Window, k: int) -> LoopPoly:

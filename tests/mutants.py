@@ -5,10 +5,12 @@ under src/, with code that drops the guarantee named beside it, and names the
 test aimed at that guarantee.  For each mutant the checkout is copied to a
 temporary directory and the replacement is made there.  The aimed test runs
 first in the copy, with tier-1's flags (`PYTHONPATH=src python -m pytest
---continue-on-collection-errors`, with `-x -q` and hypothesis seed 0); if it
-fails, the mutant's line reads `killed (aimed)`.  Otherwise tier-1 (the whole
-suite, less the test of this table's strings) runs in the copy, and the line
-reads `killed (incidental)` with the first failing test, or `survived`.  The
+--continue-on-collection-errors`, with `-x -q`, hypothesis seed 0 and the
+`verdict` profile of tests/conftest.py, which neither shrinks nor explains a
+failing example); if it fails, the mutant's line reads `killed (aimed)`.
+Otherwise tier-1 (the whole suite, less the test of this table's strings)
+runs in the copy with the same flags, and the line reads `killed
+(incidental)` with the first failing test, or `survived`.  The
 run exits 1 if any mutant survived, and 2 without running any if some
 mutant's string does not occur exactly once or a name given is no mutant's.
 Names given on the command line run those mutants alone, in the table's order.
@@ -37,10 +39,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # A mutated copy no longer holds its mutant's string, so the test of the
 # table's strings (test_mutation_table.py) would kill every mutant by itself.
 # A fixed hypothesis seed draws the same examples on every run, alone or in
-# the whole suite, so a verdict does not move between runs.
+# the whole suite, so a verdict does not move between runs; a verdict needs
+# no shrunk or explained example, which can cost a failing test tens of seconds.
 TIER_1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "--continue-on-collection-errors", "--hypothesis-seed=0",
-          "--ignore=tests/test_mutation_table.py"]
+          "--hypothesis-profile=verdict", "--ignore=tests/test_mutation_table.py"]
 UNCOPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
 
 
@@ -82,7 +85,7 @@ MUTANTS = (
     Mutant("ordered-chain", "grobner.py", "both = treated[i] & treated[j]",
            "both = treated[i]",
            "the chain criterion skips a pair only on two pairs treated before it",
-           "test_cli.py::TestRun::test_one_jacobian_ideal_per_report[dense]"),
+           "test_grobner.py::TestAudit::test_a_chain_relies_only_on_pairs_treated_before_it"),
     Mutant("pair-queue", "grobner.py", "if supports[k] & support:", "if False:",
            "every non-coprime pair at or below the staircase top is queued",
            "test_acceptance.py::test_criterion_2_renormalized_cohomology_on_corpus"),
@@ -115,7 +118,7 @@ MUTANTS = (
            "test_grobner.py::TestPacking::test_a_queued_pair_has_the_packed_lcm"),
     Mutant("oracle-gate", "cli/main.py", "if func.d <= 3 and func.delta <= 5:", "if False:",
            "the milnor check runs the linear-algebra oracle for d <= 3, delta <= 5",
-           "test_cli.py::TestRun::test_one_jacobian_ideal_per_report[dense]"),
+           "test_cli.py::TestRun::test_the_milnor_check_runs_the_oracle_exactly_on_its_gate"),
     Mutant("linearity", "loopfun.py", "_top_exponent(codes, first, after, m) > 1",
            "_top_exponent(codes, first, after, m) > 2",
            "the functional is linear in the top variables",
@@ -145,7 +148,7 @@ MUTANTS = (
     Mutant("derivative-evaluation", "loopfun.py", "lhs == via_eval", "True",
            "the derivative identity via the bottom evaluation",
            "test_loopfun.py::TestOrderReadingForms::test_checks_match_their_scans"),
-    Mutant("constant-loops", "cli/main.py",
+    Mutant("constant-loops", "loopfun.py",
            "if lam.on_constant_loops() != lam.coded(func.terms, 0):",
            "if False:", "the functional restricted to constant loops is F",
            "test_cli.py::TestRun::test_broken_functional_fails_its_check_with_its_witness"
@@ -179,6 +182,10 @@ MUTANTS = (
     Mutant("nesting-budget", "cli/parser.py", "if self.depth == MAX_NESTING:", "if False:",
            "parentheses nested deeper than MAX_NESTING end in exit 2",
            "test_cli.py::TestMain::test_deep_nesting_is_a_syntax_error"),
+    Mutant("coordinate-budget", "cli/parser.py", "if len(self.coords) == MAX_COORDINATES:",
+           "if False:", "a form in more than MAX_COORDINATES variables ends in exit 2",
+           "test_parser.py::TestErrors"
+           "::test_a_variable_past_the_coordinate_budget_is_refused_where_it_first_occurs"),
     Mutant("n-max-budget", "cli/report.py", "if n_max > MAX_N_MAX:", "if False:",
            "an n-max above MAX_N_MAX ends in exit 2",
            "test_cli.py::TestConfigValidation::test_nmax_budget"),

@@ -40,7 +40,12 @@ from loopsing.cli import (
     run,
     validate_report,
 )
-from loopsing.cli.parser import MAX_COEFFICIENT_DIGITS, MAX_PRODUCT_WORK, MAX_SOURCE_BYTES
+from loopsing.cli.parser import (
+    MAX_COEFFICIENT_DIGITS,
+    MAX_COORDINATES,
+    MAX_PRODUCT_WORK,
+    MAX_SOURCE_BYTES,
+)
 from loopsing.cohom import MAX_N_MAX, GradedDims, GysinTower, LesSolution, LesSystem
 from loopsing.loopfun import MAX_JET_TERMS, InputFunction
 from loopsing.exactalg import LoopPoly, LoopVar, Monomial
@@ -349,6 +354,18 @@ class TestRun:
         assert report.exit_status == 0 and report.milnor_number == mu
         assert len(calls) == 1 and oracles == calls
 
+    def test_the_milnor_check_runs_the_oracle_exactly_on_its_gate(self, monkeypatch):
+        # The linear-algebra oracle runs on d <= 3, delta <= 5 and nowhere else.
+        oracle = grobner.milnor_number_oracle
+        oracles = []
+        monkeypatch.setattr(
+            grobner, "milnor_number_oracle", lambda func: oracles.append(func) or oracle(func)
+        )
+        for d, delta in [(2, 5), (3, 5), (3, 6), (4, 3)]:
+            source = " + ".join(f"{name}^{delta}" for name in ("x", "y", "w", "v")[:d])
+            assert run_source(source, checks=("milnor",)).exit_status == 0
+        assert [(func.d, func.delta) for func in oracles] == [(2, 5), (3, 5)]
+
     @pytest.mark.parametrize(
         "factor, witness",
         [
@@ -439,7 +456,7 @@ class TestRun:
             ),
         }[name]
         monkeypatch.setattr(
-            importlib.import_module("loopsing.cli.main"),
+            loopfun,
             "_functional_jet",
             lambda func, window: coded(edit(lambda_of(func, window)), func, window.bottom),
         )
@@ -454,7 +471,7 @@ class TestRun:
         # the functional with every variable above the window set to zero.
         plain = run_source("x^3 + y^3", emit_lambda=True)
         monkeypatch.setattr(
-            importlib.import_module("loopsing.cli.main"),
+            loopfun,
             "_functional_jet",
             lambda func, window: coded(
                 lambda_of(func, window) + _x(-1) * _x(-2) * _x(3), func, window.bottom
@@ -638,7 +655,7 @@ def _assert_run_matches_the_reference(
         with pytest.MonkeyPatch.context() as patch:
             if edit is not None:
                 patch.setattr(
-                    importlib.import_module("loopsing.cli.main"),
+                    loopfun,
                     "_functional_jet",
                     lambda f, window: coded(edit(lambda_of(f, window)), f, window.bottom),
                 )
@@ -1166,9 +1183,7 @@ class TestStructuredOutput:
             def failing(func, window, witness=witness):
                 raise RuntimeError(witness)
 
-            monkeypatch.setattr(
-                importlib.import_module("loopsing.cli.main"), "_functional_jet", failing
-            )
+            monkeypatch.setattr(loopfun, "_functional_jet", failing)
             report = run_source("x^3 + y^3")
             assert report.checks["lambda"] == CheckOutcome(ok=False, witness=witness)
             assert report.cohomology is not None
@@ -1397,6 +1412,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("loopsing: error:") and err.count("\n") == 1
         assert "at most 64" in err
+
+    def test_a_form_past_the_coordinate_budget_is_a_syntax_error(self, capsys, tmp_path):
+        # Isolated with mu = 1, but the Milnor count recurses once per
+        # coordinate: past the budget the run would end in a failed milnor
+        # check and exit 1.
+        source = " + ".join(f"a{i}^2" for i in range(1000))
+        path = tmp_path / "wide.txt"
+        path.write_text(source + "\n")
+        with deadline(10):
+            assert main(["--file", str(path)]) == 2
+        first = f"a{MAX_COORDINATES}"
+        assert capsys.readouterr().err == (
+            f"loopsing: error: syntax error at position {source.index(first + '^')}:"
+            f" expected at most {MAX_COORDINATES} variables, found {first!r}\n"
+        )
+
+    def test_the_widest_form_in_the_coordinate_budget_passes_every_check(self):
+        report = run_source(" + ".join(f"a{i}^2" for i in range(MAX_COORDINATES)))
+        assert (report.d, report.milnor_number) == (MAX_COORDINATES, 1)
+        assert report.checks == {name: CheckOutcome(ok=True) for name in CHECK_NAMES}
+        assert report.exit_status == 0
 
     def test_power_of_a_long_sum_is_a_syntax_error(self, capsys):
         with deadline(10):

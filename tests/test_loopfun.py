@@ -327,13 +327,8 @@ def _linearity_by_products(func: InputFunction, bottom: int, lam: LoopPoly):
 
 def _forged_linearity(func: InputFunction, bottom: int, lam: LoopPoly) -> TopLinearityReport:
     """check_top_linearity's report with `lam` as the functional: its private
-    reading `_nonlinear` on lam's codes."""
-    window = minimal_window(func, bottom)
-    jet = coded(lam, func, bottom)
-    offending = tuple(map(jet.monomial_text, loopfun._nonlinear(jet, window.top)))
-    return TopLinearityReport(
-        ok=not offending, top_cdeg=window.top, offending_monomials=offending, window=window
-    )
+    reading `_linearity_report` on lam's codes."""
+    return loopfun._linearity_report(minimal_window(func, bottom), coded(lam, func, bottom))
 
 
 LINEARITY_GL_SOURCES = ("(x + 2*y)^3 + (3*x - y)^3", "(x + y - w)^3 + (2*x - y)^3 + (x + 3*w)^3")
@@ -497,10 +492,12 @@ class TestOrderReadingForms:
     @given(drawn_polys, drawn_tops)
     @settings(deadline=None)
     def test_top_exponent_and_reaching_terms(self, poly, top):
-        jet = _coded(poly)
-        assert [decoded_monomial(jet, codes) for codes in loopfun._nonlinear(jet, top)] == [
-            m for m, _ in poly.terms if top_exponent(m, top) > 1
-        ]
+        # The reading takes only the window's top; the jet's codes carry
+        # their own bottom, so bottom 3 admits every drawn top.
+        report = loopfun._linearity_report(Window(3, top), _coded(poly))
+        assert report.offending_monomials == tuple(
+            str(m) for m, _ in poly.terms if top_exponent(m, top) > 1
+        )
 
     @given(drawn_polys, drawn_tops)
     @settings(deadline=None)
@@ -559,7 +556,8 @@ class TestOrderReadingForms:
     def test_the_unit_monomial_is_skipped(self):
         lam = Poly.constant(3) + lv(1, -1) * lv(1, 1) ** 2
         assert loopfun._support_report(ORDER_FUNC, 1, _coded(lam)).max_cdeg_present == 1
-        assert not loopfun._nonlinear(_coded(lam), ORDER_TOP)
+        window = minimal_window(ORDER_FUNC, 1)
+        assert loopfun._linearity_report(window, _coded(lam)).offending_monomials == ()
         jet = _coded(lam)
         assert jet.on_constant_loops() == {(): 3}
         assert decoded(jet.truncated(0)) == Poly.constant(3)

@@ -19,6 +19,7 @@ from loopsing.cli import (
 )
 from loopsing.cli.parser import (
     MAX_COEFFICIENT_DIGITS,
+    MAX_COORDINATES,
     MAX_DEGREE,
     MAX_NESTING,
     MAX_PRODUCT_WORK,
@@ -90,18 +91,20 @@ class TestGrammar:
         assert _coefficient(poly, Monomial({LoopVar(1, 0): 10})) == 12
 
     def test_long_sum_parses_in_linear_time(self):
-        # 2000 operands of both signs over 500 monomials, so that operands merge;
-        # coordinates are numbered by first occurrence, a1 first and a0 last.
+        # 2000 operands of both signs over MAX_COORDINATES monomials, so that
+        # operands merge; coordinates are numbered by first occurrence, a1
+        # first and a0 last.
+        n = MAX_COORDINATES
         source = "1*a1^2 " + " ".join(
-            f"{'+' if k % 3 else '-'} {k}*a{k % 500}^2" for k in range(2, 2001)
+            f"{'+' if k % 3 else '-'} {k}*a{k % n}^2" for k in range(2, 2001)
         )
         expected: dict[Monomial, Fraction] = {}
         for k in range(1, 2001):
-            mono = Monomial({LoopVar(k % 500 or 500, 0): 2})
+            mono = Monomial({LoopVar(k % n or n, 0): 2})
             expected[mono] = expected.get(mono, Fraction(0)) + (k if k % 3 else -k)
         with deadline(1):
             poly, names = parse_polynomial(source)
-        assert names == tuple(f"a{i}" for i in (*range(1, 500), 0))
+        assert names == tuple(f"a{i}" for i in (*range(1, n), 0))
         assert poly == LoopPoly(expected)
 
 
@@ -230,6 +233,20 @@ class TestErrors:
     def test_nesting_up_to_the_limit_parses(self):
         nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING + "^2"
         assert parse_function(nested).terms == parse_function("x^2").terms
+
+    def test_a_variable_past_the_coordinate_budget_is_refused_where_it_first_occurs(self):
+        source = " + ".join(f"a{i}^2" for i in (*range(MAX_COORDINATES + 1), 0))
+        with pytest.raises(ParseError) as excinfo:
+            parse_function(source)
+        first = f"a{MAX_COORDINATES}"
+        error = excinfo.value
+        assert (error.position, error.expected, error.found) == (
+            source.index(first + "^"), f"at most {MAX_COORDINATES} variables", repr(first)
+        )
+
+    def test_a_form_at_the_coordinate_budget_parses(self):
+        func = parse_function(" + ".join(f"a{i}^2" for i in range(MAX_COORDINATES)))
+        assert func.d == MAX_COORDINATES
 
     def test_long_unary_minus_chain_parses(self):
         assert parse_function("- " * 3001 + "x^2").terms == parse_function("-x^2").terms

@@ -168,6 +168,13 @@ def test_ideals_compare_by_value():
     assert hash(jacobian_ideal(func)) == hash(Ideal(func.partials, func.d))
 
 
+def test_equal_fields_compare_equal_across_record_types():
+    # Records keep the namedtuple equality, which compares fields alone.
+    assert Window(2, 4) == (2, 4)
+    ideal = jacobian_ideal(CUBIC)
+    assert ideal == buchberger(ideal) and type(ideal) is not type(buchberger(ideal))
+
+
 def test_input_functions_hash_as_they_compare():
     assert hash(build("x^3 + y^3")) == hash(build("y^3 + x^3"))
     twin = pickle.loads(pickle.dumps(build("1/2*x^3 - x*y^2 + y^3")))
