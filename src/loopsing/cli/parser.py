@@ -30,7 +30,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from ..exactalg import poly_to_source
-from ..loopfun import InputFunction, _Jet
+from ..loopfun import MAX_COORDINATES, InputFunction, _Jet
 
 __all__ = [
     "ParseError",
@@ -62,13 +62,6 @@ MAX_NESTING = 100
 # loop functional grows steeply with the degree; test and benchmark inputs
 # have degree 10 or less.  The parser's packed exponent vectors need it below 255.
 MAX_DEGREE = 64
-
-# Bound on the variables, which become F's coordinates.  The Milnor count
-# (`grobner._staircase`) recurses once per coordinate, and under the
-# interpreter's default limit of 1,000 frames it failed at 995.  This bound
-# leaves some 700 frames to any caller, pytest included; a default report on
-# a diagonal quadric at the bound takes about 0.2 s (2-vCPU Xeon).
-MAX_COORDINATES = 256
 
 # Bound on the term pairs that the products of one input multiply in all, a
 # power counting as repeated products.  It keeps powers of long sums, such as

@@ -22,15 +22,17 @@ truncation table, the degrees showing reduced classes running off to
 infinity, and the renormalized colimit along Gysin maps are all read from
 that one record, the colimit without a walk over the steps or the degrees.
 
-Everything is a pure function over small immutable values; concurrent
-invocation is safe, there is no shared state.
+Every graded dimension vector (A, B and C columns, truncations, the stable
+outcome) is a GradedDims: the tuple of its nonzero (degree, dimension) pairs
+in increasing degree.  Everything is a pure function over such small
+immutable values and the records built from them; concurrent invocation is
+safe, there is no shared state.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from types import MappingProxyType
 
 __all__ = [
     "GradedDims",
@@ -74,99 +76,64 @@ class NotStabilized(RuntimeError):
     moves, and it leaves the lowest tracked degree at step n_max - 2."""
 
 
-class GradedDims:
+class GradedDims(tuple):
     """Finite-support map from integer degree to a nonnegative dimension.
 
-    Zero entries are never stored; degrees may be negative.  A GradedDims is
-    immutable: its store is a read-only mapping, and no attribute can be
-    assigned or deleted.
+    A GradedDims is the tuple of its nonzero (degree, dimension) pairs in
+    increasing degree; degrees may be negative.  The constructor takes a
+    mapping or an iterable of pairs of ints, merges repeated degrees and drops
+    zeros.  Being a tuple, a GradedDims is immutable, hashes, and compares
+    equal to the plain tuple of its pairs.
     """
 
-    __slots__ = ("_dims",)
+    __slots__ = ()
 
-    def __init__(self, dims: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = dims.items() if isinstance(dims, Mapping) else dims
+    def __new__(cls, dims: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> GradedDims:
         store: dict[int, int] = {}
-        for degree, dim in items:
+        for degree, dim in dims.items() if isinstance(dims, Mapping) else dims:
             if type(degree) is not int or type(dim) is not int:
                 raise TypeError("degrees and dimensions must be ints")
             if dim < 0:
                 raise ValueError(f"negative dimension {dim} in degree {degree}")
             if dim:
                 store[degree] = store.get(degree, 0) + dim
-        _set_store(self, MappingProxyType(store))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"GradedDims is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"GradedDims is immutable: cannot delete {name!r}")
+        return super().__new__(cls, sorted(store.items()))
 
     def dim(self, degree: int) -> int:
-        dims = self._dims
-        return dims[degree] if degree in dims else 0
+        for deg, dim in self:
+            if deg == degree:
+                return dim
+        return 0
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._dims))
+        return tuple(degree for degree, _ in self)
 
     def items(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._dims.items()))
+        return tuple(self)
 
-    def __bool__(self) -> bool:
-        return bool(self._dims)
+    def shifted(self, offset: int) -> GradedDims:
+        return GradedDims([(degree + offset, dim) for degree, dim in self])
 
-    @classmethod
-    def _of(cls, store: dict[int, int]) -> "GradedDims":
-        """Wrap a fresh store of int degrees to positive int dimensions,
-        unchecked; no one else may hold it."""
-        dims = object.__new__(cls)
-        _set_store(dims, MappingProxyType(store))
-        return dims
+    def plus(self, other: Mapping[int, int] | Iterable[tuple[int, int]]) -> GradedDims:
+        return GradedDims([*self, *(other.items() if isinstance(other, Mapping) else other)])
 
-    def shifted(self, offset: int) -> "GradedDims":
-        return GradedDims._of({degree + offset: dim for degree, dim in self._dims.items()})
-
-    def plus(self, other: "GradedDims | Mapping[int, int]") -> "GradedDims":
-        other_items = other.items() if isinstance(other, (GradedDims, Mapping)) else other
-        merged = self._dims.copy()
-        for degree, dim in other_items:
-            merged[degree] = merged.get(degree, 0) + dim
-        return GradedDims(merged)
-
-    def with_unit(self) -> "GradedDims":
+    def with_unit(self) -> GradedDims:
         """Add the one-dimensional unit class in degree 0."""
-        store = self._dims.copy()
-        store[0] = store.get(0, 0) + 1
-        return GradedDims._of(store)
+        return GradedDims([(0, 1), *self])
 
-    def drop_unit(self) -> "GradedDims":
+    def drop_unit(self) -> GradedDims:
         """Remove one dimension in degree 0 (pass to reduced cohomology)."""
-        if self.dim(0) < 1:
+        unit = self.dim(0)
+        if unit < 1:
             raise ValueError("no unit class in degree 0 to drop")
-        out = self._dims.copy()
-        out[0] -= 1
-        return GradedDims(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GradedDims) and self._dims == other._dims
+        return GradedDims({**dict(self), 0: unit - 1})
 
     def __str__(self) -> str:
-        if not self._dims:
-            return "{}"
-        inner = ", ".join(f"{deg}: {dim}" for deg, dim in self.items())
-        return "{" + inner + "}"
+        return "{" + ", ".join(f"{degree}: {dim}" for degree, dim in self) + "}"
 
     def __repr__(self) -> str:
         return f"GradedDims({self})"
-
-    def __reduce__(self) -> tuple:
-        # The read-only store cannot be pickled; a copy rebuilds from a plain dict.
-        return GradedDims, (dict(self._dims),)
-
-
-# Assignment is refused, so the store goes in through its slot's descriptor.
-_set_store = GradedDims.__dict__["_dims"].__set__
 
 
 _SLOTS = ("A", "B", "C")
@@ -438,7 +405,7 @@ class GysinTower(namedtuple(
         n0 = self.n0
         offset, degree = 2 * self.d * (n - n0), self.head_degrees[n0]
         return (
-            GradedDims._of({0: 1, degree + offset: self.head_truncations[n0].dim(degree)}),
+            GradedDims({0: 1, degree + offset: self.head_truncations[n0].dim(degree)}),
             degree + offset,
             {s + offset: r for s, r in self.head_ranks[n0 - 1].items()},
         )

@@ -95,7 +95,7 @@ from heapq import heapify, heappop, heappush
 from operator import mul
 
 from .exactalg import LoopPoly, LoopVar, Monomial
-from .loopfun import InputFunction, _integer_terms, _primitive
+from .loopfun import MAX_COORDINATES, InputFunction, _integer_terms, _primitive
 
 __all__ = [
     "Ideal",
@@ -353,6 +353,8 @@ class Ideal(namedtuple("Ideal", "terms d")):
             raise ValueError("an ideal needs at least one nonzero generator")
         if d < 1:
             raise ValueError("need at least one ambient variable")
+        if d > MAX_COORDINATES:
+            raise ValueError(f"at most {MAX_COORDINATES} coordinates, got {d}")
         for e, _ in itertools.chain.from_iterable(generators):
             if len(e) != d or min(e) < 0:
                 raise ValueError(f"term {e} is not a vector of {d} nonnegative exponents")

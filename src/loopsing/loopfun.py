@@ -80,6 +80,14 @@ class DegreeTooLow(ValueError):
 # no test or benchmark input builds more than about 2,000.
 MAX_JET_TERMS = 100_000
 
+# Bound on F's coordinates, which InputFunction, grobner's Ideal and the
+# parser's variables keep to.  The Milnor count (`grobner._staircase`)
+# recurses once per coordinate, and under the interpreter's default limit of
+# 1,000 frames it failed at 995.  This bound leaves some 700 frames to any
+# caller, pytest included; a default report on a diagonal quadric at the
+# bound takes about 0.2 s (2-vCPU Xeon).
+MAX_COORDINATES = 256
+
 
 class FunctionalTooLarge(ValueError):
     """A jet expansion would build more than MAX_JET_TERMS terms."""
@@ -134,6 +142,9 @@ class InputFunction:
         own = {e: q for e, c in terms.items() if (q := _exact(c))}
         if not own:
             raise DegreeTooLow(None)
+        d = len(next(iter(own)))
+        if d > MAX_COORDINATES:
+            raise ValueError(f"at most {MAX_COORDINATES} coordinates, got {d}")
         if not all(map(any, zip(*own))):
             raise ValueError("every coordinate must occur in some term")
         degrees = {sum(e) for e in own}
@@ -142,7 +153,6 @@ class InputFunction:
         (delta,) = degrees
         if delta < 2:
             raise DegreeTooLow(delta)
-        d = len(next(iter(own)))
         names = _default_names(d) if names is None else tuple(names)
         if len(names) != d or len(set(names)) != d:
             raise ValueError(f"need {d} distinct coordinate names, got {names}")

@@ -218,6 +218,9 @@ MUTANTS = (
            "test_records.py"
            "::test_a_record_refuses_bad_fields_through_the_constructor_and_replace"
            "[LesSystem-codimension must be positive]"),
+    Mutant("graded-dims", "cohom.py", "if dim < 0:", "if False:",
+           "a graded dimension is nonnegative",
+           "test_cohom.py::TestGradedDims::test_rejects_negative_dimensions"),
     Mutant("outcome-ok", "cli/report.py", "if ok and (skipped or witness is not None):",
            "if False:", "a passed check is neither skipped nor carries a witness",
            "test_cli.py::TestStructuredOutput::test_schema_rejects_malformed_documents"),

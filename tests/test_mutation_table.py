@@ -1,8 +1,8 @@
 """Every mutant of the mutation run still names code that exists.
 
-`python tests/mutants.py` runs only by hand and on manual dispatch; a
+`python tests/mutants.py` runs as its own CI job, apart from tier-1; a
 refactor that moves an audit would leave a mutant's string behind, and the
-run would refuse to start.  This test makes that visible on every run, holds
+run would refuse to start.  This test makes that visible in tier-1, holds
 each mutant's aimed test to a test that is defined, and holds the README's
 mutation table to the mutants, row for row.
 """

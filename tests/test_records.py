@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import inspect
 import pickle
+import time
 
 import pytest
 
@@ -19,6 +20,8 @@ from loopsing.cohom import (
 )
 from loopsing.grobner import Ideal, buchberger, jacobian_ideal
 from loopsing.loopfun import (
+    MAX_COORDINATES,
+    InputFunction,
     Window,
     check_derivative_identity,
     check_support_bound,
@@ -138,17 +141,17 @@ def test_a_record_refuses_bad_fields_through_the_constructor_and_replace(name, c
     "name", ["LesSystem", "LesSolution", "GysinTower", "RenormalizedReport", "Report"]
 )
 def test_a_record_holding_graded_dims_deep_copies_and_pickles(name):
-    # Each holds a GradedDims, whose store is a read-only mapping; the Report
-    # holds one through its tower.
+    # Each holds a GradedDims; the Report holds one through its tower.
     record = RECORDS[name]()
     for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert twin == record and type(twin) is type(record)
 
 
 # Values that copy, deep-copy and pickle to an equal value of their type,
-# which hashes alike: the Ideal a record, the InputFunction a class whose
-# terms and partials are read-only mappings.
+# which hashes alike: the Ideal a record, the GradedDims a tuple of pairs, the
+# InputFunction a class whose terms and partials are read-only mappings.
 VALUES = {
+    "GradedDims": lambda: GradedDims({-2: 3, 0: 1, 5: 4}),
     "Ideal": RECORDS["Ideal"],
     "InputFunction": lambda: build("1/2*x^3 - x*y^2 + y^3"),
 }
@@ -168,9 +171,36 @@ def test_ideals_compare_by_value():
     assert hash(jacobian_ideal(func)) == hash(Ideal(func.partials, func.d))
 
 
+def _unit_vector(i: int, d: int, scale: int) -> tuple[int, ...]:
+    return tuple(scale * (j == i) for j in range(d))
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [
+        pytest.param(
+            lambda d: InputFunction({_unit_vector(i, d, 2): 1 for i in range(d)}),
+            id="InputFunction",
+        ),
+        pytest.param(
+            lambda d: Ideal([{_unit_vector(i, d, 1): 2} for i in range(d)], d), id="Ideal"
+        ),
+    ],
+)
+def test_a_constructor_refuses_coordinates_past_the_budget(diagonal):
+    # Past the bound grobner._staircase would recurse past the interpreter's limit.
+    assert diagonal(MAX_COORDINATES).d == MAX_COORDINATES
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"at most {MAX_COORDINATES} coordinates, got 257"):
+        diagonal(MAX_COORDINATES + 1)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_equal_fields_compare_equal_across_record_types():
-    # Records keep the namedtuple equality, which compares fields alone.
+    # Records keep the namedtuple equality, which compares fields alone, and a
+    # GradedDims the equality of the tuple of its pairs.
     assert Window(2, 4) == (2, 4)
+    assert GradedDims({0: 1}) == ((0, 1),)
     ideal = jacobian_ideal(CUBIC)
     assert ideal == buchberger(ideal) and type(ideal) is not type(buchberger(ideal))
 
