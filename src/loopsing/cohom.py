@@ -115,7 +115,8 @@ class GradedDims(tuple):
     def shifted(self, offset: int) -> GradedDims:
         return GradedDims([(degree + offset, dim) for degree, dim in self])
 
-    def plus(self, other: Mapping[int, int] | Iterable[tuple[int, int]]) -> GradedDims:
+    def __add__(self, other: Mapping[int, int] | Iterable[tuple[int, int]]) -> GradedDims:
+        """The degreewise sum with a mapping or pairs, not the tuples' concatenation."""
         return GradedDims([*self, *(other.items() if isinstance(other, Mapping) else other)])
 
     def with_unit(self) -> GradedDims:
@@ -319,7 +320,7 @@ def milnor_fiber_cohomology(d: int, mu: int) -> GradedDims:
     """
     if d < 1 or mu < 1:
         raise ValueError("need d >= 1 and mu >= 1")
-    return GradedDims({0: 1}).plus({d - 1: mu})
+    return GradedDims({0: 1}) + {d - 1: mu}
 
 
 def sphere_cohomology(d: int) -> GradedDims:
@@ -572,7 +573,7 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
         unit = _checked_solution(unit_block, GradedDims({0: 1}))
         block = _checked_solution(LesSystem(d, step, GradedDims()), step.shifted(2 * d))
         if solution != LesSolution(
-            unit.b.plus(block.b), {**unit.ranks, **block.ranks}, unit.segments + block.segments,
+            unit.b + block.b, {**unit.ranks, **block.ranks}, unit.segments + block.segments,
             tuple(sorted({*unit.axioms, *block.axioms})),
         ):
             raise RuntimeError(f"the unit and mu blocks do not split the sequence at step {n0}")

@@ -27,10 +27,10 @@ arithmetic and build no polynomial object:
   their packed vectors in a heap, cancels each term fraction-free against
   a divisor's lead and subtracts the divisor's tail, shifted by the quotient
   vector, in place; the remainder comes out up to a nonzero multiplier;
-- the divisors are a record (`_Divisors`) that Buchberger, the basis
-  reduction and the audit each build once and append to as their basis
-  grows; it remembers each vector's first dividing lead, so a division looks
-  a vector's divisor up once per basis;
+- the divisors are the basis's own elements, each nonempty with its lead
+  first, read in place; Buchberger, the basis reduction and the audit each
+  keep beside their basis one memo (`first`) of each vector's first dividing
+  element, so a division looks a vector's divisor up once per basis;
 - one pair loop (`_pairs_to_reduce`) serves Buchberger and the audit of the
   reduced basis (`_verify_basis`): it keeps the leads' staircase as they
   arrive, and the S-pairs wait in a heap keyed by (packed lcm, i, j), each
@@ -226,45 +226,28 @@ def _unpacked_terms(terms: Iterable[PackedTerm], d: int) -> Terms:
     return [(_unpacked(e, d), c) for e, c in terms]
 
 
-class _Divisors:
-    """The divisors of a division, as a growing basis holds them.
-
-    `heads` has one (lead, lead coefficient, tail) triple per nonzero element,
-    in the order the elements were appended; `first` maps a packed vector
-    already met to the first triple whose lead divides it.  An appended lead
-    comes after every earlier one, so a first divisor stays first and `first`
-    stays valid for as long as the record lives; a vector no lead divided is
-    not remembered, since a later lead may divide it.  Each record belongs to
-    one computation and is built once per basis.
-    """
-
-    __slots__ = ("heads", "first")
-
-    def __init__(self, elements: Iterable[PackedTerms] = ()):
-        self.heads = [(g[0][0], g[0][1], g[1:]) for g in elements if g]
-        self.first: dict[int, tuple[int, int, PackedTerms]] = {}
-
-    def append(self, g: PackedTerms) -> None:
-        if g:
-            self.heads.append((g[0][0], g[0][1], g[1:]))
-
-
 def _reduce(
-    terms: Iterable[PackedTerm], divisors: _Divisors, run: _Run
+    terms: Iterable[PackedTerm], basis: Sequence[PackedTerms], first: dict[int, PackedTerms],
+    run: _Run,
 ) -> tuple[PackedTerms, int]:
-    """Remainder of the sum of `terms` under division by the divisors, up to a
+    """Remainder of the sum of `terms` under division by the basis, up to a
     nonzero integer multiplier; returns (remainder, multiplier).
 
-    Vectors are packed for `run`, and every tail subtracted is charged to its
-    work budget.  The terms may come in any order and repeat a vector.  The
-    largest pending term c*x^e is cancelled against the first divisor whose
-    leading term a*x^l divides it, fraction-free: with g = gcd(c, a), the
-    pending coefficients and the remainder so far are multiplied by a/g, and
-    (c/g)*x^(e-l) times the divisor's tail is subtracted straight from the
-    pending coefficients.  A term no leading vector divides goes to the
-    remainder, which comes out in decreasing order.  The steps are those of
-    division over the rationals, so the remainder is the rational remainder
-    times the product of the factors a/g, the returned multiplier.
+    Each element of the basis is nonempty, its lead first, and its tail is
+    read in place.  `first` maps a vector already met to the first element
+    whose lead divides it.  Its caller only appends to the basis, so a first
+    divisor stays first; a vector no lead divided is not remembered, since a
+    later lead may divide it.  Vectors are packed for `run`, and every tail
+    subtracted is charged to its work budget.  The terms may come in any order
+    and repeat a vector.  The largest pending term c*x^e is cancelled against
+    the first element whose leading term a*x^l divides it, fraction-free: with
+    g = gcd(c, a), the pending coefficients and the remainder so far are
+    multiplied by a/g, and (c/g)*x^(e-l) times the element's tail is
+    subtracted straight from the pending coefficients.  A term no leading
+    vector divides goes to the remainder, which comes out in decreasing order.
+    The steps are those of division over the rationals, so the remainder is
+    the rational remainder times the product of the factors a/g, the returned
+    multiplier.
     """
     pending: dict[int, int] = {}
     for e, c in terms:
@@ -273,7 +256,6 @@ def _reduce(
     # A vector is in the heap while it is in pending.
     heap = [-e for e in pending]
     heapify(heap)
-    heads, first = divisors.heads, divisors.first
     remainder: PackedTerms = []
     multiplier = 1
     guard, left = run.guard, run.left
@@ -282,18 +264,18 @@ def _reduce(
         c = pending.pop(e)
         if not c:
             continue
-        head = first.get(e)
-        if head is None:
+        g = first.get(e)
+        if g is None:
             # l divides e when no entry field of e - l borrows its guard bit.
             probe = e | guard
-            for head in heads:
-                if (probe - head[0]) & guard == guard:
-                    first[e] = head
+            for g in basis:
+                if (probe - g[0][0]) & guard == guard:
+                    first[e] = g
                     break
             else:
                 remainder.append((e, c))
                 continue
-        lead, lead_c, tail = head
+        lead, lead_c = g[0]
         shift = e - lead
         common = math.gcd(c, lead_c)
         scale = lead_c // common
@@ -303,13 +285,13 @@ def _reduce(
                 pending[m] *= scale
             remainder = [(r, rc * scale) for r, rc in remainder]
         factor = c // common
-        left -= len(tail) * (c.bit_length() // 64 + 1)
+        left -= (len(g) - 1) * (c.bit_length() // 64 + 1)
         if left < 0:
             raise _BasisTooLarge(
                 "the Groebner basis computation exceeds its budget of "
                 f"{MAX_REDUCTION_WORK} reduction term-words"
             )
-        for t, tc in tail:
+        for t, tc in itertools.islice(g, 1, None):
             m = t + shift
             old = pending.get(m)
             if old is None:
@@ -393,12 +375,11 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     for g in generators:
         if g not in basis:
             basis.append(g)
-    divisors = _Divisors(basis)
+    first: dict[int, PackedTerms] = {}
     for lcm, i, j in _pairs_to_reduce(basis, run):
-        remainder, _ = _reduce(_s_terms(basis[i], basis[j], lcm), divisors, run)
+        remainder, _ = _reduce(_s_terms(basis[i], basis[j], lcm), basis, first, run)
         if remainder:
             basis.append(_primitive(remainder))
-            divisors.append(basis[-1])
     reduced = _reduce_basis(basis, run)
     _verify_basis(reduced, generators, run)
     return GroebnerBasis(tuple(tuple(_unpacked_terms(g, ideal.d)) for g in reduced), ideal.d)
@@ -550,13 +531,12 @@ def _reduce_basis(basis: Sequence[PackedTerms], run: _Run) -> list[PackedTerms]:
     so each kept element comes out fully reduced.
     """
     reduced: list[PackedTerms] = []
-    divisors = _Divisors()
+    first: dict[int, PackedTerms] = {}
     guard = run.guard
     for g in sorted(basis, key=lambda g: g[0][0]):
         probe = g[0][0] | guard
-        if not any((probe - lead) & guard == guard for lead, _, _ in divisors.heads):
-            reduced.append(_primitive(_reduce(g, divisors, run)[0]))
-            divisors.append(reduced[-1])
+        if not any((probe - h[0][0]) & guard == guard for h in reduced):
+            reduced.append(_primitive(_reduce(g, reduced, first, run)[0]))
     return reduced
 
 
@@ -571,12 +551,12 @@ def _verify_basis(
     Groebner basis reduces every S-polynomial to zero, so the audit passes
     exactly when the audit of all pairs does.
     """
-    divisors = _Divisors(elements)
+    first: dict[int, PackedTerms] = {}
     for lcm, i, j in _pairs_to_reduce(elements, run):
-        if _reduce(_s_terms(elements[i], elements[j], lcm), divisors, run)[0]:
+        if _reduce(_s_terms(elements[i], elements[j], lcm), elements, first, run)[0]:
             raise RuntimeError("S-polynomial does not reduce to zero")
     for g in generators:
-        if _reduce(g, divisors, run)[0]:
+        if _reduce(g, elements, first, run)[0]:
             raise RuntimeError("an ideal generator does not reduce to zero")
 
 

@@ -74,8 +74,12 @@ MUTANTS = (
            "step n0 is the union of its unit and mu blocks",
            "test_cohom.py::TestGysinTower"
            "::test_a_unit_block_reaching_into_the_mu_block_fails_the_audit"),
+    Mutant("residue-rank", "cohom.py", "rank=min(1, full_a.dim(0)),", "rank=0,",
+           "the Gysin walk gives a delta = 2 truncation the sphere its Gram rank shows",
+           "test_cohom.py::TestQuadricWitness"
+           "::test_the_gram_rank_is_the_sphere_the_gysin_walk_reaches"),
     Mutant("s-pairs", "grobner.py",
-           "if _reduce(_s_terms(elements[i], elements[j], lcm), divisors, run)[0]:",
+           "if _reduce(_s_terms(elements[i], elements[j], lcm), elements, first, run)[0]:",
            "if False:", "every kept S-pair reduces to zero on the basis",
            "test_cli.py::TestRun::test_corrupted_basis_fails_the_real_audit"),
     Mutant("degree-cut", "grobner.py", "lcm >> degree_shift > cut:",
@@ -88,15 +92,15 @@ MUTANTS = (
            "test_grobner.py::TestAudit::test_a_chain_relies_only_on_pairs_treated_before_it"),
     Mutant("pair-queue", "grobner.py", "if supports[k] & support:", "if False:",
            "every non-coprime pair at or below the staircase top is queued",
-           "test_acceptance.py::test_criterion_2_renormalized_cohomology_on_corpus"),
+           "test_grobner.py::TestAudit::test_pair_loop_yields_the_reference_pairs_on_the_corpus"),
     Mutant("pair-cut", "grobner.py", "lcm_degree <= cut", "lcm_degree < cut",
            "a pair is dropped when queued only if its lcm lies past the staircase top",
            "test_grobner.py::TestStandardMonomials::test_staircase_count_matches_the_enumeration"),
     Mutant("packed-lcm", "grobner.py", "lcm = b ^ (a ^ b) & take_a * _FIELD_MASK",
            "lcm = a ^ (a ^ b) & take_a * _FIELD_MASK",
            "each queued pair's packed lcm is the fieldwise max of its packed leads",
-           "test_acceptance.py::test_criterion_2_renormalized_cohomology_on_corpus"),
-    Mutant("generators", "grobner.py", "if _reduce(g, divisors, run)[0]:", "if False:",
+           "test_grobner.py::TestPacking::test_a_queued_pair_has_the_packed_lcm"),
+    Mutant("generators", "grobner.py", "if _reduce(g, elements, first, run)[0]:", "if False:",
            "every ideal generator reduces to zero on the basis",
            "test_grobner.py::TestAudit::test_pruned_audit_raises_exactly_when_all_pairs_does"),
     Mutant("staircase", "grobner.py", "if mu != expected:", "if False:",

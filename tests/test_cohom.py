@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
@@ -28,7 +29,9 @@ from loopsing.cohom import (
     sphere_cohomology,
 )
 
-from conftest import CORPUS, alternating_sums, deadline, ranks_into_steps
+from loopsing.loopfun import Window
+
+from conftest import CORPUS, alternating_sums, build, deadline, lambda_of, ranks_into_steps
 
 
 def gysin_system(full_a: GradedDims, d: int) -> LesSystem:
@@ -302,9 +305,14 @@ class TestGradedDims:
         assert _euler(dims) == -3
 
     def test_plus_takes_any_mapping(self):
-        assert GradedDims({1: 2}).plus(MappingProxyType({3: 1})) == GradedDims({1: 2, 3: 1})
-        assert GradedDims({1: 2}).plus(GradedDims({1: 1})) == GradedDims({1: 3})
-        assert GradedDims({1: 2}).plus([(1, 1), (4, 2)]) == GradedDims({1: 3, 4: 2})
+        assert GradedDims({1: 2}) + MappingProxyType({3: 1}) == GradedDims({1: 2, 3: 1})
+        assert GradedDims({1: 2}) + GradedDims({1: 1}) == GradedDims({1: 3})
+        assert GradedDims({1: 2}) + [(1, 1), (4, 2)] == GradedDims({1: 3, 4: 2})
+
+    def test_plus_merges_degrees_rather_than_concatenating_pairs(self):
+        total = GradedDims({0: 1}) + GradedDims({0: 1})
+        assert total == GradedDims({0: 2}) == ((0, 2),)
+        assert type(total) is GradedDims
 
     def test_unit_bookkeeping(self):
         assert GradedDims({1: 4}).with_unit() == GradedDims({0: 1, 1: 4})
@@ -326,7 +334,7 @@ class TestGradedDims:
             dims[1] = (2, 5)
         # Neither the constructor's argument nor any derived value shares the caller's dict.
         source[2] = 7
-        derived = (dims.shifted(1), dims.with_unit(), dims.drop_unit(), dims.plus({2: 1}))
+        derived = (dims.shifted(1), dims.with_unit(), dims.drop_unit(), dims + {2: 1})
         assert dims.items() == ((0, 1), (2, 3))
         assert [d.items() for d in derived] == [
             ((1, 1), (3, 3)), ((0, 2), (2, 3)), ((2, 3),), ((0, 1), (2, 4))
@@ -474,20 +482,23 @@ class TestGysinTower:
     def test_block_solve_equals_the_direct_walk(self, d, mu):
         # The record holds the directly solved steps up to n0, the first whose
         # unit and mu blocks a zero node separates; the rows past it are derived.
+        # The record is checked at every height, the derived rows once at the
+        # tallest, and the colimit at the heights TestRenormalized reads.
         n0 = 2 if d == 1 else 1
         truncations, degrees, gysin_ranks, axioms = _walk_gysin_tower(d, mu, MAX_N_MAX)
         for n_max in range(MAX_N_MAX + 1):
-            tower = gysin_tower(d, mu, n_max)
             head = min(n0, n_max)
-            assert tower == GysinTower(
+            assert gysin_tower(d, mu, n_max) == GysinTower(
                 d, mu, truncations[: head + 1], degrees[: head + 1], gysin_ranks[:head],
                 axioms[n_max], n0, n_max,
             )
-            assert tower.truncations == truncations[: n_max + 1]
-            assert tower.degrees == degrees[: n_max + 1]
-            assert ranks_into_steps(tower) == gysin_ranks[:n_max]
-            if n_max >= 2:
-                assert tower.renormalized() == _scan_renormalized(tower)
+        tower = gysin_tower(d, mu, MAX_N_MAX)
+        assert tower.truncations == truncations
+        assert tower.degrees == degrees
+        assert ranks_into_steps(tower) == gysin_ranks
+        for n_max in [*range(2, 25), 60, MAX_N_MAX]:
+            tower = gysin_tower(d, mu, n_max)
+            assert tower.renormalized() == _scan_renormalized(tower)
 
     @pytest.mark.parametrize("d, n0", [(1, 2), (2, 1), (3, 1)])
     def test_shift_rule_is_checked_on_every_base_step_and_block(self, monkeypatch, d, n0):
@@ -520,8 +531,8 @@ class TestGysinTower:
             # residue of rank 1: the unit block's B-column is still the unit.
             return LesSystem(
                 system.codim,
-                system.a.plus({5: 1}),
-                system.c_dims.plus({8: 1}),
+                system.a + {5: 1},
+                system.c_dims + {8: 1},
                 system.rank_facts + (RankFact("residue", 8, 1, "test: reach"),),
             )
 
@@ -601,8 +612,7 @@ class TestRenormalized:
     @pytest.mark.parametrize("mu", [1, 2, 5])
     def test_equals_the_backward_scan(self, d, mu):
         # Heights up to 24 cross the head steps and many translated ones; 60 is
-        # the benchmark's tallest and MAX_N_MAX the command line's.  The direct
-        # walk test covers every height.
+        # the benchmark's tallest and MAX_N_MAX the command line's.
         for n_max in [*range(2, 25), 60, MAX_N_MAX]:
             tower = gysin_tower(d, mu, n_max)
             assert tower.renormalized() == _scan_renormalized(tower)
@@ -709,3 +719,64 @@ class TestRenormalized:
     def test_theorem_values_on_corpus(self, entry):
         report = gysin_tower(entry.d, entry.mu, 4).renormalized()
         assert report.stable == GradedDims({entry.d - 1: entry.mu})
+
+
+def _gram_rank(quadric) -> int:
+    """Exact rank of the symmetric matrix of a quadratic form, Fraction elimination.
+
+    A square u^2 with coefficient c is the entry c at (u, u); a product u*v
+    puts c/2 at (u, v) and at (v, u).
+    """
+    gram: dict = {}
+    for monomial, c in quadric.terms:
+        factors = monomial.factors
+        assert sum(e for _, e in factors) == 2
+        u, v = factors[0][0], factors[-1][0]
+        entry = Fraction(c) if u == v else Fraction(c, 2)
+        gram.setdefault(u, {})[v] = gram.setdefault(v, {})[u] = entry
+    pivots: dict = {}
+    for row in gram.values():
+        row = dict(row)
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            factor = row[col] / pivot[col]
+            for k, x in pivot.items():
+                row[k] = row.get(k, 0) - factor * x
+            row = {k: x for k, x in row.items() if x}
+    return len(pivots)
+
+
+# The delta = 2 inputs, each with the rank of its own quadratic form; an
+# input is isolated exactly when that rank is its number of coordinates d.
+QUADRICS = (
+    *((entry.source, entry.d) for entry in CORPUS if entry.delta == 2),
+    ("x^2 + 3*x*y - 2*y^2 + w^2", 3),
+    ("(x + y)^2", 1),
+    ("x*y + w^2 + v*x", 3),
+)
+
+
+class TestQuadricWitness:
+    """At delta = 2 the functional on [-n, n] is a quadratic form in
+    V_n = d(2n+1) variables.  Of full rank, it cuts out an affine quadric, a
+    (V_n - 1)-sphere up to homotopy (Milnor 1968, the A_1 singularity); the
+    Gysin walk, residue facts included, must give truncation n that one
+    reduced class, in degree 2nd + d - 1 = V_n - 1."""
+
+    @pytest.mark.parametrize("source, form_rank", QUADRICS)
+    def test_the_gram_rank_is_the_sphere_the_gysin_walk_reaches(self, source, form_rank):
+        func = build(source)
+        d = func.d
+        # The walk solves every Gysin system, residue fact and all, with no
+        # shift rule: truncation n's reduced cohomology as the solver finds it.
+        reduced = milnor_fiber_cohomology(d, 1).drop_unit()
+        for n in range(1, 4):
+            rank = _gram_rank(lambda_of(func, Window(n, n)))
+            assert rank == (2 * n + 1) * form_rank
+            if form_rank == d:  # isolated: rank V_n
+                reduced = _solved_step(reduced, d)
+                assert reduced == GradedDims({rank - 1: 1}) == GradedDims({2 * n * d + d - 1: 1})

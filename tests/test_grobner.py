@@ -167,7 +167,8 @@ def _kernel_normal_form(p: LoopPoly, divisors) -> LoopPoly:
     terms = _kernel_terms(p, variables)
     remainder, multiplier = grobner._reduce(
         grobner._packed_terms(terms),
-        grobner._Divisors(grobner._packed_terms(_kernel_terms(g, variables)) for g in divisors),
+        [grobner._packed_terms(_kernel_terms(g, variables)) for g in divisors],
+        {},
         grobner._Run(len(variables)),
     )
     return grobner._from_terms(
@@ -240,10 +241,13 @@ class TestLoopVariables:
         assert str(_s_polynomial(left, right)) == expected
 
     def test_zero_divisors_are_skipped(self):
-        # _Divisors keeps no triple for an element with no terms.
-        assert _kernel_normal_form(self.p, [LoopPoly(), self.f]) == _kernel_normal_form(
-            self.p, [self.f]
-        )
+        # The kernel divides by nonzero elements only: Ideal drops a zero
+        # generator, so buchberger's basis never holds one.
+        variables = LoopPoly.variables(Poly.of(self.f) + self.g)
+        f, g = (dict(_kernel_terms(p, variables)) for p in (self.f, self.g))
+        with_zeros = Ideal([{}, f, {(0,) * len(variables): 0}, g], len(variables))
+        assert with_zeros == Ideal([f, g], len(variables))
+        assert buchberger(with_zeros) == buchberger(Ideal([f, g], len(variables)))
 
 
 def _monomial_standard_monomials(gb: GroebnerBasis) -> list[Monomial] | None:
@@ -995,10 +999,11 @@ class TestIntegerKernel:
         scale = math.lcm(*(c.denominator for c in terms.values()))
         remainder, multiplier = grobner._reduce(
             [(grobner._packed(e), c.numerator * (scale // c.denominator)) for e, c in terms.items()],
-            grobner._Divisors(
+            [
                 grobner._packed_terms(grobner._integer_terms(exponent_terms(g, d)))
-                for g in divisors
-            ),
+                for g in divisors if g
+            ],
+            {},
             grobner._Run(d),
         )
         assert [
@@ -1109,6 +1114,11 @@ def _packed(polys) -> list:
     return [grobner._packed_terms(g) for g in polys]
 
 
+def _nonzero_packed(polys) -> list:
+    """The nonzero tuple-vector term lists packed: the divisors `_reduce` takes."""
+    return [grobner._packed_terms(g) for g in polys if g]
+
+
 def _unpacked(polys, d: int) -> list:
     return [grobner._unpacked_terms(g, d) for g in polys]
 
@@ -1201,14 +1211,15 @@ def _replayed_pairs(pairs_to_reduce, ideal) -> tuple[list, list]:
     for g in _packed(ideal.terms):
         if g not in basis:
             basis.append(g)
-    divisors = grobner._Divisors(basis)
+    first = {}
     pairs = []
     for lcm, i, j in pairs_to_reduce(basis, run):
         pairs.append((lcm, i, j))
-        remainder, _ = grobner._reduce(grobner._s_terms(basis[i], basis[j], lcm), divisors, run)
+        remainder, _ = grobner._reduce(
+            grobner._s_terms(basis[i], basis[j], lcm), basis, first, run
+        )
         if remainder:
             basis.append(grobner._primitive(remainder))
-            divisors.append(basis[-1])
     return pairs, basis
 
 
@@ -1363,9 +1374,9 @@ def _audit_reductions(monkeypatch, elements, generators) -> int:
     """The number of divisions `_verify_basis` makes on the elements and generators."""
     reduce, count = grobner._reduce, []
 
-    def counted(terms, divisors, run):
+    def counted(terms, basis, first, run):
         count.append(None)
-        return reduce(terms, divisors, run)
+        return reduce(terms, basis, first, run)
 
     monkeypatch.setattr(grobner, "_reduce", counted)
     _packed_verify(elements, generators)
@@ -1726,7 +1737,7 @@ class TestPacking:
     def test_reduce_matches_the_tuple_reference(self, division):
         d, terms, divisors = division
         remainder, multiplier = grobner._reduce(
-            grobner._packed_terms(terms), grobner._Divisors(_packed(divisors)), grobner._Run(d)
+            grobner._packed_terms(terms), _nonzero_packed(divisors), {}, grobner._Run(d)
         )
         assert (grobner._unpacked_terms(remainder, d), multiplier) == _tuple_reduce(
             terms, divisors
@@ -1734,25 +1745,24 @@ class TestPacking:
 
     @settings(deadline=None, max_examples=300)
     @given(_packed_divisions(), st.data())
-    def test_a_reused_divisor_record_divides_as_a_fresh_one(self, division, data):
-        """One record, appended to between divisions as a growing basis is, remembers
-        no first divisor that an appended lead would change."""
+    def test_a_reused_memo_divides_as_a_fresh_one(self, division, data):
+        """One first-divisor memo, kept beside a basis appended to between
+        divisions, remembers no first divisor that an appended lead would change."""
         d, terms, divisors = division
         vectors = st.tuples(*[st.integers(0, 4)] * d)
         dividends = [terms] + data.draw(
             st.lists(st.lists(st.tuples(vectors, st.integers(-9, 9)), max_size=8), max_size=3)
         )
-        record, run = grobner._Divisors(), grobner._Run(d)
+        basis, first, run = [], {}, grobner._Run(d)
         held = 0
         for dividend in dividends:
             more = data.draw(st.integers(held, len(divisors)))
-            for g in divisors[held:more]:
-                record.append(grobner._packed_terms(g))
+            basis += _nonzero_packed(divisors[held:more])
             held = more
             packed = grobner._packed_terms(dividend)
-            reused = grobner._reduce(packed, record, run)
+            reused = grobner._reduce(packed, basis, first, run)
             fresh = grobner._reduce(
-                packed, grobner._Divisors(_packed(divisors[:held])), grobner._Run(d)
+                packed, _nonzero_packed(divisors[:held]), {}, grobner._Run(d)
             )
             assert reused == fresh
             assert (grobner._unpacked_terms(reused[0], d), reused[1]) == _tuple_reduce(
