@@ -83,7 +83,8 @@ class GradedDims(tuple):
     increasing degree; degrees may be negative.  The constructor takes a
     mapping or an iterable of pairs of ints, merges repeated degrees and drops
     zeros.  Being a tuple, a GradedDims is immutable, hashes, and compares
-    equal to the plain tuple of its pairs.
+    equal to the plain tuple of its pairs.  `+` with a mapping or pairs on
+    either side is the degreewise sum, and `*` is refused.
     """
 
     __slots__ = ()
@@ -118,6 +119,14 @@ class GradedDims(tuple):
     def __add__(self, other: Mapping[int, int] | Iterable[tuple[int, int]]) -> GradedDims:
         """The degreewise sum with a mapping or pairs, not the tuples' concatenation."""
         return GradedDims([*self, *(other.items() if isinstance(other, Mapping) else other)])
+
+    __radd__ = __add__
+
+    def __mul__(self, other: object) -> GradedDims:
+        """Refused: a tuple's repetition is no operation on dimensions."""
+        raise TypeError("a GradedDims cannot be repeated; use + for the degreewise sum")
+
+    __rmul__ = __mul__
 
     def with_unit(self) -> GradedDims:
         """Add the one-dimensional unit class in degree 0."""

@@ -8,13 +8,14 @@ machine-checks the structural identities that they satisfy: the support bound
 on conformal degrees, linearity in the top-degree variables, and the two forms
 of the top-variable derivative identity.
 
-The jet kernel computes a coefficient as sorted rows of small int codes (a
-`_Jet`), and the weight audits, the truncation, the checks and the printer
-all read those codes; no polynomial object is built.  Each public check
-computes the functional and reads it with its private reading
-(`_support_report`, `_linearity_report`, `_derivative_report`), and
-`_functional_checks`, which the command line runs, reads one jet with the
-same readings and audits the constant loops beside them.
+The jet kernel computes a coefficient as a `_Jet`, rows (codes, coefficient)
+of small int codes, the printer's terms, sorted once on their codes: a jet's
+terms share one degree, so that is grevlex order.  The weight audits, the
+truncation, the checks and the printer all read those codes; no polynomial
+object is built.  Each public check computes the functional and reads it with
+its private reading (`_support_report`, `_linearity_report`,
+`_derivative_report`), and `_functional_checks`, which the command line runs,
+reads one jet with the same readings and audits the constant loops beside them.
 
 Coefficients are exact and canonical: an int when integral, else a Fraction
 whose denominator is above 1 (`_exact`).  So on an integral F, the usual
@@ -263,20 +264,21 @@ def support_window(func: InputFunction, bottom: int) -> Window:
 class _Jet:
     """A jet coefficient in the kernel's codes, the form the functional checks read.
 
-    `rows` are its terms (degree, codes, coefficient) in decreasing
-    (degree, codes) order, which is decreasing grevlex order of their
-    monomials; each coefficient is nonzero and canonical (see `_exact`), so
-    an integral F's jet holds ints alone, and each term's codes are sorted,
-    which is factor order.  Code slot*m + (m - n) stands for the factor
-    (z^c_j)^n, with slot (j + bottom)*d + (c - 1) (see
-    `_jet_of_poly`), so the codes of the variables of conformal degree j are
-    [start(j), start(j + 1)).  Floor division decodes a slot below 0 too,
-    which a functional forged beneath the window holds.
+    `rows` are its terms as (codes, coefficient) pairs, the printer's terms,
+    in decreasing codes order: every term of a jet has one degree, so that is
+    decreasing grevlex order of their monomials.  Each coefficient is nonzero
+    and canonical (see `_exact`), so an integral F's jet holds ints alone,
+    and each term's codes are sorted, which is factor order.  Code
+    slot*m + (m - n) stands for the factor (z^c_j)^n, with slot
+    (j + bottom)*d + (c - 1) (see `_jet_of_poly`), so the codes of the
+    variables of conformal degree j are [start(j), start(j + 1)).  Floor
+    division decodes a slot below 0 too, which a functional forged beneath
+    the window holds.
     """
 
     __slots__ = ("rows", "m", "d", "bottom")
 
-    def __init__(self, rows: list[tuple[int, tuple[int, ...], Fraction | int]], m: int, d: int,
+    def __init__(self, rows: list[tuple[tuple[int, ...], Fraction | int]], m: int, d: int,
                  bottom: int) -> None:
         self.rows, self.m, self.d, self.bottom = rows, m, d, bottom
 
@@ -290,10 +292,6 @@ class _Jet:
     def cdeg(self, code: int) -> int:
         """The conformal degree of a code's variable."""
         return code // self.m // self.d - self.bottom
-
-    def coefficients(self) -> dict[tuple[int, ...], Fraction | int]:
-        """The terms as {codes: coefficient}."""
-        return {codes: c for _, codes, c in self.rows}
 
     def coded(
         self, terms: Mapping[tuple[int, ...], Fraction | int], cdeg: int
@@ -320,7 +318,7 @@ class _Jet:
 
     def to_string(self, names: Sequence[str]) -> str:
         """The jet's text, terms in decreasing grevlex order, each variable as `name_cdeg`."""
-        return format_terms(((codes, c) for _, codes, c in self.rows), self.text(names))
+        return format_terms(self.rows, self.text(names))
 
     def monomial_text(self, codes: tuple[int, ...]) -> str:
         """The text of the monomial of the codes, (z^c_j)^n written `zc_j^n`."""
@@ -332,12 +330,12 @@ class _Jet:
         """The conformal weights of the terms: each the sum of cdeg * exponent."""
         m = self.m
         weight = {code: self.cdeg(code) * (m - code % m)
-                  for code in set(chain.from_iterable(map(itemgetter(1), self.rows)))}
-        return {sum(map(weight.__getitem__, codes)) for _, codes, _ in self.rows}
+                  for code in set(chain.from_iterable(map(itemgetter(0), self.rows)))}
+        return {sum(map(weight.__getitem__, codes)) for codes, _ in self.rows}
 
     def max_cdeg(self) -> int:
         """The largest conformal degree of a variable, read off last codes."""
-        return self.cdeg(max([codes[-1] for _, codes, _ in self.rows if codes]))
+        return self.cdeg(max([codes[-1] for codes, _ in self.rows if codes]))
 
     def truncated(self, top: int) -> _Jet:
         """The jet with every variable of conformal degree above `top` set to zero.
@@ -346,7 +344,7 @@ class _Jet:
         itself is returned when every term survives.
         """
         after = self.start(top + 1)
-        kept = [row for row in self.rows if not row[1] or row[1][-1] < after]
+        kept = [row for row in self.rows if not row[0] or row[0][-1] < after]
         return self if len(kept) == len(self.rows) else _Jet(kept, self.m, self.d, self.bottom)
 
     def on_constant_loops(self) -> dict[tuple[int, ...], Fraction | int]:
@@ -355,11 +353,8 @@ class _Jet:
         A term is kept when its first and last codes lie at conformal degree 0.
         """
         first, after = self.start(0), self.start(1)
-        return {
-            codes: c
-            for _, codes, c in self.rows
-            if not codes or first <= codes[0] and codes[-1] < after
-        }
+        return {codes: c for codes, c in self.rows
+                if not codes or first <= codes[0] and codes[-1] < after}
 
 
 def _power_expansion(
@@ -422,9 +417,11 @@ def _jet_of_poly(
     its codes, in factor order, and at equal degree tuple order is key order.
     Each power is expanded once per (exp, t-degree bounds), for all monomials
     and coordinates (moved to coordinate c by adding (c - c0)*m to its codes).
-    The finished terms are sorted once on (degree, codes) and returned as a
-    `_Jet`; no monomial is built.  A monomial built twice, or a coefficient
-    product of zero, raises RuntimeError instead of being merged or pruned.
+    Every term of a homogeneous F's jet has one degree, so the finished
+    (codes, coefficient) pairs are sorted once on their codes, into
+    decreasing grevlex order, and returned as a `_Jet`; no monomial is
+    built.  A monomial built twice, or a coefficient product of zero, raises
+    RuntimeError instead of being merged or pruned.
 
     Every expansion term, at each use of a shared expansion, and every
     partial product counts against MAX_JET_TERMS, before it is built; past
@@ -437,7 +434,7 @@ def _jet_of_poly(
     built = 0
     # (exp, t-degree bounds) -> (coordinate, that power's expansion in its codes)
     expansions: dict[tuple[int, int, int], tuple[int, dict]] = {}
-    rows: list[tuple[int, tuple[int, ...], Fraction | int]] = []
+    rows: list[tuple[tuple[int, ...], Fraction | int]] = []
     # t-degree -> partial products (codes, integer weight), before any factor
     start: dict[int, list[tuple[tuple[int, ...], int]]] = {0: [((), 1)]}
     for e, coeff in terms.items():
@@ -494,16 +491,12 @@ def _jet_of_poly(
             raise RuntimeError(f"the jet term of {e} has coefficient zero")
         if sum(map(bool, e)) > 1:
             finished = [(tuple(sorted(codes)), weight) for codes, weight in finished]
-        # A code is -n modulo m, and a term's degree, that of its monomial, is
-        # below m: -sum(c) % m is the degree of c.
-        rows += [(-sum(c) % m, c, products[w]) for c, w in finished]
-    # On (degree, codes), decreasing: stable sorts on codes, then on degree.
-    rows.sort(key=itemgetter(1), reverse=True)
+        rows += [(c, products[w]) for c, w in finished]
     rows.sort(key=itemgetter(0), reverse=True)
     jet = _Jet(rows, m, d, bottom)
-    # Equal codes have equal degrees, so a term built twice lies next to itself.
+    # A term built twice lies next to itself.
     previous = None
-    for _, codes, _ in rows:
+    for codes, _ in rows:
         if codes == previous:
             mono = jet.monomial_text(codes)
             raise RuntimeError(f"monomial {mono} occurs twice among distinct terms")
@@ -521,7 +514,9 @@ def _functional_jet(func: InputFunction, window: Window) -> _Jet:
     cdeg_weights = jet.conformal_weights()
     if cdeg_weights not in (set(), {0}):
         raise RuntimeError(f"loop functional has conformal weights {cdeg_weights}")
-    scale_weights = set(map(itemgetter(0), jet.rows))
+    # A code is -n modulo m, and a term's degree, that of its monomial, is
+    # below m: -sum(codes) % m is the degree of the codes.
+    scale_weights = {-sum(codes) % jet.m for codes, _ in jet.rows}
     if scale_weights not in (set(), {func.delta}):
         raise RuntimeError(f"loop functional has scaling weights {scale_weights}")
     return jet
@@ -579,7 +574,7 @@ def _linearity_report(window: Window, jet: _Jet) -> TopLinearityReport:
     top = window.top
     first, after, m = jet.start(top), jet.start(top + 1), jet.m
     offending = tuple([
-        jet.monomial_text(codes) for _, codes, _ in jet.rows
+        jet.monomial_text(codes) for codes, _ in jet.rows
         if codes and codes[-1] >= first and _top_exponent(codes, first, after, m) > 1
     ])
     return TopLinearityReport(
@@ -640,12 +635,12 @@ def _derivative_report(func: InputFunction, window: Window, jet: _Jet) -> Deriva
     top, m = window.top, jet.m
     first = jet.start(top)
     # Only terms reaching conformal degree N hold a degree-N variable.
-    reaching = [row for row in jet.rows if row[1] and row[1][-1] >= first]
+    reaching = [row for row in jet.rows if row[0] and row[0][-1] >= first]
 
     checks = []
     for j, d_j in enumerate(func.partials, 1):
         lhs = _partial(reaching, first + (j - 1) * m, m)
-        via_coeff = _jet_of_poly(d_j, window, -top, m).coefficients()
+        via_coeff = dict(_jet_of_poly(d_j, window, -top, m).rows)
         via_eval = jet.coded(d_j, -window.bottom)
         checks.append(
             CoordinateDerivativeCheck(
@@ -658,7 +653,7 @@ def _derivative_report(func: InputFunction, window: Window, jet: _Jet) -> Deriva
 
 
 def _partial(
-    rows: Iterable[tuple[int, tuple[int, ...], Fraction | int]], first: int, m: int
+    rows: Iterable[tuple[tuple[int, ...], Fraction | int]], first: int, m: int
 ) -> dict[tuple[int, ...], Fraction | int]:
     """The partial derivative of the terms `rows` by the variable whose codes
     are [first, first + m), as {codes: coefficient}.
@@ -667,7 +662,7 @@ def _partial(
     Distinct terms holding the variable have distinct derivatives, so none merge.
     """
     out = {}
-    for _, codes, c in rows:
+    for codes, c in rows:
         i = bisect_left(codes, first)
         if i < len(codes) and codes[i] < first + m:
             n = first + m - codes[i]

@@ -63,6 +63,23 @@ CORPUS: tuple[CorpusEntry, ...] = (
     CorpusEntry("x^4 + 3*x^2*y^2 + y^4", d=2, delta=4, mu=9),
     # The Klein quartic: 168 automorphisms of the curve, the Fermat quartic 96.
     CorpusEntry("x^3*y + y^3*w + w^3*x", d=3, delta=4, mu=27),
+    # Invertible forms of the two types beside Fermat's (Kreuzer and Skarke
+    # 1992, Berglund and Huebsch 1993), each as written: the loop
+    # x1^a1*x2 + ... + xd^ad*x1 and the chain
+    # x1^a1*x2 + ... + x(d-1)^a(d-1)*xd + xd^ad.  The Hessian determinant of
+    # a Fermat form sum L_i^delta is a constant times prod L_i^(delta-2).
+    # Loop.  Over C it is a Fermat form after all, the sum of c_k times
+    # (x + r^k*y + r^(2k)*w)^3 for k = 0, 1, 2 and r a cube root of unity.
+    CorpusEntry("x^2*y + y^2*w + w^2*x", d=3, delta=3, mu=8),
+    # Chain.  Its Hessian determinant, -54*x*(2*x^3*w^2 + y^5 - 8*y^2*w^3),
+    # is no square.
+    CorpusEntry("x^3*y + y^3*w + w^4", d=3, delta=4, mu=27),
+    CorpusEntry("x^2*y + y^2*w + w^2*v + v^2*x", d=4, delta=3, mu=16),  # loop
+    CorpusEntry("x^2*y + y^2*w + w^2*v + v^3", d=4, delta=3, mu=16),  # chain
+    # A binary quintic of three terms, so of neither type: the chain
+    # x*y^4 + y^5 beside the Fermat term x^5.  Its Hessian determinant,
+    # 16*y^2*(15*x^4 + 25*x^3*y - y^4), is no cube.
+    CorpusEntry("x^5 + x*y^4 + y^5", d=2, delta=5, mu=16),
 )
 
 # Homogeneous but with positive-dimensional singular locus.
@@ -72,6 +89,10 @@ NON_ISOLATED_SOURCES: tuple[str, ...] = (
     # Singular along the lines x = w = 0 and y = w = 0; not a product of
     # linear forms.
     "x^2*y^2 + w^4",
+    # Chains cut short of their last term: the last variable occurs only
+    # linearly, so the partials all vanish along its axis.
+    "x^2*y + y^2*w",
+    "x^3*y + y^3*w + w^3*v",
 )
 
 _FERMAT_NAMES = ("x", "y", "w")
@@ -281,7 +302,7 @@ def decoded_monomial(jet: loopfun._Jet, codes: tuple[int, ...]) -> Monomial:
 
 def decoded(jet: loopfun._Jet) -> Poly:
     """A jet's rows as a Poly."""
-    return Poly((decoded_monomial(jet, codes), c) for _, codes, c in jet.rows)
+    return Poly((decoded_monomial(jet, codes), c) for codes, c in jet.rows)
 
 
 def jet_coefficient(func: InputFunction, window: Window, k: int) -> Poly:
@@ -339,7 +360,7 @@ def coded(poly: LoopPoly, func: InputFunction, bottom: int) -> loopfun._Jet:
                     f"the functional's variable z{coord}_{cdeg} lies beyond F's {d} coordinates"
                 )
             codes.append(((cdeg + bottom) * d + coord - 1) * m + m - e)
-        rows.append((mono.key[0], tuple(codes), coeff))
+        rows.append((tuple(codes), coeff))
     return loopfun._Jet(rows, m, d, bottom)
 
 

@@ -139,6 +139,9 @@ MUTANTS = (
     Mutant("doubled-term", "loopfun.py", "if codes == previous:", "if False:",
            "the jet kernel hands no monomial over twice",
            "test_cli.py::TestRun::test_a_jet_term_built_twice_fails_every_functional_check"),
+    Mutant("jet-order", "loopfun.py", "rows.sort(key=itemgetter(0), reverse=True)",
+           "rows.sort(key=itemgetter(0))", "a jet's terms come in decreasing grevlex order",
+           "test_loopfun.py::TestCanonicalJets::test_on_corpus"),
     Mutant("zero-coefficient", "loopfun.py", "if finished and not all(products.values()):",
            "if False:", "no jet term has coefficient zero",
            "test_loopfun.py::TestJetAudits::test_a_zero_coefficient_raises"),

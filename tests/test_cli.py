@@ -995,6 +995,31 @@ class TestStructuredOutput:
             "5c83141f8bc1a471a1257e13f883b442dc1f66f50e4ba0a5a08d23fd2da2f1b4",
         ),
         (
+            "x^2*y + y^2*w + w^2*x", 9,
+            "fe070b3f81cc92a97965bcc4443c319d592ec7de79a465e9536a709cdc5faaba",
+            "6f9d5ffba98087e5eccd9eb832ce8b7ce6b8bd5feb53d673ff6299a42faa8a0b",
+        ),
+        (
+            "x^3*y + y^3*w + w^4", 9,
+            "fea7841b3ba08b5d9bfb2c8ed6217ff2df443ebb1f77356a9f36b37710410ef2",
+            "08e435f33e3a948ef9fde00f6d0856e47fb38e02e465178350316074ab83454d",
+        ),
+        (
+            "x^2*y + y^2*w + w^2*v + v^2*x", 9,
+            "325c21e0329a9ffe112ec904e4a0f3ff15d8869f9405a82e1a66f045ef0c2608",
+            "6d391bd9e8be34211d2e669d99ba97ec91702e774f058c9ef6971969051a2ee5",
+        ),
+        (
+            "x^2*y + y^2*w + w^2*v + v^3", 9,
+            "f93385c335ab7a69db57201f266dc4fa681cedcc9c24d135114cf3125c608677",
+            "4f8d434e0aaba6aa137d34d952589dc1fe0d8625aaee38fc7b2a01d873fc3204",
+        ),
+        (
+            "x^5 + x*y^4 + y^5", 9,
+            "59a23e213f378da06584af84263144b412ba587ee8e8e578db0ada7213d3edf2",
+            "18a3dedc33b9b812fe143d1c600d8bd69ed42e415bc1e3d692ac38e833ea0888",
+        ),
+        (
             "x^2*y", 4,
             "4ab940c6f624f362b722235a21a179853ba35c6bc0ce0e4047445747784fc451",
             "150c6189a5d34fa75332693fa182bcdecadcd29b27fb86b9d5b5fc81aab46f28",
@@ -1008,6 +1033,16 @@ class TestStructuredOutput:
             "x^2*y^2 + w^4", 4,
             "98b97ca89685f5926ce9ef289c2f8d0dd238fc09904924ce28e36c583049b719",
             "6c0ce3f6a1b9c63ceb59358fbae56b14cacaba28ceb50a7471ff392b2027fd21",
+        ),
+        (
+            "x^2*y + y^2*w", 4,
+            "e952d10f65020b004ad393e03a449500249a3ffddf2a16e12e47249e2f423a35",
+            "f3127dbf69938d59f49536861e02b67f0d5746253e76cd84231bdcc43f9f1ddf",
+        ),
+        (
+            "x^3*y + y^3*w + w^3*v", 4,
+            "4391d609f4db105b38faf4873940db41c3fa551257d861773f5e61f735043c32",
+            "ffad139ac55160e06d3e95bf133b93b0bbc7c0729c1997114a6c0210a8d9e61c",
         ),
         # Towers at MAX_N_MAX, far past the steps solved directly.
         (

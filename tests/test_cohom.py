@@ -310,9 +310,15 @@ class TestGradedDims:
         assert GradedDims({1: 2}) + [(1, 1), (4, 2)] == GradedDims({1: 3, 4: 2})
 
     def test_plus_merges_degrees_rather_than_concatenating_pairs(self):
-        total = GradedDims({0: 1}) + GradedDims({0: 1})
-        assert total == GradedDims({0: 2}) == ((0, 2),)
-        assert type(total) is GradedDims
+        for total in (GradedDims({0: 1}) + GradedDims({0: 1}), ((0, 1),) + GradedDims({0: 1})):
+            assert total == GradedDims({0: 2}) == ((0, 2),)
+            assert type(total) is GradedDims
+
+    def test_repetition_is_refused_on_either_side(self):
+        with pytest.raises(TypeError):
+            GradedDims({0: 1}) * 2
+        with pytest.raises(TypeError):
+            2 * GradedDims({0: 1})
 
     def test_unit_bookkeeping(self):
         assert GradedDims({1: 4}).with_unit() == GradedDims({0: 1, 1: 4})

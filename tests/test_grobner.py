@@ -10,7 +10,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, mul, sub
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from loopsing import grobner
@@ -1370,6 +1370,30 @@ def _dense_jacobian_ideals(draw) -> Ideal:
         assume(False)
 
 
+def _basis_elements(ideal: Ideal) -> list[list]:
+    """Buchberger's basis of a drawn ideal as lists of terms.
+
+    A non-homogeneous draw that passes the reduction budget is rejected: the
+    refusal is the budget at work, and a refused ideal has no basis to
+    compare.  A refused homogeneous ideal still fails the test.
+    """
+    try:
+        return [list(g) for g in buchberger(ideal).terms]
+    except grobner._BasisTooLarge:
+        if all(len({sum(e) for e, _ in g}) == 1 for g in ideal.terms):
+            raise
+        reject()
+
+
+# A non-homogeneous ideal that `_audited_ideals` once drew, which passes
+# MAX_REDUCTION_WORK after several seconds.
+REFUSED_DRAW = Ideal([
+    {(2, 1, 2): 2, (2, 2, 1): 8, (2, 1, 1): 32, (0, 0, 0): -1},
+    {(0, 2, 2): 2, (1, 0, 2): 3, (1, 1, 1): 1, (0, 0, 0): 1},
+    {(2, 2, 2): 1, (0, 2, 1): 1, (0, 0, 0): 1},
+], 3)
+
+
 def _audit_reductions(monkeypatch, elements, generators) -> int:
     """The number of divisions `_verify_basis` makes on the elements and generators."""
     reduce, count = grobner._reduce, []
@@ -1390,7 +1414,7 @@ class TestAudit:
     @settings(deadline=None, max_examples=150)
     @given(_audited_ideals(), st.lists(_mutations, max_size=2))
     def test_pruned_audit_raises_exactly_when_all_pairs_does(self, ideal, mutations):
-        elements = [list(g) for g in buchberger(ideal).terms]
+        elements = _basis_elements(ideal)
         for kind, index, pick, step in mutations:
             if elements:
                 elements = _mutate(elements, kind, index % len(elements), pick, step)
@@ -1457,7 +1481,7 @@ class TestAudit:
     @settings(deadline=None, max_examples=100)
     @given(_audited_ideals(), st.lists(_mutations, max_size=2))
     def test_pair_loop_yields_the_reference_pairs(self, ideal, mutations):
-        elements = [list(g) for g in buchberger(ideal).terms]
+        elements = _basis_elements(ideal)
         mutated = elements
         for kind, index, pick, step in mutations:
             if mutated:
@@ -1515,7 +1539,7 @@ class TestAudit:
     @settings(deadline=None, max_examples=100)
     @given(_audited_ideals())
     def test_buchberger_passes_the_all_pairs_audit(self, ideal):
-        _all_pairs_verify([list(g) for g in buchberger(ideal).terms], ideal.terms)
+        _all_pairs_verify(_basis_elements(ideal), ideal.terms)
 
     @pytest.mark.parametrize("source", sorted(PINNED_BASES))
     def test_buchberger_passes_the_all_pairs_audit_on_a_pinned_basis(self, source):
@@ -1797,6 +1821,11 @@ class TestPacking:
         monkeypatch.setattr(grobner, "MAX_REDUCTION_WORK", 100)
         with pytest.raises(grobner._BasisTooLarge, match="budget of 100 reduction"):
             buchberger(ideal)
+
+    def test_a_drawn_ideal_past_the_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(grobner, "MAX_REDUCTION_WORK", 200_000)
+        with pytest.raises(grobner._BasisTooLarge, match="budget of 200000 reduction"):
+            buchberger(REFUSED_DRAW)
 
 
 class TestIdealValidation:

@@ -688,6 +688,17 @@ REPRS = {
     "x^3*y + y^3*w + w^3*x": (
         "InputFunction(d=3, delta=4, poly=y_0^3*w_0 + x_0*w_0^3 + x_0^3*y_0)"
     ),
+    "x^2*y + y^2*w + w^2*x": (
+        "InputFunction(d=3, delta=3, poly=y_0^2*w_0 + x_0*w_0^2 + x_0^2*y_0)"
+    ),
+    "x^3*y + y^3*w + w^4": "InputFunction(d=3, delta=4, poly=w_0^4 + y_0^3*w_0 + x_0^3*y_0)",
+    "x^2*y + y^2*w + w^2*v + v^2*x": (
+        "InputFunction(d=4, delta=3, poly=w_0^2*v_0 + y_0^2*w_0 + x_0*v_0^2 + x_0^2*y_0)"
+    ),
+    "x^2*y + y^2*w + w^2*v + v^3": (
+        "InputFunction(d=4, delta=3, poly=v_0^3 + w_0^2*v_0 + y_0^2*w_0 + x_0^2*y_0)"
+    ),
+    "x^5 + x*y^4 + y^5": "InputFunction(d=2, delta=5, poly=y_0^5 + x_0*y_0^4 + x_0^5)",
     "1/2*x^2 - 3/7*y^2": "InputFunction(d=2, delta=2, poly=-3/7*y_0^2 + 1/2*x_0^2)",
     "-1/3*x^2*y + y^3": "InputFunction(d=2, delta=3, poly=y_0^3 - 1/3*x_0^2*y_0)",
 }
