@@ -5,10 +5,12 @@ complement U repeats the three-term pattern
 
     ... -> A^{s-2c} -> B^s -> C^s -> A^{s-2c+1} -> ...
 
-where A and C are known graded dimension vectors and B is solved for by rank
-propagation through the segments bounded by zero entries.  Only the nodes next
-to a nonzero A or C entry or to a declared fact are built; every other B sits
-between two zero entries and vanishes.  Declared ranks of specific maps
+where A and C are known graded dimension vectors and B is solved for by
+exactness.  The unknown B entries cut the sequence into links, C^s and
+A^{s-2c+1} with the three maps around them, and exactness leaves each link
+one free rank, fixed by a zero entry or a declared fact.  Only the links with
+a nonzero entry or a fact are visited; every other B sits between two zero
+entries and vanishes.  Declared ranks of specific maps
 (notably the residue map onto the unit class) enter as tagged facts and are
 surfaced in every report; they are inputs, not computations.
 
@@ -91,14 +93,19 @@ class GradedDims(tuple):
 
     def __new__(cls, dims: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> GradedDims:
         store: dict[int, int] = {}
-        for degree, dim in dims.items() if isinstance(dims, Mapping) else dims:
+        # A tuple, list or dict is told apart without the Mapping check, a
+        # Python-level call that every other argument pays.
+        pairs = dims if isinstance(dims, (tuple, list)) else (
+            dims.items() if isinstance(dims, (dict, Mapping)) else dims
+        )
+        for degree, dim in pairs:
             if type(degree) is not int or type(dim) is not int:
                 raise TypeError("degrees and dimensions must be ints")
             if dim < 0:
                 raise ValueError(f"negative dimension {dim} in degree {degree}")
             if dim:
                 store[degree] = store.get(degree, 0) + dim
-        return super().__new__(cls, sorted(store.items()))
+        return tuple.__new__(cls, sorted(store.items()))
 
     def dim(self, degree: int) -> int:
         for deg, dim in self:
@@ -108,7 +115,7 @@ class GradedDims(tuple):
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(degree for degree, _ in self)
+        return tuple([degree for degree, _ in self])
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return tuple(self)
@@ -118,7 +125,8 @@ class GradedDims(tuple):
 
     def __add__(self, other: Mapping[int, int] | Iterable[tuple[int, int]]) -> GradedDims:
         """The degreewise sum with a mapping or pairs, not the tuples' concatenation."""
-        return GradedDims([*self, *(other.items() if isinstance(other, Mapping) else other)])
+        pairs = other.items() if isinstance(other, (dict, Mapping)) else other
+        return GradedDims([*self, *pairs])
 
     __radd__ = __add__
 
@@ -137,7 +145,7 @@ class GradedDims(tuple):
         unit = self.dim(0)
         if unit < 1:
             raise ValueError("no unit class in degree 0 to drop")
-        return GradedDims({**dict(self), 0: unit - 1})
+        return GradedDims([(degree, dim - 1 if degree == 0 else dim) for degree, dim in self])
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{degree}: {dim}" for degree, dim in self) + "}"
@@ -146,7 +154,6 @@ class GradedDims(tuple):
         return f"GradedDims({self})"
 
 
-_SLOTS = ("A", "B", "C")
 _KINDS = ("gysin", "restriction", "residue")
 
 
@@ -205,116 +212,100 @@ class LesSolution(namedtuple("LesSolution", "b ranks segments axioms", defaults=
 
 
 def solve_les_detailed(system: LesSystem) -> LesSolution | Underdetermined:
-    """Solve the sequence for B by rank propagation; keep ranks and segments.
+    """Solve the sequence for B by exactness, link by link; keep ranks and segments.
 
-    Exactness says each space's dimension is the sum of the ranks of the maps
-    in and out of it.  Zero entries force both adjacent ranks to zero, so the
-    chain splits into independent segments; within a segment, dimensions and
-    declared ranks propagate until everything is pinned or some B entries stay
-    ambiguous.  Only the nodes next to a nonzero A or C entry or to a declared
-    fact are built: any other B lies between two zero entries and vanishes, so
-    the work does not grow with the gaps between degrees.  Returns the
-    solution, whose `b` is the middle column, or Underdetermined with the
-    ambiguous degrees.
+    The unknown B entries cut the sequence into links: link s is the two
+    known entries C^s and A^(s-2c+1) between B^s and B^(s+1), with the maps
+    B^s -> C^s -> A^(s-2c+1) -> B^(s+1).  Exactness at C^s and at the A entry
+    leaves each link one free rank r, the residue's: the restriction has rank
+    dim C^s - r and the next Gysin map dim A - r.  A zero entry fixes r at 0,
+    and a declared fact fixes r at the value its rank forces; a link with two
+    nonzero entries and no fact leaves B^s and B^(s+1) ambiguous.  Exactness
+    at B^s then makes its dimension the sum of the ranks into and out of it,
+    from links s-1 and s.  Only the links with a nonzero entry or a fact are
+    visited (`_links`); every other map has rank 0, so the work does not grow
+    with the gaps between degrees.  Returns the solution, whose `b` is the
+    middle column, or Underdetermined with the ambiguous degrees.  A fixed r
+    outside 0..min(dim C^s, dim A), or two facts fixing different r on one
+    link, raise Inconsistent.
 
     Each segment's alternating sum of dimensions is 0 by construction, so no
-    audit repeats it.  The maps at both ends of a segment have rank 0, being
-    maps from or to a zero entry.  The sweep stops only after a pass that
-    changes nothing, and on that pass every node it keeps with a known
-    dimension and both ranks known has dim = r_in + r_out, or Inconsistent
-    was raised; a B dimension is only ever set to r_in + r_out.  Once every
-    dimension is known the ranks follow from each segment's first node on,
-    so the alternating sum telescopes to its two end ranks, both 0.
+    audit repeats it: every entry's dimension is the sum of the ranks of the
+    maps in and out of it, so the sum telescopes to the ranks of the maps at
+    the segment's two ends, both 0, being maps from or to a zero entry.
     """
     c2 = 2 * system.codim
-
-    def node(t: int) -> tuple[str, int]:
-        s, slot = divmod(t, 3)
-        return _SLOTS[slot], s - c2 if slot == 0 else s
-
-    ranks, core = _core(system)
-    # Keep the core and its neighbours (each fact's source too); the rest are zero.
-    kept = sorted({t + step for t in core for step in (-1, 0, 1)})
-
-    dims: dict[int, int | None] = {}
-    for t in kept:
-        s, slot = divmod(t, 3)
-        dims[t] = (system.a.dim(s - c2), None, system.c_dims.dim(s))[slot]
-    # Every map leaving the kept set has a zero entry at its far end.
-    for t in kept:
-        if t - 1 not in dims:
-            ranks[t] = 0
-        if t + 1 not in dims:
-            ranks[t + 1] = 0
-
-    def set_rank(t: int, value: int) -> bool:
-        if value < 0:
-            raise Inconsistent(f"exactness forces a negative rank at the map into {node(t)}")
-        known = ranks.get(t)
-        if known is None:
-            ranks[t] = value
-            return True
-        if known != value:
-            raise Inconsistent(f"rank clash at the map into {node(t)}: {known} vs {value}")
-        return False
-
-    changed = True
-    while changed:
-        changed = False
-        for t in kept:
-            dim, r_in, r_out = dims[t], ranks.get(t), ranks.get(t + 1)
-            if dim == 0:
-                changed |= set_rank(t, 0)
-                changed |= set_rank(t + 1, 0)
-            elif dim is not None:
-                if r_in is not None and r_out is None:
-                    changed |= set_rank(t + 1, dim - r_in)
-                elif r_out is not None and r_in is None:
-                    changed |= set_rank(t, dim - r_out)
-                elif r_in is not None and r_out is not None and r_in + r_out != dim:
-                    raise Inconsistent(
-                        f"exactness fails at {node(t)}: {dim} != {r_in} + {r_out}"
-                    )
-            elif r_in is not None and r_out is not None:
-                dims[t] = r_in + r_out
-                changed = True
-
-    unknown = tuple(t // 3 for t in kept if dims[t] is None)
+    a, c = dict(system.a), dict(system.c_dims)
+    fixed: dict[int, int] = {}  # link -> residue rank, from the facts
+    for fact in system.rank_facts:
+        if fact.kind == "gysin":
+            s, r = fact.degree - 1, a.get(fact.degree - c2, 0) - fact.rank
+        else:
+            s = fact.degree
+            r = fact.rank if fact.kind == "residue" else c.get(s, 0) - fact.rank
+        if fixed.setdefault(s, r) != r:
+            raise Inconsistent(
+                f"the facts on link C^{s} -> A^{s - c2 + 1} force residue ranks {fixed[s]} and {r}"
+            )
+    b: dict[int, int] = {}  # the nonzero B entries
+    ranks: dict[tuple[str, int], int] = {}  # the nonzero ranks, in sequence order
+    unknown: list[int] = []
+    for s in _links(system):
+        into_c, into_a = c.get(s, 0), a.get(s - c2 + 1, 0)
+        r = fixed.get(s)
+        if r is None:
+            if into_c and into_a:
+                unknown += [s, s + 1]
+                continue
+            r = 0
+        if not 0 <= r <= min(into_c, into_a):
+            raise Inconsistent(
+                f"exactness fails on link C^{s} -> A^{s - c2 + 1}: residue rank {r}"
+                f" outside 0..{min(into_c, into_a)}"
+            )
+        # Link s + 1 has not been visited, so B^(s+1) has no rank into it yet.
+        if into_c - r:
+            ranks["restriction", s] = into_c - r
+            b[s] = b.get(s, 0) + into_c - r
+        if r:
+            ranks["residue", s] = r
+        if into_a - r:
+            ranks["gysin", s + 1] = b[s + 1] = into_a - r
     if unknown:
-        return Underdetermined(degrees=unknown)
+        return Underdetermined(degrees=tuple(sorted(set(unknown))))
 
+    # Node 3s + slot is slot A, B or C of pattern degree s; a segment is a run
+    # of consecutive nonzero nodes.
+    nodes = sorted(
+        [(3 * (degree + c2), ("A", degree)) for degree in a]
+        + [(3 * s + 1, ("B", s)) for s in b]
+        + [(3 * s + 2, ("C", s)) for s in c]
+    )
     segments: list[list[tuple[str, int]]] = []
-    for t in kept:
-        if dims[t]:
-            if not dims.get(t - 1):
-                segments.append([])
-            segments[-1].append(node(t))
+    last = None
+    for t, name in nodes:
+        if t - 1 != last:
+            segments.append([])
+        segments[-1].append(name)
+        last = t
     return LesSolution(
-        b=GradedDims({t // 3: dims[t] for t in kept if t % 3 == 1}),
-        ranks={
-            (_KINDS[(t - 1) % 3], (t - 1) // 3): rank
-            for t, rank in sorted(ranks.items())
-            if rank
-        },
+        b=GradedDims(b),
+        ranks=ranks,
         segments=tuple(map(tuple, segments)),
         axioms=_axioms(system),
     )
 
 
-def _core(system: LesSystem) -> tuple[dict[int, int], set[int]]:
-    """The declared ranks by map, and the nodes with a nonzero A or C entry or a
-    fact.  Node t is slot t % 3 (A, B, C) of pattern degree t // 3 and map t is
-    node t-1 -> t, so a fact's map is 3 * degree + 1, 2 or 3 by its kind.
-    """
-    ranks: dict[int, int] = {}
-    for fact in system.rank_facts:
-        t = 3 * fact.degree + 1 + _KINDS.index(fact.kind)
-        if ranks.setdefault(t, fact.rank) != fact.rank:
-            raise Inconsistent(f"conflicting rank facts at {fact.kind}/{fact.degree}")
-    core = {3 * (degree + 2 * system.codim) for degree in system.a.support}
-    core.update(3 * degree + 2 for degree in system.c_dims.support)
-    core.update(ranks)
-    return ranks, core
+def _links(system: LesSystem) -> list[int]:
+    """The links of the sequence with a nonzero entry or a declared fact, in
+    increasing order.  Link s is C^s -> A^(s-2c+1) between B^s and B^(s+1); a
+    Gysin fact at degree s declares the last map of link s - 1."""
+    c2 = 2 * system.codim
+    return sorted({
+        *system.c_dims.support,
+        *(degree + c2 - 1 for degree in system.a.support),
+        *(fact.degree - (fact.kind == "gysin") for fact in system.rank_facts),
+    })
 
 
 def _axioms(system: LesSystem) -> tuple[str, ...]:
@@ -329,7 +320,7 @@ def milnor_fiber_cohomology(d: int, mu: int) -> GradedDims:
     """
     if d < 1 or mu < 1:
         raise ValueError("need d >= 1 and mu >= 1")
-    return GradedDims({0: 1}) + {d - 1: mu}
+    return GradedDims([(0, 1), (d - 1, mu)])
 
 
 def sphere_cohomology(d: int) -> GradedDims:
@@ -340,7 +331,41 @@ def sphere_cohomology(d: int) -> GradedDims:
 
 
 def residue_onto_unit_fact(d: int, full_a: GradedDims) -> RankFact:
-    """The declared full-rank residue fact at the sphere class degree 2d-1."""
+    """The declared full-rank residue fact at the sphere class degree 2d-1.
+
+    Why the fact holds.  At rung b, let X_b = {Lambda = 1} be truncation b,
+    Z its closed piece where z_-b = 0, U = X_b minus Z the open one, and
+    pi = z_-b: X_b -> A^d, the bottom coefficients of the loop.
+
+    - Lambda is homogeneous of degree delta in the window's variables, so
+      Euler's identity gives sum_v v * dLambda/dv = delta * Lambda = delta on
+      X_b.  On Z every z_-b coordinate vanishes, so the vector field
+      sum_v v * d/dv over the other variables pairs with dLambda to delta,
+      not 0, while every dz^i_-b annihilates it: dLambda is not in the span
+      of the dz^i_-b.  Hence the dz^i_-b stay independent on the tangent
+      space ker dLambda, pi is a submersion along Z, and Z = pi^-1(0) is a
+      submanifold of complex codimension d whose normal bundle pi's
+      coordinates trivialize.
+    - Off Z, U -> A^d minus 0 is an affine bundle: Lambda is linear in the top
+      coefficient z_N, whose coefficient is a partial of F at z_-b, not all
+      zero off the origin since F is isolated.  So pi is a homotopy
+      equivalence on U, and pi^* sigma generates H^(2d-1)(U), where sigma
+      generates H^(2d-1)(A^d minus 0), the C column of the sequence.
+    - The residue H^(2d-1)(U) -> H^0(Z) of the Gysin sequence reads a class
+      on the sphere bundle of Z's tubular neighbourhood, through the Thom
+      isomorphism.  pi maps each normal sphere onto a sphere about 0 with
+      degree 1, since it trivializes the normal bundle, so pi^* sigma goes to
+      the Thom class's unit: 1 in H^0(Z).  H^0(Z) is the A column in degree
+      0, nonzero exactly when Z is non-empty, so the residue has rank
+      1 = min(1, dim A^0) at the sphere class.
+
+    See Bott and Tu 1982, section 6, for the Thom isomorphism, the tubular
+    neighbourhood and the Gysin sequence.  The premises are Euler's identity,
+    which needs every term of Lambda to have degree delta, and the affine
+    bundle, which needs top linearity and the derivative identity at rung b;
+    the code checks them at the window bottom only, so the fact stays
+    declared, with its justification text unchanged in every report.
+    """
     return RankFact(
         kind="residue",
         degree=2 * d - 1,
@@ -544,12 +569,12 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
 
     Step n's Gysin sequence is a fixed unit block (A^0, C^0, C^(2d-1), the
     residue fact) beside a mu block A^m, m = 2(n-1)d + d - 1.  The steps up to
-    n0, the first whose blocks a zero A or C node separates (2 for d = 1, else
-    1), are solved directly and audited for the shift rule (reduced cohomology
-    moves up by 2d) and concentration in one degree.  The unit block and the
-    step-n0 mu block are solved once, against the shift rule, and their union
-    must equal the step-n0 solve.  The gap only grows, and the solver solves
-    segments split by a zero node independently (locality) and a translated
+    n0, the first whose mu block's links all lie above the unit block's (2
+    for d = 1, else 1), are solved directly and audited for the shift rule
+    (reduced cohomology moves up by 2d) and concentration in one degree.  The
+    unit block and the step-n0 mu block are solved once, against the shift
+    rule, and their union must equal the step-n0 solve.  The gap only grows,
+    and the solver solves each link on its own (locality) and a translated
     system to the translated solution (translation equivariance), so each
     later step is step n0 with the mu block moved up: n0 + 2 solves in all.
     The record stores the directly solved steps and derives the later ones.
@@ -558,19 +583,21 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
         raise ValueError("n_max must be nonnegative")
     base = milnor_fiber_cohomology(d, mu)
     reduced = base.drop_unit()
-    unit_block = _gysin_system(GradedDims({0: 1}), d)
-    # Each step moves the mu block's nodes up by 6d.
-    gap = min(_core(LesSystem(d, reduced, GradedDims()))[1]) - max(_core(unit_block)[1])
-    n0 = 1 + max(0, -((gap - 3) // (6 * d)))
+    unit, empty = GradedDims({0: 1}), GradedDims()
+    unit_block = _gysin_system(unit, d)
+    # Each step moves the mu block's links up by 2d.
+    gap = _links(LesSystem(d, reduced, empty))[0] - _links(unit_block)[-1]
+    n0 = 1 + max(0, -((gap - 1) // (2 * d)))
     truncations = [base]
     degrees = [_concentration_degree(base, 0)]
     head_ranks: list[dict[int, int]] = []
     axioms: set[str] = set()
+    moved = reduced
     for n in range(1, min(n0, n_max) + 1):
-        step = reduced.shifted(2 * d * (n - 1))
-        solution = _checked_solution(
-            _gysin_system(step.with_unit(), d), step.shifted(2 * d).with_unit()
-        )
+        # Step n's mu block is step n-1's reduced cohomology, which the shift
+        # rule moves up by 2d.
+        step, moved = moved, moved.shifted(2 * d)
+        solution = _checked_solution(_gysin_system(step.with_unit(), d), moved.with_unit())
         truncations.append(solution.b)
         degrees.append(_concentration_degree(solution.b, n))
         head_ranks.append(
@@ -579,11 +606,12 @@ def gysin_tower(d: int, mu: int, n_max: int) -> GysinTower:
         axioms.update(solution.axioms)
     if n_max >= n0:
         # `step` and `solution` are the mu block and the direct solve of step n0.
-        unit = _checked_solution(unit_block, GradedDims({0: 1}))
-        block = _checked_solution(LesSystem(d, step, GradedDims()), step.shifted(2 * d))
+        unit_solution = _checked_solution(unit_block, unit)
+        block = _checked_solution(LesSystem(d, step, empty), moved)
         if solution != LesSolution(
-            unit.b + block.b, {**unit.ranks, **block.ranks}, unit.segments + block.segments,
-            tuple(sorted({*unit.axioms, *block.axioms})),
+            unit_solution.b + block.b, {**unit_solution.ranks, **block.ranks},
+            unit_solution.segments + block.segments,
+            tuple(sorted({*unit_solution.axioms, *block.axioms})),
         ):
             raise RuntimeError(f"the unit and mu blocks do not split the sequence at step {n0}")
     return GysinTower(

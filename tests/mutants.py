@@ -78,6 +78,12 @@ MUTANTS = (
            "the Gysin walk gives a delta = 2 truncation the sphere its Gram rank shows",
            "test_cohom.py::TestQuadricWitness"
            "::test_the_gram_rank_is_the_sphere_the_gysin_walk_reaches"),
+    Mutant("link-range", "cohom.py", "if not 0 <= r <= min(into_c, into_a):", "if False:",
+           "a link's residue rank lies between 0 and both of its dimensions",
+           "test_cohom.py::TestSolveLes::test_inconsistent_rank_fact"),
+    Mutant("link-facts", "cohom.py", "if fixed.setdefault(s, r) != r:", "if False:",
+           "the facts on one link fix one residue rank",
+           "test_cohom.py::TestSolveLes::test_facts_fixing_one_link_differently_are_inconsistent"),
     Mutant("s-pairs", "grobner.py",
            "if _reduce(_s_terms(elements[i], elements[j], lcm), elements, first, run)[0]:",
            "if False:", "every kept S-pair reduces to zero on the basis",

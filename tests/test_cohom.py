@@ -410,6 +410,33 @@ class TestSolveLes:
         assert all(total == 0 for total in alternating_sums(solution, system))
         assert solution.axioms
 
+    def test_ranks_come_in_sequence_order(self):
+        # Link s holds the restriction at s, the residue at s and the Gysin
+        # map into B^(s+1), in that order along the sequence.
+        solution = solve_les_detailed(gysin_system(GradedDims({0: 1, 1: 4}), 2))
+        assert list(solution.ranks.items()) == [
+            (("restriction", 0), 1), (("residue", 3), 1), (("gysin", 5), 4),
+        ]
+        assert solution.segments == (
+            (("B", 0), ("C", 0)), (("C", 3), ("A", 0)), (("A", 1), ("B", 5)),
+        )
+
+    def test_facts_fixing_one_link_differently_are_inconsistent(self):
+        # C^1 -> A^0 with both entries 1: the residue fact fixes the link's
+        # residue rank at 1, the restriction fact at 1 - 1 = 0.
+        facts = (
+            RankFact("residue", 1, 1, "test: one"), RankFact("restriction", 1, 1, "test: other"),
+        )
+        system = LesSystem(
+            codim=1, a=GradedDims({0: 1}), c_dims=GradedDims({1: 1}), rank_facts=facts
+        )
+        with pytest.raises(Inconsistent):
+            solve_les_detailed(system)
+        # Either fact alone solves the sequence.
+        for fact in facts:
+            solution = solve_les_detailed(system._replace(rank_facts=(fact,)))
+            assert not isinstance(solution, Underdetermined)
+
 
     @settings(max_examples=500, deadline=None)
     @given(_systems)
